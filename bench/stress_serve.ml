@@ -17,14 +17,18 @@
    this across a clients x jobs x engine matrix. Exit code 1 on any
    divergence.
 
-   With --mutate the gate targets the sharded store instead
+   With --mutate the gate targets both sharded stores instead
    (docs/SHARDING.md): seeded schedules interleaving
    insert/delete/update/query are replayed on a [Serve.Sharded_store]
    with --shards shards under the --jobs pool, and every query result
    (distances AND external ids, bit-compared) plus every insert's
    assigned id must match the same schedule replayed on a single-shard
    store at jobs 1. This drives slot reuse after deletes, duplicate-row
-   ties and per-shard cache invalidation under partitioning. *)
+   ties and per-shard cache invalidation under partitioning. Seeded
+   update_box/query schedules on a [Serve.Range_store] are held to the
+   same single-shard jobs-1 reference (violation counts, box ids and
+   matches), which covers the range store's parallel fan-out and its
+   per-shard reprogramming after box updates. *)
 
 let usage () =
   prerr_endline
@@ -91,6 +95,78 @@ type mutation_op =
   | Op_delete of int
   | Op_update of int * float array
   | Op_query of float array array
+
+type range_op =
+  | Op_update_box of int * float array * float array
+  | Op_query_boxes of float array array
+
+(* The range-store half of --mutate: returns the number of diverging
+   query batches. Box updates copy another box's bounds (or widen a box
+   to the whole cube), so matches keep changing hands between shards. *)
+let range_gate o ~config =
+  let q = 4 and boxes = 32 and dims = 8 in
+  let w =
+    Workloads.Range_filter.generate ~seed:o.seed ~boxes ~dims ~n_queries:64
+      ()
+  in
+  let n_pool_q = Array.length w.Workloads.Range_filter.queries in
+  let gen_schedule schedule =
+    let rng = Rng.create (o.seed + (7919 * (schedule + 1))) in
+    List.init (o.requests * 8) (fun _ ->
+        if Rng.int rng 100 < 40 then
+          let row = Rng.int rng boxes and src = Rng.int rng (boxes + 1) in
+          if src = boxes then
+            Op_update_box (row, Array.make dims 0., Array.make dims 1.)
+          else
+            Op_update_box
+              (row, w.Workloads.Range_filter.lo.(src),
+               w.Workloads.Range_filter.hi.(src))
+        else
+          let off = Rng.int rng (n_pool_q - q + 1) in
+          Op_query_boxes (Array.sub w.Workloads.Range_filter.queries off q))
+  in
+  let replay ~shards ~jobs ops =
+    Parallel.run ~jobs @@ fun _ ->
+    let store =
+      Serve.Range_store.create ~config ~shards ~q
+        ~lo:w.Workloads.Range_filter.lo ~hi:w.Workloads.Range_filter.hi ()
+    in
+    List.filter_map
+      (function
+        | Op_update_box (row, lo, hi) ->
+            Serve.Range_store.update_box store ~row ~lo ~hi;
+            None
+        | Op_query_boxes rows -> Some (Serve.Range_store.query store rows))
+      ops
+  in
+  let shards = min o.shards boxes in
+  Printf.printf
+    "stress_serve --mutate: %d range schedules x %d ops, shards %d vs 1, \
+     jobs %d vs 1\n%!"
+    o.schedules (o.requests * 8) shards o.jobs;
+  let mismatches = ref 0 in
+  for schedule = 0 to o.schedules - 1 do
+    let ops = gen_schedule schedule in
+    let reference = replay ~shards:1 ~jobs:1 ops in
+    let got = replay ~shards ~jobs:o.jobs ops in
+    List.iteri
+      (fun i ((r : Serve.Range_store.result), (g : Serve.Range_store.result))
+         ->
+        if
+          not
+            (rows_bits_equal r.values g.values
+            && int_rows_equal r.indices g.indices
+            && r.matches = g.matches)
+        then begin
+          incr mismatches;
+          Printf.printf
+            "MISMATCH range schedule %d query %d: sharded result diverges \
+             from the single-shard reference\n%!"
+            schedule i
+        end)
+      (List.combine reference got)
+  done;
+  !mismatches
 
 let mutate_gate o =
   let engine : C4cam.Driver.Run_config.engine =
@@ -192,17 +268,18 @@ let mutate_gate o =
         end)
       (List.combine reference got)
   done;
-  if !mismatches > 0 then begin
+  let mismatches = !mismatches + range_gate o ~config in
+  if mismatches > 0 then begin
     Printf.eprintf
       "stress_serve: %d query result(s) diverged from the single-shard \
        reference\n"
-      !mismatches;
+      mismatches;
     exit 1
   end
   else
     Printf.printf
-      "all %d query batches byte-identical to the single-shard sequential \
-       reference\n"
+      "all %d sharded-store query rows and every range-store batch \
+       byte-identical to the single-shard sequential reference\n"
       !queries
 
 let () =

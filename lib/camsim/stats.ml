@@ -40,6 +40,25 @@ let create () =
 let total_energy t =
   t.e_search +. t.e_write +. t.e_merge +. t.e_select +. t.e_overhead
 
+let add_into ~into s =
+  into.e_search <- into.e_search +. s.e_search;
+  into.e_write <- into.e_write +. s.e_write;
+  into.e_merge <- into.e_merge +. s.e_merge;
+  into.e_select <- into.e_select +. s.e_select;
+  into.e_overhead <- into.e_overhead +. s.e_overhead;
+  into.n_search_ops <- into.n_search_ops + s.n_search_ops;
+  into.n_query_cycles <- into.n_query_cycles + s.n_query_cycles;
+  into.n_write_ops <- into.n_write_ops + s.n_write_ops;
+  into.n_banks <- into.n_banks + s.n_banks;
+  into.n_mats <- into.n_mats + s.n_mats;
+  into.n_arrays <- into.n_arrays + s.n_arrays;
+  into.n_subarrays <- into.n_subarrays + s.n_subarrays;
+  into.n_kernel_binary <- into.n_kernel_binary + s.n_kernel_binary;
+  into.n_kernel_nibble <- into.n_kernel_nibble + s.n_kernel_nibble;
+  into.n_kernel_generic <- into.n_kernel_generic + s.n_kernel_generic;
+  into.n_kernel_early_exit <-
+    into.n_kernel_early_exit + s.n_kernel_early_exit
+
 let reset t =
   t.e_search <- 0.;
   t.e_write <- 0.;

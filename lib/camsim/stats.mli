@@ -26,5 +26,9 @@ type t = {
 
 val create : unit -> t
 val total_energy : t -> float
+val add_into : into:t -> t -> unit
+(** [add_into ~into s] adds every energy and counter of [s] to [into]
+    — how a multi-device store sums its per-device ledgers. *)
+
 val reset : t -> unit
 val to_string : t -> string

@@ -1,7 +1,7 @@
 (* A serving backend: what the concurrent server needs from the thing
    that actually executes batches, whether that is one pinned session
-   or a sharded store. Plain record-of-closures — the server never
-   inspects which it got. *)
+   or a sharded store (Shard_set builds the stores' adapters). Plain
+   record-of-closures — the server never inspects which it got. *)
 
 type reply = {
   values : float array array;
@@ -16,7 +16,6 @@ type t = {
   query : float array array -> reply;
   stats : unit -> Session.stats;
   serve_section : unit -> Instrument.Profile.serve;
-  session : Session.t option;
 }
 
 let of_session s =
@@ -35,5 +34,4 @@ let of_session s =
         });
     stats = (fun () -> Session.stats s);
     serve_section = (fun () -> Session.serve_section s);
-    session = Some s;
   }

@@ -25,8 +25,6 @@ type t = {
   serve_section : unit -> Instrument.Profile.serve;
       (** current serve profile section with scheduler fields zeroed;
           the server overlays its own before installing it *)
-  session : Session.t option;
-      (** the underlying session when the backend is a plain one *)
 }
 
 val of_session : Session.t -> t

@@ -15,24 +15,15 @@ type shard = {
   sh_hi : float array array;
   sh_lo_buf : Interp.Rtval.buffer;
   sh_hi_buf : Interp.Rtval.buffer;
-  sh_lo_val : Interp.Rtval.t;
-  sh_hi_val : Interp.Rtval.t;
   sh_qbuf : Interp.Rtval.buffer;
-  sh_qval : Interp.Rtval.t;
-  mutable sh_sealed : bool;
+  mutable sh_ops : (string * int) list;  (** cumulative, merged *)
 }
 
 type t = {
-  st_config : C4cam.Driver.Run_config.t;
-  st_q : int;
+  st_set : shard Shard_set.t;
+  st_shards : shard array;
   st_boxes : int;
   st_dims : int;
-  st_shards : shard array;
-  mutable st_batches : int;
-  mutable st_queries : int;
-  mutable st_wall : float;
-  mutable st_latency : float;
-  mutable st_ops : (string * int) list;
 }
 
 type result = {
@@ -47,14 +38,44 @@ let boxes t = t.st_boxes
 let dims t = t.st_dims
 let shards t = Array.length t.st_shards
 
-let merge_counts a b =
-  List.fold_left
-    (fun acc (k, n) ->
-      match List.assoc_opt k acc with
-      | Some m -> (k, m + n) :: List.remove_assoc k acc
-      | None -> (k, n) :: acc)
-    a b
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* One shard's best (violations, global box id) per query row. Its
+   q-chunks run in order against its own simulator: each is blitted
+   into the pinned query buffer, replays the recorded setup (free when
+   the bounds are unchanged) and pays for its search. The shard's time
+   for the batch is the sum over its chunks. *)
+let shard_search ~config ~q ~dims sh batch =
+  let energy () =
+    Camsim.Stats.total_energy (Camsim.Simulator.stats sh.sh_sim)
+  in
+  let e0 = energy () and total = Array.length batch in
+  let values = Array.make total [||] and indices = Array.make total [||] in
+  let latency = ref 0. and dst = sh.sh_qbuf.Interp.Rtval.b_data in
+  for c = 0 to (total / q) - 1 do
+    let chunk = Array.sub batch (c * q) q in
+    Array.iteri (fun i row -> Array.blit row 0 dst (i * dims) dims) chunk;
+    Interp.Ops.Qcache.invalidate sh.sh_qcache dst;
+    let r =
+      Session.replay sh.sh_sim @@ fun () ->
+      C4cam.Acam.execute ~config ~sim:sh.sh_sim ~qcache:sh.sh_qcache
+        ~lo_value:(Interp.Rtval.Buffer sh.sh_lo_buf)
+        ~hi_value:(Interp.Rtval.Buffer sh.sh_hi_buf)
+        ~query_value:(Interp.Rtval.Buffer sh.sh_qbuf) sh.sh_compiled
+        ~lo:sh.sh_lo ~hi:sh.sh_hi ~queries:chunk
+    in
+    latency := !latency +. r.C4cam.Acam.latency;
+    sh.sh_ops <- Session.merge_counts sh.sh_ops r.C4cam.Acam.ops_executed;
+    Array.blit r.C4cam.Acam.values 0 values (c * q) q;
+    Array.iteri
+      (fun i (row : int array) ->
+        indices.((c * q) + i) <- [| sh.sh_offset + row.(0) |])
+      r.C4cam.Acam.indices
+  done;
+  {
+    Shard_set.values;
+    indices;
+    latency = !latency;
+    energy = energy () -. e0;
+  }
 
 let create ?(config = C4cam.Driver.Run_config.default) ?shards
     ?(spec = Archspec.Spec.square 32 Archspec.Spec.Base) ~q ~lo ~hi () =
@@ -65,17 +86,19 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
   let n_dims = Array.length lo.(0) in
   Array.iteri
     (fun r lo_r ->
-      if Array.length lo_r <> n_dims || Array.length hi.(r) <> n_dims then
-        fail "box %d is not %d-dimensional" r n_dims)
+      if
+        not
+          (Shard_set.valid_row n_dims lo_r
+          && Shard_set.valid_row n_dims hi.(r))
+      then fail "box %d needs %d finite bounds per side" r n_dims)
     lo;
   if q < 1 then fail "query arity must be >= 1 (got %d)" q;
   let n_shards =
-    match shards with
-    | Some s -> s
-    | None -> config.C4cam.Driver.Run_config.shards
+    Option.value shards ~default:config.C4cam.Driver.Run_config.shards
   in
   if n_shards < 1 || n_shards > n_boxes then
     fail "shard count %d not in [1, %d boxes]" n_shards n_boxes;
+  let shard_config = Shard_set.shard_config config in
   let base = n_boxes / n_shards and rem = n_boxes mod n_shards in
   let offset = ref 0 in
   let mk_shard i =
@@ -86,7 +109,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
     let sh_hi = Array.sub hi sh_offset sh_boxes in
     let spec = C4cam.Acam.fit_spec ~base:spec ~boxes:sh_boxes ~dims:n_dims () in
     let compiled = C4cam.Acam.compile ~spec ~q ~boxes:sh_boxes ~dims:n_dims in
-    let sim = C4cam.Driver.create_sim config spec in
+    let sim = C4cam.Driver.create_sim shard_config spec in
     Camsim.Simulator.set_query_hint sim q;
     Camsim.Simulator.start_recording sim;
     let lo_buf = Interp.Rtval.buffer_of_rows sh_lo in
@@ -102,31 +125,32 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
       sh_hi;
       sh_lo_buf = lo_buf;
       sh_hi_buf = hi_buf;
-      sh_lo_val = Interp.Rtval.Buffer lo_buf;
-      sh_hi_val = Interp.Rtval.Buffer hi_buf;
       sh_qbuf = qbuf;
-      sh_qval = Interp.Rtval.Buffer qbuf;
-      sh_sealed = false;
+      sh_ops = [];
     }
   in
+  let st_shards = Array.init n_shards mk_shard in
   {
-    st_config = config;
-    st_q = q;
+    st_set =
+      Shard_set.create ~config ~q ~d:n_dims ~k:1 ~cache:`Miss
+        ~err:(fun e -> Store_error e)
+        ~sim:(fun sh -> sh.sh_sim)
+        ~ops:(fun sh -> sh.sh_ops)
+        ~rows:(fun () -> (n_boxes, 0))
+        ~search:(shard_search ~config:shard_config ~q ~dims:n_dims)
+        st_shards;
+    st_shards;
     st_boxes = n_boxes;
     st_dims = n_dims;
-    st_shards = Array.init n_shards mk_shard;
-    st_batches = 0;
-    st_queries = 0;
-    st_wall = 0.;
-    st_latency = 0.;
-    st_ops = [];
   }
 
 let update_box t ~row ~lo ~hi =
   if row < 0 || row >= t.st_boxes then
     fail "box %d out of range [0, %d)" row t.st_boxes;
-  if Array.length lo <> t.st_dims || Array.length hi <> t.st_dims then
-    fail "bounds must be %d-dimensional" t.st_dims;
+  if
+    not
+      (Shard_set.valid_row t.st_dims lo && Shard_set.valid_row t.st_dims hi)
+  then fail "update_box: bounds must be %d finite values" t.st_dims;
   let sh =
     (* contiguous slices: the owner is the shard whose window holds row *)
     Array.to_seq t.st_shards
@@ -141,201 +165,21 @@ let update_box t ~row ~lo ~hi =
   Interp.Ops.Qcache.invalidate sh.sh_qcache sh.sh_lo_buf.Interp.Rtval.b_data;
   Interp.Ops.Qcache.invalidate sh.sh_qcache sh.sh_hi_buf.Interp.Rtval.b_data
 
-(* One q-row chunk against one shard: blit the chunk into the pinned
-   query buffer, replay the recorded setup (free when the bounds are
-   unchanged), pay for the search. *)
-let run_chunk_on sh ~config ~dims chunk =
-  if sh.sh_sealed then Camsim.Simulator.rewind sh.sh_sim;
-  let dst = sh.sh_qbuf.Interp.Rtval.b_data in
-  Array.iteri (fun i row -> Array.blit row 0 dst (i * dims) dims) chunk;
-  Interp.Ops.Qcache.invalidate sh.sh_qcache dst;
-  let r =
-    C4cam.Acam.execute ~config ~sim:sh.sh_sim ~qcache:sh.sh_qcache
-      ~lo_value:sh.sh_lo_val ~hi_value:sh.sh_hi_val ~query_value:sh.sh_qval
-      sh.sh_compiled ~lo:sh.sh_lo ~hi:sh.sh_hi ~queries:chunk
-  in
-  if not sh.sh_sealed then begin
-    Camsim.Simulator.seal_recording sh.sh_sim;
-    sh.sh_sealed <- true
-  end;
-  r
-
 let query t batch =
-  let q = t.st_q in
-  let total = Array.length batch in
-  if total = 0 || total mod q <> 0 then
-    fail "batch size %d is not a positive multiple of the store's %d \
-          queries"
-      total q;
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> t.st_dims then
-        fail "query row %d has %d values, expected %d" i (Array.length row)
-          t.st_dims)
-    batch;
-  let t0 = Instrument.Collect.now () in
-  let e0 =
-    Array.fold_left
-      (fun acc sh ->
-        acc +. Camsim.Stats.total_energy (Camsim.Simulator.stats sh.sh_sim))
-      0. t.st_shards
+  let { Shard_set.values; indices; latency; energy } =
+    Shard_set.query t.st_set batch
   in
-  let n_chunks = total / q in
-  let values = Array.init total (fun _ -> [| 0. |]) in
-  let indices = Array.init total (fun _ -> [| 0 |]) in
-  let matches = Array.make total (-1) in
-  let latency = ref 0. in
-  for c = 0 to n_chunks - 1 do
-    let chunk = Array.sub batch (c * q) q in
-    (* shards run in a fixed order against disjoint simulators; each
-       chunk's simulated time is the slowest shard's *)
-    let results =
-      Array.map
-        (fun sh -> run_chunk_on sh ~config:t.st_config ~dims:t.st_dims chunk)
-        t.st_shards
-    in
-    let chunk_latency =
-      Array.fold_left
-        (fun acc (r : C4cam.Acam.result) -> Float.max acc r.latency)
-        0. results
-    in
-    latency := !latency +. chunk_latency;
-    Array.iter
-      (fun (r : C4cam.Acam.result) ->
-        t.st_ops <- merge_counts t.st_ops r.C4cam.Acam.ops_executed)
-      results;
-    for i = 0 to q - 1 do
-      (* lexicographically least (violations, global id) across shards
-         = the single-subarray selection's lower-index tie-break *)
-      let best_v = ref infinity and best_i = ref (-1) in
-      Array.iteri
-        (fun si (r : C4cam.Acam.result) ->
-          let v = r.C4cam.Acam.values.(i).(0) in
-          let gi =
-            t.st_shards.(si).sh_offset + r.C4cam.Acam.indices.(i).(0)
-          in
-          if v < !best_v || (v = !best_v && gi < !best_i) then begin
-            best_v := v;
-            best_i := gi
-          end)
-        results;
-      let o = (c * q) + i in
-      values.(o) <- [| !best_v |];
-      indices.(o) <- [| !best_i |];
-      matches.(o) <- (if !best_v = 0. then !best_i else -1)
-    done
-  done;
-  let e1 =
-    Array.fold_left
-      (fun acc sh ->
-        acc +. Camsim.Stats.total_energy (Camsim.Simulator.stats sh.sh_sim))
-      0. t.st_shards
-  in
-  t.st_batches <- t.st_batches + 1;
-  t.st_queries <- t.st_queries + total;
-  t.st_latency <- t.st_latency +. !latency;
-  t.st_wall <- t.st_wall +. Float.max 0. (Instrument.Collect.now () -. t0);
-  {
-    matches;
-    values;
-    indices;
-    latency = !latency;
-    energy = e1 -. e0;
-  }
+  let matches = Workloads.Range_filter.decode ~values ~indices in
+  { matches; values; indices; latency; energy }
 
-let device_stats t =
-  let agg = Camsim.Stats.create () in
-  Array.iter
-    (fun sh ->
-      let s = Camsim.Simulator.stats sh.sh_sim in
-      agg.Camsim.Stats.e_search <-
-        agg.Camsim.Stats.e_search +. s.Camsim.Stats.e_search;
-      agg.e_write <- agg.e_write +. s.Camsim.Stats.e_write;
-      agg.e_merge <- agg.e_merge +. s.Camsim.Stats.e_merge;
-      agg.e_select <- agg.e_select +. s.Camsim.Stats.e_select;
-      agg.e_overhead <- agg.e_overhead +. s.Camsim.Stats.e_overhead;
-      agg.n_search_ops <- agg.n_search_ops + s.Camsim.Stats.n_search_ops;
-      agg.n_query_cycles <-
-        agg.n_query_cycles + s.Camsim.Stats.n_query_cycles;
-      agg.n_write_ops <- agg.n_write_ops + s.Camsim.Stats.n_write_ops;
-      agg.n_banks <- agg.n_banks + s.Camsim.Stats.n_banks;
-      agg.n_mats <- agg.n_mats + s.Camsim.Stats.n_mats;
-      agg.n_arrays <- agg.n_arrays + s.Camsim.Stats.n_arrays;
-      agg.n_subarrays <- agg.n_subarrays + s.Camsim.Stats.n_subarrays;
-      agg.n_kernel_binary <-
-        agg.n_kernel_binary + s.Camsim.Stats.n_kernel_binary;
-      agg.n_kernel_nibble <-
-        agg.n_kernel_nibble + s.Camsim.Stats.n_kernel_nibble;
-      agg.n_kernel_generic <-
-        agg.n_kernel_generic + s.Camsim.Stats.n_kernel_generic;
-      agg.n_kernel_early_exit <-
-        agg.n_kernel_early_exit + s.Camsim.Stats.n_kernel_early_exit)
-    t.st_shards;
-  agg
-
-let stats t =
-  let agg = device_stats t in
-  let energy = ref (Camsim.Stats.total_energy agg)
-  and e_write = ref agg.Camsim.Stats.e_write
-  and write_ops = ref agg.Camsim.Stats.n_write_ops in
-  {
-    Session.batches = t.st_batches;
-    queries_served = t.st_queries;
-    wall_clock_s = t.st_wall;
-    queries_per_s =
-      (if t.st_wall > 0. then float_of_int t.st_queries /. t.st_wall
-       else 0.);
-    sim_latency_s = t.st_latency;
-    sim_energy_j = !energy;
-    write_energy_j = !e_write;
-    write_ops = !write_ops;
-    cache = `Miss;
-    ops_executed = t.st_ops;
-    alloc_minor_words_per_query = 0.;
-  }
-
-let serve_section t =
-  let st = stats t in
-  (match t.st_config.C4cam.Driver.Run_config.profile with
-  | None -> ()
-  | Some p ->
-      C4cam.Driver.fold_sim_stats p ~latency:st.Session.sim_latency_s
-        ~energy:st.Session.sim_energy_j
-        ~ops_executed:st.Session.ops_executed (device_stats t));
-  {
-    Instrument.Profile.batches = st.Session.batches;
-    queries_served = st.Session.queries_served;
-    serve_wall_s = st.Session.wall_clock_s;
-    queries_per_s = st.Session.queries_per_s;
-    serve_write_energy_j = st.Session.write_energy_j;
-    artifact_cache_hit = false;
-    alloc_minor_words_per_query = 0.;
-    batches_coalesced = 0;
-    batch_fill = 0.;
-    queue_hwm = 0;
-    lat_p50_s = 0.;
-    lat_p99_s = 0.;
-    shards = Array.length t.st_shards;
-    rows_stored = t.st_boxes;
-    rows_free = 0;
-    shard_fanout_wall_s = 0.;
-    shard_merge_wall_s = 0.;
-  }
+let stats t = Shard_set.session_stats t.st_set
+let device_stats t = Shard_set.device_stats t.st_set
 
 let backend t =
-  {
-    Backend.q = t.st_q;
-    d = t.st_dims;
-    run_config = t.st_config;
-    query =
-      (fun rows ->
-        let r = query t rows in
-        {
-          Backend.values = r.values;
-          indices = Array.map (fun m -> [| m |]) r.matches;
-          scores = None;
-        });
-    stats = (fun () -> stats t);
-    serve_section = (fun () -> serve_section t);
-    session = None;
-  }
+  Shard_set.backend t.st_set (fun rows ->
+      let r = query t rows in
+      {
+        Backend.values = r.values;
+        indices = Array.map (fun m -> [| m |]) r.matches;
+        scores = None;
+      })

@@ -11,11 +11,13 @@
     batch's replay reprograms (and charges for) only the changed rows,
     exactly like [Session.update_stored].
 
-    Determinism: results are byte-identical for any shard count — each
-    query's merged answer is the lexicographically least
-    (violations, global box id) candidate across shards, which
-    reproduces the single-subarray selection's lower-index tie-break —
-    and for any jobs value and either interpreter engine. *)
+    Shards are searched in parallel on the ambient [Parallel] pool and
+    merged by {!Shard_set} with k = 1. Determinism: results are
+    byte-identical for any shard count — each query's merged answer is
+    the lexicographically least (violations, global box id) candidate
+    across shards, which reproduces the single-subarray selection's
+    lower-index tie-break — and for any jobs value and either
+    interpreter engine. *)
 
 type t
 
@@ -26,7 +28,9 @@ type result = {
       (** per query row: matched global box id, or [-1] (anomaly) *)
   values : float array array;  (** [rows x 1] best violation counts *)
   indices : int array array;  (** [rows x 1] best global box ids *)
-  latency : float;  (** this batch's simulated time (slowest shard) *)
+  latency : float;
+      (** this batch's simulated time: the slowest shard's summed
+          q-chunk times *)
   energy : float;  (** this batch's simulated energy delta, all shards *)
 }
 
@@ -38,16 +42,17 @@ val create :
     batches. [spec] (default the 32x32 base square) is widened per
     shard via [C4cam.Acam.fit_spec]; [shards] (default
     [config.shards]) must not exceed the box count.
-    @raise Store_error on inconsistent bounds or a bad shard count. *)
+    @raise Store_error on inconsistent or non-finite bounds, or a bad
+    shard count. *)
 
 val query : t -> float array array -> result
-(** Serve one batch; the row count must be a positive multiple of [q].
-    @raise Store_error otherwise. *)
+(** Serve one batch: a positive multiple of [q] rows, each [dims]
+    finite values. @raise Store_error otherwise. *)
 
 val update_box : t -> row:int -> lo:float array -> hi:float array -> unit
 (** Replace one box's bounds in place; the owning shard reprograms the
     changed row (charging for it) during its next batch.
-    @raise Store_error on a bad row index or width. *)
+    @raise Store_error on a bad row index, width or non-finite bound. *)
 
 val boxes : t -> int
 val dims : t -> int

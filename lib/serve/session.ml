@@ -16,6 +16,18 @@ type stats = {
   alloc_minor_words_per_query : float;
 }
 
+type meter = {
+  mutable m_batches : int;
+  mutable m_queries : int;
+  mutable m_wall : float;
+  mutable m_latency : float;  (** summed simulated latency *)
+  mutable m_alloc_words : float;
+      (** minor words allocated inside served calls, steady-state
+          batches only (the first batch — compile + device setup — is
+          warm-up) *)
+  mutable m_alloc_queries : int;  (** query rows behind [m_alloc_words] *)
+}
+
 type t = {
   s_compiled : C4cam.Driver.compiled;
   s_cache : [ `Hit | `Miss ];
@@ -29,17 +41,51 @@ type t = {
           operand's backing (and the query-row cache's key) stays
           stable across batches *)
   s_qval : Interp.Rtval.t;  (** always a [Buffer] over [s_qbuf] *)
-  mutable s_sealed : bool;  (** device setup recorded and replayable *)
-  mutable s_batches : int;
-  mutable s_queries : int;
-  mutable s_wall : float;
-  mutable s_latency : float;  (** summed simulated latency *)
+  s_meter : meter;
   mutable s_ops : (string * int) list;  (** cumulative, merged *)
-  mutable s_alloc_words : float;
-      (** minor words allocated inside {!query}, steady-state batches
-          only (the first batch — compile + device setup — is warm-up) *)
-  mutable s_alloc_queries : int;  (** query rows behind [s_alloc_words] *)
 }
+
+let meter () =
+  {
+    m_batches = 0;
+    m_queries = 0;
+    m_wall = 0.;
+    m_latency = 0.;
+    m_alloc_words = 0.;
+    m_alloc_queries = 0;
+  }
+
+let charge m ~t0 ~w0 ~rows ~latency =
+  (* GC-pressure counter: minor words this call allocated on the
+     dispatching domain, steady-state batches only — the first batch
+     pays compile + device setup and is excluded as warm-up. *)
+  if m.m_batches > 0 then begin
+    m.m_alloc_words <- m.m_alloc_words +. (Gc.minor_words () -. w0);
+    m.m_alloc_queries <- m.m_alloc_queries + rows
+  end;
+  m.m_batches <- m.m_batches + 1;
+  m.m_queries <- m.m_queries + rows;
+  m.m_latency <- m.m_latency +. latency;
+  m.m_wall <- m.m_wall +. Float.max 0. (Instrument.Collect.now () -. t0)
+
+let stats_of m ~cache ~ops (device : Camsim.Stats.t) =
+  {
+    batches = m.m_batches;
+    queries_served = m.m_queries;
+    wall_clock_s = m.m_wall;
+    queries_per_s =
+      (if m.m_wall > 0. then float_of_int m.m_queries /. m.m_wall else 0.);
+    sim_latency_s = m.m_latency;
+    sim_energy_j = Camsim.Stats.total_energy device;
+    write_energy_j = device.e_write;
+    write_ops = device.n_write_ops;
+    cache;
+    ops_executed = ops;
+    alloc_minor_words_per_query =
+      (if m.m_alloc_queries > 0 then
+         m.m_alloc_words /. float_of_int m.m_alloc_queries
+       else 0.);
+  }
 
 let compiled t = t.s_compiled
 let run_config t = t.s_config
@@ -80,14 +126,8 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
     s_buf = buf;
     s_qbuf = qbuf;
     s_qval = Interp.Rtval.Buffer qbuf;
-    s_sealed = false;
-    s_batches = 0;
-    s_queries = 0;
-    s_wall = 0.;
-    s_latency = 0.;
+    s_meter = meter ();
     s_ops = [];
-    s_alloc_words = 0.;
-    s_alloc_queries = 0;
   }
 
 let merge_counts a b =
@@ -100,37 +140,21 @@ let merge_counts a b =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let stats t =
-  let s = Camsim.Simulator.stats t.s_sim in
-  {
-    batches = t.s_batches;
-    queries_served = t.s_queries;
-    wall_clock_s = t.s_wall;
-    queries_per_s =
-      (if t.s_wall > 0. then float_of_int t.s_queries /. t.s_wall else 0.);
-    sim_latency_s = t.s_latency;
-    sim_energy_j = Camsim.Stats.total_energy s;
-    write_energy_j = s.e_write;
-    write_ops = s.n_write_ops;
-    cache = t.s_cache;
-    ops_executed = t.s_ops;
-    alloc_minor_words_per_query =
-      (if t.s_alloc_queries > 0 then
-         t.s_alloc_words /. float_of_int t.s_alloc_queries
-       else 0.);
-  }
+  stats_of t.s_meter ~cache:t.s_cache ~ops:t.s_ops
+    (Camsim.Simulator.stats t.s_sim)
 
-(* The session's serve section with scheduler fields zeroed: folds the
-   simulator stats as a side effect when profiling is on, then builds
-   the record. [fold_profile] installs it directly; the server (via
-   [Backend]) overlays its scheduler fields before installing. *)
-let serve_section t =
-  let st = stats t in
-  (match t.s_config.C4cam.Driver.Run_config.profile with
+(* A serve section from session-shaped stats and the device ledger
+   behind them, with scheduler fields zeroed and shard fields at their
+   single-simulator defaults: folds the simulator section as a side
+   effect when profiling is on, then builds the record. The server (via
+   [Backend]) overlays its scheduler fields; a sharded store overlays
+   its shard fields. *)
+let section_of_stats ~config ~device st =
+  (match config.C4cam.Driver.Run_config.profile with
   | None -> ()
   | Some p ->
       C4cam.Driver.fold_sim_stats p ~latency:st.sim_latency_s
-        ~energy:st.sim_energy_j ~ops_executed:st.ops_executed
-        (Camsim.Simulator.stats t.s_sim));
+        ~energy:st.sim_energy_j ~ops_executed:st.ops_executed device);
   {
     Instrument.Profile.batches = st.batches;
     queries_served = st.queries_served;
@@ -139,15 +163,11 @@ let serve_section t =
     serve_write_energy_j = st.write_energy_j;
     artifact_cache_hit = (st.cache = `Hit);
     alloc_minor_words_per_query = st.alloc_minor_words_per_query;
-    (* a bare session has no scheduler in front of it; the server
-       overwrites these with its own fold *)
     batches_coalesced = 0;
     batch_fill = 0.;
     queue_hwm = 0;
     lat_p50_s = 0.;
     lat_p99_s = 0.;
-    (* and it is a single simulator — the sharded store is the one
-       that populates these *)
     shards = 1;
     rows_stored = 0;
     rows_free = 0;
@@ -155,17 +175,29 @@ let serve_section t =
     shard_merge_wall_s = 0.;
   }
 
+let serve_section t =
+  section_of_stats ~config:t.s_config
+    ~device:(Camsim.Simulator.stats t.s_sim)
+    (stats t)
+
 let fold_profile t =
   match t.s_config.C4cam.Driver.Run_config.profile with
   | None -> ()
   | Some p -> Instrument.Collect.set_serve p (serve_section t)
 
-(* One [q]-row chunk against the shared simulator. The first chunk ever
-   executes for real under recording (allocations + stored writes
-   charged once); every later chunk rewinds the recording and replays
-   the setup for free, paying only for its searches. *)
+(* One execution against a pinned simulator. The first ever executes
+   for real under recording (allocations + stored writes charged once);
+   every later one rewinds the recording and replays the setup for
+   free, paying only for its searches. *)
+let replay sim run =
+  let sealed = Camsim.Simulator.serving sim in
+  if sealed then Camsim.Simulator.rewind sim;
+  let r = run () in
+  if not sealed then Camsim.Simulator.seal_recording sim;
+  r
+
+(* One [q]-row chunk against the session's simulator. *)
 let run_chunk t chunk =
-  if t.s_sealed then Camsim.Simulator.rewind t.s_sim;
   (* Blit the chunk into the session's persistent query buffer and pass
      that as the operand: the stable backing lets the query-row cache
      refill its extracted rows in place instead of re-extracting per
@@ -189,18 +221,11 @@ let run_chunk t chunk =
     end
     else None
   in
-  let r =
-    try
-      C4cam.Driver.execute ~config:t.s_config ~sim:t.s_sim
-        ~qcache:t.s_qcache ?query_value t.s_compiled ~queries:chunk
-        ~stored_value:t.s_stored
-    with C4cam.Driver.Compile_error e -> raise (Serve_error e)
-  in
-  if not t.s_sealed then begin
-    Camsim.Simulator.seal_recording t.s_sim;
-    t.s_sealed <- true
-  end;
-  r
+  replay t.s_sim @@ fun () ->
+  try
+    C4cam.Driver.execute ~config:t.s_config ~sim:t.s_sim ~qcache:t.s_qcache
+      ?query_value t.s_compiled ~queries:chunk ~stored_value:t.s_stored
+  with C4cam.Driver.Compile_error e -> raise (Serve_error e)
 
 let query t batch =
   let q = t.s_compiled.info.q in
@@ -259,18 +284,8 @@ let query t batch =
       ops_executed = ops;
     }
   in
-  (* GC-pressure counter: minor words this call allocated on the
-     dispatching domain, steady-state batches only — the first batch
-     pays compile + device setup and is excluded as warm-up. *)
-  if t.s_batches > 0 then begin
-    t.s_alloc_words <- t.s_alloc_words +. (Gc.minor_words () -. w0);
-    t.s_alloc_queries <- t.s_alloc_queries + total
-  end;
-  t.s_batches <- t.s_batches + 1;
-  t.s_queries <- t.s_queries + total;
-  t.s_latency <- t.s_latency +. latency;
+  charge t.s_meter ~t0 ~w0 ~rows:total ~latency;
   t.s_ops <- merge_counts t.s_ops ops;
-  t.s_wall <- t.s_wall +. Float.max 0. (Instrument.Collect.now () -. t0);
   fold_profile t;
   out
 

@@ -101,6 +101,42 @@ val serve_section : t -> Instrument.Profile.serve
     folded into it as a side effect. [Backend] uses this so the server
     can overlay scheduler fields before installing the section. *)
 
+(** {1 Shared with the sharded stores} *)
+
+val section_of_stats :
+  config:C4cam.Driver.Run_config.t ->
+  device:Camsim.Stats.t ->
+  stats ->
+  Instrument.Profile.serve
+(** {!serve_section} over any session-shaped [stats] and [device]
+    ledger, with the same profile side effect. *)
+
+type meter
+(** The per-call counters behind {!stats}. *)
+
+val meter : unit -> meter
+
+val charge :
+  meter -> t0:float -> w0:float -> rows:int -> latency:float -> unit
+(** Count one served call of [rows] query rows that started at host
+    time [t0] with [w0] minor words allocated. *)
+
+val stats_of :
+  meter ->
+  cache:[ `Hit | `Miss ] ->
+  ops:(string * int) list ->
+  Camsim.Stats.t ->
+  stats
+
+val merge_counts :
+  (string * int) list -> (string * int) list -> (string * int) list
+(** Sum two op-count lists by name, sorted by name. *)
+
+val replay : Camsim.Simulator.t -> (unit -> 'a) -> 'a
+(** [replay sim run] runs one execution on a pinned simulator: the
+    first records the device setup and seals it, every later one
+    rewinds and replays that setup for free. *)
+
 val run_config : t -> C4cam.Driver.Run_config.t
 (** The run configuration the session executes under (as resolved at
     {!create}); [Server] folds its combined metrics into this config's

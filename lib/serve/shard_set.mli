@@ -1,0 +1,59 @@
+(** The shard machinery {!Sharded_store} and {!Range_store} share:
+    batch validation, fan-out on the ambient [Parallel] pool, the
+    truncated top-k merge tree on [(value, global id)], the per-call
+    counters, and the stats, serve section and {!Backend.t} adapter
+    built on them (see [docs/SHARDING.md]). A store supplies its shards
+    and a per-shard search; slot allocation, id tables and mutation
+    stay in the store. Not thread-safe, like {!Session}. *)
+
+type result = {
+  values : float array array;  (** per query row: [k] values, best first *)
+  indices : int array array;  (** the matching global ids *)
+  latency : float;  (** slowest shard's simulated time *)
+  energy : float;  (** summed simulated energy delta across shards *)
+}
+(** A merged answer — and, from [search], one shard's: per query row at
+    most [k] candidates ascending in (value, id), with that shard's
+    latency and energy. *)
+
+type 'sh t
+
+val shard_config : C4cam.Driver.Run_config.t -> C4cam.Driver.Run_config.t
+(** A shard's config: [profile] and [trace] stripped, since shards run
+    on worker domains. The set folds its aggregate into the original
+    config's collector from the dispatching domain. *)
+
+val valid_row : int -> float array -> bool
+(** [valid_row d row]: [row] holds exactly [d] finite values. *)
+
+val create :
+  config:C4cam.Driver.Run_config.t ->
+  q:int ->
+  d:int ->
+  k:int ->
+  cache:[ `Hit | `Miss ] ->
+  err:(string -> exn) ->
+  sim:('sh -> Camsim.Simulator.t) ->
+  ops:('sh -> (string * int) list) ->
+  rows:(unit -> int * int) ->
+  search:('sh -> float array array -> result) ->
+  'sh array ->
+  'sh t
+(** [search sh batch] answers a validated batch on one shard, possibly
+    on a worker domain; [sim] and [ops] expose a shard's device and
+    cumulative op counts; [rows ()] is the store's (stored, free) row
+    count; [err] builds the store's exception. *)
+
+val query : 'sh t -> float array array -> result
+(** Validate (a positive multiple of [q] rows of [d] finite values),
+    fan out, merge. Latency is the max over shards of each shard's
+    time for the whole batch: shards are independent devices.
+    @raise [err] on a bad batch. *)
+
+val device_stats : 'sh t -> Camsim.Stats.t
+val session_stats : 'sh t -> Session.stats
+val fanout_wall_s : 'sh t -> float
+val merge_wall_s : 'sh t -> float
+
+val backend : 'sh t -> (float array array -> Backend.reply) -> Backend.t
+(** The server adapter, replying through the store's own query. *)

@@ -31,37 +31,16 @@ type shard = {
 }
 
 type t = {
-  st_config : C4cam.Driver.Run_config.t;
-  st_q : int;
-  st_d : int;
-  st_k : int;
-  st_cache : [ `Hit | `Miss ];
+  st_set : shard Shard_set.t;
   st_shards : shard array;
+  st_k : int;
+  st_d : int;
   st_locs : (int, int * int) Hashtbl.t;  (* ext id -> (shard, slot) *)
   mutable st_next_ext : int;
   mutable st_cursor : int;  (* round-robin insert shard *)
-  mutable st_rows : int;
-  (* merge-tree scratch, dispatcher-owned: per-shard candidate lists
-     for the row being merged, plus one temporary for the two-way
-     merge. Reused across rows and batches — the merge allocates
-     nothing per row. *)
-  st_mval : float array array;  (* shards x k *)
-  st_mext : int array array;
-  st_mlen : int array;
-  st_tval : float array;  (* k *)
-  st_text : int array;
-  (* metrics *)
-  mutable st_batches : int;
-  mutable st_queries : int;
-  mutable st_wall : float;
-  mutable st_fanout_wall : float;
-  mutable st_merge_wall : float;
-  mutable st_latency : float;  (* per-call max over shards, summed *)
-  mutable st_alloc_words : float;
-  mutable st_alloc_queries : int;
 }
 
-type result = {
+type result = Shard_set.result = {
   values : float array array;  (* total x k distances, best first *)
   indices : int array array;  (* the matching external ids *)
   latency : float;  (* slowest shard's simulated time this call *)
@@ -86,12 +65,63 @@ type stats = {
   per_shard : shard_info array;
 }
 
+let live shards =
+  Array.fold_left (fun a sh -> a + sh.sh_cap - sh.sh_free_len) 0 shards
+
 let shards t = Array.length t.st_shards
-let rows_stored t = t.st_rows
+let rows_stored t = live t.st_shards
 let capacity t = Array.fold_left (fun a sh -> a + sh.sh_cap) 0 t.st_shards
-let rows_free t = capacity t - t.st_rows
-let cache_status t = t.st_cache
-let topk t = t.st_k
+let rows_free t = capacity t - rows_stored t
+
+(* ---- per-shard selection ---------------------------------------------- *)
+
+(* One shard's candidates for a batch: [k] best slots per query row
+   (fewer only when the shard holds fewer live rows), in ascending
+   (distance, external id) order. *)
+let shard_query ~k sh batch =
+  let total = Array.length batch in
+  let r =
+    try Session.query sh.sh_session batch
+    with Session.Serve_error e -> raise (Store_error e)
+  in
+  let scores =
+    match r.C4cam.Driver.scores with
+    | Some s -> s
+    | None -> fail "internal: shard kernel returned no score matrix"
+  in
+  let cap = sh.sh_cap in
+  let occupied = cap - sh.sh_free_len in
+  let k_sel = min k occupied in
+  let k_probe = min k cap in
+  let values = Array.make_matrix total k_sel 0. in
+  let indices = Array.make_matrix total k_sel 0 in
+  let ext = sh.sh_ext in
+  for g = 0 to total - 1 do
+    let row = scores.(g) in
+    (* free slots order last (among themselves by slot, for totality);
+       live slots by (distance, external id) — so the first [k_sel]
+       selected slots are always live *)
+    let cmp a b =
+      let ea = ext.(a) and eb = ext.(b) in
+      if ea < 0 then if eb < 0 then compare a b else 1
+      else if eb < 0 then -1
+      else
+        let c = Float.compare row.(a) row.(b) in
+        if c <> 0 then c else compare ea eb
+    in
+    Camsim.Topk.select_into ~buf:sh.sh_sel ~n:cap ~k:k_probe ~cmp;
+    for j = 0 to k_sel - 1 do
+      let slot = sh.sh_sel.(j) in
+      values.(g).(j) <- row.(slot);
+      indices.(g).(j) <- ext.(slot)
+    done
+  done;
+  {
+    values;
+    indices;
+    latency = r.C4cam.Driver.latency;
+    energy = r.C4cam.Driver.energy;
+  }
 
 let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
     ~shards ~capacity () =
@@ -115,13 +145,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
     Artifact_cache.lookup
       ?profile:config.C4cam.Driver.Run_config.profile ~spec source
   in
-  (* Shard sessions run on worker domains: strip the profile collector
-     and trace sink so concurrent shards never race on them. The store
-     folds aggregated stats into the original config's collector from
-     the dispatching domain. *)
-  let shard_config =
-    { config with C4cam.Driver.Run_config.profile = None; trace = None }
-  in
+  let shard_config = Shard_set.shard_config config in
   (* every slot starts as the same all-zero row; buffer_of_rows copies,
      so the aliasing costs one row, not cap *)
   let zeros = Array.make cap (Array.make d 0.) in
@@ -140,37 +164,32 @@ let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
       sh_sel = Array.make cap 0;
     }
   in
+  let st_shards = Array.init shards mk_shard in
+  let set =
+    Shard_set.create ~config ~q ~d ~k ~cache:(snd artifact)
+      ~err:(fun e -> Store_error e)
+      ~sim:(fun sh -> Session.simulator sh.sh_session)
+      ~ops:(fun sh -> (Session.stats sh.sh_session).Session.ops_executed)
+      ~rows:(fun () ->
+        let n = live st_shards in
+        (n, (shards * cap) - n))
+      ~search:(shard_query ~k) st_shards
+  in
   {
-    st_config = config;
-    st_q = q;
-    st_d = d;
+    st_set = set;
+    st_shards;
     st_k = k;
-    st_cache = snd artifact;
-    st_shards = Array.init shards mk_shard;
+    st_d = d;
     st_locs = Hashtbl.create 1024;
     st_next_ext = 0;
     st_cursor = 0;
-    st_rows = 0;
-    st_mval = Array.make_matrix shards k 0.;
-    st_mext = Array.make_matrix shards k 0;
-    st_mlen = Array.make shards 0;
-    st_tval = Array.make k 0.;
-    st_text = Array.make k 0;
-    st_batches = 0;
-    st_queries = 0;
-    st_wall = 0.;
-    st_fanout_wall = 0.;
-    st_merge_wall = 0.;
-    st_latency = 0.;
-    st_alloc_words = 0.;
-    st_alloc_queries = 0;
   }
 
 (* ---- the free-row allocator ------------------------------------------- *)
 
 let insert t row =
-  if Array.length row <> t.st_d then
-    fail "insert: expected %d values, got %d" t.st_d (Array.length row);
+  if not (Shard_set.valid_row t.st_d row) then
+    fail "insert: expected %d finite values" t.st_d;
   let n = Array.length t.st_shards in
   let rec find i =
     if i = n then fail "store is full (%d rows)" (capacity t)
@@ -192,7 +211,6 @@ let insert t row =
      rewrites (and charges write energy for) exactly this row, and only
      its qcache is invalidated *)
   Session.update_stored sh.sh_session ~row:slot row;
-  t.st_rows <- t.st_rows + 1;
   ext
 
 let locate t ext what =
@@ -204,183 +222,38 @@ let delete t ext =
   let si, slot = locate t ext "delete" in
   Hashtbl.remove t.st_locs ext;
   let sh = t.st_shards.(si) in
-  sh.sh_ext.(slot) <- -1;
-  sh.sh_free.((sh.sh_free_head + sh.sh_free_len) mod sh.sh_cap) <- slot;
-  sh.sh_free_len <- sh.sh_free_len + 1;
   (* the device row keeps its stale contents — free slots are filtered
      host-side at selection time, so no write is charged for a delete *)
-  t.st_rows <- t.st_rows - 1
+  sh.sh_ext.(slot) <- -1;
+  sh.sh_free.((sh.sh_free_head + sh.sh_free_len) mod sh.sh_cap) <- slot;
+  sh.sh_free_len <- sh.sh_free_len + 1
 
 let update t ext row =
-  if Array.length row <> t.st_d then
-    fail "update: expected %d values, got %d" t.st_d (Array.length row);
+  if not (Shard_set.valid_row t.st_d row) then
+    fail "update: expected %d finite values" t.st_d;
   let si, slot = locate t ext "update" in
   Session.update_stored t.st_shards.(si).sh_session ~row:slot row
 
-(* ---- query: fan out, select per shard, merge -------------------------- *)
+(* ---- query, stats ----------------------------------------------------- *)
 
-(* Per-shard candidates for one batch: [c_k] best slots per query row
-   (fewer only when the shard holds fewer live rows), flattened
-   row-major, in ascending (distance, external id) order. *)
-type candidates = {
-  c_k : int;
-  c_val : float array;
-  c_ext : int array;
-  c_latency : float;
-  c_energy : float;
-}
+let query t batch =
+  let rows = rows_stored t in
+  if rows < t.st_k then
+    fail "top-%d query needs at least %d live rows (have %d)" t.st_k
+      t.st_k rows;
+  Shard_set.query t.st_set batch
 
-let shard_query t total batch sh =
-  let r =
-    try Session.query sh.sh_session batch
-    with Session.Serve_error e -> raise (Store_error e)
-  in
-  let scores =
-    match r.C4cam.Driver.scores with
-    | Some s -> s
-    | None -> fail "internal: shard kernel returned no score matrix"
-  in
-  let cap = sh.sh_cap in
-  let occupied = cap - sh.sh_free_len in
-  let k_sel = min t.st_k occupied in
-  let k_probe = min t.st_k cap in
-  let c_val = Array.make (total * k_sel) 0. in
-  let c_ext = Array.make (total * k_sel) 0 in
-  let ext = sh.sh_ext in
-  for g = 0 to total - 1 do
-    let row = scores.(g) in
-    (* free slots order last (among themselves by slot, for totality);
-       live slots by (distance, external id) — so the first [k_sel]
-       selected slots are always live *)
-    let cmp a b =
-      let ea = ext.(a) and eb = ext.(b) in
-      if ea < 0 then if eb < 0 then compare a b else 1
-      else if eb < 0 then -1
-      else
-        let c = Float.compare row.(a) row.(b) in
-        if c <> 0 then c else compare ea eb
-    in
-    Camsim.Topk.select_into ~buf:sh.sh_sel ~n:cap ~k:k_probe ~cmp;
-    for j = 0 to k_sel - 1 do
-      let slot = sh.sh_sel.(j) in
-      c_val.((g * k_sel) + j) <- row.(slot);
-      c_ext.((g * k_sel) + j) <- ext.(slot)
-    done
-  done;
-  {
-    c_k = k_sel;
-    c_val;
-    c_ext;
-    c_latency = r.C4cam.Driver.latency;
-    c_energy = r.C4cam.Driver.energy;
-  }
-
-(* Merge candidate list [b] into list [a] (both sorted), keeping the
-   best [st_k]. Associative and truncation-safe: the global top-k of a
-   union is inside the top-k of every sub-union containing it, so any
-   merge-tree shape yields the same list. *)
-let merge_into t a b =
-  let la = t.st_mlen.(a) and lb = t.st_mlen.(b) in
-  let av = t.st_mval.(a) and ae = t.st_mext.(a) in
-  let bv = t.st_mval.(b) and be = t.st_mext.(b) in
-  let out = min t.st_k (la + lb) in
-  let tv = t.st_tval and te = t.st_text in
-  let i = ref 0 and j = ref 0 in
-  for o = 0 to out - 1 do
-    let take_a =
-      if !i >= la then false
-      else if !j >= lb then true
-      else
-        let c = Float.compare av.(!i) bv.(!j) in
-        c < 0 || (c = 0 && ae.(!i) < be.(!j))
-    in
-    if take_a then begin
-      tv.(o) <- av.(!i);
-      te.(o) <- ae.(!i);
-      incr i
-    end
-    else begin
-      tv.(o) <- bv.(!j);
-      te.(o) <- be.(!j);
-      incr j
-    end
-  done;
-  Array.blit tv 0 av 0 out;
-  Array.blit te 0 ae 0 out;
-  t.st_mlen.(a) <- out
-
-let merge_counts a b =
-  List.fold_left
-    (fun acc (k, n) ->
-      match List.assoc_opt k acc with
-      | Some m -> (k, m + n) :: List.remove_assoc k acc
-      | None -> (k, n) :: acc)
-    a b
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ---- stats and profile ------------------------------------------------ *)
-
-let device_stats t =
-  let agg = Camsim.Stats.create () in
-  Array.iter
-    (fun sh ->
-      let s = Camsim.Simulator.stats (Session.simulator sh.sh_session) in
-      agg.Camsim.Stats.e_search <- agg.Camsim.Stats.e_search +. s.Camsim.Stats.e_search;
-      agg.e_write <- agg.e_write +. s.Camsim.Stats.e_write;
-      agg.e_merge <- agg.e_merge +. s.Camsim.Stats.e_merge;
-      agg.e_select <- agg.e_select +. s.Camsim.Stats.e_select;
-      agg.e_overhead <- agg.e_overhead +. s.Camsim.Stats.e_overhead;
-      agg.n_search_ops <- agg.n_search_ops + s.Camsim.Stats.n_search_ops;
-      agg.n_query_cycles <- agg.n_query_cycles + s.Camsim.Stats.n_query_cycles;
-      agg.n_write_ops <- agg.n_write_ops + s.Camsim.Stats.n_write_ops;
-      agg.n_banks <- agg.n_banks + s.Camsim.Stats.n_banks;
-      agg.n_mats <- agg.n_mats + s.Camsim.Stats.n_mats;
-      agg.n_arrays <- agg.n_arrays + s.Camsim.Stats.n_arrays;
-      agg.n_subarrays <- agg.n_subarrays + s.Camsim.Stats.n_subarrays;
-      agg.n_kernel_binary <- agg.n_kernel_binary + s.Camsim.Stats.n_kernel_binary;
-      agg.n_kernel_nibble <- agg.n_kernel_nibble + s.Camsim.Stats.n_kernel_nibble;
-      agg.n_kernel_generic <- agg.n_kernel_generic + s.Camsim.Stats.n_kernel_generic;
-      agg.n_kernel_early_exit <-
-        agg.n_kernel_early_exit + s.Camsim.Stats.n_kernel_early_exit)
-    t.st_shards;
-  agg
-
-let session_stats t =
-  let agg = device_stats t in
-  let ops =
-    Array.fold_left
-      (fun acc sh ->
-        merge_counts acc (Session.stats sh.sh_session).Session.ops_executed)
-      [] t.st_shards
-  in
-  {
-    Session.batches = t.st_batches;
-    queries_served = t.st_queries;
-    wall_clock_s = t.st_wall;
-    queries_per_s =
-      (if t.st_wall > 0. then float_of_int t.st_queries /. t.st_wall
-       else 0.);
-    sim_latency_s = t.st_latency;
-    sim_energy_j = Camsim.Stats.total_energy agg;
-    write_energy_j = agg.Camsim.Stats.e_write;
-    write_ops = agg.Camsim.Stats.n_write_ops;
-    cache = t.st_cache;
-    ops_executed = ops;
-    alloc_minor_words_per_query =
-      (if t.st_alloc_queries > 0 then
-         t.st_alloc_words /. float_of_int t.st_alloc_queries
-       else 0.);
-  }
+let device_stats t = Shard_set.device_stats t.st_set
 
 let stats t =
   {
     shards = Array.length t.st_shards;
-    rows_stored = t.st_rows;
+    rows_stored = rows_stored t;
     rows_free = rows_free t;
     capacity = capacity t;
-    session = session_stats t;
-    fanout_wall_s = t.st_fanout_wall;
-    merge_wall_s = t.st_merge_wall;
+    session = Shard_set.session_stats t.st_set;
+    fanout_wall_s = Shard_set.fanout_wall_s t.st_set;
+    merge_wall_s = Shard_set.merge_wall_s t.st_set;
     per_shard =
       Array.map
         (fun sh ->
@@ -396,115 +269,7 @@ let stats t =
         t.st_shards;
   }
 
-let serve_section t =
-  let ss = session_stats t in
-  (match t.st_config.C4cam.Driver.Run_config.profile with
-  | None -> ()
-  | Some p ->
-      C4cam.Driver.fold_sim_stats p ~latency:ss.Session.sim_latency_s
-        ~energy:ss.Session.sim_energy_j
-        ~ops_executed:ss.Session.ops_executed (device_stats t));
-  {
-    Instrument.Profile.batches = ss.Session.batches;
-    queries_served = ss.Session.queries_served;
-    serve_wall_s = ss.Session.wall_clock_s;
-    queries_per_s = ss.Session.queries_per_s;
-    serve_write_energy_j = ss.Session.write_energy_j;
-    artifact_cache_hit = (ss.Session.cache = `Hit);
-    alloc_minor_words_per_query = ss.Session.alloc_minor_words_per_query;
-    batches_coalesced = 0;
-    batch_fill = 0.;
-    queue_hwm = 0;
-    lat_p50_s = 0.;
-    lat_p99_s = 0.;
-    shards = Array.length t.st_shards;
-    rows_stored = t.st_rows;
-    rows_free = rows_free t;
-    shard_fanout_wall_s = t.st_fanout_wall;
-    shard_merge_wall_s = t.st_merge_wall;
-  }
-
-let fold_profile t =
-  match t.st_config.C4cam.Driver.Run_config.profile with
-  | None -> ()
-  | Some p -> Instrument.Collect.set_serve p (serve_section t)
-
-let query t batch =
-  let total = Array.length batch in
-  if total = 0 || total mod t.st_q <> 0 then
-    fail "batch size %d is not a positive multiple of the kernel's %d \
-          queries"
-      total t.st_q;
-  if t.st_rows < t.st_k then
-    fail "top-%d query needs at least %d live rows (have %d)" t.st_k
-      t.st_k t.st_rows;
-  let t0 = Instrument.Collect.now () in
-  let w0 = Gc.minor_words () in
-  let nsh = Array.length t.st_shards in
-  (* Fan out: one task per shard on the ambient Parallel pool. Worker
-     domains see no pool, so each shard's inner row loop runs
-     sequentially — the per-domain zero-allocation contract of the
-     simulator hot path holds shard-privately. A single-shard store
-     skips the pool to keep the inner row fan-out on the dispatcher. *)
-  let sq = shard_query t total batch in
-  let per_shard =
-    if nsh = 1 then Array.map sq t.st_shards
-    else Parallel.map sq t.st_shards
-  in
-  let t1 = Instrument.Collect.now () in
-  let values = Array.make_matrix total t.st_k 0. in
-  let indices = Array.make_matrix total t.st_k 0 in
-  for g = 0 to total - 1 do
-    for s = 0 to nsh - 1 do
-      let c = per_shard.(s) in
-      t.st_mlen.(s) <- c.c_k;
-      Array.blit c.c_val (g * c.c_k) t.st_mval.(s) 0 c.c_k;
-      Array.blit c.c_ext (g * c.c_k) t.st_mext.(s) 0 c.c_k
-    done;
-    (* pairwise tree reduction: after each pass, list [i] holds the
-       merge of lists [i] and [i + gap] *)
-    let gap = ref 1 in
-    while !gap < nsh do
-      let i = ref 0 in
-      while !i + !gap < nsh do
-        merge_into t !i (!i + !gap);
-        i := !i + (2 * !gap)
-      done;
-      gap := !gap * 2
-    done;
-    Array.blit t.st_mval.(0) 0 values.(g) 0 t.st_k;
-    Array.blit t.st_mext.(0) 0 indices.(g) 0 t.st_k
-  done;
-  let t2 = Instrument.Collect.now () in
-  let latency =
-    Array.fold_left (fun m c -> Float.max m c.c_latency) 0. per_shard
-  in
-  let energy =
-    Array.fold_left (fun a c -> a +. c.c_energy) 0. per_shard
-  in
-  if t.st_batches > 0 then begin
-    t.st_alloc_words <- t.st_alloc_words +. (Gc.minor_words () -. w0);
-    t.st_alloc_queries <- t.st_alloc_queries + total
-  end;
-  t.st_batches <- t.st_batches + 1;
-  t.st_queries <- t.st_queries + total;
-  t.st_latency <- t.st_latency +. latency;
-  t.st_fanout_wall <- t.st_fanout_wall +. Float.max 0. (t1 -. t0);
-  t.st_merge_wall <- t.st_merge_wall +. Float.max 0. (t2 -. t1);
-  t.st_wall <- t.st_wall +. Float.max 0. (Instrument.Collect.now () -. t0);
-  fold_profile t;
-  { values; indices; latency; energy }
-
 let backend t =
-  {
-    Backend.q = t.st_q;
-    d = t.st_d;
-    run_config = t.st_config;
-    query =
-      (fun rows ->
-        let r = query t rows in
-        { Backend.values = r.values; indices = r.indices; scores = None });
-    stats = (fun () -> session_stats t);
-    serve_section = (fun () -> serve_section t);
-    session = None;
-  }
+  Shard_set.backend t.st_set (fun rows ->
+      let r = query t rows in
+      { Backend.values = r.values; indices = r.indices; scores = None })

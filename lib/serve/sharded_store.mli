@@ -57,8 +57,8 @@ val create :
 val insert : t -> float array -> int
 (** Store a row in the lowest-load shard (round-robin over shards with
     free slots), reusing the oldest freed slot if any. Returns the
-    row's stable external id. @raise Store_error when full or on a bad
-    row width. *)
+    row's stable external id. @raise Store_error when full, on a bad
+    row width, or on a non-finite value. *)
 
 val delete : t -> int -> unit
 (** Remove a row by external id; its slot becomes reusable.
@@ -66,9 +66,10 @@ val delete : t -> int -> unit
 
 val update : t -> int -> float array -> unit
 (** Replace a row's contents in place (id and slot unchanged).
-    @raise Store_error on an unknown id or bad width. *)
+    @raise Store_error on an unknown id, a bad width or a non-finite
+    value. *)
 
-type result = {
+type result = Shard_set.result = {
   values : float array array;
       (** per query row: [k] distances, best (smallest) first — for the
           dot metric a smaller CAM distance is a larger similarity *)
@@ -83,8 +84,9 @@ val query : t -> float array array -> result
 (** Serve one batch (a positive multiple of [q] rows). Fans the batch
     to every shard, selects each shard's top-k live candidates in
     [(distance, external id)] order via [Topk.select_into], and merges.
-    @raise Store_error on a bad batch shape, or when fewer than [k]
-    rows are live. *)
+    @raise Store_error on a bad batch shape (a row count that is not a
+    positive multiple of [q], a row that is not [d] wide, a non-finite
+    value), or when fewer than [k] rows are live. *)
 
 (** {1 Introspection} *)
 
@@ -113,8 +115,6 @@ val shards : t -> int
 val rows_stored : t -> int
 val rows_free : t -> int
 val capacity : t -> int
-val cache_status : t -> [ `Hit | `Miss ]
-val topk : t -> int
 
 val device_stats : t -> Camsim.Stats.t
 (** Fresh aggregate of the per-shard simulator ledgers (counters and

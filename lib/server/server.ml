@@ -104,11 +104,6 @@ type stats = {
   session : Serve.Session.stats;
 }
 
-let session t =
-  match t.s_backend.Serve.Backend.session with
-  | Some s -> s
-  | None -> fail "server fronts a sharded store, not a single session"
-
 (* ---- metrics ---------------------------------------------------------- *)
 
 let percentile sorted p =
@@ -139,10 +134,13 @@ let stats_locked t =
 
 let stats t = Mutex.protect t.m (fun () -> stats_locked t)
 
-let fold_profile_of_stats t (st : stats) =
+(* The stats snapshot sorts the whole latency history: taken only when
+   a collector will read it. *)
+let fold_profile t =
   match t.s_backend.Serve.Backend.run_config.C4cam.Driver.Run_config.profile with
   | None -> ()
   | Some collector ->
+      let st = stats t in
       (* the backend's section carries the session/store fields (and
          folds the simulator section); the scheduler overlays its own *)
       let base = t.s_backend.Serve.Backend.serve_section () in
@@ -155,8 +153,6 @@ let fold_profile_of_stats t (st : stats) =
           lat_p50_s = st.lat_p50_s;
           lat_p99_s = st.lat_p99_s;
         }
-
-let fold_profile t = fold_profile_of_stats t (stats t)
 
 (* ---- micro-batch assembly --------------------------------------------- *)
 
@@ -257,10 +253,9 @@ let run_batch t batch_seq requests =
   t.in_flight <- false;
   Condition.broadcast t.cv_done;
   Condition.broadcast t.cv_room;
-  let st = stats_locked t in
   Mutex.unlock t.m;
   (* off-lock: the collector is only ever touched from this domain *)
-  fold_profile_of_stats t st
+  fold_profile t
 
 let scheduler_loop t =
   let batch_seq = ref 0 in

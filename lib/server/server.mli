@@ -149,9 +149,3 @@ val fold_profile : t -> unit
     any) with the combined session + server metrics. The scheduler also
     does this after every batch, so profiles read mid-serve are
     current. *)
-
-val session : t -> Serve.Session.t
-(** The wrapped session — only safe to touch after {!stop} (or
-    while provably idle); the scheduler domain owns it otherwise.
-    @raise Server_error when the server fronts a non-session backend
-    ({!create_on} with a sharded store). *)

@@ -224,6 +224,51 @@ let test_store_amortizes_writes () =
   Alcotest.(check bool) "searches still charged" true
     (r2.Serve.Range_store.energy > 0.)
 
+(* The batch latency rule: shards are independent devices, so a batch
+   of several q-chunks costs the slowest shard's summed chunk time, not
+   the per-chunk slowest shard summed over chunks. Box 64 is rewritten
+   before the two-chunk batch, so its shard is the slower one on the
+   first chunk and the other shard on the second: the rules differ. *)
+let test_store_latency_rule () =
+  let boxes = 65 and dims = 4 and q = 2 in
+  let w =
+    Range_filter.generate ~seed:3 ~boxes ~dims ~n_queries:(2 * q) ()
+  in
+  let chunk c = Array.sub w.queries (c * q) q in
+  (* a warm-up batch, then box 64 widened — when the store holds it *)
+  let prepared ~shards (off, n) =
+    let s =
+      Serve.Range_store.create ~shards ~q ~lo:(Array.sub w.lo off n)
+        ~hi:(Array.sub w.hi off n) ()
+    in
+    ignore (Serve.Range_store.query s w.queries);
+    if off + n = boxes then
+      Serve.Range_store.update_box s ~row:(n - 1) ~lo:(Array.make dims 0.)
+        ~hi:(Array.make dims 1.);
+    s
+  in
+  let latency s batch = (Serve.Range_store.query s batch).latency in
+  let got = latency (prepared ~shards:2 (0, boxes)) w.queries in
+  (* each shard's slice alone: the batch whole, and chunk by chunk *)
+  let slices = [ (0, 33); (33, 32) ] in
+  let whole =
+    List.map (fun sl -> latency (prepared ~shards:1 sl) w.queries) slices
+  in
+  let per_chunk =
+    List.map
+      (fun sl ->
+        let s = prepared ~shards:1 sl in
+        List.init 2 (fun c -> latency s (chunk c)))
+      slices
+  in
+  Alcotest.(check (float 0.)) "max over shards of summed chunks"
+    (List.fold_left Float.max 0. whole) got;
+  let chunk_max c =
+    List.fold_left (fun m l -> Float.max m (List.nth l c)) 0. per_chunk
+  in
+  Alcotest.(check bool) "not the sum over chunks of the slowest shard" true
+    (got < chunk_max 0 +. chunk_max 1)
+
 let test_store_shard_invariance () =
   let w = Range_filter.generate ~seed:12 ~boxes:13 ~dims:5 ~n_queries:16 () in
   let serve shards =
@@ -264,6 +309,41 @@ let test_store_update_box () =
   check_matches "updated store = updated oracle" expect
     r.Serve.Range_store.matches
 
+(* Non-finite values are refused at every entry point, and a refusal
+   leaves the table unchanged: NaN compares false both ways, so a NaN
+   bound or query cell would otherwise count as no violation. *)
+let test_store_non_finite () =
+  let w = Range_filter.generate ~seed:16 ~boxes:6 ~dims:4 ~n_queries:4 () in
+  let refused what f =
+    match f () with
+    | exception Serve.Range_store.Store_error _ -> ()
+    | _ -> Alcotest.failf "%s: expected Store_error" what
+  in
+  let with_cell v (row : float array) =
+    let row = Array.copy row in
+    row.(2) <- v;
+    row
+  in
+  List.iter
+    (fun v ->
+      let lo = Array.copy w.lo in
+      lo.(1) <- with_cell v lo.(1);
+      refused "create" (fun () ->
+          Serve.Range_store.create ~shards:2 ~q:4 ~lo ~hi:w.hi ()))
+    [ Float.nan; Float.infinity ];
+  let store = Serve.Range_store.create ~shards:2 ~q:4 ~lo:w.lo ~hi:w.hi () in
+  List.iter
+    (fun v ->
+      refused "update_box" (fun () ->
+          Serve.Range_store.update_box store ~row:4
+            ~lo:(Array.make 4 Float.nan) ~hi:(Array.make 4 v));
+      refused "query" (fun () ->
+          Serve.Range_store.query store
+            (Array.map (with_cell v) w.queries)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check_matches "table unchanged" w.expected
+    (Serve.Range_store.query store w.queries).Serve.Range_store.matches
+
 let test_store_backend () =
   let w = Range_filter.generate ~seed:15 ~boxes:6 ~dims:4 ~n_queries:4 () in
   let store = Serve.Range_store.create ~q:4 ~lo:w.lo ~hi:w.hi () in
@@ -296,9 +376,13 @@ let () =
             test_range_write_double_charge;
           Alcotest.test_case "store amortizes writes" `Quick
             test_store_amortizes_writes;
+          Alcotest.test_case "store latency rule" `Quick
+            test_store_latency_rule;
           Alcotest.test_case "store shard invariance" `Quick
             test_store_shard_invariance;
           Alcotest.test_case "store update box" `Quick test_store_update_box;
+          Alcotest.test_case "store non-finite values refused" `Quick
+            test_store_non_finite;
           Alcotest.test_case "store backend" `Quick test_store_backend;
         ] );
     ]

@@ -1,8 +1,9 @@
 (* The sharded store: randomized differential against a single-kernel
    oracle, FIFO slot reuse after deletes, top-k tie stability in
    external-id order, per-shard write isolation under replay diffing,
-   input validation, and the server front-end over a sharded backend
-   (docs/SHARDING.md). *)
+   input validation, and the server front-end over a sharded backend —
+   plus one QCheck property holding both sharded stores to a
+   brute-force model across shard counts and jobs (docs/SHARDING.md). *)
 
 module Store = Serve.Sharded_store
 
@@ -11,11 +12,11 @@ let spec = Tutil.spec32
 let config_for engine =
   C4cam.Driver.Run_config.(default |> with_engine engine)
 
-let engines : C4cam.Driver.Run_config.engine list = [ `Compiled; `Treewalk ]
-
 let engine_name : C4cam.Driver.Run_config.engine -> string = function
   | `Compiled -> "compiled"
   | `Treewalk -> "treewalk"
+
+let engines : C4cam.Driver.Run_config.engine list = [ `Compiled; `Treewalk ]
 
 (* ---- the oracle -------------------------------------------------------- *)
 
@@ -141,6 +142,198 @@ let test_differential () =
             [ 1; 3; 4 ])
         engines)
     [ 1; 4 ]
+
+(* ---- one property for both stores ------------------------------------- *)
+
+(* The brute-force model either store must agree with: score every live
+   row against the query row, sort by (value, id), keep the first [k].
+   Written from scratch — no Topk, no store or merge helper. *)
+let brute_topk ~k ~dist live query =
+  List.map (fun (id, row) -> (dist query row, id)) live
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i < k)
+
+(* binary rows: the CAM distance is the mismatch count *)
+let hamming a b =
+  let n = ref 0 in
+  Array.iteri (fun i x -> if x <> b.(i) then incr n) a;
+  float_of_int !n
+
+(* a box's distance is the number of dimensions the point falls outside
+   its inclusive [lo, hi] interval *)
+let violations x (lo, hi) =
+  let n = ref 0 in
+  Array.iteri (fun i v -> if v < lo.(i) || v > hi.(i) then incr n) x;
+  float_of_int !n
+
+type vec_op =
+  | Insert of float array
+  | Delete of int  (* index into the live rows, taken mod their count *)
+  | Update of int * float array
+  | Query of float array array
+
+type box_op =
+  | Update_box of int * float array * float array
+  | Query_boxes of float array array
+
+type scenario = {
+  engine : C4cam.Driver.Run_config.engine;
+  rows : float array list;  (* the vector store's initial rows *)
+  vec_ops : vec_op list;
+  boxes : (float array * float array) array;
+  box_ops : box_op list;
+}
+
+let vq = 2 and vd = 32 and vk = 3 and vcap = 12
+let bq = 2 and bdims = 3
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let bit = oneofl [ 0.; 1. ] in
+  let row = array_size (return vd) bit in
+  let grid = map (fun i -> float_of_int i /. 8.) (int_range 0 8) in
+  let point = array_size (return bdims) grid in
+  let box =
+    let* a = point and* b = point in
+    return (Array.map2 Float.min a b, Array.map2 Float.max a b)
+  in
+  let* engine =
+    oneofl ([ `Compiled; `Treewalk ] : C4cam.Driver.Run_config.engine list)
+  in
+  (* rows drawn from a small pool, so duplicate contents force ties *)
+  let* pool = array_size (int_range 2 6) row in
+  let pooled = oneofa pool in
+  let* rows = list_size (int_range vk 9) pooled in
+  let vec_op =
+    frequency
+      [
+        (3, map (fun r -> Insert r) pooled);
+        (2, map (fun i -> Delete i) nat);
+        (2, map2 (fun i r -> Update (i, r)) nat pooled);
+        (4, map (fun b -> Query b) (array_size (return vq) row));
+      ]
+  in
+  let* vec_ops = list_size (int_range 2 10) vec_op in
+  let* boxes = array_size (int_range 5 12) box in
+  let box_op =
+    frequency
+      [
+        ( 1,
+          map2
+            (fun i (lo, hi) -> Update_box (i, lo, hi))
+            (int_bound (Array.length boxes - 1))
+            box );
+        (2, map (fun b -> Query_boxes b) (array_size (return bq) point));
+      ]
+  in
+  let* box_ops = list_size (int_range 1 6) box_op in
+  return { engine; rows; vec_ops; boxes; box_ops }
+
+let print_scenario s =
+  Printf.sprintf "%s engine, %d rows + %d ops, %d boxes + %d ops"
+    (engine_name s.engine) (List.length s.rows) (List.length s.vec_ops)
+    (Array.length s.boxes) (List.length s.box_ops)
+
+let check_result what ~want (values : float array array) indices =
+  Array.iteri
+    (fun g expected ->
+      let got =
+        List.init (Array.length values.(g)) (fun j ->
+            (values.(g).(j), indices.(g).(j)))
+      in
+      if got <> expected then
+        QCheck.Test.fail_reportf "%s, query row %d: store [%s], model [%s]"
+          what g
+          (String.concat "; "
+             (List.map (fun (v, i) -> Printf.sprintf "%g@%d" v i) got))
+          (String.concat "; "
+             (List.map (fun (v, i) -> Printf.sprintf "%g@%d" v i) expected)))
+    want
+
+let replay_vectors s ~config ~shards =
+  let what = Printf.sprintf "sharded store, %d shards" shards in
+  let store =
+    Store.create ~config ~spec ~q:vq ~d:vd ~k:vk ~shards ~capacity:vcap ()
+  in
+  let live = Hashtbl.create 16 and next = ref 0 in
+  let insert row =
+    let id = Store.insert store row in
+    if id <> !next then
+      QCheck.Test.fail_reportf "%s: insert assigned id %d, expected %d" what
+        id !next;
+    Hashtbl.replace live id row;
+    incr next
+  in
+  List.iter insert s.rows;
+  let live_list () =
+    Hashtbl.fold (fun id row acc -> (id, row) :: acc) live []
+    |> List.sort compare
+  in
+  List.iter
+    (fun op ->
+      let l = live_list () in
+      let n = List.length l in
+      match op with
+      | Insert row -> if n < vcap then insert row
+      | Delete i when n > vk ->
+          let id = fst (List.nth l (i mod n)) in
+          Store.delete store id;
+          Hashtbl.remove live id
+      | Delete _ -> ()
+      | Update (i, row) ->
+          let id = fst (List.nth l (i mod n)) in
+          Store.update store id row;
+          Hashtbl.replace live id row
+      | Query batch ->
+          let r = Store.query store batch in
+          check_result what r.Store.values r.Store.indices
+            ~want:(Array.map (brute_topk ~k:vk ~dist:hamming l) batch))
+    s.vec_ops
+
+let replay_boxes s ~config ~shards =
+  let what = Printf.sprintf "range store, %d shards" shards in
+  let model = Array.copy s.boxes in
+  let store =
+    Serve.Range_store.create ~config ~shards ~q:bq
+      ~lo:(Array.map fst model) ~hi:(Array.map snd model) ()
+  in
+  List.iter
+    (function
+      | Update_box (row, lo, hi) ->
+          Serve.Range_store.update_box store ~row ~lo ~hi;
+          model.(row) <- (lo, hi)
+      | Query_boxes batch ->
+          let r = Serve.Range_store.query store batch in
+          let live = List.mapi (fun id b -> (id, b)) (Array.to_list model) in
+          let want =
+            Array.map (brute_topk ~k:1 ~dist:violations live) batch
+          in
+          check_result what r.Serve.Range_store.values
+            r.Serve.Range_store.indices ~want;
+          Array.iteri
+            (fun g w ->
+              let expect = match w with [ (0., id) ] -> id | _ -> -1 in
+              if r.Serve.Range_store.matches.(g) <> expect then
+                QCheck.Test.fail_reportf "%s: match %d, model %d" what
+                  r.Serve.Range_store.matches.(g) expect)
+            want)
+    s.box_ops
+
+let prop_both_stores =
+  QCheck.Test.make ~count:25 ~name:"both stores vs brute-force model"
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun s ->
+      let config = config_for s.engine in
+      List.iter
+        (fun jobs ->
+          Parallel.run ~jobs @@ fun _ ->
+          List.iter
+            (fun shards ->
+              replay_vectors s ~config ~shards;
+              replay_boxes s ~config ~shards)
+            [ 1; 2; 3; 5 ])
+        [ 1; 4 ];
+      true)
 
 (* ---- delete-then-reuse ------------------------------------------------- *)
 
@@ -313,7 +506,58 @@ let test_errors () =
       Store.update store 0 (Array.make (d + 1) 0.));
   expect_err "ragged batch" (fun () ->
       Store.query store (Array.sub data.queries 0 (q - 1)));
-  expect_err "empty batch" (fun () -> Store.query store [||])
+  expect_err "empty batch" (fun () -> Store.query store [||]);
+  (* every query row must be exactly d wide, too short or too long *)
+  let with_row1 row =
+    Array.init q (fun i -> if i = 1 then row else data.queries.(i))
+  in
+  expect_err "narrow query row" (fun () ->
+      Store.query store (with_row1 (Array.make (d - 3) 0.)));
+  expect_err "wide query row" (fun () ->
+      Store.query store (with_row1 (Array.make (d + 3) 0.)))
+
+(* NaN and infinities are refused at every entry point, and a refusal
+   leaves the store answering exactly as before it. *)
+let test_non_finite () =
+  let q = 4 and d = 64 and k = 2 and capacity = 8 in
+  let data =
+    Workloads.Hdc.synthetic ~seed:7 ~dims:d ~n_classes:capacity
+      ~n_queries:q ~bits:1 ()
+  in
+  Parallel.run ~jobs:1 @@ fun _ ->
+  let store = Store.create ~spec ~q ~d ~k ~shards:2 ~capacity () in
+  Array.iter (fun r -> ignore (Store.insert store r)) data.stored;
+  Store.delete store 0;
+  let before = Store.query store data.queries in
+  let poisoned v =
+    let row = Array.copy data.stored.(1) in
+    row.(5) <- v;
+    row
+  in
+  List.iter
+    (fun v ->
+      let what fmt = Printf.sprintf fmt (Float.to_string v) in
+      (match Store.insert store (poisoned v) with
+      | exception Store.Store_error _ -> ()
+      | _ -> Alcotest.fail (what "insert of a %s cell accepted"));
+      (match Store.update store 1 (poisoned v) with
+      | exception Store.Store_error _ -> ()
+      | () -> Alcotest.fail (what "update with a %s cell accepted"));
+      let batch = Array.map (fun _ -> poisoned v) data.queries in
+      match Store.query store batch with
+      | exception Store.Store_error _ -> ()
+      | _ -> Alcotest.fail (what "query with a %s cell answered"))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (match Store.insert store (Array.make d Float.nan) with
+  | exception Store.Store_error _ -> ()
+  | _ -> Alcotest.fail "all-NaN row accepted");
+  Alcotest.(check int) "nothing inserted" (capacity - 1)
+    (Store.rows_stored store);
+  let after = Store.query store data.queries in
+  Alcotest.(check Tutil.rows_testable) "values unchanged"
+    before.Store.values after.Store.values;
+  Alcotest.(check Tutil.int_rows_testable) "ids unchanged"
+    before.Store.indices after.Store.indices
 
 (* ---- the server front-end over a sharded backend ----------------------- *)
 
@@ -335,9 +579,6 @@ let test_server_backend () =
       ~config:{ Server.default_config with start_paused = true }
       (Store.backend served)
   in
-  (match Server.session server with
-  | exception Server.Server_error _ -> ()
-  | _ -> Alcotest.fail "session accessor must refuse a sharded backend");
   let clients = Array.init 4 (fun _ -> Server.connect server) in
   let tickets =
     List.init 16 (fun i ->
@@ -375,7 +616,10 @@ let () =
           Alcotest.test_case "per-shard write isolation" `Quick
             test_write_isolation;
           Alcotest.test_case "validation" `Quick test_errors;
+          Alcotest.test_case "non-finite values refused" `Quick
+            test_non_finite;
           Alcotest.test_case "server over a sharded backend" `Quick
             test_server_backend;
         ] );
+      ("shard set", [ QCheck_alcotest.to_alcotest prop_both_stores ]);
     ]
