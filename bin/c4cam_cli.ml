@@ -635,7 +635,12 @@ let server_config_args =
     Arg.(
       value & opt int 256
       & info [ "queue-cap" ] ~docv:"ROWS"
-          ~doc:"Backpressure bound on queued rows (default 256).")
+          ~doc:"Backpressure bound on queued rows (default 256). serve \
+                --clients enqueues its batches in waves of at most this \
+                many rows (a wave always takes at least one batch), each \
+                served to completion before the next, so a workload \
+                larger than the bound completes and its output stays \
+                deterministic.")
   in
   let fail_fast_arg =
     Arg.(
@@ -760,6 +765,21 @@ let batches_from_pool ~q ~nb pool =
   let n = Array.length pool in
   List.init nb (fun i -> Array.init q (fun j -> pool.(((i * q) + j) mod n)))
 
+(* serve --clients: route the batches through the micro-batching
+   scheduler, request i on client (i mod clients), and print one line
+   per request. [Server.serve_all] enqueues them in waves that fit the
+   queue cap while the scheduler is paused, so the coalescing — and
+   this output — is deterministic for a fixed input, however many rows
+   the batches hold. *)
+let serve_clients ~config ~clients ~what backend batches =
+  let server, responses = Server.serve_all ~config ~clients backend batches in
+  List.iteri
+    (fun i (r : Server.response) ->
+      Printf.printf "request %d: %s [%s] (client %d, micro-batch %d)\n" i
+        what (top_line r.r_indices) (i mod clients) r.r_batch_seq)
+    responses;
+  Server.stats server
+
 let print_range_store_stats store spec ~q =
   let s = Serve.Range_store.stats store in
   Printf.printf
@@ -821,34 +841,13 @@ let serve_cmd =
               | None -> batches_from_pool ~q ~nb ri.Reg.ri_queries
             in
             if clients > 0 then begin
-              let server =
-                Server.create_on
-                  ~config:
-                    { (server_config jobs) with Server.start_paused = true }
+              let st =
+                serve_clients ~config:(server_config jobs) ~clients
+                  ~what:"matched"
                   (Serve.Range_store.backend store)
-              in
-              let handles =
-                Array.init clients (fun _ -> Server.connect server)
-              in
-              let tickets =
-                List.mapi
-                  (fun i batch ->
-                    (i, Server.submit handles.(i mod clients) batch))
                   query_batches
               in
-              Server.resume server;
-              List.iter
-                (fun (i, tk) ->
-                  let r = Server.await tk in
-                  Printf.printf
-                    "request %d: matched [%s] (client %d, micro-batch %d)\n"
-                    i
-                    (top_line r.Server.r_indices)
-                    (i mod clients) r.Server.r_batch_seq)
-                tickets;
-              Server.stop server;
               emit_profile ~profile ~profile_json collector;
-              let st = Server.stats server in
               print_range_store_stats store spec ~q;
               Printf.printf "clients  : %d\n" clients;
               print_server_stats st
@@ -895,34 +894,13 @@ let serve_cmd =
                   List.init nb (fun i -> Array.sub qdata (i * q) q)
             in
             (if clients > 0 then begin
-               let server =
-                 Server.create_on
-                   ~config:
-                     { (server_config jobs) with Server.start_paused = true }
+               let st =
+                 serve_clients ~config:(server_config jobs) ~clients
+                   ~what:"top-1"
                    (Serve.Sharded_store.backend store)
-               in
-               let handles =
-                 Array.init clients (fun _ -> Server.connect server)
-               in
-               let tickets =
-                 List.mapi
-                   (fun i batch ->
-                     (i, Server.submit handles.(i mod clients) batch))
                    query_batches
                in
-               Server.resume server;
-               List.iter
-                 (fun (i, tk) ->
-                   let r = Server.await tk in
-                   Printf.printf
-                     "request %d: top-1 [%s] (client %d, micro-batch %d)\n"
-                     i
-                     (top_line r.Server.r_indices)
-                     (i mod clients) r.Server.r_batch_seq)
-                 tickets;
-               Server.stop server;
                emit_profile ~profile ~profile_json collector;
-               let st = Server.stats server in
                print_store_stats
                  (Serve.Sharded_store.stats store)
                  spec ~q ~d ~k:topk;
@@ -1028,42 +1006,13 @@ let serve_cmd =
         in
         print_pre_stage pre;
         (if clients > 0 then begin
-           (* route through the micro-batching scheduler: all requests
-              are enqueued across [clients] handles before the scheduler
-              starts, so the coalescing (and hence this command's
-              output) is deterministic *)
-           let server =
-             Server.create
-               ~config:
-                 { (server_config jobs) with Server.start_paused = true }
-               session
-           in
-           let handles =
-             Array.init clients (fun _ -> Server.connect server)
-           in
-           let tickets =
-             List.mapi
-               (fun i batch ->
-                 (i, Server.submit handles.(i mod clients) batch))
+           let st =
+             serve_clients ~config:(server_config jobs) ~clients
+               ~what:"top-1"
+               (Serve.Backend.of_session session)
                query_batches
            in
-           Server.resume server;
-           List.iter
-             (fun (i, tk) ->
-               let r = Server.await tk in
-               let top =
-                 Array.to_list r.Server.r_indices
-                 |> List.map (fun (row : int array) ->
-                        string_of_int row.(0))
-                 |> String.concat " "
-               in
-               Printf.printf
-                 "request %d: top-1 [%s] (client %d, micro-batch %d)\n" i
-                 top (i mod clients) r.Server.r_batch_seq)
-             tickets;
-           Server.stop server;
            emit_profile ~profile ~profile_json collector;
-           let st = Server.stats server in
            print_session_stats st.Server.session
              (Serve.Session.compiled session)
              spec;
@@ -1074,13 +1023,8 @@ let serve_cmd =
            List.iteri
              (fun i batch ->
                let r = Serve.Session.query session batch in
-               let top =
-                 Array.to_list r.C4cam.Driver.indices
-                 |> List.map (fun (row : int array) ->
-                        string_of_int row.(0))
-                 |> String.concat " "
-               in
-               Printf.printf "batch %d: top-1 [%s] (%s, %s)\n" i top
+               Printf.printf "batch %d: top-1 [%s] (%s, %s)\n" i
+                 (top_line r.C4cam.Driver.indices)
                  (C4cam.Report.si_time r.latency)
                  (C4cam.Report.si_energy r.energy))
              query_batches;

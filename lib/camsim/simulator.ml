@@ -10,29 +10,49 @@ type node =
   | Array_ of { mat : id; mutable subarrays : int }
   | Sub of { array_ : id; sub : Subarray.t }
 
+(* Where a recorded view write read its payload: the backing store(s)
+   and the window's stride geometry. A replay that reads the same
+   tracked stores through the same window may skip the compare when no
+   mark meets the window (see [clean_window]). *)
+type origin = {
+  o_data : float array;
+  o_data2 : float array;  (* a range write's hi plane; [o_data] otherwise *)
+  o_off : int;
+  o_rs : int;
+  o_cs : int;
+  o_cols : int;
+}
+
 (* The structural ops a serving session records on its first execution
    and replays on every later one. Write data is the pre-defect payload
    (deep-copied), so a replay can tell a genuinely changed row from the
    same row arriving again. *)
-type serve_event =
-  | Ev_alloc of id
-  | Ev_write of {
-      w_id : id;
-      w_row_offset : int;
-      w_data : float array array;
-      w_care : bool array array option;
-    }
-  | Ev_write_range of {
-      r_id : id;
-      r_row_offset : int;
-      r_lo : float array array;
-      r_hi : float array array;
-    }
+type write_event = {
+  w_id : id;
+  w_row_offset : int;
+  w_range : bool;  (* an ACAM range write: planes are [| lo; hi |] *)
+  w_planes : float array array array;
+  w_care : bool array array option;
+  w_origin : origin option;
+}
+
+type serve_event = Ev_alloc of id | Ev_write of write_event
 
 type serve_mode =
   | Oneshot
   | Recording of serve_event list ref (* reversed *)
   | Replaying of { events : serve_event array; mutable cursor : int }
+
+(* A pinned backing store whose owner reports every change through
+   [mark]: the flat element ranges [lo, hi) written since the last
+   replay, in parallel arrays, sorted and coalesced on first use. *)
+type tracked = {
+  tr_data : float array;
+  mutable tr_lo : int array;
+  mutable tr_hi : int array;
+  mutable tr_n : int;
+  mutable tr_sorted : bool;
+}
 
 type t = {
   sim_spec : Archspec.Spec.t;
@@ -45,6 +65,7 @@ type t = {
   defect_rng : Rng.t;
   trace : Trace.t option;
   mutable serve : serve_mode;
+  mutable tracked : tracked list;
 }
 
 let create ?(tech = Tech.fefet_45nm) ?(defect_rate = 0.)
@@ -65,6 +86,7 @@ let create ?(tech = Tech.fefet_45nm) ?(defect_rate = 0.)
     defect_rng = Rng.create defect_seed;
     trace;
     serve = Oneshot;
+    tracked = [];
   }
 
 (* ---- serve mode (record / replay) ------------------------------------- *)
@@ -95,6 +117,89 @@ let serving t = match t.serve with Replaying _ -> true | _ -> false
 
 let log_event t ev =
   match t.serve with Recording log -> log := ev :: !log | _ -> ()
+
+(* ---- dirty marks ------------------------------------------------------- *)
+
+let find_tracked t data =
+  List.find_opt (fun tr -> tr.tr_data == data) t.tracked
+
+let track t data =
+  if Option.is_none (find_tracked t data) then
+    t.tracked <-
+      {
+        tr_data = data;
+        tr_lo = Array.make 8 0;
+        tr_hi = Array.make 8 0;
+        tr_n = 0;
+        tr_sorted = true;
+      }
+      :: t.tracked
+
+(* Only a sealed replay needs marks: the recorded execution writes the
+   store's contents as they stand, so earlier changes are already in. *)
+let mark t data ~off ~len =
+  match (t.serve, find_tracked t data) with
+  | Replaying r, Some tr when len > 0 && Array.length r.events > 0 ->
+      if tr.tr_n = Array.length tr.tr_lo then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        tr.tr_lo <- grow tr.tr_lo;
+        tr.tr_hi <- grow tr.tr_hi
+      end;
+      tr.tr_lo.(tr.tr_n) <- off;
+      tr.tr_hi.(tr.tr_n) <- off + len;
+      tr.tr_n <- tr.tr_n + 1;
+      tr.tr_sorted <- false
+  | _ -> ()
+
+let sort_marks tr =
+  if not tr.tr_sorted then begin
+    let pairs = Array.init tr.tr_n (fun i -> (tr.tr_lo.(i), tr.tr_hi.(i))) in
+    Array.sort compare pairs;
+    let n = ref 0 in
+    Array.iter
+      (fun (lo, hi) ->
+        if !n > 0 && lo <= tr.tr_hi.(!n - 1) then
+          tr.tr_hi.(!n - 1) <- max hi tr.tr_hi.(!n - 1)
+        else begin
+          tr.tr_lo.(!n) <- lo;
+          tr.tr_hi.(!n) <- hi;
+          incr n
+        end)
+      pairs;
+    tr.tr_n <- !n;
+    tr.tr_sorted <- true
+  end
+
+(* Whether a mark meets flat elements [lo, hi) of [data]; an untracked
+   store counts as wholly marked. *)
+let rec marked tracked data ~lo ~hi =
+  match tracked with
+  | [] -> true
+  | tr :: rest when tr.tr_data != data -> marked rest data ~lo ~hi
+  | tr :: _ ->
+      tr.tr_n > 0
+      && begin
+           sort_marks tr;
+           (* the first (disjoint, sorted) mark ending after [lo] *)
+           let a = ref 0 and b = ref tr.tr_n in
+           while !a < !b do
+             let m = (!a + !b) / 2 in
+             if tr.tr_hi.(m) <= lo then a := m + 1 else b := m
+           done;
+           !a < tr.tr_n && tr.tr_lo.(!a) < hi
+         end
+
+(* Marks describe changes since the last replay: once a replay has
+   processed the last recorded event, every mark has been honoured. *)
+let event_done t =
+  match t.serve with
+  | Replaying r when r.cursor = Array.length r.events ->
+      List.iter
+        (fun tr ->
+          tr.tr_n <- 0;
+          tr.tr_sorted <- true)
+        t.tracked
+  | _ -> ()
 
 let next_event t =
   match t.serve with
@@ -158,8 +263,10 @@ let charge_overhead t level =
    device was built once, on the recorded first execution. *)
 let replayed_alloc t what pred =
   match next_event t with
-  | Ev_alloc id when pred (node t id) -> id
-  | Ev_alloc _ | Ev_write _ | Ev_write_range _ ->
+  | Ev_alloc id when pred (node t id) ->
+      event_done t;
+      id
+  | Ev_alloc _ | Ev_write _ ->
       err "serve replay diverged at a %s allocation" what
 
 let alloc_bank t ~rows ~cols =
@@ -263,87 +370,6 @@ let perform_write t id ~row_offset ?care data =
   t.sim_stats.n_write_ops <- t.sim_stats.n_write_ops + 1;
   c
 
-(* A replayed write compares the incoming rows against the recorded
-   payload and rewrites (and charges) only the maximal runs of rows
-   that actually changed — the incremental path behind a session's
-   [update_stored]. An unchanged write is free: the cells already hold
-   this data from the recorded execution. *)
-let replay_write t id ~row_offset ?care data =
-  match next_event t with
-  | Ev_write w
-    when w.w_id = id
-         && w.w_row_offset = row_offset
-         && Array.length w.w_data = Array.length data ->
-      let n = Array.length data in
-      let care_row (c : bool array array option) i =
-        match c with Some c -> Some c.(i) | None -> None
-      in
-      let row_changed i =
-        data.(i) <> w.w_data.(i) || care_row care i <> care_row w.w_care i
-      in
-      let cost = ref Energy_model.zero in
-      let i = ref 0 in
-      while !i < n do
-        if row_changed !i then begin
-          let j = ref (!i + 1) in
-          while !j < n && row_changed !j do incr j done;
-          let len = !j - !i in
-          let chunk = Array.sub data !i len in
-          let care_chunk = Option.map (fun c -> Array.sub c !i len) care in
-          let c =
-            perform_write t id ~row_offset:(row_offset + !i) ?care:care_chunk
-              chunk
-          in
-          (* refresh the log so the next replay sees the new contents *)
-          for r = !i to !j - 1 do
-            w.w_data.(r) <- Array.copy data.(r);
-            match (w.w_care, care) with
-            | Some wc, Some cc -> wc.(r) <- Array.copy cc.(r)
-            | _ -> ()
-          done;
-          cost := Energy_model.add !cost c;
-          i := !j
-        end
-        else incr i
-      done;
-      !cost
-  | Ev_write _ | Ev_alloc _ | Ev_write_range _ ->
-      err "serve replay diverged at a write"
-
-let write t id ~row_offset data =
-  if serving t then replay_write t id ~row_offset data
-  else begin
-    (match t.serve with
-    | Recording _ ->
-        log_event t
-          (Ev_write
-             {
-               w_id = id;
-               w_row_offset = row_offset;
-               w_data = Array.map Array.copy data;
-               w_care = None;
-             })
-    | Oneshot | Replaying _ -> ());
-    perform_write t id ~row_offset data
-  end
-
-let write_ternary t id ~row_offset ~care data =
-  if serving t then replay_write t id ~row_offset ~care data
-  else begin
-    (match t.serve with
-    | Recording _ ->
-        log_event t
-          (Ev_write
-             {
-               w_id = id;
-               w_row_offset = row_offset;
-               w_data = Array.map Array.copy data;
-               w_care = Some (Array.map Array.copy care);
-             })
-    | Oneshot | Replaying _ -> ());
-    perform_write t id ~row_offset ~care data
-  end
-
 (* An ACAM range write programs two bound planes per cell (lower and
    upper reference voltages), so it costs two plain writes of the same
    geometry. Defects are not injected: the binary/multi-level flip
@@ -359,129 +385,252 @@ let perform_write_range t id ~row_offset ~lo ~hi =
   t.sim_stats.n_write_ops <- t.sim_stats.n_write_ops + 1;
   c
 
-(* Same incremental semantics as [replay_write]: only the row runs
-   whose bound pair changed are reprogrammed (and charged). *)
-let replay_write_range t id ~row_offset ~lo ~hi =
+(* Log a write while recording. The payload is deep-copied unless the
+   caller hands over rows it owns ([fresh]: materialized from a view,
+   kept by no one else — the subarray stores cells, not arrays). *)
+let record_write t id ~row_offset ~range ?(fresh = false) ?care ?origin
+    planes =
+  match t.serve with
+  | Recording log ->
+      log :=
+        Ev_write
+          {
+            w_id = id;
+            w_row_offset = row_offset;
+            w_range = range;
+            w_planes =
+              (if fresh then planes
+               else Array.map (Array.map Array.copy) planes);
+            w_care = Option.map (Array.map Array.copy) care;
+            w_origin = origin;
+          }
+        :: !log
+  | Oneshot | Replaying _ -> ()
+
+let origin data data2 ~off ~rs ~cs ~cols =
+  {
+    o_data = data;
+    o_data2 = data2;
+    o_off = off;
+    o_rs = rs;
+    o_cs = cs;
+    o_cols = cols;
+  }
+
+(* One plane of an incoming write: materialized rows, or a window over
+   a flat backing store with element [(i, j)] at
+   [data.(off + i*rs + j*cs)] — raw strides rather than a view closure,
+   which would box every element it returns. *)
+type plane =
+  | Rows of float array array
+  | View of { data : float array; off : int; rs : int; cs : int; cols : int }
+
+let view_rows data ~off ~rs ~cs ~cols i len =
+  Array.init len (fun r ->
+      let base = off + ((i + r) * rs) in
+      Array.init cols (fun j -> data.(base + (j * cs))))
+
+let plane_rows p i len =
+  match p with
+  | Rows rows -> Array.init len (fun r -> Array.copy rows.(i + r))
+  | View { data; off; rs; cs; cols } -> view_rows data ~off ~rs ~cs ~cols i len
+
+(* Cell compares use [Float.compare], which (unlike [<>]) treats two
+   nans as equal, so don't-care nan payloads don't force a rewrite
+   every batch. *)
+let row_differs p i (wr : float array) =
+  let n = Array.length wr in
+  let j = ref 0 in
+  match p with
+  | Rows rows ->
+      let row = rows.(i) in
+      Array.length row <> n
+      || begin
+           while
+             !j < n
+             && Float.compare (Array.unsafe_get wr !j)
+                  (Array.unsafe_get row !j)
+                = 0
+           do
+             incr j
+           done;
+           !j < n
+         end
+  | View v ->
+      v.cols <> n
+      || begin
+           let base = v.off + (i * v.rs) in
+           while
+             !j < n
+             && Float.compare (Array.unsafe_get wr !j)
+                  (Array.unsafe_get v.data (base + (!j * v.cs)))
+                = 0
+           do
+             incr j
+           done;
+           !j < n
+         end
+
+(* The recorded event a replayed write must meet: same device, offset,
+   kind and row count, or the replay has diverged. *)
+let replayed_write t id ~row_offset ~range ~rows =
   match next_event t with
-  | Ev_write_range w
-    when w.r_id = id
-         && w.r_row_offset = row_offset
-         && Array.length w.r_lo = Array.length lo ->
-      let n = Array.length lo in
-      let row_changed i = lo.(i) <> w.r_lo.(i) || hi.(i) <> w.r_hi.(i) in
-      let cost = ref Energy_model.zero in
-      let i = ref 0 in
-      while !i < n do
-        if row_changed !i then begin
-          let j = ref (!i + 1) in
-          while !j < n && row_changed !j do incr j done;
-          let len = !j - !i in
-          let c =
-            perform_write_range t id ~row_offset:(row_offset + !i)
-              ~lo:(Array.sub lo !i len) ~hi:(Array.sub hi !i len)
-          in
-          for r = !i to !j - 1 do
-            w.r_lo.(r) <- Array.copy lo.(r);
-            w.r_hi.(r) <- Array.copy hi.(r)
-          done;
-          cost := Energy_model.add !cost c;
-          i := !j
-        end
-        else incr i
-      done;
-      !cost
-  | Ev_write_range _ | Ev_write _ | Ev_alloc _ ->
-      err "serve replay diverged at a range write"
+  | Ev_write w
+    when w.w_id = id && w.w_row_offset = row_offset && w.w_range = range
+         && Array.length w.w_planes.(0) = rows ->
+      w
+  | Ev_write _ | Ev_alloc _ ->
+      err "serve replay diverged at a %s"
+        (if range then "range write" else "write")
+
+(* A replayed view write is clean — the device window already holds
+   the payload — when it reads the tracked stores it was recorded from,
+   through the same window, and no mark meets the window's element
+   extent. A window recorded with a care mask never is: see
+   [rewrite_changed]. *)
+let clean_window t w ~rows ~cols data data2 ~off ~rs ~cs =
+  match w with
+  | { w_care = None; w_origin = Some o; _ }
+    when o.o_data == data && o.o_data2 == data2 && o.o_off = off
+         && o.o_rs = rs && o.o_cs = cs && o.o_cols = cols ->
+      let span_r = (rows - 1) * rs and span_c = (cols - 1) * cs in
+      let lo = off + min 0 span_r + min 0 span_c in
+      let hi = off + max 0 span_r + max 0 span_c + 1 in
+      (not (marked t.tracked data ~lo ~hi))
+      && (data2 == data || not (marked t.tracked data2 ~lo ~hi))
+  | _ -> false
+
+(* The one replay path behind every write: compare each incoming row
+   with the recorded payload and rewrite (and charge) only the maximal
+   runs of rows that changed — the incremental path behind a session's
+   [update_stored]; a write with identical data is free. A recorded
+   care mask must match the incoming one, so a view write (which has
+   none) always rewrites a window recorded with one. *)
+let rewrite_changed t w ?care planes =
+  let rows = Array.length w.w_planes.(0) in
+  let care_differs i =
+    match (w.w_care, care) with
+    | None, None -> false
+    | Some a, Some b -> a.(i) <> b.(i)
+    | Some _, None | None, Some _ -> true
+  in
+  let changed i =
+    care_differs i
+    || row_differs planes.(0) i w.w_planes.(0).(i)
+    || (w.w_range && row_differs planes.(1) i w.w_planes.(1).(i))
+  in
+  let cost = ref Energy_model.zero in
+  let i = ref 0 in
+  while !i < rows do
+    if changed !i then begin
+      let j = ref (!i + 1) in
+      while !j < rows && changed !j do incr j done;
+      let len = !j - !i in
+      let row_offset = w.w_row_offset + !i in
+      let chunks = Array.map (fun p -> plane_rows p !i len) planes in
+      let care_chunk =
+        Option.map (fun c -> Array.map Array.copy (Array.sub c !i len)) care
+      in
+      let c =
+        if w.w_range then
+          perform_write_range t w.w_id ~row_offset ~lo:chunks.(0)
+            ~hi:chunks.(1)
+        else perform_write t w.w_id ~row_offset ?care:care_chunk chunks.(0)
+      in
+      (* refresh the log so the next replay sees the new contents; the
+         chunk rows are fresh (the subarray stores cells, not arrays) *)
+      Array.iteri
+        (fun p chunk -> Array.blit chunk 0 w.w_planes.(p) !i len)
+        chunks;
+      (match (w.w_care, care_chunk) with
+      | Some wc, Some cc -> Array.blit cc 0 wc !i len
+      | _ -> ());
+      cost := Energy_model.add !cost c;
+      i := !j
+    end
+    else incr i
+  done;
+  !cost
+
+(* Every replayed write ends here: the cost, after [event_done]. *)
+let replayed t c =
+  event_done t;
+  c
+
+let write t id ~row_offset data =
+  if serving t then
+    let w =
+      replayed_write t id ~row_offset ~range:false ~rows:(Array.length data)
+    in
+    replayed t (rewrite_changed t w [| Rows data |])
+  else begin
+    record_write t id ~row_offset ~range:false [| data |];
+    perform_write t id ~row_offset data
+  end
+
+let write_ternary t id ~row_offset ~care data =
+  if serving t then
+    let w =
+      replayed_write t id ~row_offset ~range:false ~rows:(Array.length data)
+    in
+    replayed t (rewrite_changed t w ~care [| Rows data |])
+  else begin
+    record_write t id ~row_offset ~range:false ~care [| data |];
+    perform_write t id ~row_offset ~care data
+  end
 
 let write_range t id ~row_offset ~lo ~hi =
-  if serving t then replay_write_range t id ~row_offset ~lo ~hi
+  if serving t then
+    let w =
+      replayed_write t id ~row_offset ~range:true ~rows:(Array.length lo)
+    in
+    replayed t (rewrite_changed t w [| Rows lo; Rows hi |])
   else begin
-    (match t.serve with
-    | Recording _ ->
-        log_event t
-          (Ev_write_range
-             {
-               r_id = id;
-               r_row_offset = row_offset;
-               r_lo = Array.map Array.copy lo;
-               r_hi = Array.map Array.copy hi;
-             })
-    | Oneshot | Replaying _ -> ());
+    record_write t id ~row_offset ~range:true [| lo; hi |];
     perform_write_range t id ~row_offset ~lo ~hi
   end
 
-(* [write_view] writes rows addressed by stride math over a flat
-   backing store ([data.(off + i*rs + j*cs)]) without materializing
-   them first. Off the replay path it must materialize anyway — the
-   recording log and the defect injector take row arrays — but a
-   replayed unchanged write, the steady state of a serving session,
-   compares elements straight out of the backing and allocates
-   nothing: a closure-valued view would box every float it returns. *)
-let replay_write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
-  match next_event t with
-  | Ev_write w
-    when w.w_id = id
-         && w.w_row_offset = row_offset
-         && Array.length w.w_data = rows ->
-      (* Element compares use [Float.compare]: like the polymorphic
-         structural compare of [replay_write] — and unlike [<>] — it
-         treats two nans as equal, so don't-care nan payloads don't
-         force a rewrite every batch. A recorded care mask means the
-         original would see [Some _ <> None] and rewrite the row, so
-         mirror that. *)
-      let row_changed i =
-        w.w_care <> None
-        ||
-        let wr = w.w_data.(i) in
-        Array.length wr <> cols
-        ||
-        let base = off + (i * rs) in
-        let rec go j =
-          j < cols
-          && (Float.compare (Array.unsafe_get wr j)
-                (Array.unsafe_get data (base + (j * cs)))
-              <> 0
-             || go (j + 1))
-        in
-        go 0
-      in
-      let materialize i len =
-        Array.init len (fun r ->
-            let base = off + ((i + r) * rs) in
-            Array.init cols (fun j -> data.(base + (j * cs))))
-      in
-      let cost = ref Energy_model.zero in
-      let i = ref 0 in
-      while !i < rows do
-        if row_changed !i then begin
-          let j = ref (!i + 1) in
-          while !j < rows && row_changed !j do incr j done;
-          let len = !j - !i in
-          let chunk = materialize !i len in
-          let c = perform_write t id ~row_offset:(row_offset + !i) chunk in
-          (* refresh the log so the next replay sees the new contents;
-             the chunk rows are fresh, so no defensive copy is needed
-             (the subarray stores cells, not the arrays) *)
-          for r = !i to !j - 1 do
-            w.w_data.(r) <- chunk.(r - !i)
-          done;
-          cost := Energy_model.add !cost c;
-          i := !j
-        end
-        else incr i
-      done;
-      !cost
-  | Ev_write _ | Ev_alloc _ | Ev_write_range _ ->
-      err "serve replay diverged at a write"
-
+(* [write_view] and [write_range_view] read their payload by stride
+   math over flat backing stores. Off the replay path they materialize
+   it — the subarray and the defect injector take row arrays — but a
+   replayed clean window, the steady state of a serving session, costs
+   nothing, reads no cell and allocates nothing; a dirty one is
+   compared in place and materializes only the row runs it rewrites. *)
 let write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
   if serving t then
-    replay_write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs
-  else
-    write t id ~row_offset
-      (Array.init rows (fun i ->
-           let base = off + (i * rs) in
-           Array.init cols (fun j -> data.(base + (j * cs)))))
+    let w = replayed_write t id ~row_offset ~range:false ~rows in
+    replayed t
+      (if clean_window t w ~rows ~cols data data ~off ~rs ~cs then
+         Energy_model.zero
+       else rewrite_changed t w [| View { data; off; rs; cs; cols } |])
+  else begin
+    let payload = view_rows data ~off ~rs ~cs ~cols 0 rows in
+    record_write t id ~row_offset ~range:false ~fresh:true
+      ~origin:(origin data data ~off ~rs ~cs ~cols)
+      [| payload |];
+    perform_write t id ~row_offset payload
+  end
+
+let write_range_view t id ~row_offset ~rows ~cols ~lo ~hi ~off ~rs ~cs =
+  if serving t then
+    let w = replayed_write t id ~row_offset ~range:true ~rows in
+    replayed t
+      (if clean_window t w ~rows ~cols lo hi ~off ~rs ~cs then
+         Energy_model.zero
+       else
+         rewrite_changed t w
+           [|
+             View { data = lo; off; rs; cs; cols };
+             View { data = hi; off; rs; cs; cols };
+           |])
+  else begin
+    let lo_rows = view_rows lo ~off ~rs ~cs ~cols 0 rows in
+    let hi_rows = view_rows hi ~off ~rs ~cs ~cols 0 rows in
+    record_write t id ~row_offset ~range:true ~fresh:true
+      ~origin:(origin lo hi ~off ~rs ~cs ~cols)
+      [| lo_rows; hi_rows |];
+    perform_write_range t id ~row_offset ~lo:lo_rows ~hi:hi_rows
+  end
 
 let search t id ~queries ~row_offset ~rows ~kind ~metric
     ?(batch_extra = false) ?(threshold = 0.) () =

@@ -48,7 +48,20 @@ val set_query_hint : t -> int -> unit
       charging) only the row runs that changed — so an unchanged
       stored database serves every batch with zero write energy, and a
       session's [update_stored] pays exactly for the rows it
-      replaced. *)
+      replaced.
+
+    {2 Dirty rows}
+
+    Comparing every stored cell on every batch would make a replay
+    cost the size of the store. A caller that pins a backing store
+    instead declares it with {!track} and reports each change to it
+    with {!mark}. A replayed {!write_view} or {!write_range_view} that
+    reads tracked stores through the window it was recorded from, and
+    that no mark meets, costs nothing and reads no cell; a window a
+    mark meets is compared and rewritten exactly as above. Data the
+    simulator does not track (a tensor computed per batch, materialized
+    rows) counts as wholly marked and goes through the same compare.
+    Marks clear once a replay has processed the last recorded event. *)
 
 val start_recording : t -> unit
 (** Begin logging allocation and write events. Must be called on a
@@ -67,6 +80,19 @@ val rewind : t -> unit
 val serving : t -> bool
 (** [true] once {!seal_recording} has run — allocations and writes now
     replay instead of executing. *)
+
+val track : t -> float array -> unit
+(** [track t data] declares [data] a pinned backing store: its owner
+    promises to report every later change to it through {!mark}.
+    Idempotent. *)
+
+val mark : t -> float array -> off:int -> len:int -> unit
+(** [mark t data ~off ~len] records that elements [off .. off+len-1] of
+    the tracked store [data] changed, so the next replay compares the
+    windows that read them. Marks taken before the recording is sealed
+    are dropped — the recorded execution writes the store as it stands
+    — as are marks on untracked data, which every replay compares
+    anyway. *)
 
 (** {1 Allocation} — raises {!Error} when exceeding the specified
     hierarchy capacity (mats per bank, etc.) or on invalid parents. *)
@@ -96,6 +122,14 @@ val write_range :
     semantics match {!write}: an unchanged bound table serves every
     batch for free; changed row runs are reprogrammed and charged. *)
 
+val write_range_view :
+  t -> id -> row_offset:int -> rows:int -> cols:int -> lo:float array ->
+  hi:float array -> off:int -> rs:int -> cs:int -> Energy_model.cost
+(** {!write_range} with both bound planes addressed by the same stride
+    math as {!write_view}: bound [(i, j)] lives at
+    [lo.(off + i*rs + j*cs)] and [hi.(off + i*rs + j*cs)]. Identical
+    cost and replay semantics. *)
+
 val write_view :
   t -> id -> row_offset:int -> rows:int -> cols:int -> float array ->
   off:int -> rs:int -> cs:int -> Energy_model.cost
@@ -103,12 +137,12 @@ val write_view :
     {!write} with the payload addressed by stride math — element
     [(i, j)] lives at [data.(off + i*rs + j*cs)] — instead of a
     materialized matrix. Identical cost and replay semantics; the
-    difference is allocation: a replayed write whose rows are unchanged
-    (the steady state of a serving session, where [data] is an
-    interpreter buffer's backing store) compares in place and allocates
-    nothing, and changed row runs are materialized only as they are
-    rewritten. Raw strides rather than a view closure because a
-    closure-valued [int -> int -> float] boxes every element it
+    difference is work: a replayed window over a tracked store that no
+    mark meets (the steady state of a serving session, where [data] is
+    an interpreter buffer's backing store) costs nothing, any other is
+    compared in place, and changed row runs are materialized only as
+    they are rewritten. Raw strides rather than a view closure because
+    a closure-valued [int -> int -> float] boxes every element it
     returns. *)
 
 val search :

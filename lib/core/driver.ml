@@ -293,20 +293,23 @@ let fold_sim_stats profile ~latency ~energy ~ops_executed
       ops_executed;
     }
 
-let execute ?(config = Run_config.default) ~sim ?qcache ?query_value c
-    ~queries ~stored_value =
+let execute_flat ?(config = Run_config.default) ~sim ?qcache ?pool
+    ?query_value c ~queries ~stored_value =
   if Array.length queries <> c.info.q then
     fail "expected %d query rows, got %d" c.info.q (Array.length queries);
   let queries_value =
     match query_value with Some v -> v | None -> wrap_rows queries
   in
   let args = kernel_args c.info ~queries:queries_value ~stored:stored_value in
+  try
+    Interp.Machine.run ~sim ?qcache ?pool
+      ~precompile:(Run_config.precompile config)
+      c.cam_ir c.fn_name args
+  with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
+
+let execute ?config ~sim ?qcache ?query_value c ~queries ~stored_value =
   let outcome =
-    try
-      Interp.Machine.run ~sim ?qcache
-        ~precompile:(Run_config.precompile config)
-        c.cam_ir c.fn_name args
-    with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
+    execute_flat ?config ~sim ?qcache ?query_value c ~queries ~stored_value
   in
   let stats = Camsim.Simulator.stats sim in
   let energy = Camsim.Stats.total_energy stats in

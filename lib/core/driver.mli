@@ -175,6 +175,25 @@ val execute :
     into [config.profile] — callers that want that use
     {!fold_sim_stats}. *)
 
+val execute_flat :
+  ?config:Run_config.t -> sim:Camsim.Simulator.t ->
+  ?qcache:Interp.Ops.Qcache.t -> ?pool:Interp.Ops.Pool.t ->
+  ?query_value:Interp.Rtval.t -> compiled -> queries:float array array ->
+  stored_value:Interp.Rtval.t -> Interp.Machine.outcome
+(** {!execute} without the decode: the interpreter's raw outcome, whose
+    results are the kernel's output buffers as it wrote them (for a
+    [`Scores] kernel, one row-major [q x n] buffer). A caller that
+    reads the output in place — a sharded store selecting its top-k —
+    skips the row copies {!decode_results} makes, and may hand the
+    buffers back to [pool] once done with them so the next execution
+    reuses them. *)
+
+val decode_results :
+  kernel_info -> Interp.Rtval.t list ->
+  float array array * int array array * float array array option
+(** The [values], [indices] and [scores] of {!run_result}, copied out
+    of a kernel's raw results. *)
+
 val fold_sim_stats :
   Instrument.Collect.t -> latency:float -> energy:float ->
   ops_executed:(string * int) list -> Camsim.Stats.t -> unit

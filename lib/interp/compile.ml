@@ -38,6 +38,7 @@ type ctx = {
   sim : Camsim.Simulator.t option;
   xsim : Xbar.t option;
   qcache : Ops.Qcache.t;
+  pool : Ops.Pool.t option; (* dispatching domain only *)
   counts : int array;
   counts_mu : Mutex.t; (* guards merges of per-chunk counters *)
 }
@@ -722,6 +723,7 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
                       ctx with
                       slots = Array.copy ctx.slots;
                       qcache = Ops.Qcache.create ();
+                      pool = None;
                       counts = Ops.fresh_counts ();
                     }
                   in
@@ -786,7 +788,7 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
       let shape = Ir.Types.shape (Ir.Op.result op).Ir.Value.ty in
       let s = def1 () in
       fun ctx ->
-        set ctx s (Rtval.Buffer (Rtval.fresh_buffer shape));
+        set ctx s (Rtval.Buffer (Ops.alloc_buffer ctx.pool ctx.qcache shape));
         0.
   | "memref.load" ->
       let bg = use_buffer cenv (opnd 0) in
@@ -867,11 +869,9 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
       let og = use_index cenv (opnd 3) in
       fun ctx ->
         let handle = hg ctx in
-        let lo = Rtval.to_rows (lg ctx) in
-        let hi = Rtval.to_rows (gg ctx) in
         let row_offset = og ctx in
         let cost =
-          Camsim.Simulator.write_range (simx ctx) handle ~row_offset ~lo ~hi
+          Ops.cam_write_range (simx ctx) handle ~row_offset (lg ctx) (gg ctx)
         in
         cost.Camsim.Energy_model.latency
   | "cam.search" ->
@@ -1068,8 +1068,8 @@ let compiled_of (fn : Ir.Func_ir.func) =
           Hashtbl.replace tbl key cf;
           cf)
 
-let run_fn ?sim ?xsim ?qcache (fn : Ir.Func_ir.func) (args : Rtval.t list) :
-    Ops.outcome =
+let run_fn ?sim ?xsim ?qcache ?pool (fn : Ir.Func_ir.func)
+    (args : Rtval.t list) : Ops.outcome =
   let cf = compiled_of fn in
   let ctx =
     {
@@ -1078,6 +1078,7 @@ let run_fn ?sim ?xsim ?qcache (fn : Ir.Func_ir.func) (args : Rtval.t list) :
       xsim;
       qcache =
         (match qcache with Some q -> q | None -> Ops.Qcache.create ());
+      pool;
       counts = Ops.fresh_counts ();
       counts_mu = Mutex.create ();
     }

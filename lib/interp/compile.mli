@@ -18,12 +18,14 @@
 
 val run_fn :
   ?sim:Camsim.Simulator.t -> ?xsim:Xbar.t -> ?qcache:Ops.Qcache.t ->
-  Ir.Func_ir.func -> Rtval.t list -> Ops.outcome
+  ?pool:Ops.Pool.t -> Ir.Func_ir.func -> Rtval.t list -> Ops.outcome
 (** Compile (or fetch from the memo) and execute one function. The
     caller has already resolved the function and checked arity —
     [Machine.run] is the public entry point. [qcache] lets a serving
     session keep one query-pack cache alive across executions
-    (default: a fresh cache per run).
+    (default: a fresh cache per run); [pool] likewise lets it reuse
+    the result buffers it released (default: every [memref.alloc] is
+    fresh).
     @raise Ops.Runtime_error exactly where the tree-walker would.
 
     Engine selection is per call: [Machine.run]'s [?precompile]

@@ -23,6 +23,7 @@ type state = {
   sim : Camsim.Simulator.t option;
   xsim : Xbar.t option;
   qcache : Ops.Qcache.t;
+  pool : Ops.Pool.t option; (* dispatching domain only *)
   counts : int array; (* per-dialect executed-op counters *)
   counts_mu : Mutex.t; (* guards merges of per-chunk counters *)
 }
@@ -449,6 +450,7 @@ and exec_op st (op : Ir.Op.t) :
                 st with
                 env = Hashtbl.copy st.env;
                 qcache = Ops.Qcache.create ();
+                pool = None;
                 counts = Ops.fresh_counts ();
               }
             in
@@ -502,7 +504,10 @@ and exec_op st (op : Ir.Op.t) :
       | _ -> fail "if needs one or two regions")
   (* ---- memref ---- *)
   | "memref.alloc" ->
-      bind1 (Rtval.Buffer (Rtval.fresh_buffer (Ir.Types.shape (Ir.Op.result op).ty)));
+      bind1
+        (Rtval.Buffer
+           (Ops.alloc_buffer st.pool st.qcache
+              (Ir.Types.shape (Ir.Op.result op).ty)));
       (`Next, 0.)
   | "memref.load" ->
       let base = Rtval.as_buffer (operand st op 0) in
@@ -573,11 +578,10 @@ and exec_op st (op : Ir.Op.t) :
       (`Next, cost.Camsim.Energy_model.latency)
   | "cam.write_range" ->
       let handle = Rtval.as_handle (operand st op 0) in
-      let lo = Rtval.to_rows (operand st op 1) in
-      let hi = Rtval.to_rows (operand st op 2) in
       let row_offset = Rtval.as_index (operand st op 3) in
       let cost =
-        Camsim.Simulator.write_range (sim st) handle ~row_offset ~lo ~hi
+        Ops.cam_write_range (sim st) handle ~row_offset (operand st op 1)
+          (operand st op 2)
       in
       (`Next, cost.Camsim.Energy_model.latency)
   | "cam.search" ->
@@ -666,7 +670,7 @@ and exec_op st (op : Ir.Op.t) :
 
 (* ---------- entry point ------------------------------------------------ *)
 
-let run_tree ?sim ?xsim ?qcache (fn : Ir.Func_ir.func) args =
+let run_tree ?sim ?xsim ?qcache ?pool (fn : Ir.Func_ir.func) args =
   let st =
     {
       env = Hashtbl.create 256;
@@ -674,6 +678,7 @@ let run_tree ?sim ?xsim ?qcache (fn : Ir.Func_ir.func) args =
       xsim;
       qcache =
         (match qcache with Some q -> q | None -> Ops.Qcache.create ());
+      pool;
       counts = Ops.fresh_counts ();
       counts_mu = Mutex.create ();
     }
@@ -685,8 +690,8 @@ let run_tree ?sim ?xsim ?qcache (fn : Ir.Func_ir.func) args =
   | (`Yield _ | `Fall), _ ->
       fail "@%s finished without returning" fn.Ir.Func_ir.fn_name
 
-let run ?sim ?xsim ?qcache ?(precompile = true) (m : Ir.Func_ir.modul)
-    fn_name args =
+let run ?sim ?xsim ?qcache ?pool ?(precompile = true)
+    (m : Ir.Func_ir.modul) fn_name args =
   let fn =
     match Ir.Func_ir.find_func m fn_name with
     | Some f -> f
@@ -695,5 +700,5 @@ let run ?sim ?xsim ?qcache ?(precompile = true) (m : Ir.Func_ir.modul)
   if List.length fn.fn_args <> List.length args then
     fail "@%s expects %d arguments, got %d" fn_name
       (List.length fn.fn_args) (List.length args);
-  if precompile then Compile.run_fn ?sim ?xsim ?qcache fn args
-  else run_tree ?sim ?xsim ?qcache fn args
+  if precompile then Compile.run_fn ?sim ?xsim ?qcache ?pool fn args
+  else run_tree ?sim ?xsim ?qcache ?pool fn args

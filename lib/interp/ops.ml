@@ -239,6 +239,60 @@ module Qcache = struct
     done
 end
 
+(* Result buffers a caller hands back for reuse by its next run. Only
+   the exact buffers this pool lent (the last [lent_max]) are taken
+   back, so a result that views an argument or any other storage can
+   never be recycled under its holder; a recycled buffer is zeroed, like
+   a fresh one. *)
+module Pool = struct
+  type t = {
+    mutable lent : Rtval.buffer list;
+    mutable free : Rtval.buffer list;
+  }
+
+  let lent_max = 8
+  let free_max = 4
+  let create () = { lent = []; free = [] }
+
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+
+  let buffer t shape =
+    let b =
+      match
+        List.find_opt (fun (b : Rtval.buffer) -> b.b_shape = shape) t.free
+      with
+      | Some b ->
+          t.free <- List.filter (fun f -> f != b) t.free;
+          Array.fill b.b_data 0 (Array.length b.b_data) 0.;
+          b
+      | None -> Rtval.fresh_buffer shape
+    in
+    t.lent <- take lent_max (b :: t.lent);
+    b
+
+  let release t results =
+    List.iter
+      (function
+        | Rtval.Buffer b when List.memq b t.lent ->
+            t.lent <- List.filter (fun l -> l != b) t.lent;
+            if List.length t.free < free_max then t.free <- b :: t.free
+        | _ -> ())
+      results
+end
+
+(* memref.alloc, shared by the engines: from the run's pool when it has
+   one — a recycled store may back stale query-pack entries, so they
+   are invalidated — fresh otherwise. *)
+let alloc_buffer pool qcache shape =
+  match pool with
+  | None -> Rtval.fresh_buffer shape
+  | Some p ->
+      let b = Pool.buffer p shape in
+      Qcache.invalidate qcache b.b_data;
+      b
+
 (* ---------- scf.parallel analysis predicates -------------------------- *)
 
 (* Structural building blocks of the independence analysis, shared so
@@ -635,6 +689,33 @@ let cam_write sim handle ~row_offset (v : Rtval.t) =
       Camsim.Simulator.write_view sim handle ~row_offset ~rows ~cols t_data
         ~off:0 ~rs:cols ~cs:1
   | _ -> Camsim.Simulator.write sim handle ~row_offset (Rtval.to_rows v)
+
+(* cam.write_range dispatch, the same way: two rank-2 buffers (or
+   tensors) of one geometry go to the simulator as strided views over
+   their storage; anything else is materialized. *)
+let cam_write_range sim handle ~row_offset (lo : Rtval.t) (hi : Rtval.t) =
+  match (lo, hi) with
+  | ( Rtval.Buffer
+        { b_shape = [ rows; cols ]; b_strides = [ s0; s1 ]; b_offset; b_data },
+      Rtval.Buffer
+        {
+          b_shape = [ rows'; cols' ];
+          b_strides = [ s0'; s1' ];
+          b_offset = off';
+          b_data = hi_data;
+        } )
+    when rows = rows' && cols = cols' && s0 = s0' && s1 = s1'
+         && b_offset = off' ->
+      Camsim.Simulator.write_range_view sim handle ~row_offset ~rows ~cols
+        ~lo:b_data ~hi:hi_data ~off:b_offset ~rs:s0 ~cs:s1
+  | ( Rtval.Tensor { t_shape = [ rows; cols ]; t_data },
+      Rtval.Tensor { t_shape = [ rows'; cols' ]; t_data = hi_data } )
+    when rows = rows' && cols = cols' ->
+      Camsim.Simulator.write_range_view sim handle ~row_offset ~rows ~cols
+        ~lo:t_data ~hi:hi_data ~off:0 ~rs:cols ~cs:1
+  | _ ->
+      Camsim.Simulator.write_range sim handle ~row_offset
+        ~lo:(Rtval.to_rows lo) ~hi:(Rtval.to_rows hi)
 
 let scalar_of what (v : Rtval.t) =
   match v with

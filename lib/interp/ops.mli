@@ -92,6 +92,29 @@ module Qcache : sig
       rows are refilled from the current contents on its next hit. *)
 end
 
+(** Result buffers reused across runs. A serving caller that reads a
+    run's results and is then done with them hands them back with
+    {!Pool.release}; the next run's [memref.alloc] of the same shape
+    takes one, zeroed, instead of allocating. Only buffers the pool
+    itself lent come back — a result viewing an argument or other
+    storage is ignored — and only a few are kept. Not thread-safe: a
+    run uses its pool from the dispatching domain only. *)
+module Pool : sig
+  type t
+
+  val create : unit -> t
+
+  val release : t -> Rtval.t list -> unit
+  (** Hand back a run's results: the caller reads nothing from them
+      afterwards. *)
+end
+
+val alloc_buffer : Pool.t option -> Qcache.t -> int list -> Rtval.buffer
+(** [memref.alloc] shared by the engines: a zeroed contiguous buffer of
+    this shape — with a pool, a released one when the shape matches
+    (invalidating any query-pack entry over the recycled store);
+    otherwise, or when none matches, a fresh one. *)
+
 (** {2 scf.parallel analysis predicates}
 
     Structural building blocks of the loop-independence analysis,
@@ -156,6 +179,14 @@ val cam_write :
     view over their storage (allocation-free when a serving replay
     finds the rows unchanged); anything else materializes rows and uses
     the plain write. *)
+
+val cam_write_range :
+  Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> Rtval.t ->
+  Rtval.t -> Camsim.Energy_model.cost
+(** [cam.write_range] dispatch shared by the engines: lo/hi rank-2
+    buffers (or tensors) of one geometry go through
+    {!Camsim.Simulator.write_range_view}; anything else materializes
+    rows and uses the plain range write. *)
 
 val scalar_of : string -> Rtval.t -> float
 (** Scalar or index operand coerced to float; fails with

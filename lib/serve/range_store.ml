@@ -114,6 +114,10 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
     Camsim.Simulator.start_recording sim;
     let lo_buf = Interp.Rtval.buffer_of_rows sh_lo in
     let hi_buf = Interp.Rtval.buffer_of_rows sh_hi in
+    (* the pinned bounds change only through [update_box], which marks
+       what it writes *)
+    Camsim.Simulator.track sim lo_buf.Interp.Rtval.b_data;
+    Camsim.Simulator.track sim hi_buf.Interp.Rtval.b_data;
     let qbuf = Interp.Rtval.fresh_buffer [ q; n_dims ] in
     {
       sh_offset;
@@ -157,13 +161,13 @@ let update_box t ~row ~lo ~hi =
     |> Seq.find (fun s -> row >= s.sh_offset && row < s.sh_offset + s.sh_boxes)
     |> Option.get
   in
-  let local = row - sh.sh_offset in
-  Array.blit lo 0 sh.sh_lo_buf.Interp.Rtval.b_data (local * t.st_dims)
-    t.st_dims;
-  Array.blit hi 0 sh.sh_hi_buf.Interp.Rtval.b_data (local * t.st_dims)
-    t.st_dims;
-  Interp.Ops.Qcache.invalidate sh.sh_qcache sh.sh_lo_buf.Interp.Rtval.b_data;
-  Interp.Ops.Qcache.invalidate sh.sh_qcache sh.sh_hi_buf.Interp.Rtval.b_data
+  let off = (row - sh.sh_offset) * t.st_dims in
+  List.iter
+    (fun (src, (buf : Interp.Rtval.buffer)) ->
+      Array.blit src 0 buf.b_data off t.st_dims;
+      Camsim.Simulator.mark sh.sh_sim buf.b_data ~off ~len:t.st_dims;
+      Interp.Ops.Qcache.invalidate sh.sh_qcache buf.b_data)
+    [ (lo, sh.sh_lo_buf); (hi, sh.sh_hi_buf) ]
 
 let query t batch =
   let { Shard_set.values; indices; latency; energy } =

@@ -7,9 +7,11 @@
     simulator; the first {!query} pays allocation and the
     [cam.write_range] programming once, every later batch rewinds and
     replays that setup for free and pays only for its searches.
-    {!update_box} mutates the pinned bound buffers in place — the next
-    batch's replay reprograms (and charges for) only the changed rows,
-    exactly like [Session.update_stored].
+    {!update_box} mutates the pinned bound buffers in place and marks
+    the row dirty — the next batch's replay compares only that shard's
+    marked window and reprograms (and charges for) only the changed
+    rows, exactly like [Session.update_stored]; an unchanged table
+    replays as zero host work.
 
     Shards are searched in parallel on the ambient [Parallel] pool and
     merged by {!Shard_set} with k = 1. Determinism: results are

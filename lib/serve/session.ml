@@ -34,6 +34,7 @@ type t = {
   s_config : C4cam.Driver.Run_config.t;
   s_sim : Camsim.Simulator.t;
   s_qcache : Interp.Ops.Qcache.t;
+  s_pool : Interp.Ops.Pool.t;  (** result buffers handed back by [release] *)
   s_stored : Interp.Rtval.t;  (** always a [Buffer] over [s_buf] *)
   s_buf : Interp.Rtval.buffer;
   s_qbuf : Interp.Rtval.buffer;
@@ -113,6 +114,9 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
      free (and [update_stored] rewrites only changed rows). *)
   Camsim.Simulator.start_recording sim;
   let buf = Interp.Rtval.buffer_of_rows stored in
+  (* the pinned stored buffer changes only through [update_stored],
+     which marks what it writes *)
+  Camsim.Simulator.track sim buf.Interp.Rtval.b_data;
   let qbuf =
     Interp.Rtval.fresh_buffer [ compiled.info.q; compiled.info.d ]
   in
@@ -122,6 +126,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
     s_config = config;
     s_sim = sim;
     s_qcache = Interp.Ops.Qcache.create ();
+    s_pool = Interp.Ops.Pool.create ();
     s_stored = Interp.Rtval.Buffer buf;
     s_buf = buf;
     s_qbuf = qbuf;
@@ -223,11 +228,19 @@ let run_chunk t chunk =
   in
   replay t.s_sim @@ fun () ->
   try
-    C4cam.Driver.execute ~config:t.s_config ~sim:t.s_sim ~qcache:t.s_qcache
-      ?query_value t.s_compiled ~queries:chunk ~stored_value:t.s_stored
+    C4cam.Driver.execute_flat ~config:t.s_config ~sim:t.s_sim
+      ~qcache:t.s_qcache ~pool:t.s_pool ?query_value t.s_compiled
+      ~queries:chunk ~stored_value:t.s_stored
   with C4cam.Driver.Compile_error e -> raise (Serve_error e)
 
-let query t batch =
+type flat = {
+  outputs : Interp.Rtval.t list list;
+  latency : float;
+  energy : float;
+  ops_executed : (string * int) list;
+}
+
+let query_flat t batch =
   let q = t.s_compiled.info.q in
   let total = Array.length batch in
   if total = 0 || total mod q <> 0 then
@@ -238,26 +251,39 @@ let query t batch =
   let w0 = Gc.minor_words () in
   let sim_stats = Camsim.Simulator.stats t.s_sim in
   let e0 = Camsim.Stats.total_energy sim_stats in
-  let n_chunks = total / q in
   (* Chunks run in order against the one simulator — the determinism
      contract needs the same event sequence as the concatenated
      one-shot run; row-level search work inside each chunk still fans
      out across the ambient Parallel pool. *)
-  let results =
-    List.init n_chunks (fun i ->
-        run_chunk t (Array.sub batch (i * q) q))
+  let outcomes =
+    List.init (total / q) (fun i -> run_chunk t (Array.sub batch (i * q) q))
   in
   let latency =
     List.fold_left
-      (fun acc (r : C4cam.Driver.run_result) -> acc +. r.latency)
-      0. results
+      (fun acc (o : Interp.Machine.outcome) -> acc +. o.latency)
+      0. outcomes
   in
-  let energy = Camsim.Stats.total_energy sim_stats -. e0 in
   let ops =
     List.fold_left
-      (fun acc (r : C4cam.Driver.run_result) ->
-        merge_counts acc r.ops_executed)
-      [] results
+      (fun acc (o : Interp.Machine.outcome) ->
+        merge_counts acc o.ops_executed)
+      [] outcomes
+  in
+  let energy = Camsim.Stats.total_energy sim_stats -. e0 in
+  charge t.s_meter ~t0 ~w0 ~rows:total ~latency;
+  t.s_ops <- merge_counts t.s_ops ops;
+  fold_profile t;
+  {
+    outputs =
+      List.map (fun (o : Interp.Machine.outcome) -> o.results) outcomes;
+    latency;
+    energy;
+    ops_executed = ops;
+  }
+
+let decode t (f : flat) =
+  let results =
+    List.map (C4cam.Driver.decode_results t.s_compiled.info) f.outputs
   in
   (* a single-chunk batch (the common serving shape) returns the
      chunk's arrays directly instead of re-concatenating them *)
@@ -266,28 +292,29 @@ let query t batch =
     | [ r ] -> f r
     | _ -> Array.concat (List.map f results)
   in
-  let out =
-    {
-      C4cam.Driver.values = cat (fun r -> r.C4cam.Driver.values);
-      indices = cat (fun r -> r.C4cam.Driver.indices);
-      scores =
-        (match results with
-        | { C4cam.Driver.scores = Some _; _ } :: _ ->
-            Some
-              (cat (fun r ->
-                   Option.value r.C4cam.Driver.scores ~default:[||]))
-        | _ -> None);
-      latency;
-      energy;
-      power = (if latency > 0. then energy /. latency else 0.);
-      stats = sim_stats;
-      ops_executed = ops;
-    }
-  in
-  charge t.s_meter ~t0 ~w0 ~rows:total ~latency;
-  t.s_ops <- merge_counts t.s_ops ops;
-  fold_profile t;
-  out
+  {
+    C4cam.Driver.values = cat (fun (v, _, _) -> v);
+    indices = cat (fun (_, i, _) -> i);
+    scores =
+      (match results with
+      | (_, _, Some _) :: _ ->
+          Some (cat (fun (_, _, s) -> Option.value s ~default:[||]))
+      | _ -> None);
+    latency = f.latency;
+    energy = f.energy;
+    power = (if f.latency > 0. then f.energy /. f.latency else 0.);
+    stats = Camsim.Simulator.stats t.s_sim;
+    ops_executed = f.ops_executed;
+  }
+
+let release t (f : flat) =
+  List.iter (Interp.Ops.Pool.release t.s_pool) f.outputs
+
+let query t batch =
+  let f = query_flat t batch in
+  let r = decode t f in
+  release t f;
+  r
 
 let update_stored t ~row values =
   let { C4cam.Driver.n; d; _ } = t.s_compiled.info in
@@ -296,8 +323,10 @@ let update_stored t ~row values =
   if Array.length values <> d then
     fail "update_stored: expected %d values, got %d" d
       (Array.length values);
-  Array.blit values 0 t.s_buf.Interp.Rtval.b_data
-    (t.s_buf.Interp.Rtval.b_offset + (row * d))
-    d;
-  (* The query-pack cache may hold packed forms of the stale buffer. *)
+  let off = t.s_buf.Interp.Rtval.b_offset + (row * d) in
+  Array.blit values 0 t.s_buf.Interp.Rtval.b_data off d;
+  (* the next replay compares (and rewrites) only windows this row is
+     in; the query-pack cache may hold packed forms of the stale
+     buffer *)
+  Camsim.Simulator.mark t.s_sim t.s_buf.Interp.Rtval.b_data ~off ~len:d;
   Interp.Ops.Qcache.invalidate t.s_qcache t.s_buf.Interp.Rtval.b_data

@@ -60,12 +60,36 @@ val query : t -> float array array -> C4cam.Driver.run_result
 
     @raise Serve_error on an empty or non-multiple batch size. *)
 
+type flat = {
+  outputs : Interp.Rtval.t list list;
+      (** per [q]-row chunk, in order: the kernel's raw results — for a
+          scores-form kernel one row-major [q x n] buffer *)
+  latency : float;  (** this call's simulated time *)
+  energy : float;  (** this call's simulated energy delta *)
+  ops_executed : (string * int) list;  (** this call's, merged *)
+}
+
+val query_flat : t -> float array array -> flat
+(** {!query} up to, but not including, the decode: the served work,
+    metered into {!stats}, with the kernel outputs left as the
+    interpreter wrote them. A caller that reads them in place skips
+    the row copies {!query} makes into its [run_result].
+    @raise Serve_error as {!query}. *)
+
+val release : t -> flat -> unit
+(** Hand a flat result's output buffers back to the session, which
+    reuses them (zeroed) for later batches instead of allocating; the
+    caller reads nothing from them afterwards. {!query} is
+    [query_flat], the decode, then [release]. *)
+
 val update_stored : t -> row:int -> float array -> unit
 (** Replace one pinned stored row in place. The physical device write
-    happens lazily on the next {!query}: replay compares the pinned
-    rows against what the device holds and rewrites (and charges for)
-    only the changed rows. Also invalidates the session's query-pack
-    cache, which may hold packed forms of the stale buffer.
+    happens lazily on the next {!query}: the row is marked dirty on
+    the session's simulator, so the replay compares only the tile
+    windows that hold it against what the device holds and rewrites
+    (and charges for) only the changed rows — host work grows with the
+    rows changed, not with the store. Also invalidates the session's
+    query-pack cache, which may hold packed forms of the stale buffer.
     @raise Serve_error on a bad row index or width. *)
 
 (** {1 Introspection} *)
@@ -146,4 +170,6 @@ val cache_status : t -> [ `Hit | `Miss ]
 val simulator : t -> Camsim.Simulator.t
 val qcache : t -> Interp.Ops.Qcache.t
 val stored_value : t -> Interp.Rtval.t
-(** The pinned stored buffer ({!update_stored} mutates it in place). *)
+(** The pinned stored buffer. Only {!update_stored} may change it: the
+    simulator tracks it, and a change that bypasses the dirty marks
+    would never reach the device. *)

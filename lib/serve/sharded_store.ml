@@ -27,7 +27,10 @@ type shard = {
   sh_free : int array;
   mutable sh_free_head : int;
   mutable sh_free_len : int;
-  sh_sel : int array;  (* Topk.select_into scratch, [sh_cap] slots *)
+  (* selection output, reused while the batch shape holds: the shard
+     set copies a shard's candidates out before its next search *)
+  mutable sh_vals : float array array;  (* total x k_sel *)
+  mutable sh_ids : int array array;
 }
 
 type t = {
@@ -75,52 +78,90 @@ let rows_free t = capacity t - rows_stored t
 
 (* ---- per-shard selection ---------------------------------------------- *)
 
+(* The [k_sel] best live slots of one query row into [vals]/[ids],
+   ascending in (distance, external id): a bounded insertion over the
+   row read in place — slot [s]'s distance at [data.(base + s*cs)] —
+   that skips free slots (external id -1). Once the list is full, a
+   distance above its last candidate's is rejected before the slot's
+   id is looked up. *)
+let select_row ext ~k_sel data ~base ~cs (vals : float array) ids =
+  let m = ref 0 in
+  if k_sel > 0 then
+    for s = 0 to Array.length ext - 1 do
+      let v = Array.unsafe_get data (base + (s * cs)) in
+      if !m < k_sel || not (v > Array.unsafe_get vals (k_sel - 1)) then begin
+        let e = Array.unsafe_get ext s in
+        if e >= 0 then begin
+          (* insert at [j] once [(v, e)] no longer beats the candidate
+             before it; the last one falls off a full list *)
+          let j = ref !m in
+          while
+            !j > 0
+            &&
+            let c = Float.compare v (Array.unsafe_get vals (!j - 1)) in
+            c < 0 || (c = 0 && e < Array.unsafe_get ids (!j - 1))
+          do
+            if !j < k_sel then begin
+              Array.unsafe_set vals !j (Array.unsafe_get vals (!j - 1));
+              Array.unsafe_set ids !j (Array.unsafe_get ids (!j - 1))
+            end;
+            decr j
+          done;
+          if !j < k_sel then begin
+            Array.unsafe_set vals !j v;
+            Array.unsafe_set ids !j e;
+            if !m < k_sel then incr m
+          end
+        end
+      end
+    done
+
 (* One shard's candidates for a batch: [k] best slots per query row
    (fewer only when the shard holds fewer live rows), in ascending
-   (distance, external id) order. *)
+   (distance, external id) order, selected straight from the kernel's
+   row-major score buffers. *)
 let shard_query ~k sh batch =
-  let total = Array.length batch in
-  let r =
-    try Session.query sh.sh_session batch
+  let f =
+    try Session.query_flat sh.sh_session batch
     with Session.Serve_error e -> raise (Store_error e)
   in
-  let scores =
-    match r.C4cam.Driver.scores with
-    | Some s -> s
-    | None -> fail "internal: shard kernel returned no score matrix"
-  in
-  let cap = sh.sh_cap in
-  let occupied = cap - sh.sh_free_len in
-  let k_sel = min k occupied in
-  let k_probe = min k cap in
-  let values = Array.make_matrix total k_sel 0. in
-  let indices = Array.make_matrix total k_sel 0 in
-  let ext = sh.sh_ext in
-  for g = 0 to total - 1 do
-    let row = scores.(g) in
-    (* free slots order last (among themselves by slot, for totality);
-       live slots by (distance, external id) — so the first [k_sel]
-       selected slots are always live *)
-    let cmp a b =
-      let ea = ext.(a) and eb = ext.(b) in
-      if ea < 0 then if eb < 0 then compare a b else 1
-      else if eb < 0 then -1
-      else
-        let c = Float.compare row.(a) row.(b) in
-        if c <> 0 then c else compare ea eb
-    in
-    Camsim.Topk.select_into ~buf:sh.sh_sel ~n:cap ~k:k_probe ~cmp;
-    for j = 0 to k_sel - 1 do
-      let slot = sh.sh_sel.(j) in
-      values.(g).(j) <- row.(slot);
-      indices.(g).(j) <- ext.(slot)
-    done
-  done;
+  let total = Array.length batch in
+  let k_sel = min k (sh.sh_cap - sh.sh_free_len) in
+  if
+    Array.length sh.sh_vals <> total
+    || (total > 0 && Array.length sh.sh_vals.(0) <> k_sel)
+  then begin
+    sh.sh_vals <- Array.make_matrix total k_sel 0.;
+    sh.sh_ids <- Array.make_matrix total k_sel 0
+  end;
+  let g = ref 0 in
+  List.iter
+    (fun outputs ->
+      match outputs with
+      | [
+       Interp.Rtval.Buffer
+         {
+           b_shape = [ q; n ];
+           b_strides = [ rs; cs ];
+           b_offset;
+           b_data;
+         };
+      ]
+        when n = sh.sh_cap ->
+          for i = 0 to q - 1 do
+            select_row sh.sh_ext ~k_sel b_data
+              ~base:(b_offset + (i * rs))
+              ~cs sh.sh_vals.(!g) sh.sh_ids.(!g);
+            incr g
+          done
+      | _ -> fail "internal: shard kernel returned no score matrix")
+    f.Session.outputs;
+  Session.release sh.sh_session f;
   {
-    values;
-    indices;
-    latency = r.C4cam.Driver.latency;
-    energy = r.C4cam.Driver.energy;
+    values = sh.sh_vals;
+    indices = sh.sh_ids;
+    latency = f.Session.latency;
+    energy = f.Session.energy;
   }
 
 let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
@@ -161,7 +202,8 @@ let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
       sh_free = Array.init cap Fun.id;
       sh_free_head = 0;
       sh_free_len = cap;
-      sh_sel = Array.make cap 0;
+      sh_vals = [||];
+      sh_ids = [||];
     }
   in
   let st_shards = Array.init shards mk_shard in

@@ -22,8 +22,10 @@
     {!delete} pushes the slot (stale device contents are filtered
     host-side, no write charged) and a later {!insert} pops the oldest
     freed slot. Inserts and updates touch exactly one shard: only that
-    shard's query-pack cache is invalidated, and the next replay on it
-    charges write energy for the changed rows only.
+    shard's query-pack cache is invalidated, the written row is marked
+    dirty on its simulator, and the next replay on it compares only the
+    tile windows holding marked rows and charges write energy for the
+    changed rows only.
 
     Not thread-safe — one caller (or the server's scheduler domain) at
     a time, like {!Session}. *)
@@ -83,7 +85,8 @@ type result = Shard_set.result = {
 val query : t -> float array array -> result
 (** Serve one batch (a positive multiple of [q] rows). Fans the batch
     to every shard, selects each shard's top-k live candidates in
-    [(distance, external id)] order via [Topk.select_into], and merges.
+    [(distance, external id)] order straight from the kernel's flat
+    score buffer ([Session.query_flat], no decode), and merges.
     @raise Store_error on a bad batch shape (a row count that is not a
     positive multiple of [q], a row that is not [d] wide, a non-finite
     value), or when fewer than [k] rows are live. *)

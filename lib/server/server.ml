@@ -468,3 +468,31 @@ let stop t =
         Condition.wait t.cv_done t.m
       done;
       Mutex.unlock t.m
+
+let serve_all ?(config = default_config) ~clients backend requests =
+  if clients < 1 then fail "clients must be at least 1";
+  let t = create_on ~config:{ config with start_paused = true } backend in
+  let handles = Array.init clients (fun _ -> connect t) in
+  (* the longest prefix that fits the cap (always at least one request:
+     an empty queue admits any request) *)
+  let rec wave rows acc = function
+    | r :: rest when acc = [] || rows + Array.length r <= config.queue_cap ->
+        wave (rows + Array.length r) (r :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let rec go i served = function
+    | [] -> List.rev served
+    | pending ->
+        let batch, rest = wave 0 [] pending in
+        let tickets =
+          List.mapi (fun j r -> submit handles.((i + j) mod clients) r) batch
+        in
+        resume t;
+        let served = List.rev_append (List.map await tickets) served in
+        pause t;
+        go (i + List.length batch) served rest
+  in
+  let responses =
+    Fun.protect ~finally:(fun () -> stop t) (fun () -> go 0 [] requests)
+  in
+  (t, responses)

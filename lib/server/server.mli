@@ -127,6 +127,20 @@ val stop : t -> unit
     domain down and join it. Idempotent; subsequent {!submit}s raise
     {!Stopped}. *)
 
+val serve_all :
+  ?config:config -> clients:int -> Serve.Backend.t ->
+  float array array list -> t * response list
+(** Serve a known list of requests deterministically: request [i] goes
+    through client [i mod clients]. The requests are enqueued in waves
+    that fit [queue_cap] — each wave enqueued while the scheduler is
+    paused, then served to completion — so the coalescing, and every
+    response's [r_batch_seq], depend only on the requests and the
+    config, and a workload larger than the cap never blocks a submit
+    on a paused server. [config.start_paused] is ignored. Returns the
+    stopped server (for {!stats}) and the responses in request order.
+    @raise Server_error when [clients < 1]; re-raises a batch's
+    failure as {!await}. *)
+
 (** {1 Metrics} *)
 
 type stats = {

@@ -421,6 +421,261 @@ let test_with_kernel_cap_scoped () =
   Alcotest.(check bool) "restored after an exception" false
     (dispatched_generic ())
 
+(* ---- result buffers handed back for reuse ------------------------------ *)
+
+(* A scores-form session's output buffer, released after a flat query,
+   is the one the next batch writes — zeroed first, so results equal a
+   fresh session's — while one never released is not reused, and a
+   value the pool did not lend is ignored by [release]. *)
+let test_output_reuse () =
+  (* square, so the stored buffer has the output's shape *)
+  let q = 32 and dims = 32 and classes = 32 in
+  let data = hdc_data ~q:(3 * q) ~dims ~classes () in
+  let src = C4cam.Kernels.hdc_dot_scores ~q ~dims ~classes in
+  let batch i = Array.sub data.queries (i * q) q in
+  let session = Session.create ~spec ~stored:data.stored src in
+  let fresh = Session.create ~spec ~stored:data.stored src in
+  let store (f : Session.flat) =
+    match f.outputs with
+    | [ [ Interp.Rtval.Buffer b ] ] -> b.b_data
+    | _ -> Alcotest.fail "expected one score buffer"
+  in
+  let f0 = Session.query_flat session (batch 0) in
+  let f1 = Session.query_flat session (batch 1) in
+  Alcotest.(check bool) "held outputs are not reused" false
+    (store f0 == store f1);
+  Session.release session f1;
+  (* the pinned stored buffer was never lent: handing it back must not
+     get it zeroed and reused *)
+  Session.release session
+    { f1 with outputs = [ [ Session.stored_value session ] ] };
+  let f2 = Session.query_flat session (batch 2) in
+  Alcotest.(check bool) "released output reused" true (store f1 == store f2);
+  let want = Session.query fresh (batch 2) in
+  Alcotest.(check Tutil.rows_testable) "reused buffer holds fresh scores"
+    (Option.get want.scores)
+    (Array.init q (fun i -> Array.sub (store f2) (i * classes) classes));
+  Session.release session f2;
+  let again = Session.query session (batch 2) in
+  Alcotest.(check Tutil.rows_testable) "stored rows untouched"
+    (Option.get want.scores) (Option.get again.scores)
+
+(* ---- the replay write ledger against an independent model ------------- *)
+
+(* After every query, the write ops and write energy a replay charged
+   must be what the test's own copy of the rows predicts: per tile
+   window, one write of [len] rows for each maximal run of [len] rows
+   whose cells in that window changed since the device last saw them.
+   The model knows only the tile geometry (spec-sized row tiles,
+   column chunks of at most [cols]) and [Energy_model.write]; a range
+   write programs two bound planes, so each of its runs costs two. *)
+
+type ledger_update =
+  | Fresh of int * float array  (** replace the row *)
+  | Same of int  (** rewrite the row's current contents *)
+  | Flip of int * int  (** flip one cell *)
+  | Twice of int * float array * float array  (** two writes, one batch *)
+
+type ledger_case = {
+  ld : int;
+      (** stored row width: one, two or three 32-column chunks (the
+          partition pass rejects a width that is not a multiple of the
+          columns, so narrower rows are the box table's case: 5 bounds
+          on a 32-column subarray) *)
+  steps : ledger_update list list;  (** the updates before each query *)
+  box_shards : int;
+  box_steps : (int * float array * float array) option list list;
+      (** per query, box updates; [None] rewrites box 0 unchanged *)
+}
+
+let ledger_n = 64 and ledger_q = 2 and ledger_boxes = 12
+and ledger_bdims = 5
+
+let gen_ledger =
+  let open QCheck.Gen in
+  let* ld = oneofl [ 32; 64; 96 ] in
+  let bits = array_size (return ld) (oneofl [ 0.; 1. ]) in
+  let row = int_bound (ledger_n - 1) in
+  let update =
+    frequency
+      [
+        (3, map2 (fun r b -> Fresh (r, b)) row bits);
+        (1, map (fun r -> Same r) row);
+        (2, map2 (fun r j -> Flip (r, j)) row (int_bound (ld - 1)));
+        ( 1,
+          let* r = row and* a = bits and* b = bits in
+          return (Twice (r, a, b)) );
+      ]
+  in
+  let* steps = list_size (int_range 1 5) (list_size (int_range 0 4) update) in
+  let grid = map (fun i -> float_of_int i /. 4.) (int_range 0 4) in
+  let point = array_size (return ledger_bdims) grid in
+  let box_update =
+    frequency
+      [
+        ( 3,
+          let* i = int_bound (ledger_boxes - 1) and* a = point and* b = point in
+          return (Some (i, Array.map2 Float.min a b, Array.map2 Float.max a b))
+        );
+        (1, return None);
+      ]
+  in
+  let* box_shards = int_range 1 3 in
+  let* box_steps =
+    list_size (int_range 1 4) (list_size (int_range 0 3) box_update)
+  in
+  return { ld; steps; box_shards; box_steps }
+
+let print_ledger c =
+  Printf.sprintf "d=%d, %d session steps, %d box steps over %d shards" c.ld
+    (List.length c.steps) (List.length c.box_steps) c.box_shards
+
+(* Maximal runs of rows in [lo, hi) for which [changed] holds. *)
+let runs ~lo ~hi changed =
+  let rec go i acc cur =
+    if i = hi then List.rev (if cur > 0 then cur :: acc else acc)
+    else if changed i then go (i + 1) acc (cur + 1)
+    else go (i + 1) (if cur > 0 then cur :: acc else acc) 0
+  in
+  go lo [] 0
+
+let write_energy ~(spec : Archspec.Spec.t) len =
+  (Camsim.Energy_model.write Camsim.Tech.fefet_45nm ~bits:spec.bits
+     ~cols:spec.cols ~rows:len)
+    .Camsim.Energy_model.energy
+
+(* The write ledger of a device: (write ops, write energy). *)
+let ledger (s : Camsim.Stats.t) = (s.n_write_ops, s.e_write)
+
+let check_ledger what ~before:(ops0, e0) ~after:(ops1, e1) lens ~energy =
+  if ops1 - ops0 <> List.length lens then
+    QCheck.Test.fail_reportf "%s: %d write ops, model %d" what (ops1 - ops0)
+      (List.length lens);
+  let e = e1 -. e0 in
+  if Float.abs (e -. energy) > 1e-9 *. Float.abs energy then
+    QCheck.Test.fail_reportf "%s: write energy %g, model %g" what e energy
+
+let ledger_sessions c =
+  let d = c.ld and n = ledger_n and spec = Tutil.spec32 in
+  let data = hdc_data ~q:ledger_q ~dims:d ~classes:n () in
+  let src = C4cam.Kernels.hdc_dot ~q:ledger_q ~dims:d ~classes:n ~k:1 in
+  let session = Session.create ~spec ~stored:data.stored src in
+  let rows = Array.map Array.copy data.stored in
+  (* what the device holds; nan until the first (recorded) write *)
+  let device = Array.make_matrix n d nan in
+  let windows =
+    List.concat_map
+      (fun r0 ->
+        List.map
+          (fun c0 -> (r0, c0, min spec.cols (d - c0)))
+          (List.init ((d + spec.cols - 1) / spec.cols) (fun c ->
+               c * spec.cols)))
+      (List.init (n / spec.rows) (fun r -> r * spec.rows))
+  in
+  let set r v =
+    rows.(r) <- Array.copy v;
+    Session.update_stored session ~row:r v
+  in
+  let apply = function
+    | Fresh (r, b) -> set r b
+    | Same r -> set r rows.(r)
+    | Flip (r, j) ->
+        let v = Array.copy rows.(r) in
+        v.(j) <- 1. -. v.(j);
+        set r v
+    | Twice (r, a, b) ->
+        set r a;
+        set r b
+  in
+  let stats () = ledger (Camsim.Simulator.stats (Session.simulator session)) in
+  List.iteri
+    (fun step updates ->
+      List.iter apply updates;
+      let lens =
+        List.concat_map
+          (fun (r0, c0, w) ->
+            runs ~lo:r0 ~hi:(r0 + spec.rows) (fun i ->
+                let rec differs j =
+                  j < c0 + w
+                  && (rows.(i).(j) <> device.(i).(j) || differs (j + 1))
+                in
+                differs c0))
+          windows
+      in
+      let before = stats () in
+      ignore (Session.query session data.queries);
+      check_ledger
+        (Printf.sprintf "d=%d step %d" d step)
+        ~before ~after:(stats ()) lens
+        ~energy:
+          (List.fold_left (fun a len -> a +. write_energy ~spec len) 0. lens);
+      Array.iteri (fun i r -> device.(i) <- Array.copy r) rows)
+    ([] :: c.steps)
+
+let ledger_boxes c =
+  let g = Rng.create 5 in
+  let pt () =
+    Array.init ledger_bdims (fun _ -> float_of_int (Rng.int g 5) /. 4.)
+  in
+  let lo = Array.init ledger_boxes (fun _ -> pt ()) in
+  let hi = Array.map (Array.map (fun v -> v +. 0.25)) lo in
+  let store =
+    Serve.Range_store.create ~shards:c.box_shards ~q:ledger_q
+      ~lo:(Array.map Array.copy lo) ~hi:(Array.map Array.copy hi) ()
+  in
+  let queries = Array.init ledger_q (fun _ -> pt ()) in
+  let dev_lo = Array.make_matrix ledger_boxes ledger_bdims nan in
+  let dev_hi = Array.make_matrix ledger_boxes ledger_bdims nan in
+  (* contiguous slices, the first [boxes mod shards] one box longer;
+     each shard's subarray is at least 32 x 32 *)
+  let base = ledger_boxes / c.box_shards
+  and rem = ledger_boxes mod c.box_shards in
+  let slices =
+    List.init c.box_shards (fun s ->
+        (s * base + min s rem, base + if s < rem then 1 else 0))
+  in
+  let spec = Tutil.spec32 in
+  List.iteri
+    (fun step updates ->
+      List.iter
+        (fun u ->
+          let i, l, h =
+            match u with Some b -> b | None -> (0, lo.(0), hi.(0))
+          in
+          lo.(i) <- Array.copy l;
+          hi.(i) <- Array.copy h;
+          Serve.Range_store.update_box store ~row:i ~lo:l ~hi:h)
+        updates;
+      let lens =
+        List.concat_map
+          (fun (off, len) ->
+            runs ~lo:off ~hi:(off + len) (fun i ->
+                lo.(i) <> dev_lo.(i) || hi.(i) <> dev_hi.(i)))
+          slices
+      in
+      let before = ledger (Serve.Range_store.device_stats store) in
+      ignore (Serve.Range_store.query store queries);
+      check_ledger
+        (Printf.sprintf "boxes step %d" step)
+        ~before
+        ~after:(ledger (Serve.Range_store.device_stats store))
+        lens
+        ~energy:
+          (List.fold_left
+             (fun a len -> a +. (2. *. write_energy ~spec len))
+             0. lens);
+      Array.iteri (fun i r -> dev_lo.(i) <- Array.copy r) lo;
+      Array.iteri (fun i r -> dev_hi.(i) <- Array.copy r) hi)
+    ([] :: c.box_steps)
+
+let prop_write_ledger =
+  QCheck.Test.make ~count:30 ~name:"replay write ledger vs row model"
+    (QCheck.make ~print:print_ledger gen_ledger)
+    (fun c ->
+      ledger_sessions c;
+      ledger_boxes c;
+      true)
+
 let () =
   Alcotest.run "serve"
     [
@@ -439,7 +694,10 @@ let () =
           Alcotest.test_case "artifact cache under a thundering herd"
             `Quick test_artifact_cache_race;
           Alcotest.test_case "bad batches rejected" `Quick test_bad_batch;
+          Alcotest.test_case "released outputs reused" `Quick
+            test_output_reuse;
         ] );
+      ("ledger", [ QCheck_alcotest.to_alcotest prop_write_ledger ]);
       ( "kernel cap",
         [
           Alcotest.test_case "with_kernel_cap is scoped" `Quick

@@ -188,6 +188,70 @@ let test_backpressure_block () =
   Alcotest.(check int) "none dropped" 10
     (Server.stats server).Server.requests_served
 
+(* A known workload with more rows than the queue cap, served through
+   [Server.serve_all] (the path behind [c4cam serve --clients]): it
+   must complete — pre-submitting every request to a paused server
+   blocks forever once the rows exceed the cap — and its coalescing
+   must repeat exactly. A watchdog turns a hang into a failure. *)
+let test_serve_all_over_cap () =
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:24 ~dims ~classes () in
+  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let refs =
+    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
+      src
+  in
+  (* 32 rows against a cap of 8, one request alone above it *)
+  let requests =
+    List.map
+      (fun (off, len) -> Array.sub data.queries off len)
+      [ (0, 4); (4, 3); (7, 5); (12, 12); (0, 2); (2, 6) ]
+  in
+  let config =
+    { Server.default_config with batch_rows = 8; queue_cap = 8 }
+  in
+  let serve () =
+    let session =
+      Session.create ~config:(config_for `Compiled) ~spec
+        ~stored:data.stored src
+    in
+    let done_ = Atomic.make None in
+    let worker =
+      Domain.spawn (fun () ->
+          let _, responses =
+            Server.serve_all ~config ~clients:2
+              (Serve.Backend.of_session session)
+              requests
+          in
+          Atomic.set done_ (Some responses))
+    in
+    let deadline = Unix.gettimeofday () +. 60. in
+    let rec wait () =
+      match Atomic.get done_ with
+      | Some responses ->
+          Domain.join worker;
+          responses
+      | None when Unix.gettimeofday () > deadline ->
+          Alcotest.fail "serve_all hung on a workload above the queue cap"
+      | None ->
+          Unix.sleepf 0.005;
+          wait ()
+    in
+    wait ()
+  in
+  let first = serve () in
+  Alcotest.(check int) "every request answered" (List.length requests)
+    (List.length first);
+  List.iteri
+    (fun i (rows, r) ->
+      check_response
+        (Printf.sprintf "request %d" i)
+        (reference refs ~q rows) r)
+    (List.combine requests first);
+  Alcotest.(check (list int)) "coalescing repeats exactly"
+    (List.map (fun (r : Server.response) -> r.r_batch_seq) first)
+    (List.map (fun (r : Server.response) -> r.r_batch_seq) (serve ()))
+
 (* ---- shutdown ---------------------------------------------------------- *)
 
 let test_stop () =
@@ -381,6 +445,8 @@ let () =
             test_backpressure_block;
           Alcotest.test_case "stop drains and rejects" `Quick test_stop;
           Alcotest.test_case "malformed requests" `Quick test_bad_requests;
+          Alcotest.test_case "serve_all above the queue cap" `Quick
+            test_serve_all_over_cap;
         ] );
       ("tcp", [ Alcotest.test_case "wire round-trip" `Quick test_tcp ]);
       ( "stress",

@@ -249,6 +249,61 @@ let test_invalid_spec_rejected () =
     | _ -> false
     | exception Simulator.Error _ -> true)
 
+(* Serve replay with dirty marks: a window over a tracked store that no
+   mark meets is skipped without reading a cell (so an unreported change
+   stays invisible — the contract a store owner signs with [track]);
+   a marked window is compared and only its changed rows are charged;
+   marks taken before the seal are dropped, and marks clear once a
+   replay ends. Untracked data is compared on every replay. *)
+let test_dirty_marks () =
+  let s = sim () in
+  Simulator.start_recording s;
+  let rows = 8 and cols = 4 in
+  let store = Array.init (rows * cols) (fun i -> float_of_int (i mod 2)) in
+  Simulator.track s store;
+  Simulator.mark s store ~off:0 ~len:cols;
+  let run () =
+    let _, _, _, sub = alloc_chain s in
+    (Simulator.write_view s sub ~row_offset:0 ~rows ~cols store ~off:0
+       ~rs:cols ~cs:1)
+      .Energy_model.energy
+  in
+  let replay () =
+    Simulator.rewind s;
+    run ()
+  in
+  ignore (run ());
+  Simulator.seal_recording s;
+  let writes () = (Simulator.stats s).n_write_ops in
+  let w0 = writes () in
+  Tutil.check_float ~eps:0. "pre-seal mark dropped: clean replay" 0.
+    (replay ());
+  (* an unreported change is not seen: the clean window reads no cell *)
+  store.(0) <- 7.;
+  Tutil.check_float ~eps:0. "unmarked change skipped" 0. (replay ());
+  Alcotest.(check int) "no write op" w0 (writes ());
+  (* marking rows 0 and 5 (row 5 unchanged) rewrites row 0 only *)
+  Simulator.mark s store ~off:0 ~len:1;
+  Simulator.mark s store ~off:(5 * cols) ~len:cols;
+  Alcotest.(check bool) "marked change charged" true (replay () > 0.);
+  Alcotest.(check int) "one run rewritten" (w0 + 1) (writes ());
+  Tutil.check_float ~eps:0. "marks cleared after the replay" 0. (replay ());
+  (* a fresh copy of the same rows is untracked: compared, unchanged *)
+  let s2 = sim () in
+  Simulator.start_recording s2;
+  let write2 data =
+    let _, _, _, sub = alloc_chain s2 in
+    Simulator.write_view s2 sub ~row_offset:0 ~rows ~cols data ~off:0
+      ~rs:cols ~cs:1
+  in
+  ignore (write2 (Array.copy store));
+  Simulator.seal_recording s2;
+  Simulator.rewind s2;
+  let changed = Array.copy store in
+  changed.(3 * cols) <- 5.;
+  Alcotest.(check bool) "untracked change charged" true
+    ((write2 changed).Energy_model.energy > 0.)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -288,4 +343,6 @@ let () =
           Alcotest.test_case "ring buffer" `Quick test_trace_ring_buffer;
           Alcotest.test_case "defect injection" `Quick test_defect_injection;
         ] );
+      ( "serve replay",
+        [ Alcotest.test_case "dirty marks" `Quick test_dirty_marks ] );
     ]
