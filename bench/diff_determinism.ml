@@ -20,15 +20,11 @@
 
 module Json = Instrument.Json
 
-(* Keys that legitimately vary with the schedule, the jobs value, or
-   the engine selection ("precompile": the two interpreter engines must
-   agree on everything else, which is exactly what running this gate on
-   a precompile-on vs precompile-off pair proves). *)
+(* Keys that legitimately vary with the schedule or the jobs value. *)
 let base_ignored_keys =
   [
     "wall_clock_s"; "dse_wall_clock_s"; "jobs"; "duration_s"; "frontend_s";
-    "total_s"; "precompile"; "queries_per_s"; "serve_wall_s"; "lat_p50_s";
-    "lat_p99_s";
+    "total_s"; "queries_per_s"; "serve_wall_s"; "lat_p50_s"; "lat_p99_s";
     (* host time fanning batches to shards / merging candidates *)
     "shard_fanout_wall_s"; "shard_merge_wall_s";
     (* Gc.minor_words is per-domain: the dispatching domain's count

@@ -60,7 +60,7 @@ let section name = Printf.printf "\n===== %s =====\n\n" name
 let ir_stages () =
   section "ir_stages: IR after each lowering stage (Figures 4, 5, 6)";
   let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
-  let small = C4cam.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:10 ~k:1 in
+  let small = Workloads.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:10 ~k:1 in
   Printf.printf "TorchScript input:\n%s\n" small;
   let c = C4cam.Driver.compile ~spec small in
   List.iter
@@ -343,7 +343,7 @@ let ablation () =
     Workloads.Hdc.synthetic ~seed:11 ~noise:0.15 ~dims:2048 ~n_classes:10
       ~n_queries:64 ~bits:1 ()
   in
-  let src = C4cam.Kernels.hdc_dot ~q:64 ~dims:2048 ~classes:10 ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:64 ~dims:2048 ~classes:10 ~k:1 in
 
   (* 1. Backend: structured-IR interpreter vs flat-ISA VM. *)
   let c = C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base) src in
@@ -407,7 +407,7 @@ let crossbar () =
   let xspec = { Xbar.default_spec with tile_rows = 128; tile_cols = classes } in
   let xc =
     C4cam.Driver.compile_crossbar ~xspec
-      (C4cam.Kernels.matmul ~m:q ~k:dims ~n:classes)
+      (Workloads.Kernels.matmul ~m:q ~k:dims ~n:classes)
   in
   let weights =
     Array.init dims (fun d ->
@@ -447,7 +447,7 @@ let robustness () =
     Workloads.Hdc.synthetic ~seed:11 ~noise:0.30 ~dims:512 ~n_classes:10
       ~n_queries:128 ~bits:1 ()
   in
-  let src = C4cam.Kernels.hdc_dot ~q:128 ~dims:512 ~classes:10 ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:128 ~dims:512 ~classes:10 ~k:1 in
   let c = C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base) src in
   let rows =
     List.map
@@ -594,20 +594,13 @@ let accuracy () =
 
 module Reg = Workloads.Registry
 
-let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
+let smoke ?json ?jobs ?(shards = 4) () =
   section "smoke: fast deterministic suite (the CI regression gate)";
-  (* engine selection for every run below, as a per-run config rather
-     than process-global state *)
-  let engine : C4cam.Driver.Run_config.engine =
-    if precompile then `Compiled else `Treewalk
-  in
-  let config =
-    C4cam.Driver.Run_config.(default |> with_engine engine)
-  in
+  let config = C4cam.Driver.Run_config.default in
   Parallel.run ?jobs @@ fun pool ->
   let jobs = Parallel.jobs pool in
   let wall_start = Instrument.Collect.now () in
-  Printf.printf "jobs: %d\nprecompile: %b\n" jobs precompile;
+  Printf.printf "jobs: %d\n" jobs;
   (* the smoke shape of each registry workload: entry defaults with the
      historical smoke-suite overrides *)
   let hdc_shape =
@@ -1440,7 +1433,6 @@ let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
           [
             ("schema_version", Instrument.Json.Int 1);
             ("jobs", Instrument.Json.Int jobs);
-            ("precompile", Instrument.Json.Bool precompile);
             ( "wall_clock_s",
               Instrument.Json.Float (Instrument.Collect.now () -. wall_start)
             );
@@ -1468,9 +1460,8 @@ let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
 (* A pure scf loop nest over scalar arithmetic, built from textual IR:
    the dispatch-overhead workload behind the [interp_dispatch] group.
    [shape] gives the trip count of each nesting level, outermost
-   first. The body only touches one f64 cell, so the two engines spend
-   their whole run in op dispatch — exactly what the closure compiler
-   removes. *)
+   first. The body only touches one f64 cell, so the run spends its
+   whole time in op dispatch. *)
 let loop_nest_module shape =
   let buf = Buffer.create 512 in
   let fresh = ref 0 in
@@ -1534,8 +1525,8 @@ let micro () =
   section "micro: Bechamel benchmarks of the compiler (one per experiment)";
   let open Bechamel in
   let spec32 = Archspec.Spec.square 32 Archspec.Spec.Base in
-  let hdc_src = C4cam.Kernels.hdc_dot ~q:16 ~dims:1024 ~classes:10 ~k:1 in
-  let knn_src = C4cam.Kernels.knn_euclidean ~q:4 ~dims:256 ~n:128 ~k:3 in
+  let hdc_src = Workloads.Kernels.hdc_dot ~q:16 ~dims:1024 ~classes:10 ~k:1 in
+  let knn_src = Workloads.Kernels.knn_euclidean ~q:4 ~dims:256 ~n:128 ~k:3 in
   let compile_test name spec src =
     Test.make ~name
       (Staged.stage (fun () -> ignore (C4cam.Driver.compile ~spec src)))
@@ -1573,11 +1564,11 @@ let micro () =
           (List.concat_map
              (fun cols ->
                let rows = 512 and q = 32 in
-               let rng = Workloads.Prng.create (1000 + cols) in
+               let rng = Rng.create (1000 + cols) in
                let mk n =
                  Array.init n (fun _ ->
                      Array.init cols (fun _ ->
-                         float_of_int (Workloads.Prng.int rng 2)))
+                         float_of_int (Rng.int rng 2)))
                in
                let stored = mk rows in
                let queries = mk q in
@@ -1606,11 +1597,11 @@ let micro () =
         Test.make_grouped ~name:"alloc_pressure"
           [
             (let rows = 512 and cols = 64 and q = 32 in
-             let rng = Workloads.Prng.create 7001 in
+             let rng = Rng.create 7001 in
              let mk n =
                Array.init n (fun _ ->
                    Array.init cols (fun _ ->
-                       float_of_int (Workloads.Prng.int rng 2)))
+                       float_of_int (Rng.int rng 2)))
              in
              let sub = Camsim.Subarray.create ~rows ~cols ~bits:1 in
              Camsim.Subarray.write sub (mk rows);
@@ -1629,7 +1620,7 @@ let micro () =
              let session =
                Serve.Session.create ~spec:spec32
                  ~stored:serve_data.stored
-                 (C4cam.Kernels.hdc_dot ~q ~dims:512 ~classes:10 ~k:1)
+                 (Workloads.Kernels.hdc_dot ~q ~dims:512 ~classes:10 ~k:1)
              in
              (* warm up: compile + device setup happen outside the
                 measured steady state *)
@@ -1638,29 +1629,23 @@ let micro () =
                (Staged.stage (fun () ->
                     ignore (Serve.Session.query session serve_data.queries))));
           ];
-        (* the closure-compiled engine vs the tree-walking reference on
-           pure scf loop nests: same module, same simulated result, only
-           the dispatch machinery differs (docs/INTERPRETER.md). The
-           name encodes nest depth and total innermost iterations. *)
+        (* interpreter dispatch on pure scf loop nests
+           (docs/INTERPRETER.md). The name encodes nest depth and total
+           innermost iterations. *)
         Test.make_grouped ~name:"interp_dispatch"
-          (List.concat_map
+          (List.map
              (fun (depth, total, shape) ->
                let m = loop_nest_module shape in
                let args =
                  [ Interp.Rtval.Buffer (Interp.Rtval.fresh_buffer [ 1 ]) ]
                in
-               (* warm the per-domain memo so the compiled leg measures
+               (* warm the per-domain memo so the run measures
                   dispatch, not the one-time compilation *)
-               ignore (Interp.Machine.run ~precompile:true m "bench" args);
-               List.map
-                 (fun (leg, pre) ->
-                   Test.make
-                     ~name:(Printf.sprintf "%s_depth%d_%d" leg depth total)
-                     (Staged.stage (fun () ->
-                          ignore
-                            (Interp.Machine.run ~precompile:pre m "bench"
-                               args))))
-                 [ ("compiled", true); ("treewalk", false) ])
+               ignore (Interp.Machine.run m "bench" args);
+               Test.make
+                 ~name:(Printf.sprintf "compiled_depth%d_%d" depth total)
+                 (Staged.stage (fun () ->
+                      ignore (Interp.Machine.run m "bench" args))))
              [
                (1, 64, [ 64 ]); (1, 256, [ 256 ]);
                (2, 64, [ 8; 8 ]); (2, 256, [ 16; 16 ]);
@@ -1717,30 +1702,27 @@ let () =
   | "smoke" :: rest ->
       let usage () =
         prerr_endline
-          "usage: main.exe -- smoke [--json [FILE]] [--jobs N] \
-           [--shards N] [--no-precompile]";
+          "usage: main.exe -- smoke [--json [FILE]] [--jobs N] [--shards N]";
         exit 2
       in
       let starts_dash s = String.length s >= 2 && String.sub s 0 2 = "--" in
-      let rec parse json jobs shards precompile = function
-        | [] -> (json, jobs, shards, precompile)
+      let rec parse json jobs shards = function
+        | [] -> (json, jobs, shards)
         | "--json" :: f :: tl when not (starts_dash f) ->
-            parse (Some f) jobs shards precompile tl
-        | "--json" :: tl ->
-            parse (Some "BENCH_smoke.json") jobs shards precompile tl
+            parse (Some f) jobs shards tl
+        | "--json" :: tl -> parse (Some "BENCH_smoke.json") jobs shards tl
         | "--jobs" :: n :: tl -> (
             match int_of_string_opt n with
-            | Some n -> parse json (Some n) shards precompile tl
+            | Some n -> parse json (Some n) shards tl
             | None -> usage ())
         | "--shards" :: n :: tl -> (
             match int_of_string_opt n with
-            | Some n when n >= 1 -> parse json jobs (Some n) precompile tl
+            | Some n when n >= 1 -> parse json jobs (Some n) tl
             | _ -> usage ())
-        | "--no-precompile" :: tl -> parse json jobs shards false tl
         | _ -> usage ()
       in
-      let json, jobs, shards, precompile = parse None None None true rest in
-      smoke ?json ?jobs ?shards ~precompile ()
+      let json, jobs, shards = parse None None None rest in
+      smoke ?json ?jobs ?shards ()
   | names ->
       List.iter
         (fun name ->

@@ -2,7 +2,7 @@
 
      dune exec bench/stress_serve.exe -- \
        [--clients N] [--schedules N] [--requests N] [--jobs N] \
-       [--seed N] [--no-precompile] [--mutate [--shards N]]
+       [--seed N] [--mutate [--shards N]]
 
    Replays seeded arrival schedules against the micro-batching
    scheduler and enforces the determinism contract (docs/SERVING.md):
@@ -14,7 +14,7 @@
    The per-client request streams are fixed by --seed and do not vary
    across schedules — only the arrival timing does — so the sequential
    reference is computed once and each schedule is pure replay. CI runs
-   this across a clients x jobs x engine matrix. Exit code 1 on any
+   this across a clients x jobs matrix. Exit code 1 on any
    divergence.
 
    With --mutate the gate targets both sharded stores instead
@@ -33,8 +33,7 @@
 let usage () =
   prerr_endline
     "usage: stress_serve.exe -- [--clients N] [--schedules N] \
-     [--requests N] [--jobs N] [--seed N] [--no-precompile] \
-     [--mutate [--shards N]]";
+     [--requests N] [--jobs N] [--seed N] [--mutate [--shards N]]";
   exit 2
 
 type opts = {
@@ -43,7 +42,6 @@ type opts = {
   requests : int;
   jobs : int;
   seed : int;
-  precompile : bool;
   mutate : bool;
   shards : int;
 }
@@ -64,14 +62,13 @@ let parse_args args =
         int_arg tl (fun n tl -> parse { o with requests = n } tl)
     | "--jobs" :: tl -> int_arg tl (fun n tl -> parse { o with jobs = n } tl)
     | "--seed" :: tl -> int_arg tl (fun n tl -> parse { o with seed = n } tl)
-    | "--no-precompile" :: tl -> parse { o with precompile = false } tl
     | "--mutate" :: tl -> parse { o with mutate = true } tl
     | "--shards" :: tl -> int_arg tl (fun n tl -> parse { o with shards = n } tl)
     | _ -> usage ()
   in
   parse
     { clients = 8; schedules = 25; requests = 6; jobs = 1; seed = 42;
-      precompile = true; mutate = false; shards = 4 }
+      mutate = false; shards = 4 }
     args
 
 (* Bit-level equality: the contract is byte-identical results, not
@@ -103,7 +100,7 @@ type range_op =
 (* The range-store half of --mutate: returns the number of diverging
    query batches. Box updates copy another box's bounds (or widen a box
    to the whole cube), so matches keep changing hands between shards. *)
-let range_gate o ~config =
+let range_gate o =
   let q = 4 and boxes = 32 and dims = 8 in
   let w =
     Workloads.Range_filter.generate ~seed:o.seed ~boxes ~dims ~n_queries:64
@@ -128,7 +125,7 @@ let range_gate o ~config =
   let replay ~shards ~jobs ops =
     Parallel.run ~jobs @@ fun _ ->
     let store =
-      Serve.Range_store.create ~config ~shards ~q
+      Serve.Range_store.create ~shards ~q
         ~lo:w.Workloads.Range_filter.lo ~hi:w.Workloads.Range_filter.hi ()
     in
     List.filter_map
@@ -169,10 +166,6 @@ let range_gate o ~config =
   !mismatches
 
 let mutate_gate o =
-  let engine : C4cam.Driver.Run_config.engine =
-    if o.precompile then `Compiled else `Treewalk
-  in
-  let config = C4cam.Driver.Run_config.(default |> with_engine engine) in
   let q = 4 and d = 64 and k = 3 and capacity = 96 and initial = 64 in
   let pool =
     Workloads.Hdc.synthetic ~seed:o.seed ~noise:0.2 ~dims:d
@@ -215,7 +208,7 @@ let mutate_gate o =
   let replay ~shards ~jobs ops =
     Parallel.run ~jobs @@ fun _ ->
     let store =
-      Serve.Sharded_store.create ~config ~spec ~q ~d ~k ~shards ~capacity ()
+      Serve.Sharded_store.create ~spec ~q ~d ~k ~shards ~capacity ()
     in
     Array.iteri
       (fun i row ->
@@ -247,10 +240,8 @@ let mutate_gate o =
   in
   Printf.printf
     "stress_serve --mutate: %d schedules x %d ops, shards %d vs 1, jobs %d \
-     vs 1, engine %s, seed %d\n%!"
-    o.schedules (o.requests * 8) o.shards o.jobs
-    (match engine with `Compiled -> "compiled" | `Treewalk -> "treewalk")
-    o.seed;
+     vs 1, seed %d\n%!"
+    o.schedules (o.requests * 8) o.shards o.jobs o.seed;
   let mismatches = ref 0 and queries = ref 0 in
   for schedule = 0 to o.schedules - 1 do
     let ops = gen_schedule schedule in
@@ -268,7 +259,7 @@ let mutate_gate o =
         end)
       (List.combine reference got)
   done;
-  let mismatches = !mismatches + range_gate o ~config in
+  let mismatches = !mismatches + range_gate o in
   if mismatches > 0 then begin
     Printf.eprintf
       "stress_serve: %d query result(s) diverged from the single-shard \
@@ -292,10 +283,6 @@ let () =
     mutate_gate o;
     exit 0
   end;
-  let engine : C4cam.Driver.Run_config.engine =
-    if o.precompile then `Compiled else `Treewalk
-  in
-  let config = C4cam.Driver.Run_config.(default |> with_engine engine) in
   let q = 4 and dims = 64 and classes = 10 in
   let pool_rows = 32 in
   let data =
@@ -303,13 +290,11 @@ let () =
       ~n_queries:pool_rows ~bits:1 ()
   in
   let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   Printf.printf
     "stress_serve: %d clients x %d requests, %d schedules, jobs %d, \
-     engine %s, seed %d\n%!"
-    o.clients o.requests o.schedules o.jobs
-    (match engine with `Compiled -> "compiled" | `Treewalk -> "treewalk")
-    o.seed;
+     seed %d\n%!"
+    o.clients o.requests o.schedules o.jobs o.seed;
   (* fixed per-client request streams: sizes straddle the arity *)
   let streams =
     Array.init o.clients (fun c ->
@@ -324,7 +309,7 @@ let () =
   let reference =
     Parallel.run ~jobs:1 @@ fun _ ->
     let session =
-      Serve.Session.create ~config ~spec ~stored:data.stored src
+      Serve.Session.create ~spec ~stored:data.stored src
     in
     Array.map
       (Array.map (fun rows ->
@@ -343,7 +328,7 @@ let () =
   let total_batches = ref 0 and total_rows = ref 0 and max_hwm = ref 0 in
   for schedule = 0 to o.schedules - 1 do
     let session =
-      Serve.Session.create ~config ~spec ~stored:data.stored src
+      Serve.Session.create ~spec ~stored:data.stored src
     in
     let server =
       Server.create

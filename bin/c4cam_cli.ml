@@ -127,24 +127,8 @@ let with_jobs jobs f =
   let jobs = if jobs > 0 then jobs else Parallel.default_jobs () in
   Parallel.run ~jobs (fun pool -> f (Parallel.jobs pool))
 
-let no_precompile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-precompile" ]
-        ~doc:"Execute with the tree-walking reference interpreter instead \
-              of the closure-compiled engine. Results, latency/energy and \
-              activity counters are identical either way; only wall-clock \
-              time differs (see docs/INTERPRETER.md).")
-
-let engine_of no_precompile : C4cam.Driver.Run_config.engine =
-  if no_precompile then `Treewalk else `Compiled
-
-let config_of ?collector ~no_precompile () =
-  {
-    C4cam.Driver.Run_config.default with
-    profile = collector;
-    engine = engine_of no_precompile;
-  }
+let config_of ?collector () =
+  { C4cam.Driver.Run_config.default with profile = collector }
 
 let spec_of ~arch ~size ~opt =
   match arch with
@@ -404,13 +388,13 @@ let interp_only ~backend entry what =
 
 let run_cmd =
   let run kernel workload arch size opt queries dims classes seed backend
-      objective profile profile_json jobs no_precompile =
+      objective profile profile_json jobs =
     handle_errors (fun () ->
         with_jobs jobs @@ fun jobs ->
         let spec0 = or_die (spec_of ~arch ~size ~opt) in
         let collector = collector_for ~profile ~profile_json in
         Option.iter (fun c -> Instrument.Collect.set_jobs c jobs) collector;
-        let config = config_of ?collector ~no_precompile () in
+        let config = config_of ?collector () in
         let exec = exec_compiled ~config ~collector ~profile ~profile_json
             ~objective ~backend
         in
@@ -501,8 +485,7 @@ let run_cmd =
     Term.(
       const run $ kernel_arg $ workload_arg $ arch_arg $ size_arg $ opt_arg
       $ queries_arg $ dims_arg $ classes_arg $ seed_arg $ backend_arg
-      $ place_objective_arg $ profile_arg $ profile_json_arg $ jobs_arg
-      $ no_precompile_arg)
+      $ place_objective_arg $ profile_arg $ profile_json_arg $ jobs_arg)
 
 (* ---- place: print the placement candidate table without running --------- *)
 
@@ -807,13 +790,13 @@ let print_pre_stage = function
 let serve_cmd =
   let run kernel workload arch size opt queries dims classes seed batches
       input clients shards store_rows topk server_config profile
-      profile_json jobs no_precompile =
+      profile_json jobs =
     handle_errors (fun () ->
         with_jobs jobs @@ fun jobs ->
         let spec = or_die (spec_of ~arch ~size ~opt) in
         let collector = collector_for ~profile ~profile_json in
         Option.iter (fun c -> Instrument.Collect.set_jobs c jobs) collector;
-        let config = config_of ?collector ~no_precompile () in
+        let config = config_of ?collector () in
         let nb = max 1 batches in
         let entry =
           match kernel with
@@ -1067,21 +1050,19 @@ let serve_cmd =
       const run $ kernel_arg $ workload_arg $ arch_arg $ size_arg $ opt_arg
       $ queries_arg $ dims_arg $ classes_arg $ seed_arg $ batches_arg
       $ input_arg $ clients_arg $ shards_arg $ store_rows_arg $ topk_arg
-      $ server_config_args $ profile_arg $ profile_json_arg $ jobs_arg
-      $ no_precompile_arg)
+      $ server_config_args $ profile_arg $ profile_json_arg $ jobs_arg)
 
 (* ---- serve-tcp: the newline-delimited wire front-end -------------------- *)
 
 let serve_tcp_cmd =
   let run kernel workload arch size opt queries dims classes seed port
-      shards store_rows topk server_config profile profile_json jobs
-      no_precompile =
+      shards store_rows topk server_config profile profile_json jobs =
     handle_errors (fun () ->
         with_jobs jobs @@ fun jobs ->
         let spec = or_die (spec_of ~arch ~size ~opt) in
         let collector = collector_for ~profile ~profile_json in
         Option.iter (fun c -> Instrument.Collect.set_jobs c jobs) collector;
-        let config = config_of ?collector ~no_precompile () in
+        let config = config_of ?collector () in
         let entry =
           match kernel with
           | Some _ -> None
@@ -1217,7 +1198,7 @@ let serve_tcp_cmd =
       const run $ kernel_arg $ workload_arg $ arch_arg $ size_arg $ opt_arg
       $ queries_arg $ dims_arg $ classes_arg $ seed_arg $ port_arg
       $ shards_arg $ store_rows_arg $ topk_arg $ server_config_args
-      $ profile_arg $ profile_json_arg $ jobs_arg $ no_precompile_arg)
+      $ profile_arg $ profile_json_arg $ jobs_arg)
 
 (* ---- asm: print the flat runtime ISA -------------------------------------- *)
 
@@ -1253,7 +1234,7 @@ let asm_cmd =
 (* ---- tune ------------------------------------------------------------------ *)
 
 let tune_cmd =
-  let run queries dims classes objective jobs no_precompile =
+  let run queries dims classes objective jobs =
     handle_errors (fun () ->
         with_jobs jobs @@ fun _jobs ->
         let data =
@@ -1263,7 +1244,7 @@ let tune_cmd =
             ~n_queries:(Option.value queries ~default:16)
             ~bits:1 ()
         in
-        let config = config_of ~no_precompile () in
+        let config = C4cam.Driver.Run_config.default in
         let candidates = C4cam.Autotune.evaluate_hdc ~config ~data () in
         let obj =
           match objective with
@@ -1300,17 +1281,17 @@ let tune_cmd =
        ~doc:"Search the architecture grid for the best configuration")
     Term.(
       const run $ queries_arg $ dims_arg $ classes_arg $ objective_arg
-      $ jobs_arg $ no_precompile_arg)
+      $ jobs_arg)
 
 (* ---- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let run workload queries dims classes seed jobs no_precompile =
+  let run workload queries dims classes seed jobs =
     handle_errors (fun () ->
         with_jobs jobs @@ fun _jobs ->
         let entry = find_workload workload in
         let shape = shape_of entry ~queries ~dims ~classes ~seed in
-        let config = config_of ~no_precompile () in
+        let config = C4cam.Driver.Run_config.default in
         let specs =
           List.concat_map
             (fun side ->
@@ -1350,7 +1331,7 @@ let sweep_cmd =
           optimizations")
     Term.(
       const run $ workload_arg $ queries_arg $ dims_arg $ classes_arg
-      $ seed_arg $ jobs_arg $ no_precompile_arg)
+      $ seed_arg $ jobs_arg)
 
 (* ---- workloads: list the registry ----------------------------------------- *)
 

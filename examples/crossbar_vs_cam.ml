@@ -32,7 +32,7 @@ let () =
   let xspec = { Xbar.default_spec with tile_rows = 128; tile_cols = 10 } in
   let xc =
     C4cam.Driver.compile_crossbar ~xspec
-      (C4cam.Kernels.matmul ~m:q ~k:dims ~n:classes)
+      (Workloads.Kernels.matmul ~m:q ~k:dims ~n:classes)
   in
   let weights =
     Array.init dims (fun d ->

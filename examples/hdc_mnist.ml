@@ -40,7 +40,7 @@ let () =
         Array.map (Workloads.Hdc.encode config im) test.features
       in
       let q = Array.length queries in
-      let source = C4cam.Kernels.hdc_dot ~q ~dims ~classes:n_classes ~k:1 in
+      let source = Workloads.Kernels.hdc_dot ~q ~dims ~classes:n_classes ~k:1 in
       let spec =
         { (Archspec.Spec.square 32 Archspec.Spec.Base) with bits }
       in

@@ -33,7 +33,9 @@ let () =
   Printf.printf "KNN: %d stored patterns x %d features, %d queries, k=%d\n"
     n_train n_features q k;
 
-  let source = C4cam.Kernels.knn_euclidean ~q ~dims:n_features ~n:n_train ~k in
+  let source =
+    Workloads.Kernels.knn_euclidean ~q ~dims:n_features ~n:n_train ~k
+  in
   print_string "\nTorchScript kernel:\n";
   print_string source;
 

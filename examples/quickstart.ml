@@ -13,7 +13,7 @@ let () =
   let q = Array.length synth.queries in
 
   (* 2. The TorchScript kernel (same shape as the paper's Figure 4a). *)
-  let source = C4cam.Kernels.hdc_dot ~q ~dims:256 ~classes:4 ~k:1 in
+  let source = Workloads.Kernels.hdc_dot ~q ~dims:256 ~classes:4 ~k:1 in
   print_string "== TorchScript input ==";
   print_string source;
 

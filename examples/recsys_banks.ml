@@ -17,9 +17,9 @@ let n_items = 24
 let radius = 22.
 
 let () =
-  let rng = Workloads.Prng.create 99 in
+  let rng = Rng.create 99 in
   let rand_vec () =
-    Array.init dims (fun _ -> if Workloads.Prng.bool rng 0.5 then 1. else 0.)
+    Array.init dims (fun _ -> if Rng.bool rng 0.5 then 1. else 0.)
   in
   let catalogue = Array.init n_items (fun _ -> rand_vec ()) in
   let user = rand_vec () in

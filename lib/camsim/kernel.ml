@@ -5,146 +5,21 @@ let cls_to_string = function
   | Nibble -> "nibble"
   | Generic -> "generic"
 
-let nwords_for cols = (cols + 15) / 16
-let bwords_for cols = (cols + 63) / 64
-
-(* intrinsics only ([int_of_float] is "%intoffloat"): a cross-module
-   [Float.is_integer] call would box its argument on every cell of the
-   pack hot loop *)
-let nibble_packable v =
-  v >= 0. && v < 16. && float_of_int (int_of_float v) = v
-
-let pack_nibble ~cols values =
-  if Array.length values <> cols then None
-  else begin
-    let words = Array.make (nwords_for cols) 0L in
-    (* stop at the first unpackable value instead of scanning the rest *)
-    let rec go j =
-      if j = cols then Some words
-      else
-        let v = Array.unsafe_get values j in
-        if nibble_packable v then begin
-          let w = j lsr 4 and sh = (j land 15) * 4 in
-          words.(w) <-
-            Int64.logor words.(w)
-              (Int64.shift_left (Int64.of_int (int_of_float v)) sh);
-          go (j + 1)
-        end
-        else None
-    in
-    go 0
-  end
-
-let pack_binary ~cols values =
-  if Array.length values <> cols then None
-  else begin
-    let words = Array.make (bwords_for cols) 0L in
-    let rec go j =
-      if j = cols then Some words
-      else
-        let v = Array.unsafe_get values j in
-        if v = 0. then go (j + 1)
-        else if v = 1. then begin
-          let w = j lsr 6 in
-          words.(w) <-
-            Int64.logor words.(w) (Int64.shift_left 1L (j land 63));
-          go (j + 1)
-        end
-        else None
-    in
-    go 0
-  end
-
-(* --- binary kernel: XOR + SWAR popcount -------------------------------- *)
-
-(* Classic 32-bit SWAR popcount on native ints (constants fit easily in
-   OCaml's 63-bit int; a 64-bit SWAR would box Int64 intermediates).
-   Unlike C's uint32 arithmetic, OCaml keeps the multiply's high bits,
-   so the byte-sum at bits 24..31 must be masked out explicitly. *)
-let pop32 x =
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  ((x * 0x01010101) lsr 24) land 0xFF
-
-let popcount64 w =
-  pop32 (Int64.to_int w land 0xFFFFFFFF)
-  + pop32 (Int64.to_int (Int64.shift_right_logical w 32) land 0xFFFFFFFF)
-
-let hamming_binary a b ~words =
-  let d = ref 0 in
-  for w = 0 to words - 1 do
-    let x = Int64.logxor (Array.unsafe_get a w) (Array.unsafe_get b w) in
-    if x <> 0L then d := !d + popcount64 x
-  done;
-  !d
-
-let hamming_binary_threshold a b ~words ~threshold =
-  let rec go w d =
-    if float_of_int d > threshold then (false, w < words)
-    else if w = words then (true, false)
-    else
-      let x = Int64.logxor (Array.unsafe_get a w) (Array.unsafe_get b w) in
-      go (w + 1) (if x = 0L then d else d + popcount64 x)
-  in
-  go 0 0
-
-(* --- nibble kernel: XOR + non-zero-nibble count ------------------------ *)
-
-(* Number of non-zero nibbles per byte, for mismatch counting. *)
-let nonzero_nibbles =
-  Array.init 256 (fun b ->
-      (if b land 0x0F <> 0 then 1 else 0) + if b land 0xF0 <> 0 then 1 else 0)
-
-(* OCaml ints are 63-bit, so the low 56 bits go through [Int64.to_int]
-   and the top byte is extracted from the Int64 before truncation. *)
-let mismatch_nibbles64 x =
-  let hi = Int64.to_int (Int64.shift_right_logical x 56) land 0xFF in
-  let acc = ref (Array.unsafe_get nonzero_nibbles hi) in
-  let v = ref (Int64.to_int x land 0xFFFFFFFFFFFFFF) in
-  for _ = 0 to 6 do
-    acc := !acc + Array.unsafe_get nonzero_nibbles (!v land 0xFF);
-    v := !v lsr 8
-  done;
-  !acc
-
-let hamming_nibble a b ~words =
-  let d = ref 0 in
-  for w = 0 to words - 1 do
-    let x = Int64.logxor (Array.unsafe_get a w) (Array.unsafe_get b w) in
-    if x <> 0L then d := !d + mismatch_nibbles64 x
-  done;
-  !d
-
-let hamming_nibble_threshold a b ~words ~threshold =
-  let rec go w d =
-    if float_of_int d > threshold then (false, w < words)
-    else if w = words then (true, false)
-    else
-      let x = Int64.logxor (Array.unsafe_get a w) (Array.unsafe_get b w) in
-      go (w + 1) (if x = 0L then d else d + mismatch_nibbles64 x)
-  in
-  go 0 0
-
-(* --- flat packed storage: immediate-int words --------------------------- *)
-
-(* The boxed [int64 array] kernels above are the reference; the flat
-   variants below store packed rows in one contiguous [int array] per
-   subarray so the inner loops touch only immediate values — an OCaml
-   native int is unboxed, so reads, XORs and popcounts allocate nothing
-   (Int64 intermediates and Bigarray int64 reads each box on every
-   operation without flambda). Each logical 64-cell word of the boxed
-   layout maps to a PAIR of int words carrying 32 payload bits each:
-   word [2w] holds cells [64w, 64w+31], word [2w+1] the next 32 (for
-   nibble rows, 16 nibbles per logical word split 8 + 8). Threshold
-   kernels step in logical-word pairs so their early-exit decisions —
-   and therefore the [n_kernel_early_exit] counter, which CI gates
-   exactly — land on the same boundaries as the boxed kernels. *)
+(* Packed rows live in one contiguous [int array] per subarray so the
+   inner loops touch only immediate values — an OCaml native int is
+   unboxed, so reads, XORs and popcounts allocate nothing (Int64
+   intermediates and Bigarray int64 reads each box on every operation
+   without flambda). Each logical 64-cell word is a PAIR of int words
+   carrying 32 payload bits each: word [2w] holds cells [64w, 64w+31],
+   word [2w+1] the next 32 (for nibble rows, 16 nibbles per logical
+   word split 8 + 8). Threshold kernels step in logical-word pairs, so
+   their early-exit decisions — and therefore the [n_kernel_early_exit]
+   counter, which CI gates exactly — land on 64-cell boundaries. *)
 
 type flat = int array
 
-let fbwords_for cols = 2 * bwords_for cols
-let fnwords_for cols = 2 * nwords_for cols
+let fbwords_for cols = 2 * ((cols + 63) / 64)
+let fnwords_for cols = 2 * ((cols + 15) / 16)
 
 let pack_binary_at ~cols values (dst : flat) ~off =
   Array.fill dst off (fbwords_for cols) 0;
@@ -168,8 +43,9 @@ let pack_nibble_at ~cols values (dst : flat) ~off =
   Array.fill dst off (fnwords_for cols) 0;
   Array.length values = cols
   &&
-  (* [nibble_packable] is spelled out here: without flambda the call
-     would box its float argument on every cell of the hot pack loop *)
+  (* packable = an integer in [0, 16), tested inline: without flambda a
+     helper call would box its float argument on every cell of the hot
+     pack loop ([int_of_float] is an intrinsic) *)
   let rec go j =
     j = cols
     ||
@@ -186,6 +62,16 @@ let pack_nibble_at ~cols values (dst : flat) ~off =
   in
   go 0
 
+(* Classic 32-bit SWAR popcount on native ints (constants fit easily in
+   OCaml's 63-bit int). Unlike C's uint32 arithmetic, OCaml keeps the
+   multiply's high bits, so the byte-sum at bits 24..31 must be masked
+   out explicitly. *)
+let pop32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
 let hamming_binary_flat (q : flat) ~qoff (rows : flat) ~roff ~iwords =
   let d = ref 0 in
   for w = 0 to iwords - 1 do
@@ -195,6 +81,11 @@ let hamming_binary_flat (q : flat) ~qoff (rows : flat) ~roff ~iwords =
     if x <> 0 then d := !d + pop32 x
   done;
   !d
+
+(* Number of non-zero nibbles per byte, for mismatch counting. *)
+let nonzero_nibbles =
+  Array.init 256 (fun b ->
+      (if b land 0x0F <> 0 then 1 else 0) + if b land 0xF0 <> 0 then 1 else 0)
 
 let mismatch_nibbles32 x =
   Array.unsafe_get nonzero_nibbles (x land 0xFF)

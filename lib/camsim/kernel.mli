@@ -3,9 +3,9 @@
 
     Rows and queries are classified into three tiers:
 
-    - {b binary} — every cell in [{0, 1}]: 64 cells per [int64] word,
+    - {b binary} — every cell in [{0, 1}]: 32 cells per int word,
       distance via XOR + SWAR popcount;
-    - {b nibble} — every cell an integer in [[0, 16)]: 16 cells per
+    - {b nibble} — every cell an integer in [[0, 16)]: 8 cells per int
       word, distance via XOR + non-zero-nibble counting;
     - {b generic} — don't-cares, ranges, or arbitrary floats: the
       scalar per-cell loop (owned by the caller, not this module).
@@ -19,63 +19,24 @@ type cls = Binary | Nibble | Generic
 
 val cls_to_string : cls -> string
 
-val nwords_for : int -> int
-(** Packed words for a [cols]-cell nibble row (16 cells per word). *)
+(** {2 Packed storage}
 
-val bwords_for : int -> int
-(** Packed words for a [cols]-cell binary row (64 cells per word). *)
-
-val nibble_packable : float -> bool
-(** Integer in [[0, 16)]. *)
-
-val pack_nibble : cols:int -> float array -> int64 array option
-(** [None] unless the row is exactly [cols] wide and every value is
-    {!nibble_packable}; stops scanning at the first unpackable value. *)
-
-val pack_binary : cols:int -> float array -> int64 array option
-(** [None] unless the row is exactly [cols] wide and every value is
-    [0.] or [1.]. *)
-
-val popcount64 : int64 -> int
-
-val hamming_binary : int64 array -> int64 array -> words:int -> int
-(** Mismatching bit positions between two binary-packed rows. *)
-
-val hamming_binary_threshold :
-  int64 array -> int64 array -> words:int -> threshold:float ->
-  bool * bool
-(** [(matches, early_exit)]: [matches] iff the full distance is
-    [<= threshold]; [early_exit] when counting stopped with at least
-    one word unread because the threshold was already exceeded (the
-    mismatch count only grows, so the outcome is decided). *)
-
-val hamming_nibble : int64 array -> int64 array -> words:int -> int
-(** Mismatching nibble positions between two nibble-packed rows. *)
-
-val hamming_nibble_threshold :
-  int64 array -> int64 array -> words:int -> threshold:float ->
-  bool * bool
-
-(** {2 Flat packed storage}
-
-    Contiguous [int array] variants of the packed kernels for the
-    simulator's preallocated row storage and query arenas. An OCaml
-    native int is immediate, so — unlike [int64 array] elements or
-    Bigarray int64 reads, which box on every access without flambda —
-    these inner loops allocate nothing. Each logical 64-cell word of
-    the boxed layout maps to a pair of int words with 32 payload bits
-    each; distances are bit-for-bit identical to the boxed kernels, and
-    the threshold variants make their early-exit decisions on the same
-    logical-word boundaries (the [n_kernel_early_exit] counter is gated
-    exactly in CI). *)
+    Packed rows are [int array] words, so a simulator can keep them in
+    one preallocated contiguous store per subarray and query arena. An
+    OCaml native int is immediate, so — unlike [int64 array] elements
+    or Bigarray int64 reads, which box on every access without flambda
+    — the inner loops allocate nothing. Each logical 64-cell word is a
+    pair of int words with 32 payload bits each; the threshold variants
+    make their early-exit decisions on logical-word boundaries (the
+    [n_kernel_early_exit] counter is gated exactly in CI). *)
 
 type flat = int array
 
 val fbwords_for : int -> int
-(** Flat int words per binary row: [2 * bwords_for cols]. *)
+(** Int words per [cols]-cell binary row: two per 64 cells. *)
 
 val fnwords_for : int -> int
-(** Flat int words per nibble row: [2 * nwords_for cols]. *)
+(** Int words per [cols]-cell nibble row: two per 16 cells. *)
 
 val pack_binary_at : cols:int -> float array -> flat -> off:int -> bool
 (** Pack a binary row into [fbwords_for cols] words at [off] (the

@@ -79,8 +79,7 @@ type result = {
   ops_executed : (string * int) list;
 }
 
-let execute ?(config = Driver.Run_config.default) ~sim ?qcache ?lo_value
-    ?hi_value ?query_value c ~lo ~hi ~queries =
+let execute ~sim ?qcache ?lo_value ?hi_value ?query_value c ~lo ~hi ~queries =
   if Array.length queries <> c.ra_q then
     fail "expected %d query rows, got %d" c.ra_q (Array.length queries);
   if Array.length lo <> c.ra_rows || Array.length hi <> c.ra_rows then
@@ -95,9 +94,7 @@ let execute ?(config = Driver.Run_config.default) ~sim ?qcache ?lo_value
   in
   let outcome =
     try
-      Interp.Machine.run ~sim ?qcache
-        ~precompile:(Driver.Run_config.precompile config)
-        c.ra_modul c.ra_fn args
+      Interp.Machine.run ~sim ?qcache c.ra_modul c.ra_fn args
     with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
   in
   let values, indices =
@@ -122,7 +119,7 @@ let execute ?(config = Driver.Run_config.default) ~sim ?qcache ?lo_value
 let run ?(config = Driver.Run_config.default) c ~lo ~hi ~queries =
   let sim = Driver.create_sim config c.ra_spec in
   Camsim.Simulator.set_query_hint sim c.ra_q;
-  let r = execute ~config ~sim c ~lo ~hi ~queries in
+  let r = execute ~sim c ~lo ~hi ~queries in
   Option.iter
     (fun p ->
       Driver.fold_sim_stats p ~latency:r.latency ~energy:r.energy

@@ -6,7 +6,7 @@
     Range kernels are not expressible in the TorchScript frontend (no
     tensor op means "interval membership"), so the module is built
     directly at the cam level; from there it flows through the same
-    interpreter engines, energy model and serve-mode record/replay as
+    interpreter, energy model and serve-mode record/replay as
     every compiled kernel. *)
 
 type compiled = {
@@ -48,7 +48,7 @@ type result = {
 }
 
 val execute :
-  ?config:Driver.Run_config.t -> sim:Camsim.Simulator.t ->
+  sim:Camsim.Simulator.t ->
   ?qcache:Interp.Ops.Qcache.t -> ?lo_value:Interp.Rtval.t ->
   ?hi_value:Interp.Rtval.t -> ?query_value:Interp.Rtval.t -> compiled ->
   lo:float array array -> hi:float array array ->
@@ -64,4 +64,4 @@ val run :
   ?config:Driver.Run_config.t -> compiled -> lo:float array array ->
   hi:float array array -> queries:float array array -> result
 (** One-shot execution on a fresh simulator, honouring the config's
-    engine/tech/trace fields (defects never apply to range writes). *)
+    tech/trace fields (defects never apply to range writes). *)

@@ -66,7 +66,8 @@ let evaluate_hdc ?(config = Driver.Run_config.default)
             let classes = Array.length data.stored in
             let dims = Array.length data.stored.(0) in
             let compiled =
-              Driver.compile ~spec (Kernels.hdc_dot ~q ~dims ~classes ~k:1)
+              Driver.compile ~spec
+                (Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
             in
             let pr =
               Hetero.run_placed ~config compiled ~queries:data.queries

@@ -180,8 +180,6 @@ type run_result = {
 (* ---- the unified run configuration ------------------------------------ *)
 
 module Run_config = struct
-  type engine = [ `Compiled | `Treewalk ]
-
   (* Where the kernel's (score, select) stages run: all-CAM (the
      homogeneous path), a cost-model decision, or a pinned split.
      Honoured by [Hetero.run_placed]; [run_cam] itself is the all-CAM
@@ -197,7 +195,6 @@ module Run_config = struct
     defect_rate : float option;
     defect_seed : int option;
     trace : Camsim.Trace.t option;
-    engine : engine;
     shards : int;
     placement : placement;
     place_objective : Passes.Placement.objective;
@@ -210,7 +207,6 @@ module Run_config = struct
       defect_rate = None;
       defect_seed = None;
       trace = None;
-      engine = `Compiled;
       shards = 1;
       placement = `Cam;
       place_objective = Passes.Placement.Energy;
@@ -227,7 +223,6 @@ module Run_config = struct
     }
 
   let with_trace tr t = { t with trace = Some tr }
-  let with_engine e t = { t with engine = e }
 
   let with_shards n t =
     if n < 1 then invalid_arg "Run_config.with_shards: shards must be >= 1";
@@ -235,9 +230,6 @@ module Run_config = struct
 
   let with_placement p t = { t with placement = p }
   let with_place_objective o t = { t with place_objective = o }
-
-  let precompile t =
-    match t.engine with `Compiled -> true | `Treewalk -> false
 end
 
 let create_sim (cfg : Run_config.t) spec =
@@ -293,8 +285,7 @@ let fold_sim_stats profile ~latency ~energy ~ops_executed
       ops_executed;
     }
 
-let execute_flat ?(config = Run_config.default) ~sim ?qcache ?pool
-    ?query_value c ~queries ~stored_value =
+let execute_flat ~sim ?qcache ?pool ?query_value c ~queries ~stored_value =
   if Array.length queries <> c.info.q then
     fail "expected %d query rows, got %d" c.info.q (Array.length queries);
   let queries_value =
@@ -302,14 +293,12 @@ let execute_flat ?(config = Run_config.default) ~sim ?qcache ?pool
   in
   let args = kernel_args c.info ~queries:queries_value ~stored:stored_value in
   try
-    Interp.Machine.run ~sim ?qcache ?pool
-      ~precompile:(Run_config.precompile config)
-      c.cam_ir c.fn_name args
+    Interp.Machine.run ~sim ?qcache ?pool c.cam_ir c.fn_name args
   with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
 
-let execute ?config ~sim ?qcache ?query_value c ~queries ~stored_value =
+let execute ~sim ?qcache ?query_value c ~queries ~stored_value =
   let outcome =
-    execute_flat ?config ~sim ?qcache ?query_value c ~queries ~stored_value
+    execute_flat ~sim ?qcache ?query_value c ~queries ~stored_value
   in
   let stats = Camsim.Simulator.stats sim in
   let energy = Camsim.Stats.total_energy stats in
@@ -332,7 +321,7 @@ let run_cam ?(config = Run_config.default) c ~queries ~stored =
   let sim = create_sim config c.spec in
   Camsim.Simulator.set_query_hint sim (Array.length queries);
   let r =
-    execute ~config ~sim c ~queries ~stored_value:(wrap_rows stored)
+    execute ~sim c ~queries ~stored_value:(wrap_rows stored)
   in
   Option.iter
     (fun p ->

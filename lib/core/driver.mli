@@ -62,29 +62,21 @@ type run_result = {
   stats : Camsim.Stats.t;
   ops_executed : (string * int) list;
       (** interpreter ops executed per dialect, sorted by name —
-          deterministic across engines and jobs values; [[]] for the
+          deterministic across jobs values; [[]] for the
           register VM, which has its own instruction stream *)
 }
 
 (** Everything that parameterizes a run, as one value.
 
     Replaces the old option soup ([?profile ?tech ?defect_rate
-    ?defect_seed ?trace ?precompile]) with a record that can be built
+    ?defect_seed ?trace]) with a record that can be built
     once and shared between one-shot runs, DSE sweeps and serving
     sessions. Build with pipelines over {!Run_config.default}:
 
     {[
-      Driver.Run_config.(default |> with_tech t |> with_engine `Treewalk)
+      Driver.Run_config.(default |> with_tech t |> with_shards 4)
     ]} *)
 module Run_config : sig
-  type engine = [ `Compiled | `Treewalk ]
-  (** Interpreter engine: the closure-compiled threaded code (default)
-      or the tree-walking reference (see [docs/INTERPRETER.md]). This
-      field replaces the retired process-global
-      [Interp.Compile.set_enabled] switch — engine choice is now a
-      per-run value, so concurrent runs (and tests) can differ without
-      mutating shared state. *)
-
   type placement =
     [ `Cam
     | `Auto
@@ -102,7 +94,6 @@ module Run_config : sig
     defect_rate : float option;
     defect_seed : int option;
     trace : Camsim.Trace.t option;
-    engine : engine;
     shards : int;
         (** How many independent simulator shards a sharded store
             partitions its rows across ([Serve.Sharded_store]). Plain
@@ -112,8 +103,8 @@ module Run_config : sig
   }
 
   val default : t
-  (** No profiling, no trace, default technology, zero defects,
-      [`Compiled] engine, one shard, [`Cam] placement under the
+  (** No profiling, no trace, default technology, zero defects, one
+      shard, [`Cam] placement under the
       [Energy] objective. *)
 
   val with_profile : Instrument.Collect.t -> t -> t
@@ -125,17 +116,12 @@ module Run_config : sig
       to the simulator's default). *)
 
   val with_trace : Camsim.Trace.t -> t -> t
-  val with_engine : engine -> t -> t
 
   val with_shards : int -> t -> t
   (** Raises [Invalid_argument] when the count is < 1. *)
 
   val with_placement : placement -> t -> t
   val with_place_objective : Passes.Placement.objective -> t -> t
-
-  val precompile : t -> bool
-  (** The engine as the boolean [Interp.Machine.run ~precompile]
-      expects. *)
 end
 
 val run_cam :
@@ -157,11 +143,11 @@ val wrap_rows : float array array -> Interp.Rtval.t
 (** Rows as a contiguous row-major runtime buffer. *)
 
 val execute :
-  ?config:Run_config.t -> sim:Camsim.Simulator.t ->
+  sim:Camsim.Simulator.t ->
   ?qcache:Interp.Ops.Qcache.t -> ?query_value:Interp.Rtval.t -> compiled ->
   queries:float array array -> stored_value:Interp.Rtval.t -> run_result
 (** One kernel execution against an existing simulator: checks the
-    query-row count, orders the operands, runs the selected engine and
+    query-row count, orders the operands, runs the interpreter and
     decodes the results. [stored_value] is passed through untouched so
     a session can pin one buffer across batches; the stored-row count
     is the caller's responsibility. [query_value], when given, is used
@@ -172,11 +158,10 @@ val execute :
     exactly the rows of [queries]. [latency]/[energy]/[stats] reflect
     the simulator's {e cumulative} ledger, so a serving session reads
     per-batch deltas by snapshotting around the call. Does {e not} fold
-    into [config.profile] — callers that want that use
-    {!fold_sim_stats}. *)
+    into a profile — callers that want that use {!fold_sim_stats}. *)
 
 val execute_flat :
-  ?config:Run_config.t -> sim:Camsim.Simulator.t ->
+  sim:Camsim.Simulator.t ->
   ?qcache:Interp.Ops.Qcache.t -> ?pool:Interp.Ops.Pool.t ->
   ?query_value:Interp.Rtval.t -> compiled -> queries:float array array ->
   stored_value:Interp.Rtval.t -> Interp.Machine.outcome
@@ -242,8 +227,7 @@ val run_vm :
   stored:float array array -> run_result
 (** Like {!run_cam} but through {!to_vm} and the {!Vm.Exec} executor
     instead of the structured-IR interpreter. Results, latency and
-    energy are identical to {!run_cam} (tested). The config's [engine]
-    is ignored — the VM has exactly one. *)
+    energy are identical to {!run_cam} (tested). *)
 
 val run_reference :
   compiled -> queries:float array array -> stored:float array array ->

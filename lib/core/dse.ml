@@ -102,7 +102,7 @@ let hdc ?config ?bits ~(spec : Archspec.Spec.t)
   let q = Array.length data.queries in
   let classes = Array.length data.stored in
   let dims = Array.length data.stored.(0) in
-  let source = Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let source = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let compiled = Driver.compile ~spec source in
   let r =
     Driver.run_cam ?config compiled ~queries:data.queries ~stored:data.stored
@@ -129,7 +129,7 @@ let placement_sweep ?(config = Driver.Run_config.default)
   let q = Array.length data.queries in
   let classes = Array.length data.stored in
   let dims = Array.length data.stored.(0) in
-  let source = Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let source = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let probe = Driver.compile ~spec source in
   let binary =
     let is_b = Array.for_all (Array.for_all (fun v -> v = 0. || v = 1.)) in
@@ -266,7 +266,7 @@ let knn ?config ~(spec : Archspec.Spec.t) ~(train : Workloads.Dataset.t)
   let q = Array.length queries in
   let n = Workloads.Dataset.n_samples train in
   let dims = Workloads.Dataset.n_features train in
-  let source = Kernels.knn_euclidean ~q ~dims ~n ~k in
+  let source = Workloads.Kernels.knn_euclidean ~q ~dims ~n ~k in
   let compiled = Driver.compile ~spec source in
   let r = Driver.run_cam ?config compiled ~queries ~stored:train.features in
   (* Majority vote over the k returned training indices. *)

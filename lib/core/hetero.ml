@@ -217,7 +217,7 @@ let xbar_matmul ?tech ~m:_ ~inputs ~weights () =
   let xspec = xspec_for ~k:rows_k ~n:cols_n in
   let xc =
     Driver.compile_crossbar ~xspec
-      (Kernels.matmul ~m:(Array.length inputs) ~k:rows_k ~n:cols_n)
+      (Workloads.Kernels.matmul ~m:(Array.length inputs) ~k:rows_k ~n:cols_n)
   in
   let xr = Driver.run_crossbar ?tech xc ~inputs ~weights in
   (xr.Driver.product, { P.latency = xr.x_latency; energy = xr.x_energy })
@@ -307,8 +307,8 @@ let run_placed ?(config = Driver.Run_config.default) (c : Driver.compiled)
       let scores_source =
         match info.metric with
         | Dot ->
-            Kernels.hdc_dot_scores ~q:info.q ~dims:info.d ~classes:info.n
-        | Cosine -> Kernels.cosine_scores ~q:info.q ~dims:info.d ~n:info.n
+            Workloads.Kernels.hdc_dot_scores ~q:info.q ~dims:info.d ~classes:info.n
+        | Cosine -> Workloads.Kernels.cosine_scores ~q:info.q ~dims:info.d ~n:info.n
         | _ -> assert false
       in
       let sc = Driver.compile ~spec:c.spec scores_source in
@@ -448,7 +448,7 @@ let run_recsys ?(config = Driver.Run_config.default) ~spec
     | P.Cam, P.Cam ->
         let compiled =
           Driver.compile ~spec:cam_spec
-            (Kernels.knn_euclidean ~q ~dims:d ~n ~k)
+            (Workloads.Kernels.knn_euclidean ~q ~dims:d ~n ~k)
         in
         let r =
           Driver.run_cam ~config compiled ~queries:embeddings

@@ -44,7 +44,7 @@ type sim = {
   ops_executed : (string * int) list;
       (** interpreter ops executed per dialect, sorted by name — the
           deterministic work proxy from [Interp.Ops]; identical across
-          engines and jobs values (defaults to [[]] when parsing
+          jobs values (defaults to [[]] when parsing
           pre-interpreter-counter profiles) *)
 }
 

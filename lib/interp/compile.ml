@@ -1,30 +1,26 @@
-(* The closure-compiling interpreter engine.
+(* The interpreter engine.
 
-   [Machine]'s tree-walker re-does per-op work on every execution: it
-   string-matches the op name, walks attribute assoc lists, and resolves
-   every operand through an (int, Rtval.t) hashtable — per iteration of
-   every loop. This module does all of that exactly once per function:
-   each op compiles to an OCaml closure (threaded code) over a [ctx]
-   whose environment is a flat [Rtval.t array] indexed by dense slots,
-   so executing an op is an indirect call plus a few array reads.
+   Op-name dispatch, attribute decoding and operand resolution happen
+   exactly once per function: each op compiles to an OCaml closure
+   (threaded code) over a [ctx] whose environment is a flat
+   [Rtval.t array] indexed by dense slots, so executing an op is an
+   indirect call plus a few array reads.
 
-   Design rules that keep the two engines byte-identical:
+   Semantic rules:
 
-   - Slots reproduce the tree-walker's [Hashtbl.replace] environment:
-     every SSA id maps to exactly one slot for the whole function, so
-     shadowed or duplicated ids overwrite the same cell in both engines.
-     Slots start at a sentinel ([unbound]) and reads check it, so "use
-     of unbound value" surfaces with the same message at the same point.
-   - Failure timing is preserved: attribute decoding happens at compile
-     time, but a decode error is captured and re-raised only when the op
-     would have executed (dead malformed ops stay silent, as in the
-     tree-walker).
+   - Every SSA id maps to exactly one slot for the whole function, so
+     shadowed or duplicated ids overwrite the same cell (the last
+     binding wins). Slots start at a sentinel ([unbound]) and reads
+     check it, so a use before its definition fails with "use of
+     unbound value".
+   - Failures surface at execution time: attribute decoding happens at
+     compile time, but a decode error is captured and re-raised only
+     when the op executes, so dead malformed ops stay silent.
    - The scf.parallel independence analysis runs at compile time;
      conditions that depend on runtime values (loop-invariant offsets,
-     the step) compile to residual closures evaluated per execution, so
-     the classification matches the tree-walker's semi-dynamic check.
+     the step) compile to residual closures evaluated per execution.
    - Per-dialect execution counters are bumped once per executed op,
-     terminators included, exactly like the tree-walker.
+     terminators included.
 
    Compilation memoizes per domain keyed on the first body op's uid (see
    Ir.Op.uid); the IR is treated as frozen once a function has run. *)
@@ -119,8 +115,7 @@ let attr_b op key = Ir.Attr.as_bool (Ir.Op.attr_exn op key)
 
 (* ---------- runtime scaffolding ---------------------------------------- *)
 
-(* Argument-count mismatches surface as the tree-walker's
-   [List.iter2] error. *)
+(* Argument-count mismatches raise [Invalid_argument "List.iter2"]. *)
 let bind_args ctx (slots : int array) (args : Rtval.t array) =
   let n = Array.length slots in
   if Array.length args <> n then invalid_arg "List.iter2";
@@ -141,7 +136,7 @@ let bind_results ctx (slots : int array) (vs : Rtval.t list) =
   in
   go 0 vs
 
-(* left-to-right, like the tree-walker's List.map over operands *)
+(* operands evaluate left to right *)
 let eval_list (gs : (ctx -> Rtval.t) array) ctx =
   let n = Array.length gs in
   let rec go i = if i = n then [] else
@@ -183,13 +178,20 @@ let check_if_flow = function
 
 (* ---------- scf.parallel independence, compiled ------------------------ *)
 
-(* Compile-time port of Machine.region_independent: structural
-   disqualifications (disallowed ops, unsafe store shapes) resolve to
-   [Never] here, once; conditions the tree-walker resolves through the
-   runtime environment — loop-invariant coefficients, the step — become
-   residual closures evaluated per loop execution, reading the same
-   bindings through slots that the tree-walker reads through its
-   hashtable. *)
+(* A region body qualifies for the data-parallel path only when (a) it
+   contains nothing but pure host ops — arith, memref, nested scf — so
+   no iteration touches simulator state or charges latency/energy, and
+   (b) every memref.store provably lands either in an iteration-local
+   alloc or in a window of an outer buffer that is disjoint across
+   iterations (affine-injective in the induction variable). Anything
+   else — in particular every real cam/crossbar kernel — falls back to
+   the sequential loop, preserving allocation and accumulation order
+   exactly.
+
+   Structural disqualifications (disallowed ops, unsafe store shapes)
+   resolve to [Never] here, once; conditions that depend on the runtime
+   environment — loop-invariant coefficients, the step — become
+   residual closures evaluated per loop execution against the slots. *)
 
 type indep = Never | Maybe of (ctx -> step:int -> bool)
 
@@ -382,9 +384,8 @@ let is_terminator = function
 let rec compile_op cenv (op : Ir.Op.t) : cop =
   try compile_op_inner cenv op
   with (Ops.Runtime_error _ | Invalid_argument _ | Failure _) as e ->
-    (* decoding failed at compile time; the tree-walker raises the same
-       error only when the op executes — defer it to execution time so
-       dead malformed ops stay silent *)
+    (* decoding failed at compile time; defer the error to execution
+       time so dead malformed ops stay silent *)
     fun _ -> raise e
 
 and compile_op_inner cenv (op : Ir.Op.t) : cop =
@@ -991,8 +992,8 @@ and compile_block cenv (blk : Ir.Op.block) : cblk =
   let arg_slots =
     Array.of_list (List.map (def cenv) blk.Ir.Op.block_args)
   in
-  (* ops past the first terminator are dead in both engines: the
-     tree-walker stops there, so we do not compile them at all *)
+  (* ops past the first terminator are dead: execution stops there, so
+     they are not compiled at all *)
   let rec split acc = function
     | [] -> (List.rev acc, None)
     | (op : Ir.Op.t) :: rest ->

@@ -1,4 +1,4 @@
-(** The closure-compiling interpreter engine.
+(** The interpreter engine.
 
     Pre-compiles a function's region tree into arrays of OCaml closures
     (threaded code): op-name dispatch, attribute decoding and operand
@@ -10,11 +10,9 @@
     of the same module pay it once; the IR is treated as frozen once a
     function has run.
 
-    Semantics are byte-identical to the tree-walking reference engine in
-    {!Machine} — results, simulated latency/energy, per-dialect
-    execution counters, and failure messages all match; only wall-clock
-    time differs. [test/test_compile.ml] holds the differential proof
-    obligations. *)
+    [test/test_compile.ml] checks results, simulated latency/energy,
+    per-dialect execution counters and failure messages against
+    independent oracles. *)
 
 val run_fn :
   ?sim:Camsim.Simulator.t -> ?xsim:Xbar.t -> ?qcache:Ops.Qcache.t ->
@@ -26,8 +24,5 @@ val run_fn :
     (default: a fresh cache per run); [pool] likewise lets it reuse
     the result buffers it released (default: every [memref.alloc] is
     fresh).
-    @raise Ops.Runtime_error exactly where the tree-walker would.
-
-    Engine selection is per call: [Machine.run]'s [?precompile]
-    (default: compiled) or [Driver.Run_config.engine] — there is no
-    process-global flag to mutate. *)
+    @raise Ops.Runtime_error on unsupported ops and runtime type or
+    bounds errors, at the point the failing op executes. *)

@@ -1,10 +1,7 @@
-(* Runtime semantics shared by the two interpreter engines: the
-   tree-walking reference path (Machine) and the closure-compiled
-   threaded-code path (Compile). Everything here is engine-agnostic —
-   value-level tensor math, the similarity scorers, the query-row cache
-   and the per-dialect execution counters — so the differential
-   guarantee "both engines byte-identical" reduces to the engines
-   agreeing on dispatch, not on arithmetic. *)
+(* Runtime semantics the closure-compiled engine (Compile) dispatches
+   into: value-level tensor math, the similarity scorers, the query-row
+   cache and the per-dialect execution counters. Compile owns dispatch
+   and control flow; everything an op computes lives here. *)
 
 exception Runtime_error of string
 
@@ -14,7 +11,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
 (* One slot per dialect the interpreter can meet; [n_ops_executed] is a
    deterministic, jobs-invariant proxy for interpreter work (wall-clock
-   gating cannot give us that). Both engines bump a slot exactly once
+   gating cannot give us that). The engine bumps a slot exactly once
    per executed op, terminators included. *)
 
 let dialect_names =
@@ -66,7 +63,7 @@ type outcome = {
   latency : float;
   ops_executed : (string * int) list;
       (** per-dialect executed-op counts, sorted by dialect name;
-          identical across engines and for any jobs value *)
+          identical for any jobs value *)
 }
 
 (* ---------- the query-row cache ---------------------------------------- *)
@@ -282,7 +279,7 @@ module Pool = struct
       results
 end
 
-(* memref.alloc, shared by the engines: from the run's pool when it has
+(* memref.alloc: from the run's pool when it has
    one — a recycled store may back stale query-pack entries, so they
    are invalidated — fresh otherwise. *)
 let alloc_buffer pool qcache shape =
@@ -531,18 +528,24 @@ let rec scores_of metric (query : float array array) (stored : float array array
       out
 
 (* Hamming mirrors the subarray kernel tiers (docs/KERNELS.md): each
-   row packs once per batch, pairs of equal width sharing a tier go
-   through the bit-packed kernels, everything else falls back to the
-   scalar loop. The packed counts equal the scalar mismatch counts
-   bit-for-bit, so results never depend on the dispatch. *)
+   row packs once per batch into its own flat words, pairs of equal
+   width sharing a tier go through the bit-packed kernels, everything
+   else falls back to the scalar loop. The packed counts equal the
+   scalar mismatch counts bit-for-bit, so results never depend on the
+   dispatch. *)
 and hamming_scores query stored =
+  let module K = Camsim.Kernel in
   let pack rows =
     Array.map
       (fun r ->
         let cols = Array.length r in
+        let packed words pack_at =
+          let w = Array.make (words cols) 0 in
+          if pack_at ~cols r w ~off:0 then Some w else None
+        in
         ( cols,
-          Camsim.Kernel.pack_binary ~cols r,
-          Camsim.Kernel.pack_nibble ~cols r ))
+          packed K.fbwords_for K.pack_binary_at,
+          packed K.fnwords_for K.pack_nibble_at ))
       rows
   in
   let qp = pack query and sp = pack stored in
@@ -555,18 +558,16 @@ and hamming_scores query stored =
       out.(i).(j) <-
         (if qc <> sc then hamming_arrays query.(i) stored.(j)
          else
-           match (qb, sb) with
-           | Some a, Some b ->
+           match (qb, sb, qn, sn) with
+           | Some a, Some b, _, _ ->
                float_of_int
-                 (Camsim.Kernel.hamming_binary a b
-                    ~words:(Camsim.Kernel.bwords_for qc))
-           | _ -> (
-               match (qn, sn) with
-               | Some a, Some b ->
-                   float_of_int
-                     (Camsim.Kernel.hamming_nibble a b
-                        ~words:(Camsim.Kernel.nwords_for qc))
-               | _ -> hamming_arrays query.(i) stored.(j)))
+                 (K.hamming_binary_flat a ~qoff:0 b ~roff:0
+                    ~iwords:(K.fbwords_for qc))
+           | _, _, Some a, Some b ->
+               float_of_int
+                 (K.hamming_nibble_flat a ~qoff:0 b ~roff:0
+                    ~iwords:(K.fnwords_for qc))
+           | _ -> hamming_arrays query.(i) stored.(j))
     done
   done;
   out
@@ -674,7 +675,7 @@ let buffer_accumulate what (dst : Rtval.buffer) (part : Rtval.buffer) =
       done
   | _ -> fail "%s: shape mismatch" what
 
-(* cam.write dispatch shared by the engines: rank-2 buffers and tensors
+(* cam.write dispatch: rank-2 buffers and tensors
    hand the simulator a strided window over their storage instead of
    materialized rows, so a replayed unchanged write (the steady state
    of a serving session) allocates nothing. *)

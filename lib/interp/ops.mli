@@ -1,11 +1,8 @@
-(** Runtime semantics shared by the two interpreter engines.
+(** Runtime semantics of the interpreter.
 
-    Both the tree-walking reference path ({!Machine}) and the
-    closure-compiled threaded-code path ({!Compile}) evaluate ops by
-    calling into this module, so the differential guarantee — byte-
-    identical results, latency/energy and counters across engines and
-    across [jobs] values — reduces to the engines agreeing on dispatch,
-    not on arithmetic. *)
+    The closure-compiled engine ({!Compile}) owns dispatch and control
+    flow; every op's arithmetic, the similarity scorers, the query-row
+    cache and the execution counters live here. *)
 
 exception Runtime_error of string
 
@@ -14,7 +11,7 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 
 (** {2 Per-dialect execution counters}
 
-    One slot per dialect; both engines bump the defining dialect's slot
+    One slot per dialect; the engine bumps the defining dialect's slot
     exactly once per executed op, terminators included. The resulting
     [ops_executed] list is a deterministic, jobs-invariant proxy for
     interpreter work (wall clock cannot be gated exactly; this can). *)
@@ -47,7 +44,7 @@ type outcome = {
   latency : float;
   ops_executed : (string * int) list;
       (** per-dialect executed-op counts, sorted by dialect name;
-          identical across engines and for any jobs value *)
+          identical for any jobs value *)
 }
 
 (** {2 Query-row cache}
@@ -63,8 +60,7 @@ type outcome = {
     dropping them: the next hit refills the cached rows from the new
     contents in place. A fixed-capacity ring with move-to-front on hit,
     so tiled searches stop at entry 0 instead of walking the whole
-    cache. The cache only affects packing work, never results, so
-    engines with different hit patterns stay byte-identical. *)
+    cache. The cache only affects packing work, never results. *)
 module Qcache : sig
   type t
 
@@ -110,16 +106,15 @@ module Pool : sig
 end
 
 val alloc_buffer : Pool.t option -> Qcache.t -> int list -> Rtval.buffer
-(** [memref.alloc] shared by the engines: a zeroed contiguous buffer of
+(** [memref.alloc]: a zeroed contiguous buffer of
     this shape — with a pool, a released one when the shape matches
     (invalidating any query-pack entry over the recycled store);
     otherwise, or when none matches, a fresh one. *)
 
 (** {2 scf.parallel analysis predicates}
 
-    Structural building blocks of the loop-independence analysis,
-    shared so the tree-walker's runtime check and the compiler's
-    compile-time check classify exactly the same bodies. *)
+    Structural building blocks of the loop-independence analysis
+    ({!Compile}). *)
 
 val has_prefix : string -> string -> bool
 
@@ -174,7 +169,7 @@ val buffer_accumulate : string -> Rtval.buffer -> Rtval.buffer -> unit
 val cam_write :
   Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> Rtval.t ->
   Camsim.Energy_model.cost
-(** [cam.write_value] dispatch shared by the engines: rank-2 buffers
+(** [cam.write_value] dispatch: rank-2 buffers
     and tensors go through {!Camsim.Simulator.write_view} as an element
     view over their storage (allocation-free when a serving replay
     finds the rows unchanged); anything else materializes rows and uses
@@ -183,7 +178,7 @@ val cam_write :
 val cam_write_range :
   Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> Rtval.t ->
   Rtval.t -> Camsim.Energy_model.cost
-(** [cam.write_range] dispatch shared by the engines: lo/hi rank-2
+(** [cam.write_range] dispatch: lo/hi rank-2
     buffers (or tensors) of one geometry go through
     {!Camsim.Simulator.write_range_view}; anything else materializes
     rows and uses the plain range write. *)

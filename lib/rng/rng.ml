@@ -50,7 +50,7 @@ let float t =
   Int64.to_float bits /. 9007199254740992.0 (* 2^53 *)
 
 let int t bound =
-  if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
+  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   int_of_float (float t *. float_of_int bound)
 
 let bool t p = float t < p

@@ -43,7 +43,7 @@ let shards t = Array.length t.st_shards
    into the pinned query buffer, replays the recorded setup (free when
    the bounds are unchanged) and pays for its search. The shard's time
    for the batch is the sum over its chunks. *)
-let shard_search ~config ~q ~dims sh batch =
+let shard_search ~q ~dims sh batch =
   let energy () =
     Camsim.Stats.total_energy (Camsim.Simulator.stats sh.sh_sim)
   in
@@ -56,7 +56,7 @@ let shard_search ~config ~q ~dims sh batch =
     Interp.Ops.Qcache.invalidate sh.sh_qcache dst;
     let r =
       Session.replay sh.sh_sim @@ fun () ->
-      C4cam.Acam.execute ~config ~sim:sh.sh_sim ~qcache:sh.sh_qcache
+      C4cam.Acam.execute ~sim:sh.sh_sim ~qcache:sh.sh_qcache
         ~lo_value:(Interp.Rtval.Buffer sh.sh_lo_buf)
         ~hi_value:(Interp.Rtval.Buffer sh.sh_hi_buf)
         ~query_value:(Interp.Rtval.Buffer sh.sh_qbuf) sh.sh_compiled
@@ -88,8 +88,8 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
     (fun r lo_r ->
       if
         not
-          (Shard_set.valid_row n_dims lo_r
-          && Shard_set.valid_row n_dims hi.(r))
+          (Session.valid_row n_dims lo_r
+          && Session.valid_row n_dims hi.(r))
       then fail "box %d needs %d finite bounds per side" r n_dims)
     lo;
   if q < 1 then fail "query arity must be >= 1 (got %d)" q;
@@ -141,7 +141,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
         ~sim:(fun sh -> sh.sh_sim)
         ~ops:(fun sh -> sh.sh_ops)
         ~rows:(fun () -> (n_boxes, 0))
-        ~search:(shard_search ~config:shard_config ~q ~dims:n_dims)
+        ~search:(shard_search ~q ~dims:n_dims)
         st_shards;
     st_shards;
     st_boxes = n_boxes;
@@ -153,7 +153,7 @@ let update_box t ~row ~lo ~hi =
     fail "box %d out of range [0, %d)" row t.st_boxes;
   if
     not
-      (Shard_set.valid_row t.st_dims lo && Shard_set.valid_row t.st_dims hi)
+      (Session.valid_row t.st_dims lo && Session.valid_row t.st_dims hi)
   then fail "update_box: bounds must be %d finite values" t.st_dims;
   let sh =
     (* contiguous slices: the owner is the shard whose window holds row *)

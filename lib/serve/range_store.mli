@@ -18,8 +18,7 @@
     byte-identical for any shard count — each query's merged answer is
     the lexicographically least (violations, global box id) candidate
     across shards, which reproduces the single-subarray selection's
-    lower-index tie-break — and for any jobs value and either
-    interpreter engine. *)
+    lower-index tie-break — and for any jobs value. *)
 
 type t
 

@@ -2,6 +2,20 @@ exception Serve_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Serve_error s)) fmt
 
+(* On every query row of the serving hot path, so branch-free and
+   allocation-free (the float accumulator stays unboxed): [x -. x] is 0
+   exactly when [x] is finite and NaN otherwise, and a NaN term keeps
+   the sum NaN. *)
+let valid_row d row =
+  Array.length row = d
+  &&
+  let acc = ref 0. in
+  for i = 0 to d - 1 do
+    let x = Array.unsafe_get row i in
+    acc := !acc +. (x -. x)
+  done;
+  !acc = 0.
+
 type stats = {
   batches : int;
   queries_served : int;
@@ -201,36 +215,23 @@ let replay sim run =
   if not sealed then Camsim.Simulator.seal_recording sim;
   r
 
-(* One [q]-row chunk against the session's simulator. *)
+(* One [q]-row chunk of valid rows against the session's simulator. *)
 let run_chunk t chunk =
   (* Blit the chunk into the session's persistent query buffer and pass
      that as the operand: the stable backing lets the query-row cache
      refill its extracted rows in place instead of re-extracting per
-     batch. Rows of unexpected width (the interpreter's job to reject)
-     fall back to a fresh wrap. *)
+     batch. *)
   let { C4cam.Driver.q; d; _ } = t.s_compiled.info in
-  let uniform =
-    Array.length chunk = q
-    &&
-    let rec go i = i = q || (Array.length chunk.(i) = d && go (i + 1)) in
-    go 0
-  in
-  let query_value =
-    if uniform then begin
-      let dst = t.s_qbuf.Interp.Rtval.b_data in
-      for i = 0 to q - 1 do
-        Array.blit chunk.(i) 0 dst (i * d) d
-      done;
-      Interp.Ops.Qcache.invalidate t.s_qcache dst;
-      Some t.s_qval
-    end
-    else None
-  in
+  let dst = t.s_qbuf.Interp.Rtval.b_data in
+  for i = 0 to q - 1 do
+    Array.blit chunk.(i) 0 dst (i * d) d
+  done;
+  Interp.Ops.Qcache.invalidate t.s_qcache dst;
   replay t.s_sim @@ fun () ->
   try
-    C4cam.Driver.execute_flat ~config:t.s_config ~sim:t.s_sim
-      ~qcache:t.s_qcache ~pool:t.s_pool ?query_value t.s_compiled
-      ~queries:chunk ~stored_value:t.s_stored
+    C4cam.Driver.execute_flat ~sim:t.s_sim ~qcache:t.s_qcache
+      ~pool:t.s_pool ~query_value:t.s_qval t.s_compiled ~queries:chunk
+      ~stored_value:t.s_stored
   with C4cam.Driver.Compile_error e -> raise (Serve_error e)
 
 type flat = {
@@ -241,12 +242,16 @@ type flat = {
 }
 
 let query_flat t batch =
-  let q = t.s_compiled.info.q in
+  let { C4cam.Driver.q; d; _ } = t.s_compiled.info in
   let total = Array.length batch in
   if total = 0 || total mod q <> 0 then
     fail "batch size %d is not a positive multiple of the kernel's %d \
           queries"
       total q;
+  for i = 0 to total - 1 do
+    if not (valid_row d batch.(i)) then
+      fail "query row %d: expected %d finite values" i d
+  done;
   let t0 = Instrument.Collect.now () in
   let w0 = Gc.minor_words () in
   let sim_stats = Camsim.Simulator.stats t.s_sim in
@@ -320,9 +325,8 @@ let update_stored t ~row values =
   let { C4cam.Driver.n; d; _ } = t.s_compiled.info in
   if row < 0 || row >= n then
     fail "update_stored: row %d out of bounds (stored has %d rows)" row n;
-  if Array.length values <> d then
-    fail "update_stored: expected %d values, got %d" d
-      (Array.length values);
+  if not (valid_row d values) then
+    fail "update_stored: expected %d finite values" d;
   let off = t.s_buf.Interp.Rtval.b_offset + (row * d) in
   Array.blit values 0 t.s_buf.Interp.Rtval.b_data off d;
   (* the next replay compares (and rewrites) only windows this row is

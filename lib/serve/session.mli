@@ -13,7 +13,7 @@
     values/indices and summed activity counters to one concatenated
     [run_cam] call — modulo the single write charge, which the session
     pays once instead of N times. The determinism gate in CI holds this
-    across jobs values and both interpreter engines. *)
+    across jobs values. *)
 
 type t
 
@@ -58,7 +58,8 @@ val query : t -> float array array -> C4cam.Driver.run_result
     call's simulated energy delta, and [stats] the session's cumulative
     ledger.
 
-    @raise Serve_error on an empty or non-multiple batch size. *)
+    @raise Serve_error on an empty or non-multiple batch size, or on a
+    row that is not {!valid_row} — checked before any device work. *)
 
 type flat = {
   outputs : Interp.Rtval.t list list;
@@ -90,7 +91,8 @@ val update_stored : t -> row:int -> float array -> unit
     (and charges for) only the changed rows — host work grows with the
     rows changed, not with the store. Also invalidates the session's
     query-pack cache, which may hold packed forms of the stale buffer.
-    @raise Serve_error on a bad row index or width. *)
+    @raise Serve_error on a bad row index or a row that is not
+    {!valid_row}. *)
 
 (** {1 Introspection} *)
 
@@ -126,6 +128,11 @@ val serve_section : t -> Instrument.Profile.serve
     can overlay scheduler fields before installing the section. *)
 
 (** {1 Shared with the sharded stores} *)
+
+val valid_row : int -> float array -> bool
+(** [valid_row d row]: [row] holds exactly [d] finite values — the
+    domain of a query or stored row at every serving entry point
+    ([query], both stores, [Server.submit]). *)
 
 val section_of_stats :
   config:C4cam.Driver.Run_config.t ->

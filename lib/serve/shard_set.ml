@@ -36,13 +36,6 @@ let fail t fmt = Printf.ksprintf (fun s -> raise (t.err s)) fmt
 let shard_config config =
   { config with C4cam.Driver.Run_config.profile = None; trace = None }
 
-let valid_row d row =
-  Array.length row = d
-  &&
-  (* [x -. x] is 0 exactly when [x] is finite: no call per cell *)
-  let rec go i = i = d || (row.(i) -. row.(i) = 0. && go (i + 1)) in
-  go 0
-
 let create ~config ~q ~d ~k ~cache ~err ~sim ~ops ~rows ~search shards =
   let n = Array.length shards in
   {
@@ -151,7 +144,7 @@ let query t batch =
             queries"
       total t.q;
   for i = 0 to total - 1 do
-    if not (valid_row t.d batch.(i)) then
+    if not (Session.valid_row t.d batch.(i)) then
       fail t "query row %d: expected %d finite values" i t.d
   done;
   let t0 = Instrument.Collect.now () in

@@ -23,9 +23,6 @@ val shard_config : C4cam.Driver.Run_config.t -> C4cam.Driver.Run_config.t
     on worker domains. The set folds its aggregate into the original
     config's collector from the dispatching domain. *)
 
-val valid_row : int -> float array -> bool
-(** [valid_row d row]: [row] holds exactly [d] finite values. *)
-
 val create :
   config:C4cam.Driver.Run_config.t ->
   q:int ->

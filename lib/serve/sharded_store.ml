@@ -179,7 +179,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
       (base + spec.Archspec.Spec.rows - 1)
       / spec.Archspec.Spec.rows * spec.Archspec.Spec.rows
   in
-  let source = C4cam.Kernels.hdc_dot_scores ~q ~dims:d ~classes:cap in
+  let source = Workloads.Kernels.hdc_dot_scores ~q ~dims:d ~classes:cap in
   (* One compile for all shards: every shard shares the (source, spec)
      pair, so the artifact cache makes this a single pipeline run. *)
   let artifact =
@@ -230,7 +230,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
 (* ---- the free-row allocator ------------------------------------------- *)
 
 let insert t row =
-  if not (Shard_set.valid_row t.st_d row) then
+  if not (Session.valid_row t.st_d row) then
     fail "insert: expected %d finite values" t.st_d;
   let n = Array.length t.st_shards in
   let rec find i =
@@ -271,7 +271,7 @@ let delete t ext =
   sh.sh_free_len <- sh.sh_free_len + 1
 
 let update t ext row =
-  if not (Shard_set.valid_row t.st_d row) then
+  if not (Session.valid_row t.st_d row) then
     fail "update: expected %d finite values" t.st_d;
   let si, slot = locate t ext "update" in
   Session.update_stored t.st_shards.(si).sh_session ~row:slot row

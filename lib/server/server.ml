@@ -372,9 +372,8 @@ let submit c rows =
   if n = 0 then fail "empty request";
   Array.iteri
     (fun i row ->
-      if Array.length row <> t.s_d then
-        fail "request row %d has %d values, expected %d" i
-          (Array.length row) t.s_d)
+      if not (Serve.Session.valid_row t.s_d row) then
+        fail "request row %d: expected %d finite values" i t.s_d)
     rows;
   Mutex.lock t.m;
   let rec admit () =

@@ -12,8 +12,8 @@
     of client submissions, each client's demuxed results are
     byte-identical to the same requests served one at a time through a
     private session ([bench/stress_serve.exe] replays seeded arrival
-    schedules against that reference in CI, across a clients x jobs x
-    engine matrix). Host-side metrics (latency percentiles, fill
+    schedules against that reference in CI, across a clients x jobs
+    matrix). Host-side metrics (latency percentiles, fill
     ratios under a timed window) are the only schedule-dependent
     outputs.
 
@@ -95,7 +95,9 @@ val submit : client -> float array array -> ticket
     Rows need not be a multiple of the kernel arity [q] — the scheduler
     coalesces requests and pads the final partial chunk (padding rows
     are discarded on demux and never reach any response).
-    @raise Server_error on an empty request or wrong row width
+    @raise Server_error on an empty request or a row that is not
+    {!Serve.Session.valid_row} — before anything is enqueued, so no
+    co-batched request is affected
     @raise Overloaded under [`Fail_fast] backpressure at the cap
     @raise Stopped after {!stop}. *)
 

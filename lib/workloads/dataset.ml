@@ -13,13 +13,13 @@ let clamp01 v = if v < 0. then 0. else if v > 1. then 1. else v
 
 let mnist_like ?(seed = 42) ?(noise = 0.15) ~n_features ~n_classes
     ~samples_per_class () =
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   (* Smooth templates: random walk in [0,1], so neighbouring features
      correlate like neighbouring pixels. *)
   let template _ =
-    let v = ref (Prng.float rng) in
+    let v = ref (Rng.float rng) in
     Array.init n_features (fun _ ->
-        v := clamp01 (!v +. ((Prng.float rng -. 0.5) *. 0.4));
+        v := clamp01 (!v +. ((Rng.float rng -. 0.5) *. 0.4));
         !v)
   in
   let templates = Array.init n_classes template in
@@ -32,7 +32,7 @@ let mnist_like ?(seed = 42) ?(noise = 0.15) ~n_features ~n_classes
       labels.(i) <- c;
       features.(i) <-
         Array.map
-          (fun v -> clamp01 (v +. ((Prng.float rng -. 0.5) *. 2. *. noise)))
+          (fun v -> clamp01 (v +. ((Rng.float rng -. 0.5) *. 2. *. noise)))
           templates.(c)
     done
   done;
@@ -40,13 +40,13 @@ let mnist_like ?(seed = 42) ?(noise = 0.15) ~n_features ~n_classes
 
 let pneumonia_like ?(seed = 7) ?(separation = 1.2) ~n_features
     ~samples_per_class () =
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   let centers =
     Array.init 2 (fun c ->
         Array.init n_features (fun _ ->
-            if c = 0 then Prng.gaussian rng *. 0.5
+            if c = 0 then Rng.gaussian rng *. 0.5
             else
-              (Prng.gaussian rng *. 0.5)
+              (Rng.gaussian rng *. 0.5)
               +. (separation /. sqrt (float_of_int n_features) *. 10.)))
   in
   let n = 2 * samples_per_class in
@@ -57,7 +57,7 @@ let pneumonia_like ?(seed = 7) ?(separation = 1.2) ~n_features
       let i = (c * samples_per_class) + s in
       labels.(i) <- c;
       features.(i) <-
-        Array.map (fun m -> m +. Prng.gaussian rng) centers.(c)
+        Array.map (fun m -> m +. Rng.gaussian rng) centers.(c)
     done
   done;
   { features; labels; n_classes = 2 }
@@ -67,7 +67,7 @@ let split ?(seed = 3) t ~train_fraction =
     invalid_arg "Dataset.split: train_fraction must be in (0, 1)";
   let n = n_samples t in
   let order = Array.init n (fun i -> i) in
-  Prng.shuffle (Prng.create seed) order;
+  Rng.shuffle (Rng.create seed) order;
   let n_train = int_of_float (float_of_int n *. train_fraction) in
   let take idxs =
     {

@@ -1,11 +1,11 @@
 type embedder = { weights : float array array (* out_dim x in_dim *) }
 
 let embedder ?(seed = 5) ~in_dim ~out_dim () =
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   {
     weights =
       Array.init out_dim (fun _ ->
-          Array.init in_dim (fun _ -> Prng.gaussian rng));
+          Array.init in_dim (fun _ -> Rng.gaussian rng));
   }
 
 let embed e x =
@@ -25,18 +25,18 @@ type episode = {
 
 let make_episode ?(seed = 7) ?(noise = 0.25) ~n_way ~k_shot ~n_queries ~dim
     () =
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   let prototypes =
-    Array.init n_way (fun _ -> Array.init dim (fun _ -> Prng.gaussian rng))
+    Array.init n_way (fun _ -> Array.init dim (fun _ -> Rng.gaussian rng))
   in
   let sample c =
-    Array.map (fun v -> v +. (noise *. Prng.gaussian rng)) prototypes.(c)
+    Array.map (fun v -> v +. (noise *. Rng.gaussian rng)) prototypes.(c)
   in
   let support_labels =
     Array.init (n_way * k_shot) (fun i -> i / k_shot)
   in
   let support = Array.map sample support_labels in
-  let query_labels = Array.init n_queries (fun _ -> Prng.int rng n_way) in
+  let query_labels = Array.init n_queries (fun _ -> Rng.int rng n_way) in
   let queries = Array.map sample query_labels in
   { support; support_labels; queries; query_labels }
 

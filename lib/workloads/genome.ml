@@ -4,17 +4,17 @@ type sequence = base array
 let base_of_int = function 0 -> A | 1 -> C | 2 -> G | _ -> T
 
 let random_sequence ?(seed = 1) n =
-  let rng = Prng.create seed in
-  Array.init n (fun _ -> base_of_int (Prng.int rng 4))
+  let rng = Rng.create seed in
+  Array.init n (fun _ -> base_of_int (Rng.int rng 4))
 
 let mutate ?(seed = 2) seq ~rate =
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   Array.map
     (fun b ->
-      if Prng.bool rng rate then
+      if Rng.bool rng rate then
         (* pick a different base *)
         let rec other () =
-          let b' = base_of_int (Prng.int rng 4) in
+          let b' = base_of_int (Rng.int rng 4) in
           if b' = b then other () else b'
         in
         other ()

@@ -8,10 +8,10 @@ type item_memory = {
 }
 
 let random_bits rng dims =
-  Array.init dims (fun _ -> if Prng.bool rng 0.5 then 1 else 0)
+  Array.init dims (fun _ -> if Rng.bool rng 0.5 then 1 else 0)
 
 let item_memory config ~n_features =
-  let rng = Prng.create config.seed in
+  let rng = Rng.create config.seed in
   let base = Array.init n_features (fun _ -> random_bits rng config.dims) in
   (* Level hypervectors form a continuum: level 0 is random and each
      subsequent level flips dims/(2*levels) fresh positions, so nearby
@@ -22,7 +22,7 @@ let item_memory config ~n_features =
     Array.init config.levels (fun l ->
         if l > 0 then
           for _ = 1 to flips_per_level do
-            let d = Prng.int rng config.dims in
+            let d = Rng.int rng config.dims in
             current.(d) <- 1 - current.(d)
           done;
         Array.copy current)
@@ -129,23 +129,23 @@ let synthetic ?(seed = 11) ?(noise = 0.15) ?(bipolar = false) ~dims
     ~n_classes ~n_queries ~bits () =
   if bipolar && bits <> 1 then
     invalid_arg "Hdc.synthetic: bipolar vectors are binary";
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   let max_val = (1 lsl bits) - 1 in
   let random_val () =
-    if bipolar then if Prng.bool rng 0.5 then 1. else -1.
-    else float_of_int (Prng.int rng (max_val + 1))
+    if bipolar then if Rng.bool rng 0.5 then 1. else -1.
+    else float_of_int (Rng.int rng (max_val + 1))
   in
   let stored =
     Array.init n_classes (fun _ -> Array.init dims (fun _ -> random_val ()))
   in
-  let query_labels = Array.init n_queries (fun _ -> Prng.int rng n_classes) in
+  let query_labels = Array.init n_queries (fun _ -> Rng.int rng n_classes) in
   let queries =
     Array.map
       (fun label ->
         let q = Array.copy stored.(label) in
         let flips = int_of_float (noise *. float_of_int dims) in
         for _ = 1 to flips do
-          q.(Prng.int rng dims) <- random_val ()
+          q.(Rng.int rng dims) <- random_val ()
         done;
         q)
       query_labels

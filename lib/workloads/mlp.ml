@@ -107,7 +107,7 @@ let softmax z =
   Array.map (fun v -> v /. s) e
 
 let train_float cfg rng (ds : Dataset.t) =
-  let init fan_in = (Prng.float rng -. 0.5) *. 2. /. sqrt (float_of_int fan_in) in
+  let init fan_in = (Rng.float rng -. 0.5) *. 2. /. sqrt (float_of_int fan_in) in
   let w1 =
     Array.init cfg.hidden (fun _ ->
         Array.init cfg.features (fun _ -> init cfg.features))
@@ -120,7 +120,7 @@ let train_float cfg rng (ds : Dataset.t) =
   let n = Dataset.n_samples ds in
   let order = Array.init n Fun.id in
   for _epoch = 1 to cfg.epochs do
-    Prng.shuffle rng order;
+    Rng.shuffle rng order;
     Array.iter
       (fun i ->
         let x = ds.features.(i) and y = ds.labels.(i) in
@@ -168,7 +168,7 @@ let train ?(config = default_config) () =
   let train_ds, test_ds =
     Dataset.split ~seed:(cfg.seed + 1) full ~train_fraction:0.7
   in
-  let rng = Prng.create (cfg.seed + 2) in
+  let rng = Rng.create (cfg.seed + 2) in
   let w1, b1, w2 = train_float cfg rng train_ds in
   (* Distill each hidden neuron's sign into a two-class tree on the
      training features. All trees see the same dataset, so they share

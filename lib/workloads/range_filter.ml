@@ -22,26 +22,26 @@ let generate ?(seed = 1) ?(anomaly_fraction = 0.3) ~boxes ~dims ~n_queries
     () =
   if boxes < 1 || dims < 1 || n_queries < 1 then
     invalid_arg "Range_filter.generate: all sizes must be >= 1";
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   let lo = Array.make_matrix boxes dims 0. in
   let hi = Array.make_matrix boxes dims 0. in
   for b = 0 to boxes - 1 do
     for j = 0 to dims - 1 do
-      let center = 0.2 +. (0.6 *. Prng.float rng) in
-      let half = 0.05 +. (0.15 *. Prng.float rng) in
+      let center = 0.2 +. (0.6 *. Rng.float rng) in
+      let half = 0.05 +. (0.15 *. Rng.float rng) in
       lo.(b).(j) <- Float.max 0. (center -. half);
       hi.(b).(j) <- Float.min 1. (center +. half)
     done
   done;
   let queries =
     Array.init n_queries (fun _ ->
-        if Prng.bool rng anomaly_fraction then
-          Array.init dims (fun _ -> Prng.float rng)
+        if Rng.bool rng anomaly_fraction then
+          Array.init dims (fun _ -> Rng.float rng)
         else begin
-          let b = Prng.int rng boxes in
+          let b = Rng.int rng boxes in
           Array.init dims (fun j ->
               lo.(b).(j)
-              +. (Prng.float rng *. (hi.(b).(j) -. lo.(b).(j))))
+              +. (Rng.float rng *. (hi.(b).(j) -. lo.(b).(j))))
         end)
   in
   let expected = Array.map (oracle ~lo ~hi) queries in

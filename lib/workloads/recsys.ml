@@ -8,20 +8,20 @@ type t = {
 let generate ?(seed = 23) ?(noise = 0.1) ~users ~features ~items ~classes () =
   if classes < 1 || users < 1 || features < 1 || items < 1 then
     invalid_arg "Recsys.generate: all dimensions must be positive";
-  let rng = Prng.create seed in
+  let rng = Rng.create seed in
   let random_row dims =
-    Array.init dims (fun _ -> if Prng.bool rng 0.5 then 1. else 0.)
+    Array.init dims (fun _ -> if Rng.bool rng 0.5 then 1. else 0.)
   in
   let prototypes = Array.init classes (fun _ -> random_row features) in
   let item_matrix = Array.init features (fun _ -> random_row items) in
-  let labels = Array.init users (fun _ -> Prng.int rng classes) in
+  let labels = Array.init users (fun _ -> Rng.int rng classes) in
   let user_rows =
     Array.map
       (fun label ->
         let u = Array.copy prototypes.(label) in
         let flips = int_of_float (noise *. float_of_int features) in
         for _ = 1 to flips do
-          let d = Prng.int rng features in
+          let d = Rng.int rng features in
           u.(d) <- 1. -. u.(d)
         done;
         u)

@@ -79,8 +79,8 @@ let test_index_capacity_errors () =
 let embedder = Few_shot.embedder ~in_dim:32 ~out_dim:128 ()
 
 let test_embed_binary_and_deterministic () =
-  let rng = Prng.create 3 in
-  let x = Array.init 32 (fun _ -> Prng.gaussian rng) in
+  let rng = Rng.create 3 in
+  let x = Array.init 32 (fun _ -> Rng.gaussian rng) in
   let k1 = Few_shot.embed embedder x in
   let k2 = Few_shot.embed embedder x in
   Alcotest.(check bool) "deterministic" true (k1 = k2);
@@ -89,10 +89,10 @@ let test_embed_binary_and_deterministic () =
     k1
 
 let test_embedding_preserves_similarity () =
-  let rng = Prng.create 5 in
-  let x = Array.init 32 (fun _ -> Prng.gaussian rng) in
-  let near = Array.map (fun v -> v +. (0.05 *. Prng.gaussian rng)) x in
-  let far = Array.init 32 (fun _ -> Prng.gaussian rng) in
+  let rng = Rng.create 5 in
+  let x = Array.init 32 (fun _ -> Rng.gaussian rng) in
+  let near = Array.map (fun v -> v +. (0.05 *. Rng.gaussian rng)) x in
+  let far = Array.init 32 (fun _ -> Rng.gaussian rng) in
   let e = Few_shot.embed embedder in
   Alcotest.(check bool) "locality-sensitive" true
     (Distance.hamming (e x) (e near) < Distance.hamming (e x) (e far))

@@ -102,7 +102,7 @@ let test_metric_mapping () =
 
 let test_euclidean_requires_mcam () =
   let spec = Archspec.Spec.square 16 Archspec.Spec.Base in
-  let src = C4cam.Kernels.knn_euclidean ~q:2 ~dims:32 ~n:16 ~k:1 in
+  let src = Workloads.Kernels.knn_euclidean ~q:2 ~dims:32 ~n:16 ~k:1 in
   (match C4cam.Driver.compile ~spec src with
   | _ -> Alcotest.fail "TCAM must reject euclidean"
   | exception C4cam.Driver.Compile_error msg ->

@@ -10,21 +10,21 @@ let test_kernel_templates_compile () =
           Alcotest.failf "%s: %s" name e)
     [
       ( "hdc",
-        C4cam.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:4 ~k:1,
+        Workloads.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:4 ~k:1,
         Tutil.spec32 );
-      ("hdc paper", C4cam.Kernels.hdc_dot_paper, Tutil.spec32);
+      ("hdc paper", Workloads.Kernels.hdc_dot_paper, Tutil.spec32);
       ( "knn",
-        C4cam.Kernels.knn_euclidean ~q:2 ~dims:32 ~n:16 ~k:2,
+        Workloads.Kernels.knn_euclidean ~q:2 ~dims:32 ~n:16 ~k:2,
         { Tutil.spec32 with cam_kind = Archspec.Spec.Mcam } );
       ( "cosine",
-        C4cam.Kernels.cosine_scores ~q:2 ~dims:32 ~n:8,
+        Workloads.Kernels.cosine_scores ~q:2 ~dims:32 ~n:8,
         Tutil.spec32 );
     ]
 
 let test_compile_traced_entries () =
   let _, entries =
     C4cam.Driver.compile_traced ~spec:Tutil.spec32
-      (C4cam.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:4 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:4 ~k:1)
   in
   let names = List.map fst entries in
   Alcotest.(check bool) "starts at the frontend" true
@@ -45,7 +45,7 @@ let test_compile_traced_entries () =
 
 let test_traced_equals_untraced () =
   (* Value ids are globally fresh, so compare structure, not text. *)
-  let src = C4cam.Kernels.hdc_dot ~q:3 ~dims:64 ~classes:4 ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:3 ~dims:64 ~classes:4 ~k:1 in
   let a = C4cam.Driver.compile ~spec:Tutil.spec32 src in
   let b, _ = C4cam.Driver.compile_traced ~spec:Tutil.spec32 src in
   let shape (m : Ir.Func_ir.modul) =
@@ -59,7 +59,7 @@ let test_traced_equals_untraced () =
 let test_stage_texts_complete () =
   let c =
     C4cam.Driver.compile ~spec:Tutil.spec32
-      (C4cam.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:4 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:4 ~k:1)
   in
   Alcotest.(check (list string)) "three stages"
     [ "torch"; "cim"; "cam" ]

@@ -1,50 +1,41 @@
-(* Differential proof obligations for the closure-compiled interpreter
-   engine (lib/interp/compile.ml): the compiled threaded-code path and
-   the tree-walking reference must be byte-identical in everything but
-   wall-clock time — results, simulated latency, energy, activity
-   counters, and failure messages — across jobs values. Plus regression
-   tests for the slot renaming and the query-row cache.
-   See docs/INTERPRETER.md. *)
+(* The interpreter engine (lib/interp/compile.ml) against independent
+   oracles: a pure OCaml evaluator of random scf nests, the register VM
+   (a separate lowering of the same cam IR that shares no dispatch
+   code) and brute-force host top-k for end-to-end kernels, plus the
+   engine's exact failure messages. Also regression tests for the slot
+   renaming and the query-row cache. See docs/INTERPRETER.md. *)
 
 open Ir
-
-let rec rtval_eq (a : Interp.Rtval.t) (b : Interp.Rtval.t) =
-  match (a, b) with
-  | Tensor t, Tensor u -> t.t_shape = u.t_shape && t.t_data = u.t_data
-  | Buffer p, Buffer q ->
-      Interp.Rtval.buffer_rows p = Interp.Rtval.buffer_rows q
-  | Index i, Index j -> i = j
-  | Scalar x, Scalar y -> Float.equal x y
-  | Boolean x, Boolean y -> x = y
-  | Unit, Unit -> true
-  | Tensor _, _ | Buffer _, _ | Index _, _ | Scalar _, _ | Boolean _, _
-  | Handle _, _ | Xtile _, _ | Unit, _ ->
-      ignore rtval_eq;
-      false
-
-let check_outcome what (a : Interp.Machine.outcome)
-    (b : Interp.Machine.outcome) =
-  if a.latency <> b.latency then
-    Alcotest.failf "%s: latency %.17g vs %.17g" what a.latency b.latency;
-  Alcotest.(check (list (pair string int)))
-    (what ^ ": ops_executed") a.ops_executed b.ops_executed;
-  if List.length a.results <> List.length b.results then
-    Alcotest.failf "%s: result arity differs" what;
-  List.iteri
-    (fun i (x, y) ->
-      if not (rtval_eq x y) then
-        Alcotest.failf "%s: result %d differs" what i)
-    (List.combine a.results b.results)
 
 (* ---- randomized loop-nest modules ------------------------------------ *)
 
 (* A random scf nest over one shared memref: each level is scf.for or
    scf.parallel with a random trip count; the innermost body
-   loads/updates/stores the cell indexed by its induction variable. The
-   generator only emits ops both engines support, so the only degrees of
-   freedom under test are dispatch, slot renaming, the independence
-   analysis and the parallel schedule. *)
-let random_nest_src rng =
+   loads/updates/stores the cell indexed by its induction variable. *)
+type nest = {
+  levels : (string * int) list;  (* loop op and trip count, outermost first *)
+  binop : string;  (* the innermost body's arith op *)
+  width : int;  (* buffer cells: the largest trip count *)
+}
+
+let random_nest rng =
+  let depth = 1 + Rng.int rng 3 in
+  let shape = List.init depth (fun _ -> 1 + Rng.int rng 5) in
+  let levels =
+    List.map
+      (fun iters ->
+        ((if Rng.int rng 2 = 0 then "scf.for" else "scf.parallel"), iters))
+      shape
+  in
+  let binop =
+    match Rng.int rng 3 with
+    | 0 -> "arith.addf"
+    | 1 -> "arith.mulf"
+    | _ -> "arith.subf"
+  in
+  { levels; binop; width = List.fold_left max 1 shape }
+
+let nest_module { levels; binop; width } =
   let buf = Buffer.create 512 in
   let add = Buffer.add_string buf in
   let fresh = ref 0 in
@@ -53,9 +44,6 @@ let random_nest_src rng =
     incr fresh;
     n
   in
-  let depth = 1 + Workloads.Prng.int rng 3 in
-  let shape = List.init depth (fun _ -> 1 + Workloads.Prng.int rng 5) in
-  let width = List.fold_left max 1 shape in
   let arg = v () in
   add (Printf.sprintf "func @bench(%%%d: memref<%dxf64>) {\n" arg width);
   let zero = v () in
@@ -75,12 +63,6 @@ let random_nest_src rng =
               -> f64\n"
              l arg iv width);
         let s = v () in
-        let binop =
-          match Workloads.Prng.int rng 3 with
-          | 0 -> "arith.addf"
-          | 1 -> "arith.mulf"
-          | _ -> "arith.subf"
-        in
         add
           (Printf.sprintf "  %%%d = \"%s\"(%%%d, %%%d) : (f64, f64) -> f64\n"
              s binop l l);
@@ -89,10 +71,7 @@ let random_nest_src rng =
              "  \"memref.store\"(%%%d, %%%d, %%%d) : (f64, memref<%dxf64>, \
               index) -> ()\n"
              s arg iv width)
-    | iters :: inner ->
-        let kind =
-          if Workloads.Prng.int rng 2 = 0 then "scf.for" else "scf.parallel"
-        in
+    | (kind, iters) :: inner ->
         let ub = v () in
         add
           (Printf.sprintf
@@ -104,7 +83,7 @@ let random_nest_src rng =
         nest level_iv inner;
         add "  }) : (index, index, index) -> ()\n"
   in
-  nest zero shape;
+  nest zero levels;
   add
     (Printf.sprintf
        "  %%%d = \"memref.load\"(%%%d, %%%d) : (memref<%dxf64>, index) -> \
@@ -112,36 +91,121 @@ let random_nest_src rng =
        (v ()) arg zero width);
   add (Printf.sprintf "  \"func.return\"(%%%d) : (f64) -> ()\n" (!fresh - 1));
   add "}\n";
-  (Parser.parse_module (Buffer.contents buf), width)
+  Parser.parse_module (Buffer.contents buf)
 
-let run_nest m width ~precompile =
-  (* a fresh deterministic rank-1 buffer per run: the nest mutates it *)
-  let b = Interp.Rtval.fresh_buffer [ width ] in
-  for i = 0 to width - 1 do
-    Interp.Rtval.buffer_set b [ i ] (float_of_int (i + 1))
-  done;
-  let outcome =
-    Interp.Machine.run ~precompile m "bench" [ Interp.Rtval.Buffer b ]
+let initial_cells width = Array.init width (fun i -> float_of_int (i + 1))
+
+(* The oracle: the nest's meaning written directly in OCaml. Every op is
+   a host op (zero latency), scf.for sums its iterations' latency and
+   scf.parallel takes their maximum; each executed op bumps its
+   dialect's counter once. Returns the final cells, the returned value,
+   the latency and the per-dialect counts. *)
+let eval_nest { levels; binop; width } =
+  let cells = initial_cells width in
+  let f =
+    match binop with
+    | "arith.addf" -> ( +. )
+    | "arith.mulf" -> ( *. )
+    | _ -> ( -. )
   in
-  (outcome, [| Array.init width (fun i -> Interp.Rtval.buffer_get b [ i ]) |])
+  let arith = ref 2 (* the 0 and 1 constants *) and memref = ref 1
+  and scf = ref 0 in
+  let rec go iv = function
+    | [] ->
+        cells.(iv) <- f cells.(iv) cells.(iv);
+        memref := !memref + 2;
+        incr arith;
+        0.
+    | (kind, iters) :: inner ->
+        incr arith (* the trip-count constant *);
+        incr scf;
+        let lats = List.init iters (fun i -> go i inner) in
+        if kind = "scf.for" then List.fold_left ( +. ) 0. lats
+        else List.fold_left Float.max 0. lats
+  in
+  let latency = go 0 levels in
+  let counts =
+    [ ("arith", !arith); ("func", 1); ("memref", !memref); ("scf", !scf) ]
+  in
+  (cells, cells.(0), latency, counts)
 
 let test_random_nests () =
   for seed = 1 to 25 do
-    let rng = Workloads.Prng.create (100 + seed) in
-    let m, width = random_nest_src rng in
-    let what jobs = Printf.sprintf "seed %d jobs %d" seed jobs in
+    let rng = Rng.create (100 + seed) in
+    let n = random_nest rng in
+    let m = nest_module n in
+    let want_cells, want_ret, want_lat, want_counts = eval_nest n in
     List.iter
       (fun jobs ->
+        let what = Printf.sprintf "seed %d jobs %d" seed jobs in
         Parallel.run ~jobs @@ fun _pool ->
-        let tree, tree_buf = run_nest m width ~precompile:false in
-        let compiled, compiled_buf = run_nest m width ~precompile:true in
-        check_outcome (what jobs) tree compiled;
+        (* a fresh buffer per run: the nest mutates it *)
+        let b = Interp.Rtval.fresh_buffer [ n.width ] in
+        Array.iteri (fun i x -> Interp.Rtval.buffer_set b [ i ] x)
+          (initial_cells n.width);
+        let o = Interp.Machine.run m "bench" [ Interp.Rtval.Buffer b ] in
+        let cells =
+          Array.init n.width (fun i -> Interp.Rtval.buffer_get b [ i ])
+        in
         Alcotest.(check Tutil.rows_testable)
-          (what jobs ^ ": buffer") tree_buf compiled_buf)
+          (what ^ ": buffer") [| want_cells |] [| cells |];
+        (match o.results with
+        | [ Interp.Rtval.Scalar x ] when Float.equal x want_ret -> ()
+        | _ -> Alcotest.failf "%s: returned value" what);
+        if o.latency <> want_lat then
+          Alcotest.failf "%s: latency %.17g, want %.17g" what o.latency
+            want_lat;
+        Alcotest.(check (list (pair string int)))
+          (what ^ ": ops_executed") want_counts o.ops_executed)
       [ 1; 4 ]
   done
 
 (* ---- end-to-end kernels through the driver --------------------------- *)
+
+(* Brute-force top-k: every (score, index) pair of a query row, sorted,
+   the first [k] kept — lowest score first, ties toward the lower index. *)
+let host_topk ~k score queries stored =
+  let pick q =
+    let all = Array.mapi (fun j s -> (score q s, j)) stored in
+    Array.sort compare all;
+    Array.sub all 0 k
+  in
+  let best = Array.map pick queries in
+  (Array.map (Array.map fst) best, Array.map (Array.map snd) best)
+
+let hamming a b =
+  let d = ref 0 in
+  Array.iteri (fun i x -> if x <> b.(i) then incr d) a;
+  float_of_int !d
+
+let euclidean_sq a b =
+  let s = ref 0. in
+  Array.iteri (fun i x -> s := !s +. ((x -. b.(i)) *. (x -. b.(i)))) a;
+  !s
+
+(* The interpreter's run against the VM's (exactly equal results,
+   latency and energy) and against host top-k: the same indices, and
+   values up to the rounding of the device's tiled partial sums. *)
+let check_kernel what (r : C4cam.Driver.run_result)
+    (vm : C4cam.Driver.run_result) (want_values, want_indices) =
+  Alcotest.(check Tutil.int_rows_testable)
+    (what ^ ": indices = vm") vm.indices r.indices;
+  Alcotest.(check Tutil.rows_testable)
+    (what ^ ": values = vm") vm.values r.values;
+  if r.latency <> vm.latency then
+    Alcotest.failf "%s: latency %.17g, vm %.17g" what r.latency vm.latency;
+  if r.energy <> vm.energy then
+    Alcotest.failf "%s: energy %.17g, vm %.17g" what r.energy vm.energy;
+  Alcotest.(check Tutil.int_rows_testable)
+    (what ^ ": indices = host top-k") want_indices r.indices;
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v ->
+          Tutil.check_float ~eps:1e-12 (what ^ ": value = host top-k") v
+            r.values.(i).(j))
+        row)
+    want_values
 
 let test_hdc_kernel () =
   let data =
@@ -150,37 +214,21 @@ let test_hdc_kernel () =
   in
   let c =
     C4cam.Driver.compile ~spec:Tutil.spec32
-      (C4cam.Kernels.hdc_dot ~q:8 ~dims:256 ~classes:6 ~k:2)
+      (Workloads.Kernels.hdc_dot ~q:8 ~dims:256 ~classes:6 ~k:2)
   in
-  let run ~precompile =
-    let engine : C4cam.Driver.Run_config.engine =
-      if precompile then `Compiled else `Treewalk
-    in
-    let config = C4cam.Driver.Run_config.(default |> with_engine engine) in
-    C4cam.Driver.run_cam ~config c ~queries:data.queries
-      ~stored:data.stored
+  let run () =
+    C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored
   in
-  let reference = Parallel.run ~jobs:1 (fun _ -> run ~precompile:true) in
+  let vm = C4cam.Driver.run_vm c ~queries:data.queries ~stored:data.stored in
+  let host = host_topk ~k:2 hamming data.queries data.stored in
+  let reference = Parallel.run ~jobs:1 (fun _ -> run ()) in
   List.iter
     (fun jobs ->
-      Parallel.run ~jobs @@ fun _pool ->
-      List.iter
-        (fun precompile ->
-          let what = Printf.sprintf "jobs %d precompile %b" jobs precompile in
-          let r = run ~precompile in
-          Alcotest.(check Tutil.rows_testable)
-            (what ^ ": values") reference.values r.values;
-          Alcotest.(check Tutil.int_rows_testable)
-            (what ^ ": indices") reference.indices r.indices;
-          if r.latency <> reference.latency then
-            Alcotest.failf "%s: latency drifted" what;
-          if r.energy <> reference.energy then
-            Alcotest.failf "%s: energy drifted" what;
-          if r.stats <> reference.stats then
-            Alcotest.failf "%s: simulator stats drifted" what;
-          Alcotest.(check (list (pair string int)))
-            (what ^ ": ops_executed") reference.ops_executed r.ops_executed)
-        [ true; false ])
+      let what = Printf.sprintf "jobs %d" jobs in
+      let r = Parallel.run ~jobs (fun _ -> run ()) in
+      check_kernel what r vm host;
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": ops_executed") reference.ops_executed r.ops_executed)
     [ 1; 4 ]
 
 let test_knn_kernel () =
@@ -192,90 +240,69 @@ let test_knn_kernel () =
   let spec = { Tutil.spec32 with cam_kind = Archspec.Spec.Mcam } in
   let c =
     C4cam.Driver.compile ~spec
-      (C4cam.Kernels.knn_euclidean ~q:4 ~dims:64 ~n:64 ~k:3)
+      (Workloads.Kernels.knn_euclidean ~q:4 ~dims:64 ~n:64 ~k:3)
   in
   let stored = Array.sub ds.features 0 64 in
-  let run ~precompile =
-    let engine : C4cam.Driver.Run_config.engine =
-      if precompile then `Compiled else `Treewalk
-    in
-    let config = C4cam.Driver.Run_config.(default |> with_engine engine) in
-    C4cam.Driver.run_cam ~config c ~queries ~stored
-  in
-  let a = run ~precompile:true and b = run ~precompile:false in
-  Alcotest.(check Tutil.int_rows_testable) "indices" a.indices b.indices;
-  Alcotest.(check Tutil.rows_testable) "values" a.values b.values;
-  if a.latency <> b.latency || a.energy <> b.energy then
-    Alcotest.fail "latency/energy drifted between engines";
-  Alcotest.(check (list (pair string int)))
-    "ops_executed" a.ops_executed b.ops_executed
+  check_kernel "knn"
+    (C4cam.Driver.run_cam c ~queries ~stored)
+    (C4cam.Driver.run_vm c ~queries ~stored)
+    (host_topk ~k:3 euclidean_sq queries stored)
 
-(* ---- failure parity --------------------------------------------------- *)
-
-let outcome_of m =
-  match Interp.Machine.run ~precompile:false m "f" [] with
-  | _ -> Error "no exception"
-  | exception e -> Ok (Printexc.to_string e)
-
-let compiled_outcome_of m =
-  match Interp.Machine.run ~precompile:true m "f" [] with
-  | _ -> Error "no exception"
-  | exception e -> Ok (Printexc.to_string e)
+(* ---- failure messages ------------------------------------------------- *)
 
 let test_failure_parity () =
   let cases =
     [
       (* unsupported op: dispatch failure *)
-      "func @f() {\n  %0 = \"torch.bogus\"() : () -> index\n}";
-      (* decode failure: the compiler defers the missing-attribute
-         exception to execution time, so both engines fail identically *)
-      "func @f() {\n  %0 = \"arith.constant\"() : () -> index\n}";
+      ( "func @f() {\n  %0 = \"torch.bogus\"() : () -> index\n}",
+        "Interp.Ops.Runtime_error(\"unsupported op torch.bogus\")" );
+      (* decode failure: the missing-attribute exception is deferred
+         from compile time to execution time *)
+      ( "func @f() {\n  %0 = \"arith.constant\"() : () -> index\n}",
+        "Invalid_argument(\"op arith.constant: missing attribute value\")"
+      );
       (* runtime type failure inside a region *)
-      "func @f() {\n\
-      \  %0 = \"arith.constant\"() {value = 0} : () -> index\n\
-      \  %1 = \"arith.constant\"() {value = 2} : () -> index\n\
-      \  \"scf.for\"(%0, %1, %0) ({\n\
-       ^(%2: index):\n\
-      \  %3 = \"arith.addi\"(%2, %2) : (index, index) -> index\n\
-       }) : (index, index, index) -> ()\n\
-       }";
+      ( "func @f() {\n\
+        \  %0 = \"arith.constant\"() {value = 0} : () -> index\n\
+        \  %1 = \"arith.constant\"() {value = 2} : () -> index\n\
+        \  \"scf.for\"(%0, %1, %0) ({\n\
+         ^(%2: index):\n\
+        \  %3 = \"arith.addi\"(%2, %2) : (index, index) -> index\n\
+         }) : (index, index, index) -> ()\n\
+         }",
+        "Interp.Ops.Runtime_error(\"loop: non-positive step\")" );
     ]
   in
   List.iteri
-    (fun i src ->
-      let m = Parser.parse_module src in
-      let tree = outcome_of m in
-      let compiled = compiled_outcome_of m in
+    (fun i (src, want) ->
+      let got =
+        match Interp.Machine.run (Parser.parse_module src) "f" [] with
+        | _ -> Error "no exception"
+        | exception e -> Ok (Printexc.to_string e)
+      in
       Alcotest.(check (result string string))
-        (Printf.sprintf "case %d" i) tree compiled)
+        (Printf.sprintf "case %d" i) (Ok want) got)
     cases
 
 let test_dead_malformed_op_silent () =
-  (* a malformed op after the terminator is dead code: neither engine
-     may decode (and so fail on) it *)
+  (* a malformed op after the terminator is dead code: the engine must
+     not decode (and so fail on) it *)
   let src =
     "func @f() {\n\
     \  \"func.return\"() : () -> ()\n\
     \  %0 = \"arith.constant\"() : () -> index\n\
      }"
   in
-  let m = Parser.parse_module src in
-  List.iter
-    (fun precompile ->
-      match Interp.Machine.run ~precompile m "f" [] with
-      | { results = []; _ } -> ()
-      | _ -> Alcotest.fail "expected an empty result list"
-      | exception e ->
-          Alcotest.failf "dead op raised (precompile %b): %s" precompile
-            (Printexc.to_string e))
-    [ true; false ]
+  match Interp.Machine.run (Parser.parse_module src) "f" [] with
+  | { results = []; _ } -> ()
+  | _ -> Alcotest.fail "expected an empty result list"
+  | exception e -> Alcotest.failf "dead op raised: %s" (Printexc.to_string e)
 
 (* ---- slot renaming regressions ---------------------------------------- *)
 
 (* A block argument that shadows the function argument (same SSA id):
-   Hashtbl.replace semantics mean the loop's last binding is what a use
-   after the loop observes — the slot renaming must reproduce exactly
-   that, mapping both values to one slot. *)
+   both values map to one slot, so a use after the loop observes the
+   loop's last binding. *)
 let test_shadowed_block_arg () =
   let arg = Value.fresh Types.Index in
   let shadow = Value.with_id arg.id Types.Index in
@@ -294,18 +321,14 @@ let test_shadowed_block_arg () =
     Func_ir.modul
       [ Func_ir.func "f" ~args:[ arg ] ~ret:[ Types.Index ] (Builder.finish b) ]
   in
-  List.iter
-    (fun precompile ->
-      match Interp.Machine.run ~precompile m "f" [ Interp.Rtval.Index 99 ] with
-      | { results = [ Interp.Rtval.Index 4 ]; _ } -> ()
-      | { results = [ Interp.Rtval.Index n ]; _ } ->
-          Alcotest.failf "precompile %b: saw %d, want the last binding 4"
-            precompile n
-      | _ -> Alcotest.fail "bad result shape")
-    [ true; false ]
+  match Interp.Machine.run m "f" [ Interp.Rtval.Index 99 ] with
+  | { results = [ Interp.Rtval.Index 4 ]; _ } -> ()
+  | { results = [ Interp.Rtval.Index n ]; _ } ->
+      Alcotest.failf "saw %d, want the last binding 4" n
+  | _ -> Alcotest.fail "bad result shape"
 
 (* cim.execute yields out of a nested region; the yielded values bind to
-   the op's results in both engines. *)
+   the op's results. *)
 let test_nested_region_yield () =
   let src =
     "func @f() {\n\
@@ -319,12 +342,10 @@ let test_nested_region_yield () =
     \  \"func.return\"(%4) : (index) -> ()\n\
      }"
   in
-  let m = Parser.parse_module src in
-  let a = Interp.Machine.run ~precompile:true m "f" [] in
-  let b = Interp.Machine.run ~precompile:false m "f" [] in
-  check_outcome "nested yield" b a;
-  match a.results with
-  | [ Interp.Rtval.Index 26 ] -> ()
+  match Interp.Machine.run (Parser.parse_module src) "f" [] with
+  | { results = [ Interp.Rtval.Index 26 ]; latency = 0.; ops_executed } ->
+      Alcotest.(check (list (pair string int)))
+        "ops_executed" [ ("arith", 4); ("cim", 2); ("func", 1) ] ops_executed
   | _ -> Alcotest.fail "expected 26"
 
 (* ---- the query-row cache ---------------------------------------------- *)

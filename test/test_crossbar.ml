@@ -53,7 +53,7 @@ let test_device_errors () =
 let compiled =
   lazy
     (C4cam.Driver.compile_crossbar ~xspec
-       (C4cam.Kernels.matmul ~m:5 ~k:32 ~n:48))
+       (Workloads.Kernels.matmul ~m:5 ~k:32 ~n:48))
 
 let test_compile_shapes () =
   let c = Lazy.force compiled in
@@ -71,8 +71,8 @@ let test_compile_shapes () =
 
 let test_crossbar_matches_software_matmul () =
   let c = Lazy.force compiled in
-  let rng = Workloads.Prng.create 5 in
-  let mk r cdim = Array.init r (fun _ -> Array.init cdim (fun _ -> Workloads.Prng.float rng)) in
+  let rng = Rng.create 5 in
+  let mk r cdim = Array.init r (fun _ -> Array.init cdim (fun _ -> Rng.float rng)) in
   let inputs = mk 5 32 and weights = mk 32 48 in
   let r = C4cam.Driver.run_crossbar c ~inputs ~weights in
   (* software reference *)
@@ -98,7 +98,7 @@ let test_compile_rejects_non_matmul () =
   Alcotest.(check bool) "similarity kernel rejected" true
     (match
        C4cam.Driver.compile_crossbar ~xspec
-         (C4cam.Kernels.hdc_dot ~q:4 ~dims:32 ~classes:4 ~k:1)
+         (Workloads.Kernels.hdc_dot ~q:4 ~dims:32 ~classes:4 ~k:1)
      with
     | _ -> false
     | exception C4cam.Driver.Compile_error _ -> true)
@@ -107,7 +107,7 @@ let test_divisibility_enforced () =
   Alcotest.(check bool) "K must divide" true
     (match
        C4cam.Driver.compile_crossbar ~xspec
-         (C4cam.Kernels.matmul ~m:2 ~k:20 ~n:16)
+         (Workloads.Kernels.matmul ~m:2 ~k:20 ~n:16)
      with
     | _ -> false
     | exception C4cam.Driver.Compile_error _ -> true)
@@ -126,7 +126,7 @@ let test_cam_beats_crossbar_for_search () =
   let xc =
     C4cam.Driver.compile_crossbar
       ~xspec:{ Xbar.default_spec with tile_rows = 128; tile_cols = 16 }
-      (C4cam.Kernels.matmul ~m:q ~k:dims ~n:classes)
+      (Workloads.Kernels.matmul ~m:q ~k:dims ~n:classes)
   in
   (* weights = transposed prototypes *)
   let weights =

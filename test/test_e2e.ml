@@ -25,7 +25,7 @@ let test_hdc_cam_matches_reference_all_configs () =
       let spec = Archspec.Spec.square 32 opt in
       let c =
         C4cam.Driver.compile ~spec
-          (C4cam.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:6 ~k:1)
+          (Workloads.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:6 ~k:1)
       in
       let r = C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored in
       let want = reference_indices c ~queries:data.queries ~stored:data.stored in
@@ -37,7 +37,7 @@ let test_hdc_cam_matches_reference_all_configs () =
 
 let test_hdc_across_subarray_sizes () =
   let data = hdc_synth ~dims:256 () in
-  let src = C4cam.Kernels.hdc_dot ~q:10 ~dims:256 ~classes:6 ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:10 ~dims:256 ~classes:6 ~k:1 in
   let reference = ref None in
   List.iter
     (fun side ->
@@ -72,7 +72,7 @@ let test_knn_cam_matches_software () =
   in
   let c =
     C4cam.Driver.compile ~spec
-      (C4cam.Kernels.knn_euclidean ~q:6 ~dims:64 ~n:96 ~k:5)
+      (Workloads.Kernels.knn_euclidean ~q:6 ~dims:64 ~n:96 ~k:5)
   in
   let r = C4cam.Driver.run_cam c ~queries ~stored:train.features in
   Array.iteri
@@ -87,12 +87,12 @@ let test_knn_cam_matches_software () =
 let test_cosine_scores_ranking () =
   (* Cosine on binary data with equal-norm rows: CAM hamming ranking
      equals the cosine ranking. *)
-  let rng = Workloads.Prng.create 77 in
+  let rng = Rng.create 77 in
   let half_ones dims =
     (* equal Hamming weight => equal norms *)
     let v = Array.make dims 0. in
     let idx = Array.init dims (fun i -> i) in
-    Workloads.Prng.shuffle rng idx;
+    Rng.shuffle rng idx;
     for i = 0 to (dims / 2) - 1 do
       v.(idx.(i)) <- 1.
     done;
@@ -103,7 +103,7 @@ let test_cosine_scores_ranking () =
   let queries = Array.init 4 (fun _ -> half_ones dims) in
   let spec = Archspec.Spec.square 16 Archspec.Spec.Base in
   let c =
-    C4cam.Driver.compile ~spec (C4cam.Kernels.cosine_scores ~q:4 ~dims ~n:8)
+    C4cam.Driver.compile ~spec (Workloads.Kernels.cosine_scores ~q:4 ~dims ~n:8)
   in
   let r = C4cam.Driver.run_cam c ~queries ~stored in
   let scores = Option.get r.scores in
@@ -122,7 +122,7 @@ let test_cosine_scores_ranking () =
 
 let test_power_config_tradeoff () =
   let data = hdc_synth ~dims:1024 () in
-  let src = C4cam.Kernels.hdc_dot ~q:10 ~dims:1024 ~classes:6 ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:10 ~dims:1024 ~classes:6 ~k:1 in
   let run opt =
     let c = C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 opt) src in
     C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored
@@ -138,7 +138,7 @@ let test_power_config_tradeoff () =
 
 let test_density_reduces_subarrays () =
   let data = hdc_synth ~dims:1024 ~classes:10 () in
-  let src = C4cam.Kernels.hdc_dot ~q:10 ~dims:1024 ~classes:10 ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:10 ~dims:1024 ~classes:10 ~k:1 in
   let run opt =
     let c = C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 opt) src in
     C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored
@@ -156,7 +156,7 @@ let test_multibit_run () =
   let spec = { (Archspec.Spec.square 32 Archspec.Spec.Base) with bits = 2 } in
   let c =
     C4cam.Driver.compile ~spec
-      (C4cam.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:6 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:6 ~k:1)
   in
   let r = C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored in
   let want = reference_indices c ~queries:data.queries ~stored:data.stored in
@@ -166,7 +166,7 @@ let test_cim_software_equals_cam () =
   let data = hdc_synth () in
   let c =
     C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base)
-      (C4cam.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:6 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:10 ~dims:128 ~classes:6 ~k:1)
   in
   let cam = C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored in
   match C4cam.Driver.run_cim_software c ~queries:data.queries ~stored:data.stored with
@@ -193,7 +193,7 @@ let test_validation_deviation_small () =
 let test_run_errors () =
   let c =
     C4cam.Driver.compile ~spec:Tutil.spec32
-      (C4cam.Kernels.hdc_dot ~q:4 ~dims:64 ~classes:4 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:4 ~dims:64 ~classes:4 ~k:1)
   in
   let data = hdc_synth ~dims:64 ~classes:4 ~q:4 () in
   Alcotest.(check bool) "wrong query count rejected" true
@@ -227,7 +227,7 @@ let test_paper_verbatim_kernel () =
      compiler must preserve it: dot largest=false maps to the LARGEST
      hamming distance). *)
   let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
-  let c = C4cam.Driver.compile ~spec C4cam.Kernels.hdc_dot_paper in
+  let c = C4cam.Driver.compile ~spec Workloads.Kernels.hdc_dot_paper in
   Alcotest.(check int) "q" 10 c.info.q;
   Alcotest.(check int) "d" 8192 c.info.d;
   (* Bipolar hypervectors (as in the HDC literature the kernel comes
@@ -269,7 +269,7 @@ let prop_random_e2e =
       let spec = Archspec.Spec.square side Archspec.Spec.Base in
       let c =
         C4cam.Driver.compile ~spec
-          (C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
+          (Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
       in
       let data =
         Workloads.Hdc.synthetic ~seed ~bipolar:true ~dims
@@ -290,7 +290,7 @@ let test_trace_of_compiled_run () =
   let data = hdc_synth ~dims:1024 ~classes:10 () in
   let c =
     C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base)
-      (C4cam.Kernels.hdc_dot ~q:10 ~dims:1024 ~classes:10 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:10 ~dims:1024 ~classes:10 ~k:1)
   in
   let trace = Camsim.Trace.create () in
   let _ =
@@ -327,7 +327,7 @@ let test_defect_tolerance_e2e () =
   let data = hdc_synth ~dims:512 ~classes:8 ~q:24 () in
   let c =
     C4cam.Driver.compile ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base)
-      (C4cam.Kernels.hdc_dot ~q:24 ~dims:512 ~classes:8 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:24 ~dims:512 ~classes:8 ~k:1)
   in
   let accuracy rate =
     let r =

@@ -33,7 +33,7 @@ let test_lexer_comments_and_numbers () =
     (Array.exists (function Tslexer.NAME "comment" -> true | _ -> false) toks)
 
 let test_hdc_kernel_emission () =
-  let m = emit C4cam.Kernels.hdc_dot_paper in
+  let m = emit Workloads.Kernels.hdc_dot_paper in
   Alcotest.(check (list string)) "op sequence"
     [ "torch.transpose"; "torch.matmul"; "torch.topk"; "func.return" ]
     (op_names m);
@@ -58,7 +58,7 @@ let test_shapes_inferred () =
     (Ir.Types.to_string (Ir.Op.result_n (find "torch.topk") 0).ty)
 
 let test_knn_kernel_broadcast () =
-  let m = emit (C4cam.Kernels.knn_euclidean ~q:3 ~dims:32 ~n:8 ~k:2) in
+  let m = emit (Workloads.Kernels.knn_euclidean ~q:3 ~dims:32 ~n:8 ~k:2) in
   let fn = Ir.Func_ir.find_func_exn m "forward" in
   let find name =
     List.find (fun (o : Ir.Op.t) -> o.op_name = name) fn.fn_body.body
@@ -69,7 +69,7 @@ let test_knn_kernel_broadcast () =
     (Ir.Types.to_string (Ir.Op.result (find "torch.norm")).ty)
 
 let test_cosine_kernel () =
-  let m = emit (C4cam.Kernels.cosine_scores ~q:3 ~dims:32 ~n:8) in
+  let m = emit (Workloads.Kernels.cosine_scores ~q:3 ~dims:32 ~n:8) in
   Alcotest.(check (list string)) "cosine op sequence"
     [ "torch.norm"; "torch.norm"; "torch.transpose"; "torch.matmul";
       "torch.div"; "func.return" ]

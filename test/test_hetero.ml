@@ -4,8 +4,8 @@
 
 let two_kernel_source =
   (* a small HDC classifier and a small KNN ranker in one module *)
-  C4cam.Kernels.hdc_dot ~q:6 ~dims:128 ~classes:5 ~k:1
-  ^ C4cam.Kernels.knn_euclidean ~q:3 ~dims:64 ~n:32 ~k:4
+  Workloads.Kernels.hdc_dot ~q:6 ~dims:128 ~classes:5 ~k:1
+  ^ Workloads.Kernels.knn_euclidean ~q:3 ~dims:64 ~n:32 ~k:4
   |> fun s ->
   (* give the kernels distinct names *)
   let first = ref true in

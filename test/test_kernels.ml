@@ -1,7 +1,8 @@
-(* Tiered distance kernels (docs/KERNELS.md): the packed binary/nibble
-   kernels against the scalar reference, write-time row classification,
-   cap-differential equality on randomized mixed-class contents, stats
-   invariance across jobs values, and executor agreement. *)
+(* Tiered distance kernels (docs/KERNELS.md): the flat packed
+   binary/nibble kernels against the scalar reference, write-time row
+   classification, cap-differential equality on randomized mixed-class
+   contents, stats invariance across jobs values, and executor
+   agreement. *)
 
 module K = Camsim.Kernel
 module S = Camsim.Subarray
@@ -13,6 +14,39 @@ let check_exact name want got =
 
 (* ---- the packed primitives -------------------------------------------- *)
 
+let scalar_hamming a b =
+  let d = ref 0 in
+  Array.iteri (fun i v -> if v <> b.(i) then incr d) a;
+  !d
+
+(* [row] packed into a store of [slots] rows at slot [slot]; the other
+   slots hold garbage, which the pack must not read or keep. *)
+let pack_into ?(slots = 1) ?(slot = 0) words pack_at row =
+  let cols = Array.length row and n = words (Array.length row) in
+  let store = Array.make (slots * n) (-1) in
+  if pack_at ~cols row store ~off:(slot * n) then Some (store, slot * n)
+  else None
+
+let binary ?slots ?slot row =
+  pack_into ?slots ?slot K.fbwords_for K.pack_binary_at row
+
+let nibble ?slots ?slot row =
+  pack_into ?slots ?slot K.fnwords_for K.pack_nibble_at row
+
+let binary_distance a b =
+  match (binary ~slots:3 ~slot:1 a, binary ~slots:2 ~slot:1 b) with
+  | Some (qa, qoff), Some (rb, roff) ->
+      K.hamming_binary_flat qa ~qoff rb ~roff
+        ~iwords:(K.fbwords_for (Array.length a))
+  | _ -> -1
+
+let nibble_distance a b =
+  match (nibble ~slots:3 ~slot:1 a, nibble ~slots:2 ~slot:1 b) with
+  | Some (qa, qoff), Some (rb, roff) ->
+      K.hamming_nibble_flat qa ~qoff rb ~roff
+        ~iwords:(K.fnwords_for (Array.length a))
+  | _ -> -1
+
 let naive_popcount w =
   let c = ref 0 in
   for i = 0 to 63 do
@@ -20,67 +54,59 @@ let naive_popcount w =
   done;
   !c
 
+(* The binary kernel's popcount, through a 64-cell row holding a word's
+   bits against the all-zero row. *)
 let test_popcount () =
-  Alcotest.(check int) "zero" 0 (K.popcount64 0L);
-  Alcotest.(check int) "all ones" 64 (K.popcount64 (-1L));
-  Alcotest.(check int) "one bit" 1 (K.popcount64 Int64.min_int);
+  let bits w =
+    Array.init 64 (fun i ->
+        Int64.to_float (Int64.logand (Int64.shift_right_logical w i) 1L))
+  in
+  let popcount w = binary_distance (bits w) (bits 0L) in
+  Alcotest.(check int) "zero" 0 (popcount 0L);
+  Alcotest.(check int) "all ones" 64 (popcount (-1L));
+  Alcotest.(check int) "one bit" 1 (popcount Int64.min_int);
   let rng = Rng.create 17 in
   for _ = 1 to 500 do
     let w = Rng.next_int64 rng in
-    Alcotest.(check int) "random word" (naive_popcount w) (K.popcount64 w)
+    Alcotest.(check int) "random word" (naive_popcount w) (popcount w)
   done
 
 let test_packability () =
-  Alcotest.(check bool) "15 packs" true (K.nibble_packable 15.);
-  Alcotest.(check bool) "16 does not" false (K.nibble_packable 16.);
-  Alcotest.(check bool) "negative does not" false (K.nibble_packable (-1.));
-  Alcotest.(check bool) "fraction does not" false (K.nibble_packable 0.5);
-  Alcotest.(check bool) "nan does not" false (K.nibble_packable Float.nan);
-  Alcotest.(check bool) "neg zero packs" true (K.nibble_packable (-0.));
-  let binary = [| 0.; 1.; 1.; 0. |] in
+  let packs v = nibble [| v |] <> None in
+  Alcotest.(check bool) "15 packs" true (packs 15.);
+  Alcotest.(check bool) "16 does not" false (packs 16.);
+  Alcotest.(check bool) "negative does not" false (packs (-1.));
+  Alcotest.(check bool) "fraction does not" false (packs 0.5);
+  Alcotest.(check bool) "nan does not" false (packs Float.nan);
+  Alcotest.(check bool) "neg zero packs" true (packs (-0.));
+  let row = [| 0.; 1.; 1.; 0. |] in
   Alcotest.(check bool) "binary row packs both ways" true
-    (K.pack_binary ~cols:4 binary <> None
-    && K.pack_nibble ~cols:4 binary <> None);
+    (binary row <> None && nibble row <> None);
   Alcotest.(check bool) "width mismatch rejected" true
-    (K.pack_binary ~cols:5 binary = None && K.pack_nibble ~cols:5 binary = None);
+    ((not (K.pack_binary_at ~cols:5 row (Array.make 2 0) ~off:0))
+    && not (K.pack_nibble_at ~cols:5 row (Array.make 2 0) ~off:0));
   Alcotest.(check bool) "nibble row is not binary" true
-    (K.pack_binary ~cols:2 [| 1.; 7. |] = None
-    && K.pack_nibble ~cols:2 [| 1.; 7. |] <> None)
-
-let scalar_hamming a b =
-  let d = ref 0 in
-  Array.iteri (fun i v -> if v <> b.(i) then incr d) a;
-  !d
+    (binary [| 1.; 7. |] = None && nibble [| 1.; 7. |] <> None);
+  (* the window is cleared before packing: stale words never leak in *)
+  Alcotest.(check int) "stale window cleared" 0
+    (binary_distance row row + nibble_distance row row)
 
 let prop_packed_hamming ~maxval =
   QCheck.Test.make ~count:300
     ~name:(Printf.sprintf "packed hamming = scalar (values < %d)" maxval)
-    (QCheck.make
-       QCheck.Gen.(
-         pair (int_range 1 130)
-           (pair (list (int_range 0 (maxval - 1))) int)))
-    (fun (cols, (seed_vals, seed)) ->
-      ignore seed_vals;
+    (QCheck.make QCheck.Gen.(pair (int_range 1 130) int))
+    (fun (cols, seed) ->
       let rng = Rng.create seed in
       let mk () =
         Array.init cols (fun _ -> float_of_int (Rng.int rng maxval))
       in
       let a = mk () and b = mk () in
       let want = scalar_hamming a b in
-      let packed =
-        if maxval = 2 then
-          match (K.pack_binary ~cols a, K.pack_binary ~cols b) with
-          | Some pa, Some pb ->
-              K.hamming_binary pa pb ~words:(K.bwords_for cols)
-          | _ -> -1
-        else
-          match (K.pack_nibble ~cols a, K.pack_nibble ~cols b) with
-          | Some pa, Some pb ->
-              K.hamming_nibble pa pb ~words:(K.nwords_for cols)
-          | _ -> -1
-      in
-      packed = want)
+      nibble_distance a b = want
+      && (maxval > 2 || binary_distance a b = want))
 
+(* A flat threshold result decides exactly like the full distance, and
+   an early exit is only ever taken once the threshold is exceeded. *)
 let prop_threshold_kernels =
   QCheck.Test.make ~count:300 ~name:"threshold kernels decide like the full distance"
     (QCheck.make QCheck.Gen.(pair (int_range 1 100) (pair int (int_range 0 40))))
@@ -88,25 +114,20 @@ let prop_threshold_kernels =
       let threshold = float_of_int th in
       let rng = Rng.create seed in
       let mk m = Array.init cols (fun _ -> float_of_int (Rng.int rng m)) in
-      let a2 = mk 2 and b2 = mk 2 in
-      let a16 = mk 16 and b16 = mk 16 in
-      let bin =
-        match (K.pack_binary ~cols a2, K.pack_binary ~cols b2) with
-        | Some pa, Some pb ->
-            let words = K.bwords_for cols in
-            let m, _early = K.hamming_binary_threshold pa pb ~words ~threshold in
-            m = (K.hamming_binary pa pb ~words <= int_of_float threshold)
+      let decides pack words kernel a b =
+        match (pack a, pack b) with
+        | Some (qa, qoff), Some (rb, roff) ->
+            let r =
+              kernel qa ~qoff rb ~roff ~iwords:(words cols) ~threshold
+            in
+            let full = scalar_hamming a b in
+            r land K.th_match <> 0 = (full <= th)
+            && (r land K.th_early = 0 || full > th)
         | _ -> false
       in
-      let nib =
-        match (K.pack_nibble ~cols a16, K.pack_nibble ~cols b16) with
-        | Some pa, Some pb ->
-            let words = K.nwords_for cols in
-            let m, _early = K.hamming_nibble_threshold pa pb ~words ~threshold in
-            m = (K.hamming_nibble pa pb ~words <= int_of_float threshold)
-        | _ -> false
-      in
-      bin && nib)
+      decides binary K.fbwords_for K.hamming_binary_flat_threshold (mk 2) (mk 2)
+      && decides nibble K.fnwords_for K.hamming_nibble_flat_threshold (mk 16)
+           (mk 16))
 
 (* ---- write-time classification ---------------------------------------- *)
 
@@ -322,7 +343,7 @@ let test_executors_agree () =
       let c =
         C4cam.Driver.compile
           ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base)
-          (C4cam.Kernels.hdc_dot ~q:8 ~dims:256 ~classes:6 ~k:1)
+          (Workloads.Kernels.hdc_dot ~q:8 ~dims:256 ~classes:6 ~k:1)
       in
       let a = C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored in
       let b = C4cam.Driver.run_vm c ~queries:data.queries ~stored:data.stored in
@@ -331,7 +352,18 @@ let test_executors_agree () =
         (what "indices") a.indices b.indices;
       check_exact (what "values") a.values b.values;
       check_exact (what "latency") a.latency b.latency;
-      check_exact (what "energy") a.energy b.energy)
+      check_exact (what "energy") a.energy b.energy;
+      (* the host cim-level scorer, through the same flat kernels; the
+         all-0.5 row never packs and takes the scalar loop *)
+      let rows = Array.append data.stored [| Array.make 256 0.5 |] in
+      let want =
+        Array.map
+          (fun q ->
+            Array.map (fun r -> float_of_int (scalar_hamming q r)) rows)
+          data.queries
+      in
+      check_exact (what "host hamming scores") want
+        (Interp.Ops.scores_of Dialects.Cim.Hamming data.queries rows))
     [ 1; 2; 4 ]
 
 let () =

@@ -72,7 +72,7 @@ let test_matches_torch_euclidean () =
       ~samples_per_class:10 ()
   in
   let queries = Array.sub ds.features 0 3 in
-  let src = C4cam.Kernels.knn_euclidean ~q:3 ~dims:24 ~n:20 ~k:4 in
+  let src = Workloads.Kernels.knn_euclidean ~q:3 ~dims:24 ~n:20 ~k:4 in
   let m = lower ~src () in
   match run_loops m ~queries ~stored:ds.features with
   | [ _v; i ] ->
@@ -89,10 +89,10 @@ let test_matches_torch_euclidean () =
 
 let test_scores_form () =
   (* the cosine kernel lowers to loops producing the full matrix *)
-  let src = C4cam.Kernels.cosine_scores ~q:3 ~dims:16 ~n:5 in
+  let src = Workloads.Kernels.cosine_scores ~q:3 ~dims:16 ~n:5 in
   let m = lower ~src () in
-  let rng = Workloads.Prng.create 6 in
-  let mk r c = Array.init r (fun _ -> Array.init c (fun _ -> Workloads.Prng.float rng)) in
+  let rng = Rng.create 6 in
+  let mk r c = Array.init r (fun _ -> Array.init c (fun _ -> Rng.float rng)) in
   let queries = mk 3 16 and stored = mk 5 16 in
   match run_loops m ~queries ~stored with
   | [ scores ] ->

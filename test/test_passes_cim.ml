@@ -70,7 +70,7 @@ let test_fusion_produces_similarity () =
     (Types.to_string (Op.operand sim 1).ty)
 
 let test_fusion_euclidean () =
-  let src = C4cam.Kernels.knn_euclidean ~q:3 ~dims:32 ~n:8 ~k:2 in
+  let src = Workloads.Kernels.knn_euclidean ~q:3 ~dims:32 ~n:8 ~k:2 in
   let m =
     Frontend.Emit.compile_string src
     |> run_pass Passes.Torch_to_cim.pass
@@ -87,7 +87,7 @@ let test_fusion_euclidean () =
     (Types.to_string (Op.operand sim 0).ty)
 
 let test_fusion_cosine () =
-  let src = C4cam.Kernels.cosine_scores ~q:3 ~dims:32 ~n:8 in
+  let src = Workloads.Kernels.cosine_scores ~q:3 ~dims:32 ~n:8 in
   let m =
     Frontend.Emit.compile_string src
     |> run_pass Passes.Torch_to_cim.pass
@@ -162,7 +162,7 @@ let test_fusion_dot_scores () =
   (* The topk-free dot kernel fuses to the scores form: the full score
      matrix as the result, selection left to the host (the sharded
      store depends on this). *)
-  let src = C4cam.Kernels.hdc_dot_scores ~q:3 ~dims:32 ~classes:8 in
+  let src = Workloads.Kernels.hdc_dot_scores ~q:3 ~dims:32 ~classes:8 in
   let m =
     Frontend.Emit.compile_string src
     |> run_pass Passes.Torch_to_cim.pass

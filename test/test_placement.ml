@@ -1,7 +1,7 @@
 (* Cost-model-driven heterogeneous placement: legality and pricing of
    the candidate enumeration, movement-cost monotonicity, bit-exact
    differential execution of every executable split against the all-CAM
-   reference (across jobs values and engines), and the RecSys workload
+   reference (across jobs values), and the RecSys workload
    where a mixed placement beats every single-backend mapping. *)
 
 module P = Passes.Placement
@@ -124,16 +124,16 @@ let executable_dot =
   [ (P.Cam, P.Cam); (P.Cam, P.Host); (P.Xbar, P.Host); (P.Host, P.Host) ]
 
 (* Every executable split of the HDC kernel reproduces the all-CAM
-   values and indices byte for byte, for any jobs value and either
-   interpreter engine. dims/classes are multiples of the crossbar's
-   128x128 tile so the xbar leg exercises the real tiling. *)
+   values and indices byte for byte, for any jobs value. dims/classes
+   are multiples of the crossbar's 128x128 tile so the xbar leg
+   exercises the real tiling. *)
 let prop_placed_differential =
   QCheck.Test.make ~count:3
     ~name:"placed splits are byte-identical to all-CAM"
     QCheck.(int_range 0 1000)
     (fun seed ->
       let q, dims, classes = (6, 256, 128) in
-      let source = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+      let source = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
       let data =
         Workloads.Hdc.synthetic ~seed ~dims ~n_classes:classes ~n_queries:q
           ~bits:1 ()
@@ -143,14 +143,13 @@ let prop_placed_differential =
         C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored
       in
       List.for_all
-        (fun (jobs, engine) ->
+        (fun jobs ->
           Parallel.run ~jobs @@ fun _pool ->
           List.for_all
             (fun (s, sel) ->
               let config =
-                C4cam.Driver.Run_config.default
-                |> C4cam.Driver.Run_config.with_engine engine
-                |> C4cam.Driver.Run_config.with_placement (`Fixed (s, sel))
+                C4cam.Driver.Run_config.(
+                  default |> with_placement (`Fixed (s, sel)))
               in
               let c = C4cam.Driver.compile ~spec:base32 source in
               let pr =
@@ -160,7 +159,7 @@ let prop_placed_differential =
               pr.pr_values = reference.values
               && pr.pr_indices = reference.indices)
             executable_dot)
-        [ (1, `Compiled); (4, `Compiled); (4, `Treewalk) ])
+        [ 1; 4 ])
 
 let test_auto_is_executable () =
   let q, dims, classes = (4, 256, 128) in
@@ -170,7 +169,7 @@ let test_auto_is_executable () =
   in
   let c =
     C4cam.Driver.compile ~spec:base32
-      (C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
+      (Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
   in
   List.iter
     (fun objective ->
@@ -203,7 +202,7 @@ let test_non_executable_pin_rejected () =
   let c =
     C4cam.Driver.compile
       ~spec:{ base32 with cam_kind = Archspec.Spec.Mcam }
-      (C4cam.Kernels.knn_euclidean ~q:2 ~dims:64 ~n:32 ~k:1)
+      (Workloads.Kernels.knn_euclidean ~q:2 ~dims:64 ~n:32 ~k:1)
   in
   let data =
     Workloads.Hdc.synthetic ~seed:5 ~dims:64 ~n_classes:32 ~n_queries:2
@@ -331,7 +330,7 @@ let test_profile_placed_roundtrip () =
   in
   let c =
     C4cam.Driver.compile ~spec:base32
-      (C4cam.Kernels.hdc_dot ~q:2 ~dims:32 ~classes:4 ~k:1)
+      (Workloads.Kernels.hdc_dot ~q:2 ~dims:32 ~classes:4 ~k:1)
   in
   let data =
     Workloads.Hdc.synthetic ~seed:1 ~dims:32 ~n_classes:4 ~n_queries:2

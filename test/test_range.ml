@@ -1,7 +1,7 @@
 (* ACAM range analytics: the device path ([cam.write_range] + [`Range]
    search through C4cam.Acam) differentially tested against the host
-   oracle across both interpreter engines and jobs values, plus the
-   serve-mode record/replay semantics of range writes. *)
+   oracle across jobs values, plus the serve-mode record/replay
+   semantics of range writes. *)
 
 open Workloads
 
@@ -59,19 +59,18 @@ let test_generate_invariants () =
 
 (* ---- differential: device vs oracle ------------------------------------ *)
 
-let run_device ~engine ~jobs (w : Range_filter.t) =
+let run_device ~jobs (w : Range_filter.t) =
   let boxes = Array.length w.lo in
   let dims = Array.length w.lo.(0) in
   let spec = C4cam.Acam.fit_spec ~boxes ~dims () in
   let compiled =
     C4cam.Acam.compile ~spec ~q:(Array.length w.queries) ~boxes ~dims
   in
-  let config = C4cam.Driver.Run_config.(default |> with_engine engine) in
   Parallel.run ~jobs (fun _pool ->
-      C4cam.Acam.run ~config compiled ~lo:w.lo ~hi:w.hi ~queries:w.queries)
+      C4cam.Acam.run compiled ~lo:w.lo ~hi:w.hi ~queries:w.queries)
 
 let test_differential () =
-  (* Randomized over seeds; every (engine, jobs) leg must equal the host
+  (* Randomized over seeds; every jobs leg must equal the host
      oracle exactly, and all legs must agree bit-for-bit on cost. *)
   List.iter
     (fun seed ->
@@ -79,9 +78,7 @@ let test_differential () =
         Range_filter.generate ~seed ~boxes:24 ~dims:8 ~n_queries:64 ()
       in
       let legs =
-        List.map
-          (fun (engine, jobs) -> run_device ~engine ~jobs w)
-          [ (`Compiled, 1); (`Compiled, 4); (`Treewalk, 1); (`Treewalk, 4) ]
+        List.map (fun jobs -> run_device ~jobs w) [ 1; 4 ]
       in
       let base = List.hd legs in
       List.iter
@@ -98,7 +95,7 @@ let test_differential () =
 
 let test_accuracy_helper () =
   let w = Range_filter.generate ~seed:9 ~boxes:16 ~dims:4 ~n_queries:40 () in
-  let r = run_device ~engine:`Compiled ~jobs:1 w in
+  let r = run_device ~jobs:1 w in
   Alcotest.(check (float 0.)) "device accuracy 1.0" 1.0
     (Range_filter.accuracy ~expected:w.expected r.C4cam.Acam.matches)
 

@@ -7,9 +7,6 @@ module Cache = Serve.Artifact_cache
 
 let spec = Tutil.spec32
 
-let config_for engine =
-  C4cam.Driver.Run_config.(default |> with_engine engine)
-
 let hdc_data ~q ~dims ~classes ?(seed = 23) () =
   Workloads.Hdc.synthetic ~seed ~noise:0.15 ~dims ~n_classes:classes
     ~n_queries:q ~bits:1 ()
@@ -20,7 +17,7 @@ let hdc_data ~q ~dims ~classes ?(seed = 23) () =
    values/indices and the same summed activity counters as one
    concatenated q*N one-shot run — modulo the single write charge
    (sessions pay allocation + writes once, so search_ops is the only
-   counter that scales with N). Held across the jobs x engine matrix. *)
+   counter that scales with N). Held across jobs values. *)
 let test_split_vs_concatenated () =
   let q = 4 and n_batches = 4 and dims = 128 and classes = 10 in
   let total = q * n_batches in
@@ -29,64 +26,50 @@ let test_split_vs_concatenated () =
     Parallel.run ~jobs:1 @@ fun _ ->
     let c =
       C4cam.Driver.compile ~spec
-        (C4cam.Kernels.hdc_dot ~q:total ~dims ~classes ~k:1)
+        (Workloads.Kernels.hdc_dot ~q:total ~dims ~classes ~k:1)
     in
     C4cam.Driver.run_cam c ~queries:data.queries ~stored:data.stored
   in
-  let session_src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let session_src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun engine ->
-          Parallel.run ~jobs @@ fun _pool ->
-          let what =
-            Printf.sprintf "jobs %d engine %s" jobs
-              (match engine with
-              | `Compiled -> "compiled"
-              | `Treewalk -> "treewalk")
-          in
-          let session =
-            Session.create ~config:(config_for engine) ~spec
-              ~stored:data.stored session_src
-          in
-          (* one oversized batch: the session splits it into q-row
-             chunks internally *)
-          let r = Session.query session data.queries in
-          Alcotest.(check Tutil.rows_testable)
-            (what ^ ": values") reference.values r.values;
-          Alcotest.(check Tutil.int_rows_testable)
-            (what ^ ": indices") reference.indices r.indices;
-          let a = reference.stats
-          and b = Camsim.Simulator.stats (Session.simulator session) in
-          let check_int name want got =
-            Alcotest.(check int) (what ^ ": " ^ name) want got
-          in
-          check_int "query_cycles" a.n_query_cycles b.n_query_cycles;
-          check_int "write_ops" a.n_write_ops b.n_write_ops;
-          check_int "banks" a.n_banks b.n_banks;
-          check_int "mats" a.n_mats b.n_mats;
-          check_int "arrays" a.n_arrays b.n_arrays;
-          check_int "subarrays" a.n_subarrays b.n_subarrays;
-          check_int "kernel_binary" a.n_kernel_binary b.n_kernel_binary;
-          check_int "kernel_nibble" a.n_kernel_nibble b.n_kernel_nibble;
-          check_int "kernel_generic" a.n_kernel_generic b.n_kernel_generic;
-          check_int "kernel_early_exit" a.n_kernel_early_exit
-            b.n_kernel_early_exit;
-          (* one search op per tile per chunk instead of per call *)
-          check_int "search_ops" (n_batches * a.n_search_ops)
-            b.n_search_ops;
-          (* the write charge is identical, paid exactly once *)
-          Tutil.check_float ~eps:0. (what ^ ": e_write") a.e_write
-            b.e_write)
-        [ `Compiled; `Treewalk ])
+      Parallel.run ~jobs @@ fun _pool ->
+      let what = Printf.sprintf "jobs %d" jobs in
+      let session = Session.create ~spec ~stored:data.stored session_src in
+      (* one oversized batch: the session splits it into q-row
+         chunks internally *)
+      let r = Session.query session data.queries in
+      Alcotest.(check Tutil.rows_testable)
+        (what ^ ": values") reference.values r.values;
+      Alcotest.(check Tutil.int_rows_testable)
+        (what ^ ": indices") reference.indices r.indices;
+      let a = reference.stats
+      and b = Camsim.Simulator.stats (Session.simulator session) in
+      let check_int name want got =
+        Alcotest.(check int) (what ^ ": " ^ name) want got
+      in
+      check_int "query_cycles" a.n_query_cycles b.n_query_cycles;
+      check_int "write_ops" a.n_write_ops b.n_write_ops;
+      check_int "banks" a.n_banks b.n_banks;
+      check_int "mats" a.n_mats b.n_mats;
+      check_int "arrays" a.n_arrays b.n_arrays;
+      check_int "subarrays" a.n_subarrays b.n_subarrays;
+      check_int "kernel_binary" a.n_kernel_binary b.n_kernel_binary;
+      check_int "kernel_nibble" a.n_kernel_nibble b.n_kernel_nibble;
+      check_int "kernel_generic" a.n_kernel_generic b.n_kernel_generic;
+      check_int "kernel_early_exit" a.n_kernel_early_exit
+        b.n_kernel_early_exit;
+      (* one search op per tile per chunk instead of per call *)
+      check_int "search_ops" (n_batches * a.n_search_ops)
+        b.n_search_ops;
+      (* the write charge is identical, paid exactly once *)
+      Tutil.check_float ~eps:0. (what ^ ": e_write") a.e_write
+        b.e_write)
     [ 1; 4 ];
   (* batch-at-a-time serving agrees with the single split call *)
   let one_by_one =
     Parallel.run ~jobs:1 @@ fun _ ->
-    let session =
-      Session.create ~config:(config_for `Compiled) ~spec
-        ~stored:data.stored session_src
-    in
+    let session = Session.create ~spec ~stored:data.stored session_src in
     Array.concat
       (List.init n_batches (fun i ->
            (Session.query session (Array.sub data.queries (i * q) q))
@@ -100,7 +83,7 @@ let test_split_vs_concatenated () =
 let test_write_energy_once () =
   let q = 4 and dims = 128 and classes = 10 and n_batches = 8 in
   let data = hdc_data ~q:(q * n_batches) ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   (* what one batch costs end to end (its own fresh simulator) *)
   let oneshot =
     let c = C4cam.Driver.compile ~spec src in
@@ -160,12 +143,9 @@ let test_update_stored () =
      cost exactly one more. *)
   let q = 2 and dims = 32 and classes = 4 in
   let data = hdc_data ~q ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   Cache.clear ();
-  let session =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let session = Session.create ~spec ~stored:data.stored src in
   ignore (Session.query session data.queries);
   let stats = Camsim.Simulator.stats (Session.simulator session) in
   Alcotest.(check int) "one-tile setup: one write op" 1 stats.n_write_ops;
@@ -201,17 +181,17 @@ let test_update_stored () =
   let stats = Camsim.Simulator.stats (Session.simulator session) in
   Alcotest.(check int) "unchanged rows cost nothing" 2 stats.n_write_ops
 
-(* ---- update_stored reclassification across the jobs x engine matrix ---- *)
+(* ---- update_stored reclassification across jobs values -------------- *)
 
 (* Replacing pinned rows with rows of a different kernel class (binary
    -> nibble, binary -> generic float) exercises the in-place flat-pack
    rewrite and class-summary maintenance under serve replay: every
-   (jobs, engine) combination must serve byte-identical results to a
-   fresh one-shot run over the updated rows. *)
+   jobs value must serve byte-identical results to a fresh one-shot
+   run over the updated rows. *)
 let test_update_reclassification_matrix () =
   let q = 4 and dims = 64 and classes = 8 in
   let data = hdc_data ~q ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let nibble_row = Array.init dims (fun i -> float_of_int (i mod 16)) in
   let float_row =
     Array.init dims (fun i -> 0.25 +. float_of_int (i mod 3))
@@ -226,28 +206,17 @@ let test_update_reclassification_matrix () =
   in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun engine ->
-          Parallel.run ~jobs @@ fun _pool ->
-          let what =
-            Printf.sprintf "jobs %d engine %s" jobs
-              (match engine with
-              | `Compiled -> "compiled"
-              | `Treewalk -> "treewalk")
-          in
-          let session =
-            Session.create ~config:(config_for engine) ~spec
-              ~stored:data.stored src
-          in
-          ignore (Session.query session data.queries);
-          Session.update_stored session ~row:1 nibble_row;
-          Session.update_stored session ~row:3 float_row;
-          let r = Session.query session data.queries in
-          Alcotest.(check Tutil.rows_testable)
-            (what ^ ": values") reference.values r.values;
-          Alcotest.(check Tutil.int_rows_testable)
-            (what ^ ": indices") reference.indices r.indices)
-        [ `Compiled; `Treewalk ])
+      Parallel.run ~jobs @@ fun _pool ->
+      let what = Printf.sprintf "jobs %d" jobs in
+      let session = Session.create ~spec ~stored:data.stored src in
+      ignore (Session.query session data.queries);
+      Session.update_stored session ~row:1 nibble_row;
+      Session.update_stored session ~row:3 float_row;
+      let r = Session.query session data.queries in
+      Alcotest.(check Tutil.rows_testable)
+        (what ^ ": values") reference.values r.values;
+      Alcotest.(check Tutil.int_rows_testable)
+        (what ^ ": indices") reference.indices r.indices)
     [ 1; 4 ]
 
 (* ---- steady-state GC pressure ------------------------------------------ *)
@@ -264,11 +233,8 @@ let test_steady_state_alloc () =
   Parallel.run ~jobs:1 @@ fun _pool ->
   let q = 8 and dims = 256 and classes = 10 and n_batches = 6 in
   let data = hdc_data ~q:(q * n_batches) ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
-  let session =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let session = Session.create ~spec ~stored:data.stored src in
   for i = 0 to n_batches - 1 do
     ignore (Session.query session (Array.sub data.queries (i * q) q))
   done;
@@ -286,19 +252,13 @@ let test_steady_state_alloc () =
 let test_artifact_cache () =
   let q = 2 and dims = 32 and classes = 4 in
   let data = hdc_data ~q ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   Cache.clear ();
   Alcotest.(check int) "cache empty" 0 (Cache.length ());
-  let a =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let a = Session.create ~spec ~stored:data.stored src in
   Alcotest.(check bool) "first create misses" true
     (Session.cache_status a = `Miss);
-  let b =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let b = Session.create ~spec ~stored:data.stored src in
   Alcotest.(check bool) "second create hits" true
     (Session.cache_status b = `Hit);
   Alcotest.(check int) "one artifact cached" 1 (Cache.length ());
@@ -307,10 +267,7 @@ let test_artifact_cache () =
     (Session.compiled a == Session.compiled b);
   (* a different spec is a different key *)
   let spec16 = Archspec.Spec.square 16 Archspec.Spec.Base in
-  let c =
-    Session.create ~config:(config_for `Compiled) ~spec:spec16
-      ~stored:data.stored src
-  in
+  let c = Session.create ~spec:spec16 ~stored:data.stored src in
   Alcotest.(check bool) "different spec misses" true
     (Session.cache_status c = `Miss);
   Alcotest.(check int) "two artifacts cached" 2 (Cache.length ());
@@ -327,7 +284,7 @@ let test_artifact_cache () =
 let test_artifact_cache_race () =
   let q = 2 and dims = 32 and classes = 4 in
   let data = hdc_data ~q ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   Cache.clear ();
   let before = Cache.compiles () in
   let n = 8 in
@@ -340,8 +297,7 @@ let test_artifact_cache_race () =
             while Atomic.get gate < n do
               Domain.cpu_relax ()
             done;
-            Session.create ~config:(config_for `Compiled) ~spec
-              ~stored:data.stored src))
+            Session.create ~spec ~stored:data.stored src))
   in
   let sessions = List.map Domain.join racers in
   Alcotest.(check int) "pipeline ran exactly once" 1
@@ -369,11 +325,8 @@ let test_artifact_cache_race () =
 let test_bad_batch () =
   let q = 4 and dims = 32 and classes = 4 in
   let data = hdc_data ~q ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
-  let session =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let session = Session.create ~spec ~stored:data.stored src in
   let rejects what batch =
     match Session.query session batch with
     | _ -> Alcotest.failf "%s: expected Serve_error" what
@@ -381,10 +334,35 @@ let test_bad_batch () =
   in
   rejects "empty" [||];
   rejects "not a multiple" (Array.sub data.queries 0 3);
+  (* one bad row in an otherwise good batch refuses the whole batch
+     before any device work *)
+  let with_row i row =
+    let b = Array.copy data.queries in
+    b.(i) <- row;
+    b
+  in
+  let with_cell v =
+    let r = Array.copy data.queries.(1) in
+    r.(7) <- v;
+    r
+  in
+  let searches () =
+    (Camsim.Simulator.stats (Session.simulator session)).n_search_ops
+  in
+  let before = searches () in
+  rejects "nan cell" (with_row 1 (with_cell Float.nan));
+  rejects "inf cell" (with_row 1 (with_cell Float.infinity));
+  rejects "short row" (with_row 2 (Array.make (dims - 1) 0.));
+  rejects "long row" (with_row 3 (Array.make (dims + 1) 0.));
+  Alcotest.(check int) "no device work for refused batches" before
+    (searches ());
+  (* the session still serves *)
+  ignore (Session.query session data.queries);
+  (match Session.update_stored session ~row:0 (with_cell Float.nan) with
+  | () -> Alcotest.fail "nan stored row: expected Serve_error"
+  | exception Session.Serve_error _ -> ());
   match
-    Session.create ~config:(config_for `Compiled) ~spec
-      ~stored:(Array.sub data.stored 0 2) src
-  with
+    Session.create ~spec ~stored:(Array.sub data.stored 0 2) src with
   | _ -> Alcotest.fail "wrong stored row count: expected Serve_error"
   | exception Session.Serve_error _ -> ()
 
@@ -431,7 +409,7 @@ let test_output_reuse () =
   (* square, so the stored buffer has the output's shape *)
   let q = 32 and dims = 32 and classes = 32 in
   let data = hdc_data ~q:(3 * q) ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot_scores ~q ~dims ~classes in
+  let src = Workloads.Kernels.hdc_dot_scores ~q ~dims ~classes in
   let batch i = Array.sub data.queries (i * q) q in
   let session = Session.create ~spec ~stored:data.stored src in
   let fresh = Session.create ~spec ~stored:data.stored src in
@@ -558,7 +536,7 @@ let check_ledger what ~before:(ops0, e0) ~after:(ops1, e1) lens ~energy =
 let ledger_sessions c =
   let d = c.ld and n = ledger_n and spec = Tutil.spec32 in
   let data = hdc_data ~q:ledger_q ~dims:d ~classes:n () in
-  let src = C4cam.Kernels.hdc_dot ~q:ledger_q ~dims:d ~classes:n ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q:ledger_q ~dims:d ~classes:n ~k:1 in
   let session = Session.create ~spec ~stored:data.stored src in
   let rows = Array.map Array.copy data.stored in
   (* what the device holds; nan until the first (recorded) write *)

@@ -8,9 +8,6 @@ module Cache = Serve.Artifact_cache
 
 let spec = Tutil.spec32
 
-let config_for engine =
-  C4cam.Driver.Run_config.(default |> with_engine engine)
-
 let hdc_data ~q ~dims ~classes ?(seed = 23) () =
   Workloads.Hdc.synthetic ~seed ~noise:0.15 ~dims ~n_classes:classes
     ~n_queries:q ~bits:1 ()
@@ -40,11 +37,8 @@ let check_response what (want_values, want_indices)
 let test_demux () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:24 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
-  let refs =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let refs = Session.create ~spec ~stored:data.stored src in
   let server =
     Server.create
       ~config:
@@ -54,8 +48,7 @@ let test_demux () =
           queue_cap = 64;
           start_paused = true;
         }
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      (Session.create ~spec ~stored:data.stored src)
   in
   let c1 = Server.connect server
   and c2 = Server.connect server
@@ -98,13 +91,12 @@ let test_demux () =
 let test_fairness () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:16 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let server =
     Server.create
       ~config:
         { Server.default_config with queue_cap = 64; start_paused = true }
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      (Session.create ~spec ~stored:data.stored src)
   in
   let heavy = Server.connect server and light = Server.connect server in
   let row i = [| data.queries.(i mod 16) |] in
@@ -133,7 +125,7 @@ let test_fairness () =
 let test_backpressure_fail_fast () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:8 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let server =
     Server.create
       ~config:
@@ -143,8 +135,7 @@ let test_backpressure_fail_fast () =
           backpressure = `Fail_fast;
           start_paused = true;
         }
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      (Session.create ~spec ~stored:data.stored src)
   in
   let c = Server.connect server in
   let row i = [| data.queries.(i mod 8) |] in
@@ -163,13 +154,12 @@ let test_backpressure_fail_fast () =
 let test_backpressure_block () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:8 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let server =
     Server.create
       ~config:
         { Server.default_config with queue_cap = 4; start_paused = true }
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      (Session.create ~spec ~stored:data.stored src)
   in
   let c = Server.connect server in
   let row i = [| data.queries.(i mod 8) |] in
@@ -196,11 +186,8 @@ let test_backpressure_block () =
 let test_serve_all_over_cap () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:24 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
-  let refs =
-    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
-      src
-  in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let refs = Session.create ~spec ~stored:data.stored src in
   (* 32 rows against a cap of 8, one request alone above it *)
   let requests =
     List.map
@@ -211,10 +198,7 @@ let test_serve_all_over_cap () =
     { Server.default_config with batch_rows = 8; queue_cap = 8 }
   in
   let serve () =
-    let session =
-      Session.create ~config:(config_for `Compiled) ~spec
-        ~stored:data.stored src
-    in
+    let session = Session.create ~spec ~stored:data.stored src in
     let done_ = Atomic.make None in
     let worker =
       Domain.spawn (fun () ->
@@ -257,12 +241,11 @@ let test_serve_all_over_cap () =
 let test_stop () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:8 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let server =
     Server.create
       ~config:{ Server.default_config with start_paused = true }
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      (Session.create ~spec ~stored:data.stored src)
   in
   let c = Server.connect server in
   let tickets =
@@ -284,20 +267,37 @@ let test_stop () =
 let test_bad_requests () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:8 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let server =
     Server.create
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      ~config:{ Server.default_config with start_paused = true }
+      (Session.create ~spec ~stored:data.stored src)
   in
   let c = Server.connect server in
+  (* a good request queued ahead of the refused ones, so they would
+     share its micro-batch if they were admitted *)
+  let good = Array.sub data.queries 0 2 in
+  let ticket = Server.submit c good in
   let rejects what rows =
     match Server.submit c rows with
     | _ -> Alcotest.failf "%s: expected Server_error" what
     | exception Server.Server_error _ -> ()
   in
+  let with_cell v =
+    let r = Array.copy data.queries.(2) in
+    r.(5) <- v;
+    r
+  in
   rejects "empty request" [||];
   rejects "wrong width" [| Array.make (dims + 1) 0. |];
+  rejects "short row" [| data.queries.(2); Array.make (dims - 1) 0. |];
+  rejects "nan cell" [| data.queries.(2); with_cell Float.nan |];
+  rejects "inf cell" [| with_cell Float.infinity |];
+  rejects "-inf cell" [| with_cell Float.neg_infinity |];
+  Server.resume server;
+  let refs = Session.create ~spec ~stored:data.stored src in
+  check_response "co-batched good request" (reference refs ~q good)
+    (Server.await ticket);
   ignore (Server.rpc c [| data.queries.(0) |]);
   Server.stop server
 
@@ -306,11 +306,10 @@ let test_bad_requests () =
 let test_tcp () =
   let q = 4 and dims = 32 and classes = 8 in
   let data = hdc_data ~q:8 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let server =
     Server.create
-      (Session.create ~config:(config_for `Compiled) ~spec
-         ~stored:data.stored src)
+      (Session.create ~spec ~stored:data.stored src)
   in
   let listener = Tcp.listen ~port:0 server in
   let port = Tcp.port listener in
@@ -348,6 +347,11 @@ let test_tcp () =
   let e = send "1 2 3" in
   Alcotest.(check bool) "width error reported" true
     (String.length e >= 4 && String.sub e 0 4 = "err ");
+  let nan_row = Array.copy rows.(0) in
+  nan_row.(1) <- Float.nan;
+  let e = send (row_text nan_row) in
+  Alcotest.(check bool) "nan cell refused" true
+    (String.length e >= 4 && String.sub e 0 4 = "err ");
   let got2 = send (row_text rows.(0) ^ " ; " ^ row_text rows.(1)) in
   Alcotest.(check string) "still serving after errors" want got2;
   Unix.close sock;
@@ -360,75 +364,63 @@ let test_tcp () =
 (* ---- the stress matrix in miniature ------------------------------------ *)
 
 (* Concurrent submitter domains against the sequential reference,
-   across the jobs x engine matrix the CI stress job runs at scale:
-   every client's results must be byte-identical to its own requests
-   served one at a time through a private session. *)
+   across the jobs values the CI stress job runs at scale: every
+   client's results must be byte-identical to its own requests served
+   one at a time through a private session. *)
 let test_mini_stress () =
   let q = 4 and dims = 32 and classes = 8 in
   let n_clients = 3 and n_requests = 5 in
   let data = hdc_data ~q:32 ~dims ~classes () in
-  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun engine ->
-          let what =
-            Printf.sprintf "jobs %d engine %s" jobs
-              (match engine with
-              | `Compiled -> "compiled"
-              | `Treewalk -> "treewalk")
-          in
-          (* fixed per-client request streams (seeded sizes/offsets) *)
-          let streams =
-            Array.init n_clients (fun c ->
-                let rng = Rng.create (7919 * (c + 1)) in
-                Array.init n_requests (fun _ ->
-                    let len = 1 + Rng.int rng 6 in
-                    let off = Rng.int rng (32 - len) in
-                    Array.sub data.queries off len))
-          in
-          let refs =
-            Session.create ~config:(config_for engine) ~spec
-              ~stored:data.stored src
-          in
-          let want =
-            Array.map (Array.map (reference refs ~q)) streams
-          in
-          let server =
-            Server.create
-              ~config:
-                { Server.default_config with jobs; queue_cap = 64 }
-              (Session.create ~config:(config_for engine) ~spec
-                 ~stored:data.stored src)
-          in
-          let clients =
-            Array.init n_clients (fun _ -> Server.connect server)
-          in
-          let submitters =
-            Array.mapi
-              (fun c client ->
-                Domain.spawn (fun () ->
-                    let rng = Rng.create (104729 * (c + 1)) in
-                    Array.map
-                      (fun rows ->
-                        if Rng.int rng 3 = 0 then
-                          Unix.sleepf (float_of_int (Rng.int rng 3) /. 1000.);
-                        Server.rpc client rows)
-                      streams.(c)))
-              clients
-          in
-          let got = Array.map Domain.join submitters in
-          Server.stop server;
+      let what = Printf.sprintf "jobs %d" jobs in
+      (* fixed per-client request streams (seeded sizes/offsets) *)
+      let streams =
+        Array.init n_clients (fun c ->
+            let rng = Rng.create (7919 * (c + 1)) in
+            Array.init n_requests (fun _ ->
+                let len = 1 + Rng.int rng 6 in
+                let off = Rng.int rng (32 - len) in
+                Array.sub data.queries off len))
+      in
+      let refs = Session.create ~spec ~stored:data.stored src in
+      let want =
+        Array.map (Array.map (reference refs ~q)) streams
+      in
+      let server =
+        Server.create
+          ~config:
+            { Server.default_config with jobs; queue_cap = 64 }
+          (Session.create ~spec ~stored:data.stored src)
+      in
+      let clients =
+        Array.init n_clients (fun _ -> Server.connect server)
+      in
+      let submitters =
+        Array.mapi
+          (fun c client ->
+            Domain.spawn (fun () ->
+                let rng = Rng.create (104729 * (c + 1)) in
+                Array.map
+                  (fun rows ->
+                    if Rng.int rng 3 = 0 then
+                      Unix.sleepf (float_of_int (Rng.int rng 3) /. 1000.);
+                    Server.rpc client rows)
+                  streams.(c)))
+          clients
+      in
+      let got = Array.map Domain.join submitters in
+      Server.stop server;
+      Array.iteri
+        (fun c responses ->
           Array.iteri
-            (fun c responses ->
-              Array.iteri
-                (fun i r ->
-                  check_response
-                    (Printf.sprintf "%s client %d request %d" what c i)
-                    want.(c).(i) r)
-                responses)
-            got)
-        [ `Compiled; `Treewalk ])
+            (fun i r ->
+              check_response
+                (Printf.sprintf "%s client %d request %d" what c i)
+                want.(c).(i) r)
+            responses)
+        got)
     [ 1; 4 ]
 
 let () =

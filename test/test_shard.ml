@@ -9,15 +9,6 @@ module Store = Serve.Sharded_store
 
 let spec = Tutil.spec32
 
-let config_for engine =
-  C4cam.Driver.Run_config.(default |> with_engine engine)
-
-let engine_name : C4cam.Driver.Run_config.engine -> string = function
-  | `Compiled -> "compiled"
-  | `Treewalk -> "treewalk"
-
-let engines : C4cam.Driver.Run_config.engine list = [ `Compiled; `Treewalk ]
-
 (* ---- the oracle -------------------------------------------------------- *)
 
 (* Ground truth for a top-k query over the live rows: one scores-form
@@ -25,7 +16,7 @@ let engines : C4cam.Driver.Run_config.engine list = [ `Compiled; `Treewalk ]
    no allocator, no merge tree), then a full host-side sort of each
    row's distances by (distance, external id). The store must agree
    bit-for-bit on both the k distances and the k ids. *)
-let oracle ~config ~q ~d ~k ~ids ~stored queries =
+let oracle ~q ~d ~k ~ids ~stored queries =
   let n = Array.length stored in
   (* pad the row count up to the partition pass's divisibility
      constraint; pad rows are never candidates (the sort below only
@@ -40,9 +31,9 @@ let oracle ~config ~q ~d ~k ~ids ~stored queries =
   in
   let c =
     C4cam.Driver.compile ~spec
-      (C4cam.Kernels.hdc_dot_scores ~q ~dims:d ~classes:n_pad)
+      (Workloads.Kernels.hdc_dot_scores ~q ~dims:d ~classes:n_pad)
   in
-  let r = C4cam.Driver.run_cam ~config c ~queries ~stored in
+  let r = C4cam.Driver.run_cam c ~queries ~stored in
   let scores =
     match r.C4cam.Driver.scores with
     | Some s -> s
@@ -86,61 +77,52 @@ let test_differential () =
   in
   let n_pool_q = Array.length data.queries in
   List.iter (fun jobs ->
-      List.iter (fun engine ->
-          List.iter (fun shards ->
-              let what =
-                Printf.sprintf "jobs %d engine %s shards %d" jobs
-                  (engine_name engine) shards
-              in
-              let config = config_for engine in
-              Parallel.run ~jobs @@ fun _ ->
-              let store =
-                Store.create ~config ~spec ~q ~d ~k ~shards ~capacity ()
-              in
-              let m = { rows = Hashtbl.create 64; next = 0 } in
-              let ins row =
-                let id = Store.insert store row in
-                Alcotest.(check int)
-                  (what ^ ": monotonic id") m.next id;
-                Hashtbl.replace m.rows id row;
-                m.next <- id + 1
-              in
-              Array.iter ins data.stored;
-              let rng = Rng.create (97 + jobs + (31 * shards)) in
-              for _round = 1 to 4 do
-                (* a few seeded mutations: delete, slot-reusing insert,
-                   in-place update *)
-                for _ = 1 to 2 + Rng.int rng 3 do
-                  let ids, _ = model_live m in
-                  let n_live = Array.length ids in
-                  match Rng.int rng 3 with
-                  | 0 when n_live > k + 2 ->
-                      let id = ids.(Rng.int rng n_live) in
-                      Store.delete store id;
-                      Hashtbl.remove m.rows id
-                  | 1 when n_live < capacity ->
-                      ins data.stored.(Rng.int rng initial)
-                  | _ ->
-                      let id = ids.(Rng.int rng n_live) in
-                      let row = data.stored.(Rng.int rng initial) in
-                      Store.update store id row;
-                      Hashtbl.replace m.rows id row
-                done;
-                let off = Rng.int rng (n_pool_q - q + 1) in
-                let queries = Array.sub data.queries off q in
-                let r = Store.query store queries in
-                let ids, stored = model_live m in
-                let want = oracle ~config ~q ~d ~k ~ids ~stored queries in
-                Array.iteri
-                  (fun g (wv, wi) ->
-                    Alcotest.(check Tutil.rows_testable)
-                      (what ^ ": values") [| wv |] [| r.Store.values.(g) |];
-                    Alcotest.(check Tutil.int_rows_testable)
-                      (what ^ ": ids") [| wi |] [| r.Store.indices.(g) |])
-                  want
-              done)
-            [ 1; 3; 4 ])
-        engines)
+      List.iter (fun shards ->
+          let what = Printf.sprintf "jobs %d shards %d" jobs shards in
+          Parallel.run ~jobs @@ fun _ ->
+          let store = Store.create ~spec ~q ~d ~k ~shards ~capacity () in
+          let m = { rows = Hashtbl.create 64; next = 0 } in
+          let ins row =
+            let id = Store.insert store row in
+            Alcotest.(check int) (what ^ ": monotonic id") m.next id;
+            Hashtbl.replace m.rows id row;
+            m.next <- id + 1
+          in
+          Array.iter ins data.stored;
+          let rng = Rng.create (97 + jobs + (31 * shards)) in
+          for _round = 1 to 4 do
+            (* a few seeded mutations: delete, slot-reusing insert,
+               in-place update *)
+            for _ = 1 to 2 + Rng.int rng 3 do
+              let ids, _ = model_live m in
+              let n_live = Array.length ids in
+              match Rng.int rng 3 with
+              | 0 when n_live > k + 2 ->
+                  let id = ids.(Rng.int rng n_live) in
+                  Store.delete store id;
+                  Hashtbl.remove m.rows id
+              | 1 when n_live < capacity ->
+                  ins data.stored.(Rng.int rng initial)
+              | _ ->
+                  let id = ids.(Rng.int rng n_live) in
+                  let row = data.stored.(Rng.int rng initial) in
+                  Store.update store id row;
+                  Hashtbl.replace m.rows id row
+            done;
+            let off = Rng.int rng (n_pool_q - q + 1) in
+            let queries = Array.sub data.queries off q in
+            let r = Store.query store queries in
+            let ids, stored = model_live m in
+            let want = oracle ~q ~d ~k ~ids ~stored queries in
+            Array.iteri
+              (fun g (wv, wi) ->
+                Alcotest.(check Tutil.rows_testable)
+                  (what ^ ": values") [| wv |] [| r.Store.values.(g) |];
+                Alcotest.(check Tutil.int_rows_testable)
+                  (what ^ ": ids") [| wi |] [| r.Store.indices.(g) |])
+              want
+          done)
+        [ 1; 3; 4 ])
     [ 1; 4 ]
 
 (* ---- one property for both stores ------------------------------------- *)
@@ -177,7 +159,6 @@ type box_op =
   | Query_boxes of float array array
 
 type scenario = {
-  engine : C4cam.Driver.Run_config.engine;
   rows : float array list;  (* the vector store's initial rows *)
   vec_ops : vec_op list;
   boxes : (float array * float array) array;
@@ -196,9 +177,6 @@ let gen_scenario =
   let box =
     let* a = point and* b = point in
     return (Array.map2 Float.min a b, Array.map2 Float.max a b)
-  in
-  let* engine =
-    oneofl ([ `Compiled; `Treewalk ] : C4cam.Driver.Run_config.engine list)
   in
   (* rows drawn from a small pool, so duplicate contents force ties *)
   let* pool = array_size (int_range 2 6) row in
@@ -227,12 +205,12 @@ let gen_scenario =
       ]
   in
   let* box_ops = list_size (int_range 1 6) box_op in
-  return { engine; rows; vec_ops; boxes; box_ops }
+  return { rows; vec_ops; boxes; box_ops }
 
 let print_scenario s =
-  Printf.sprintf "%s engine, %d rows + %d ops, %d boxes + %d ops"
-    (engine_name s.engine) (List.length s.rows) (List.length s.vec_ops)
-    (Array.length s.boxes) (List.length s.box_ops)
+  Printf.sprintf "%d rows + %d ops, %d boxes + %d ops"
+    (List.length s.rows) (List.length s.vec_ops) (Array.length s.boxes)
+    (List.length s.box_ops)
 
 let check_result what ~want (values : float array array) indices =
   Array.iteri
@@ -250,10 +228,10 @@ let check_result what ~want (values : float array array) indices =
              (List.map (fun (v, i) -> Printf.sprintf "%g@%d" v i) expected)))
     want
 
-let replay_vectors s ~config ~shards =
+let replay_vectors s ~shards =
   let what = Printf.sprintf "sharded store, %d shards" shards in
   let store =
-    Store.create ~config ~spec ~q:vq ~d:vd ~k:vk ~shards ~capacity:vcap ()
+    Store.create ~spec ~q:vq ~d:vd ~k:vk ~shards ~capacity:vcap ()
   in
   let live = Hashtbl.create 16 and next = ref 0 in
   let insert row =
@@ -290,11 +268,11 @@ let replay_vectors s ~config ~shards =
             ~want:(Array.map (brute_topk ~k:vk ~dist:hamming l) batch))
     s.vec_ops
 
-let replay_boxes s ~config ~shards =
+let replay_boxes s ~shards =
   let what = Printf.sprintf "range store, %d shards" shards in
   let model = Array.copy s.boxes in
   let store =
-    Serve.Range_store.create ~config ~shards ~q:bq
+    Serve.Range_store.create ~shards ~q:bq
       ~lo:(Array.map fst model) ~hi:(Array.map snd model) ()
   in
   List.iter
@@ -323,14 +301,13 @@ let prop_both_stores =
   QCheck.Test.make ~count:25 ~name:"both stores vs brute-force model"
     (QCheck.make ~print:print_scenario gen_scenario)
     (fun s ->
-      let config = config_for s.engine in
       List.iter
         (fun jobs ->
           Parallel.run ~jobs @@ fun _ ->
           List.iter
             (fun shards ->
-              replay_vectors s ~config ~shards;
-              replay_boxes s ~config ~shards)
+              replay_vectors s ~shards;
+              replay_boxes s ~shards)
             [ 1; 2; 3; 5 ])
         [ 1; 4 ];
       true)

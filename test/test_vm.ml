@@ -5,7 +5,7 @@ let compile ?(opt = Archspec.Spec.Base) ?(side = 16) ?(q = 6) ?(dims = 128)
     ?(classes = 5) () =
   let spec = Archspec.Spec.square side opt in
   C4cam.Driver.compile ~spec
-    (C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
+    (Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1)
 
 let data ?(q = 6) ?(dims = 128) ?(classes = 5) () =
   Workloads.Hdc.synthetic ~seed:41 ~dims ~n_classes:classes ~n_queries:q
@@ -70,7 +70,7 @@ let test_vm_knn_equivalence () =
   in
   let c =
     C4cam.Driver.compile ~spec
-      (C4cam.Kernels.knn_euclidean ~q:3 ~dims:32 ~n:32 ~k:4)
+      (Workloads.Kernels.knn_euclidean ~q:3 ~dims:32 ~n:32 ~k:4)
   in
   let ds =
     Workloads.Dataset.pneumonia_like ~seed:2 ~n_features:32

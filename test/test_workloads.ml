@@ -3,29 +3,29 @@
 open Workloads
 
 let test_prng_deterministic () =
-  let a = Prng.create 42 and b = Prng.create 42 in
+  let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Tutil.check_float ~eps:0. "same stream" (Prng.float a) (Prng.float b)
+    Tutil.check_float ~eps:0. "same stream" (Rng.float a) (Rng.float b)
   done;
-  let c = Prng.create 43 in
+  let c = Rng.create 43 in
   Alcotest.(check bool) "different seeds differ" true
-    (Prng.float (Prng.create 42) <> Prng.float c)
+    (Rng.float (Rng.create 42) <> Rng.float c)
 
 let test_prng_ranges () =
-  let r = Prng.create 1 in
+  let r = Rng.create 1 in
   for _ = 1 to 1000 do
-    let f = Prng.float r in
+    let f = Rng.float r in
     Alcotest.(check bool) "float in [0,1)" true (f >= 0. && f < 1.);
-    let i = Prng.int r 10 in
+    let i = Rng.int r 10 in
     Alcotest.(check bool) "int in range" true (i >= 0 && i < 10)
   done;
-  Tutil.check_raises_invalid "bad bound" (fun () -> Prng.int r 0)
+  Tutil.check_raises_invalid "bad bound" (fun () -> Rng.int r 0)
 
 let test_prng_uniformity () =
-  let r = Prng.create 7 in
+  let r = Rng.create 7 in
   let counts = Array.make 4 0 in
   for _ = 1 to 4000 do
-    let i = Prng.int r 4 in
+    let i = Rng.int r 4 in
     counts.(i) <- counts.(i) + 1
   done;
   Array.iter
@@ -34,11 +34,11 @@ let test_prng_uniformity () =
     counts
 
 let test_gaussian_moments () =
-  let r = Prng.create 11 in
+  let r = Rng.create 11 in
   let n = 20000 in
   let sum = ref 0. and sq = ref 0. in
   for _ = 1 to n do
-    let g = Prng.gaussian r in
+    let g = Rng.gaussian r in
     sum := !sum +. g;
     sq := !sq +. (g *. g)
   done;
@@ -48,10 +48,10 @@ let test_gaussian_moments () =
   Alcotest.(check bool) "variance near 1" true (Float.abs (var -. 1.) < 0.1)
 
 let test_shuffle_permutes () =
-  let r = Prng.create 3 in
+  let r = Rng.create 3 in
   let a = Array.init 50 (fun i -> i) in
   let b = Array.copy a in
-  Prng.shuffle r b;
+  Rng.shuffle r b;
   Alcotest.(check bool) "same multiset" true
     (List.sort compare (Array.to_list b) = Array.to_list a);
   Alcotest.(check bool) "actually shuffled" true (a <> b)
@@ -141,10 +141,10 @@ let test_encoding_locality () =
   (* Similar inputs encode to similar hypervectors; dissimilar inputs to
      near-orthogonal ones. *)
   let im = Hdc.item_memory hdc_config ~n_features:32 in
-  let rng = Prng.create 9 in
-  let x = Array.init 32 (fun _ -> Prng.float rng) in
+  let rng = Rng.create 9 in
+  let x = Array.init 32 (fun _ -> Rng.float rng) in
   let x_near = Array.map (fun v -> Float.min 1. (v +. 0.02)) x in
-  let y = Array.init 32 (fun _ -> Prng.float rng) in
+  let y = Array.init 32 (fun _ -> Rng.float rng) in
   let e = Hdc.encode hdc_config im in
   let d_near = Distance.hamming (e x) (e x_near) in
   let d_far = Distance.hamming (e x) (e y) in

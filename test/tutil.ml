@@ -15,7 +15,7 @@ let check_raises_invalid what f =
 (* A tiny torch-level module used by several suites: the HDC similarity
    kernel at configurable sizes. *)
 let hdc_source ?(q = 4) ?(dims = 64) ?(classes = 4) ?(k = 1) () =
-  C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k
+  Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k
 
 let hdc_torch ?q ?dims ?classes ?k () =
   Frontend.Emit.compile_string (hdc_source ?q ?dims ?classes ?k ())
