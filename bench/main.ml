@@ -1313,8 +1313,9 @@ let smoke ?json ?jobs ?(shards = 4) () =
       (* The range-store workload: simulated metrics exact-gated for a
          fixed shard count; results_digest is shard- and jobs-invariant
          (the shard-determinism CI leg compares it across shard
-         counts), and accuracy is the host-oracle agreement across the
-         mid-run box mutation. *)
+         counts), accuracy is the host-oracle agreement across the
+         mid-run box mutation, and the steady-state allocation per
+         query is banded like every serve workload's. *)
       let range_json =
         let st = range_stats in
         let dev = Serve.Range_store.device_stats range_store in
@@ -1367,6 +1368,9 @@ let smoke ?json ?jobs ?(shards = 4) () =
             ( "write_energy_j",
               Instrument.Json.Float st.Serve.Session.write_energy_j );
             ("results_digest", Instrument.Json.String range_digest);
+            ( "alloc_minor_words_per_query",
+              Instrument.Json.Float
+                st.Serve.Session.alloc_minor_words_per_query );
           ]
       in
       (* The placement workload: modeled split totals as the headline

@@ -186,7 +186,9 @@ let handle_errors f =
   | C4cam.Acam.Range_error msg ->
       prerr_endline ("c4cam: range error: " ^ msg);
       exit 1
-  | Serve.Range_store.Store_error msg ->
+  | Serve.Range_store.Store_error msg
+  | Serve.Sharded_store.Store_error msg
+  | Serve.Session.Serve_error msg ->
       prerr_endline ("c4cam: serve error: " ^ msg);
       exit 1
   | Invalid_argument msg ->
@@ -653,10 +655,10 @@ let print_server_stats (st : Server.stats) =
     (C4cam.Report.si_time st.lat_p50_s)
     (C4cam.Report.si_time st.lat_p99_s)
 
-let print_session_stats (s : Serve.Session.stats) c spec =
+let print_session_stats (s : Serve.Session.stats)
+    (info : C4cam.Driver.kernel_info) spec =
   Printf.printf "kernel   : %d queries x %d dims vs %d stored (%s)\n"
-    c.C4cam.Driver.info.C4cam.Driver.q c.C4cam.Driver.info.d
-    c.C4cam.Driver.info.n
+    info.q info.d info.n
     (C4cam.Dse.config_name spec);
   Printf.printf "served   : %d batches, %d queries (%.0f queries/s)\n"
     s.Serve.Session.batches s.queries_served s.queries_per_s;
@@ -716,27 +718,6 @@ let print_store_stats (st : Serve.Sharded_store.stats) spec ~q ~d ~k =
   Printf.printf "artifact : cache %s\n"
     (match s.cache with `Hit -> "hit" | `Miss -> "miss")
 
-(* Build a store of [rows] synthetic prototypes (external id = class
-   label) and return it with the matching noisy query rows. *)
-let make_store ~config ~spec ~q ~d ~k ~shards ~rows ~seed ~n_queries =
-  try
-    let store =
-      Serve.Sharded_store.create ~config ~spec ~q ~d ~k ~shards
-        ~capacity:rows ()
-    in
-    let data =
-      Workloads.Hdc.synthetic ~seed ~dims:d ~n_classes:rows ~n_queries
-        ~bits:spec.Archspec.Spec.bits ()
-    in
-    Array.iter
-      (fun r -> ignore (Serve.Sharded_store.insert store r))
-      data.Workloads.Hdc.stored;
-    (store, data.Workloads.Hdc.queries)
-  with
-  | Serve.Sharded_store.Store_error msg | Serve.Session.Serve_error msg ->
-      prerr_endline ("c4cam: serve error: " ^ msg);
-      exit 1
-
 let top_line (indices : int array array) =
   Array.to_list indices
   |> List.map (fun (row : int array) -> string_of_int row.(0))
@@ -787,6 +768,163 @@ let print_pre_stage = function
         (C4cam.Report.si_time p.Reg.pre_latency)
         (C4cam.Report.si_energy p.Reg.pre_energy)
 
+(* ---- the serving backend, resolved once for serve and serve-tcp ------- *)
+
+(* What a serve command runs, as its arguments select it: the range
+   store (a range workload), the sharded store (--shards > 1 or
+   --store-rows) or one session (--kernel or a kernel workload). *)
+type served = {
+  backend : Serve.Backend.t;
+  what : string;  (** the label of a reply's ids: "matched" or "top-1" *)
+  direct : float array array -> int array array * float * float;
+      (** one batch queried directly: the printed ids, simulated
+          latency and energy *)
+  summary : unit -> unit;  (** the kernel and store lines after serving *)
+  synthetic : unit -> float array array list;
+      (** [nb] generated batches, for when no --input is given *)
+}
+
+let resolve_served ~kernel ~workload ~spec ~config ~collector ~queries ~dims
+    ~classes ~seed ~shards ~store_rows ~topk ~nb =
+  let entry =
+    match kernel with
+    | Some _ -> None
+    | None -> Some (find_workload workload)
+  in
+  match entry with
+  | Some ({ Reg.exec = Reg.Range mk; _ } as e) ->
+      (* a pinned box table behind the (optionally sharded) range store *)
+      let shape = shape_of e ~queries ~dims ~classes ~seed in
+      let q = shape.Reg.queries in
+      let ri = mk { shape with Reg.queries = q * nb } in
+      let store =
+        Serve.Range_store.create ~config ~shards ~spec ~q ~lo:ri.Reg.ri_lo
+          ~hi:ri.Reg.ri_hi ()
+      in
+      {
+        backend = Serve.Range_store.backend store;
+        what = "matched";
+        direct =
+          (fun batch ->
+            let r = Serve.Range_store.query store batch in
+            (r.indices, r.latency, r.energy));
+        summary = (fun () -> print_range_store_stats store spec ~q);
+        synthetic = (fun () -> batches_from_pool ~q ~nb ri.Reg.ri_queries);
+      }
+  | Some { Reg.exec = Reg.Direct _; name; _ } ->
+      Printf.eprintf
+        "c4cam: workload %s drives the simulator directly and is not \
+         servable\n"
+        name;
+      exit 1
+  | _ when shards > 1 || store_rows > 0 ->
+      (* the workload kernel is ignored: the store compiles its own
+         scores-form kernel over [rows] synthetic prototypes (external
+         id = class label) *)
+      let q = Option.value queries ~default:16 in
+      let d = Option.value dims ~default:1024 in
+      let rows =
+        if store_rows > 0 then store_rows
+        else Option.value classes ~default:10
+      in
+      let store =
+        Serve.Sharded_store.create ~config ~spec ~q ~d ~k:topk ~shards
+          ~capacity:rows ()
+      in
+      let data =
+        Workloads.Hdc.synthetic
+          ~seed:(Option.value seed ~default:11)
+          ~dims:d ~n_classes:rows ~n_queries:(q * nb)
+          ~bits:spec.Archspec.Spec.bits ()
+      in
+      Array.iter
+        (fun r -> ignore (Serve.Sharded_store.insert store r))
+        data.stored;
+      {
+        backend = Serve.Sharded_store.backend store;
+        what = "top-1";
+        direct =
+          (fun batch ->
+            let r = Serve.Sharded_store.query store batch in
+            (r.indices, r.latency, r.energy));
+        summary =
+          (fun () ->
+            print_store_stats
+              (Serve.Sharded_store.stats store)
+              spec ~q ~d ~k:topk);
+        synthetic =
+          (fun () -> List.init nb (fun i -> Array.sub data.queries (i * q) q));
+      }
+  | _ ->
+      let spec, session, synthetic, pre =
+        match kernel with
+        | Some path ->
+            (* Probe the artifact first so synthetic data agrees with the
+               kernel's shapes, then hand the probe's result to the
+               session — its status reflects this process's first sight
+               of the (source, spec) pair, and on a miss the compile
+               passes land in the collector. *)
+            let src = read_file path in
+            let (c, _) as artifact =
+              Serve.Artifact_cache.lookup ?profile:collector ~spec src
+            in
+            let { C4cam.Driver.q; d; n; _ } = c.info in
+            let data =
+              Workloads.Hdc.synthetic
+                ~seed:(Option.value seed ~default:11)
+                ~dims:d ~n_classes:n ~n_queries:(q * nb) ~bits:spec.bits ()
+            in
+            ( spec,
+              Serve.Session.create ~config ~artifact ~spec
+                ~stored:data.stored src,
+              (fun () ->
+                List.init nb (fun i -> Array.sub data.queries (i * q) q)),
+              None )
+        | None ->
+            let e = Option.get entry in
+            let mk =
+              match e.Reg.exec with
+              | Reg.Kernel mk -> mk
+              | _ -> assert false
+            in
+            let shape = shape_of e ~queries ~dims ~classes ~seed in
+            let spec = e.Reg.fix_spec shape spec in
+            let ki = mk shape spec in
+            let artifact =
+              Serve.Artifact_cache.lookup ?profile:collector ~spec
+                ki.Reg.ki_source
+            in
+            (* a second, wider instance supplies distinct query rows for
+               every batch; source and stored rows come from the serving
+               instance *)
+            let pool () =
+              (mk { shape with Reg.queries = shape.Reg.queries * nb } spec)
+                .Reg.ki_queries
+            in
+            ( spec,
+              Serve.Session.create ~config ~artifact ~spec
+                ~stored:ki.Reg.ki_stored ki.Reg.ki_source,
+              (fun () ->
+                batches_from_pool ~q:shape.Reg.queries ~nb (pool ())),
+              ki.Reg.ki_pre )
+      in
+      print_pre_stage pre;
+      {
+        backend = Serve.Backend.of_session session;
+        what = "top-1";
+        direct =
+          (fun batch ->
+            let r = Serve.Session.query session batch in
+            (r.indices, r.latency, r.energy));
+        summary =
+          (fun () ->
+            print_session_stats
+              (Serve.Session.stats session)
+              (Serve.Session.info session)
+              spec);
+        synthetic;
+      }
+
 let serve_cmd =
   let run kernel workload arch size opt queries dims classes seed batches
       input clients shards store_rows topk server_config profile
@@ -798,225 +936,40 @@ let serve_cmd =
         Option.iter (fun c -> Instrument.Collect.set_jobs c jobs) collector;
         let config = config_of ?collector () in
         let nb = max 1 batches in
-        let entry =
-          match kernel with
-          | Some _ -> None
-          | None -> Some (find_workload workload)
+        let served =
+          resolve_served ~kernel ~workload ~spec ~config ~collector ~queries
+            ~dims ~classes ~seed ~shards ~store_rows ~topk ~nb
         in
-        match entry with
-        | Some ({ Reg.exec = Reg.Range mk; _ } as e) ->
-            (* range workload: a pinned box table behind the (optionally
-               sharded) range store *)
-            let shape = shape_of e ~queries ~dims ~classes ~seed in
-            let q = shape.Reg.queries in
-            let ri = mk { shape with Reg.queries = q * nb } in
-            let config = C4cam.Driver.Run_config.with_shards shards config in
-            let store =
-              Serve.Range_store.create ~config ~spec ~q ~lo:ri.Reg.ri_lo
-                ~hi:ri.Reg.ri_hi ()
-            in
-            let query_batches =
-              match input with
-              | Some "-" -> read_query_batches ~q ~d:shape.Reg.dims stdin
-              | Some path ->
-                  In_channel.with_open_text path
-                    (read_query_batches ~q ~d:shape.Reg.dims)
-              | None -> batches_from_pool ~q ~nb ri.Reg.ri_queries
-            in
-            if clients > 0 then begin
-              let st =
-                serve_clients ~config:(server_config jobs) ~clients
-                  ~what:"matched"
-                  (Serve.Range_store.backend store)
-                  query_batches
-              in
-              emit_profile ~profile ~profile_json collector;
-              print_range_store_stats store spec ~q;
-              Printf.printf "clients  : %d\n" clients;
-              print_server_stats st
-            end
-            else begin
-              List.iteri
-                (fun i batch ->
-                  let r = Serve.Range_store.query store batch in
-                  Printf.printf "batch %d: matched [%s] (%s, %s)\n" i
-                    (top_line r.Serve.Range_store.indices)
-                    (C4cam.Report.si_time r.Serve.Range_store.latency)
-                    (C4cam.Report.si_energy r.Serve.Range_store.energy))
-                query_batches;
-              emit_profile ~profile ~profile_json collector;
-              print_range_store_stats store spec ~q
-            end
-        | Some { Reg.exec = Reg.Direct _; name; _ } ->
-            Printf.eprintf
-              "c4cam: workload %s drives the simulator directly and is \
-               not servable\n"
-              name;
-            exit 1
-        | _ when shards > 1 || store_rows > 0 ->
-            (* sharded-store mode: the workload kernel is ignored, the
-               store compiles its own scores-form kernel *)
-            let q = Option.value queries ~default:16 in
-            let d = Option.value dims ~default:1024 in
-            let rows =
-              if store_rows > 0 then store_rows
-              else Option.value classes ~default:10
-            in
-            let seed = Option.value seed ~default:11 in
-            let config = C4cam.Driver.Run_config.with_shards shards config in
-            let store, qdata =
-              make_store ~config ~spec ~q ~d ~k:topk ~shards ~rows ~seed
-                ~n_queries:(q * nb)
-            in
-            let query_batches =
-              match input with
-              | Some "-" -> read_query_batches ~q ~d stdin
-              | Some path ->
-                  In_channel.with_open_text path (read_query_batches ~q ~d)
-              | None ->
-                  List.init nb (fun i -> Array.sub qdata (i * q) q)
-            in
-            (if clients > 0 then begin
-               let st =
-                 serve_clients ~config:(server_config jobs) ~clients
-                   ~what:"top-1"
-                   (Serve.Sharded_store.backend store)
-                   query_batches
-               in
-               emit_profile ~profile ~profile_json collector;
-               print_store_stats
-                 (Serve.Sharded_store.stats store)
-                 spec ~q ~d ~k:topk;
-               Printf.printf "clients  : %d\n" clients;
-               print_server_stats st
-             end
-             else begin
-               List.iteri
-                 (fun i batch ->
-                   let r =
-                     try Serve.Sharded_store.query store batch
-                     with Serve.Sharded_store.Store_error msg ->
-                       prerr_endline ("c4cam: serve error: " ^ msg);
-                       exit 1
-                   in
-                   Printf.printf "batch %d: top-1 [%s] (%s, %s)\n" i
-                     (top_line r.Serve.Sharded_store.indices)
-                     (C4cam.Report.si_time r.Serve.Sharded_store.latency)
-                     (C4cam.Report.si_energy r.Serve.Sharded_store.energy))
-                 query_batches;
-               emit_profile ~profile ~profile_json collector;
-               print_store_stats
-                 (Serve.Sharded_store.stats store)
-                 spec ~q ~d ~k:topk
-             end)
-        | _ ->
-        let spec, session, query_batches, pre =
-          try
-            match kernel with
-            | Some path ->
-                (* Probe the artifact first so synthetic data and the
-                   input reader agree with the kernel's shapes, then hand
-                   the probe's result to the session — its status
-                   reflects this process's first sight of the
-                   (source, spec) pair, and on a miss the compile passes
-                   land in the collector. *)
-                let src = read_file path in
-                let (c, _) as artifact =
-                  Serve.Artifact_cache.lookup ?profile:collector ~spec src
-                in
-                let data =
-                  Workloads.Hdc.synthetic
-                    ~seed:(Option.value seed ~default:11)
-                    ~dims:c.info.d ~n_classes:c.info.n
-                    ~n_queries:(c.info.q * nb) ~bits:spec.bits ()
-                in
-                let qbatches =
-                  match input with
-                  | Some "-" ->
-                      read_query_batches ~q:c.info.q ~d:c.info.d stdin
-                  | Some path ->
-                      In_channel.with_open_text path
-                        (read_query_batches ~q:c.info.q ~d:c.info.d)
-                  | None ->
-                      List.init nb (fun i ->
-                          Array.sub data.queries (i * c.info.q) c.info.q)
-                in
-                let session =
-                  Serve.Session.create ~config ~artifact ~spec
-                    ~stored:data.stored src
-                in
-                (spec, session, qbatches, None)
-            | None ->
-                let e = Option.get entry in
-                let mk =
-                  match e.Reg.exec with
-                  | Reg.Kernel mk -> mk
-                  | _ -> assert false
-                in
-                let shape = shape_of e ~queries ~dims ~classes ~seed in
-                let spec = e.Reg.fix_spec shape spec in
-                let ki = mk shape spec in
-                (* a second, wider instance supplies distinct query rows
-                   for every batch; source and stored rows come from the
-                   serving instance *)
-                let pool =
-                  (mk { shape with Reg.queries = shape.Reg.queries * nb }
-                     spec)
-                    .Reg.ki_queries
-                in
-                let q = shape.Reg.queries in
-                let d = Array.length ki.Reg.ki_queries.(0) in
-                let qbatches =
-                  match input with
-                  | Some "-" -> read_query_batches ~q ~d stdin
-                  | Some path ->
-                      In_channel.with_open_text path
-                        (read_query_batches ~q ~d)
-                  | None -> batches_from_pool ~q ~nb pool
-                in
-                let artifact =
-                  Serve.Artifact_cache.lookup ?profile:collector ~spec
-                    ki.Reg.ki_source
-                in
-                let session =
-                  Serve.Session.create ~config ~artifact ~spec
-                    ~stored:ki.Reg.ki_stored ki.Reg.ki_source
-                in
-                (spec, session, qbatches, ki.Reg.ki_pre)
-          with Serve.Session.Serve_error msg ->
-            prerr_endline ("c4cam: serve error: " ^ msg);
-            exit 1
+        let query_batches =
+          let { Serve.Backend.q; d; _ } = served.backend in
+          match input with
+          | Some "-" -> read_query_batches ~q ~d stdin
+          | Some path ->
+              In_channel.with_open_text path (read_query_batches ~q ~d)
+          | None -> served.synthetic ()
         in
-        print_pre_stage pre;
-        (if clients > 0 then begin
-           let st =
-             serve_clients ~config:(server_config jobs) ~clients
-               ~what:"top-1"
-               (Serve.Backend.of_session session)
-               query_batches
-           in
-           emit_profile ~profile ~profile_json collector;
-           print_session_stats st.Server.session
-             (Serve.Session.compiled session)
-             spec;
-           Printf.printf "clients  : %d\n" clients;
-           print_server_stats st
-         end
-         else begin
-           List.iteri
-             (fun i batch ->
-               let r = Serve.Session.query session batch in
-               Printf.printf "batch %d: top-1 [%s] (%s, %s)\n" i
-                 (top_line r.C4cam.Driver.indices)
-                 (C4cam.Report.si_time r.latency)
-                 (C4cam.Report.si_energy r.energy))
-             query_batches;
-           emit_profile ~profile ~profile_json collector;
-           print_session_stats
-             (Serve.Session.stats session)
-             (Serve.Session.compiled session)
-             spec
-         end))
+        if clients > 0 then begin
+          let st =
+            serve_clients ~config:(server_config jobs) ~clients
+              ~what:served.what served.backend query_batches
+          in
+          emit_profile ~profile ~profile_json collector;
+          served.summary ();
+          Printf.printf "clients  : %d\n" clients;
+          print_server_stats st
+        end
+        else begin
+          List.iteri
+            (fun i batch ->
+              let indices, latency, energy = served.direct batch in
+              Printf.printf "batch %d: %s [%s] (%s, %s)\n" i served.what
+                (top_line indices)
+                (C4cam.Report.si_time latency)
+                (C4cam.Report.si_energy energy))
+            query_batches;
+          emit_profile ~profile ~profile_json collector;
+          served.summary ()
+        end)
   in
   let batches_arg =
     Arg.(
@@ -1063,125 +1016,35 @@ let serve_tcp_cmd =
         let collector = collector_for ~profile ~profile_json in
         Option.iter (fun c -> Instrument.Collect.set_jobs c jobs) collector;
         let config = config_of ?collector () in
-        let entry =
-          match kernel with
-          | Some _ -> None
-          | None -> Some (find_workload workload)
+        let served =
+          resolve_served ~kernel ~workload ~spec ~config ~collector ~queries
+            ~dims ~classes ~seed ~shards ~store_rows ~topk ~nb:1
         in
-        let serve_loop server summarize =
-          let listener =
-            try Tcp.listen ~port server
-            with Server.Server_error msg ->
-              prerr_endline ("c4cam: " ^ msg);
-              exit 1
-          in
-          Printf.printf "listening on 127.0.0.1:%d\n%!" (Tcp.port listener);
-          (* serve until stdin closes (^D, or the driving process hanging
-             up), then shut down in order: wire, scheduler, summary *)
-          (try
-             while true do
-               ignore (input_line stdin)
-             done
-           with End_of_file -> ());
-          Tcp.shutdown listener;
-          Server.stop server;
-          emit_profile ~profile ~profile_json collector;
-          let st = Server.stats server in
-          summarize st;
-          Printf.printf "clients  : %d connections\n"
-            (Tcp.connections_served listener);
-          print_server_stats st
+        let server =
+          Server.create_on ~config:(server_config jobs) served.backend
         in
-        match entry with
-        | Some ({ Reg.exec = Reg.Range mk; _ } as e) ->
-            let shape = shape_of e ~queries ~dims ~classes ~seed in
-            let q = shape.Reg.queries in
-            let ri = mk shape in
-            let config = C4cam.Driver.Run_config.with_shards shards config in
-            let store =
-              Serve.Range_store.create ~config ~spec ~q ~lo:ri.Reg.ri_lo
-                ~hi:ri.Reg.ri_hi ()
-            in
-            let server =
-              Server.create_on ~config:(server_config jobs)
-                (Serve.Range_store.backend store)
-            in
-            serve_loop server (fun _st ->
-                print_range_store_stats store spec ~q)
-        | Some { Reg.exec = Reg.Direct _; name; _ } ->
-            Printf.eprintf
-              "c4cam: workload %s drives the simulator directly and is \
-               not servable\n"
-              name;
-            exit 1
-        | _ when shards > 1 || store_rows > 0 ->
-            let q = Option.value queries ~default:16 in
-            let d = Option.value dims ~default:1024 in
-            let rows =
-              if store_rows > 0 then store_rows
-              else Option.value classes ~default:10
-            in
-            let seed = Option.value seed ~default:11 in
-            let config = C4cam.Driver.Run_config.with_shards shards config in
-            let store, _ =
-              make_store ~config ~spec ~q ~d ~k:topk ~shards ~rows ~seed
-                ~n_queries:q
-            in
-            let server =
-              Server.create_on ~config:(server_config jobs)
-                (Serve.Sharded_store.backend store)
-            in
-            serve_loop server (fun _st ->
-                print_store_stats
-                  (Serve.Sharded_store.stats store)
-                  spec ~q ~d ~k:topk)
-        | _ ->
-        let spec, session, pre =
-          try
-            match kernel with
-            | Some path ->
-                let src = read_file path in
-                let (c, _) as artifact =
-                  Serve.Artifact_cache.lookup ?profile:collector ~spec src
-                in
-                let data =
-                  Workloads.Hdc.synthetic
-                    ~seed:(Option.value seed ~default:11)
-                    ~dims:c.info.d ~n_classes:c.info.n ~n_queries:c.info.q
-                    ~bits:spec.bits ()
-                in
-                ( spec,
-                  Serve.Session.create ~config ~artifact ~spec
-                    ~stored:data.stored src,
-                  None )
-            | None ->
-                let e = Option.get entry in
-                let mk =
-                  match e.Reg.exec with
-                  | Reg.Kernel mk -> mk
-                  | _ -> assert false
-                in
-                let shape = shape_of e ~queries ~dims ~classes ~seed in
-                let spec = e.Reg.fix_spec shape spec in
-                let ki = mk shape spec in
-                let artifact =
-                  Serve.Artifact_cache.lookup ?profile:collector ~spec
-                    ki.Reg.ki_source
-                in
-                ( spec,
-                  Serve.Session.create ~config ~artifact ~spec
-                    ~stored:ki.Reg.ki_stored ki.Reg.ki_source,
-                  ki.Reg.ki_pre )
-          with Serve.Session.Serve_error msg ->
-            prerr_endline ("c4cam: serve error: " ^ msg);
+        let listener =
+          try Tcp.listen ~port server
+          with Server.Server_error msg ->
+            prerr_endline ("c4cam: " ^ msg);
             exit 1
         in
-        print_pre_stage pre;
-        let server = Server.create ~config:(server_config jobs) session in
-        serve_loop server (fun st ->
-            print_session_stats st.Server.session
-              (Serve.Session.compiled session)
-              spec))
+        Printf.printf "listening on 127.0.0.1:%d\n%!" (Tcp.port listener);
+        (* serve until stdin closes (^D, or the driving process hanging
+           up), then shut down in order: wire, scheduler, summary *)
+        (try
+           while true do
+             ignore (input_line stdin)
+           done
+         with End_of_file -> ());
+        Tcp.shutdown listener;
+        Server.stop server;
+        emit_profile ~profile ~profile_json collector;
+        let st = Server.stats server in
+        served.summary ();
+        Printf.printf "clients  : %d connections\n"
+          (Tcp.connections_served listener);
+        print_server_stats st)
   in
   let port_arg =
     Arg.(

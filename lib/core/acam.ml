@@ -79,22 +79,18 @@ type result = {
   ops_executed : (string * int) list;
 }
 
-let execute ~sim ?qcache ?lo_value ?hi_value ?query_value c ~lo ~hi ~queries =
+let run ?(config = Driver.Run_config.default) c ~lo ~hi ~queries =
   if Array.length queries <> c.ra_q then
     fail "expected %d query rows, got %d" c.ra_q (Array.length queries);
   if Array.length lo <> c.ra_rows || Array.length hi <> c.ra_rows then
     fail "expected %d box rows, got %d/%d" c.ra_rows (Array.length lo)
       (Array.length hi);
-  let wrap v rows = match v with
-    | Some v -> v
-    | None -> Driver.wrap_rows rows
-  in
-  let args =
-    [ wrap query_value queries; wrap lo_value lo; wrap hi_value hi ]
-  in
+  let sim = Driver.create_sim config c.ra_spec in
+  Camsim.Simulator.set_query_hint sim c.ra_q;
   let outcome =
     try
-      Interp.Machine.run ~sim ?qcache c.ra_modul c.ra_fn args
+      Interp.Machine.run ~sim c.ra_modul c.ra_fn
+        (List.map Driver.wrap_rows [ queries; lo; hi ])
     with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
   in
   let values, indices =
@@ -105,21 +101,18 @@ let execute ~sim ?qcache ?lo_value ?hi_value ?query_value c ~lo ~hi ~queries =
   let stats = Camsim.Simulator.stats sim in
   let energy = Camsim.Stats.total_energy stats in
   let latency = outcome.Interp.Machine.latency in
-  {
-    values;
-    indices;
-    matches = Workloads.Range_filter.decode ~values ~indices;
-    latency;
-    energy;
-    power = (if latency > 0. then energy /. latency else 0.);
-    stats;
-    ops_executed = outcome.Interp.Machine.ops_executed;
-  }
-
-let run ?(config = Driver.Run_config.default) c ~lo ~hi ~queries =
-  let sim = Driver.create_sim config c.ra_spec in
-  Camsim.Simulator.set_query_hint sim c.ra_q;
-  let r = execute ~sim c ~lo ~hi ~queries in
+  let r =
+    {
+      values;
+      indices;
+      matches = Workloads.Range_filter.decode ~values ~indices;
+      latency;
+      energy;
+      power = (if latency > 0. then energy /. latency else 0.);
+      stats;
+      ops_executed = outcome.Interp.Machine.ops_executed;
+    }
+  in
   Option.iter
     (fun p ->
       Driver.fold_sim_stats p ~latency:r.latency ~energy:r.energy

@@ -6,8 +6,9 @@
     Range kernels are not expressible in the TorchScript frontend (no
     tensor op means "interval membership"), so the module is built
     directly at the cam level; from there it flows through the same
-    interpreter, energy model and serve-mode record/replay as
-    every compiled kernel. *)
+    interpreter and energy model as every compiled kernel, and serves
+    through the same [Serve.Session] (one with two pinned tables, lo
+    and hi). *)
 
 type compiled = {
   ra_spec : Archspec.Spec.t;
@@ -41,24 +42,11 @@ type result = {
       (** per query: the matched box id ([values = 0]) or [-1] —
           {!Workloads.Range_filter.decode} of the selection *)
   latency : float;  (** seconds *)
-  energy : float;  (** joules, cumulative on the executing simulator *)
+  energy : float;  (** joules *)
   power : float;
   stats : Camsim.Stats.t;
   ops_executed : (string * int) list;
 }
-
-val execute :
-  sim:Camsim.Simulator.t ->
-  ?qcache:Interp.Ops.Qcache.t -> ?lo_value:Interp.Rtval.t ->
-  ?hi_value:Interp.Rtval.t -> ?query_value:Interp.Rtval.t -> compiled ->
-  lo:float array array -> hi:float array array ->
-  queries:float array array -> result
-(** One execution against an existing simulator (the serving path —
-    [Serve.Range_store] re-enters this per batch under record/replay
-    with pinned [lo_value]/[hi_value]/[query_value] buffers, exactly
-    like [Serve.Session] over {!Driver.execute}). [latency] is this
-    run's simulated time; [energy]/[stats] are the simulator's
-    cumulative ledger. *)
 
 val run :
   ?config:Driver.Run_config.t -> compiled -> lo:float array array ->

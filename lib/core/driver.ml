@@ -195,7 +195,6 @@ module Run_config = struct
     defect_rate : float option;
     defect_seed : int option;
     trace : Camsim.Trace.t option;
-    shards : int;
     placement : placement;
     place_objective : Passes.Placement.objective;
   }
@@ -207,7 +206,6 @@ module Run_config = struct
       defect_rate = None;
       defect_seed = None;
       trace = None;
-      shards = 1;
       placement = `Cam;
       place_objective = Passes.Placement.Energy;
     }
@@ -224,10 +222,6 @@ module Run_config = struct
 
   let with_trace tr t = { t with trace = Some tr }
 
-  let with_shards n t =
-    if n < 1 then invalid_arg "Run_config.with_shards: shards must be >= 1";
-    { t with shards = n }
-
   let with_placement p t = { t with placement = p }
   let with_place_objective o t = { t with place_objective = o }
 end
@@ -236,11 +230,10 @@ let create_sim (cfg : Run_config.t) spec =
   Camsim.Simulator.create ?tech:cfg.tech ?defect_rate:cfg.defect_rate
     ?defect_seed:cfg.defect_seed ?trace:cfg.trace spec
 
-(* ---- the factored execution path --------------------------------------
-   [run_cam] is [create_sim] + one [execute] + profile folding. A serving
-   session ([Serve.Session]) re-enters [execute] against its own pinned
-   simulator and stored buffer for every query batch, which is why these
-   pieces are exported separately. *)
+(* ---- the pieces [run_cam] composes -------------------------------------
+   A serving session ([Serve.Session]) runs the compiled module against
+   its own pinned simulator and buffers for every query batch, with the
+   same operand order and decode. *)
 
 let wrap_rows rows = Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows rows)
 
@@ -285,43 +278,35 @@ let fold_sim_stats profile ~latency ~energy ~ops_executed
       ops_executed;
     }
 
-let execute_flat ~sim ?qcache ?pool ?query_value c ~queries ~stored_value =
+let run_cam ?(config = Run_config.default) c ~queries ~stored =
+  if Array.length stored <> c.info.n then
+    fail "expected %d stored rows, got %d" c.info.n (Array.length stored);
   if Array.length queries <> c.info.q then
     fail "expected %d query rows, got %d" c.info.q (Array.length queries);
-  let queries_value =
-    match query_value with Some v -> v | None -> wrap_rows queries
-  in
-  let args = kernel_args c.info ~queries:queries_value ~stored:stored_value in
-  try
-    Interp.Machine.run ~sim ?qcache ?pool c.cam_ir c.fn_name args
-  with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
-
-let execute ~sim ?qcache ?query_value c ~queries ~stored_value =
+  let sim = create_sim config c.spec in
+  Camsim.Simulator.set_query_hint sim (Array.length queries);
   let outcome =
-    execute_flat ~sim ?qcache ?query_value c ~queries ~stored_value
+    try
+      Interp.Machine.run ~sim c.cam_ir c.fn_name
+        (kernel_args c.info ~queries:(wrap_rows queries)
+           ~stored:(wrap_rows stored))
+    with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
   in
   let stats = Camsim.Simulator.stats sim in
   let energy = Camsim.Stats.total_energy stats in
   let latency = outcome.latency in
   let values, indices, scores = decode_results c.info outcome.results in
-  {
-    values;
-    indices;
-    scores;
-    latency;
-    energy;
-    power = (if latency > 0. then energy /. latency else 0.);
-    stats;
-    ops_executed = outcome.ops_executed;
-  }
-
-let run_cam ?(config = Run_config.default) c ~queries ~stored =
-  if Array.length stored <> c.info.n then
-    fail "expected %d stored rows, got %d" c.info.n (Array.length stored);
-  let sim = create_sim config c.spec in
-  Camsim.Simulator.set_query_hint sim (Array.length queries);
   let r =
-    execute ~sim c ~queries ~stored_value:(wrap_rows stored)
+    {
+      values;
+      indices;
+      scores;
+      latency;
+      energy;
+      power = (if latency > 0. then energy /. latency else 0.);
+      stats;
+      ops_executed = outcome.ops_executed;
+    }
   in
   Option.iter
     (fun p ->

@@ -74,7 +74,7 @@ type run_result = {
     sessions. Build with pipelines over {!Run_config.default}:
 
     {[
-      Driver.Run_config.(default |> with_tech t |> with_shards 4)
+      Driver.Run_config.(default |> with_tech t |> with_defects 0.01)
     ]} *)
 module Run_config : sig
   type placement =
@@ -94,18 +94,13 @@ module Run_config : sig
     defect_rate : float option;
     defect_seed : int option;
     trace : Camsim.Trace.t option;
-    shards : int;
-        (** How many independent simulator shards a sharded store
-            partitions its rows across ([Serve.Sharded_store]). Plain
-            single-simulator runs ignore it. Must be >= 1. *)
     placement : placement;
     place_objective : Passes.Placement.objective;
   }
 
   val default : t
-  (** No profiling, no trace, default technology, zero defects, one
-      shard, [`Cam] placement under the
-      [Energy] objective. *)
+  (** No profiling, no trace, default technology, zero defects,
+      [`Cam] placement under the [Energy] objective. *)
 
   val with_profile : Instrument.Collect.t -> t -> t
   val with_tech : Camsim.Tech.t -> t -> t
@@ -116,9 +111,6 @@ module Run_config : sig
       to the simulator's default). *)
 
   val with_trace : Camsim.Trace.t -> t -> t
-
-  val with_shards : int -> t -> t
-  (** Raises [Invalid_argument] when the count is < 1. *)
 
   val with_placement : placement -> t -> t
   val with_place_objective : Passes.Placement.objective -> t -> t
@@ -133,45 +125,14 @@ val run_cam :
     [config.profile], the run's latency, energy breakdown and activity
     counters are folded into the collector's simulator section. *)
 
-(** {1 The factored execution path} — the pieces [run_cam] composes,
-    exported for [Serve.Session] which re-enters them per query batch
-    against a pinned simulator (see [docs/SERVING.md]). *)
+(** {1 The pieces [run_cam] composes} — exported for [Serve.Session],
+    which runs a pinned kernel per query batch against its own
+    simulator (see [docs/SERVING.md]), and for [Acam]. *)
 
 val create_sim : Run_config.t -> Archspec.Spec.t -> Camsim.Simulator.t
 
 val wrap_rows : float array array -> Interp.Rtval.t
 (** Rows as a contiguous row-major runtime buffer. *)
-
-val execute :
-  sim:Camsim.Simulator.t ->
-  ?qcache:Interp.Ops.Qcache.t -> ?query_value:Interp.Rtval.t -> compiled ->
-  queries:float array array -> stored_value:Interp.Rtval.t -> run_result
-(** One kernel execution against an existing simulator: checks the
-    query-row count, orders the operands, runs the interpreter and
-    decodes the results. [stored_value] is passed through untouched so
-    a session can pin one buffer across batches; the stored-row count
-    is the caller's responsibility. [query_value], when given, is used
-    as the query operand instead of wrapping [queries] into a fresh
-    buffer — a session blits each chunk into one persistent buffer and
-    passes it here, keeping the operand's backing store (and therefore
-    the query-row cache's key) stable across batches; it must hold
-    exactly the rows of [queries]. [latency]/[energy]/[stats] reflect
-    the simulator's {e cumulative} ledger, so a serving session reads
-    per-batch deltas by snapshotting around the call. Does {e not} fold
-    into a profile — callers that want that use {!fold_sim_stats}. *)
-
-val execute_flat :
-  sim:Camsim.Simulator.t ->
-  ?qcache:Interp.Ops.Qcache.t -> ?pool:Interp.Ops.Pool.t ->
-  ?query_value:Interp.Rtval.t -> compiled -> queries:float array array ->
-  stored_value:Interp.Rtval.t -> Interp.Machine.outcome
-(** {!execute} without the decode: the interpreter's raw outcome, whose
-    results are the kernel's output buffers as it wrote them (for a
-    [`Scores] kernel, one row-major [q x n] buffer). A caller that
-    reads the output in place — a sharded store selecting its top-k —
-    skips the row copies {!decode_results} makes, and may hand the
-    buffers back to [pool] once done with them so the next execution
-    reuses them. *)
 
 val decode_results :
   kernel_info -> Interp.Rtval.t list ->

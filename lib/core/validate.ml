@@ -21,9 +21,6 @@ let manual_similarity ?(tech = Camsim.Tech.fefet_45nm_v2)
     Passes.Cim_partition.batches_for spec ~stored_rows
   in
   let slots = ceil_div tiles batches in
-  let arrays = ceil_div slots spec.subarrays_per_array in
-  let mats = ceil_div arrays spec.arrays_per_mat in
-  let banks = ceil_div mats spec.mats_per_bank in
   let bits = spec.bits in
   (* --- per-tile cost chain, identical to the generated inner loop --- *)
   let write = Camsim.Energy_model.write tech ~bits ~cols:spec.cols ~rows:tile_rows in
@@ -36,22 +33,32 @@ let manual_similarity ?(tech = Camsim.Tech.fefet_45nm_v2)
     Camsim.Energy_model.merge tech ~elems:(queries * tile_rows)
   in
   let tile_latency = write.latency +. search.latency +. merge.latency in
-  (* The busiest subarray hosts [batches] tiles back to back. *)
-  let subarray_latency = float_of_int batches *. tile_latency in
-  (* Sequential levels multiply by the occupancy of the busiest unit;
-     parallel levels contribute their maximum (one unit's latency). *)
-  let level lat mode busiest =
-    match (mode : Archspec.Spec.access_mode) with
-    | Sequential -> lat *. float_of_int busiest
-    | Parallel -> lat
+  (* Occupancy, counted in tiles run back to back. Density packs
+     [batches] tiles per subarray (Sec. III-D), so the last subarray
+     holds what is left — possibly fewer, even fewer than [batches] in
+     the only one. A sequential level sums its units' times, a parallel
+     one takes the busiest; a partly filled last unit is charged what
+     it holds, not what a full one would. *)
+  let level mode per units =
+    let n = Array.length units in
+    Array.init (ceil_div n per) (fun g ->
+        let unit_times = Array.sub units (g * per) (min per (n - (g * per))) in
+        match (mode : Archspec.Spec.access_mode) with
+        | Sequential -> Array.fold_left ( + ) 0 unit_times
+        | Parallel -> Array.fold_left max 0 unit_times)
   in
-  let per_array =
-    level subarray_latency spec.subarray_mode
-      (min spec.subarrays_per_array slots)
+  let per_subarray =
+    Array.init slots (fun s -> min batches (tiles - (s * batches)))
   in
-  let per_mat = level per_array spec.array_mode (min spec.arrays_per_mat arrays) in
-  let per_bank = level per_mat spec.mat_mode (min spec.mats_per_bank mats) in
-  let all_banks = level per_bank spec.bank_mode banks in
+  let per_array = level spec.subarray_mode spec.subarrays_per_array per_subarray in
+  let per_mat = level spec.array_mode spec.arrays_per_mat per_array in
+  let per_bank = level spec.mat_mode spec.mats_per_bank per_mat in
+  let arrays = Array.length per_array in
+  let mats = Array.length per_mat in
+  let banks = Array.length per_bank in
+  let all_banks =
+    float_of_int (level spec.bank_mode banks per_bank).(0) *. tile_latency
+  in
   let select =
     Camsim.Energy_model.select tech ~elems_per_query:stored_rows ~k ~queries
   in

@@ -23,6 +23,8 @@ val manual_similarity :
   stored_rows:int -> dims:int -> k:int -> unit -> result
 (** Latency/energy of the hand mapping for a [queries x dims] against
     [stored_rows x dims] best-match search. Honours the spec's access
-    modes, density batching and bit width, like the generated code.
+    modes, density batching and bit width, like the generated code; a
+    partly filled subarray, array, mat or bank is charged for the
+    tiles it holds.
     @raise Invalid_argument when [dims] is not divisible by the
     subarray columns. *)

@@ -19,10 +19,10 @@ type t = {
 }
 
 let of_session s =
-  let info = (Session.compiled s).C4cam.Driver.info in
+  let { C4cam.Driver.q; d; _ } = Session.info s in
   {
-    q = info.C4cam.Driver.q;
-    d = info.C4cam.Driver.d;
+    q;
+    d;
     run_config = Session.run_config s;
     query =
       (fun rows ->

@@ -2,21 +2,12 @@ exception Store_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Store_error s)) fmt
 
-(* One contiguous slice of the box table on its own simulator, with the
-   bounds pinned into interpreter buffers so replay can diff them in
-   place (the [Session] pattern, applied to [cam.write_range]). *)
+(* One contiguous slice of the box table, served by a session over
+   its own ACAM module with the slice's bounds pinned. *)
 type shard = {
-  sh_offset : int;  (** first global box id of this slice *)
-  sh_boxes : int;
-  sh_compiled : C4cam.Acam.compiled;
-  sh_sim : Camsim.Simulator.t;
-  sh_qcache : Interp.Ops.Qcache.t;
-  sh_lo : float array array;  (** arity mirrors; contents live in bufs *)
-  sh_hi : float array array;
-  sh_lo_buf : Interp.Rtval.buffer;
-  sh_hi_buf : Interp.Rtval.buffer;
-  sh_qbuf : Interp.Rtval.buffer;
-  mutable sh_ops : (string * int) list;  (** cumulative, merged *)
+  offset : int;  (** first global box id of this slice *)
+  boxes : int;
+  session : Session.t;
 }
 
 type t = {
@@ -38,46 +29,37 @@ let boxes t = t.st_boxes
 let dims t = t.st_dims
 let shards t = Array.length t.st_shards
 
-(* One shard's best (violations, global box id) per query row. Its
-   q-chunks run in order against its own simulator: each is blitted
-   into the pinned query buffer, replays the recorded setup (free when
-   the bounds are unchanged) and pays for its search. The shard's time
-   for the batch is the sum over its chunks. *)
-let shard_search ~q ~dims sh batch =
-  let energy () =
-    Camsim.Stats.total_energy (Camsim.Simulator.stats sh.sh_sim)
+(* One shard's best (violations, global box id) per query row, read
+   out of its session's [q x 1] outputs. *)
+let shard_search sh batch =
+  let f =
+    try Session.query_flat sh.session batch
+    with Session.Serve_error e -> raise (Store_error e)
   in
-  let e0 = energy () and total = Array.length batch in
+  let total = Array.length batch in
   let values = Array.make total [||] and indices = Array.make total [||] in
-  let latency = ref 0. and dst = sh.sh_qbuf.Interp.Rtval.b_data in
-  for c = 0 to (total / q) - 1 do
-    let chunk = Array.sub batch (c * q) q in
-    Array.iteri (fun i row -> Array.blit row 0 dst (i * dims) dims) chunk;
-    Interp.Ops.Qcache.invalidate sh.sh_qcache dst;
-    let r =
-      Session.replay sh.sh_sim @@ fun () ->
-      C4cam.Acam.execute ~sim:sh.sh_sim ~qcache:sh.sh_qcache
-        ~lo_value:(Interp.Rtval.Buffer sh.sh_lo_buf)
-        ~hi_value:(Interp.Rtval.Buffer sh.sh_hi_buf)
-        ~query_value:(Interp.Rtval.Buffer sh.sh_qbuf) sh.sh_compiled
-        ~lo:sh.sh_lo ~hi:sh.sh_hi ~queries:chunk
-    in
-    latency := !latency +. r.C4cam.Acam.latency;
-    sh.sh_ops <- Session.merge_counts sh.sh_ops r.C4cam.Acam.ops_executed;
-    Array.blit r.C4cam.Acam.values 0 values (c * q) q;
-    Array.iteri
-      (fun i (row : int array) ->
-        indices.((c * q) + i) <- [| sh.sh_offset + row.(0) |])
-      r.C4cam.Acam.indices
-  done;
+  List.iteri
+    (fun c outputs ->
+      match outputs with
+      | [ v; i ] ->
+          let vs = Interp.Rtval.to_rows v and is = Interp.Rtval.to_int_rows i in
+          let q = Array.length vs in
+          Array.blit vs 0 values (c * q) q;
+          Array.iteri
+            (fun r (row : int array) ->
+              indices.((c * q) + r) <- [| sh.offset + row.(0) |])
+            is
+      | _ -> fail "internal: range kernel returned no selection")
+    f.Session.outputs;
+  Session.release sh.session f;
   {
     Shard_set.values;
     indices;
-    latency = !latency;
-    energy = energy () -. e0;
+    latency = f.Session.latency;
+    energy = f.Session.energy;
   }
 
-let create ?(config = C4cam.Driver.Run_config.default) ?shards
+let create ?(config = C4cam.Driver.Run_config.default) ?(shards = 1)
     ?(spec = Archspec.Spec.square 32 Archspec.Spec.Base) ~q ~lo ~hi () =
   let n_boxes = Array.length lo in
   if n_boxes = 0 || Array.length hi <> n_boxes then
@@ -93,56 +75,33 @@ let create ?(config = C4cam.Driver.Run_config.default) ?shards
       then fail "box %d needs %d finite bounds per side" r n_dims)
     lo;
   if q < 1 then fail "query arity must be >= 1 (got %d)" q;
-  let n_shards =
-    Option.value shards ~default:config.C4cam.Driver.Run_config.shards
-  in
-  if n_shards < 1 || n_shards > n_boxes then
-    fail "shard count %d not in [1, %d boxes]" n_shards n_boxes;
+  if shards < 1 || shards > n_boxes then
+    fail "shard count %d not in [1, %d boxes]" shards n_boxes;
   let shard_config = Shard_set.shard_config config in
-  let base = n_boxes / n_shards and rem = n_boxes mod n_shards in
-  let offset = ref 0 in
+  let base = n_boxes / shards and rem = n_boxes mod shards in
+  let next = ref 0 in
   let mk_shard i =
-    let sh_boxes = base + if i < rem then 1 else 0 in
-    let sh_offset = !offset in
-    offset := !offset + sh_boxes;
-    let sh_lo = Array.sub lo sh_offset sh_boxes in
-    let sh_hi = Array.sub hi sh_offset sh_boxes in
-    let spec = C4cam.Acam.fit_spec ~base:spec ~boxes:sh_boxes ~dims:n_dims () in
-    let compiled = C4cam.Acam.compile ~spec ~q ~boxes:sh_boxes ~dims:n_dims in
-    let sim = C4cam.Driver.create_sim shard_config spec in
-    Camsim.Simulator.set_query_hint sim q;
-    Camsim.Simulator.start_recording sim;
-    let lo_buf = Interp.Rtval.buffer_of_rows sh_lo in
-    let hi_buf = Interp.Rtval.buffer_of_rows sh_hi in
-    (* the pinned bounds change only through [update_box], which marks
-       what it writes *)
-    Camsim.Simulator.track sim lo_buf.Interp.Rtval.b_data;
-    Camsim.Simulator.track sim hi_buf.Interp.Rtval.b_data;
-    let qbuf = Interp.Rtval.fresh_buffer [ q; n_dims ] in
+    let boxes = base + if i < rem then 1 else 0 in
+    let offset = !next in
+    next := offset + boxes;
+    let spec = C4cam.Acam.fit_spec ~base:spec ~boxes ~dims:n_dims () in
+    let compiled = C4cam.Acam.compile ~spec ~q ~boxes ~dims:n_dims in
     {
-      sh_offset;
-      sh_boxes;
-      sh_compiled = compiled;
-      sh_sim = sim;
-      sh_qcache = Interp.Ops.Qcache.create ();
-      sh_lo;
-      sh_hi;
-      sh_lo_buf = lo_buf;
-      sh_hi_buf = hi_buf;
-      sh_qbuf = qbuf;
-      sh_ops = [];
+      offset;
+      boxes;
+      session =
+        Session.of_acam ~config:shard_config compiled
+          ~lo:(Array.sub lo offset boxes) ~hi:(Array.sub hi offset boxes);
     }
   in
-  let st_shards = Array.init n_shards mk_shard in
+  let st_shards = Array.init shards mk_shard in
   {
     st_set =
-      Shard_set.create ~config ~q ~d:n_dims ~k:1 ~cache:`Miss
+      Shard_set.create ~config ~k:1
         ~err:(fun e -> Store_error e)
-        ~sim:(fun sh -> sh.sh_sim)
-        ~ops:(fun sh -> sh.sh_ops)
+        ~session:(fun sh -> sh.session)
         ~rows:(fun () -> (n_boxes, 0))
-        ~search:(shard_search ~q ~dims:n_dims)
-        st_shards;
+        ~search:shard_search st_shards;
     st_shards;
     st_boxes = n_boxes;
     st_dims = n_dims;
@@ -158,16 +117,12 @@ let update_box t ~row ~lo ~hi =
   let sh =
     (* contiguous slices: the owner is the shard whose window holds row *)
     Array.to_seq t.st_shards
-    |> Seq.find (fun s -> row >= s.sh_offset && row < s.sh_offset + s.sh_boxes)
+    |> Seq.find (fun s -> row >= s.offset && row < s.offset + s.boxes)
     |> Option.get
   in
-  let off = (row - sh.sh_offset) * t.st_dims in
-  List.iter
-    (fun (src, (buf : Interp.Rtval.buffer)) ->
-      Array.blit src 0 buf.b_data off t.st_dims;
-      Camsim.Simulator.mark sh.sh_sim buf.b_data ~off ~len:t.st_dims;
-      Interp.Ops.Qcache.invalidate sh.sh_qcache buf.b_data)
-    [ (lo, sh.sh_lo_buf); (hi, sh.sh_hi_buf) ]
+  (* the owning session reprograms the changed row on its next batch *)
+  Session.update_table sh.session ~table:0 ~row:(row - sh.offset) lo;
+  Session.update_table sh.session ~table:1 ~row:(row - sh.offset) hi
 
 let query t batch =
   let { Shard_set.values; indices; latency; energy } =

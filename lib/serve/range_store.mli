@@ -1,17 +1,15 @@
-(** Serving the ACAM range-analytics workload: a pinned box table
-    behind the same record/replay amortization as {!Session}, with
-    optional sharding of the boxes across independent simulators.
+(** Serving the ACAM range-analytics workload: a pinned box table,
+    optionally sharded across independent simulators, each shard a
+    {!Session} over its own [C4cam.Acam] module.
 
-    {!create} builds one [C4cam.Acam] module per shard (a contiguous
-    slice of the box rows) and starts recording on each fresh
-    simulator; the first {!query} pays allocation and the
-    [cam.write_range] programming once, every later batch rewinds and
-    replays that setup for free and pays only for its searches.
-    {!update_box} mutates the pinned bound buffers in place and marks
-    the row dirty — the next batch's replay compares only that shard's
-    marked window and reprograms (and charges for) only the changed
-    rows, exactly like [Session.update_stored]; an unchanged table
-    replays as zero host work.
+    {!create} builds one module per shard (a contiguous slice of the
+    box rows) and pins the slice's lower and upper bounds as that
+    session's two tables: the first {!query} pays allocation and the
+    [cam.write_range] programming once, every later batch replays that
+    setup for free and pays only for its searches. {!update_box}
+    rewrites one row of both tables through [Session.update_table], so
+    the next batch reprograms (and charges for) only the changed rows;
+    an unchanged table replays as zero host work.
 
     Shards are searched in parallel on the ambient [Parallel] pool and
     merged by {!Shard_set} with k = 1. Determinism: results are
@@ -41,8 +39,8 @@ val create :
   hi:float array array -> unit -> t
 (** A store over the [boxes x dims] bound table, serving [q]-row query
     batches. [spec] (default the 32x32 base square) is widened per
-    shard via [C4cam.Acam.fit_spec]; [shards] (default
-    [config.shards]) must not exceed the box count.
+    shard via [C4cam.Acam.fit_spec]; [shards] (default 1) must not
+    exceed the box count.
     @raise Store_error on inconsistent or non-finite bounds, or a bad
     shard count. *)
 

@@ -42,20 +42,29 @@ type meter = {
   mutable m_alloc_queries : int;  (** query rows behind [m_alloc_words] *)
 }
 
+(* A pinned cam-level kernel: one query operand plus the tables it
+   searches, in argument order. A compiled TorchScript kernel pins one
+   table (the stored rows), the ACAM range kernel two (lo and hi). *)
 type t = {
-  s_compiled : C4cam.Driver.compiled;
+  s_artifact : C4cam.Driver.compiled option;
+      (** the TorchScript artifact; [None] for a kernel built at the
+          cam level *)
+  s_info : C4cam.Driver.kernel_info;
+  s_modul : Ir.Func_ir.modul;
+  s_fn : string;
   s_cache : [ `Hit | `Miss ];
   s_config : C4cam.Driver.Run_config.t;
   s_sim : Camsim.Simulator.t;
   s_qcache : Interp.Ops.Qcache.t;
   s_pool : Interp.Ops.Pool.t;  (** result buffers handed back by [release] *)
-  s_stored : Interp.Rtval.t;  (** always a [Buffer] over [s_buf] *)
-  s_buf : Interp.Rtval.buffer;
+  s_tables : Interp.Rtval.t array;  (** each a [Buffer], in argument order *)
   s_qbuf : Interp.Rtval.buffer;
       (** persistent [q x d] query buffer; chunks are blitted in so the
           operand's backing (and the query-row cache's key) stays
           stable across batches *)
-  s_qval : Interp.Rtval.t;  (** always a [Buffer] over [s_qbuf] *)
+  s_args : Interp.Rtval.t list;
+      (** the query operand (over [s_qbuf]) and the tables, in argument
+          order *)
   s_meter : meter;
   mutable s_ops : (string * int) list;  (** cumulative, merged *)
 }
@@ -102,12 +111,66 @@ let stats_of m ~cache ~ops (device : Camsim.Stats.t) =
        else 0.);
   }
 
-let compiled t = t.s_compiled
+let compiled t =
+  match t.s_artifact with
+  | Some c -> c
+  | None -> invalid_arg "Session.compiled: a cam-level session has no artifact"
+
+let info t = t.s_info
 let run_config t = t.s_config
 let cache_status t = t.s_cache
 let simulator t = t.s_sim
 let qcache t = t.s_qcache
-let stored_value t = t.s_stored
+let stored_value t = t.s_tables.(0)
+
+(* Pin [tables] (each [info.n] rows) on a fresh simulator. Device
+   allocation and the table writes happen inside the first executed
+   batch; they are recorded so every later batch replays them for free
+   (and [update_table] rewrites only changed rows). *)
+let pin ~config ~cache ?artifact ~spec ~modul ~fn
+    ~(info : C4cam.Driver.kernel_info) tables =
+  Array.iter
+    (fun rows ->
+      if Array.length rows <> info.n then
+        fail "expected %d stored rows, got %d" info.n (Array.length rows))
+    tables;
+  let sim = C4cam.Driver.create_sim config spec in
+  Camsim.Simulator.set_query_hint sim info.q;
+  Camsim.Simulator.start_recording sim;
+  let tables =
+    Array.map
+      (fun rows ->
+        let b = Interp.Rtval.buffer_of_rows rows in
+        (* a pinned table changes only through [update_table], which
+           marks what it writes *)
+        Camsim.Simulator.track sim b.Interp.Rtval.b_data;
+        Interp.Rtval.Buffer b)
+      tables
+  in
+  let qbuf = Interp.Rtval.fresh_buffer [ info.q; info.d ] in
+  let qval = Interp.Rtval.Buffer qbuf in
+  {
+    s_artifact = artifact;
+    s_info = info;
+    s_modul = modul;
+    s_fn = fn;
+    s_cache = cache;
+    s_config = config;
+    s_sim = sim;
+    s_qcache = Interp.Ops.Qcache.create ();
+    s_pool = Interp.Ops.Pool.create ();
+    s_tables = tables;
+    s_qbuf = qbuf;
+    s_args =
+      List.init
+        (Array.length tables + 1)
+        (fun i ->
+          if i < info.query_arg then tables.(i)
+          else if i = info.query_arg then qval
+          else tables.(i - 1));
+    s_meter = meter ();
+    s_ops = [];
+  }
 
 let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
     ~stored source =
@@ -118,36 +181,25 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
         Artifact_cache.lookup
           ?profile:config.C4cam.Driver.Run_config.profile ~spec source
   in
-  if Array.length stored <> compiled.info.n then
-    fail "expected %d stored rows, got %d" compiled.info.n
-      (Array.length stored);
-  let sim = C4cam.Driver.create_sim config compiled.spec in
-  Camsim.Simulator.set_query_hint sim compiled.info.q;
-  (* Device allocation and the stored-row writes happen inside the first
-     executed batch; record them so every later batch replays them for
-     free (and [update_stored] rewrites only changed rows). *)
-  Camsim.Simulator.start_recording sim;
-  let buf = Interp.Rtval.buffer_of_rows stored in
-  (* the pinned stored buffer changes only through [update_stored],
-     which marks what it writes *)
-  Camsim.Simulator.track sim buf.Interp.Rtval.b_data;
-  let qbuf =
-    Interp.Rtval.fresh_buffer [ compiled.info.q; compiled.info.d ]
-  in
-  {
-    s_compiled = compiled;
-    s_cache = cache;
-    s_config = config;
-    s_sim = sim;
-    s_qcache = Interp.Ops.Qcache.create ();
-    s_pool = Interp.Ops.Pool.create ();
-    s_stored = Interp.Rtval.Buffer buf;
-    s_buf = buf;
-    s_qbuf = qbuf;
-    s_qval = Interp.Rtval.Buffer qbuf;
-    s_meter = meter ();
-    s_ops = [];
-  }
+  pin ~config ~cache ~artifact:compiled ~spec:compiled.spec
+    ~modul:compiled.cam_ir ~fn:compiled.fn_name ~info:compiled.info
+    [| stored |]
+
+let of_acam ?(config = C4cam.Driver.Run_config.default)
+    (c : C4cam.Acam.compiled) ~lo ~hi =
+  pin ~config ~cache:`Miss ~spec:c.ra_spec ~modul:c.ra_modul ~fn:c.ra_fn
+    ~info:
+      {
+        C4cam.Driver.q = c.ra_q;
+        n = c.ra_rows;
+        d = c.ra_d;
+        k = 1;
+        metric = Dialects.Cim.Hamming;
+        output = `Topk;
+        query_arg = 0;
+        stored_arg = 1;
+      }
+    [| lo; hi |]
 
 let merge_counts a b =
   List.fold_left
@@ -217,11 +269,10 @@ let replay sim run =
 
 (* One [q]-row chunk of valid rows against the session's simulator. *)
 let run_chunk t chunk =
-  (* Blit the chunk into the session's persistent query buffer and pass
-     that as the operand: the stable backing lets the query-row cache
-     refill its extracted rows in place instead of re-extracting per
-     batch. *)
-  let { C4cam.Driver.q; d; _ } = t.s_compiled.info in
+  (* Blit the chunk into the session's persistent query buffer, the
+     query operand: the stable backing lets the query-row cache refill
+     its extracted rows in place instead of re-extracting per batch. *)
+  let { C4cam.Driver.q; d; _ } = t.s_info in
   let dst = t.s_qbuf.Interp.Rtval.b_data in
   for i = 0 to q - 1 do
     Array.blit chunk.(i) 0 dst (i * d) d
@@ -229,10 +280,9 @@ let run_chunk t chunk =
   Interp.Ops.Qcache.invalidate t.s_qcache dst;
   replay t.s_sim @@ fun () ->
   try
-    C4cam.Driver.execute_flat ~sim:t.s_sim ~qcache:t.s_qcache
-      ~pool:t.s_pool ~query_value:t.s_qval t.s_compiled ~queries:chunk
-      ~stored_value:t.s_stored
-  with C4cam.Driver.Compile_error e -> raise (Serve_error e)
+    Interp.Machine.run ~sim:t.s_sim ~qcache:t.s_qcache ~pool:t.s_pool
+      t.s_modul t.s_fn t.s_args
+  with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
 
 type flat = {
   outputs : Interp.Rtval.t list list;
@@ -242,7 +292,7 @@ type flat = {
 }
 
 let query_flat t batch =
-  let { C4cam.Driver.q; d; _ } = t.s_compiled.info in
+  let { C4cam.Driver.q; d; _ } = t.s_info in
   let total = Array.length batch in
   if total = 0 || total mod q <> 0 then
     fail "batch size %d is not a positive multiple of the kernel's %d \
@@ -288,7 +338,7 @@ let query_flat t batch =
 
 let decode t (f : flat) =
   let results =
-    List.map (C4cam.Driver.decode_results t.s_compiled.info) f.outputs
+    List.map (C4cam.Driver.decode_results t.s_info) f.outputs
   in
   (* a single-chunk batch (the common serving shape) returns the
      chunk's arrays directly instead of re-concatenating them *)
@@ -321,16 +371,22 @@ let query t batch =
   release t f;
   r
 
-let update_stored t ~row values =
-  let { C4cam.Driver.n; d; _ } = t.s_compiled.info in
+let update_table t ~table ~row values =
+  let { C4cam.Driver.n; d; _ } = t.s_info in
+  if table < 0 || table >= Array.length t.s_tables then
+    fail "update_table: no table %d (the kernel pins %d)" table
+      (Array.length t.s_tables);
   if row < 0 || row >= n then
     fail "update_stored: row %d out of bounds (stored has %d rows)" row n;
   if not (valid_row d values) then
     fail "update_stored: expected %d finite values" d;
-  let off = t.s_buf.Interp.Rtval.b_offset + (row * d) in
-  Array.blit values 0 t.s_buf.Interp.Rtval.b_data off d;
+  let buf = Interp.Rtval.as_buffer t.s_tables.(table) in
+  let off = buf.b_offset + (row * d) in
+  Array.blit values 0 buf.b_data off d;
   (* the next replay compares (and rewrites) only windows this row is
      in; the query-pack cache may hold packed forms of the stale
      buffer *)
-  Camsim.Simulator.mark t.s_sim t.s_buf.Interp.Rtval.b_data ~off ~len:d;
-  Interp.Ops.Qcache.invalidate t.s_qcache t.s_buf.Interp.Rtval.b_data
+  Camsim.Simulator.mark t.s_sim buf.b_data ~off ~len:d;
+  Interp.Ops.Qcache.invalidate t.s_qcache buf.b_data
+
+let update_stored t ~row values = update_table t ~table:0 ~row values

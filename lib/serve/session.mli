@@ -1,6 +1,12 @@
 (** Query-serving sessions: compile once, write stored rows once, then
     serve unlimited query batches against a pinned simulator.
 
+    A session runs any pinned cam-level kernel: one query operand plus
+    the tables it searches, in argument order. A compiled TorchScript
+    kernel ({!create}) pins one table, the stored rows; the ACAM range
+    kernel ({!of_acam}) pins two, the lower and upper box bounds. Both
+    stores run their shards as sessions.
+
     A one-shot [C4cam.Driver.run_cam] pays the whole setup — the
     compilation pipeline, device allocation, and writing every stored
     row — on each call. A session amortizes all three: {!create}
@@ -46,6 +52,20 @@ val create :
 
     @raise Serve_error when [stored] has the wrong row count.
     @raise C4cam.Driver.Compile_error as {!C4cam.Driver.compile}. *)
+
+val of_acam :
+  ?config:C4cam.Driver.Run_config.t ->
+  C4cam.Acam.compiled ->
+  lo:float array array ->
+  hi:float array array ->
+  t
+(** A session over the ACAM range kernel: [lo] and [hi] (each the
+    kernel's box count of rows) are pinned like stored rows — written
+    by [cam.write_range] during the first {!query}, replayed for free
+    after. {!query} returns the [q x 1] best violation counts and box
+    rows; {!cache_status} is [`Miss], since the module is built
+    directly rather than compiled from cached TorchScript.
+    @raise Serve_error when a table has the wrong row count. *)
 
 val query : t -> float array array -> C4cam.Driver.run_result
 (** Serve one batch. The batch's row count must be a positive multiple
@@ -94,6 +114,12 @@ val update_stored : t -> row:int -> float array -> unit
     @raise Serve_error on a bad row index or a row that is not
     {!valid_row}. *)
 
+val update_table : t -> table:int -> row:int -> float array -> unit
+(** {!update_stored} for any pinned table, numbered in argument order
+    from 0 ({!update_stored} is table 0).
+    @raise Serve_error on a bad table or row index, or a row that is
+    not {!valid_row}. *)
+
 (** {1 Introspection} *)
 
 type stats = {
@@ -118,7 +144,14 @@ type stats = {
 }
 
 val stats : t -> stats
+
 val compiled : t -> C4cam.Driver.compiled
+(** The TorchScript artifact a {!create}d session runs.
+    @raise Invalid_argument on an {!of_acam} session. *)
+
+val info : t -> C4cam.Driver.kernel_info
+(** The pinned kernel's shapes: [q] query rows of [d] values against
+    tables of [n] rows. *)
 
 val serve_section : t -> Instrument.Profile.serve
 (** The session's current serve section with the scheduler and shard
@@ -163,11 +196,6 @@ val merge_counts :
   (string * int) list -> (string * int) list -> (string * int) list
 (** Sum two op-count lists by name, sorted by name. *)
 
-val replay : Camsim.Simulator.t -> (unit -> 'a) -> 'a
-(** [replay sim run] runs one execution on a pinned simulator: the
-    first records the device setup and seals it, every later one
-    rewinds and replays that setup for free. *)
-
 val run_config : t -> C4cam.Driver.Run_config.t
 (** The run configuration the session executes under (as resolved at
     {!create}); [Server] folds its combined metrics into this config's
@@ -177,6 +205,6 @@ val cache_status : t -> [ `Hit | `Miss ]
 val simulator : t -> Camsim.Simulator.t
 val qcache : t -> Interp.Ops.Qcache.t
 val stored_value : t -> Interp.Rtval.t
-(** The pinned stored buffer. Only {!update_stored} may change it: the
-    simulator tracks it, and a change that bypasses the dirty marks
-    would never reach the device. *)
+(** The first pinned table (the stored rows). Only {!update_table} may
+    change a pinned table: the simulator tracks it, and a change that
+    bypasses the dirty marks would never reach the device. *)

@@ -12,8 +12,7 @@ type 'sh t = {
   k : int;
   cache : [ `Hit | `Miss ];
   err : string -> exn;
-  sim : 'sh -> Camsim.Simulator.t;
-  ops : 'sh -> (string * int) list;
+  session : 'sh -> Session.t;
   rows : unit -> int * int;
   search : 'sh -> float array array -> result;
   shards : 'sh array;
@@ -36,17 +35,19 @@ let fail t fmt = Printf.ksprintf (fun s -> raise (t.err s)) fmt
 let shard_config config =
   { config with C4cam.Driver.Run_config.profile = None; trace = None }
 
-let create ~config ~q ~d ~k ~cache ~err ~sim ~ops ~rows ~search shards =
+let create ~config ~k ~err ~session ~rows ~search shards =
   let n = Array.length shards in
+  (* every shard runs the same kernel shape from the same artifact *)
+  let s0 = session shards.(0) in
+  let { C4cam.Driver.q; d; _ } = Session.info s0 in
   {
     config;
     q;
     d;
     k;
-    cache;
+    cache = Session.cache_status s0;
     err;
-    sim;
-    ops;
+    session;
     rows;
     search;
     shards;
@@ -69,7 +70,8 @@ let device_stats t =
   let agg = Camsim.Stats.create () in
   Array.iter
     (fun sh ->
-      Camsim.Stats.add_into ~into:agg (Camsim.Simulator.stats (t.sim sh)))
+      Camsim.Stats.add_into ~into:agg
+        (Camsim.Simulator.stats (Session.simulator (t.session sh))))
     t.shards;
   agg
 
@@ -77,7 +79,9 @@ let session_stats_of t device =
   Session.stats_of t.meter ~cache:t.cache device
     ~ops:
       (Array.fold_left
-         (fun acc sh -> Session.merge_counts acc (t.ops sh))
+         (fun acc sh ->
+           Session.merge_counts acc
+             (Session.stats (t.session sh)).Session.ops_executed)
          [] t.shards)
 
 let session_stats t = session_stats_of t (device_stats t)

@@ -3,8 +3,9 @@
     truncated top-k merge tree on [(value, global id)], the per-call
     counters, and the stats, serve section and {!Backend.t} adapter
     built on them (see [docs/SHARDING.md]). A store supplies its shards
-    and a per-shard search; slot allocation, id tables and mutation
-    stay in the store. Not thread-safe, like {!Session}. *)
+    — each running one {!Session} — and a per-shard search; slot
+    allocation, id tables and mutation stay in the store. Not
+    thread-safe, like {!Session}. *)
 
 type result = {
   values : float array array;  (** per query row: [k] values, best first *)
@@ -25,21 +26,19 @@ val shard_config : C4cam.Driver.Run_config.t -> C4cam.Driver.Run_config.t
 
 val create :
   config:C4cam.Driver.Run_config.t ->
-  q:int ->
-  d:int ->
   k:int ->
-  cache:[ `Hit | `Miss ] ->
   err:(string -> exn) ->
-  sim:('sh -> Camsim.Simulator.t) ->
-  ops:('sh -> (string * int) list) ->
+  session:('sh -> Session.t) ->
   rows:(unit -> int * int) ->
   search:('sh -> float array array -> result) ->
   'sh array ->
   'sh t
 (** [search sh batch] answers a validated batch on one shard, possibly
-    on a worker domain; [sim] and [ops] expose a shard's device and
-    cumulative op counts; [rows ()] is the store's (stored, free) row
-    count; [err] builds the store's exception. *)
+    on a worker domain; [session sh] is the shard's session, through
+    which the set reads its device ledger and op counts, and from
+    whose kernel ([q], [d]) and artifact status the set takes its own;
+    [rows ()] is the store's (stored, free) row count; [err] builds the
+    store's exception. [shards] must be non-empty. *)
 
 val query : 'sh t -> float array array -> result
 (** Validate (a positive multiple of [q] rows of [d] finite values),

@@ -208,10 +208,9 @@ let create ?(config = C4cam.Driver.Run_config.default) ~spec ~q ~d ~k
   in
   let st_shards = Array.init shards mk_shard in
   let set =
-    Shard_set.create ~config ~q ~d ~k ~cache:(snd artifact)
+    Shard_set.create ~config ~k
       ~err:(fun e -> Store_error e)
-      ~sim:(fun sh -> Session.simulator sh.sh_session)
-      ~ops:(fun sh -> (Session.stats sh.sh_session).Session.ops_executed)
+      ~session:(fun sh -> sh.sh_session)
       ~rows:(fun () ->
         let n = live st_shards in
         (n, (shards * cap) - n))

@@ -13,6 +13,38 @@ type listener = {
 
 (* ---- wire codec ------------------------------------------------------- *)
 
+(* A field is a finite decimal float,
+   [+-]?digits[.digits][(e|E)[+-]digits], where one side of the point
+   may be empty but not both. [float_of_string] alone would also take
+   hex floats, [_] separators, nan and infinity. *)
+let decimal_float f =
+  let n = String.length f in
+  let digits i =
+    let j = ref i in
+    while !j < n && f.[!j] >= '0' && f.[!j] <= '9' do
+      incr j
+    done;
+    !j
+  in
+  let sign i = if i < n && (f.[i] = '+' || f.[i] = '-') then i + 1 else i in
+  let i = sign 0 in
+  let j = digits i in
+  let k = if j < n && f.[j] = '.' then digits (j + 1) else j in
+  (* [k - i] counts the point too, so a lone point has length 1 *)
+  let mantissa = k - i > (if k > j then 1 else 0) in
+  let e =
+    if k < n && (f.[k] = 'e' || f.[k] = 'E') then
+      let a = sign (k + 1) in
+      let b = digits a in
+      if b > a then b else k
+    else k
+  in
+  if mantissa && e = n then
+    match float_of_string_opt f with
+    | Some v when Float.is_finite v -> Some v
+    | _ -> None
+  else None
+
 let parse_request line =
   let parse_row i s =
     let fields =
@@ -24,7 +56,7 @@ let parse_request line =
     Array.of_list
       (List.map
          (fun f ->
-           match float_of_string_opt f with
+           match decimal_float f with
            | Some v -> v
            | None -> Server.fail "request row %d: bad float %S" i f)
          fields)

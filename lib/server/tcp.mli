@@ -9,7 +9,10 @@
     order (the server preserves per-client order).
 
     - Request: query rows separated by [";"], each row [d]
-      whitespace-separated floats — ["1 0 1 0; 0 1 1 0"].
+      whitespace-separated floats — ["1 0 1 0; 0 1 1 0"]. A float is
+      decimal, [[+-]digits[.digits][(e|E)[+-]digits]] with one side of
+      the point possibly empty, and finite; hex floats, [_]
+      separators, [nan] and [infinity] are refused.
     - Response: ["ok"] then per row the selected
       [index:value] pairs joined by [","], rows joined by [";"] —
       ["ok 3:0.25,7:0.5;1:0.75,2:0.5"]. Values are printed with

@@ -190,6 +190,52 @@ let test_validation_deviation_small () =
     (dev m.energy manual.energy < 0.10);
   Alcotest.(check int) "same subarray count" m.subarrays manual.subarrays
 
+(* The compiled HDC path's simulated costs against the paper's hand
+   mapping (Sec. IV-B), re-derived from the energy model with no
+   compiler or interpreter code, under the same technology: random
+   shapes and 1- or 2-bit cells on 16/32/64 squares under all four
+   optimisations, partly filled density slots and partly filled
+   sequential levels included. *)
+let prop_hdc_cost_oracle =
+  QCheck.Test.make ~count:200 ~name:"hdc costs match the hand mapping"
+    (QCheck.make
+       ~print:(fun (side, opt, bits, q, n, d) ->
+         Printf.sprintf "%dx%d %s %d-bit q=%d n=%d d=%d" side side
+           (Archspec.Spec.optimization_to_string opt)
+           bits q n d)
+       QCheck.Gen.(
+         let* side = oneofl [ 16; 32; 64 ] in
+         let* opt =
+           oneofl Archspec.Spec.[ Base; Power; Density; Power_density ]
+         in
+         let* q = int_range 1 16 in
+         (* n within one subarray's rows, or a whole number of them, as
+            cim-partition requires *)
+         let* n =
+           oneof [ int_range 1 side; map (fun m -> m * side) (int_range 2 4) ]
+         in
+         let* d = map (fun m -> m * side) (int_range 1 6) in
+         let* bits = int_range 1 2 in
+         return (side, opt, bits, q, n, d)))
+    (fun (side, opt, bits, q, n, d) ->
+      let spec = { (Archspec.Spec.square side opt) with bits } in
+      let data =
+        Workloads.Hdc.synthetic ~seed:(q + n + d) ~dims:d ~n_classes:n
+          ~n_queries:q ~bits ()
+      in
+      let m = C4cam.Dse.hdc ~spec ~data () in
+      let hand =
+        C4cam.Validate.manual_similarity ~tech:Camsim.Tech.fefet_45nm ~spec
+          ~queries:q ~stored_rows:n ~dims:d ~k:1 ()
+      in
+      let close a b = Float.abs (a -. b) <= 1e-12 *. Float.abs b in
+      if not (close m.latency hand.latency && close m.energy hand.energy)
+      then
+        QCheck.Test.fail_reportf
+          "latency %.17g vs hand %.17g, energy %.17g vs hand %.17g"
+          m.latency hand.latency m.energy hand.energy;
+      true)
+
 let test_run_errors () =
   let c =
     C4cam.Driver.compile ~spec:Tutil.spec32
@@ -389,6 +435,7 @@ let () =
             test_trace_of_compiled_run;
           Alcotest.test_case "defect tolerance" `Quick
             test_defect_tolerance_e2e;
+          QCheck_alcotest.to_alcotest prop_hdc_cost_oracle;
         ] );
       ( "robustness",
         [

@@ -207,6 +207,24 @@ let test_store_amortizes_writes () =
   let r1 = Serve.Range_store.query store w.queries in
   check_matches "first batch = oracle" w.expected
     r1.Serve.Range_store.matches;
+  (* the first batch pays exactly what a one-shot run does, and a bare
+     session over the same module decodes the same selection *)
+  let compiled =
+    C4cam.Acam.compile
+      ~spec:(C4cam.Acam.fit_spec ~boxes:12 ~dims:6 ())
+      ~q:8 ~boxes:12 ~dims:6
+  in
+  let once = C4cam.Acam.run compiled ~lo:w.lo ~hi:w.hi ~queries:w.queries in
+  Alcotest.(check (float 0.)) "first batch latency = one-shot"
+    once.latency r1.latency;
+  Alcotest.(check (float 0.)) "first batch energy = one-shot" once.energy
+    r1.energy;
+  let session = Serve.Session.of_acam compiled ~lo:w.lo ~hi:w.hi in
+  let sr = Serve.Session.query session w.queries in
+  Alcotest.(check Tutil.rows_testable) "session values = one-shot"
+    once.values sr.values;
+  Alcotest.(check Tutil.int_rows_testable) "session indices = one-shot"
+    once.indices sr.indices;
   let writes_1 = (Serve.Range_store.stats store).Serve.Session.write_ops in
   let e_write_1 =
     (Serve.Range_store.stats store).Serve.Session.write_energy_j

@@ -352,6 +352,21 @@ let test_tcp () =
   let e = send (row_text nan_row) in
   Alcotest.(check bool) "nan cell refused" true
     (String.length e >= 4 && String.sub e 0 4 = "err ");
+  (* only decimal floats: every other spelling float_of_string takes
+     is refused as a bad float, and the connection keeps serving *)
+  List.iter
+    (fun tok ->
+      let cells = Array.map (Printf.sprintf "%.17g") rows.(0) in
+      cells.(3) <- tok;
+      Alcotest.(check string) (tok ^ " refused as a bad float")
+        (Printf.sprintf "err request row 0: bad float %S" tok)
+        (send (String.concat " " (Array.to_list cells)));
+      Alcotest.(check string) ("serving after " ^ tok) want
+        (send (row_text rows.(0) ^ " ; " ^ row_text rows.(1))))
+    [ "0x1p3"; "1_000"; "_1"; "nan"; "infinity"; "1e999"; "."; "1e"; "+" ];
+  Alcotest.(check Tutil.rows_testable) "decimal spellings accepted"
+    [| [| 0.5; 5.; -100.; 0.3; 7. |] |]
+    (Tcp.parse_request " .5 5. -1E+2\t+3e-1 007");
   let got2 = send (row_text rows.(0) ^ " ; " ^ row_text rows.(1)) in
   Alcotest.(check string) "still serving after errors" want got2;
   Unix.close sock;
