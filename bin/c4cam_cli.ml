@@ -807,7 +807,7 @@ let resolve_served ~kernel ~workload ~spec ~config ~collector ~queries ~dims
         direct =
           (fun batch ->
             let r = Serve.Range_store.query store batch in
-            (r.indices, r.latency, r.energy));
+            (Array.map (fun m -> [| m |]) r.matches, r.latency, r.energy));
         summary = (fun () -> print_range_store_stats store spec ~q);
         synthetic = (fun () -> batches_from_pool ~q ~nb ri.Reg.ri_queries);
       }

@@ -112,7 +112,8 @@ let compile_traced ?profile ~spec source =
   in
   let cim_ir, cim_trace =
     run_passes_traced ?profile
-      (Passes.Pipelines.cim_pipeline @ [ Passes.Cim_partition.pass spec ])
+      (Passes.Pipelines.cim_pipeline
+      @ [ Passes.Cim_partition.expanded_pass spec ])
       (clone_module torch_ir)
   in
   let info = extract_info cim_ir fn_name in
@@ -159,10 +160,13 @@ let compile ?profile ~spec source =
   let cam_ir = run_passes ?profile cam_passes (clone_module cim_ir) in
   { spec; source; torch_ir; cim_ir; cam_ir; fn_name; info }
 
+(* The cim level with its expanded tile program (Figure 5), on a copy. *)
+let expanded_cim c = Passes.Cim_partition.expand (clone_module c.cim_ir)
+
 let stage_texts c =
   [
     ("torch", Ir.Printer.module_to_string c.torch_ir);
-    ("cim", Ir.Printer.module_to_string c.cim_ir);
+    ("cim", Ir.Printer.module_to_string (expanded_cim c));
     ("cam", Ir.Printer.module_to_string c.cam_ir);
   ]
 
@@ -484,4 +488,4 @@ let run_reference c ~queries ~stored =
 
 let run_cim_software c ~queries ~stored =
   let args = tensor_args c.cim_ir c.fn_name c.info ~queries ~stored in
-  (Interp.Machine.run c.cim_ir c.fn_name args).results
+  (Interp.Machine.run (expanded_cim c) c.fn_name args).results

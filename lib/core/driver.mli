@@ -22,7 +22,9 @@ type compiled = {
   spec : Archspec.Spec.t;
   source : string;
   torch_ir : Ir.Func_ir.modul;
-  cim_ir : Ir.Func_ir.modul;  (** fused + partitioned *)
+  cim_ir : Ir.Func_ir.modul;
+      (** fused + partitioned, in the compact form (see
+          {!Passes.Cim_partition.expand}) *)
   cam_ir : Ir.Func_ir.modul;  (** mapped + optimized *)
   fn_name : string;
   info : kernel_info;
@@ -46,11 +48,14 @@ val compile_traced :
   compiled * (string * string) list
 (** Like {!compile}, additionally returning the printed IR after the
     frontend and after every pass — the full lowering story of
-    Figures 4-6, one snapshot per pass. *)
+    Figures 4-6, one snapshot per pass. Here cim-partition also builds
+    the expanded tile program, which its snapshot and the returned
+    [cim_ir] hold; the cam level is the same as {!compile}'s. *)
 
 val stage_texts : compiled -> (string * string) list
 (** [(stage, printed IR)] for torch, cim and cam levels — the material
-    of Figures 4-6. *)
+    of Figures 4-6. The cim level is printed with its expanded tile
+    program, built on a copy. *)
 
 type run_result = {
   values : float array array;  (** [q x k] *)
@@ -198,5 +203,6 @@ val run_reference :
 val run_cim_software :
   compiled -> queries:float array array -> stored:float array array ->
   Interp.Rtval.t list
-(** Cim-level execution of the partitioned form (exercises slices,
-    partial similarities and merges in software). *)
+(** Cim-level execution of the expanded partitioned form, built on a
+    copy (exercises slices, partial similarities and merges in
+    software). *)

@@ -189,7 +189,7 @@ let verify_select_best op =
 
 let verify_partitioned op =
   check (List.length op.Ir.Op.regions = 1)
-    "partitioned_similarity needs its expanded region"
+    "partitioned_similarity needs its region"
   >>> fun () ->
   has_attr op "rows" >>> fun () ->
   has_attr op "cols" >>> fun () ->

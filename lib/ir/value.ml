@@ -5,6 +5,7 @@ type t = { id : int; ty : Types.t }
 let counter = Atomic.make 0
 
 let fresh ty = { id = Atomic.fetch_and_add counter 1; ty }
+let reserve n = Atomic.fetch_and_add counter n
 
 let with_id id ty =
   (* CAS-max: keep the counter above every explicitly chosen id. *)

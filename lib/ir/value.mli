@@ -5,6 +5,10 @@ type t = { id : int; ty : Types.t }
 val fresh : Types.t -> t
 (** Create a value with a globally fresh id. *)
 
+val reserve : int -> int
+(** [reserve n] takes [n] consecutive fresh ids and returns the first;
+    values built later with {!with_id} inside the block stay unique. *)
+
 val with_id : int -> Types.t -> t
 (** Create a value with an explicit id (used by the parser). Advances the
     global counter past [id] so later {!fresh} calls stay unique. *)

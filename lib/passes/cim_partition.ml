@@ -11,6 +11,7 @@ type params = {
   n : int;
   d : int;
   tile_rows : int;
+  cols : int;
   row_chunks : int;
   col_chunks : int;
   batches : int;
@@ -33,28 +34,42 @@ let plan (spec : Archspec.Spec.t) ~q ~n ~d =
     n;
     d;
     tile_rows;
+    cols = spec.cols;
     row_chunks = n / tile_rows;
     col_chunks = d / spec.cols;
     batches = batches_for spec ~stored_rows:n;
   }
 
-(* Build the expanded tile program (the region of the wrapper op). *)
-let expanded_region (spec : Archspec.Spec.t) p ~query ~stored ~metric
-    ~select : Ir.Op.region * Ir.Value.t list =
-  let b = Ir.Builder.create () in
+(* The expanded tile program of Figure 5d is only built on demand (for
+   printing and the cim-level software run), and only up to this many
+   tiles; larger tilings keep the compact form everywhere. *)
+let max_expanded_tiles = 4096
+
+let expandable p = p.row_chunks * p.col_chunks <= max_expanded_tiles
+
+(* Values the expanded region defines: the zero accumulator; per tile
+   two slices and a partial; per row chunk its horizontal merges and one
+   vertical merge; the selection's two results. *)
+let expanded_values p ~select =
+  1 + (4 * p.row_chunks * p.col_chunks)
+  + match select with `Topk _ -> 2 | `Scores -> 0
+
+(* The expanded tile program, its values numbered from [first_id]. *)
+let expanded_region ~first_id p ~query ~stored ~metric ~select =
+  let b = Ir.Builder.create ~first_id () in
   let global = ref (Dialects.Cim.zeros b [ p.q; p.n ]) in
   for rc = 0 to p.row_chunks - 1 do
     let acc = ref None in
     for cc = 0 to p.col_chunks - 1 do
       let q_sl =
         Dialects.Cim.slice b query
-          ~offsets:[ 0; cc * spec.cols ]
-          ~sizes:[ p.q; spec.cols ]
+          ~offsets:[ 0; cc * p.cols ]
+          ~sizes:[ p.q; p.cols ]
       in
       let s_sl =
         Dialects.Cim.slice b stored
-          ~offsets:[ rc * p.tile_rows; cc * spec.cols ]
-          ~sizes:[ p.tile_rows; spec.cols ]
+          ~offsets:[ rc * p.tile_rows; cc * p.cols ]
+          ~sizes:[ p.tile_rows; p.cols ]
       in
       let part = Dialects.Cim.similarity_partial b ~query:q_sl ~stored:s_sl ~metric in
       acc :=
@@ -78,16 +93,12 @@ let expanded_region (spec : Archspec.Spec.t) p ~query ~stored ~metric
     | `Scores -> [ !global ]
   in
   Dialects.Cim.yield b results;
-  (Ir.Op.region (Ir.Builder.finish b), results)
+  Ir.Op.region (Ir.Builder.finish b)
 
-(* Above this tile count the expanded region is replaced by a compact
-   single-op form: the wrapper's attributes still drive cam-map, and the
-   region stays executable in software, but we avoid materialising
-   hundreds of thousands of slice ops for inspection. *)
-let default_expand_limit = 4096
-
-let compact_region ~query ~stored ~metric ~select =
-  let b = Ir.Builder.create () in
+(* The single-op form every compile emits; cam-map reads only the
+   wrapper's attributes. *)
+let compact_region ~first_id ~query ~stored ~metric ~select =
+  let b = Ir.Builder.create ~first_id () in
   let results =
     match select with
     | `Topk (k, largest) ->
@@ -111,7 +122,7 @@ let compact_region ~query ~stored ~metric ~select =
   Dialects.Cim.yield b results;
   Ir.Op.region (Ir.Builder.finish b)
 
-let rewrite ?(expand_limit = default_expand_limit) spec (exec : Ir.Op.t) =
+let rewrite spec (exec : Ir.Op.t) =
   let body = Ir.Op.body_ops exec in
   let sim =
     List.find_opt
@@ -143,18 +154,22 @@ let rewrite ?(expand_limit = default_expand_limit) spec (exec : Ir.Op.t) =
               Ir.Attr.as_bool (Ir.Op.attr_exn sim "largest") )
         else `Scores
       in
-      let region =
-        if p.row_chunks * p.col_chunks <= expand_limit then
-          fst (expanded_region spec p ~query ~stored ~metric ~select)
-        else compact_region ~query ~stored ~metric ~select
+      (* Take the ids the expanded region would define, so the on-demand
+         expansion fills them in place and the IR printed at every level
+         names its values as if the expansion had always been there. *)
+      let first_id =
+        Ir.Value.reserve
+          (if expandable p then expanded_values p ~select
+           else match select with `Topk _ -> 2 | `Scores -> 1)
       in
+      let region = compact_region ~first_id ~query ~stored ~metric ~select in
       let attrs =
         [
           ("q", Ir.Attr.Int p.q);
           ("n", Ir.Attr.Int p.n);
           ("d", Ir.Attr.Int p.d);
           ("rows", Ir.Attr.Int p.tile_rows);
-          ("cols", Ir.Attr.Int spec.cols);
+          ("cols", Ir.Attr.Int p.cols);
           ("row_chunks", Ir.Attr.Int p.row_chunks);
           ("col_chunks", Ir.Attr.Int p.col_chunks);
           ("batches", Ir.Attr.Int p.batches);
@@ -178,11 +193,55 @@ let rewrite ?(expand_limit = default_expand_limit) spec (exec : Ir.Op.t) =
       blk.body <-
         List.map (fun (o : Ir.Op.t) -> if o == sim then wrapper else o) blk.body
 
-let pass ?expand_limit spec =
+let pass spec =
   Ir.Pass.make pass_name (fun m ->
       Ir.Walk.iter_module
         (fun op ->
           if String.equal op.Ir.Op.op_name Dialects.Cim.execute_name then
-            rewrite ?expand_limit spec op)
+            rewrite spec op)
         m;
       m)
+
+(* Rebuild a wrapper's region as the expanded tile program, inside the
+   id block the pass reserved (it starts at the region's first value). *)
+let expand_wrapper (w : Ir.Op.t) =
+  let ai key = Ir.Attr.as_int (Ir.Op.attr_exn w key) in
+  let p =
+    {
+      q = ai "q";
+      n = ai "n";
+      d = ai "d";
+      tile_rows = ai "rows";
+      cols = ai "cols";
+      row_chunks = ai "row_chunks";
+      col_chunks = ai "col_chunks";
+      batches = ai "batches";
+    }
+  in
+  if expandable p then begin
+    let select =
+      match Ir.Attr.as_sym (Ir.Op.attr_exn w "output") with
+      | "topk" ->
+          `Topk (ai "k", Ir.Attr.as_bool (Ir.Op.attr_exn w "largest"))
+      | _ -> `Scores
+    in
+    let first_id = (Ir.Op.result_n (List.hd (Ir.Op.body_ops w)) 0).Ir.Value.id in
+    w.regions <-
+      [
+        expanded_region ~first_id p ~query:(Ir.Op.operand w 0)
+          ~stored:(Ir.Op.operand w 1)
+          ~metric:(Dialects.Cim.metric_of_attr (Ir.Op.attr_exn w "metric"))
+          ~select;
+      ]
+  end
+
+let expand m =
+  Ir.Walk.iter_module
+    (fun op ->
+      if String.equal op.Ir.Op.op_name Dialects.Cim.partitioned_similarity_name
+      then expand_wrapper op)
+    m;
+  m
+
+let expanded_pass spec =
+  Ir.Pass.make pass_name (fun m -> expand ((pass spec).run m))

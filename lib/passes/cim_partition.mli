@@ -2,11 +2,12 @@
     [cim.similarity] / [cim.similarity_scores] ops into subarray-sized
     pieces with [cim.merge_partial] accumulation.
 
-    The result is a [cim.partitioned_similarity] wrapper whose region
-    holds the fully-expanded tile program (slices, partial similarities
-    and merges) — executable at the cim level as a software reference —
-    and whose attributes carry the tiling parameters consumed by the
-    cam-map pass.
+    The result is a [cim.partitioned_similarity] wrapper whose
+    attributes carry the tiling parameters consumed by the cam-map pass
+    and whose region holds the compact one-op form of the computation.
+    The fully-expanded tile program (slices, partial similarities and
+    merges: Figure 5's view, executable at the cim level as a software
+    reference) is built only on demand, by {!expand}.
 
     Tiling is hierarchy-oblivious by design (the paper keeps hardware
     mapping out of the cim dialect); only the subarray geometry and, for
@@ -19,8 +20,15 @@ val batches_for : Archspec.Spec.t -> stored_rows:int -> int
 (** Tiles sharing one subarray: [floor(rows/n)] under [Density] /
     [Power_density] when [n < rows], otherwise 1. *)
 
-val pass : ?expand_limit:int -> Archspec.Spec.t -> Ir.Pass.t
-(** [expand_limit] (default 4096 tiles) bounds the size of the expanded
-    region; larger tilings get a compact single-op region (still
-    executable in software — the wrapper attributes alone drive
-    cam-map). *)
+val pass : Archspec.Spec.t -> Ir.Pass.t
+
+val expand : Ir.Func_ir.modul -> Ir.Func_ir.modul
+(** Rebuild every wrapper's region, in place, as the expanded tile
+    program, for tilings of at most 4096 tiles (larger ones keep the
+    compact form). Its values take the ids {!pass} reserved for them, so
+    the printed module is the same whenever it is expanded. Returns the
+    module. *)
+
+val expanded_pass : Archspec.Spec.t -> Ir.Pass.t
+(** {!pass} followed by {!expand}, under the same pass name: what
+    pass traces print. *)

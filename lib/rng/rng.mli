@@ -16,6 +16,12 @@ val split : t -> int -> t
     by schedule. @raise Invalid_argument when [i < 0]. *)
 
 val next_int64 : t -> int64
+
+val advance : t -> int -> unit
+(** [advance t k] skips [k >= 0] draws of {!next_int64} in O(1): the
+    stream then continues exactly as after [k] calls. {!float} takes one
+    draw and {!gaussian} two. @raise Invalid_argument when [k < 0]. *)
+
 val float : t -> float
 (** Uniform in [0, 1). *)
 

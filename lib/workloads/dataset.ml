@@ -38,8 +38,19 @@ let mnist_like ?(seed = 42) ?(noise = 0.15) ~n_features ~n_classes
   done;
   { features; labels; n_classes }
 
-let pneumonia_like ?(seed = 7) ?(separation = 1.2) ~n_features
-    ~samples_per_class () =
+(* pneumonia draws: both class centres first (n_features gaussians
+   each), then every sample in order, class 0's before class 1's, each
+   n_features gaussians of two draws. *)
+let pneumonia_rows ?(seed = 7) ?(separation = 1.2) ~n_features
+    ~samples_per_class idxs =
+  let n = 2 * samples_per_class in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= n then
+        invalid_arg
+          (Printf.sprintf "Dataset.pneumonia_rows: sample %d not in [0, %d)"
+             i n))
+    idxs;
   let rng = Rng.create seed in
   let centers =
     Array.init 2 (fun c ->
@@ -49,32 +60,43 @@ let pneumonia_like ?(seed = 7) ?(separation = 1.2) ~n_features
               (Rng.gaussian rng *. 0.5)
               +. (separation /. sqrt (float_of_int n_features) *. 10.)))
   in
-  let n = 2 * samples_per_class in
-  let features = Array.make n [||] in
-  let labels = Array.make n 0 in
-  for c = 0 to 1 do
-    for s = 0 to samples_per_class - 1 do
-      let i = (c * samples_per_class) + s in
-      labels.(i) <- c;
-      features.(i) <-
-        Array.map (fun m -> m +. Rng.gaussian rng) centers.(c)
-    done
-  done;
+  let draws_per_sample = 2 * n_features in
+  let first_sample = 2 * draws_per_sample in
+  let labels = Array.map (fun i -> i / samples_per_class) idxs in
+  let features =
+    Array.mapi
+      (fun r i ->
+        let rng = Rng.create seed in
+        Rng.advance rng (first_sample + (i * draws_per_sample));
+        let center = centers.(labels.(r)) in
+        let row = Array.make n_features 0. in
+        for f = 0 to n_features - 1 do
+          row.(f) <- center.(f) +. Rng.gaussian rng
+        done;
+        row)
+      idxs
+  in
   { features; labels; n_classes = 2 }
 
-let split ?(seed = 3) t ~train_fraction =
+let pneumonia_like ?seed ?separation ~n_features ~samples_per_class () =
+  pneumonia_rows ?seed ?separation ~n_features ~samples_per_class
+    (Array.init (2 * samples_per_class) Fun.id)
+
+let take t idxs =
+  {
+    features = Array.map (fun i -> t.features.(i)) idxs;
+    labels = Array.map (fun i -> t.labels.(i)) idxs;
+    n_classes = t.n_classes;
+  }
+
+let split_indices ?(seed = 3) n ~train_fraction =
   if train_fraction <= 0. || train_fraction >= 1. then
     invalid_arg "Dataset.split: train_fraction must be in (0, 1)";
-  let n = n_samples t in
   let order = Array.init n (fun i -> i) in
   Rng.shuffle (Rng.create seed) order;
   let n_train = int_of_float (float_of_int n *. train_fraction) in
-  let take idxs =
-    {
-      features = Array.map (fun i -> t.features.(i)) idxs;
-      labels = Array.map (fun i -> t.labels.(i)) idxs;
-      n_classes = t.n_classes;
-    }
-  in
-  ( take (Array.sub order 0 n_train),
-    take (Array.sub order n_train (n - n_train)) )
+  (Array.sub order 0 n_train, Array.sub order n_train (n - n_train))
+
+let split ?seed t ~train_fraction =
+  let train, test = split_indices ?seed (n_samples t) ~train_fraction in
+  (take t train, take t test)

@@ -47,6 +47,7 @@ let train ?(max_depth = 6) ?(min_samples = 4) ?(bins = 16)
   let n = Dataset.n_samples ds in
   if n = 0 then invalid_arg "Decision_tree.train: empty dataset";
   let n_features = Dataset.n_features ds in
+  let nc = ds.n_classes in
   let mins = Array.make n_features Float.infinity in
   let maxs = Array.make n_features Float.neg_infinity in
   Array.iter
@@ -57,19 +58,22 @@ let train ?(max_depth = 6) ?(min_samples = 4) ?(bins = 16)
           if v > maxs.(f) then maxs.(f) <- v)
         row)
     ds.features;
+  (* feature-major bins: binned.(f).(i) *)
   let binned =
-    Array.map
-      (fun row ->
-        Array.mapi
-          (fun f v -> quantize_value ~bins ~lo:mins.(f) ~hi:maxs.(f) v)
-          row)
-      ds.features
+    Array.init n_features (fun f ->
+        Array.map
+          (fun row -> quantize_value ~bins ~lo:mins.(f) ~hi:maxs.(f) row.(f))
+          ds.features)
   in
   let count_classes idxs =
-    let counts = Array.make ds.n_classes 0 in
+    let counts = Array.make nc 0 in
     List.iter (fun i -> counts.(ds.labels.(i)) <- counts.(ds.labels.(i)) + 1) idxs;
     counts
   in
+  (* one (bin x class) histogram per feature per node: the class counts
+     left of threshold t are its prefix sum over bins 0..t *)
+  let hist = Array.make (bins * nc) 0 in
+  let lc = Array.make nc 0 and rc = Array.make nc 0 in
   let rec grow idxs depth =
     let counts = count_classes idxs in
     let total = List.length idxs in
@@ -81,25 +85,27 @@ let train ?(max_depth = 6) ?(min_samples = 4) ?(bins = 16)
       let best = ref None in
       let parent_gini = gini counts total in
       for f = 0 to n_features - 1 do
+        let bf = binned.(f) in
+        Array.fill hist 0 (bins * nc) 0;
+        List.iter
+          (fun i ->
+            let k = (bf.(i) * nc) + ds.labels.(i) in
+            hist.(k) <- hist.(k) + 1)
+          idxs;
+        Array.fill lc 0 nc 0;
+        let left = ref 0 in
         for t = 0 to bins - 2 do
-          let lc = Array.make ds.n_classes 0 in
-          let rc = Array.make ds.n_classes 0 in
-          let ln = ref 0 and rn = ref 0 in
-          List.iter
-            (fun i ->
-              if binned.(i).(f) <= t then begin
-                lc.(ds.labels.(i)) <- lc.(ds.labels.(i)) + 1;
-                incr ln
-              end
-              else begin
-                rc.(ds.labels.(i)) <- rc.(ds.labels.(i)) + 1;
-                incr rn
-              end)
-            idxs;
-          if !ln > 0 && !rn > 0 then begin
+          for c = 0 to nc - 1 do
+            lc.(c) <- lc.(c) + hist.((t * nc) + c);
+            rc.(c) <- counts.(c) - lc.(c);
+            left := !left + hist.((t * nc) + c)
+          done;
+          let ln = !left in
+          let rn = total - ln in
+          if ln > 0 && rn > 0 then begin
             let w =
-              (float_of_int !ln *. gini lc !ln
-              +. float_of_int !rn *. gini rc !rn)
+              (float_of_int ln *. gini lc ln
+              +. float_of_int rn *. gini rc rn)
               /. float_of_int total
             in
             let gain = parent_gini -. w in
@@ -112,8 +118,8 @@ let train ?(max_depth = 6) ?(min_samples = 4) ?(bins = 16)
       match !best with
       | None -> Leaf (majority counts)
       | Some (_, f, t) ->
-          let left_idx = List.filter (fun i -> binned.(i).(f) <= t) idxs in
-          let right_idx = List.filter (fun i -> binned.(i).(f) > t) idxs in
+          let left_idx = List.filter (fun i -> binned.(f).(i) <= t) idxs in
+          let right_idx = List.filter (fun i -> binned.(f).(i) > t) idxs in
           Node
             {
               feature = f;

@@ -39,6 +39,7 @@ type t = {
 }
 
 let config t = t.cfg
+let weights t = (t.w1, t.b1, t.w2)
 let test_set t = t.test_ds
 let prototypes t = t.protos
 let total_rows t = t.n_rows
@@ -100,62 +101,95 @@ let quantized_accuracy t = dataset_accuracy (predict_quantized t) t.test_ds
 
 (* ---- training ----------------------------------------------------------- *)
 
-let softmax z =
-  let m = Array.fold_left Float.max Float.neg_infinity z in
-  let e = Array.map (fun v -> exp (v -. m)) z in
-  let s = Array.fold_left ( +. ) 0. e in
-  Array.map (fun v -> v /. s) e
-
+(* Softmax cross-entropy SGD on flat weights stored input-major (w1.(f
+   * hidden + j) is neuron j's weight on feature f, w2.(j * classes + c)
+   class c's weight on neuron j), so every inner loop runs over
+   neighbouring cells with nothing to allocate. Each weight's sums and
+   updates run in the same order as the nested-array formulation
+   (features in order for a neuron, hidden units in order for a logit,
+   classes in order for a hidden gradient), so the weights are the same
+   bits. *)
 let train_float cfg rng (ds : Dataset.t) =
+  let nf = cfg.features and nh = cfg.hidden and nc = cfg.classes in
   let init fan_in = (Rng.float rng -. 0.5) *. 2. /. sqrt (float_of_int fan_in) in
-  let w1 =
-    Array.init cfg.hidden (fun _ ->
-        Array.init cfg.features (fun _ -> init cfg.features))
-  in
-  let b1 = Array.make cfg.hidden 0. in
-  let w2 =
-    Array.init cfg.classes (fun _ ->
-        Array.init cfg.hidden (fun _ -> init cfg.hidden))
-  in
+  let w1 = Array.make (nf * nh) 0. and w2 = Array.make (nh * nc) 0. in
+  for j = 0 to nh - 1 do
+    for f = 0 to nf - 1 do
+      w1.((f * nh) + j) <- init nf
+    done
+  done;
+  for c = 0 to nc - 1 do
+    for j = 0 to nh - 1 do
+      w2.((j * nc) + c) <- init nh
+    done
+  done;
+  let b1 = Array.make nh 0. in
+  let h = Array.make nh 0. and lg = Array.make nh 0. in
+  let p = Array.make nc 0. in
+  let lr = cfg.lr in
   let n = Dataset.n_samples ds in
   let order = Array.init n Fun.id in
   for _epoch = 1 to cfg.epochs do
     Rng.shuffle rng order;
-    Array.iter
-      (fun i ->
-        let x = ds.features.(i) and y = ds.labels.(i) in
-        let h =
-          Array.mapi
-            (fun j wj ->
-              let s = ref b1.(j) in
-              Array.iteri (fun f v -> s := !s +. (wj.(f) *. v)) x;
-              tanh !s)
-            w1
-        in
-        let p = softmax (logits_of w2 h) in
-        (* dz_c = p_c - [c = y]; cross-entropy gradient *)
-        let dz = Array.mapi (fun c v -> v -. if c = y then 1. else 0.) p in
-        let dh = Array.make cfg.hidden 0. in
-        Array.iteri
-          (fun c wc ->
-            let g = dz.(c) in
-            Array.iteri
-              (fun j hv ->
-                dh.(j) <- dh.(j) +. (g *. wc.(j));
-                wc.(j) <- wc.(j) -. (cfg.lr *. g *. hv))
-              h)
-          w2;
-        Array.iteri
-          (fun j wj ->
-            let g = dh.(j) *. (1. -. (h.(j) *. h.(j))) in
-            b1.(j) <- b1.(j) -. (cfg.lr *. g);
-            Array.iteri
-              (fun f v -> wj.(f) <- wj.(f) -. (cfg.lr *. g *. v))
-              x)
-          w1)
-      order
+    for o = 0 to n - 1 do
+      let i = order.(o) in
+      let x = ds.features.(i) and y = ds.labels.(i) in
+      Array.blit b1 0 h 0 nh;
+      for f = 0 to nf - 1 do
+        let xf = x.(f) and row = f * nh in
+        for j = 0 to nh - 1 do
+          h.(j) <- h.(j) +. (w1.(row + j) *. xf)
+        done
+      done;
+      for j = 0 to nh - 1 do
+        h.(j) <- tanh h.(j)
+      done;
+      (* softmax of the logits w2 . h, then dz_c = p_c - [c = y]: the
+         cross-entropy gradient *)
+      Array.fill p 0 nc 0.;
+      for j = 0 to nh - 1 do
+        let hj = h.(j) and row = j * nc in
+        for c = 0 to nc - 1 do
+          p.(c) <- p.(c) +. (w2.(row + c) *. hj)
+        done
+      done;
+      let m = ref Float.neg_infinity in
+      for c = 0 to nc - 1 do
+        m := Float.max !m p.(c)
+      done;
+      let total = ref 0. in
+      for c = 0 to nc - 1 do
+        let e = exp (p.(c) -. !m) in
+        p.(c) <- e;
+        total := !total +. e
+      done;
+      for c = 0 to nc - 1 do
+        p.(c) <- (p.(c) /. !total) -. if c = y then 1. else 0.
+      done;
+      (* lg_j = lr * dL/d(pre-activation j), from the weights before
+         this step's update *)
+      for j = 0 to nh - 1 do
+        let hj = h.(j) and row = j * nc in
+        let dh = ref 0. in
+        for c = 0 to nc - 1 do
+          let g = p.(c) in
+          dh := !dh +. (g *. w2.(row + c));
+          w2.(row + c) <- w2.(row + c) -. (lr *. g *. hj)
+        done;
+        lg.(j) <- lr *. (!dh *. (1. -. (hj *. hj)));
+        b1.(j) <- b1.(j) -. lg.(j)
+      done;
+      for f = 0 to nf - 1 do
+        let xf = x.(f) and row = f * nh in
+        for j = 0 to nh - 1 do
+          w1.(row + j) <- w1.(row + j) -. (lg.(j) *. xf)
+        done
+      done
+    done
   done;
-  (w1, b1, w2)
+  ( Array.init nh (fun j -> Array.init nf (fun f -> w1.((f * nh) + j))),
+    b1,
+    Array.init nc (fun c -> Array.init nh (fun j -> w2.((j * nc) + c))) )
 
 let train ?(config = default_config) () =
   let cfg = config in

@@ -50,6 +50,10 @@ val train : ?config:config -> unit -> t
 
 val config : t -> config
 
+val weights : t -> float array array * float array * float array array
+(** The trained float network [(w1, b1, w2)]: [w1] is [hidden x
+    features], [b1] has [hidden] biases, [w2] is [classes x hidden]. *)
+
 val test_set : t -> Dataset.t
 (** Held-out samples (the inference requests). *)
 

@@ -91,25 +91,32 @@ let knn_vote (train : Dataset.t) indices =
 
 let knn_instance (s : shape) _spec =
   (* oversized so the 0.7 split leaves >= rows train and >= queries
-     test samples for any shape *)
+     test samples for any shape; only the samples the instance keeps
+     are generated *)
   let per_class = s.rows + s.queries in
-  let ds =
-    Dataset.pneumonia_like ~seed:s.seed ~n_features:s.dims
-      ~samples_per_class:per_class ()
+  let train_idx, test_idx =
+    Dataset.split_indices ~seed:(s.seed + 1) (2 * per_class)
+      ~train_fraction:0.7
   in
-  let train, test = Dataset.split ~seed:(s.seed + 1) ds ~train_fraction:0.7 in
+  let kept =
+    Dataset.pneumonia_rows ~seed:s.seed ~n_features:s.dims
+      ~samples_per_class:per_class
+      (Array.append
+         (Array.sub train_idx 0 s.rows)
+         (Array.sub test_idx 0 s.queries))
+  in
   let train =
     {
-      train with
-      Dataset.features = Array.sub train.features 0 s.rows;
-      labels = Array.sub train.labels 0 s.rows;
+      kept with
+      Dataset.features = Array.sub kept.features 0 s.rows;
+      labels = Array.sub kept.labels 0 s.rows;
     }
   in
   {
     ki_source = Kernels.knn_euclidean ~q:s.queries ~dims:s.dims ~n:s.rows ~k:s.k;
     ki_stored = train.Dataset.features;
-    ki_queries = Array.sub test.Dataset.features 0 s.queries;
-    ki_labels = Array.sub test.Dataset.labels 0 s.queries;
+    ki_queries = Array.sub kept.Dataset.features s.rows s.queries;
+    ki_labels = Array.sub kept.Dataset.labels s.rows s.queries;
     ki_predict = knn_vote train;
     ki_pre = None;
   }

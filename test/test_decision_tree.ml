@@ -118,6 +118,119 @@ let prop_rules_partition =
         rules.patterns;
       !matching = 1)
 
+(* CART by brute force: every node rescans its samples once per
+   (feature, threshold) — the oracle for the histogram search. *)
+let reference_cart ~max_depth ~min_samples ~bins (ds : Dataset.t) =
+  let n_features = Dataset.n_features ds in
+  let mins = Array.make n_features Float.infinity in
+  let maxs = Array.make n_features Float.neg_infinity in
+  Array.iter
+    (Array.iteri (fun f v ->
+         if v < mins.(f) then mins.(f) <- v;
+         if v > maxs.(f) then maxs.(f) <- v))
+    ds.features;
+  let bin f v =
+    if maxs.(f) <= mins.(f) then 0
+    else
+      let b =
+        int_of_float ((v -. mins.(f)) /. (maxs.(f) -. mins.(f)) *. float_of_int bins)
+      in
+      if b < 0 then 0 else if b >= bins then bins - 1 else b
+  in
+  let binned = Array.map (Array.mapi bin) ds.features in
+  let count idxs =
+    let c = Array.make ds.n_classes 0 in
+    List.iter (fun i -> c.(ds.labels.(i)) <- c.(ds.labels.(i)) + 1) idxs;
+    c
+  in
+  let gini c total =
+    if total = 0 then 0.
+    else
+      1.
+      -. Array.fold_left
+           (fun acc k ->
+             let p = float_of_int k /. float_of_int total in
+             acc +. (p *. p))
+           0. c
+  in
+  let majority c =
+    let best = ref 0 in
+    Array.iteri (fun k v -> if v > c.(!best) then best := k) c;
+    !best
+  in
+  let rec grow idxs depth =
+    let counts = count idxs and total = List.length idxs in
+    if depth >= max_depth || total < min_samples
+       || Array.exists (( = ) total) counts
+    then Decision_tree.Leaf (majority counts)
+    else begin
+      let best = ref None in
+      for f = 0 to n_features - 1 do
+        for t = 0 to bins - 2 do
+          let l, r = List.partition (fun i -> binned.(i).(f) <= t) idxs in
+          let ln = List.length l and rn = List.length r in
+          if ln > 0 && rn > 0 then begin
+            let w =
+              (float_of_int ln *. gini (count l) ln
+              +. float_of_int rn *. gini (count r) rn)
+              /. float_of_int total
+            in
+            let gain = gini counts total -. w in
+            match !best with
+            | Some (g, _, _) when g >= gain -> ()
+            | _ -> if gain > 1e-9 then best := Some (gain, f, t)
+          end
+        done
+      done;
+      match !best with
+      | None -> Leaf (majority counts)
+      | Some (_, f, t) ->
+          let l, r = List.partition (fun i -> binned.(i).(f) <= t) idxs in
+          Node
+            {
+              feature = f;
+              threshold = t;
+              left = grow l (depth + 1);
+              right = grow r (depth + 1);
+            }
+    end
+  in
+  grow (List.init (Dataset.n_samples ds) Fun.id) 0
+
+(* Property: the histogram CART grows exactly the brute-force tree.
+   Features take few distinct values, so bins and gains tie often. *)
+let prop_matches_brute_force =
+  let gen =
+    QCheck.Gen.(
+      let* classes = int_range 2 5 and* bins = int_range 2 16 in
+      let* depth = int_range 1 6 and* min_samples = int_range 1 6 in
+      let* n = int_range 1 60 and* features = int_range 1 5 in
+      let* levels = int_range 1 6 in
+      let* rows =
+        array_size (return n)
+          (pair (array_size (return features) (int_bound (levels - 1)))
+             (int_bound (classes - 1)))
+      in
+      return (classes, bins, depth, min_samples, rows))
+  in
+  let print (classes, bins, depth, min_samples, rows) =
+    Printf.sprintf "classes %d bins %d depth %d min %d, %d rows" classes bins
+      depth min_samples (Array.length rows)
+  in
+  QCheck.Test.make ~count:300 ~name:"cart matches brute-force search"
+    (QCheck.make ~print gen)
+    (fun (classes, bins, max_depth, min_samples, rows) ->
+      let ds =
+        {
+          Dataset.features =
+            Array.map (fun (xs, _) -> Array.map float_of_int xs) rows;
+          labels = Array.map snd rows;
+          n_classes = classes;
+        }
+      in
+      let model = Decision_tree.train ~max_depth ~min_samples ~bins ds in
+      model.tree = reference_cart ~max_depth ~min_samples ~bins ds)
+
 let () =
   Alcotest.run "decision_tree"
     [
@@ -127,6 +240,7 @@ let () =
           Alcotest.test_case "accuracy" `Quick test_training_accuracy;
           Alcotest.test_case "pure node" `Quick test_pure_node_is_leaf;
           Alcotest.test_case "quantize clamps" `Quick test_quantize_clamps;
+          QCheck_alcotest.to_alcotest prop_matches_brute_force;
         ] );
       ( "tcam mapping",
         [

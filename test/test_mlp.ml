@@ -60,6 +60,100 @@ let test_end_to_end_cam_parity () =
   let got = Array.map (fun (row : int array) -> row.(0)) r.C4cam.Driver.indices in
   Alcotest.(check (array int)) "CAM = quantised reference" expected got
 
+(* The float network's SGD written on nested arrays with closures, the
+   straightforward way: the oracle for Mlp's flat-array training. *)
+let reference_sgd (cfg : Mlp.config) =
+  let full =
+    Dataset.mnist_like ~seed:cfg.seed ~n_features:cfg.features
+      ~n_classes:cfg.classes ~samples_per_class:cfg.samples_per_class ()
+  in
+  let ds, _ = Dataset.split ~seed:(cfg.seed + 1) full ~train_fraction:0.7 in
+  let rng = Rng.create (cfg.seed + 2) in
+  let init fan_in = (Rng.float rng -. 0.5) *. 2. /. sqrt (float_of_int fan_in) in
+  let w1 =
+    Array.init cfg.hidden (fun _ ->
+        Array.init cfg.features (fun _ -> init cfg.features))
+  in
+  let b1 = Array.make cfg.hidden 0. in
+  let w2 =
+    Array.init cfg.classes (fun _ ->
+        Array.init cfg.hidden (fun _ -> init cfg.hidden))
+  in
+  let logits_of h =
+    Array.map
+      (fun wc ->
+        let s = ref 0. in
+        Array.iteri (fun j v -> s := !s +. (wc.(j) *. v)) h;
+        !s)
+      w2
+  in
+  let softmax z =
+    let m = Array.fold_left Float.max Float.neg_infinity z in
+    let e = Array.map (fun v -> exp (v -. m)) z in
+    let s = Array.fold_left ( +. ) 0. e in
+    Array.map (fun v -> v /. s) e
+  in
+  let order = Array.init (Dataset.n_samples ds) Fun.id in
+  for _epoch = 1 to cfg.epochs do
+    Rng.shuffle rng order;
+    Array.iter
+      (fun i ->
+        let x = ds.features.(i) and y = ds.labels.(i) in
+        let h =
+          Array.mapi
+            (fun j wj ->
+              let s = ref b1.(j) in
+              Array.iteri (fun f v -> s := !s +. (wj.(f) *. v)) x;
+              tanh !s)
+            w1
+        in
+        let p = softmax (logits_of h) in
+        let dz = Array.mapi (fun c v -> v -. if c = y then 1. else 0.) p in
+        let dh = Array.make cfg.hidden 0. in
+        Array.iteri
+          (fun c wc ->
+            let g = dz.(c) in
+            Array.iteri
+              (fun j hv ->
+                dh.(j) <- dh.(j) +. (g *. wc.(j));
+                wc.(j) <- wc.(j) -. (cfg.lr *. g *. hv))
+              h)
+          w2;
+        Array.iteri
+          (fun j wj ->
+            let g = dh.(j) *. (1. -. (h.(j) *. h.(j))) in
+            b1.(j) <- b1.(j) -. (cfg.lr *. g);
+            Array.iteri
+              (fun f v -> wj.(f) <- wj.(f) -. (cfg.lr *. g *. v))
+              x)
+          w1)
+      order
+  done;
+  (w1, b1, w2)
+
+let test_sgd_matches_reference () =
+  let bits = Array.map Int64.bits_of_float in
+  List.iter
+    (fun (cfg : Mlp.config) ->
+      let w1, b1, w2 = Mlp.weights (Mlp.train ~config:cfg ()) in
+      let r1, rb1, r2 = reference_sgd cfg in
+      let label what = Printf.sprintf "seed %d: %s" cfg.seed what in
+      Alcotest.(check (array (array int64))) (label "w1")
+        (Array.map bits r1) (Array.map bits w1);
+      Alcotest.(check (array int64)) (label "b1") (bits rb1) (bits b1);
+      Alcotest.(check (array (array int64))) (label "w2")
+        (Array.map bits r2) (Array.map bits w2))
+    Mlp.
+      [
+        default_config;
+        { default_config with features = 8; classes = 3; hidden = 5;
+          samples_per_class = 10; epochs = 7; seed = 1 };
+        { default_config with features = 12; classes = 2; hidden = 12;
+          samples_per_class = 20; epochs = 15; lr = 0.3; seed = 23 };
+        { default_config with features = 5; classes = 4; hidden = 9;
+          samples_per_class = 7; epochs = 3; seed = 99 };
+      ]
+
 let test_rule_table_shape () =
   let t = Lazy.force bundle in
   let cfg = Mlp.config t in
@@ -81,5 +175,7 @@ let () =
           Alcotest.test_case "end-to-end parity" `Quick
             test_end_to_end_cam_parity;
           Alcotest.test_case "rule table shape" `Quick test_rule_table_shape;
+          Alcotest.test_case "sgd matches reference" `Quick
+            test_sgd_matches_reference;
         ] );
     ]

@@ -1,13 +1,17 @@
-(* cim-partition: tiling arithmetic, Table I reproduction, expanded
-   region structure, and software equivalence of the partitioned form. *)
+(* cim-partition: tiling arithmetic, Table I reproduction, the compact
+   region every compile emits, the expanded region built on demand, and
+   software equivalence of both forms. *)
 
 open Ir
 
-let partitioned ?expand_limit ~spec ?(q = 4) ?(dims = 64) ?(classes = 4) () =
+let partitioned ~spec ?(q = 4) ?(dims = 64) ?(classes = 4) () =
   Tutil.hdc_torch ~q ~dims ~classes ()
   |> Pass.run Passes.Torch_to_cim.pass
   |> Pass.run Passes.Cim_fusion.pass
-  |> Pass.run (Passes.Cim_partition.pass ?expand_limit spec)
+  |> Pass.run (Passes.Cim_partition.pass spec)
+
+let expanded ~spec ?q ?dims ?classes () =
+  Passes.Cim_partition.expand (partitioned ~spec ?q ?dims ?classes ())
 
 let find_wrapper m =
   let fn = Func_ir.find_func_exn m "forward" in
@@ -76,7 +80,7 @@ let test_divisibility_errors () =
 
 let test_expanded_region_structure () =
   let spec = Archspec.Spec.square 16 Archspec.Spec.Base in
-  let p = find_wrapper (partitioned ~spec ~q:4 ~dims:64 ~classes:4 ()) in
+  let p = find_wrapper (expanded ~spec ~q:4 ~dims:64 ~classes:4 ()) in
   let names = List.map (fun (o : Op.t) -> o.op_name) (Op.body_ops p) in
   let count n = List.length (List.filter (String.equal n) names) in
   Alcotest.(check int) "4 partials (4 col chunks)" 4
@@ -88,15 +92,83 @@ let test_expanded_region_structure () =
   Alcotest.(check int) "one zeros" 1 (count "cim.zeros")
 
 let test_compact_region_above_limit () =
+  (* The pass always emits the one-op form; expansion leaves a tiling
+     above 4096 tiles (here 52 x 80) in it. *)
+  let body_names p = List.map (fun (o : Op.t) -> o.op_name) (Op.body_ops p) in
   let spec = Archspec.Spec.square 16 Archspec.Spec.Base in
-  let p =
-    find_wrapper
-      (partitioned ~expand_limit:2 ~spec ~q:4 ~dims:64 ~classes:4 ())
-  in
-  let names = List.map (fun (o : Op.t) -> o.op_name) (Op.body_ops p) in
   Alcotest.(check (list string)) "compact form"
     [ "cim.similarity"; "cim.yield" ]
-    names
+    (body_names (find_wrapper (partitioned ~spec ~q:4 ~dims:64 ~classes:4 ())));
+  Alcotest.(check (list string)) "compact above the limit"
+    [ "cim.similarity"; "cim.yield" ]
+    (body_names
+       (find_wrapper (expanded ~spec ~q:1 ~dims:(16 * 80) ~classes:(16 * 52) ())))
+
+(* Every registry kernel over the 12 DSE specs: the cam level compiled
+   from the compact region prints exactly as the one lowered from the
+   expanded region (compile_traced expands inside cim-partition), and
+   the printed cim level is the traced expansion. Each compile starts
+   from the same value id, so the comparison covers the printed names;
+   and the expanded region fills exactly the id block the compact form
+   reserved, as the cam-level names of an always-expanded compile
+   require. *)
+let test_compact_lowers_like_expanded () =
+  let module Reg = Workloads.Registry in
+  let specs =
+    List.concat_map
+      (fun side ->
+        List.map (Archspec.Spec.square side)
+          Archspec.Spec.[ Base; Power; Density; Power_density ])
+      [ 16; 32; 64 ]
+  in
+  List.iter
+    (fun (e : Reg.entry) ->
+      match e.exec with
+      | Reg.Kernel mk ->
+          List.iter
+            (fun spec0 ->
+              let spec = e.fix_spec e.default_shape spec0 in
+              let src = (mk e.default_shape spec).Reg.ki_source in
+              let label what =
+                Printf.sprintf "%s %s: %s" e.name (C4cam.Dse.config_name spec)
+                  what
+              in
+              Value.reset_counter ();
+              let c = C4cam.Driver.compile ~spec src in
+              let cim = List.assoc "cim" (C4cam.Driver.stage_texts c) in
+              Value.reset_counter ();
+              let t, trace = C4cam.Driver.compile_traced ~spec src in
+              let wrapper = find_wrapper t.cim_ir in
+              Alcotest.(check bool) (label "traced region expanded") true
+                (List.exists
+                   (fun (o : Op.t) -> String.equal o.op_name "cim.slice")
+                   (Op.body_ops wrapper));
+              (* the expansion takes exactly the id block the pass
+                 reserved ([Value.reserve 0] reads the id counter) *)
+              let m =
+                Pass.run_pipeline Passes.Pipelines.cim_pipeline
+                  (Frontend.Emit.compile_string src)
+              in
+              let first = Value.reserve 0 in
+              let m = Pass.run (Passes.Cim_partition.pass spec) m in
+              let next = Value.reserve 0 in
+              let region_ids w =
+                List.concat_map
+                  (fun (o : Op.t) -> List.map (fun (v : Value.t) -> v.id) o.results)
+                  (Op.body_ops w)
+              in
+              Alcotest.(check (list int)) (label "expansion fills the reserved ids")
+                (List.init (next - first) (fun i -> first + i))
+                (region_ids (find_wrapper (Passes.Cim_partition.expand m)));
+              Alcotest.(check string) (label "cam level")
+                (Printer.module_to_string t.cam_ir)
+                (Printer.module_to_string c.cam_ir);
+              Alcotest.(check string) (label "cim level")
+                (List.assoc "cim-partition" trace)
+                cim)
+            specs
+      | Reg.Direct _ | Reg.Range _ -> ())
+    Reg.all
 
 let run_software m ~queries ~stored =
   let fn = Func_ir.find_func_exn m "forward" in
@@ -110,8 +182,8 @@ let run_software m ~queries ~stored =
   (Interp.Machine.run m "forward" args).results
 
 let test_partitioned_matches_torch () =
-  (* The expanded partitioned form computes the same top-1 indices as
-     the torch reference, for several subarray geometries. *)
+  (* Both partitioned forms compute the same top-1 indices as the torch
+     reference, for several subarray geometries. *)
   let synth =
     Workloads.Hdc.synthetic ~seed:3 ~dims:64 ~n_classes:6 ~n_queries:5
       ~bits:1 ()
@@ -125,13 +197,18 @@ let test_partitioned_matches_torch () =
   List.iter
     (fun side ->
       let spec = Archspec.Spec.square side Archspec.Spec.Base in
-      let m = partitioned ~spec ~q:5 ~dims:64 ~classes:6 () in
-      match run_software m ~queries:synth.queries ~stored:synth.stored with
-      | [ _; i ] ->
-          Alcotest.(check Tutil.int_rows_testable)
-            (Printf.sprintf "indices at %dx%d" side side)
-            torch_indices (Interp.Rtval.to_int_rows i)
-      | _ -> Alcotest.fail "bad arity")
+      List.iter
+        (fun (form, m) ->
+          match run_software m ~queries:synth.queries ~stored:synth.stored with
+          | [ _; i ] ->
+              Alcotest.(check Tutil.int_rows_testable)
+                (Printf.sprintf "%s indices at %dx%d" form side side)
+                torch_indices (Interp.Rtval.to_int_rows i)
+          | _ -> Alcotest.fail "bad arity")
+        [
+          ("compact", partitioned ~spec ~q:5 ~dims:64 ~classes:6 ());
+          ("expanded", expanded ~spec ~q:5 ~dims:64 ~classes:6 ());
+        ])
     [ 16; 32; 64 ]
 
 let () =
@@ -153,6 +230,8 @@ let () =
             test_expanded_region_structure;
           Alcotest.test_case "compact above limit" `Quick
             test_compact_region_above_limit;
+          Alcotest.test_case "compact lowers like expanded" `Quick
+            test_compact_lowers_like_expanded;
         ] );
       ( "software equivalence",
         [

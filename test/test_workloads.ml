@@ -56,6 +56,82 @@ let test_shuffle_permutes () =
     (List.sort compare (Array.to_list b) = Array.to_list a);
   Alcotest.(check bool) "actually shuffled" true (a <> b)
 
+(* SplitMix64 written out again on a plain int64 ref, the generator's
+   oracle: every stream must match it draw for draw. *)
+module Splitmix_ref = struct
+  let gamma = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.logxor z (Int64.shift_right_logical z 30) in
+    let z = Int64.mul z 0xBF58476D1CE4E5B9L in
+    let z = Int64.logxor z (Int64.shift_right_logical z 27) in
+    let z = Int64.mul z 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = ref (Int64.of_int seed)
+
+  let next s =
+    s := Int64.add !s gamma;
+    mix !s
+
+  let float s =
+    Int64.to_float (Int64.shift_right_logical (next s) 11)
+    /. 9007199254740992.0
+
+  let gaussian s =
+    let u1 = max (float s) 1e-300 in
+    let u2 = float s in
+    sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
+
+  let split s i =
+    ref (mix (Int64.add (mix (Int64.add !s (Int64.of_int (i + 1)))) gamma))
+end
+
+let test_prng_splitmix_oracle () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun seed ->
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      let r = Rng.create seed and o = Splitmix_ref.create seed in
+      for _ = 1 to 64 do
+        Alcotest.(check int64) (label "next_int64") (Splitmix_ref.next o)
+          (Rng.next_int64 r);
+        Alcotest.(check int64) (label "float")
+          (bits (Splitmix_ref.float o))
+          (bits (Rng.float r));
+        Alcotest.(check int64) (label "gaussian")
+          (bits (Splitmix_ref.gaussian o))
+          (bits (Rng.gaussian r))
+      done;
+      List.iter
+        (fun i ->
+          let c = Rng.split r i and co = Splitmix_ref.split o i in
+          for _ = 1 to 8 do
+            Alcotest.(check int64) (label "split child") (Splitmix_ref.next co)
+              (Rng.next_int64 c)
+          done)
+        [ 0; 1; 5; 1000 ];
+      Alcotest.(check int64) (label "split leaves the parent")
+        (Splitmix_ref.next o) (Rng.next_int64 r);
+      List.iter
+        (fun k ->
+          let skipped = Rng.create seed and drawn = Rng.create seed in
+          let oracle = Splitmix_ref.create seed in
+          Rng.advance skipped k;
+          for _ = 1 to k do
+            ignore (Rng.next_int64 drawn);
+            ignore (Splitmix_ref.next oracle)
+          done;
+          let want = Splitmix_ref.next oracle in
+          Alcotest.(check int64) (label (Printf.sprintf "advance %d" k)) want
+            (Rng.next_int64 skipped);
+          Alcotest.(check int64) (label (Printf.sprintf "%d draws" k)) want
+            (Rng.next_int64 drawn))
+        [ 0; 1; 2; 3; 17; 512; 100_003 ])
+    [ 0; 1; 7; 42; -3; max_int; min_int ];
+  Tutil.check_raises_invalid "negative advance" (fun () ->
+      Rng.advance (Rng.create 1) (-1))
+
 (* ---- distances --------------------------------------------------------- *)
 
 let test_distances () =
@@ -123,6 +199,56 @@ let test_split () =
   Alcotest.(check int) "test size" 20 (Dataset.n_samples test);
   Tutil.check_raises_invalid "bad fraction" (fun () ->
       ignore (Dataset.split ds ~train_fraction:1.5))
+
+(* The sequential pneumonia generator: class centres, then every sample
+   in order — the oracle for the generator that skips to the rows it is
+   asked for. *)
+let pneumonia_sequential ~seed ~n_features ~samples_per_class =
+  let separation = 1.2 in
+  let rng = Rng.create seed in
+  let centers =
+    Array.init 2 (fun c ->
+        Array.init n_features (fun _ ->
+            if c = 0 then Rng.gaussian rng *. 0.5
+            else
+              (Rng.gaussian rng *. 0.5)
+              +. (separation /. sqrt (float_of_int n_features) *. 10.)))
+  in
+  Array.init (2 * samples_per_class) (fun i ->
+      (Array.map (fun m -> m +. Rng.gaussian rng) centers.(i / samples_per_class),
+       i / samples_per_class))
+
+let test_pneumonia_rows () =
+  let bits rows = Array.map (Array.map Int64.bits_of_float) rows in
+  List.iter
+    (fun (seed, n_features, spc) ->
+      let full = pneumonia_sequential ~seed ~n_features ~samples_per_class:spc in
+      let check what idxs (ds : Dataset.t) =
+        Alcotest.(check (array (array int64)))
+          (Printf.sprintf "%s features (seed %d)" what seed)
+          (bits (Array.map (fun i -> fst full.(i)) idxs))
+          (bits ds.features);
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s labels (seed %d)" what seed)
+          (Array.map (fun i -> snd full.(i)) idxs)
+          ds.labels
+      in
+      let n = 2 * spc in
+      check "pneumonia_like" (Array.init n Fun.id)
+        (Dataset.pneumonia_like ~seed ~n_features ~samples_per_class:spc ());
+      let r = Rng.create (seed + 100) in
+      let idxs = Array.init (n / 2) (fun _ -> Rng.int r n) in
+      check "pneumonia_rows" idxs
+        (Dataset.pneumonia_rows ~seed ~n_features ~samples_per_class:spc idxs);
+      let train, test = Dataset.split_indices ~seed n ~train_fraction:0.7 in
+      Alcotest.(check (list int)) "split indices are a permutation"
+        (List.init n Fun.id)
+        (List.sort compare (Array.to_list (Array.append train test)));
+      Tutil.check_raises_invalid "index past the end" (fun () ->
+          ignore
+            (Dataset.pneumonia_rows ~seed ~n_features ~samples_per_class:spc
+               [| n |])))
+    [ (7, 10, 5); (17, 256, 24); (3, 1, 1) ]
 
 (* ---- HDC --------------------------------------------------------------- *)
 
@@ -229,6 +355,8 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutes;
+          Alcotest.test_case "splitmix64 oracle" `Quick
+            test_prng_splitmix_oracle;
         ] );
       ( "distance",
         [
@@ -241,6 +369,7 @@ let () =
           Alcotest.test_case "mnist-like" `Quick test_mnist_like;
           Alcotest.test_case "deterministic" `Quick test_dataset_deterministic;
           Alcotest.test_case "split" `Quick test_split;
+          Alcotest.test_case "pneumonia rows" `Quick test_pneumonia_rows;
         ] );
       ( "hdc",
         [
