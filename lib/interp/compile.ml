@@ -16,9 +16,9 @@
    - Failures surface at execution time: attribute decoding happens at
      compile time, but a decode error is captured and re-raised only
      when the op executes, so dead malformed ops stay silent.
-   - The scf.parallel independence analysis runs at compile time;
-     conditions that depend on runtime values (loop-invariant offsets,
-     the step) compile to residual closures evaluated per execution.
+   - scf.parallel is a timing rule, not a request for host
+     concurrency: iterations run in order like scf.for, but their
+     latencies max-combine instead of summing.
    - Per-dialect execution counters are bumped once per executed op,
      terminators included.
 
@@ -34,9 +34,8 @@ type ctx = {
   sim : Camsim.Simulator.t option;
   xsim : Xbar.t option;
   qcache : Ops.Qcache.t;
-  pool : Ops.Pool.t option; (* dispatching domain only *)
+  pool : Ops.Pool.t option;
   counts : int array;
-  counts_mu : Mutex.t; (* guards merges of per-chunk counters *)
 }
 
 type flow = Creturn of Rtval.t list | Cyield of Rtval.t list | Cfall
@@ -175,205 +174,6 @@ let check_loop_flow = function
 let check_if_flow = function
   | Cfall | Cyield [] -> ()
   | _ -> Ops.fail "if region must not produce values"
-
-(* ---------- scf.parallel independence, compiled ------------------------ *)
-
-(* A region body qualifies for the data-parallel path only when (a) it
-   contains nothing but pure host ops — arith, memref, nested scf — so
-   no iteration touches simulator state or charges latency/energy, and
-   (b) every memref.store provably lands either in an iteration-local
-   alloc or in a window of an outer buffer that is disjoint across
-   iterations (affine-injective in the induction variable). Anything
-   else — in particular every real cam/crossbar kernel — falls back to
-   the sequential loop, preserving allocation and accumulation order
-   exactly.
-
-   Structural disqualifications (disallowed ops, unsafe store shapes)
-   resolve to [Never] here, once; conditions that depend on the runtime
-   environment — loop-invariant coefficients, the step — become
-   residual closures evaluated per loop execution against the slots. *)
-
-type indep = Never | Maybe of (ctx -> step:int -> bool)
-
-let analyze_independence cenv (r : Ir.Op.region) : indep =
-  match r.Ir.Op.blocks with
-  | [ blk ] when List.length blk.Ir.Op.block_args = 1 ->
-      let ind = (List.hd blk.Ir.Op.block_args).Ir.Value.id in
-      let ops = Ops.collect_ops [] r in
-      if not (List.for_all (fun (o : Ir.Op.t) -> Ops.allowed_op o.op_name) ops)
-      then Never
-      else begin
-        let definer : (int, Ir.Op.t) Hashtbl.t = Hashtbl.create 64 in
-        let inside : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.replace inside ind ();
-        List.iter
-          (fun (o : Ir.Op.t) ->
-            List.iter
-              (fun (res : Ir.Value.t) ->
-                Hashtbl.replace definer res.id o;
-                Hashtbl.replace inside res.id ())
-              o.results;
-            List.iter
-              (fun (rg : Ir.Op.region) ->
-                List.iter
-                  (fun (b : Ir.Op.block) ->
-                    List.iter
-                      (fun (a : Ir.Value.t) -> Hashtbl.replace inside a.id ())
-                      b.block_args)
-                  rg.blocks)
-              o.regions)
-          ops;
-        let is_inside id = Hashtbl.mem inside id in
-        (* A loop-invariant value with a known Index binding can act as
-           a constant coefficient; outside values are read through their
-           slot at loop-execution time. *)
-        let known (v : Ir.Value.t) : ctx -> int option =
-          if is_inside v.id then
-            match Hashtbl.find_opt definer v.id with
-            | Some d when String.equal d.op_name "arith.constant" -> (
-                match Ir.Op.attr d "value" with
-                | Some (Ir.Attr.Int i) -> fun _ -> Some i
-                | _ -> fun _ -> None)
-            | _ -> fun _ -> None
-          else begin
-            let s = slot cenv v in
-            fun ctx ->
-              match ctx.slots.(s) with
-              | Rtval.Index n -> Some n
-              | _ -> None
-          end
-        in
-        (* Multiplier of the induction variable: [Some m] means the
-           value is provably [m * i + c] with c constant across
-           iterations; [None] means unknown (treated as unsafe). *)
-        let memo : (int, ctx -> int option) Hashtbl.t = Hashtbl.create 16 in
-        let rec mult (v : Ir.Value.t) : ctx -> int option =
-          match Hashtbl.find_opt memo v.Ir.Value.id with
-          | Some f -> f
-          | None ->
-              let f = mult_raw v in
-              Hashtbl.replace memo v.Ir.Value.id f;
-              f
-        and mult_raw (v : Ir.Value.t) =
-          if v.id = ind then fun _ -> Some 1
-          else if not (is_inside v.id) then fun _ -> Some 0
-          else
-            match Hashtbl.find_opt definer v.id with
-            | None -> fun _ -> None (* a nested block argument *)
-            | Some d -> (
-                match d.op_name with
-                | "arith.constant" -> fun _ -> Some 0
-                | "arith.addi" | "arith.subi" ->
-                    let ma = mult (Ir.Op.operand d 0) in
-                    let mb = mult (Ir.Op.operand d 1) in
-                    let sub = String.equal d.op_name "arith.subi" in
-                    fun ctx -> (
-                      match (ma ctx, mb ctx) with
-                      | Some a, Some b -> Some (if sub then a - b else a + b)
-                      | _ -> None)
-                | "arith.muli" ->
-                    let ma = mult (Ir.Op.operand d 0) in
-                    let mb = mult (Ir.Op.operand d 1) in
-                    let ka = known (Ir.Op.operand d 0) in
-                    let kb = known (Ir.Op.operand d 1) in
-                    fun ctx -> (
-                      match (ma ctx, mb ctx) with
-                      | Some 0, Some 0 -> Some 0
-                      | ma', mb' -> (
-                          match (ka ctx, mb', kb ctx, ma') with
-                          | Some c, Some mb'', _, _ -> Some (c * mb'')
-                          | _, _, Some c, Some ma'' -> Some (ma'' * c)
-                          | _ -> None))
-                | "arith.divi" | "arith.remi" ->
-                    let ma = mult (Ir.Op.operand d 0) in
-                    let mb = mult (Ir.Op.operand d 1) in
-                    fun ctx -> (
-                      match (ma ctx, mb ctx) with
-                      | Some 0, Some 0 -> Some 0
-                      | _ -> None)
-                | _ -> fun _ -> None)
-        in
-        let other_ops_reference ?(except = []) id =
-          List.exists
-            (fun (o : Ir.Op.t) ->
-              (not (List.memq o except))
-              && List.exists (fun (v : Ir.Value.t) -> v.id = id) o.operands)
-            ops
-        in
-        (* [None] = statically unsafe; [Some f] = safe iff [f] holds at
-           loop execution time. *)
-        let store_check (s : Ir.Op.t) : (ctx -> step:int -> bool) option =
-          let base = Ir.Op.operand s 1 in
-          match Hashtbl.find_opt definer base.id with
-          | Some d when String.equal d.op_name "memref.alloc" ->
-              (* iteration-local scratch: each iteration re-allocs its own *)
-              Some (fun _ ~step:_ -> true)
-          | Some d when String.equal d.op_name "memref.subview" ->
-              let outer = Ir.Op.operand d 0 in
-              if
-                is_inside outer.id
-                || other_ops_reference ~except:[ d ] outer.id
-              then None
-              else (
-                let offsets = List.tl d.operands in
-                match Ir.Op.attr d "sizes" with
-                | Some sizes_attr ->
-                    let sizes = Ir.Attr.as_ints sizes_attr in
-                    if List.length offsets <> List.length sizes then None
-                    else
-                      (* disjoint if, in some dimension, consecutive
-                         windows advance by at least the window extent *)
-                      let pairs =
-                        List.map2
-                          (fun off size -> (mult off, size))
-                          offsets sizes
-                      in
-                      Some
-                        (fun ctx ~step ->
-                          List.exists
-                            (fun (m, size) ->
-                              match m ctx with
-                              | Some m -> m <> 0 && abs m * step >= size
-                              | None -> false)
-                            pairs)
-                | None -> None)
-          | Some _ -> None
-          | None ->
-              (* direct store to an outer buffer: sound only when this
-                 is the sole op touching it and the written cell is an
-                 injective function of the iteration *)
-              if is_inside base.id || other_ops_reference ~except:[ s ] base.id
-              then None
-              else
-                let idxs = List.map mult (List.tl (List.tl s.operands)) in
-                if idxs = [] then None
-                else
-                  Some
-                    (fun ctx ~step:_ ->
-                      List.exists
-                        (fun m ->
-                          match m ctx with Some m -> m <> 0 | None -> false)
-                        idxs)
-        in
-        let stores =
-          List.filter
-            (fun (o : Ir.Op.t) -> String.equal o.op_name "memref.store")
-            ops
-        in
-        let rec gather acc = function
-          | [] -> Some (List.rev acc)
-          | s :: tl -> (
-              match store_check s with
-              | None -> None
-              | Some f -> gather (f :: acc) tl)
-        in
-        match gather [] stores with
-        | None -> Never
-        | Some checks ->
-            Maybe
-              (fun ctx ~step -> List.for_all (fun f -> f ctx ~step) checks)
-      end
-  | _ -> Never
 
 (* ---------- the op compiler -------------------------------------------- *)
 
@@ -692,66 +492,22 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
       let stepg = use_index cenv (opnd 2) in
       match op.regions with
       | [ r ] ->
-          let indep =
-            if parallel then analyze_independence cenv r else Never
-          in
           let rg = compile_region cenv r in
           fun ctx ->
             let lb = lbg ctx in
             let ub = ubg ctx in
             let step = stepg ctx in
             if step <= 0 then Ops.fail "loop: non-positive step";
-            let n = if ub <= lb then 0 else (ub - lb + step - 1) / step in
-            if
-              parallel && n > 1
-              && Parallel.current_jobs () > 1
-              && (match indep with
-                 | Never -> false
-                 | Maybe f -> f ctx ~step)
-            then begin
-              (* Data-parallel path: iterations are proven independent,
-                 so each chunk runs against a private snapshot of the
-                 slots (copied once per chunk, not per iteration) and
-                 reports latency by index; the fold below merges them
-                 in iteration order. Per-chunk counters merge under the
-                 parent's mutex — sums commute, so the totals are
-                 schedule-independent. *)
-              Ops.Qcache.clear ctx.qcache;
-              let lats = Array.make n 0. in
-              Parallel.parallel_for_chunks ~lo:0 ~hi:n (fun ~lo ~hi ->
-                  let child =
-                    {
-                      ctx with
-                      slots = Array.copy ctx.slots;
-                      qcache = Ops.Qcache.create ();
-                      pool = None;
-                      counts = Ops.fresh_counts ();
-                    }
-                  in
-                  for idx = lo to hi - 1 do
-                    let fl, lat =
-                      run_creg child rg [| Rtval.Index (lb + (idx * step)) |]
-                    in
-                    check_loop_flow fl;
-                    lats.(idx) <- lat
-                  done;
-                  Mutex.lock ctx.counts_mu;
-                  Ops.merge_counts ~into:ctx.counts child.counts;
-                  Mutex.unlock ctx.counts_mu);
-              Array.fold_left Float.max 0. lats
-            end
-            else begin
-              let total = ref 0. in
-              let i = ref lb in
-              while !i < ub do
-                let fl, lat = run_creg ctx rg [| Rtval.Index !i |] in
-                check_loop_flow fl;
-                if parallel then total := Float.max !total lat
-                else total := !total +. lat;
-                i := !i + step
-              done;
-              !total
-            end
+            let total = ref 0. in
+            let i = ref lb in
+            while !i < ub do
+              let fl, lat = run_creg ctx rg [| Rtval.Index !i |] in
+              check_loop_flow fl;
+              if parallel then total := Float.max !total lat
+              else total := !total +. lat;
+              i := !i + step
+            done;
+            !total
       | _ ->
           fun ctx ->
             let _ = lbg ctx in
@@ -1081,7 +837,6 @@ let run_fn ?sim ?xsim ?qcache ?pool (fn : Ir.Func_ir.func)
         (match qcache with Some q -> q | None -> Ops.Qcache.create ());
       pool;
       counts = Ops.fresh_counts ();
-      counts_mu = Mutex.create ();
     }
   in
   List.iteri (fun i v -> set ctx cf.cf_args.(i) v) args;

@@ -4,8 +4,8 @@
     (threaded code): op-name dispatch, attribute decoding and operand
     resolution happen once per op at compile time, SSA values are
     renamed to dense integer slots so the environment is a flat
-    [Rtval.t array], and the [scf.parallel] independence analysis is
-    resolved at compile time down to a residual runtime check.
+    [Rtval.t array]. Every loop, [scf.parallel] included, runs its
+    iterations in order on the calling domain.
     Compilation is memoized per domain on {!Ir.Op.uid}, so repeated runs
     of the same module pay it once; the IR is treated as frozen once a
     function has run.

@@ -40,21 +40,12 @@ let dialect_index op_name =
 
 let fresh_counts () = Array.make n_dialects 0
 
-(* Int sums commute, so merging per-chunk counters in any order is
-   deterministic; a mutex around the merge only prevents lost updates. *)
-let merge_counts ~into src =
-  for i = 0 to n_dialects - 1 do
-    into.(i) <- into.(i) + src.(i)
-  done
-
 let counts_list counts =
   let acc = ref [] in
   for i = n_dialects - 1 downto 0 do
     if counts.(i) > 0 then acc := (dialect_names.(i), counts.(i)) :: !acc
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
-
-let total_count counts = Array.fold_left ( + ) 0 counts
 
 (* ---------- outcome ---------------------------------------------------- *)
 
@@ -109,12 +100,6 @@ module Qcache = struct
   }
 
   let create () = { len = 0; head = 0; entries = Array.make capacity None }
-
-  let clear t =
-    t.len <- 0;
-    t.head <- 0;
-    (* release the cached arrays *)
-    Array.fill t.entries 0 capacity None
 
   let phys t i = (t.head + i) mod capacity
   let length t = t.len
@@ -289,32 +274,6 @@ let alloc_buffer pool qcache shape =
       let b = Pool.buffer p shape in
       Qcache.invalidate qcache b.b_data;
       b
-
-(* ---------- scf.parallel analysis predicates -------------------------- *)
-
-(* Structural building blocks of the independence analysis, shared so
-   the tree-walker's runtime check and the compiler's compile-time
-   check classify exactly the same bodies. *)
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let allowed_op name =
-  has_prefix "arith." name
-  || List.mem name
-       [
-         "memref.load"; "memref.store"; "memref.subview"; "memref.alloc";
-         "scf.yield"; "scf.for"; "scf.if"; "scf.parallel";
-       ]
-
-let rec collect_ops acc (r : Ir.Op.region) =
-  List.fold_left
-    (fun acc (blk : Ir.Op.block) ->
-      List.fold_left
-        (fun acc (op : Ir.Op.t) ->
-          List.fold_left collect_ops (op :: acc) op.regions)
-        acc blk.body)
-    acc r.blocks
 
 (* ---------- torch-level helpers (value semantics) -------------------- *)
 

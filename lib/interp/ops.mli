@@ -28,14 +28,8 @@ val dialect_index : string -> int
 val fresh_counts : unit -> int array
 (** A zeroed counter array of {!n_dialects} slots. *)
 
-val merge_counts : into:int array -> int array -> unit
-(** Slot-wise sum. Sums commute, so merging per-chunk counters in any
-    order is deterministic. *)
-
 val counts_list : int array -> (string * int) list
 (** Non-zero counters as a [(dialect, count)] list sorted by name. *)
-
-val total_count : int array -> int
 
 (** {2 Outcome} *)
 
@@ -67,8 +61,6 @@ module Qcache : sig
   val capacity : int
 
   val create : unit -> t
-
-  val clear : t -> unit
 
   val length : t -> int
 
@@ -110,21 +102,6 @@ val alloc_buffer : Pool.t option -> Qcache.t -> int list -> Rtval.buffer
     this shape — with a pool, a released one when the shape matches
     (invalidating any query-pack entry over the recycled store);
     otherwise, or when none matches, a fresh one. *)
-
-(** {2 scf.parallel analysis predicates}
-
-    Structural building blocks of the loop-independence analysis
-    ({!Compile}). *)
-
-val has_prefix : string -> string -> bool
-
-val allowed_op : string -> bool
-(** Op names a data-parallel loop body may contain (pure host ops:
-    arith, memref, nested scf). *)
-
-val collect_ops : Ir.Op.t list -> Ir.Op.region -> Ir.Op.t list
-(** All ops nested under a region (any depth), prepended to the
-    accumulator. *)
 
 (** {2 Torch-level tensor helpers (value semantics)} *)
 

@@ -122,9 +122,6 @@ let buffer_view b ~offsets ~sizes =
     b_data = b.b_data;
   }
 
-let tensor_get t idx =
-  t.t_data.(linear_index (row_major_strides t.t_shape) 0 idx)
-
 let tensor_rows t =
   match t.t_shape with
   | [ r; c ] ->

@@ -57,7 +57,6 @@ val buffer_rows : buffer -> float array array
 val buffer_view : buffer -> offsets:int list -> sizes:int list -> buffer
 (** Aliasing subview. @raise Type_error when out of bounds. *)
 
-val tensor_get : tensor -> int list -> float
 val tensor_rows : tensor -> float array array
 (** Rank-2 tensor as rows (copies). *)
 

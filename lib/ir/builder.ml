@@ -1,17 +1,10 @@
-type t = { mutable ops_rev : Op.t list; mutable next_id : int option }
+type t = { mutable ops_rev : Op.t list }
 
-let create ?first_id () = { ops_rev = []; next_id = first_id }
+let create () = { ops_rev = [] }
 let add b op = b.ops_rev <- op :: b.ops_rev
 
-let new_value b ty =
-  match b.next_id with
-  | None -> Value.fresh ty
-  | Some id ->
-      b.next_id <- Some (id + 1);
-      Value.with_id id ty
-
 let op b ?(operands = []) ?(attrs = []) ?(regions = []) name result_types =
-  let results = List.map (new_value b) result_types in
+  let results = List.map Value.fresh result_types in
   add b (Op.create ~operands ~results ~attrs ~regions name);
   results
 

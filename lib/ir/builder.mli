@@ -5,10 +5,7 @@
 
 type t
 
-val create : ?first_id:int -> unit -> t
-(** With [first_id], result values are numbered [first_id],
-    [first_id + 1], ... in creation order instead of taking fresh ids:
-    for rebuilding IR inside an id block taken with {!Value.reserve}. *)
+val create : unit -> t
 
 val add : t -> Op.t -> unit
 (** Append an already-built op. *)

@@ -115,16 +115,16 @@ let tokenize src =
           | 'b' -> Buffer.add_char buf '\b'
           | '\\' -> Buffer.add_char buf '\\'
           | '"' -> Buffer.add_char buf '"'
-          | '0' .. '9' ->
-              (* decimal escape \DDD *)
-              if !pos + 1 < n then (
-                let code =
-                  int_of_string
-                    (String.init 3 (fun i -> src.[!pos - 1 + i]))
-                in
-                pos := !pos + 2;
-                Buffer.add_char buf (Char.chr code))
-              else raise (Lex_error ("bad escape", !pos))
+          | '0' .. '9' -> (
+              (* decimal escape \DDD, DDD at most 255 *)
+              let start = !pos - 1 in
+              if start + 3 > n then raise (Lex_error ("bad escape", start));
+              let ddd = String.sub src start 3 in
+              match int_of_string_opt ddd with
+              | Some code when String.for_all is_digit ddd && code <= 255 ->
+                  pos := start + 3;
+                  Buffer.add_char buf (Char.chr code)
+              | _ -> raise (Lex_error ("bad escape \\" ^ ddd, start)))
           | c -> raise (Lex_error (Printf.sprintf "bad escape \\%c" c, !pos)));
           go ())
       | c ->
@@ -179,7 +179,9 @@ let tokenize src =
         incr pos
       done;
       if !pos = start then raise (Lex_error ("expected value id after %", !pos));
-      emit (VALUE (int_of_string (String.sub src start (!pos - start)))))
+      match int_of_string_opt (String.sub src start (!pos - start)) with
+      | Some id -> emit (VALUE id)
+      | None -> raise (Lex_error ("value id out of range", start)))
     else if c = '@' then (
       incr pos;
       emit (AT_IDENT (read_ident ())))

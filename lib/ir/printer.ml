@@ -23,7 +23,24 @@ let attrs_to_string attrs =
         (List.map (fun (k, v) -> k ^ " = " ^ attr_to_string v) attrs)
     ^ "}"
 
-let values_to_string vs = String.concat ", " (List.map Value.name vs)
+(* Printed names are local to a function: values are numbered %0, %1,
+   ... as the printer first meets them, so the text does not depend on
+   the process-wide id counter. The printer names an op's results before
+   its regions and a block's arguments before its body, which in valid
+   IR is definition order. Names key on the value id, so ids shared by
+   several definitions keep sharing one name. *)
+let name names (v : Value.t) =
+  let n =
+    match Hashtbl.find_opt names v.id with
+    | Some n -> n
+    | None ->
+        let n = Hashtbl.length names in
+        Hashtbl.add names v.id n;
+        n
+  in
+  "%" ^ string_of_int n
+
+let values_to_string names vs = String.concat ", " (List.map (name names) vs)
 
 let type_list_to_string = function
   | [] -> "()"
@@ -32,10 +49,10 @@ let type_list_to_string = function
 
 let pad n = String.make n ' '
 
-let rec op_to_string ?(indent = 0) (op : Op.t) =
+let rec op_to_string names ~indent (op : Op.t) =
   let ind = pad indent in
   let results =
-    match op.results with [] -> "" | vs -> values_to_string vs ^ " = "
+    match op.results with [] -> "" | vs -> values_to_string names vs ^ " = "
   in
   let operand_types =
     "("
@@ -51,20 +68,20 @@ let rec op_to_string ?(indent = 0) (op : Op.t) =
     else
       " ("
       ^ String.concat ", "
-          (List.map (region_to_string ~indent:(indent + 2)) op.regions)
+          (List.map (region_to_string names ~indent:(indent + 2)) op.regions)
       ^ ")"
   in
   Printf.sprintf "%s%s\"%s\"(%s)%s%s : %s -> %s" ind results op.op_name
-    (values_to_string op.operands)
+    (values_to_string names op.operands)
     (attrs_to_string op.attrs)
     regions operand_types result_types
 
-and region_to_string ~indent (r : Op.region) =
+and region_to_string names ~indent (r : Op.region) =
   match r.blocks with
-  | [ b ] -> block_to_string ~indent b
+  | [ b ] -> block_to_string names ~indent b
   | _ -> invalid_arg "Printer: only single-block regions are printable"
 
-and block_to_string ~indent (b : Op.block) =
+and block_to_string names ~indent (b : Op.block) =
   let header =
     if b.block_args = [] then ""
     else
@@ -72,12 +89,12 @@ and block_to_string ~indent (b : Op.block) =
       ^ String.concat ", "
           (List.map
              (fun (v : Value.t) ->
-               Value.name v ^ ": " ^ Types.to_string v.ty)
+               name names v ^ ": " ^ Types.to_string v.ty)
              b.block_args)
       ^ "):\n"
   in
   let body =
-    String.concat "\n" (List.map (op_to_string ~indent) b.body)
+    String.concat "\n" (List.map (op_to_string names ~indent) b.body)
   in
   "{\n" ^ header ^ body
   ^ (if b.body = [] then "" else "\n")
@@ -85,10 +102,11 @@ and block_to_string ~indent (b : Op.block) =
   ^ "}"
 
 let func_to_string (f : Func_ir.func) =
+  let names = Hashtbl.create 64 in
   let args =
     String.concat ", "
       (List.map
-         (fun (v : Value.t) -> Value.name v ^ ": " ^ Types.to_string v.ty)
+         (fun (v : Value.t) -> name names v ^ ": " ^ Types.to_string v.ty)
          f.fn_args)
   in
   let ret =
@@ -98,9 +116,7 @@ let func_to_string (f : Func_ir.func) =
   in
   Printf.sprintf "func @%s(%s)%s {\n%s\n}" f.fn_name args ret
     (String.concat "\n"
-       (List.map (op_to_string ~indent:2) f.fn_body.body))
+       (List.map (op_to_string names ~indent:2) f.fn_body.body))
 
 let module_to_string (m : Func_ir.modul) =
   String.concat "\n\n" (List.map func_to_string m.funcs) ^ "\n"
-
-let pp_module fmt m = Format.pp_print_string fmt (module_to_string m)

@@ -5,7 +5,6 @@ type t = { id : int; ty : Types.t }
 let counter = Atomic.make 0
 
 let fresh ty = { id = Atomic.fetch_and_add counter 1; ty }
-let reserve n = Atomic.fetch_and_add counter n
 
 let with_id id ty =
   (* CAS-max: keep the counter above every explicitly chosen id. *)
@@ -20,4 +19,3 @@ let with_id id ty =
 let equal a b = a.id = b.id
 let name v = "%" ^ string_of_int v.id
 let pp fmt v = Format.pp_print_string fmt (name v)
-let reset_counter () = Atomic.set counter 0

@@ -5,10 +5,6 @@ type t = { id : int; ty : Types.t }
 val fresh : Types.t -> t
 (** Create a value with a globally fresh id. *)
 
-val reserve : int -> int
-(** [reserve n] takes [n] consecutive fresh ids and returns the first;
-    values built later with {!with_id} inside the block stay unique. *)
-
 val with_id : int -> Types.t -> t
 (** Create a value with an explicit id (used by the parser). Advances the
     global counter past [id] so later {!fresh} calls stay unique. *)
@@ -20,6 +16,3 @@ val name : t -> string
 (** Printable name, ["%<id>"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val reset_counter : unit -> unit
-(** Reset the global id counter. Only for tests needing determinism. *)

@@ -147,12 +147,17 @@ let submit p ~chunk ~lo ~hi fn =
   | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let parallel_for_chunks ?pool ?chunk ~lo ~hi fn =
+let parallel_for ?pool ?chunk ~lo ~hi fn =
+  let loop lo hi =
+    for i = lo to hi - 1 do
+      fn i
+    done
+  in
   if hi <= lo then ()
   else
     let pool = match pool with Some _ as p -> p | None -> current () in
     match pool with
-    | None -> fn ~lo ~hi
+    | None -> loop lo hi
     | Some p ->
         (* Fall back to the plain loop whenever submitting would be
            unsound: a single-job pool, a call from a non-owner domain
@@ -168,20 +173,14 @@ let parallel_for_chunks ?pool ?chunk ~lo ~hi fn =
            Mutex.unlock p.mutex;
            free)
         in
-        if not can_submit then fn ~lo ~hi
+        if not can_submit then loop lo hi
         else
           let chunk =
             match chunk with
             | Some c when c > 0 -> c
             | _ -> max 1 ((hi - lo + (4 * p.n_jobs) - 1) / (4 * p.n_jobs))
           in
-          submit p ~chunk ~lo ~hi (fun lo hi -> fn ~lo ~hi)
-
-let parallel_for ?pool ?chunk ~lo ~hi fn =
-  parallel_for_chunks ?pool ?chunk ~lo ~hi (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        fn i
-      done)
+          submit p ~chunk ~lo ~hi loop
 
 let run ?jobs f =
   if Domain.DLS.get in_task then raise Nested_run;

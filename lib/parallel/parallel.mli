@@ -69,16 +69,6 @@ val parallel_for :
     worker domain or while another batch is in flight fall back to the
     sequential loop. [f] must only write state owned by its index. *)
 
-val parallel_for_chunks :
-  ?pool:pool -> ?chunk:int -> lo:int -> hi:int ->
-  (lo:int -> hi:int -> unit) -> unit
-(** Like {!parallel_for}, but hands each claimed chunk to the callback
-    as a half-open range so per-chunk state (an environment snapshot, a
-    scratch counter array) is set up once per chunk instead of once per
-    index. The sequential fallback invokes the callback once with the
-    whole range. Chunk boundaries are schedule-dependent: the callback
-    must produce results that do not depend on how the range is split. *)
-
 val map : ?pool:pool -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; results are positioned by index, so the
     output order is independent of the schedule. *)

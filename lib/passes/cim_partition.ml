@@ -47,16 +47,9 @@ let max_expanded_tiles = 4096
 
 let expandable p = p.row_chunks * p.col_chunks <= max_expanded_tiles
 
-(* Values the expanded region defines: the zero accumulator; per tile
-   two slices and a partial; per row chunk its horizontal merges and one
-   vertical merge; the selection's two results. *)
-let expanded_values p ~select =
-  1 + (4 * p.row_chunks * p.col_chunks)
-  + match select with `Topk _ -> 2 | `Scores -> 0
-
-(* The expanded tile program, its values numbered from [first_id]. *)
-let expanded_region ~first_id p ~query ~stored ~metric ~select =
-  let b = Ir.Builder.create ~first_id () in
+(* The expanded tile program. *)
+let expanded_region p ~query ~stored ~metric ~select =
+  let b = Ir.Builder.create () in
   let global = ref (Dialects.Cim.zeros b [ p.q; p.n ]) in
   for rc = 0 to p.row_chunks - 1 do
     let acc = ref None in
@@ -95,31 +88,13 @@ let expanded_region ~first_id p ~query ~stored ~metric ~select =
   Dialects.Cim.yield b results;
   Ir.Op.region (Ir.Builder.finish b)
 
-(* The single-op form every compile emits; cam-map reads only the
-   wrapper's attributes. *)
-let compact_region ~first_id ~query ~stored ~metric ~select =
-  let b = Ir.Builder.create ~first_id () in
-  let results =
-    match select with
-    | `Topk (k, largest) ->
-        let values, indices =
-          Dialects.Cim.similarity b ~query ~stored ~metric ~k ~largest
-        in
-        [ values; indices ]
-    | `Scores ->
-        [
-          Ir.Builder.op1 b ~operands:[ query; stored ]
-            ~attrs:[ ("metric", Dialects.Cim.metric_to_attr metric) ]
-            Dialects.Cim.similarity_scores_name
-            (Ir.Types.tensor
-               [
-                 List.hd (Ir.Types.shape query.Ir.Value.ty);
-                 List.hd (Ir.Types.shape stored.Ir.Value.ty);
-               ]
-               Ir.Types.F32);
-        ]
-  in
-  Dialects.Cim.yield b results;
+(* The single-op form every compile emits: the fused op itself, on
+   fresh results; cam-map reads only the wrapper's attributes. *)
+let compact_region (sim : Ir.Op.t) =
+  let b = Ir.Builder.create () in
+  Dialects.Cim.yield b
+    (Ir.Builder.op b ~operands:sim.operands ~attrs:sim.attrs sim.op_name
+       (List.map (fun (v : Ir.Value.t) -> v.ty) sim.results));
   Ir.Op.region (Ir.Builder.finish b)
 
 let rewrite spec (exec : Ir.Op.t) =
@@ -154,15 +129,7 @@ let rewrite spec (exec : Ir.Op.t) =
               Ir.Attr.as_bool (Ir.Op.attr_exn sim "largest") )
         else `Scores
       in
-      (* Take the ids the expanded region would define, so the on-demand
-         expansion fills them in place and the IR printed at every level
-         names its values as if the expansion had always been there. *)
-      let first_id =
-        Ir.Value.reserve
-          (if expandable p then expanded_values p ~select
-           else match select with `Topk _ -> 2 | `Scores -> 1)
-      in
-      let region = compact_region ~first_id ~query ~stored ~metric ~select in
+      let region = compact_region sim in
       let attrs =
         [
           ("q", Ir.Attr.Int p.q);
@@ -202,8 +169,7 @@ let pass spec =
         m;
       m)
 
-(* Rebuild a wrapper's region as the expanded tile program, inside the
-   id block the pass reserved (it starts at the region's first value). *)
+(* Rebuild a wrapper's region as the expanded tile program. *)
 let expand_wrapper (w : Ir.Op.t) =
   let ai key = Ir.Attr.as_int (Ir.Op.attr_exn w key) in
   let p =
@@ -225,10 +191,9 @@ let expand_wrapper (w : Ir.Op.t) =
           `Topk (ai "k", Ir.Attr.as_bool (Ir.Op.attr_exn w "largest"))
       | _ -> `Scores
     in
-    let first_id = (Ir.Op.result_n (List.hd (Ir.Op.body_ops w)) 0).Ir.Value.id in
     w.regions <-
       [
-        expanded_region ~first_id p ~query:(Ir.Op.operand w 0)
+        expanded_region p ~query:(Ir.Op.operand w 0)
           ~stored:(Ir.Op.operand w 1)
           ~metric:(Dialects.Cim.metric_of_attr (Ir.Op.attr_exn w "metric"))
           ~select;

@@ -25,9 +25,7 @@ val pass : Archspec.Spec.t -> Ir.Pass.t
 val expand : Ir.Func_ir.modul -> Ir.Func_ir.modul
 (** Rebuild every wrapper's region, in place, as the expanded tile
     program, for tilings of at most 4096 tiles (larger ones keep the
-    compact form). Its values take the ids {!pass} reserved for them, so
-    the printed module is the same whenever it is expanded. Returns the
-    module. *)
+    compact form). Returns the module. *)
 
 val expanded_pass : Archspec.Spec.t -> Ir.Pass.t
 (** {!pass} followed by {!expand}, under the same pass name: what

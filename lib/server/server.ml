@@ -86,7 +86,9 @@ and t = {
   mutable rows_padded : int;
   mutable requests_served : int;
   mutable queue_hwm : int;
-  mutable rev_latencies : float list;
+  latencies : float array;
+      (* ring of the last [latency_window] request latencies *)
+  mutable n_latencies : int;  (* latencies ever recorded *)
 }
 
 type ticket = { tk_server : t; tk_request : request }
@@ -106,6 +108,12 @@ type stats = {
 
 (* ---- metrics ---------------------------------------------------------- *)
 
+let latency_window = 4096
+
+let record_latency t lat =
+  t.latencies.(t.n_latencies mod latency_window) <- lat;
+  t.n_latencies <- t.n_latencies + 1
+
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.
@@ -114,7 +122,7 @@ let percentile sorted p =
               (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
 
 let stats_locked t =
-  let lats = Array.of_list t.rev_latencies in
+  let lats = Array.sub t.latencies 0 (min t.n_latencies latency_window) in
   Array.sort compare lats;
   {
     batches_coalesced = t.n_batches;
@@ -134,8 +142,8 @@ let stats_locked t =
 
 let stats t = Mutex.protect t.m (fun () -> stats_locked t)
 
-(* The stats snapshot sorts the whole latency history: taken only when
-   a collector will read it. *)
+(* The stats snapshot sorts the latency window: taken only when a
+   collector will read it. *)
 let fold_profile t =
   match t.s_backend.Serve.Backend.run_config.C4cam.Driver.Run_config.profile with
   | None -> ()
@@ -207,28 +215,28 @@ let pad_rows t rows =
 
 (* ---- the scheduler domain --------------------------------------------- *)
 
-(* Run one assembled batch (lock NOT held) and resolve its tickets. *)
-let run_batch t batch_seq requests =
+(* One backend call over [requests], padded (lock NOT held). *)
+let call t requests =
   let rows =
     match requests with
     | [ rq ] -> rq.rq_rows
     | _ -> Array.concat (List.map (fun rq -> rq.rq_rows) requests)
   in
   let padded, n_pad = pad_rows t rows in
-  let outcome =
-    match t.s_backend.Serve.Backend.query padded with
-    | r -> Ok r
-    | exception e -> Error e
-  in
-  let finished_at = Instrument.Collect.now () in
-  Mutex.lock t.m;
-  (match outcome with
-  | Ok (r : Serve.Backend.reply) ->
+  match t.s_backend.Serve.Backend.query padded with
+  | r -> Ok (r, Array.length rows, n_pad)
+  | exception e -> Error e
+
+(* Resolve the tickets of one backend call. Caller holds the lock. *)
+let resolve t batch_seq finished_at requests outcome =
+  match outcome with
+  | Ok ((r : Serve.Backend.reply), n_rows, n_pad) ->
       let offset = ref 0 in
       List.iter
         (fun rq ->
           let n = Array.length rq.rq_rows in
           let slice a = Array.sub a !offset n in
+          let latency = Float.max 0. (finished_at -. rq.rq_submitted_at) in
           rq.rq_state <-
             Served
               {
@@ -236,20 +244,33 @@ let run_batch t batch_seq requests =
                 r_indices = slice r.Serve.Backend.indices;
                 r_scores = Option.map slice r.Serve.Backend.scores;
                 r_batch_seq = batch_seq;
-                r_latency_s =
-                  Float.max 0. (finished_at -. rq.rq_submitted_at);
+                r_latency_s = latency;
               };
           offset := !offset + n;
-          t.rev_latencies <-
-            Float.max 0. (finished_at -. rq.rq_submitted_at)
-            :: t.rev_latencies;
+          record_latency t latency;
           t.requests_served <- t.requests_served + 1)
         requests;
       t.n_batches <- t.n_batches + 1;
-      t.rows_served <- t.rows_served + Array.length rows;
+      t.rows_served <- t.rows_served + n_rows;
       t.rows_padded <- t.rows_padded + n_pad
-  | Error e ->
-      List.iter (fun rq -> rq.rq_state <- Failed e) requests);
+  | Error e -> List.iter (fun rq -> rq.rq_state <- Failed e) requests
+
+(* Run one assembled batch (lock NOT held) and resolve its tickets.
+   Rows are independent by contract, so when a shared batch fails each
+   request re-runs alone: only a request that fails by itself gets the
+   failure, and the others get their solo replies. *)
+let run_batch t batch_seq requests =
+  let outcomes =
+    match (call t requests, requests) with
+    | Error _, _ :: _ :: _ ->
+        List.map (fun rq -> ([ rq ], call t [ rq ])) requests
+    | outcome, _ -> [ (requests, outcome) ]
+  in
+  let finished_at = Instrument.Collect.now () in
+  Mutex.lock t.m;
+  List.iter
+    (fun (rqs, outcome) -> resolve t batch_seq finished_at rqs outcome)
+    outcomes;
   t.in_flight <- false;
   Condition.broadcast t.cv_done;
   Condition.broadcast t.cv_room;
@@ -335,7 +356,8 @@ let create_on ?(config = default_config) backend =
       rows_padded = 0;
       requests_served = 0;
       queue_hwm = 0;
-      rev_latencies = [];
+      latencies = Array.make latency_window 0.;
+      n_latencies = 0;
     }
   in
   (* The scheduler domain owns the session; its own Parallel scope gives

@@ -110,8 +110,12 @@ type response = {
 }
 
 val await : ticket -> response
-(** Block until the request is served. Re-raises the batch's failure
-    (e.g. [Serve.Session.Serve_error]) if its micro-batch failed. *)
+(** Block until the request is served. Re-raises the backend's failure
+    (e.g. [Serve.Session.Serve_error]) if the request failed. When a
+    micro-batch of two or more requests fails, each of its requests is
+    re-run alone (padded as usual): only a request that fails alone
+    gets the failure, and every other one gets exactly the reply a
+    solo batch gives, with the micro-batch's [r_batch_seq]. *)
 
 val rpc : client -> float array array -> response
 (** [submit] then [await]. *)
@@ -146,17 +150,26 @@ val serve_all :
 (** {1 Metrics} *)
 
 type stats = {
-  batches_coalesced : int;  (** micro-batches dispatched *)
+  batches_coalesced : int;
+      (** backend calls that succeeded: a micro-batch, or each solo
+          re-run of a failed one *)
   rows_served : int;  (** real query rows served (padding excluded) *)
   rows_padded : int;  (** padding rows added to fill q-chunks *)
   requests_served : int;
   clients_connected : int;
   batch_fill : float;  (** [rows_served / batches_coalesced] *)
   queue_hwm : int;  (** queued-row high-water mark *)
-  lat_p50_s : float;  (** submit-to-completion percentiles *)
+  lat_p50_s : float;
+      (** submit-to-completion percentiles over the last
+          {!latency_window} served requests *)
   lat_p99_s : float;
   session : Serve.Session.stats;  (** the wrapped session's ledger *)
 }
+
+val latency_window : int
+(** How many of the most recent request latencies the percentiles
+    cover: 4096, kept in a preallocated ring, so a long-lived server's
+    memory does not grow with the requests it serves. *)
 
 val stats : t -> stats
 

@@ -44,17 +44,25 @@ let test_compile_traced_entries () =
     entries
 
 let test_traced_equals_untraced () =
-  (* Value ids are globally fresh, so compare structure, not text. *)
+  (* printed names are local to each function, so the text compares *)
   let src = Workloads.Kernels.hdc_dot ~q:3 ~dims:64 ~classes:4 ~k:1 in
   let a = C4cam.Driver.compile ~spec:Tutil.spec32 src in
   let b, _ = C4cam.Driver.compile_traced ~spec:Tutil.spec32 src in
-  let shape (m : Ir.Func_ir.modul) =
-    let names = ref [] in
-    Ir.Walk.iter_module (fun op -> names := op.Ir.Op.op_name :: !names) m;
-    List.rev !names
+  Alcotest.(check string) "same cam text"
+    (Ir.Printer.module_to_string a.cam_ir)
+    (Ir.Printer.module_to_string b.cam_ir)
+
+let test_stage_texts_repeatable () =
+  (* the second compile runs after the first has taken value ids *)
+  let src = Workloads.Kernels.hdc_dot ~q:3 ~dims:64 ~classes:4 ~k:1 in
+  let texts () =
+    C4cam.Driver.stage_texts (C4cam.Driver.compile ~spec:Tutil.spec32 src)
   in
-  Alcotest.(check (list string)) "same cam op structure" (shape a.cam_ir)
-    (shape b.cam_ir)
+  let first = texts () in
+  List.iter2
+    (fun (stage, t1) (_, t2) ->
+      Alcotest.(check string) (stage ^ " prints the same twice") t1 t2)
+    first (texts ())
 
 let test_stage_texts_complete () =
   let c =
@@ -76,6 +84,8 @@ let () =
             test_compile_traced_entries;
           Alcotest.test_case "traced = untraced" `Quick
             test_traced_equals_untraced;
+          Alcotest.test_case "stage texts repeatable" `Quick
+            test_stage_texts_repeatable;
           Alcotest.test_case "stage texts" `Quick test_stage_texts_complete;
         ] );
     ]

@@ -147,6 +147,28 @@ let test_verifies_strictly () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (Ir.Verifier.error_to_string e)
 
+(* Only the declared Parse_error may escape the TorchScript parser,
+   whatever bytes a registry kernel's source is mutated into. *)
+let prop_mutated_sources_refused_cleanly =
+  let module Reg = Workloads.Registry in
+  let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
+  let seeds =
+    List.filter_map
+      (fun (e : Reg.entry) ->
+        match e.exec with
+        | Reg.Kernel mk ->
+            Some (mk e.default_shape (e.fix_spec e.default_shape spec)).Reg.ki_source
+        | Reg.Direct _ | Reg.Range _ -> None)
+      Reg.all
+  in
+  List.iter (fun s -> ignore (Tsparser.parse_program s)) seeds;
+  QCheck.Test.make ~count:1000 ~name:"mutated sources raise only Parse_error"
+    (Tutil.mutant seeds)
+    (fun src ->
+      match Tsparser.parse_program src with
+      | _ -> true
+      | exception Tsparser.Parse_error _ -> true)
+
 let () =
   Alcotest.run "frontend"
     [
@@ -171,5 +193,6 @@ let () =
         [
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "emit errors" `Quick test_emit_errors;
+          QCheck_alcotest.to_alcotest prop_mutated_sources_refused_cleanly;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* The multicore execution engine: domain-pool semantics, partial
    top-k selection, split RNG streams, and the jobs-invariance of the
    parallel subarray search, DSE sweep and scf.parallel interpreter
-   path. Determinism is the contract under test: every simulated
+   loops. Determinism is the contract under test: every simulated
    number must be identical for any jobs value. *)
 
 open Ir
@@ -236,14 +236,14 @@ let test_autotune_jobs_invariant () =
   let par = Parallel.run ~jobs:3 (fun _ -> eval ()) in
   Alcotest.(check bool) "identical candidate grid" true (seq = par)
 
-(* ---- the scf.parallel data-parallel interpreter path ------------------ *)
+(* ---- scf.parallel in the interpreter ---------------------------------- *)
 
-(* One loop over [0, n), three body shapes:
-   - [`Disjoint]: out[i] <- in[i] * in[i]       (direct store, injective index)
-   - [`Subview]:  out[i..i+1][0] <- in[i]        (disjoint windows)
-   - [`Accumulate]: out[i] <- out[i] + in[i]     (reads the output buffer:
-     the independence analysis must reject it and fall back to the
-     sequential path, which still computes the right answer) *)
+(* scf.parallel is a timing rule (iteration latencies max-combine); its
+   iterations run in order on the calling domain, so no jobs value may
+   change what a loop computes. One loop over [0, n), three body shapes:
+   - [`Disjoint]: out[i] <- in[i] * in[i]       (direct store)
+   - [`Subview]:  out[i..i+1][0] <- in[i]        (a window per iteration)
+   - [`Accumulate]: out[i] <- out[i] + in[i]     (reads the output buffer) *)
 let loop_module ~parallel ~mode ~n =
   let arg_in = Value.fresh (Types.memref [ n ] Types.F32) in
   let arg_out = Value.fresh (Types.memref [ n ] Types.F32) in

@@ -46,8 +46,14 @@ let test_parse_errors () =
   bad "func @f() { %0 = \"a.b\"(%9) : (index) -> index }";
   (* use before def *)
   bad "func @f() { %0 = \"a.b\"() : () -> tensor<axbxf32> }";
-  bad "func @f() { \"a.b\"() : (index) -> () }"
-(* arity mismatch *)
+  bad "func @f() { \"a.b\"() : (index) -> () }";
+  (* arity mismatch *)
+  bad "func @f(%99999999999999999999: index) {}";
+  (* value id past max_int *)
+  bad "func @f() { \"a\\9zz\"() : () -> () }";
+  (* decimal escape that is not three digits *)
+  bad "func @f() { \"a\\999\"() : () -> () }"
+(* decimal escape past 255 *)
 
 let test_parse_attrs () =
   let src =
@@ -210,6 +216,31 @@ let prop_round_trip =
       let m' = Parser.parse_module text in
       String.equal text (Printer.module_to_string m'))
 
+(* Only the declared Parse_error may escape the parser, whatever bytes
+   a valid module is mutated into. *)
+let prop_mutated_modules_refused_cleanly =
+  let spec = Archspec.Spec.square 16 Archspec.Spec.Density in
+  let stages =
+    C4cam.Driver.stage_texts
+      (C4cam.Driver.compile ~spec (Tutil.hdc_source ~q:2 ~dims:64 ~classes:4 ()))
+  in
+  let attrs =
+    "func @f(%0: index) -> index {\n\
+    \  %1 = \"a.c\"(%0) {s = \"x\\\"y\\n\\065\", f = -1.5e-3, t = \
+     tensor<2x3xf32>, l = [1, -2], sym = #best} : (index) -> index\n\
+    \  \"func.return\"(%1) : (index) -> ()\n\
+     }\n"
+  in
+  let seeds = attrs :: List.map snd stages in
+  (* every seed is valid before it is mutated *)
+  List.iter (fun s -> ignore (Parser.parse_module s)) seeds;
+  QCheck.Test.make ~count:1000 ~name:"mutated modules raise only Parse_error"
+    (Tutil.mutant seeds)
+    (fun src ->
+      match Parser.parse_module src with
+      | _ -> true
+      | exception Parser.Parse_error _ -> true)
+
 let () =
   Alcotest.run "printer_parser"
     [
@@ -227,6 +258,7 @@ let () =
           Alcotest.test_case "attributes" `Quick test_parse_attrs;
           Alcotest.test_case "regions" `Quick test_parse_regions;
           Alcotest.test_case "comments" `Quick test_comments_ignored;
+          QCheck_alcotest.to_alcotest prop_mutated_modules_refused_cleanly;
         ] );
       ( "printer",
         [ Alcotest.test_case "float formatting" `Quick test_float_printing ] );

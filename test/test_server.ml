@@ -86,6 +86,79 @@ let test_demux () =
     (st.Server.lat_p99_s >= st.Server.lat_p50_s
     && st.Server.lat_p50_s >= 0.)
 
+(* ---- failure isolation and the latency window --------------------------- *)
+
+(* A backend that refuses any batch holding a row whose first value is
+   the sentinel: the failing client's request fails, the request that
+   shared its micro-batch gets its solo reply. *)
+let test_failure_isolation () =
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let refs = Session.create ~spec ~stored:data.stored src in
+  let sentinel = 12345. in
+  let backend =
+    let b = Serve.Backend.of_session (Session.create ~spec ~stored:data.stored src) in
+    {
+      b with
+      Serve.Backend.query =
+        (fun rows ->
+          if Array.exists (fun r -> r.(0) = sentinel) rows then
+            failwith "sentinel row"
+          else b.Serve.Backend.query rows);
+    }
+  in
+  let server =
+    Server.create_on
+      ~config:{ Server.default_config with start_paused = true }
+      backend
+  in
+  let good = Server.connect server and bad = Server.connect server in
+  let good_rows = Array.sub data.queries 0 3 in
+  let bad_rows =
+    [| Array.mapi (fun j x -> if j = 0 then sentinel else x) data.queries.(3) |]
+  in
+  let good_tk = Server.submit good good_rows in
+  let bad_tk = Server.submit bad bad_rows in
+  Server.resume server;
+  let r = Server.await good_tk in
+  check_response "co-batched request" (reference refs ~q good_rows) r;
+  Alcotest.(check int) "its micro-batch" 0 r.Server.r_batch_seq;
+  (match Server.await bad_tk with
+  | _ -> Alcotest.fail "the sentinel request was served"
+  | exception Failure msg ->
+      Alcotest.(check string) "the backend's failure" "sentinel row" msg);
+  Server.stop server;
+  let st = Server.stats server in
+  Alcotest.(check int) "requests served" 1 st.Server.requests_served;
+  Alcotest.(check int) "rows served" 3 st.Server.rows_served;
+  Alcotest.(check int) "padding rows" 1 st.Server.rows_padded
+
+let test_latency_window () =
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let server = Server.create (Session.create ~spec ~stored:data.stored src) in
+  let c = Server.connect server in
+  let n = Server.latency_window + 300 in
+  let lats =
+    Array.init n (fun i ->
+        (Server.rpc c [| data.queries.(i mod 8) |]).Server.r_latency_s)
+  in
+  Server.stop server;
+  let st = Server.stats server in
+  let window = Array.sub lats (n - 4096) 4096 in
+  Array.sort compare window;
+  let pct p =
+    window.(max 0 (int_of_float (ceil (p *. 4096.)) - 1))
+  in
+  Alcotest.(check int) "window" 4096 Server.latency_window;
+  Alcotest.(check int) "requests served" n st.Server.requests_served;
+  Tutil.check_float ~eps:0. "p50 over the last 4096" (pct 0.50)
+    st.Server.lat_p50_s;
+  Tutil.check_float ~eps:0. "p99 over the last 4096" (pct 0.99)
+    st.Server.lat_p99_s
+
 (* ---- round-robin fairness ---------------------------------------------- *)
 
 let test_fairness () =
@@ -454,6 +527,9 @@ let () =
           Alcotest.test_case "malformed requests" `Quick test_bad_requests;
           Alcotest.test_case "serve_all above the queue cap" `Quick
             test_serve_all_over_cap;
+          Alcotest.test_case "one failure fails one request" `Quick
+            test_failure_isolation;
+          Alcotest.test_case "latency window" `Quick test_latency_window;
         ] );
       ("tcp", [ Alcotest.test_case "wire round-trip" `Quick test_tcp ]);
       ( "stress",
