@@ -5,9 +5,12 @@
    Compares a freshly produced BENCH_smoke.json (see `main.exe -- smoke
    --json`) against the checked-in bench/baseline.json:
 
-   - latency_s and energy_j of every baseline workload must be within
-     +/-10% of the baseline value (the simulator is a deterministic
-     analytical model, so any real drift is a compiler change);
+   - latency_s and energy_j of every baseline workload must equal the
+     baseline value exactly: the simulator is a deterministic
+     analytical model and the JSON prints floats with 17 significant
+     digits, so the figures round-trip bit for bit, and any drift at
+     all is a compiler or cost-model change (a host-side speed-up of
+     the kernels or the interpreter must leave them untouched);
    - accuracy must match the baseline exactly — classification results
      are rankings, and a ranking change is a correctness regression, not
      noise;
@@ -30,6 +33,7 @@
    serve fan-out hands tiles to worker domains the dispatching domain's
    count no longer covers the whole query. *)
 
+(* relative half-width of the alloc band *)
 let tolerance = 0.10
 
 (* absolute slack for the alloc band: 10% of a near-zero baseline would
@@ -55,10 +59,6 @@ let workloads json =
   Instrument.Json.to_list (Instrument.Json.member "workloads" json)
   |> List.map (fun w ->
          (Instrument.Json.get_string (Instrument.Json.member "name" w), w))
-
-let rel_dev current baseline =
-  if baseline = 0. then if current = 0. then 0. else infinity
-  else Float.abs (current -. baseline) /. Float.abs baseline
 
 let () =
   let baseline_path, current_path =
@@ -102,10 +102,9 @@ let () =
           List.iter
             (fun key ->
               let b = fbase key and c = fcur key in
-              let dev = rel_dev c b in
-              check name key (dev <= tolerance)
-                (Printf.sprintf "baseline %.6e, current %.6e (%+.2f%%)" b c
-                   ((c -. b) /. b *. 100.)))
+              check name key (b = c)
+                (Printf.sprintf
+                   "baseline %.17g, current %.17g (exact match required)" b c))
             [ "latency_s"; "energy_j" ];
           let ab = fbase "accuracy" and ac = fcur "accuracy" in
           check name "accuracy" (ab = ac)
@@ -230,12 +229,12 @@ let () =
     current;
   if !failures > 0 then begin
     Printf.eprintf "\ncheck_regression: %d metric(s) out of tolerance \
-                    (+/-%.0f%% on latency/energy, exact accuracy and \
-                    counters)\n"
+                    (exact simulated figures and counters, +/-%.0f%% \
+                    alloc band)\n"
       !failures (tolerance *. 100.);
     exit 1
   end
   else
-    Printf.printf "\nall %d baseline workloads within +/-%.0f%% \
-                   (accuracy exact)\n"
-      (List.length baseline) (tolerance *. 100.)
+    Printf.printf "\nall %d baseline workloads match (simulated figures \
+                   exact)\n"
+      (List.length baseline)

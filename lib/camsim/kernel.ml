@@ -1,10 +1,5 @@
 type cls = Binary | Nibble | Generic
 
-let cls_to_string = function
-  | Binary -> "binary"
-  | Nibble -> "nibble"
-  | Generic -> "generic"
-
 (* Packed rows live in one contiguous [int array] per subarray so the
    inner loops touch only immediate values — an OCaml native int is
    unboxed, so reads, XORs and popcounts allocate nothing (Int64
@@ -62,23 +57,34 @@ let pack_nibble_at ~cols values (dst : flat) ~off =
   in
   go 0
 
-(* Classic 32-bit SWAR popcount on native ints (constants fit easily in
-   OCaml's 63-bit int). Unlike C's uint32 arithmetic, OCaml keeps the
-   multiply's high bits, so the byte-sum at bits 24..31 must be masked
-   out explicitly. *)
-let pop32 x =
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+(* Popcount of one logical 64-cell word, given as its two 32-bit
+   halves: classic SWAR on native ints, folded once per word. Each half
+   is reduced to 4-bit partial counts (at most 4 per nibble); the two
+   halves are added (at most 8 per nibble, so no carry crosses a
+   nibble); one masked byte fold (at most 16 per byte) and one multiply
+   sum the word (at most 64, so no carry crosses a byte). Unlike C's
+   uint32 arithmetic, OCaml keeps the multiply's high bits, so the
+   byte-sum at bits 24..31 must be masked out explicitly. No branch: a
+   zero word costs what any other word costs. *)
+let[@inline] pop_word x0 x1 =
+  let x0 = x0 - ((x0 lsr 1) land 0x55555555) in
+  let x0 = (x0 land 0x33333333) + ((x0 lsr 2) land 0x33333333) in
+  let x1 = x1 - ((x1 lsr 1) land 0x55555555) in
+  let x1 = (x1 land 0x33333333) + ((x1 lsr 2) land 0x33333333) in
+  let x = x0 + x1 in
+  let x = (x land 0x0F0F0F0F) + ((x lsr 4) land 0x0F0F0F0F) in
   ((x * 0x01010101) lsr 24) land 0xFF
 
 let hamming_binary_flat (q : flat) ~qoff (rows : flat) ~roff ~iwords =
   let d = ref 0 in
-  for w = 0 to iwords - 1 do
-    let x =
-      Array.unsafe_get q (qoff + w) lxor Array.unsafe_get rows (roff + w)
-    in
-    if x <> 0 then d := !d + pop32 x
+  for w = 0 to (iwords lsr 1) - 1 do
+    let i = 2 * w in
+    d :=
+      !d
+      + pop_word
+          (Array.unsafe_get q (qoff + i) lxor Array.unsafe_get rows (roff + i))
+          (Array.unsafe_get q (qoff + i + 1)
+          lxor Array.unsafe_get rows (roff + i + 1))
   done;
   !d
 
@@ -123,7 +129,7 @@ let hamming_binary_flat_threshold (q : flat) ~qoff (rows : flat) ~roff
         Array.unsafe_get q (qoff + i + 1)
         lxor Array.unsafe_get rows (roff + i + 1)
       in
-      go (w + 1) (d + pop32 x0 + pop32 x1)
+      go (w + 1) (d + pop_word x0 x1)
   in
   go 0 0
 

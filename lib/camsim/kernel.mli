@@ -17,8 +17,6 @@
 type cls = Binary | Nibble | Generic
 (** Kernel tier of a stored row, ordered fastest first. *)
 
-val cls_to_string : cls -> string
-
 (** {2 Packed storage}
 
     Packed rows are [int array] words, so a simulator can keep them in
@@ -47,8 +45,16 @@ val pack_binary_at : cols:int -> float array -> flat -> off:int -> bool
 val pack_nibble_at : cols:int -> float array -> flat -> off:int -> bool
 (** Same for the nibble tier: integers in [[0, 16)], 8 per word. *)
 
+val pop_word : int -> int -> int
+(** [pop_word x0 x1]: the number of set bits in one logical 64-cell
+    word given as its two 32-bit halves (each in [[0, 2^32)]). One
+    SWAR fold and one multiply, no branch; marked for inlining, so a
+    caller's row loop pays no call per word. *)
+
 val hamming_binary_flat :
   flat -> qoff:int -> flat -> roff:int -> iwords:int -> int
+(** Binary Hamming distance over [iwords] (even) int words: one
+    {!pop_word} per logical word. *)
 
 val hamming_nibble_flat :
   flat -> qoff:int -> flat -> roff:int -> iwords:int -> int

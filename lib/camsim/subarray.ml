@@ -413,12 +413,29 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
             then begin
               kb.(qi) <- kb.(qi) + (hi - !b);
               let pq = packs.Scratch.bq and qoff = qi * fbw in
-              for i = !b to hi - 1 do
-                Array.unsafe_set out i
-                  (float_of_int
-                     (Kernel.hamming_binary_flat pq ~qoff t.bpack
-                        ~roff:((row_offset + i) * fbw) ~iwords:fbw))
-              done
+              if fbw = 2 then begin
+                (* rows of one logical word (cols <= 64): the query's
+                   two halves are read once, and the inlined fold
+                   spares each pair a kernel call *)
+                let q0 = Array.unsafe_get pq qoff
+                and q1 = Array.unsafe_get pq (qoff + 1)
+                and bp = t.bpack in
+                for i = !b to hi - 1 do
+                  let r = 2 * (row_offset + i) in
+                  Array.unsafe_set out i
+                    (float_of_int
+                       (Kernel.pop_word
+                          (q0 lxor Array.unsafe_get bp r)
+                          (q1 lxor Array.unsafe_get bp (r + 1))))
+                done
+              end
+              else
+                for i = !b to hi - 1 do
+                  Array.unsafe_set out i
+                    (float_of_int
+                       (Kernel.hamming_binary_flat pq ~qoff t.bpack
+                          ~roff:((row_offset + i) * fbw) ~iwords:fbw))
+                done
             end
             else if Bytes.unsafe_get packs.Scratch.nq_has qi = '\001' then begin
               kn.(qi) <- kn.(qi) + (hi - !b);

@@ -21,6 +21,12 @@
      latencies max-combine instead of summing.
    - Per-dialect execution counters are bumped once per executed op,
      terminators included.
+   - A cam.read whose only use is the partial operand of a
+     cam.merge_partial later in its block, with no cam.* op in
+     between, is fused with that merge: the merge accumulates straight
+     from the subarray's latched result rows, so no per-tile buffer is
+     built. Both ops still execute (and count) at their own places;
+     results, charges and errors are the copying form's.
 
    Compilation memoizes per domain keyed on the first body op's uid (see
    Ir.Op.uid); the IR is treated as frozen once a function has run. *)
@@ -36,6 +42,9 @@ type ctx = {
   qcache : Ops.Qcache.t;
   pool : Ops.Pool.t option;
   counts : int array;
+  (* result rows latched by the last fused cam.read, for its merge; no
+     cam.* op runs between the two, so they are still the subarray's *)
+  mutable latched : float array array;
 }
 
 type flow = Creturn of Rtval.t list | Cyield of Rtval.t list | Cfall
@@ -61,7 +70,13 @@ type creg =
 
 (* ---------- compile-time environment ---------------------------------- *)
 
-type cenv = { tbl : (int, int) Hashtbl.t; mutable n_slots : int }
+type cenv = {
+  tbl : (int, int) Hashtbl.t;
+  mutable n_slots : int;
+  fn : Ir.Func_ir.func; (* names values in diagnostics *)
+  fusable : (int, unit) Hashtbl.t;
+      (* cam.read results with one definition and one use *)
+}
 
 let slot cenv (v : Ir.Value.t) =
   match Hashtbl.find_opt cenv.tbl v.Ir.Value.id with
@@ -76,10 +91,13 @@ let def = slot
 
 let use cenv (v : Ir.Value.t) : ctx -> Rtval.t =
   let s = slot cenv v in
-  let nm = Ir.Value.name v in
+  let fn = cenv.fn in
   fun ctx ->
     let r = Array.unsafe_get ctx.slots s in
-    if r == unbound then Ops.fail "use of unbound value %s" nm else r
+    if r == unbound then
+      (* named as the printer numbers values in this function *)
+      Ops.fail "use of unbound value %s" (Ir.Printer.namer fn v)
+    else r
 
 let use_index cenv v =
   let g = use cenv v in
@@ -175,20 +193,95 @@ let check_if_flow = function
   | Cfall | Cyield [] -> ()
   | _ -> Ops.fail "if region must not produce values"
 
+(* ---------- cam.read -> cam.merge_partial fusion ----------------------- *)
+
+(* cam.read results of [fn] with exactly one definition and one use:
+   the reads fusion may consider ([fusion_marks] checks the rest). *)
+let fusable_reads (fn : Ir.Func_ir.func) =
+  let refs = Hashtbl.create 8 in
+  Ir.Walk.iter_ops
+    (function
+      | { Ir.Op.op_name = "cam.read"; results = [ v ]; _ } ->
+          Hashtbl.replace refs v.Ir.Value.id (0, 0)
+      | _ -> ())
+    fn;
+  let fusable = Hashtbl.create 8 in
+  if Hashtbl.length refs > 0 then begin
+    let bump ~def (v : Ir.Value.t) =
+      match Hashtbl.find_opt refs v.id with
+      | Some (d, u) ->
+          Hashtbl.replace refs v.id (if def then (d + 1, u) else (d, u + 1))
+      | None -> ()
+    in
+    List.iter (bump ~def:true) fn.fn_args;
+    List.iter (bump ~def:true) fn.fn_body.block_args;
+    Ir.Walk.iter_ops
+      (fun (op : Ir.Op.t) ->
+        List.iter (bump ~def:true) op.results;
+        List.iter (bump ~def:false) op.operands;
+        List.iter
+          (fun (r : Ir.Op.region) ->
+            List.iter
+              (fun (b : Ir.Op.block) -> List.iter (bump ~def:true) b.block_args)
+              r.blocks)
+          op.regions)
+      fn;
+    Hashtbl.iter
+      (fun id du -> if du = (1, 1) then Hashtbl.replace fusable id ())
+      refs
+  end;
+  fusable
+
+let rec runs_cam (op : Ir.Op.t) =
+  String.starts_with ~prefix:"cam." op.op_name
+  || List.exists
+       (fun (r : Ir.Op.region) ->
+         List.exists
+           (fun (b : Ir.Op.block) -> List.exists runs_cam b.body)
+           r.blocks)
+       op.regions
+
+(* Which ops of a block's body are fused: a fusable read and the
+   cam.merge_partial that takes its result as the partial operand,
+   found before any op that runs a cam.* op (merges included). *)
+let fusion_marks cenv (ops : Ir.Op.t array) =
+  let n = Array.length ops in
+  let fused = Array.make n false in
+  if Hashtbl.length cenv.fusable > 0 then
+    Array.iteri
+      (fun i (op : Ir.Op.t) ->
+        match op with
+        | { op_name = "cam.read"; results = [ v ]; _ }
+          when Hashtbl.mem cenv.fusable v.id ->
+            let rec scan j =
+              if j < n then
+                match ops.(j) with
+                | { op_name = "cam.merge_partial"; operands = [ _; p ]; _ }
+                  when p.Ir.Value.id = v.id ->
+                    fused.(i) <- true;
+                    fused.(j) <- true
+                | o -> if not (runs_cam o) then scan (j + 1)
+            in
+            scan (i + 1)
+        | _ -> ())
+      ops;
+  fused
+
 (* ---------- the op compiler -------------------------------------------- *)
 
 let is_terminator = function
   | "func.return" | "scf.yield" | "cim.yield" -> true
   | _ -> false
 
-let rec compile_op cenv (op : Ir.Op.t) : cop =
-  try compile_op_inner cenv op
+(* [fused]: the op is one half of a fused read/merge pair *)
+let rec compile_op ?(fused = false) cenv (op : Ir.Op.t) : cop =
+  try compile_op_inner ~fused cenv op
   with (Ops.Runtime_error _ | Invalid_argument _ | Failure _) as e ->
     (* decoding failed at compile time; defer the error to execution
        time so dead malformed ops stay silent *)
     fun _ -> raise e
 
-and compile_op_inner cenv (op : Ir.Op.t) : cop =
+and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
   let def1 () = def cenv (Ir.Op.result op) in
   let opnd i = Ir.Op.operand op i in
   match op.op_name with
@@ -671,24 +764,37 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
         cost.Camsim.Energy_model.latency
   | "cam.read" ->
       let g = use_handle cenv (opnd 0) in
-      let s = def1 () in
-      fun ctx ->
-        set ctx s
-          (Rtval.Buffer
-             (Rtval.buffer_of_rows (Camsim.Simulator.read (simx ctx) (g ctx))));
+      if fused then fun ctx ->
+        ctx.latched <- Camsim.Simulator.read (simx ctx) (g ctx);
         0.
+      else
+        let s = def1 () in
+        fun ctx ->
+          set ctx s
+            (Rtval.Buffer
+               (Rtval.buffer_of_rows
+                  (Camsim.Simulator.read (simx ctx) (g ctx))));
+          0.
   | "cam.merge_partial" ->
       let dg = use_buffer cenv (opnd 0) in
-      let pg = use_buffer cenv (opnd 1) in
-      fun ctx ->
-        let dst = dg ctx in
-        let part = pg ctx in
-        Ops.buffer_accumulate "cam.merge_partial" dst part;
-        Ops.Qcache.invalidate ctx.qcache dst.Rtval.b_data;
+      let charge ctx (dst : Rtval.buffer) =
+        Ops.Qcache.invalidate ctx.qcache dst.b_data;
         let cost =
-          Camsim.Simulator.merge (simx ctx) ~elems:(Rtval.numel dst.Rtval.b_shape)
+          Camsim.Simulator.merge (simx ctx) ~elems:(Rtval.numel dst.b_shape)
         in
         cost.Camsim.Energy_model.latency
+      in
+      if fused then fun ctx ->
+        let dst = dg ctx in
+        Ops.rows_accumulate "cam.merge_partial" dst ctx.latched;
+        charge ctx dst
+      else
+        let pg = use_buffer cenv (opnd 1) in
+        fun ctx ->
+          let dst = dg ctx in
+          let part = pg ctx in
+          Ops.buffer_accumulate "cam.merge_partial" dst part;
+          charge ctx dst
   | "cam.select_best" ->
       let g = use cenv (opnd 0) in
       let k = attr_i op "k" and largest = attr_b op "largest" in
@@ -757,7 +863,9 @@ and compile_block cenv (blk : Ir.Op.block) : cblk =
         else split (op :: acc) rest
   in
   let body_ops, term_op = split [] blk.Ir.Op.body in
-  let body = Array.of_list (List.map (compile_op cenv) body_ops) in
+  let ops = Array.of_list body_ops in
+  let fused = fusion_marks cenv ops in
+  let body = Array.mapi (fun i op -> compile_op ~fused:fused.(i) cenv op) ops in
   let dials =
     Array.of_list
       (List.map (fun (o : Ir.Op.t) -> Ops.dialect_index o.op_name) body_ops)
@@ -787,7 +895,14 @@ let block_num_ops (b : Ir.Op.block) =
   List.fold_left (fun acc o -> acc + Ir.Op.num_ops o) 0 b.Ir.Op.body
 
 let compile_func (fn : Ir.Func_ir.func) : cfunc =
-  let cenv = { tbl = Hashtbl.create 256; n_slots = 0 } in
+  let cenv =
+    {
+      tbl = Hashtbl.create 256;
+      n_slots = 0;
+      fn;
+      fusable = fusable_reads fn;
+    }
+  in
   let cf_args = Array.of_list (List.map (def cenv) fn.Ir.Func_ir.fn_args) in
   let cf_body = compile_block cenv fn.Ir.Func_ir.fn_body in
   {
@@ -837,6 +952,7 @@ let run_fn ?sim ?xsim ?qcache ?pool (fn : Ir.Func_ir.func)
         (match qcache with Some q -> q | None -> Ops.Qcache.create ());
       pool;
       counts = Ops.fresh_counts ();
+      latched = [||];
     }
   in
   List.iteri (fun i v -> set ctx cf.cf_args.(i) v) args;

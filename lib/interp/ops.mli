@@ -143,6 +143,11 @@ val buffer_accumulate : string -> Rtval.buffer -> Rtval.buffer -> unit
 (** In-place elementwise accumulate of two equally-shaped rank-2
     buffers; the string names the op in failure messages. *)
 
+val rows_accumulate : string -> Rtval.buffer -> float array array -> unit
+(** The same with the partial given as a row matrix (a fused
+    cam.read's latched result): the same shape check as against
+    [Rtval.buffer_of_rows part], the same additions, no copy. *)
+
 val cam_write :
   Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> Rtval.t ->
   Camsim.Energy_model.cost

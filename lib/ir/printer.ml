@@ -24,11 +24,31 @@ let attrs_to_string attrs =
     ^ "}"
 
 (* Printed names are local to a function: values are numbered %0, %1,
-   ... as the printer first meets them, so the text does not depend on
-   the process-wide id counter. The printer names an op's results before
-   its regions and a block's arguments before its body, which in valid
-   IR is definition order. Names key on the value id, so ids shared by
-   several definitions keep sharing one name. *)
+   ... in one walk of the function before it is printed, so the text
+   does not depend on the process-wide id counter. The walk meets the
+   function's arguments first, then per op its results, its regions (a
+   block's arguments before its body) and last its operands, which in
+   valid IR is definition order. Names key on the value id, so ids
+   shared by several definitions keep sharing one name. *)
+let numbering (f : Func_ir.func) =
+  let names = Hashtbl.create 64 in
+  let see (v : Value.t) =
+    if not (Hashtbl.mem names v.id) then
+      Hashtbl.add names v.id (Hashtbl.length names)
+  in
+  let rec op (o : Op.t) =
+    List.iter see o.results;
+    List.iter (fun (r : Op.region) -> List.iter block r.blocks) o.regions;
+    List.iter see o.operands
+  and block (b : Op.block) =
+    List.iter see b.block_args;
+    List.iter op b.body
+  in
+  List.iter see f.fn_args;
+  List.iter op f.fn_body.body;
+  names
+
+(* a value the function never mentions is numbered after all of its own *)
 let name names (v : Value.t) =
   let n =
     match Hashtbl.find_opt names v.id with
@@ -39,6 +59,8 @@ let name names (v : Value.t) =
         n
   in
   "%" ^ string_of_int n
+
+let namer f = name (numbering f)
 
 let values_to_string names vs = String.concat ", " (List.map (name names) vs)
 
@@ -102,7 +124,7 @@ and block_to_string names ~indent (b : Op.block) =
   ^ "}"
 
 let func_to_string (f : Func_ir.func) =
-  let names = Hashtbl.create 64 in
+  let names = numbering f in
   let args =
     String.concat ", "
       (List.map

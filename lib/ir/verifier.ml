@@ -8,9 +8,11 @@ exception Fail of error
 let verify_func ?(strict = true) (fn : Func_ir.func) =
   let defined : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let err op message = raise (Fail { func = fn.fn_name; op; message }) in
+  (* values are named as the printer numbers them in [fn] *)
+  let name v = Printer.namer fn v in
   let define op_name (v : Value.t) =
     if Hashtbl.mem defined v.id then
-      err op_name (Printf.sprintf "value %s defined twice" (Value.name v));
+      err op_name (Printf.sprintf "value %s defined twice" (name v));
     Hashtbl.replace defined v.id ()
   in
   (* Region-local definitions go out of scope when the region ends;
@@ -29,8 +31,7 @@ let verify_func ?(strict = true) (fn : Func_ir.func) =
       (fun (v : Value.t) ->
         if not (Hashtbl.mem defined v.id) then
           err op.op_name
-            (Printf.sprintf "operand %s used before definition"
-               (Value.name v)))
+            (Printf.sprintf "operand %s used before definition" (name v)))
       op.operands;
     (match Registry.lookup op.op_name with
     | Some info -> (

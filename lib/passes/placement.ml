@@ -17,12 +17,6 @@ type device = Cam | Xbar | Host
 
 let device_name = function Cam -> "cam" | Xbar -> "xbar" | Host -> "host"
 
-let device_of_string = function
-  | "cam" -> Ok Cam
-  | "xbar" | "crossbar" -> Ok Xbar
-  | "host" | "gpu" -> Ok Host
-  | s -> Error ("unknown device: " ^ s)
-
 type objective = Latency | Energy | Edp
 
 let objective_name = function

@@ -21,7 +21,6 @@
 type device = Cam | Xbar | Host
 
 val device_name : device -> string
-val device_of_string : string -> (device, string) result
 
 type objective = Latency | Energy | Edp
 

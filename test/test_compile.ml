@@ -298,6 +298,177 @@ let test_dead_malformed_op_silent () =
   | _ -> Alcotest.fail "expected an empty result list"
   | exception e -> Alcotest.failf "dead op raised: %s" (Printexc.to_string e)
 
+(* Diagnostics name values the way the printer does in that function,
+   even for IR built in-process long after the process-wide id counter
+   left 0: the named %N must be findable in the function's text. *)
+let percent_name msg =
+  match String.index_opt msg '%' with
+  | None -> Alcotest.failf "no value named in %S" msg
+  | Some i ->
+      let j = ref (i + 1) in
+      while !j < String.length msg && msg.[!j] >= '0' && msg.[!j] <= '9' do
+        incr j
+      done;
+      String.sub msg i (!j - i)
+
+let contains text sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_diagnostic_names () =
+  ignore
+    (C4cam.Driver.compile ~spec:Tutil.spec32
+       (Workloads.Kernels.hdc_dot ~q:2 ~dims:64 ~classes:2 ~k:1));
+  let const v n =
+    Op.create ~results:[ v ] ~attrs:[ ("value", Attr.Int n) ] "arith.constant"
+  in
+  let fn_of ops = Func_ir.func "f" ~args:[] ~ret:[] ops in
+  (* the value [msg] names is printed defined by [def] *)
+  let found what fn msg def =
+    let line = percent_name msg ^ " = " ^ def in
+    let text = Printer.func_to_string fn in
+    if not (contains text line) then
+      Alcotest.failf "%s: %S, but no %S in\n%s" what msg line text
+  in
+  (* used before definition: %x is read by the add, defined after it *)
+  let x = Value.fresh Types.Index and y = Value.fresh Types.Index in
+  let z = Value.fresh Types.Index in
+  let late =
+    fn_of
+      [
+        const y 1;
+        Op.create ~operands:[ x; y ] ~results:[ z ] "arith.addi";
+        const x 7;
+        Op.create ~operands:[ z ] "func.return";
+      ]
+  in
+  let defined_late = "\"arith.constant\"() {value = 7}" in
+  (match Verifier.verify_func late with
+  | Error e -> found "verifier" late e.message defined_late
+  | Ok () -> Alcotest.fail "verifier accepted a use before definition");
+  (match Interp.Machine.run (Func_ir.modul [ late ]) "f" [] with
+  | _ -> Alcotest.fail "engine ran a use of an unbound value"
+  | exception Interp.Machine.Runtime_error msg ->
+      found "engine" late msg defined_late);
+  (* defined twice: one value, two constants *)
+  let v = Value.fresh Types.Index in
+  let twice = fn_of [ const v 1; const v 2 ] in
+  match Verifier.verify_func twice with
+  | Error e ->
+      found "verifier" twice e.message "\"arith.constant\"() {value = 1}";
+      found "verifier" twice e.message "\"arith.constant\"() {value = 2}"
+  | Ok () -> Alcotest.fail "verifier accepted a value defined twice"
+
+(* ---- cam.read -> cam.merge_partial fusion ----------------------------- *)
+
+(* The hdc kernel's cam module as text, and the same text with a second,
+   dead use of every cam.read result after the function's return: the
+   engine never compiles or runs it, but it makes each read's result
+   used twice, so every read takes the copying path. *)
+let hdc_cam_text () =
+  let c =
+    C4cam.Driver.compile ~spec:Tutil.spec32
+      (Workloads.Kernels.hdc_dot ~q:8 ~dims:256 ~classes:6 ~k:2)
+  in
+  (c, Printer.module_to_string c.cam_ir)
+
+let with_second_uses text =
+  let lines = String.split_on_char '\n' text in
+  let dead =
+    List.filter_map
+      (fun l ->
+        if contains l "\"cam.read\"" then
+          let v = String.trim (List.hd (String.split_on_char '=' l)) in
+          let k = String.rindex l ' ' in
+          let ty = String.sub l (k + 1) (String.length l - k - 1) in
+          Some
+            (Printf.sprintf
+               "  \"cam.merge_partial\"(%s, %s) {direction = #horizontal, \
+                kind = #add} : (%s, %s) -> ()"
+               v v ty ty)
+        else None)
+      lines
+  in
+  if dead = [] then Alcotest.fail "no cam.read in the module";
+  String.concat "\n"
+    (List.concat_map
+       (fun l ->
+         if String.starts_with ~prefix:"  \"func.return\"" l then l :: dead
+         else [ l ])
+       lines)
+
+let test_fusion_matches_copying () =
+  Parallel.run ~jobs:1 @@ fun _pool ->
+  let data =
+    Workloads.Hdc.synthetic ~seed:5 ~dims:256 ~n_classes:6 ~n_queries:8
+      ~bits:1 ()
+  in
+  let c, text = hdc_cam_text () in
+  let fused = Parser.parse_module text
+  and copying = Parser.parse_module (with_second_uses text) in
+  let run m =
+    C4cam.Driver.run_cam { c with cam_ir = m } ~queries:data.queries
+      ~stored:data.stored
+  in
+  let words m =
+    ignore (run m);
+    let before = Gc.minor_words () in
+    let r = run m in
+    (r, Gc.minor_words () -. before)
+  in
+  let a, wa = words fused and b, wb = words copying in
+  Alcotest.(check Tutil.int_rows_testable) "indices" a.indices b.indices;
+  Alcotest.(check Tutil.rows_testable) "values" a.values b.values;
+  if a.latency <> b.latency then
+    Alcotest.failf "latency %.17g, copying %.17g" a.latency b.latency;
+  if a.energy <> b.energy then
+    Alcotest.failf "energy %.17g, copying %.17g" a.energy b.energy;
+  Alcotest.(check (list (pair string int)))
+    "ops_executed" a.ops_executed b.ops_executed;
+  (* the copying form builds one q x rows buffer per executed read *)
+  let reads = b.stats.Camsim.Stats.n_search_ops in
+  if wb -. wa < float_of_int (reads * 8 * 6) then
+    Alcotest.failf "copying form allocated %.0f words more for %d reads"
+      (wb -. wa) reads
+
+(* A read before any search fails alike in both forms. *)
+let test_fusion_read_error () =
+  let text ~second_use =
+    "func @f(%0: memref<2x2xf32>) {\n\
+    \  %1 = \"cam.alloc_bank\"() {rows = 4, cols = 4} : () -> !cam.bank_id\n\
+    \  %2 = \"cam.alloc_mat\"(%1) : (!cam.bank_id) -> !cam.mat_id\n\
+    \  %3 = \"cam.alloc_array\"(%2) : (!cam.mat_id) -> !cam.array_id\n\
+    \  %4 = \"cam.alloc_subarray\"(%3) : (!cam.array_id) -> !cam.subarray_id\n\
+    \  %5 = \"cam.read\"(%4) {queries = 2, rows = 2} : (!cam.subarray_id) -> \
+     memref<2x2xf32>\n\
+    \  \"cam.merge_partial\"(%0, %5) {direction = #horizontal, kind = #add} \
+     : (memref<2x2xf32>, memref<2x2xf32>) -> ()\n\
+    \  \"func.return\"() : () -> ()\n"
+    ^ (if second_use then
+         "  \"cam.merge_partial\"(%5, %5) {direction = #horizontal, kind = \
+          #add} : (memref<2x2xf32>, memref<2x2xf32>) -> ()\n"
+       else "")
+    ^ "}"
+  in
+  let fails second_use =
+    let sim = Camsim.Simulator.create (Archspec.Spec.square 4 Archspec.Spec.Base) in
+    let arg =
+      Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows [| [| 0.; 0. |]; [| 0.; 0. |] |])
+    in
+    match Interp.Machine.run ~sim (Parser.parse_module (text ~second_use)) "f" [ arg ] with
+    | _ -> Alcotest.fail "a read before any search ran"
+    | exception e -> Printexc.to_string e
+  in
+  let fused = fails false in
+  Alcotest.(check bool)
+    ("names the missing search: " ^ fused)
+    true
+    (contains fused "no search has been performed");
+  Alcotest.(check string) "same failure in both forms" fused (fails true)
+
 (* ---- slot renaming regressions ---------------------------------------- *)
 
 (* A block argument that shadows the function argument (same SSA id):
@@ -400,6 +571,8 @@ let () =
           Alcotest.test_case "hdc kernel end to end" `Quick test_hdc_kernel;
           Alcotest.test_case "knn kernel end to end" `Quick test_knn_kernel;
           Alcotest.test_case "failure parity" `Quick test_failure_parity;
+          Alcotest.test_case "diagnostics name values as printed" `Quick
+            test_diagnostic_names;
           Alcotest.test_case "dead malformed op stays silent" `Quick
             test_dead_malformed_op_silent;
         ] );
@@ -409,6 +582,13 @@ let () =
             test_shadowed_block_arg;
           Alcotest.test_case "nested-region yield" `Quick
             test_nested_region_yield;
+        ] );
+      ( "fusion",
+        [
+          Alcotest.test_case "fused equals copying read" `Quick
+            test_fusion_matches_copying;
+          Alcotest.test_case "read before search fails alike" `Quick
+            test_fusion_read_error;
         ] );
       ( "qcache",
         [

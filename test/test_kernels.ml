@@ -129,6 +129,53 @@ let prop_threshold_kernels =
       && decides nibble K.fnwords_for K.hamming_nibble_flat_threshold (mk 16)
            (mk 16))
 
+(* The folded binary kernels (one SWAR fold per logical 64-cell word)
+   against the scalar count, at widths that end inside, on and past
+   word boundaries. Each row sits at a random offset in a store whose
+   other words are arbitrary ints, so a kernel reading outside its
+   window shows. The threshold variant must decide like the full distance and
+   report an early exit exactly when a prefix of whole logical words
+   below the last already exceeds the threshold. *)
+let prop_folded_binary =
+  QCheck.Test.make ~count:500 ~name:"folded binary kernels = scalar"
+    (QCheck.make QCheck.Gen.(pair (int_range 1 200) int))
+    (fun (cols, seed) ->
+      let rng = Rng.create seed in
+      let n = K.fbwords_for cols in
+      let place row =
+        let off = Rng.int rng 7 in
+        let store =
+          Array.init
+            (off + n + Rng.int rng 7)
+            (fun _ -> Int64.to_int (Rng.next_int64 rng))
+        in
+        if not (K.pack_binary_at ~cols row store ~off) then
+          failwith "binary row did not pack";
+        (store, off)
+      in
+      let mk () = Array.init cols (fun _ -> float_of_int (Rng.int rng 2)) in
+      let a = mk () and b = mk () in
+      let (qa, qoff), (rb, roff) = (place a, place b) in
+      let prefix w =
+        let m = min cols (64 * w) in
+        scalar_hamming (Array.sub a 0 m) (Array.sub b 0 m)
+      in
+      let full = scalar_hamming a b in
+      let threshold =
+        float_of_int (Rng.int rng (cols + 2) - 1) +. (0.5 *. float_of_int (Rng.int rng 2))
+      in
+      let r =
+        K.hamming_binary_flat_threshold qa ~qoff rb ~roff ~iwords:n ~threshold
+      in
+      let early =
+        List.exists
+          (fun w -> float_of_int (prefix w) > threshold)
+          (List.init (n / 2) Fun.id)
+      in
+      K.hamming_binary_flat qa ~qoff rb ~roff ~iwords:n = full
+      && r land K.th_match <> 0 = (float_of_int full <= threshold)
+      && r land K.th_early <> 0 = early)
+
 (* ---- write-time classification ---------------------------------------- *)
 
 let test_classification () =
@@ -331,6 +378,36 @@ let test_early_exit_counter () =
   let m_ref, _ = S.with_kernel_cap s `Generic (fun () -> run 3.) in
   check_exact "threshold matches across caps" m_ref m_fast
 
+(* The whole-window binary search at widths on both sides of one
+   logical word, so both the one-word loop (cols <= 64) and the
+   general loop run, over a window that crosses a row block: the
+   distances must equal the [`Generic] cap's scalar ones, and each cap
+   must count every (query, row) pair once, on its own tier. *)
+let test_one_word_loop () =
+  List.iter
+    (fun cols ->
+      let rng = Rng.create (700 + cols) in
+      let rows = 150 and row_offset = 3 and win = 140 and nq = 5 in
+      let bits () = Array.init cols (fun _ -> float_of_int (Rng.int rng 2)) in
+      let s = S.create ~rows ~cols ~bits:1 in
+      S.write s (Array.init rows (fun _ -> bits ()));
+      let queries = Array.init nq (fun _ -> bits ()) in
+      let run cap =
+        S.with_kernel_cap s cap (fun () ->
+            let stats = Camsim.Stats.create () in
+            let r =
+              S.search ~stats s ~queries ~row_offset ~rows:win ~metric:`Hamming
+            in
+            (r, counters stats))
+      in
+      let want, generic = run `Generic and got, binary = run `Binary in
+      let what = Printf.sprintf "cols %d" cols in
+      check_exact (what ^ " distances") want got;
+      let pairs = nq * win in
+      check_exact (what ^ " generic-cap counters") (0, 0, pairs, 0) generic;
+      check_exact (what ^ " binary-cap counters") (pairs, 0, 0, 0) binary)
+    [ 1; 16; 31; 32; 33; 63; 64; 65; 128 ]
+
 (* ---- executors: cam interpreter vs flat-ISA VM ------------------------- *)
 
 let test_executors_agree () =
@@ -390,11 +467,14 @@ let () =
             test_counters_jobs_invariant;
           Alcotest.test_case "early-exit counter" `Quick
             test_early_exit_counter;
+          Alcotest.test_case "one-word and general loops" `Quick
+            test_one_word_loop;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest (prop_packed_hamming ~maxval:2);
           QCheck_alcotest.to_alcotest (prop_packed_hamming ~maxval:16);
           QCheck_alcotest.to_alcotest prop_threshold_kernels;
+          QCheck_alcotest.to_alcotest prop_folded_binary;
         ] );
     ]

@@ -579,6 +579,35 @@ let test_server_backend () =
   let st = Server.stats server in
   Alcotest.(check int) "all requests served" 16 st.Server.requests_served
 
+(* A warm store batch puts (almost) nothing straight into the major
+   heap: the tile nest's cam.read feeds its cam.merge_partial without a
+   per-tile buffer, and an 8 x 64 float block (513 words) is past the
+   minor heap's size limit, so one such buffer per tile would show here
+   though the minor-words gate cannot see it. Measured at jobs 1 as the
+   [Gc.quick_stat] delta of direct major allocation (major words not
+   promoted from the minor heap) over one batch. *)
+let test_warm_batch_major_words () =
+  Parallel.run ~jobs:1 @@ fun _pool ->
+  let q = 8 and d = 64 and k = 3 and n = 2048 in
+  let spec = Archspec.Spec.square 64 Archspec.Spec.Base in
+  let rng = Rng.create 2048 in
+  let bits () = Array.init d (fun _ -> float_of_int (Rng.int rng 2)) in
+  let store = Store.create ~spec ~q ~d ~k ~shards:4 ~capacity:n () in
+  for _ = 1 to n do
+    ignore (Store.insert store (bits ()))
+  done;
+  let batch = Array.init q (fun _ -> bits ()) in
+  for _ = 1 to 3 do
+    ignore (Store.query store batch)
+  done;
+  let direct (s : Gc.stat) = s.major_words -. s.promoted_words in
+  let before = Gc.quick_stat () in
+  ignore (Store.query store batch);
+  let words = direct (Gc.quick_stat ()) -. direct before in
+  if words >= 513. then
+    Alcotest.failf "a warm batch put %.0f words straight into the major heap"
+      words
+
 let () =
   Alcotest.run "shard"
     [
@@ -597,6 +626,8 @@ let () =
             test_non_finite;
           Alcotest.test_case "server over a sharded backend" `Quick
             test_server_backend;
+          Alcotest.test_case "warm batch, no direct major words" `Quick
+            test_warm_batch_major_words;
         ] );
       ("shard set", [ QCheck_alcotest.to_alcotest prop_both_stores ]);
     ]
