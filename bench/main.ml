@@ -1067,128 +1067,100 @@ let smoke ?json ?jobs ?(shards = 4) () =
   match json with
   | None -> ()
   | Some file ->
-      let workload_json (name, (m : C4cam.Dse.measurement)) =
+      let workload_json ?(extra = []) (name, (m : C4cam.Dse.measurement)) =
         Instrument.Json.Assoc
-          [
-            ("name", Instrument.Json.String name);
-            ("config", Instrument.Json.String m.config);
-            ("latency_s", Instrument.Json.Float m.latency);
-            ("energy_j", Instrument.Json.Float m.energy);
-            ("power_w", Instrument.Json.Float m.power);
-            ("edp_js", Instrument.Json.Float m.edp);
-            ("accuracy", Instrument.Json.Float m.accuracy);
-            ("subarrays", Instrument.Json.Int m.subarrays);
-            ("banks", Instrument.Json.Int m.banks);
-            ("search_ops", Instrument.Json.Int m.search_ops);
-            ("query_cycles", Instrument.Json.Int m.query_cycles);
-            ("write_ops", Instrument.Json.Int m.write_ops);
-            ("kernel_binary", Instrument.Json.Int m.kernel_binary);
-            ("kernel_nibble", Instrument.Json.Int m.kernel_nibble);
-            ("kernel_generic", Instrument.Json.Int m.kernel_generic);
-            ("kernel_early_exit", Instrument.Json.Int m.kernel_early_exit);
-            ("n_ops_executed", Instrument.Json.Int m.n_ops_executed);
-          ]
+          ([
+             ("name", Instrument.Json.String name);
+             ("config", Instrument.Json.String m.config);
+             ("latency_s", Instrument.Json.Float m.latency);
+             ("energy_j", Instrument.Json.Float m.energy);
+             ("power_w", Instrument.Json.Float m.power);
+             ("edp_js", Instrument.Json.Float m.edp);
+             ("accuracy", Instrument.Json.Float m.accuracy);
+             ("subarrays", Instrument.Json.Int m.subarrays);
+             ("banks", Instrument.Json.Int m.banks);
+             ("search_ops", Instrument.Json.Int m.search_ops);
+             ("query_cycles", Instrument.Json.Int m.query_cycles);
+             ("write_ops", Instrument.Json.Int m.write_ops);
+             ("kernel_binary", Instrument.Json.Int m.kernel_binary);
+             ("kernel_nibble", Instrument.Json.Int m.kernel_nibble);
+             ("kernel_generic", Instrument.Json.Int m.kernel_generic);
+             ("kernel_early_exit", Instrument.Json.Int m.kernel_early_exit);
+             ("n_ops_executed", Instrument.Json.Int m.n_ops_executed);
+           ]
+          @ extra)
       in
-      (* The serving workload carries the standard gated fields plus its
-         own: "batches" is exact-gated by check_regression, while
-         "queries_per_s" is host wall-clock and stripped by the
-         determinism gate. *)
+      (* The serving workloads below run at 32x32 base and read their
+         counters from the device ledger; power and EDP are derived as
+         Dse derives them. *)
+      let measured ~latency ~energy ~accuracy ~ops (s : Camsim.Stats.t) =
+        {
+          C4cam.Dse.config =
+            C4cam.Dse.config_name (Archspec.Spec.square 32 Archspec.Spec.Base);
+          latency;
+          energy;
+          power = (if latency > 0. then energy /. latency else 0.);
+          edp = energy *. latency;
+          accuracy;
+          subarrays = s.n_subarrays;
+          banks = s.n_banks;
+          search_ops = s.n_search_ops;
+          query_cycles = s.n_query_cycles;
+          write_ops = s.n_write_ops;
+          kernel_binary = s.n_kernel_binary;
+          kernel_nibble = s.n_kernel_nibble;
+          kernel_generic = s.n_kernel_generic;
+          kernel_early_exit = s.n_kernel_early_exit;
+          n_ops_executed = List.fold_left (fun acc (_, n) -> acc + n) 0 ops;
+        }
+      in
+      (* A session-backed workload: the standard fields, then the
+         session's "batches" (exact-gated by check_regression) and
+         "queries_per_s" (host wall-clock, stripped by the determinism
+         gate), then its own. *)
+      let session_json name ~accuracy (st : Serve.Session.stats) s extra =
+        workload_json
+          ~extra:
+            (("batches", Instrument.Json.Int st.batches)
+            :: ("queries_per_s", Instrument.Json.Float st.queries_per_s)
+            :: extra)
+          ( name,
+            measured ~latency:st.sim_latency_s ~energy:st.sim_energy_j
+              ~accuracy ~ops:st.ops_executed s )
+      in
+      let session_stats session =
+        Camsim.Simulator.stats (Serve.Session.simulator session)
+      in
+      (* alloc_minor_words_per_query is deterministic only at jobs=1,
+         where the dispatching domain does all the allocating;
+         check_regression gates it when the jobs values match the
+         baseline's *)
+      let alloc (st : Serve.Session.stats) =
+        ( "alloc_minor_words_per_query",
+          Instrument.Json.Float st.alloc_minor_words_per_query )
+      in
       let serve_json =
-        let s =
-          Camsim.Simulator.stats (Serve.Session.simulator serve_session)
-        in
-        let st = serve_stats in
-        Instrument.Json.Assoc
-          [
-            ("name", Instrument.Json.String "serve-hdc-32x32-base");
-            ( "config",
-              Instrument.Json.String
-                (C4cam.Dse.config_name
-                   (Archspec.Spec.square 32 Archspec.Spec.Base)) );
-            ("latency_s", Instrument.Json.Float st.sim_latency_s);
-            ("energy_j", Instrument.Json.Float st.sim_energy_j);
-            ( "power_w",
-              Instrument.Json.Float
-                (if st.sim_latency_s > 0. then
-                   st.sim_energy_j /. st.sim_latency_s
-                 else 0.) );
-            ( "edp_js",
-              Instrument.Json.Float (st.sim_energy_j *. st.sim_latency_s) );
-            ("accuracy", Instrument.Json.Float serve_accuracy);
-            ("subarrays", Instrument.Json.Int s.n_subarrays);
-            ("banks", Instrument.Json.Int s.n_banks);
-            ("search_ops", Instrument.Json.Int s.n_search_ops);
-            ("query_cycles", Instrument.Json.Int s.n_query_cycles);
-            ("write_ops", Instrument.Json.Int s.n_write_ops);
-            ("kernel_binary", Instrument.Json.Int s.n_kernel_binary);
-            ("kernel_nibble", Instrument.Json.Int s.n_kernel_nibble);
-            ("kernel_generic", Instrument.Json.Int s.n_kernel_generic);
-            ("kernel_early_exit", Instrument.Json.Int s.n_kernel_early_exit);
-            ( "n_ops_executed",
-              Instrument.Json.Int
-                (List.fold_left
-                   (fun acc (_, n) -> acc + n)
-                   0 st.ops_executed) );
-            ("batches", Instrument.Json.Int st.batches);
-            ("queries_per_s", Instrument.Json.Float st.queries_per_s);
-            (* deterministic only at jobs=1, where the dispatching
-               domain does all the allocating; check_regression gates
-               it when the jobs values match the baseline's *)
-            ( "alloc_minor_words_per_query",
-              Instrument.Json.Float st.alloc_minor_words_per_query );
-          ]
+        session_json "serve-hdc-32x32-base" ~accuracy:serve_accuracy
+          serve_stats
+          (session_stats serve_session)
+          [ alloc serve_stats ]
       in
       (* The concurrent-server workload: the scheduler's coalescing
          counters are exact-gated (deterministic by the paused-enqueue
          protocol above); the latency percentiles are host wall-clock
          and stripped by the determinism gate. *)
       let server_json =
-        let s =
-          Camsim.Simulator.stats (Serve.Session.simulator server_session)
-        in
         let st = server_result in
-        let ss = st.Server.session in
-        Instrument.Json.Assoc
+        session_json "server-hdc-32x32-base" ~accuracy:server_accuracy
+          st.Server.session
+          (session_stats server_session)
           [
-            ("name", Instrument.Json.String "server-hdc-32x32-base");
-            ( "config",
-              Instrument.Json.String
-                (C4cam.Dse.config_name
-                   (Archspec.Spec.square 32 Archspec.Spec.Base)) );
-            ("latency_s", Instrument.Json.Float ss.sim_latency_s);
-            ("energy_j", Instrument.Json.Float ss.sim_energy_j);
-            ( "power_w",
-              Instrument.Json.Float
-                (if ss.sim_latency_s > 0. then
-                   ss.sim_energy_j /. ss.sim_latency_s
-                 else 0.) );
-            ( "edp_js",
-              Instrument.Json.Float (ss.sim_energy_j *. ss.sim_latency_s) );
-            ("accuracy", Instrument.Json.Float server_accuracy);
-            ("subarrays", Instrument.Json.Int s.n_subarrays);
-            ("banks", Instrument.Json.Int s.n_banks);
-            ("search_ops", Instrument.Json.Int s.n_search_ops);
-            ("query_cycles", Instrument.Json.Int s.n_query_cycles);
-            ("write_ops", Instrument.Json.Int s.n_write_ops);
-            ("kernel_binary", Instrument.Json.Int s.n_kernel_binary);
-            ("kernel_nibble", Instrument.Json.Int s.n_kernel_nibble);
-            ("kernel_generic", Instrument.Json.Int s.n_kernel_generic);
-            ("kernel_early_exit", Instrument.Json.Int s.n_kernel_early_exit);
-            ( "n_ops_executed",
-              Instrument.Json.Int
-                (List.fold_left
-                   (fun acc (_, n) -> acc + n)
-                   0 ss.ops_executed) );
-            ("batches", Instrument.Json.Int ss.batches);
-            ("queries_per_s", Instrument.Json.Float ss.queries_per_s);
-            ( "batches_coalesced",
-              Instrument.Json.Int st.Server.batches_coalesced );
-            ("batch_fill", Instrument.Json.Float st.Server.batch_fill);
-            ("queue_hwm", Instrument.Json.Int st.Server.queue_hwm);
-            ("lat_p50_s", Instrument.Json.Float st.Server.lat_p50_s);
-            ("lat_p99_s", Instrument.Json.Float st.Server.lat_p99_s);
-            ( "alloc_minor_words_per_query",
-              Instrument.Json.Float ss.alloc_minor_words_per_query );
+            ("batches_coalesced", Instrument.Json.Int st.batches_coalesced);
+            ("batch_fill", Instrument.Json.Float st.batch_fill);
+            ("queue_hwm", Instrument.Json.Int st.queue_hwm);
+            ("lat_p50_s", Instrument.Json.Float st.lat_p50_s);
+            ("lat_p99_s", Instrument.Json.Float st.lat_p99_s);
+            alloc st.session;
           ]
       in
       (* The sharded-store workload: simulated metrics are exact-gated
@@ -1200,58 +1172,14 @@ let smoke ?json ?jobs ?(shards = 4) () =
          shard count (the merge tree's footprint scales with it). *)
       let sharded_json =
         let st = sharded_stats in
-        let dev = Serve.Sharded_store.device_stats sharded_store in
-        let ss = st.Serve.Sharded_store.session in
-        Instrument.Json.Assoc
+        session_json "serve-sharded-hdc-32x32-base" ~accuracy:sharded_accuracy
+          st.Serve.Sharded_store.session
+          (Serve.Sharded_store.device_stats sharded_store)
           [
-            ( "name",
-              Instrument.Json.String "serve-sharded-hdc-32x32-base" );
-            ( "config",
-              Instrument.Json.String
-                (C4cam.Dse.config_name
-                   (Archspec.Spec.square 32 Archspec.Spec.Base)) );
-            ( "latency_s",
-              Instrument.Json.Float ss.Serve.Session.sim_latency_s );
-            ("energy_j", Instrument.Json.Float ss.Serve.Session.sim_energy_j);
-            ( "power_w",
-              Instrument.Json.Float
-                (if ss.Serve.Session.sim_latency_s > 0. then
-                   ss.Serve.Session.sim_energy_j
-                   /. ss.Serve.Session.sim_latency_s
-                 else 0.) );
-            ( "edp_js",
-              Instrument.Json.Float
-                (ss.Serve.Session.sim_energy_j
-                *. ss.Serve.Session.sim_latency_s) );
-            ("accuracy", Instrument.Json.Float sharded_accuracy);
-            ("subarrays", Instrument.Json.Int dev.Camsim.Stats.n_subarrays);
-            ("banks", Instrument.Json.Int dev.Camsim.Stats.n_banks);
-            ("search_ops", Instrument.Json.Int dev.Camsim.Stats.n_search_ops);
-            ( "query_cycles",
-              Instrument.Json.Int dev.Camsim.Stats.n_query_cycles );
-            ("write_ops", Instrument.Json.Int dev.Camsim.Stats.n_write_ops);
-            ( "kernel_binary",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_binary );
-            ( "kernel_nibble",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_nibble );
-            ( "kernel_generic",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_generic );
-            ( "kernel_early_exit",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_early_exit );
-            ( "n_ops_executed",
-              Instrument.Json.Int
-                (List.fold_left
-                   (fun acc (_, n) -> acc + n)
-                   0 ss.Serve.Session.ops_executed) );
-            ("batches", Instrument.Json.Int ss.Serve.Session.batches);
-            ( "queries_per_s",
-              Instrument.Json.Float ss.Serve.Session.queries_per_s );
-            ("shards", Instrument.Json.Int st.Serve.Sharded_store.shards);
+            ("shards", Instrument.Json.Int st.shards);
             ("rows_stored", Instrument.Json.Int st.rows_stored);
             ("results_digest", Instrument.Json.String sharded_digest);
-            ( "alloc_minor_words_per_query",
-              Instrument.Json.Float
-                ss.Serve.Session.alloc_minor_words_per_query );
+            alloc st.session;
             ("shard_fanout_wall_s", Instrument.Json.Float st.fanout_wall_s);
             ("shard_merge_wall_s", Instrument.Json.Float st.merge_wall_s);
           ]
@@ -1262,43 +1190,10 @@ let smoke ?json ?jobs ?(shards = 4) () =
          energy_per_inference_j are exact-gated alongside the digest
          and accuracy. *)
       let mlp_serve_json =
-        let s =
-          Camsim.Simulator.stats (Serve.Session.simulator mlp_session)
-        in
         let st = mlp_stats in
-        Instrument.Json.Assoc
+        session_json "serve-mlp-32x32-base" ~accuracy:mlp_accuracy st
+          (session_stats mlp_session)
           [
-            ("name", Instrument.Json.String "serve-mlp-32x32-base");
-            ( "config",
-              Instrument.Json.String
-                (C4cam.Dse.config_name
-                   (Archspec.Spec.square 32 Archspec.Spec.Base)) );
-            ("latency_s", Instrument.Json.Float st.sim_latency_s);
-            ("energy_j", Instrument.Json.Float st.sim_energy_j);
-            ( "power_w",
-              Instrument.Json.Float
-                (if st.sim_latency_s > 0. then
-                   st.sim_energy_j /. st.sim_latency_s
-                 else 0.) );
-            ( "edp_js",
-              Instrument.Json.Float (st.sim_energy_j *. st.sim_latency_s) );
-            ("accuracy", Instrument.Json.Float mlp_accuracy);
-            ("subarrays", Instrument.Json.Int s.n_subarrays);
-            ("banks", Instrument.Json.Int s.n_banks);
-            ("search_ops", Instrument.Json.Int s.n_search_ops);
-            ("query_cycles", Instrument.Json.Int s.n_query_cycles);
-            ("write_ops", Instrument.Json.Int s.n_write_ops);
-            ("kernel_binary", Instrument.Json.Int s.n_kernel_binary);
-            ("kernel_nibble", Instrument.Json.Int s.n_kernel_nibble);
-            ("kernel_generic", Instrument.Json.Int s.n_kernel_generic);
-            ("kernel_early_exit", Instrument.Json.Int s.n_kernel_early_exit);
-            ( "n_ops_executed",
-              Instrument.Json.Int
-                (List.fold_left
-                   (fun acc (_, n) -> acc + n)
-                   0 st.ops_executed) );
-            ("batches", Instrument.Json.Int st.batches);
-            ("queries_per_s", Instrument.Json.Float st.queries_per_s);
             ("pre_latency_s", Instrument.Json.Float mlp_pre.Reg.pre_latency);
             ("pre_energy_j", Instrument.Json.Float mlp_pre.Reg.pre_energy);
             ( "energy_per_inference_j",
@@ -1306,8 +1201,7 @@ let smoke ?json ?jobs ?(shards = 4) () =
                 ((st.sim_energy_j +. mlp_pre.Reg.pre_energy)
                 /. float_of_int mlp_served) );
             ("results_digest", Instrument.Json.String mlp_digest);
-            ( "alloc_minor_words_per_query",
-              Instrument.Json.Float st.alloc_minor_words_per_query );
+            alloc st;
           ]
       in
       (* The range-store workload: simulated metrics exact-gated for a
@@ -1318,59 +1212,15 @@ let smoke ?json ?jobs ?(shards = 4) () =
          query is banded like every serve workload's. *)
       let range_json =
         let st = range_stats in
-        let dev = Serve.Range_store.device_stats range_store in
-        Instrument.Json.Assoc
+        session_json "serve-range-filter-32x32-base" ~accuracy:range_accuracy
+          st
+          (Serve.Range_store.device_stats range_store)
           [
-            ( "name",
-              Instrument.Json.String "serve-range-filter-32x32-base" );
-            ( "config",
-              Instrument.Json.String
-                (C4cam.Dse.config_name
-                   (Archspec.Spec.square 32 Archspec.Spec.Base)) );
-            ( "latency_s",
-              Instrument.Json.Float st.Serve.Session.sim_latency_s );
-            ("energy_j", Instrument.Json.Float st.Serve.Session.sim_energy_j);
-            ( "power_w",
-              Instrument.Json.Float
-                (if st.Serve.Session.sim_latency_s > 0. then
-                   st.Serve.Session.sim_energy_j
-                   /. st.Serve.Session.sim_latency_s
-                 else 0.) );
-            ( "edp_js",
-              Instrument.Json.Float
-                (st.Serve.Session.sim_energy_j
-                *. st.Serve.Session.sim_latency_s) );
-            ("accuracy", Instrument.Json.Float range_accuracy);
-            ("subarrays", Instrument.Json.Int dev.Camsim.Stats.n_subarrays);
-            ("banks", Instrument.Json.Int dev.Camsim.Stats.n_banks);
-            ("search_ops", Instrument.Json.Int dev.Camsim.Stats.n_search_ops);
-            ( "query_cycles",
-              Instrument.Json.Int dev.Camsim.Stats.n_query_cycles );
-            ("write_ops", Instrument.Json.Int dev.Camsim.Stats.n_write_ops);
-            ( "kernel_binary",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_binary );
-            ( "kernel_nibble",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_nibble );
-            ( "kernel_generic",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_generic );
-            ( "kernel_early_exit",
-              Instrument.Json.Int dev.Camsim.Stats.n_kernel_early_exit );
-            ( "n_ops_executed",
-              Instrument.Json.Int
-                (List.fold_left
-                   (fun acc (_, n) -> acc + n)
-                   0 st.Serve.Session.ops_executed) );
-            ("batches", Instrument.Json.Int st.Serve.Session.batches);
-            ( "queries_per_s",
-              Instrument.Json.Float st.Serve.Session.queries_per_s );
             ( "shards",
               Instrument.Json.Int (Serve.Range_store.shards range_store) );
-            ( "write_energy_j",
-              Instrument.Json.Float st.Serve.Session.write_energy_j );
+            ("write_energy_j", Instrument.Json.Float st.write_energy_j);
             ("results_digest", Instrument.Json.String range_digest);
-            ( "alloc_minor_words_per_query",
-              Instrument.Json.Float
-                st.Serve.Session.alloc_minor_words_per_query );
+            alloc st;
           ]
       in
       (* The placement workload: modeled split totals as the headline
@@ -1381,56 +1231,26 @@ let smoke ?json ?jobs ?(shards = 4) () =
          the number of single-backend mappings it beats. *)
       let place_json =
         let o = place_auto in
-        let s =
+        let s, ops =
           match o.rc_cam with
-          | Some (r : C4cam.Driver.run_result) -> r.stats
-          | None -> Camsim.Stats.create ()
+          | Some (r : C4cam.Driver.run_result) -> (r.stats, r.ops_executed)
+          | None -> (Camsim.Stats.create (), [])
         in
-        let ops =
-          match o.rc_cam with
-          | Some r ->
-              List.fold_left (fun acc (_, n) -> acc + n) 0 r.ops_executed
-          | None -> 0
-        in
-        Instrument.Json.Assoc
-          [
-            ("name", Instrument.Json.String "place-auto-recsys-32x32");
-            ( "config",
-              Instrument.Json.String
-                (C4cam.Dse.config_name
-                   (Archspec.Spec.square 32 Archspec.Spec.Base)) );
-            ("latency_s", Instrument.Json.Float o.rc_latency);
-            ("energy_j", Instrument.Json.Float o.rc_energy);
-            ( "power_w",
-              Instrument.Json.Float
-                (if o.rc_latency > 0. then o.rc_energy /. o.rc_latency
-                 else 0.) );
-            ("edp_js", Instrument.Json.Float (o.rc_energy *. o.rc_latency));
-            ("accuracy", Instrument.Json.Float o.rc_accuracy);
-            ("subarrays", Instrument.Json.Int s.Camsim.Stats.n_subarrays);
-            ("banks", Instrument.Json.Int s.Camsim.Stats.n_banks);
-            ("search_ops", Instrument.Json.Int s.Camsim.Stats.n_search_ops);
-            ( "query_cycles",
-              Instrument.Json.Int s.Camsim.Stats.n_query_cycles );
-            ("write_ops", Instrument.Json.Int s.Camsim.Stats.n_write_ops);
-            ( "kernel_binary",
-              Instrument.Json.Int s.Camsim.Stats.n_kernel_binary );
-            ( "kernel_nibble",
-              Instrument.Json.Int s.Camsim.Stats.n_kernel_nibble );
-            ( "kernel_generic",
-              Instrument.Json.Int s.Camsim.Stats.n_kernel_generic );
-            ( "kernel_early_exit",
-              Instrument.Json.Int s.Camsim.Stats.n_kernel_early_exit );
-            ("n_ops_executed", Instrument.Json.Int ops);
-            ("placement", Instrument.Json.String o.rc_placement);
-            ("placement_wins", Instrument.Json.Int place_wins);
-            ( "placement_candidates",
-              Instrument.Json.Int o.rc_candidates );
-            ("placement_latency_s", Instrument.Json.Float o.rc_latency);
-            ("placement_energy_j", Instrument.Json.Float o.rc_energy);
-            ( "placement_moved_bytes",
-              Instrument.Json.Int o.rc_moved_bytes );
-          ]
+        workload_json
+          ~extra:
+            [
+              ("placement", Instrument.Json.String o.rc_placement);
+              ("placement_wins", Instrument.Json.Int place_wins);
+              ( "placement_candidates",
+                Instrument.Json.Int o.rc_candidates );
+              ("placement_latency_s", Instrument.Json.Float o.rc_latency);
+              ("placement_energy_j", Instrument.Json.Float o.rc_energy);
+              ( "placement_moved_bytes",
+                Instrument.Json.Int o.rc_moved_bytes );
+            ]
+          ( "place-auto-recsys-32x32",
+            measured ~latency:o.rc_latency ~energy:o.rc_energy
+              ~accuracy:o.rc_accuracy ~ops s )
       in
       let doc =
         Instrument.Json.Assoc
@@ -1728,13 +1548,14 @@ let () =
       let json, jobs, shards = parse None None None rest in
       smoke ?json ?jobs ?shards ()
   | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name all_sections with
-          | Some f -> f ()
-          | None when name = "micro" -> micro ()
-          | None ->
-              Printf.eprintf
-                "unknown section %s (available: %s, micro, smoke)\n" name
-                (String.concat ", " (List.map fst all_sections)))
-        names
+      (* every name is checked before any section runs *)
+      let section name =
+        match List.assoc_opt name (("micro", micro) :: all_sections) with
+        | Some f -> f
+        | None ->
+            Printf.eprintf
+              "unknown section %s (available: %s, micro, smoke)\n" name
+              (String.concat ", " (List.map fst all_sections));
+            exit 2
+      in
+      List.iter (fun f -> f ()) (List.map section names)

@@ -561,32 +561,30 @@ let place_cmd =
 
 (* ---- serve: persistent session over query batches ---------------------- *)
 
-(* Newline-delimited query input: each non-empty line is one query row of
-   whitespace-separated floats; rows are grouped into q-row batches. *)
+(* Query input in the TCP wire format (Tcp.parse_request): each
+   non-blank line holds one or more query rows; rows are grouped into
+   q-row batches. *)
 let read_query_batches ~q ~d ic =
   let rows = ref [] in
   (try
      while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" then begin
-         let row =
-           String.split_on_char ' ' line
-           |> List.filter (fun s -> s <> "")
-           |> List.map (fun s ->
-                  match float_of_string_opt s with
-                  | Some v -> v
-                  | None ->
-                      prerr_endline ("c4cam: bad query value: " ^ s);
-                      exit 1)
-           |> Array.of_list
-         in
-         if Array.length row <> d then begin
-           Printf.eprintf "c4cam: query row has %d values, expected %d\n"
-             (Array.length row) d;
-           exit 1
-         end;
-         rows := row :: !rows
-       end
+       let line = input_line ic in
+       if String.trim line <> "" then
+         match Tcp.parse_request line with
+         | parsed ->
+             Array.iter
+               (fun row ->
+                 if Array.length row <> d then begin
+                   Printf.eprintf
+                     "c4cam: query row has %d values, expected %d\n"
+                     (Array.length row) d;
+                   exit 1
+                 end;
+                 rows := row :: !rows)
+               parsed
+         | exception Server.Server_error msg ->
+             prerr_endline ("c4cam: bad query line: " ^ msg);
+             exit 1
      done
    with End_of_file -> ());
   let rows = Array.of_list (List.rev !rows) in
@@ -983,9 +981,12 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "input" ] ~docv:"FILE"
-          ~doc:"Newline-delimited query rows (one row of space-separated \
-                floats per line, grouped into q-row batches); '-' reads \
-                stdin.")
+          ~doc:"Query rows in the serve-tcp wire format, grouped into \
+                q-row batches; '-' reads stdin. Each non-blank line holds \
+                one or more rows separated by ';', each row d fields \
+                separated by spaces or tabs. A field is a finite decimal \
+                float ([+-]digits[.digits][(e|E)[+-]digits]); hex floats, \
+                '_' separators, nan and infinity are refused.")
   in
   let clients_arg =
     Arg.(

@@ -29,7 +29,6 @@ type t = {
   optimization : optimization;
 }
 
-val access_mode_to_string : access_mode -> string
 val cam_kind_to_string : cam_kind -> string
 val optimization_to_string : optimization -> string
 

@@ -236,8 +236,6 @@ let inject_defects t data =
            else -. v))
       data
 
-let spec t = t.sim_spec
-let tech t = t.sim_tech
 let stats t = t.sim_stats
 let set_query_hint t q = t.query_hint <- max 1 q
 

@@ -22,8 +22,6 @@ val create :
 
     [trace] records every device operation into the given ring buffer. *)
 
-val spec : t -> Archspec.Spec.t
-val tech : t -> Tech.t
 val stats : t -> Stats.t
 
 val set_query_hint : t -> int -> unit

@@ -72,8 +72,6 @@ let create ~rows ~cols ~bits =
     res_rows = -1;
   }
 
-let rows t = t.n_rows
-let cols t = t.n_cols
 let set_reuse_results t on = t.reuse_results <- on
 
 let with_kernel_cap t cap f =

@@ -26,9 +26,6 @@ type t
 
 val create : rows:int -> cols:int -> bits:int -> t
 
-val rows : t -> int
-val cols : t -> int
-
 val with_kernel_cap :
   t -> [ `Binary | `Nibble | `Generic ] -> (unit -> 'a) -> 'a
 (** [with_kernel_cap t cap f] runs [f] with the fastest kernel tier the

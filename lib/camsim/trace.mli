@@ -26,5 +26,4 @@ val events : t -> event list
 val total_recorded : t -> int
 (** Including events that have been evicted. *)
 
-val event_to_string : event -> string
 val dump : t -> string

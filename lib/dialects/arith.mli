@@ -1,9 +1,6 @@
 (** The [arith] dialect: index arithmetic and constants used by the
     loop-nest code emitted by [cam-map]. *)
 
-val constant_name : string
-val cmpi_name : string
-
 val const_index : Ir.Builder.t -> int -> Ir.Value.t
 val const_f32 : Ir.Builder.t -> float -> Ir.Value.t
 
@@ -15,7 +12,6 @@ val remi : Ir.Builder.t -> Ir.Value.t -> Ir.Value.t -> Ir.Value.t
 
 type pred = Lt | Le | Eq | Ne | Gt | Ge
 
-val pred_to_attr : pred -> Ir.Attr.t
 val pred_of_attr : Ir.Attr.t -> pred
 
 val cmpi : Ir.Builder.t -> pred -> Ir.Value.t -> Ir.Value.t -> Ir.Value.t

@@ -4,31 +4,16 @@
     map 1:1 onto simulator calls; [merge_partial] combines per-tile
     results; [select_best] is the final top-k sensing step. *)
 
-val alloc_bank_name : string
-val alloc_mat_name : string
-val alloc_array_name : string
 val alloc_subarray_name : string
-val write_value_name : string
-val write_range_name : string
-val search_name : string
-val read_name : string
-val merge_partial_name : string
 val select_best_name : string
 
 type search_kind = Exact | Best | Threshold | Range
 
-val search_kind_to_attr : search_kind -> Ir.Attr.t
 val search_kind_of_attr : Ir.Attr.t -> search_kind
 
 type search_metric = Hamming | Euclidean
 
-val search_metric_to_attr : search_metric -> Ir.Attr.t
 val search_metric_of_attr : Ir.Attr.t -> search_metric
-
-val bank_type : Ir.Types.t
-val mat_type : Ir.Types.t
-val array_type : Ir.Types.t
-val subarray_type : Ir.Types.t
 
 (** {1 Builders} *)
 

@@ -45,10 +45,6 @@ let acquire b ~device =
   Ir.Builder.op1 b ~attrs:[ ("device", Ir.Attr.Str device) ] acquire_name
     device_type
 
-let execute b dev ~body ~results =
-  Ir.Builder.op b ~operands:[ dev ] ~regions:[ Ir.Op.region body ]
-    execute_name results
-
 let yield b vs = Ir.Builder.op0 b ~operands:vs yield_name
 let release b dev = Ir.Builder.op0 b ~operands:[ dev ] release_name
 
@@ -61,16 +57,6 @@ let similarity_results b name ~operands ~attrs ~q ~k =
   with
   | [ values; indices ] -> (values, indices)
   | _ -> assert false
-
-let similarity b ~query ~stored ~metric ~k ~largest =
-  let q = List.hd (Ir.Types.shape query.Ir.Value.ty) in
-  similarity_results b similarity_name ~operands:[ query; stored ]
-    ~attrs:
-      [ ("metric", metric_to_attr metric);
-        ("k", Ir.Attr.Int k);
-        ("largest", Ir.Attr.Bool largest);
-      ]
-    ~q ~k
 
 let similarity_partial b ~query ~stored ~metric =
   let q = List.hd (Ir.Types.shape query.Ir.Value.ty) in

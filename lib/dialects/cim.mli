@@ -33,22 +33,10 @@ val metric_of_attr : Ir.Attr.t -> metric
 
 (** {1 Builders} *)
 
-val device_type : Ir.Types.t
-(** [!cim.device] *)
-
 val acquire : Ir.Builder.t -> device:string -> Ir.Value.t
-
-val execute :
-  Ir.Builder.t -> Ir.Value.t -> body:Ir.Op.t list ->
-  results:Ir.Types.t list -> Ir.Value.t list
-(** [execute b dev ~body ~results] — [body] must end in [cim.yield]. *)
 
 val yield : Ir.Builder.t -> Ir.Value.t list -> unit
 val release : Ir.Builder.t -> Ir.Value.t -> unit
-
-val similarity :
-  Ir.Builder.t -> query:Ir.Value.t -> stored:Ir.Value.t -> metric:metric ->
-  k:int -> largest:bool -> Ir.Value.t * Ir.Value.t
 
 val similarity_partial :
   Ir.Builder.t -> query:Ir.Value.t -> stored:Ir.Value.t -> metric:metric ->

@@ -2,14 +2,6 @@
     resistive-crossbar tiles performing analog GEMV, targeted by cim
     blocks holding plain arithmetic (matmul) instead of search. *)
 
-val alloc_tile_name : string
-val write_name : string
-val gemv_name : string
-val accumulate_name : string
-
-val tile_type : Ir.Types.t
-(** [!crossbar.tile_id] *)
-
 val alloc_tile : Ir.Builder.t -> Ir.Value.t
 val write : Ir.Builder.t -> Ir.Value.t -> Ir.Value.t -> unit
 (** [write b tile block] programs a [k x n] weight block. *)

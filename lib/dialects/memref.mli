@@ -1,7 +1,6 @@
 (** The [memref] dialect: mutable buffers with aliasing subviews, used
     after bufferization (cim-to-cam). *)
 
-val alloc_name : string
 val subview_name : string
 
 val alloc : Ir.Builder.t -> int list -> Ir.Types.elem -> Ir.Value.t
@@ -11,9 +10,6 @@ val subview :
   Ir.Builder.t -> Ir.Value.t -> offsets:Ir.Value.t list -> sizes:int list ->
   Ir.Value.t
 (** Aliasing view with dynamic per-dimension offsets and static sizes. *)
-
-val load_name : string
-val store_name : string
 
 val load :
   Ir.Builder.t -> Ir.Value.t -> indices:Ir.Value.t list -> Ir.Value.t

@@ -4,8 +4,6 @@
 
 val for_name : string
 val parallel_name : string
-val if_name : string
-val yield_name : string
 
 val for_ :
   Ir.Builder.t -> lb:Ir.Value.t -> ub:Ir.Value.t -> step:Ir.Value.t ->

@@ -15,6 +15,10 @@ let normalize_dim rank d =
     invalid_arg (Printf.sprintf "dim %d out of range for rank %d" d rank);
   d'
 
+(* Shape inference for the builders below. Negative dims count from the
+   end, as in PyTorch; shapes outside the accepted subset raise
+   [Invalid_argument]. *)
+
 let transpose_shape shape ~d0 ~d1 =
   let rank = List.length shape in
   let d0 = normalize_dim rank d0 and d1 = normalize_dim rank d1 in

@@ -5,36 +5,10 @@
     All ops have value (tensor) semantics. Shape inference helpers are
     exported for use by the TorchScript frontend. *)
 
-val transpose_name : string
-val matmul_name : string
-val mm_name : string
-val sub_name : string
-val div_name : string
-val norm_name : string
-val topk_name : string
 val return_name : string
 (** ["func.return"] — terminator shared by all abstraction levels. *)
 
 (** {1 Shape inference} *)
-
-val transpose_shape : int list -> d0:int -> d1:int -> int list
-(** Shape after swapping dims [d0] and [d1] (negative dims count from the
-    end, as in PyTorch). @raise Invalid_argument when out of range. *)
-
-val matmul_shape : int list -> int list -> int list
-(** 2-D matrix product shape. @raise Invalid_argument on mismatch. *)
-
-val broadcast_shape : int list -> int list -> int list
-(** Elementwise broadcast rules of the accepted subset: equal shapes,
-    [[Q;1;D]] against [[N;D]] (the batched-KNN idiom, giving
-    [[Q;N;D]]), a 1-row operand against an [[N;D]] tensor, and a
-    per-row/per-column divisor against a matrix.
-    @raise Invalid_argument otherwise. *)
-
-val norm_shape : int list -> dim:int -> keepdim:bool -> int list
-(** Reduction along [dim]. *)
-
-val topk_shape : int list -> k:int -> dim:int -> int list
 
 (** {1 Builders} — each appends one op and returns its result value(s). *)
 

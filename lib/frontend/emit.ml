@@ -177,11 +177,11 @@ let emit_func (f : Ast.func) : Ir.Func_ir.func =
     ~ret:(List.map (fun (v : Ir.Value.t) -> v.ty) ret_values)
     (Ir.Builder.finish b)
 
-let program (p : Ast.program) = Ir.Func_ir.modul (List.map emit_func p)
-
 let compile_string src =
   Dialects.Register_all.register_all ();
-  let m = program (Tsparser.parse_program src) in
+  let m =
+    Ir.Func_ir.modul (List.map emit_func (Tsparser.parse_program src))
+  in
   (match Ir.Verifier.verify_module ~strict:true m with
   | Ok () -> ()
   | Error e -> fail "%s" (Ir.Verifier.error_to_string e));

@@ -4,11 +4,9 @@
 
 exception Emit_error of string
 
-val program : Ast.program -> Ir.Func_ir.modul
-(** @raise Emit_error on unsupported constructs, unknown variables, or
-    shape mismatches. The emitted module verifies strictly against the
-    registered torch dialect. *)
-
 val compile_string : string -> Ir.Func_ir.modul
-(** Parse and emit in one step (registers the dialects first).
-    @raise Tsparser.Parse_error | Emit_error *)
+(** Parse and emit in one step (registers the dialects first). The
+    emitted module verifies strictly against the registered torch
+    dialect.
+    @raise Tsparser.Parse_error | Emit_error on unsupported constructs,
+    unknown variables, or shape mismatches. *)

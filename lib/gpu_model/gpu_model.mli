@@ -31,9 +31,6 @@ val matmul : t -> m:int -> k:int -> n:int -> elem_bytes:int -> cost
 val topk : t -> rows:int -> cols:int -> k:int -> elem_bytes:int -> cost
 (** Row-wise top-k reduction. *)
 
-val elementwise : t -> elems:int -> elem_bytes:int -> cost
-(** Bandwidth-bound map (sub, div, norm accumulation...). *)
-
 val hdc_inference :
   t -> queries:int -> dims:int -> classes:int -> cost
 (** End-to-end similarity + top-1 for the HDC benchmark (int32

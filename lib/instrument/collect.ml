@@ -34,8 +34,6 @@ let bump ?(n = 1) t name =
   Hashtbl.replace t.table name
     (n + Option.value ~default:0 (Hashtbl.find_opt t.table name))
 
-let counter t name = Option.value ~default:0 (Hashtbl.find_opt t.table name)
-
 let counters t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -40,12 +40,6 @@ val set_placement : t -> Profile.placed -> unit
 (** Record the heterogeneous-placement decision and its per-device
     cost breakdown; [Hetero] calls this for placed runs. *)
 
-val bump : ?n:int -> t -> string -> unit
-(** Increment a named counter (default by 1). *)
-
-val counter : t -> string -> int
-(** Current value, 0 when never bumped. *)
-
 val counters : t -> (string * int) list
 (** Sorted snapshot of all counters. *)
 
@@ -62,4 +56,5 @@ val with_current : t option -> (unit -> 'a) -> 'a
     their counters. *)
 
 val note : ?n:int -> string -> unit
-(** {!bump} on the ambient collector; no-op when none is installed. *)
+(** Increment a named counter (default by 1) of the ambient collector;
+    no-op when none is installed. *)

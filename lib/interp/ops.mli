@@ -16,17 +16,13 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
     [ops_executed] list is a deterministic, jobs-invariant proxy for
     interpreter work (wall clock cannot be gated exactly; this can). *)
 
-val dialect_names : string array
-(** Slot order of the counter arrays; the trailing entry is ["other"]. *)
-
-val n_dialects : int
-
 val dialect_index : string -> int
 (** Counter slot for a qualified op name (["scf.for"] -> the ["scf"]
     slot); names outside the known dialects land in ["other"]. *)
 
 val fresh_counts : unit -> int array
-(** A zeroed counter array of {!n_dialects} slots. *)
+(** A zeroed counter array, one slot per known dialect plus a trailing
+    ["other"] slot. *)
 
 val counts_list : int array -> (string * int) list
 (** Non-zero counters as a [(dialect, count)] list sorted by name. *)

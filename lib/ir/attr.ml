@@ -28,8 +28,6 @@ let to_string = function
   | Ints l -> "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
   | Type_attr t -> Types.to_string t
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let as_int = function Int i -> i | a -> invalid_arg ("as_int: " ^ to_string a)
 
 let as_float = function

@@ -10,8 +10,6 @@ type t =
   | Type_attr of Types.t
 
 val equal : t -> t -> bool
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** Accessors raising [Invalid_argument] on kind mismatch. *)
 

@@ -6,11 +6,9 @@ type op_info = {
 let dialects : (string, unit) Hashtbl.t = Hashtbl.create 8
 let ops : (string, op_info) Hashtbl.t = Hashtbl.create 64
 
-let register_dialect name = Hashtbl.replace dialects name ()
-
 let register_op ~dialect ~mnemonic ?(summary = "")
     ?(verify = fun _ -> Ok ()) () =
-  register_dialect dialect;
+  Hashtbl.replace dialects dialect ();
   Hashtbl.replace ops (dialect ^ "." ^ mnemonic) { summary; verify }
 
 let dialect_registered name = Hashtbl.mem dialects name
@@ -18,7 +16,3 @@ let lookup name = Hashtbl.find_opt ops name
 
 let registered_ops () =
   Hashtbl.fold (fun k _ acc -> k :: acc) ops [] |> List.sort compare
-
-let clear () =
-  Hashtbl.reset dialects;
-  Hashtbl.reset ops

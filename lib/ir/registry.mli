@@ -8,9 +8,6 @@ type op_info = {
   verify : Op.t -> (unit, string) result;
 }
 
-val register_dialect : string -> unit
-(** Idempotent. *)
-
 val register_op :
   dialect:string ->
   mnemonic:string ->
@@ -27,6 +24,3 @@ val lookup : string -> op_info option
 
 val registered_ops : unit -> string list
 (** Sorted list of all registered op names. *)
-
-val clear : unit -> unit
-(** Tests only. *)

@@ -49,7 +49,6 @@ let to_string = function
   | Handle h -> "!" ^ h
   | None_type -> "none"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let tensor shape e = Tensor (shape, e)
 let memref shape e = Memref (shape, e)
 

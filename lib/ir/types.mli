@@ -20,12 +20,10 @@ type t =
   | Handle of string  (** opaque dialect handle, e.g. ["cam.bank_id"] *)
   | None_type  (** used by ops returning nothing useful *)
 
-val equal_elem : elem -> elem -> bool
 val equal : t -> t -> bool
 
 val elem_to_string : elem -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val elem_of_string : string -> elem option
 (** Inverse of {!elem_to_string}. *)

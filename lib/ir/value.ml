@@ -18,4 +18,3 @@ let with_id id ty =
 
 let equal a b = a.id = b.id
 let name v = "%" ^ string_of_int v.id
-let pp fmt v = Format.pp_print_string fmt (name v)

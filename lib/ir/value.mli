@@ -14,5 +14,3 @@ val equal : t -> t -> bool
 
 val name : t -> string
 (** Printable name, ["%<id>"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,10 +20,8 @@ let collect_module pred m =
   iter_module (fun op -> if pred op then acc := op :: !acc) m;
   List.rev !acc
 
-let map_block_ops f (b : Op.block) = b.body <- List.concat_map f b.body
-
 let map_top_ops f (fn : Func_ir.func) =
-  map_block_ops f fn.fn_body;
+  fn.fn_body.body <- List.concat_map f fn.fn_body.body;
   fn
 
 let find_def fn v =

@@ -16,9 +16,6 @@ val map_top_ops : (Op.t -> Op.t list) -> Func_ir.func -> Func_ir.func
     (1-to-n rewriting at the top level only). The function is mutated and
     also returned for chaining. *)
 
-val map_block_ops : (Op.t -> Op.t list) -> Op.block -> unit
-(** Same rewriting applied to an arbitrary block. *)
-
 val find_def : Func_ir.func -> Value.t -> Op.t option
 (** Defining op of an SSA value, searching nested regions too. [None] for
     function/block arguments. *)

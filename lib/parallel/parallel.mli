@@ -43,15 +43,12 @@ val default_jobs : unit -> int
     {!set_default_jobs} override if any, else the [C4CAM_JOBS]
     environment variable, else 1. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — what [--jobs 0] resolves
-    to. *)
-
 val run : ?jobs:int -> (pool -> 'a) -> 'a
 (** [run ~jobs f] spawns [jobs - 1] worker domains, installs the pool
     as the calling domain's ambient pool, runs [f], then joins the
     workers (also on exception). [jobs <= 0] resolves to
-    {!recommended_jobs}. @raise Nested_run inside an active scope. *)
+    [Domain.recommended_domain_count ()]. @raise Nested_run inside an
+    active scope. *)
 
 val current : unit -> pool option
 (** The ambient pool of the calling domain ([None] outside {!run}

@@ -1,9 +1,6 @@
 (** Canonicalization: dead-code elimination of pure ops and constant
     folding of index arithmetic. *)
 
-val is_pure : string -> bool
-(** Ops safe to remove when their results are unused. *)
-
 val dce : Ir.Pass.t
 val fold_constants : Ir.Pass.t
 

@@ -1,15 +1,6 @@
 let cim_pipeline =
   [ Torch_to_cim.pass; Cim_fusion.pass; Canonicalize.pass ]
 
-let cam_pipeline (spec : Archspec.Spec.t) =
-  [ Cim_partition.pass spec; Cam_map.pass spec ]
-  @ (match spec.optimization with
-    | Power | Power_density -> [ Cam_opt.power ]
-    | Base | Density -> [])
-  @ [ Canonicalize.pass ]
-
-let full spec = cim_pipeline @ cam_pipeline spec
-
 let by_name spec name =
   match name with
   | "torch-to-cim" -> Some Torch_to_cim.pass

@@ -3,12 +3,6 @@
 val cim_pipeline : Ir.Pass.t list
 (** torch-to-cim, fusion, canonicalize — the target-agnostic half. *)
 
-val cam_pipeline : Archspec.Spec.t -> Ir.Pass.t list
-(** Partitioning, cam mapping, and the spec-selected optimizations
-    ([cam-power] is appended under [Power] / [Power_density]). *)
-
-val full : Archspec.Spec.t -> Ir.Pass.t list
-
 val by_name : Archspec.Spec.t -> string -> Ir.Pass.t option
 (** Look up a single pass by its name (CLI [--passes] support). *)
 

@@ -36,9 +36,6 @@ type assignment = device list
 
 type link = { bw : float; e_per_byte : float; t_fixed : float }
 
-val default_link : link
-(** PCIe-class: 16 GB/s, 10 pJ/byte, 1 us fixed per transfer. *)
-
 type models = {
   cam_spec : Archspec.Spec.t;
   cam_tech : Camsim.Tech.t;
@@ -52,7 +49,6 @@ val default_models : ?tech:Camsim.Tech.t -> Archspec.Spec.t -> models
 
 type cost = { latency : float; energy : float }
 
-val zero : cost
 val add : cost -> cost -> cost
 
 type priced = {
@@ -62,9 +58,6 @@ type priced = {
   p_moved_bytes : int;
   p_total : cost;  (** stages + movement *)
 }
-
-val stage_devices : stage -> device list
-(** Per-stage legality, ignoring the positional CAM-select rule. *)
 
 val legal : stage list -> assignment -> bool
 
@@ -84,8 +77,6 @@ val movement_cost : models -> bytes:int -> cost
 val price : models -> stage list -> assignment -> priced
 (** @raise Invalid_argument on an illegal assignment. *)
 
-val objective_value : objective -> cost -> float
-
 val choose :
   ?objective:objective ->
   ?filter:(assignment -> bool) ->
@@ -96,7 +87,6 @@ val choose :
     defaults to the [Energy] objective.
     @raise Invalid_argument when no legal assignment survives. *)
 
-val stage_label : stage -> string
 val assignment_name : stage list -> assignment -> string
 
 val table : ?objective:objective -> models -> stage list -> string

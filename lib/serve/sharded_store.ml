@@ -71,7 +71,6 @@ type stats = {
 let live shards =
   Array.fold_left (fun a sh -> a + sh.sh_cap - sh.sh_free_len) 0 shards
 
-let shards t = Array.length t.st_shards
 let rows_stored t = live t.st_shards
 let capacity t = Array.fold_left (fun a sh -> a + sh.sh_cap) 0 t.st_shards
 let rows_free t = capacity t - rows_stored t

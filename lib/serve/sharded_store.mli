@@ -114,10 +114,8 @@ type stats = {
 }
 
 val stats : t -> stats
-val shards : t -> int
 val rows_stored : t -> int
 val rows_free : t -> int
-val capacity : t -> int
 
 val device_stats : t -> Camsim.Stats.t
 (** Fresh aggregate of the per-shard simulator ledgers (counters and

@@ -120,7 +120,6 @@ val await : ticket -> response
 val rpc : client -> float array array -> response
 (** [submit] then [await]. *)
 
-val pause : t -> unit
 val resume : t -> unit
 
 val drain : t -> unit
@@ -172,9 +171,3 @@ val latency_window : int
     memory does not grow with the requests it serves. *)
 
 val stats : t -> stats
-
-val fold_profile : t -> unit
-(** Overwrite the serve section of the session config's collector (if
-    any) with the combined session + server metrics. The scheduler also
-    does this after every batch, so profiles read mid-serve are
-    current. *)

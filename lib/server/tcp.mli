@@ -47,4 +47,3 @@ val parse_request : string -> float array array
 (** @raise Server.Server_error on empty/malformed input. *)
 
 val format_response : Server.response -> string
-val format_error : exn -> string

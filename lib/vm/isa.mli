@@ -61,6 +61,5 @@ type program = {
   entry : string;  (** function name this program was lowered from *)
 }
 
-val pp_instr : Format.formatter -> instr -> unit
 val to_string : program -> string
 (** Assembly-style listing. *)

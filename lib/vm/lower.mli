@@ -4,8 +4,5 @@
 
 exception Lower_error of string
 
-val func : Ir.Func_ir.func -> Isa.program
-(** @raise Lower_error on ops outside the cam-level subset. *)
-
 val modul : Ir.Func_ir.modul -> string -> Isa.program
 (** Lower one function of a module by name. *)

@@ -37,10 +37,9 @@ val train : config -> Dataset.t -> item_memory * model
 (** Bundle the encodings of each class's training samples into
     class-prototype hypervectors. *)
 
-val classify_ref : model -> float array -> int
-(** Software reference: class of the Hamming-nearest prototype. *)
-
 val accuracy_ref : model -> item_memory -> Dataset.t -> float
+(** Software reference: the fraction of samples whose Hamming-nearest
+    prototype is their label. *)
 
 (** {1 Synthetic prototypes} — architectural experiments only need
     hypervectors of the right geometry; this generates them directly. *)

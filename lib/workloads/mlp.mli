@@ -20,7 +20,7 @@
 
     The quantised reference ({!predict_quantized}) computes the same
     two stages in software; the CAM path equals it bit-for-bit
-    (tested), and both trail the float model ({!predict_float}) only by
+    (tested), and both trail the float model ({!float_accuracy}) only by
     the quantisation loss. *)
 
 type config = {
@@ -72,12 +72,9 @@ val layer2_source : t -> q:int -> string
 
 (** {1 References} *)
 
-val predict_float : t -> float array -> int
-(** The float network: tanh hidden layer, argmax logits (ties toward
-    the lower class). *)
-
 val float_accuracy : t -> float
-(** {!predict_float} over the test set. *)
+(** Test-set accuracy of the float network: tanh hidden layer, argmax
+    logits (ties toward the lower class). *)
 
 val predict_quantized : t -> float array -> int
 (** The software twin of the CAM path: tree-predicted activation bits,
@@ -97,10 +94,6 @@ type device
     every {!encode_cam} batch reuses it, so the table's write energy
     amortizes across inferences like a serving session's stored
     rows). *)
-
-val layer1_spec : t -> Archspec.Spec.t
-(** Geometry of the rule table's subarray: [total_rows] (min 32) x
-    [rule_width] cells. *)
 
 val layer1_device : ?tech:Camsim.Tech.t -> t -> device
 (** Allocate the hierarchy and program the rule table (one ternary

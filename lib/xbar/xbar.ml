@@ -62,7 +62,6 @@ let create ?(tech = reram_28nm) spec =
     next = 0;
   }
 
-let spec t = t.x_spec
 let stats t = t.x_stats
 
 type cost = { latency : float; energy : float }

@@ -45,7 +45,6 @@ type tile = private int
 exception Error of string
 
 val create : ?tech:tech -> spec -> t
-val spec : t -> spec
 val stats : t -> stats
 
 type cost = { latency : float; energy : float }

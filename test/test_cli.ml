@@ -1,5 +1,6 @@
 (* Smoke tests of the pieces behind the CLI that are not covered
-   elsewhere: kernel templates and traced compilation. *)
+   elsewhere: kernel templates, traced compilation and the query input
+   of [c4cam serve]. *)
 
 let test_kernel_templates_compile () =
   List.iter
@@ -73,6 +74,53 @@ let test_stage_texts_complete () =
     [ "torch"; "cim"; "cam" ]
     (List.map fst (C4cam.Driver.stage_texts c))
 
+(* [c4cam serve --input FILE] on a 1-query, 32-dim, 4-class hdc session:
+   the exit status and the per-batch result lines. *)
+let serve_input text =
+  let input = Filename.temp_file "c4cam_input" ".txt"
+  and output = Filename.temp_file "c4cam_output" ".txt" in
+  Out_channel.with_open_bin input (fun oc -> output_string oc text);
+  let status =
+    Sys.command
+      (Filename.quote_command "../bin/c4cam_cli.exe" ~stdout:output
+         ~stderr:output
+         [ "serve"; "-q"; "1"; "-d"; "32"; "-c"; "4"; "--input"; input ])
+  in
+  let batches =
+    In_channel.with_open_bin output In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"batch")
+  in
+  Sys.remove input;
+  Sys.remove output;
+  (status, batches)
+
+let line sep fields = String.concat sep fields ^ "\n"
+
+let test_serve_input_wire_format () =
+  let rows =
+    List.init 2 (fun r -> List.init 32 (fun c -> ((r * 7) + c) mod 3 / 2))
+  in
+  let text sep =
+    String.concat ""
+      (List.map (fun r -> line sep (List.map string_of_int r)) rows)
+  in
+  let status, by_space = serve_input (text " ") in
+  Alcotest.(check int) "space-separated rows are served" 0 status;
+  Alcotest.(check int) "one line per batch" 2 (List.length by_space);
+  Alcotest.(check (pair int (list string)))
+    "tab-separated rows are served alike" (0, by_space)
+    (serve_input (text "\t"));
+  List.iter
+    (fun field ->
+      let status, _ =
+        serve_input (line " " (List.init 31 (fun _ -> "0") @ [ field ]))
+      in
+      if status = 0 then
+        Alcotest.failf "field %S was accepted; the TCP codec refuses it"
+          field)
+    [ "1_0"; "0x1p0"; "nan" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -87,5 +135,10 @@ let () =
           Alcotest.test_case "stage texts repeatable" `Quick
             test_stage_texts_repeatable;
           Alcotest.test_case "stage texts" `Quick test_stage_texts_complete;
+        ] );
+      ( "serve input",
+        [
+          Alcotest.test_case "the TCP wire format" `Quick
+            test_serve_input_wire_format;
         ] );
     ]
