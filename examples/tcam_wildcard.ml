@@ -49,7 +49,7 @@ let () =
   List.iteri
     (fun i (cells, care, _, _) ->
       ignore
-        (Camsim.Simulator.write_ternary sim sub ~row_offset:i
+        (Camsim.Simulator.write sim sub ~row_offset:i
            ~care:[| care |] [| cells |]))
     rules;
 

@@ -24,15 +24,14 @@ type origin = {
 }
 
 (* The structural ops a serving session records on its first execution
-   and replays on every later one. Write data is the pre-defect payload
-   (deep-copied), so a replay can tell a genuinely changed row from the
-   same row arriving again. *)
+   and replays on every later one. A write event keeps no payload: the
+   subarray's cells already hold what was last written, so a replay
+   diffs the incoming rows against them. *)
 type write_event = {
   w_id : id;
   w_row_offset : int;
-  w_range : bool;  (* an ACAM range write: planes are [| lo; hi |] *)
-  w_planes : float array array array;
-  w_care : bool array array option;
+  w_range : bool;  (* an ACAM range write *)
+  w_rows : int;
   w_origin : origin option;
 }
 
@@ -383,11 +382,7 @@ let perform_write_range t id ~row_offset ~lo ~hi =
   t.sim_stats.n_write_ops <- t.sim_stats.n_write_ops + 1;
   c
 
-(* Log a write while recording. The payload is deep-copied unless the
-   caller hands over rows it owns ([fresh]: materialized from a view,
-   kept by no one else — the subarray stores cells, not arrays). *)
-let record_write t id ~row_offset ~range ?(fresh = false) ?care ?origin
-    planes =
+let record_write t id ~row_offset ~range ~rows ?origin () =
   match t.serve with
   | Recording log ->
       log :=
@@ -396,10 +391,7 @@ let record_write t id ~row_offset ~range ?(fresh = false) ?care ?origin
             w_id = id;
             w_row_offset = row_offset;
             w_range = range;
-            w_planes =
-              (if fresh then planes
-               else Array.map (Array.map Array.copy) planes);
-            w_care = Option.map (Array.map Array.copy) care;
+            w_rows = rows;
             w_origin = origin;
           }
         :: !log
@@ -430,44 +422,15 @@ let view_rows data ~off ~rs ~cs ~cols i len =
 
 let plane_rows p i len =
   match p with
-  | Rows rows -> Array.init len (fun r -> Array.copy rows.(i + r))
+  | Rows rows -> Array.sub rows i len
   | View { data; off; rs; cs; cols } -> view_rows data ~off ~rs ~cs ~cols i len
 
-(* Cell compares use [Float.compare], which (unlike [<>]) treats two
-   nans as equal, so don't-care nan payloads don't force a rewrite
-   every batch. *)
-let row_differs p i (wr : float array) =
-  let n = Array.length wr in
-  let j = ref 0 in
-  match p with
-  | Rows rows ->
-      let row = rows.(i) in
-      Array.length row <> n
-      || begin
-           while
-             !j < n
-             && Float.compare (Array.unsafe_get wr !j)
-                  (Array.unsafe_get row !j)
-                = 0
-           do
-             incr j
-           done;
-           !j < n
-         end
-  | View v ->
-      v.cols <> n
-      || begin
-           let base = v.off + (i * v.rs) in
-           while
-             !j < n
-             && Float.compare (Array.unsafe_get wr !j)
-                  (Array.unsafe_get v.data (base + (!j * v.cs)))
-                = 0
-           do
-             incr j
-           done;
-           !j < n
-         end
+(* Row [i] of a plane as [Subarray.row_differs] reads it. *)
+let row_data p i = match p with Rows rows -> rows.(i) | View v -> v.data
+let row_off p i = match p with Rows _ -> 0 | View v -> v.off + (i * v.rs)
+let row_cs = function Rows _ -> 1 | View v -> v.cs
+let row_cols p i =
+  match p with Rows rows -> Array.length rows.(i) | View v -> v.cols
 
 (* The recorded event a replayed write must meet: same device, offset,
    kind and row count, or the replay has diverged. *)
@@ -475,7 +438,7 @@ let replayed_write t id ~row_offset ~range ~rows =
   match next_event t with
   | Ev_write w
     when w.w_id = id && w.w_row_offset = row_offset && w.w_range = range
-         && Array.length w.w_planes.(0) = rows ->
+         && w.w_rows = rows ->
       w
   | Ev_write _ | Ev_alloc _ ->
       err "serve replay diverged at a %s"
@@ -484,11 +447,10 @@ let replayed_write t id ~row_offset ~range ~rows =
 (* A replayed view write is clean — the device window already holds
    the payload — when it reads the tracked stores it was recorded from,
    through the same window, and no mark meets the window's element
-   extent. A window recorded with a care mask never is: see
-   [rewrite_changed]. *)
+   extent. *)
 let clean_window t w ~rows ~cols data data2 ~off ~rs ~cs =
-  match w with
-  | { w_care = None; w_origin = Some o; _ }
+  match w.w_origin with
+  | Some o
     when o.o_data == data && o.o_data2 == data2 && o.o_off = off
          && o.o_rs = rs && o.o_cs = cs && o.o_cols = cols ->
       let span_r = (rows - 1) * rs and span_c = (cols - 1) * cs in
@@ -499,50 +461,37 @@ let clean_window t w ~rows ~cols data data2 ~off ~rs ~cs =
   | _ -> false
 
 (* The one replay path behind every write: compare each incoming row
-   with the recorded payload and rewrite (and charge) only the maximal
-   runs of rows that changed — the incremental path behind a session's
-   [update_stored]; a write with identical data is free. A recorded
-   care mask must match the incoming one, so a view write (which has
-   none) always rewrites a window recorded with one. *)
-let rewrite_changed t w ?care planes =
-  let rows = Array.length w.w_planes.(0) in
-  let care_differs i =
-    match (w.w_care, care) with
-    | None, None -> false
-    | Some a, Some b -> a.(i) <> b.(i)
-    | Some _, None | None, Some _ -> true
-  in
+   with the cells the subarray holds and rewrite (and charge) only the
+   maximal runs of rows that changed — the incremental path behind a
+   session's [update_stored]; a write with identical data is free. The
+   [hi] plane marks a range write. *)
+let rewrite_changed t w ?care ?hi lo =
+  let sub = subarray t w.w_id in
   let changed i =
-    care_differs i
-    || row_differs planes.(0) i w.w_planes.(0).(i)
-    || (w.w_range && row_differs planes.(1) i w.w_planes.(1).(i))
+    Subarray.row_differs sub ~row:(w.w_row_offset + i)
+      ?care:(match care with Some c -> Some c.(i) | None -> None)
+      ?hi:(match hi with Some h -> Some (row_data h i) | None -> None)
+      (row_data lo i) ~off:(row_off lo i) ~cs:(row_cs lo) ~cols:(row_cols lo i)
   in
   let cost = ref Energy_model.zero in
   let i = ref 0 in
-  while !i < rows do
+  while !i < w.w_rows do
     if changed !i then begin
       let j = ref (!i + 1) in
-      while !j < rows && changed !j do incr j done;
+      while !j < w.w_rows && changed !j do incr j done;
       let len = !j - !i in
       let row_offset = w.w_row_offset + !i in
-      let chunks = Array.map (fun p -> plane_rows p !i len) planes in
-      let care_chunk =
-        Option.map (fun c -> Array.map Array.copy (Array.sub c !i len)) care
-      in
+      let lo_rows = plane_rows lo !i len in
       let c =
-        if w.w_range then
-          perform_write_range t w.w_id ~row_offset ~lo:chunks.(0)
-            ~hi:chunks.(1)
-        else perform_write t w.w_id ~row_offset ?care:care_chunk chunks.(0)
+        match hi with
+        | Some h ->
+            perform_write_range t w.w_id ~row_offset ~lo:lo_rows
+              ~hi:(plane_rows h !i len)
+        | None ->
+            perform_write t w.w_id ~row_offset
+              ?care:(Option.map (fun c -> Array.sub c !i len) care)
+              lo_rows
       in
-      (* refresh the log so the next replay sees the new contents; the
-         chunk rows are fresh (the subarray stores cells, not arrays) *)
-      Array.iteri
-        (fun p chunk -> Array.blit chunk 0 w.w_planes.(p) !i len)
-        chunks;
-      (match (w.w_care, care_chunk) with
-      | Some wc, Some cc -> Array.blit cc 0 wc !i len
-      | _ -> ());
       cost := Energy_model.add !cost c;
       i := !j
     end
@@ -555,36 +504,23 @@ let replayed t c =
   event_done t;
   c
 
-let write t id ~row_offset data =
+let write t id ~row_offset ?care data =
+  let rows = Array.length data in
   if serving t then
-    let w =
-      replayed_write t id ~row_offset ~range:false ~rows:(Array.length data)
-    in
-    replayed t (rewrite_changed t w [| Rows data |])
+    let w = replayed_write t id ~row_offset ~range:false ~rows in
+    replayed t (rewrite_changed t w ?care (Rows data))
   else begin
-    record_write t id ~row_offset ~range:false [| data |];
-    perform_write t id ~row_offset data
-  end
-
-let write_ternary t id ~row_offset ~care data =
-  if serving t then
-    let w =
-      replayed_write t id ~row_offset ~range:false ~rows:(Array.length data)
-    in
-    replayed t (rewrite_changed t w ~care [| Rows data |])
-  else begin
-    record_write t id ~row_offset ~range:false ~care [| data |];
-    perform_write t id ~row_offset ~care data
+    record_write t id ~row_offset ~range:false ~rows ();
+    perform_write t id ~row_offset ?care data
   end
 
 let write_range t id ~row_offset ~lo ~hi =
+  let rows = Array.length lo in
   if serving t then
-    let w =
-      replayed_write t id ~row_offset ~range:true ~rows:(Array.length lo)
-    in
-    replayed t (rewrite_changed t w [| Rows lo; Rows hi |])
+    let w = replayed_write t id ~row_offset ~range:true ~rows in
+    replayed t (rewrite_changed t w ~hi:(Rows hi) (Rows lo))
   else begin
-    record_write t id ~row_offset ~range:true [| lo; hi |];
+    record_write t id ~row_offset ~range:true ~rows ();
     perform_write_range t id ~row_offset ~lo ~hi
   end
 
@@ -600,13 +536,11 @@ let write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
     replayed t
       (if clean_window t w ~rows ~cols data data ~off ~rs ~cs then
          Energy_model.zero
-       else rewrite_changed t w [| View { data; off; rs; cs; cols } |])
+       else rewrite_changed t w (View { data; off; rs; cs; cols }))
   else begin
-    let payload = view_rows data ~off ~rs ~cs ~cols 0 rows in
-    record_write t id ~row_offset ~range:false ~fresh:true
-      ~origin:(origin data data ~off ~rs ~cs ~cols)
-      [| payload |];
-    perform_write t id ~row_offset payload
+    record_write t id ~row_offset ~range:false ~rows
+      ~origin:(origin data data ~off ~rs ~cs ~cols) ();
+    perform_write t id ~row_offset (view_rows data ~off ~rs ~cs ~cols 0 rows)
   end
 
 let write_range_view t id ~row_offset ~rows ~cols ~lo ~hi ~off ~rs ~cs =
@@ -617,17 +551,14 @@ let write_range_view t id ~row_offset ~rows ~cols ~lo ~hi ~off ~rs ~cs =
          Energy_model.zero
        else
          rewrite_changed t w
-           [|
-             View { data = lo; off; rs; cs; cols };
-             View { data = hi; off; rs; cs; cols };
-           |])
+           ~hi:(View { data = hi; off; rs; cs; cols })
+           (View { data = lo; off; rs; cs; cols }))
   else begin
-    let lo_rows = view_rows lo ~off ~rs ~cs ~cols 0 rows in
-    let hi_rows = view_rows hi ~off ~rs ~cs ~cols 0 rows in
-    record_write t id ~row_offset ~range:true ~fresh:true
-      ~origin:(origin lo hi ~off ~rs ~cs ~cols)
-      [| lo_rows; hi_rows |];
-    perform_write_range t id ~row_offset ~lo:lo_rows ~hi:hi_rows
+    record_write t id ~row_offset ~range:true ~rows
+      ~origin:(origin lo hi ~off ~rs ~cs ~cols) ();
+    perform_write_range t id ~row_offset
+      ~lo:(view_rows lo ~off ~rs ~cs ~cols 0 rows)
+      ~hi:(view_rows hi ~off ~rs ~cs ~cols 0 rows)
   end
 
 let search t id ~queries ~row_offset ~rows ~kind ~metric

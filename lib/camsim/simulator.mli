@@ -42,11 +42,22 @@ val set_query_hint : t -> int -> unit
     + {!rewind} before each subsequent execution of the {e same}
       module: allocations return the recorded handles without touching
       stats, overhead energy or the trace, and writes compare the
-      incoming rows against the recorded payload, rewriting (and
-      charging) only the row runs that changed — so an unchanged
+      incoming rows against the cells the subarray holds, rewriting
+      (and charging) only the row runs that changed — so an unchanged
       stored database serves every batch with zero write energy, and a
       session's [update_stored] pays exactly for the rows it
       replaced.
+
+    The log keeps no copy of a written row: the device is the record
+    of what was last written. A cell matches an incoming one when it
+    has the same kind (value, don't-care or range) and, unless it is a
+    don't-care, the same value and bound under [Float.compare]; the
+    payload under a don't-care is never compared. Two writes to the
+    same rows within one execution therefore both rewrite on every
+    replay, since each finds the other's cells. Under defect injection
+    a compared row whose cells a defect flipped reads as changed and is
+    rewritten (with fresh defect draws), the way a write-verify
+    controller would do it.
 
     {2 Dirty rows}
 
@@ -59,7 +70,10 @@ val set_query_hint : t -> int -> unit
     mark meets is compared and rewritten exactly as above. Data the
     simulator does not track (a tensor computed per batch, materialized
     rows) counts as wholly marked and goes through the same compare.
-    Marks clear once a replay has processed the last recorded event. *)
+    Marks clear once a replay has processed the last recorded event.
+    A clean window is skipped without a compare, so tracking a store
+    also promises that no other write of the execution overwrites the
+    rows its windows program. *)
 
 val start_recording : t -> unit
 (** Begin logging allocation and write events. Must be called on a
@@ -103,12 +117,11 @@ val alloc_subarray : t -> id -> id
 (** {1 Device operations} *)
 
 val write :
-  t -> id -> row_offset:int -> float array array -> Energy_model.cost
-
-val write_ternary :
-  t -> id -> row_offset:int -> care:bool array array -> float array array ->
+  t -> id -> row_offset:int -> ?care:bool array array -> float array array ->
   Energy_model.cost
-(** TCAM write with explicit don't-care mask. *)
+(** Program [Array.length data] rows from [row_offset]. [care], when
+    given, is a TCAM don't-care mask: [care.(i).(j) = false] stores a
+    don't-care. *)
 
 val write_range :
   t -> id -> row_offset:int -> lo:float array array ->

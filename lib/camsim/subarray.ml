@@ -10,10 +10,11 @@ type t = {
   (* Flat cell storage: one byte of cell kind plus the value (or range
      low) and range high per cell, indexed [row * n_cols + col]. Float
      arrays are unboxed, so the scalar kernels below read and compare
-     without allocating. *)
+     without allocating. Only range cells read [chi], so it stays empty
+     until the first range write. *)
   ck : Bytes.t;
   clo : float array;
-  chi : float array;
+  mutable chi : float array;
   (* Flat packed payloads for the Hamming fast paths, [fbw]/[fnw]
      immediate int words per row (see Kernel): binary rows (all cells
      in {0,1}) and nibble rows (integer cells in [0,16)). A row's
@@ -55,7 +56,7 @@ let create ~rows ~cols ~bits =
     bits;
     ck = Bytes.make (rows * cols) k_value;
     clo = Array.make (rows * cols) 0.;
-    chi = Array.make (rows * cols) 0.;
+    chi = [||];
     fbw;
     fnw;
     bpack = Array.make (rows * fbw) 0;
@@ -175,6 +176,7 @@ let write_range t ~row_offset ~lo ~hi =
   if Array.length hi <> n then
     invalid_arg "Subarray.write_range: lo/hi row count mismatch";
   check_window t ~row_offset ~rows:n;
+  if Array.length t.chi = 0 then t.chi <- Array.make (Array.length t.clo) 0.;
   Array.iteri
     (fun i lo_row ->
       let hi_row = hi.(i) in
@@ -190,6 +192,31 @@ let write_range t ~row_offset ~lo ~hi =
         lo_row;
       set_row_class t r Kernel.Generic)
     lo
+
+(* One loop over the incoming cells; the incoming cell [j] is
+   [data.(off + j*cs)] (with [hi] at the same index for a range row). *)
+let row_differs t ~row ?care ?hi data ~off ~cs ~cols =
+  if row < 0 || row >= t.n_rows then invalid_arg "Subarray.row_differs";
+  cols > t.n_cols
+  || begin
+       let base = row * t.n_cols and j = ref 0 and same = ref true in
+       while !same && !j < cols do
+         let c = base + !j and k = off + (!j * cs) in
+         let ck = Bytes.unsafe_get t.ck c in
+         (same :=
+            match (hi, care) with
+            | Some h, _ ->
+                ck = k_range
+                && Float.compare (Array.unsafe_get t.clo c) data.(k) = 0
+                && Float.compare (Array.unsafe_get t.chi c) h.(k) = 0
+            | None, Some m when not m.(!j) -> ck = k_dont_care
+            | None, _ ->
+                ck = k_value
+                && Float.compare (Array.unsafe_get t.clo c) data.(k) = 0);
+         incr j
+       done;
+       not !same
+     end
 
 let read_row t r =
   if r < 0 || r >= t.n_rows then invalid_arg "Subarray.read_row";

@@ -61,6 +61,18 @@ val write_range :
   unit
 (** Program ACAM range cells. *)
 
+val row_differs :
+  t -> row:int -> ?care:bool array -> ?hi:float array -> float array ->
+  off:int -> cs:int -> cols:int -> bool
+(** [row_differs t ~row data ~off ~cs ~cols] is whether the first
+    [cols] cells of stored row [row] differ from an incoming row whose
+    cell [j] is [data.(off + j*cs)]: what {!write} (or, with [hi], a
+    {!write_range} whose bound [j] is [hi.(off + j*cs)]) would change.
+    A cell matches when it has the incoming kind and, unless it is a
+    don't-care ([care.(j) = false]), equal value and bound under
+    [Float.compare], so two nans are equal and the payload under a
+    don't-care is ignored. A row wider than the subarray differs. *)
+
 val read_row : t -> int -> float array
 (** Stored values of one row (don't-care cells read back as [nan],
     range cells as their lower bound). *)

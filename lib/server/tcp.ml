@@ -6,7 +6,11 @@ type listener = {
   l_port : int;
   mutable l_accept : unit Domain.t option;
   lm : Mutex.t;
+  (* live connections; one that ends closes its fd and moves its domain
+     to [l_ended] under [lm], so [shutdown] never touches a closed fd
+     number the kernel may have handed out again *)
   mutable l_conns : (Unix.file_descr * unit Domain.t) list;
+  mutable l_ended : unit Domain.t list;
   mutable l_served : int;
   mutable l_down : bool;
 }
@@ -91,8 +95,9 @@ let format_error = function
 (* ---- connection handling ---------------------------------------------- *)
 
 (* One domain per connection: blocking reads are fine because shutdown
-   closes the socket out from under us, which ends the read. *)
-let serve_connection server fd =
+   shuts the socket down under us, which ends the read. *)
+let serve_connection l fd =
+  let server = l.l_server in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let client = Server.connect server in
@@ -117,7 +122,11 @@ let serve_connection server fd =
         if ok then loop ()
   in
   loop ();
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  Mutex.protect l.lm (fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      let ended, live = List.partition (fun (f, _) -> f = fd) l.l_conns in
+      l.l_conns <- live;
+      l.l_ended <- List.map snd ended @ l.l_ended)
 
 (* ---- listener --------------------------------------------------------- *)
 
@@ -126,18 +135,20 @@ let accept_loop l =
     match Unix.accept ~cloexec:true l.l_sock with
     | exception Unix.Unix_error _ -> () (* shutdown closed us *)
     | fd, _peer ->
-        let admitted =
+        let admitted, ended =
           Mutex.protect l.lm (fun () ->
-              if l.l_down then false
+              let ended = l.l_ended in
+              l.l_ended <- [];
+              if l.l_down then (false, ended)
               else begin
-                let d =
-                  Domain.spawn (fun () -> serve_connection l.l_server fd)
-                in
+                let d = Domain.spawn (fun () -> serve_connection l fd) in
                 l.l_conns <- (fd, d) :: l.l_conns;
                 l.l_served <- l.l_served + 1;
-                true
+                (true, ended)
               end)
         in
+        (* reap the domains of connections that have ended *)
+        List.iter Domain.join ended;
         if admitted then loop ()
         else (try Unix.close fd with Unix.Unix_error _ -> ())
   in
@@ -165,6 +176,7 @@ let listen ?(backlog = 16) ~port server =
       l_accept = None;
       lm = Mutex.create ();
       l_conns = [];
+      l_ended = [];
       l_served = 0;
       l_down = false;
     }
@@ -176,19 +188,25 @@ let port l = l.l_port
 let connections_served l = Mutex.protect l.lm (fun () -> l.l_served)
 
 let shutdown l =
-  let conns =
+  let domains =
     Mutex.protect l.lm (fun () ->
         if l.l_down then None
         else begin
           l.l_down <- true;
-          let conns = l.l_conns in
-          l.l_conns <- [];
-          Some conns
+          (* under [lm], so no listed fd has been closed yet *)
+          List.iter
+            (fun (fd, _) ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            l.l_conns;
+          let ds = List.map snd l.l_conns @ l.l_ended in
+          l.l_ended <- [];
+          Some ds
         end)
   in
-  match conns with
+  match domains with
   | None -> ()
-  | Some conns ->
+  | Some ds ->
       (* wake the accept domain: shutdown() forces accept(2) to fail
          even on platforms where a bare close() does not *)
       (try Unix.shutdown l.l_sock Unix.SHUTDOWN_ALL
@@ -196,9 +214,4 @@ let shutdown l =
       (try Unix.close l.l_sock with Unix.Unix_error _ -> ());
       Option.iter Domain.join l.l_accept;
       l.l_accept <- None;
-      List.iter
-        (fun (fd, _) ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ())
-        conns;
-      List.iter (fun (_, d) -> Domain.join d) conns
+      List.iter Domain.join ds

@@ -213,7 +213,7 @@ let encode_query model sample =
 let classify_cam sim sub rules model queries =
   let n_rules = Array.length rules.patterns in
   ignore
-    (Camsim.Simulator.write_ternary sim sub ~row_offset:0 ~care:rules.care
+    (Camsim.Simulator.write sim sub ~row_offset:0 ~care:rules.care
        rules.patterns);
   let encoded = Array.map (encode_query model) queries in
   ignore

@@ -279,7 +279,7 @@ let layer1_device ?tech t =
           care.(t.row_offset.(j) + i) <- r.care.(i))
         r.patterns)
     t.neuron_rules;
-  let c = Camsim.Simulator.write_ternary sim sub ~row_offset:0 ~care patterns in
+  let c = Camsim.Simulator.write sim sub ~row_offset:0 ~care patterns in
   { dev_sim = sim; dev_sub = sub; dev_latency = c.Camsim.Energy_model.latency }
 
 let encode_cam t dev xs =

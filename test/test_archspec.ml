@@ -128,6 +128,23 @@ let prop_round_trip =
       | Ok s' -> Spec.to_string s = Spec.to_string s'
       | Error _ -> false)
 
+(* Only [Error] may come back from the spec parser, whatever bytes the
+   text of a valid spec is mutated or truncated into. *)
+let prop_mutated_specs_refused_cleanly =
+  let seeds =
+    List.concat_map
+      (fun side ->
+        List.map
+          (fun opt -> Spec.to_string (Spec.square side opt))
+          Spec.[ Base; Power; Density; Power_density ])
+      [ 16; 32; 64 ]
+    @ [ Spec.to_string { Spec.default with max_banks = Some 4; bits = 2 } ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"mutated spec text never raises"
+    (Tutil.mutant seeds)
+    (fun src ->
+      match Spec.of_string src with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "archspec"
     [
@@ -146,5 +163,6 @@ let () =
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
           QCheck_alcotest.to_alcotest prop_round_trip;
+          QCheck_alcotest.to_alcotest prop_mutated_specs_refused_cleanly;
         ] );
     ]

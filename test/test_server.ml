@@ -449,6 +449,65 @@ let test_tcp () =
     (Tcp.connections_served listener);
   Server.stop server
 
+(* A connection that ends gives its fd number back to the kernel, and
+   the next socket the process opens may get it. [shutdown] must touch
+   only live connections: a socketpair opened on the freed numbers keeps
+   passing bytes across it. *)
+let test_tcp_recycled_fds () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let server = Server.create (Session.create ~spec ~stored:data.stored src) in
+  let listener = Tcp.listen ~port:0 server in
+  let buf = Bytes.create 16 in
+  for _ = 1 to 3 do
+    let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect sock
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port listener));
+    (* half-close, then read to the end: the server has closed its side *)
+    Unix.shutdown sock Unix.SHUTDOWN_SEND;
+    while Unix.read sock buf 0 16 > 0 do
+      ()
+    done;
+    Unix.close sock
+  done;
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Tcp.shutdown listener;
+  let pass src dst =
+    try
+      Unix.write_substring src "x" 0 1 = 1
+      && Unix.read dst buf 0 1 = 1
+      && Bytes.get buf 0 = 'x'
+    with Unix.Unix_error _ -> false
+  in
+  Alcotest.(check bool) "a -> b after shutdown" true (pass a b);
+  Alcotest.(check bool) "b -> a after shutdown" true (pass b a);
+  Unix.close a;
+  Unix.close b;
+  Alcotest.(check int) "three connections accepted" 3
+    (Tcp.connections_served listener);
+  Server.stop server
+
+(* Only the declared [Server_error] may escape the wire parser, whatever
+   bytes a valid request line is mutated or truncated into. *)
+let prop_mutated_requests_refused_cleanly =
+  let seeds =
+    [
+      "1 0 1 0; 0 1 1 0";
+      " .5 5. -1E+2\t+3e-1 007";
+      "0.25 0.125;1e-3 -7;+2.5e+10 3";
+      String.concat " " (List.init 32 (fun i -> string_of_int (i mod 2)));
+    ]
+  in
+  List.iter (fun s -> ignore (Tcp.parse_request s)) seeds;
+  QCheck.Test.make ~count:1000 ~name:"mutated requests raise only Server_error"
+    (Tutil.mutant seeds)
+    (fun line ->
+      match Tcp.parse_request line with
+      | _ -> true
+      | exception Server.Server_error _ -> true)
+
 (* ---- the stress matrix in miniature ------------------------------------ *)
 
 (* Concurrent submitter domains against the sequential reference,
@@ -531,7 +590,13 @@ let () =
             test_failure_isolation;
           Alcotest.test_case "latency window" `Quick test_latency_window;
         ] );
-      ("tcp", [ Alcotest.test_case "wire round-trip" `Quick test_tcp ]);
+      ( "tcp",
+        [
+          Alcotest.test_case "wire round-trip" `Quick test_tcp;
+          Alcotest.test_case "shutdown spares recycled fds" `Quick
+            test_tcp_recycled_fds;
+          QCheck_alcotest.to_alcotest prop_mutated_requests_refused_cleanly;
+        ] );
       ( "stress",
         [
           Alcotest.test_case "mini concurrency matrix" `Quick

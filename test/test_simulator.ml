@@ -81,7 +81,7 @@ let test_write_ternary () =
   let s = sim () in
   let _, _, _, sub = alloc_chain s in
   let _ =
-    Simulator.write_ternary s sub ~row_offset:0
+    Simulator.write s sub ~row_offset:0
       ~care:[| [| true; false |] |]
       [| [| 1.; 0. |] |]
   in
@@ -304,6 +304,244 @@ let test_dirty_marks () =
   Alcotest.(check bool) "untracked change charged" true
     ((write2 changed).Energy_model.energy > 0.)
 
+(* The write log keeps no copy of a written row: a sealed simulator
+   holding 64 full 64x64 binary tiles costs what its cells cost. *)
+let test_bytes_per_cell () =
+  let side = 64 and tiles = 64 in
+  let s = Simulator.create (Archspec.Spec.square side Archspec.Spec.Base) in
+  let st = Random.State.make [| 5 |] in
+  let buf =
+    Array.init (tiles * side * side) (fun _ ->
+        if Random.State.bool st then 1. else 0.)
+  in
+  let run () =
+    let bank = Simulator.alloc_bank s ~rows:side ~cols:side in
+    let tile = ref 0 in
+    for _ = 1 to 2 do
+      let mat = Simulator.alloc_mat s bank in
+      for _ = 1 to 4 do
+        let arr = Simulator.alloc_array s mat in
+        for _ = 1 to 8 do
+          let sub = Simulator.alloc_subarray s arr in
+          ignore
+            (Simulator.write_view s sub ~row_offset:0 ~rows:side ~cols:side buf
+               ~off:(!tile * side * side) ~rs:side ~cs:1);
+          incr tile
+        done
+      done
+    done;
+    Alcotest.(check int) "tiles written" tiles !tile
+  in
+  Simulator.start_recording s;
+  run ();
+  Simulator.seal_recording s;
+  Simulator.rewind s;
+  let w0 = (Simulator.stats s).n_write_ops in
+  run ();
+  Alcotest.(check int) "the replay rewrites nothing" w0
+    (Simulator.stats s).n_write_ops;
+  let words =
+    Obj.reachable_words (Obj.repr s) - Obj.reachable_words (Obj.repr buf)
+  in
+  let per_cell =
+    float_of_int (words * (Sys.word_size / 8))
+    /. float_of_int (tiles * side * side)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f B per stored cell, at most 12" per_cell)
+    true (per_cell <= 12.)
+
+(* Replayed writes against a cell model kept by the test: every write
+   kind, overlapping writes to the same rows, and replays that flip a
+   care bit, change a value, a range bound or the payload under a
+   don't-care, or write the same rows again. Each replayed write must
+   charge one write op and [Energy_model.write] per maximal run of rows
+   in which a modelled cell changes, and nothing else. *)
+type wkind = Plain | Ternary | Range | View | Range_view
+
+type wr = {
+  kind : wkind;
+  sub : int;
+  off : int;
+  cols : int;
+  lo : float array array;
+  hi : float array array;
+  care : bool array array;
+  col_major : bool;  (* view layout: column-major, else row-major *)
+  pad : int;  (* view offset into its backing store *)
+}
+
+type cell = V of float | Dc | R of float * float
+
+let side = 8
+let values = [| 0.; 1.; 2.; 3.; Float.nan |]
+
+let gen_writes st =
+  let value () = values.(Random.State.int st (Array.length values)) in
+  let prev = ref None in
+  List.init
+    (1 + Random.State.int st 6)
+    (fun _ ->
+      let sub, off, rows =
+        match !prev with
+        | Some p when Random.State.int st 3 = 0 -> p
+        | _ ->
+            let off = Random.State.int st side in
+            (Random.State.int st 2, off, 1 + Random.State.int st (side - off))
+      in
+      prev := Some (sub, off, rows);
+      let cols = 1 + Random.State.int st side in
+      let lo = Array.init rows (fun _ -> Array.init cols (fun _ -> value ())) in
+      {
+        kind =
+          [| Plain; Ternary; Range; View; Range_view |].(Random.State.int st 5);
+        sub;
+        off;
+        cols;
+        lo;
+        hi = Array.map (Array.map (fun v -> v +. 1.)) lo;
+        care =
+          Array.init rows (fun _ ->
+              Array.init cols (fun _ -> Random.State.int st 3 > 0));
+        col_major = Random.State.bool st;
+        pad = Random.State.int st 3;
+      })
+
+(* One replay's change to a write, drawn from [st]. *)
+let mutate st w =
+  let lo = Array.map Array.copy w.lo
+  and hi = Array.map Array.copy w.hi
+  and care = Array.map Array.copy w.care in
+  let i = Random.State.int st (Array.length lo)
+  and j = Random.State.int st w.cols in
+  (match Random.State.int st 5 with
+  | 0 -> () (* the same rows again *)
+  | 1 -> lo.(i).(j) <- values.(Random.State.int st (Array.length values))
+  | 2 -> care.(i).(j) <- not care.(i).(j)
+  | 3 ->
+      (* the payload under a don't-care, when the row has one *)
+      Array.iteri (fun j c -> if not c then lo.(i).(j) <- lo.(i).(j) +. 5.)
+        care.(i)
+  | _ -> hi.(i).(j) <- hi.(i).(j) +. 1.);
+  { w with lo; hi; care }
+
+let perform s subs w =
+  let id = subs.(w.sub) and row_offset = w.off and rows = Array.length w.lo in
+  let rs, cs = if w.col_major then (1, rows) else (w.cols, 1) in
+  let flat plane =
+    let data = Array.make (w.pad + (rows * w.cols)) (-1.) in
+    Array.iteri
+      (fun i r -> Array.iteri (fun j v -> data.(w.pad + (i * rs) + (j * cs)) <- v) r)
+      plane;
+    data
+  in
+  match w.kind with
+  | Plain -> Simulator.write s id ~row_offset w.lo
+  | Ternary -> Simulator.write s id ~row_offset ~care:w.care w.lo
+  | Range -> Simulator.write_range s id ~row_offset ~lo:w.lo ~hi:w.hi
+  | View ->
+      Simulator.write_view s id ~row_offset ~rows ~cols:w.cols (flat w.lo)
+        ~off:w.pad ~rs ~cs
+  | Range_view ->
+      Simulator.write_range_view s id ~row_offset ~rows ~cols:w.cols
+        ~lo:(flat w.lo) ~hi:(flat w.hi) ~off:w.pad ~rs ~cs
+
+let incoming w i j =
+  match w.kind with
+  | Range | Range_view -> R (w.lo.(i).(j), w.hi.(i).(j))
+  | Ternary when not w.care.(i).(j) -> Dc
+  | Plain | Ternary | View -> V w.lo.(i).(j)
+
+let same a b =
+  match (a, b) with
+  | V x, V y -> Float.compare x y = 0
+  | Dc, Dc -> true
+  | R (a, b), R (c, d) -> Float.compare a c = 0 && Float.compare b d = 0
+  | _ -> false
+
+(* Expected (write ops, e_write) after [w] replays on [model], which it
+   updates; [e] is the e_write before it. *)
+let model_write spec model w (ops, e) =
+  let m = model.(w.sub) and rows = Array.length w.lo in
+  let changed i =
+    let d = ref false in
+    for j = 0 to w.cols - 1 do
+      if not (same m.(w.off + i).(j) (incoming w i j)) then d := true
+    done;
+    !d
+  in
+  let ops = ref ops and e = ref e and i = ref 0 in
+  while !i < rows do
+    if changed !i then begin
+      let j = ref (!i + 1) in
+      while !j < rows && changed !j do incr j done;
+      let c =
+        Energy_model.write Tech.fefet_45nm ~bits:spec.Archspec.Spec.bits
+          ~cols:spec.cols ~rows:(!j - !i)
+      in
+      let c =
+        match w.kind with
+        | Range | Range_view -> Energy_model.add c c
+        | Plain | Ternary | View -> c
+      in
+      incr ops;
+      e := !e +. c.energy;
+      i := !j
+    end
+    else incr i
+  done;
+  for i = 0 to rows - 1 do
+    for j = 0 to w.cols - 1 do
+      m.(w.off + i).(j) <- incoming w i j
+    done
+  done;
+  (!ops, !e)
+
+let prop_replay_vs_cell_model =
+  let spec = Archspec.Spec.square side Archspec.Spec.Base in
+  let print (ws, seed) =
+    Printf.sprintf "seed %d, %d writes: %s" seed (List.length ws)
+      (String.concat "; "
+         (List.map
+            (fun w ->
+              Printf.sprintf "sub %d rows %d+%d cols %d" w.sub w.off
+                (Array.length w.lo) w.cols)
+            ws))
+  in
+  let gen st = (gen_writes st, Random.State.bits st) in
+  QCheck.Test.make ~count:300 ~name:"replay write ledger vs cell model"
+    (QCheck.make ~print gen)
+    (fun (ws, seed) ->
+      let st = Random.State.make [| seed |] in
+      let s = Simulator.create spec in
+      let model =
+        Array.init 2 (fun _ -> Array.init side (fun _ -> Array.make side (V 0.)))
+      in
+      let run ws =
+        let bank = Simulator.alloc_bank s ~rows:side ~cols:side in
+        let arr = Simulator.alloc_array s (Simulator.alloc_mat s bank) in
+        let subs = Array.init 2 (fun _ -> Simulator.alloc_subarray s arr) in
+        List.iter (fun w -> ignore (perform s subs w)) ws
+      in
+      Simulator.start_recording s;
+      run ws;
+      Simulator.seal_recording s;
+      ignore (List.fold_left (fun acc w -> model_write spec model w acc) (0, 0.) ws);
+      let ok = ref true and ws = ref ws in
+      for _ = 1 to 3 do
+        ws := List.map (mutate st) !ws;
+        let stats = Simulator.stats s in
+        let want =
+          List.fold_left
+            (fun acc w -> model_write spec model w acc)
+            (stats.n_write_ops, stats.e_write) !ws
+        in
+        Simulator.rewind s;
+        run !ws;
+        if (stats.n_write_ops, stats.e_write) <> want then ok := false
+      done;
+      !ok)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -344,5 +582,10 @@ let () =
           Alcotest.test_case "defect injection" `Quick test_defect_injection;
         ] );
       ( "serve replay",
-        [ Alcotest.test_case "dirty marks" `Quick test_dirty_marks ] );
+        [
+          Alcotest.test_case "dirty marks" `Quick test_dirty_marks;
+          QCheck_alcotest.to_alcotest prop_replay_vs_cell_model;
+          Alcotest.test_case "sealed simulator bytes per cell" `Quick
+            test_bytes_per_cell;
+        ] );
     ]
