@@ -16,14 +16,17 @@ type flat = int array
 let fbwords_for cols = 2 * ((cols + 63) / 64)
 let fnwords_for cols = 2 * ((cols + 15) / 16)
 
-let pack_binary_at ~cols values (dst : flat) ~off =
+(* Both packers read cell [j] of the incoming row at [data.(src + j*cs)],
+   so a row array ([~src:0 ~cs:1]) and a strided window over a flat
+   backing store pack through the same loop. *)
+let pack_binary_at ~cols data ~src ~cs ~width (dst : flat) ~off =
   Array.fill dst off (fbwords_for cols) 0;
-  Array.length values = cols
+  width = cols
   &&
   let rec go j =
     j = cols
     ||
-    let v = Array.unsafe_get values j in
+    let v = data.(src + (j * cs)) in
     if v = 0. then go (j + 1)
     else if v = 1. then begin
       let w = off + (j lsr 5) in
@@ -34,9 +37,9 @@ let pack_binary_at ~cols values (dst : flat) ~off =
   in
   go 0
 
-let pack_nibble_at ~cols values (dst : flat) ~off =
+let pack_nibble_at ~cols data ~src ~cs ~width (dst : flat) ~off =
   Array.fill dst off (fnwords_for cols) 0;
-  Array.length values = cols
+  width = cols
   &&
   (* packable = an integer in [0, 16), tested inline: without flambda a
      helper call would box its float argument on every cell of the hot
@@ -44,7 +47,7 @@ let pack_nibble_at ~cols values (dst : flat) ~off =
   let rec go j =
     j = cols
     ||
-    let v = Array.unsafe_get values j in
+    let v = data.(src + (j * cs)) in
     v >= 0. && v < 16.
     &&
     let n = int_of_float v in

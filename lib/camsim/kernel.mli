@@ -36,13 +36,19 @@ val fbwords_for : int -> int
 val fnwords_for : int -> int
 (** Int words per [cols]-cell nibble row: two per 16 cells. *)
 
-val pack_binary_at : cols:int -> float array -> flat -> off:int -> bool
-(** Pack a binary row into [fbwords_for cols] words at [off] (the
-    window is zeroed first). [false] unless the row is exactly [cols]
-    wide with every value 0. or 1. — the window contents are then
-    unspecified and the caller must not mark the row packed. *)
+val pack_binary_at :
+  cols:int -> float array -> src:int -> cs:int -> width:int -> flat ->
+  off:int -> bool
+(** [pack_binary_at ~cols data ~src ~cs ~width dst ~off] packs a binary
+    row of [width] cells, cell [j] read at [data.(src + j*cs)] (a row
+    array is [~src:0 ~cs:1]), into [fbwords_for cols] words at [off]
+    (the window is zeroed first). [false] unless [width = cols] and
+    every value is 0. or 1. — the window contents are then unspecified
+    and the caller must not mark the row packed. *)
 
-val pack_nibble_at : cols:int -> float array -> flat -> off:int -> bool
+val pack_nibble_at :
+  cols:int -> float array -> src:int -> cs:int -> width:int -> flat ->
+  off:int -> bool
 (** Same for the nibble tier: integers in [[0, 16)], 8 per word. *)
 
 val pop_word : int -> int -> int

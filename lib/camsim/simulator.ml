@@ -98,10 +98,34 @@ let start_recording t =
       t.serve <- Recording (ref [])
   | Recording _ | Replaying _ -> err "start_recording: already recording"
 
+(* A write whose subarray rows another write of the execution also
+   programs may find its window clean while the device holds the other
+   write's cells: such writes lose their origin, so every replay
+   compares them against the cells. *)
+let drop_shared_origins events =
+  let by_sub = Hashtbl.create 64 in
+  Array.iter
+    (function Ev_write w -> Hashtbl.add by_sub w.w_id w | Ev_alloc _ -> ())
+    events;
+  let shared w =
+    List.exists
+      (fun o ->
+        o != w
+        && o.w_row_offset < w.w_row_offset + w.w_rows
+        && w.w_row_offset < o.w_row_offset + o.w_rows)
+      (Hashtbl.find_all by_sub w.w_id)
+  in
+  Array.map
+    (function
+      | Ev_write w when Option.is_some w.w_origin && shared w ->
+          Ev_write { w with w_origin = None }
+      | ev -> ev)
+    events
+
 let seal_recording t =
   match t.serve with
   | Recording log ->
-      let events = Array.of_list (List.rev !log) in
+      let events = drop_shared_origins (Array.of_list (List.rev !log)) in
       t.serve <- Replaying { events; cursor = Array.length events }
   | Oneshot -> err "seal_recording: the simulator is not recording"
   | Replaying _ -> err "seal_recording: already sealed"
@@ -407,30 +431,20 @@ let origin data data2 ~off ~rs ~cs ~cols =
     o_cols = cols;
   }
 
-(* One plane of an incoming write: materialized rows, or a window over
-   a flat backing store with element [(i, j)] at
+(* One plane of an incoming write is a [Scratch.matrix]: materialized
+   rows, or a window over a flat backing store with element [(i, j)] at
    [data.(off + i*rs + j*cs)] — raw strides rather than a view closure,
    which would box every element it returns. *)
-type plane =
-  | Rows of float array array
-  | View of { data : float array; off : int; rs : int; cs : int; cols : int }
-
 let view_rows data ~off ~rs ~cs ~cols i len =
   Array.init len (fun r ->
       let base = off + ((i + r) * rs) in
       Array.init cols (fun j -> data.(base + (j * cs))))
 
-let plane_rows p i len =
+let plane_rows (p : Scratch.matrix) i len =
   match p with
   | Rows rows -> Array.sub rows i len
-  | View { data; off; rs; cs; cols } -> view_rows data ~off ~rs ~cs ~cols i len
-
-(* Row [i] of a plane as [Subarray.row_differs] reads it. *)
-let row_data p i = match p with Rows rows -> rows.(i) | View v -> v.data
-let row_off p i = match p with Rows _ -> 0 | View v -> v.off + (i * v.rs)
-let row_cs = function Rows _ -> 1 | View v -> v.cs
-let row_cols p i =
-  match p with Rows rows -> Array.length rows.(i) | View v -> v.cols
+  | View { data; off; rs; cs; cols; _ } ->
+      view_rows data ~off ~rs ~cs ~cols i len
 
 (* The recorded event a replayed write must meet: same device, offset,
    kind and row count, or the replay has diverged. *)
@@ -470,8 +484,9 @@ let rewrite_changed t w ?care ?hi lo =
   let changed i =
     Subarray.row_differs sub ~row:(w.w_row_offset + i)
       ?care:(match care with Some c -> Some c.(i) | None -> None)
-      ?hi:(match hi with Some h -> Some (row_data h i) | None -> None)
-      (row_data lo i) ~off:(row_off lo i) ~cs:(row_cs lo) ~cols:(row_cols lo i)
+      ?hi:(match hi with Some h -> Some (Scratch.row_data h i) | None -> None)
+      (Scratch.row_data lo i) ~off:(Scratch.row_off lo i)
+      ~cs:(Scratch.row_cs lo) ~cols:(Scratch.row_cols lo i)
   in
   let cost = ref Energy_model.zero in
   let i = ref 0 in
@@ -508,7 +523,7 @@ let write t id ~row_offset ?care data =
   let rows = Array.length data in
   if serving t then
     let w = replayed_write t id ~row_offset ~range:false ~rows in
-    replayed t (rewrite_changed t w ?care (Rows data))
+    replayed t (rewrite_changed t w ?care (Scratch.Rows data))
   else begin
     record_write t id ~row_offset ~range:false ~rows ();
     perform_write t id ~row_offset ?care data
@@ -518,7 +533,7 @@ let write_range t id ~row_offset ~lo ~hi =
   let rows = Array.length lo in
   if serving t then
     let w = replayed_write t id ~row_offset ~range:true ~rows in
-    replayed t (rewrite_changed t w ~hi:(Rows hi) (Rows lo))
+    replayed t (rewrite_changed t w ~hi:(Scratch.Rows hi) (Scratch.Rows lo))
   else begin
     record_write t id ~row_offset ~range:true ~rows ();
     perform_write_range t id ~row_offset ~lo ~hi
@@ -536,7 +551,9 @@ let write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
     replayed t
       (if clean_window t w ~rows ~cols data data ~off ~rs ~cs then
          Energy_model.zero
-       else rewrite_changed t w (View { data; off; rs; cs; cols }))
+       else
+         rewrite_changed t w
+           (Scratch.View { data; off; rs; cs; rows; cols; stamp = 0 }))
   else begin
     record_write t id ~row_offset ~range:false ~rows
       ~origin:(origin data data ~off ~rs ~cs ~cols) ();
@@ -550,9 +567,10 @@ let write_range_view t id ~row_offset ~rows ~cols ~lo ~hi ~off ~rs ~cs =
       (if clean_window t w ~rows ~cols lo hi ~off ~rs ~cs then
          Energy_model.zero
        else
-         rewrite_changed t w
-           ~hi:(View { data = hi; off; rs; cs; cols })
-           (View { data = lo; off; rs; cs; cols }))
+         let plane data =
+           Scratch.View { data; off; rs; cs; rows; cols; stamp = 0 }
+         in
+         rewrite_changed t w ~hi:(plane hi) (plane lo))
   else begin
     record_write t id ~row_offset ~range:true ~rows
       ~origin:(origin lo hi ~off ~rs ~cs ~cols) ();
@@ -561,25 +579,30 @@ let write_range_view t id ~row_offset ~rows ~cols ~lo ~hi ~off ~rs ~cs =
       ~hi:(view_rows hi ~off ~rs ~cs ~cols 0 rows)
   end
 
-let search t id ~queries ~row_offset ~rows ~kind ~metric
-    ?(batch_extra = false) ?(threshold = 0.) () =
+(* The one search path: the functional search over the queries [w],
+   then the charge. *)
+let search_in t id (w : Scratch.matrix) ~row_offset ~rows ~kind ~metric
+    ~batch_extra ~threshold =
   let sub = subarray t id in
   let stats = t.sim_stats in
   (match kind with
   | `Range ->
-      ignore (Subarray.search_range ~stats sub ~queries ~row_offset ~rows)
+      ignore
+        (Subarray.search_window ~stats sub w ~row_offset ~rows
+           ~metric:`Hamming)
+  | `Exact | `Best ->
+      ignore (Subarray.search_window ~stats sub w ~row_offset ~rows ~metric)
   | `Threshold ->
       ignore
-        (Subarray.search_threshold ~stats sub ~queries ~row_offset ~rows
-           ~metric ~threshold)
-  | `Exact | `Best ->
-      ignore (Subarray.search ~stats sub ~queries ~row_offset ~rows ~metric));
+        (Subarray.search_threshold_window ~stats sub w ~row_offset ~rows
+           ~metric ~threshold));
+  let q = Scratch.row_count w in
   if tracing t then
     record t
       (Trace.Search
          {
            sub = id;
-           queries = Array.length queries;
+           queries = q;
            rows;
            row_offset;
            kind =
@@ -589,7 +612,6 @@ let search t id ~queries ~row_offset ~rows ~kind ~metric
              | `Threshold -> "threshold"
              | `Range -> "range");
          });
-  let q = Array.length queries in
   let c =
     Energy_model.search t.sim_tech ~bits:t.sim_spec.bits
       ~cols:t.sim_spec.cols ~active_rows:rows
@@ -599,6 +621,17 @@ let search t id ~queries ~row_offset ~rows ~kind ~metric
   t.sim_stats.n_search_ops <- t.sim_stats.n_search_ops + 1;
   t.sim_stats.n_query_cycles <- t.sim_stats.n_query_cycles + q;
   c
+
+let search t id ~queries ~row_offset ~rows ~kind ~metric
+    ?(batch_extra = false) ?(threshold = 0.) () =
+  search_in t id (Scratch.Rows queries) ~row_offset ~rows ~kind ~metric
+    ~batch_extra ~threshold
+
+let search_view t id ~row_offset ~rows ~kind ~metric ~batch_extra ~threshold
+    ~q ~cols data ~off ~rs ~cs ~stamp =
+  search_in t id
+    (Scratch.View { data; off; rs; cs; rows = q; cols; stamp })
+    ~row_offset ~rows ~kind ~metric ~batch_extra ~threshold
 
 let read t id = Subarray.read (subarray t id)
 

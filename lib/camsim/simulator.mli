@@ -71,9 +71,9 @@ val set_query_hint : t -> int -> unit
     simulator does not track (a tensor computed per batch, materialized
     rows) counts as wholly marked and goes through the same compare.
     Marks clear once a replay has processed the last recorded event.
-    A clean window is skipped without a compare, so tracking a store
-    also promises that no other write of the execution overwrites the
-    rows its windows program. *)
+    A write whose subarray rows another write of the execution also
+    programs is always compared: sealing drops its window, since the
+    device may hold the other write's cells. *)
 
 val start_recording : t -> unit
 (** Begin logging allocation and write events. Must be called on a
@@ -172,6 +172,25 @@ val search :
     charges its cost. [`Best] latches raw distances; [`Threshold]
     latches 1/0 match flags against [threshold] (default 0, making it an
     exact match); [`Range] latches ACAM range-violation counts. *)
+
+val search_view :
+  t -> id -> row_offset:int -> rows:int ->
+  kind:[ `Exact | `Best | `Threshold | `Range ] ->
+  metric:[ `Hamming | `Euclidean ] -> batch_extra:bool -> threshold:float ->
+  q:int -> cols:int -> float array -> off:int -> rs:int -> cs:int ->
+  stamp:int -> Energy_model.cost
+(** [search_view t id ~row_offset ~rows ~kind ~metric ~batch_extra
+    ~threshold ~q ~cols data ~off ~rs ~cs ~stamp] is {!search} over [q]
+    queries of [cols] cells read in place by the stride math of
+    {!write_view}: query [i], cell [j] is [data.(off + i*rs + j*cs)].
+    Identical results, latched state, tier counts and cost; no row
+    matrix is built. The domain's query slot ({!Scratch.packs_for})
+    keys the packed queries on [data]'s physical identity, the window
+    and [stamp]: a caller that changes [data] must search it under a
+    new stamp ({!Scratch.fresh_stamp}) or drop the slot
+    ({!Scratch.drop_queries}).
+    @raise Invalid_argument when the window reaches outside [data] or
+    has a negative offset or stride. *)
 
 val read : t -> id -> float array array
 (** Last search result of a subarray, [Q x active_rows]. *)

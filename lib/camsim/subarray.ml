@@ -159,11 +159,13 @@ let write t ?(row_offset = 0) ?care data =
       (* binary-packable rows are a subset of nibble-packable ones *)
       let nibble =
         !all_care
-        && Kernel.pack_nibble_at ~cols:t.n_cols row t.npack ~off:(r * t.fnw)
+        && Kernel.pack_nibble_at ~cols:t.n_cols row ~src:0 ~cs:1
+             ~width:(Array.length row) t.npack ~off:(r * t.fnw)
       in
       let binary =
         nibble
-        && Kernel.pack_binary_at ~cols:t.n_cols row t.bpack ~off:(r * t.fbw)
+        && Kernel.pack_binary_at ~cols:t.n_cols row ~src:0 ~cs:1
+             ~width:(Array.length row) t.bpack ~off:(r * t.fbw)
       in
       set_row_class t r
         (if binary then Kernel.Binary
@@ -228,39 +230,42 @@ let read_row t r =
 
 (* --- scalar (generic) row kernels -------------------------------------- *)
 
-(* All scalar kernels walk the flat cell storage from [base]; reads,
-   float compares and the int/float accumulators allocate nothing. *)
+(* All scalar kernels walk the flat cell storage from [base] and read
+   query cell [j] at [qd.(qo + j*qc)] — the stride math of
+   [row_differs] — through a running index, so a row array ([qo = 0],
+   [qc = 1]) and a window over a backing store take the same loop at
+   one add per cell. Callers bound the query's extent first
+   ([check_queries]); reads, float compares and the int/float
+   accumulators allocate nothing. *)
 
-let hamming_row t ~base query width =
+let hamming_row t ~base qd qo qc width =
   let ck = t.ck and clo = t.clo and chi = t.chi in
-  let d = ref 0 in
+  let d = ref 0 and k = ref qo in
   for j = 0 to width - 1 do
+    let q = Array.unsafe_get qd !k in
+    k := !k + qc;
     match Bytes.unsafe_get ck (base + j) with
-    | '\000' ->
-        if Array.unsafe_get clo (base + j) <> Array.unsafe_get query j then
-          incr d
+    | '\000' -> if Array.unsafe_get clo (base + j) <> q then incr d
     | '\001' -> ()
     | _ ->
-        let q = Array.unsafe_get query j in
         if q < Array.unsafe_get clo (base + j)
            || q > Array.unsafe_get chi (base + j)
         then incr d
   done;
   float_of_int !d
 
-let euclidean_row t ~base query width =
+let euclidean_row t ~base qd qo qc width =
   let ck = t.ck and clo = t.clo and chi = t.chi in
-  let d = ref 0. in
+  let d = ref 0. and k = ref qo in
   for j = 0 to width - 1 do
+    let q = Array.unsafe_get qd !k in
+    k := !k + qc;
     match Bytes.unsafe_get ck (base + j) with
     | '\000' ->
-        let diff =
-          Array.unsafe_get clo (base + j) -. Array.unsafe_get query j
-        in
+        let diff = Array.unsafe_get clo (base + j) -. q in
         d := !d +. (diff *. diff)
     | '\001' -> ()
     | _ ->
-        let q = Array.unsafe_get query j in
         let lo = Array.unsafe_get clo (base + j) in
         if q < lo then d := !d +. ((lo -. q) *. (lo -. q))
         else begin
@@ -275,19 +280,18 @@ let euclidean_row t ~base query width =
    non-negative terms is monotone under rounding), so the match outcome
    is already decided. Results use the Kernel.th_* bit encoding (match,
    early) so a threshold sweep allocates no tuples. *)
-let hamming_row_threshold t ~base query width ~threshold =
+let hamming_row_threshold t ~base qd qo qc width ~threshold =
   let ck = t.ck and clo = t.clo and chi = t.chi in
-  let d = ref 0 in
+  let d = ref 0 and k = ref qo in
   let code = ref 0 in
   (try
      for j = 0 to width - 1 do
+       let q = Array.unsafe_get qd !k in
+       k := !k + qc;
        (match Bytes.unsafe_get ck (base + j) with
-       | '\000' ->
-           if Array.unsafe_get clo (base + j) <> Array.unsafe_get query j
-           then incr d
+       | '\000' -> if Array.unsafe_get clo (base + j) <> q then incr d
        | '\001' -> ()
        | _ ->
-           let q = Array.unsafe_get query j in
            if q < Array.unsafe_get clo (base + j)
               || q > Array.unsafe_get chi (base + j)
            then incr d);
@@ -299,21 +303,20 @@ let hamming_row_threshold t ~base query width ~threshold =
    with Exit -> ());
   if float_of_int !d <= threshold then !code lor Kernel.th_match else !code
 
-let euclidean_row_threshold t ~base query width ~threshold =
+let euclidean_row_threshold t ~base qd qo qc width ~threshold =
   let ck = t.ck and clo = t.clo and chi = t.chi in
-  let d = ref 0. in
+  let d = ref 0. and k = ref qo in
   let code = ref 0 in
   (try
      for j = 0 to width - 1 do
+       let q = Array.unsafe_get qd !k in
+       k := !k + qc;
        (match Bytes.unsafe_get ck (base + j) with
        | '\000' ->
-           let diff =
-             Array.unsafe_get clo (base + j) -. Array.unsafe_get query j
-           in
+           let diff = Array.unsafe_get clo (base + j) -. q in
            d := !d +. (diff *. diff)
        | '\001' -> ()
        | _ ->
-           let q = Array.unsafe_get query j in
            let lo = Array.unsafe_get clo (base + j) in
            if q < lo then d := !d +. ((lo -. q) *. (lo -. q))
            else begin
@@ -371,12 +374,22 @@ let dispatch_tiles ~q_count ~rows fill_tile =
   end
   else fill_tile 0 q_count
 
-let check_queries t queries =
-  Array.iter
-    (fun q ->
-      if Array.length q > t.n_cols then
-        invalid_arg "Subarray.search: query wider than the subarray")
-    queries
+(* A query wider than the subarray is refused; so is a view reaching
+   outside its backing store (or with a negative offset or stride),
+   which the scalar kernels read unchecked. *)
+let check_queries t (w : Scratch.matrix) =
+  let wide = "Subarray.search: query wider than the subarray" in
+  match w with
+  | Rows r ->
+      Array.iter (fun q -> if Array.length q > t.n_cols then invalid_arg wide) r
+  | View v ->
+      if v.cols > t.n_cols then invalid_arg wide;
+      if
+        v.rows > 0 && v.cols > 0
+        && (v.off < 0 || v.rs < 0 || v.cs < 0
+           || v.off + ((v.rows - 1) * v.rs) + ((v.cols - 1) * v.cs)
+              >= Array.length v.data)
+      then invalid_arg "Subarray.search: query view outside its backing"
 
 (* The result matrix: a fresh allocation normally; the arena when the
    simulator turned on reuse and the geometry matches. Every slot is
@@ -398,12 +411,12 @@ let acquire_results t ~q_count ~rows =
    or a [`Generic] cap); otherwise the capped window class, the arena
    holding the packs, and whether the binary tier may be used. All
    packing happens before the parallel region. *)
-let classify t ~queries ~row_offset ~rows ~metric =
+let classify t w ~row_offset ~rows ~metric =
   let cap = t.kernel_cap in
   if metric <> `Hamming || cap = `Generic then None
   else begin
     let wcls = cap_class cap (window_class t ~row_offset ~rows) in
-    let packs = Scratch.packs_for ~cols:t.n_cols queries in
+    let packs = Scratch.packs_for ~cols:t.n_cols w in
     let use_b =
       cap = `Binary
       && (wcls = Kernel.Binary
@@ -413,11 +426,11 @@ let classify t ~queries ~row_offset ~rows ~metric =
     Some (wcls, packs, use_b)
   end
 
-let distances ?stats t ~queries ~row_offset ~rows ~metric =
+let distances ?stats t w ~row_offset ~rows ~metric =
   check_window t ~row_offset ~rows;
-  check_queries t queries;
-  let q_count = Array.length queries in
-  let cls = classify t ~queries ~row_offset ~rows ~metric in
+  check_queries t w;
+  let q_count = Scratch.row_count w and qc = Scratch.row_cs w in
+  let cls = classify t w ~row_offset ~rows ~metric in
   let sc = Scratch.get () in
   Scratch.counters sc ~n:q_count;
   let kb = sc.Scratch.kb and kn = sc.Scratch.kn and kg = sc.Scratch.kg in
@@ -475,11 +488,11 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
             else begin
               (* partial-width or unpackable query *)
               kg.(qi) <- kg.(qi) + (hi - !b);
-              let query = queries.(qi) in
-              let width = Array.length query in
+              let qd = Scratch.row_data w qi and qo = Scratch.row_off w qi in
+              let width = Scratch.row_cols w qi in
               for i = !b to hi - 1 do
                 out.(i) <-
-                  hamming_row t ~base:((row_offset + i) * t.n_cols) query
+                  hamming_row t ~base:((row_offset + i) * t.n_cols) qd qo qc
                     width
               done
             end
@@ -490,8 +503,8 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
         (* mixed window: dispatch per row, packed rows still take their
            kernels when the query packs allow *)
         for qi = qlo to qhi - 1 do
-          let query = queries.(qi) in
-          let width = Array.length query in
+          let qd = Scratch.row_data w qi and qo = Scratch.row_off w qi in
+          let width = Scratch.row_cols w qi in
           let out = result.(qi) in
           let has_bq =
             use_b && Bytes.unsafe_get packs.Scratch.bq_has qi = '\001'
@@ -513,27 +526,27 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
                        ~qoff:(qi * fnw) t.npack ~roff:(r * fnw) ~iwords:fnw)
               | _ ->
                   kg.(qi) <- kg.(qi) + 1;
-                  hamming_row t ~base:(r * t.n_cols) query width)
+                  hamming_row t ~base:(r * t.n_cols) qd qo qc width)
           done
         done
     | None ->
         (* scalar everything: Euclidean, or a [`Generic] cap *)
         for qi = qlo to qhi - 1 do
-          let query = queries.(qi) in
-          let width = Array.length query in
+          let qd = Scratch.row_data w qi and qo = Scratch.row_off w qi in
+          let width = Scratch.row_cols w qi in
           let out = result.(qi) in
           kg.(qi) <- kg.(qi) + rows;
           match metric with
           | `Euclidean ->
               for i = 0 to rows - 1 do
                 out.(i) <-
-                  euclidean_row t ~base:((row_offset + i) * t.n_cols) query
+                  euclidean_row t ~base:((row_offset + i) * t.n_cols) qd qo qc
                     width
               done
           | `Hamming ->
               for i = 0 to rows - 1 do
                 out.(i) <-
-                  hamming_row t ~base:((row_offset + i) * t.n_cols) query
+                  hamming_row t ~base:((row_offset + i) * t.n_cols) qd qo qc
                     width
               done
         done
@@ -542,21 +555,16 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
   fold_counters stats sc ~n:q_count;
   result
 
-let search ?stats t ~queries ~row_offset ~rows ~metric =
-  let result = distances ?stats t ~queries ~row_offset ~rows ~metric in
+let search_window ?stats t w ~row_offset ~rows ~metric =
+  let result = distances ?stats t w ~row_offset ~rows ~metric in
   t.last <- Some result;
   result
 
-let search_range ?stats t ~queries ~row_offset ~rows =
-  (* Range match is Hamming-style violation counting, which the generic
-     path already implements through the [Range] cell case. *)
-  search ?stats t ~queries ~row_offset ~rows ~metric:`Hamming
-
-let search_threshold ?stats t ~queries ~row_offset ~rows ~metric ~threshold =
+let search_threshold_window ?stats t w ~row_offset ~rows ~metric ~threshold =
   check_window t ~row_offset ~rows;
-  check_queries t queries;
-  let q_count = Array.length queries in
-  let cls = classify t ~queries ~row_offset ~rows ~metric in
+  check_queries t w;
+  let q_count = Scratch.row_count w and qc = Scratch.row_cs w in
+  let cls = classify t w ~row_offset ~rows ~metric in
   let sc = Scratch.get () in
   Scratch.counters sc ~n:q_count;
   let kb = sc.Scratch.kb
@@ -567,8 +575,8 @@ let search_threshold ?stats t ~queries ~row_offset ~rows ~metric ~threshold =
   let fbw = t.fbw and fnw = t.fnw in
   let fill_tile qlo qhi =
     for qi = qlo to qhi - 1 do
-      let query = queries.(qi) in
-      let width = Array.length query in
+      let qd = Scratch.row_data w qi and qo = Scratch.row_off w qi in
+      let width = Scratch.row_cols w qi in
       let out = matches.(qi) in
       let store i code =
         if code land Kernel.th_early <> 0 then ke.(qi) <- ke.(qi) + 1;
@@ -604,14 +612,14 @@ let search_threshold ?stats t ~queries ~row_offset ~rows ~metric ~threshold =
               for i = 0 to rows - 1 do
                 store i
                   (euclidean_row_threshold t
-                     ~base:((row_offset + i) * t.n_cols) query width
+                     ~base:((row_offset + i) * t.n_cols) qd qo qc width
                      ~threshold)
               done
           | `Hamming ->
               for i = 0 to rows - 1 do
                 store i
                   (hamming_row_threshold t
-                     ~base:((row_offset + i) * t.n_cols) query width
+                     ~base:((row_offset + i) * t.n_cols) qd qo qc width
                      ~threshold)
               done)
     done
@@ -622,6 +630,20 @@ let search_threshold ?stats t ~queries ~row_offset ~rows ~metric ~threshold =
      distances stay private to the kernels *)
   t.last <- Some matches;
   matches
+
+(* The rows forms: the same searches over materialized rows, keyed in
+   the query slot on the rows array's identity. *)
+let search ?stats t ~queries ~row_offset ~rows ~metric =
+  search_window ?stats t (Scratch.Rows queries) ~row_offset ~rows ~metric
+
+(* Range match is Hamming-style violation counting, which the generic
+   path already implements through the [Range] cell case. *)
+let search_range ?stats t ~queries ~row_offset ~rows =
+  search ?stats t ~queries ~row_offset ~rows ~metric:`Hamming
+
+let search_threshold ?stats t ~queries ~row_offset ~rows ~metric ~threshold =
+  search_threshold_window ?stats t (Scratch.Rows queries) ~row_offset ~rows
+    ~metric ~threshold
 
 let read t =
   match t.last with

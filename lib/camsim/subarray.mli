@@ -77,6 +77,43 @@ val read_row : t -> int -> float array
 (** Stored values of one row (don't-care cells read back as [nan],
     range cells as their lower bound). *)
 
+val search_window :
+  ?stats:Stats.t -> t -> Scratch.matrix -> row_offset:int -> rows:int ->
+  metric:[ `Hamming | `Euclidean ] -> float array array
+(** [search_window t w ~row_offset ~rows ~metric] returns a
+    [Q x rows] distance matrix of the queries [w] — rows, or a strided
+    window read in place — against the active row window. The result
+    is also latched as the subarray's last match-line state for
+    {!read}. An ACAM range search is this search with [`Hamming]: a
+    query element outside a range cell's bounds counts as a mismatch.
+
+    Large batches chunk across the ambient {!Parallel} pool (the
+    cells are read-only during a search and each query owns its result
+    row, so the matrix is identical for any jobs value), and packed
+    Hamming queries live in the domain's query slot
+    ({!Scratch.packs_for}), so a partitioned search over T row tiles
+    packs the batch once, not T times. When [stats] is given, per-tier
+    row-dispatch counts are folded into it after the join
+    (jobs-invariant).
+    @raise Invalid_argument when the row window or query width is out
+    of bounds, or a view reaches outside its backing store. *)
+
+val search_threshold_window :
+  ?stats:Stats.t ->
+  t -> Scratch.matrix -> row_offset:int -> rows:int ->
+  metric:[ `Hamming | `Euclidean ] -> threshold:float -> float array array
+(** Threshold-match sensing: 1.0 for rows within [threshold] of the
+    query, 0.0 otherwise (the TH scheme of Section II-B). Rows bail out
+    as soon as the running mismatch count exceeds the threshold (the
+    accumulators only grow, so the outcome is already decided); such
+    early exits are tallied in [stats]. Only the 0/1 match matrix is
+    latched for {!read} — intermediate distances are never published. *)
+
+(** {2 Rows forms}
+
+    The same searches over materialized query rows, keyed in the query
+    slot on the rows array's physical identity. *)
+
 val search :
   ?stats:Stats.t ->
   t ->
@@ -85,19 +122,7 @@ val search :
   rows:int ->
   metric:[ `Hamming | `Euclidean ] ->
   float array array
-(** [search t ~queries ~row_offset ~rows ~metric] returns a
-    [Q x rows] distance matrix for the active row window. The result is
-    also latched as the subarray's last match-line state for {!read}.
-
-    Large batches chunk across the ambient {!Parallel} pool (the
-    cells are read-only during a search and each query owns its result
-    row, so the matrix is identical for any jobs value), and packed
-    Hamming query batches are cached by physical identity so a
-    partitioned search over T row tiles packs the batch once, not T
-    times. When [stats] is given, per-tier row-dispatch counts are
-    folded into it after the join (jobs-invariant).
-    @raise Invalid_argument when the window or query width is out of
-    bounds. *)
+(** {!search_window} over [queries]. *)
 
 val search_range :
   ?stats:Stats.t -> t -> queries:float array array -> row_offset:int ->
@@ -108,12 +133,7 @@ val search_threshold :
   ?stats:Stats.t ->
   t -> queries:float array array -> row_offset:int -> rows:int ->
   metric:[ `Hamming | `Euclidean ] -> threshold:float -> float array array
-(** Threshold-match sensing: 1.0 for rows within [threshold] of the
-    query, 0.0 otherwise (the TH scheme of Section II-B). Rows bail out
-    as soon as the running mismatch count exceeds the threshold (the
-    accumulators only grow, so the outcome is already decided); such
-    early exits are tallied in [stats]. Only the 0/1 match matrix is
-    latched for {!read} — intermediate distances are never published. *)
+(** {!search_threshold_window} over [queries]. *)
 
 val read : t -> float array array
 (** Last search result. @raise Invalid_argument before any search. *)

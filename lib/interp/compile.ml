@@ -39,7 +39,7 @@ type ctx = {
   slots : Rtval.t array;
   sim : Camsim.Simulator.t option;
   xsim : Xbar.t option;
-  qcache : Ops.Qcache.t;
+  stamp : int; (* the run's query-slot stamp (Camsim.Scratch) *)
   pool : Ops.Pool.t option;
   counts : int array;
   (* result rows latched by the last fused cam.read, for its merge; no
@@ -638,7 +638,7 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
       let shape = Ir.Types.shape (Ir.Op.result op).Ir.Value.ty in
       let s = def1 () in
       fun ctx ->
-        set ctx s (Rtval.Buffer (Ops.alloc_buffer ctx.pool ctx.qcache shape));
+        set ctx s (Rtval.Buffer (Ops.alloc_buffer ctx.pool shape));
         0.
   | "memref.load" ->
       let bg = use_buffer cenv (opnd 0) in
@@ -663,7 +663,7 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
         let base = bg ctx in
         let indices = List.map (fun g -> g ctx) idxs in
         Rtval.buffer_set base indices value;
-        Ops.Qcache.invalidate ctx.qcache base.Rtval.b_data;
+        Camsim.Scratch.drop_queries base.Rtval.b_data;
         0.
   | "memref.subview" ->
       let bg = use_buffer cenv (opnd 0) in
@@ -755,11 +755,11 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
       let rows = attr_i op "rows" in
       fun ctx ->
         let handle = hg ctx in
-        let queries = Ops.Qcache.rows_cached ctx.qcache (qg ctx) in
+        let query = qg ctx in
         let row_offset = og ctx in
         let cost =
-          Camsim.Simulator.search (simx ctx) handle ~queries ~row_offset ~rows
-            ~kind ~metric ~batch_extra ~threshold ()
+          Ops.cam_search (simx ctx) handle ~row_offset ~rows ~kind ~metric
+            ~batch_extra ~threshold ~stamp:ctx.stamp query
         in
         cost.Camsim.Energy_model.latency
   | "cam.read" ->
@@ -778,7 +778,7 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
   | "cam.merge_partial" ->
       let dg = use_buffer cenv (opnd 0) in
       let charge ctx (dst : Rtval.buffer) =
-        Ops.Qcache.invalidate ctx.qcache dst.b_data;
+        Camsim.Scratch.drop_queries dst.b_data;
         let cost =
           Camsim.Simulator.merge (simx ctx) ~elems:(Rtval.numel dst.b_shape)
         in
@@ -841,7 +841,7 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
         let dst = dg ctx in
         let part = pg ctx in
         Ops.buffer_accumulate "crossbar.accumulate" dst part;
-        Ops.Qcache.invalidate ctx.qcache dst.Rtval.b_data;
+        Camsim.Scratch.drop_queries dst.Rtval.b_data;
         0.
   | name -> fun _ -> Ops.fail "unsupported op %s" name
 
@@ -940,7 +940,7 @@ let compiled_of (fn : Ir.Func_ir.func) =
           Hashtbl.replace tbl key cf;
           cf)
 
-let run_fn ?sim ?xsim ?qcache ?pool (fn : Ir.Func_ir.func)
+let run_fn ?sim ?xsim ?pool (fn : Ir.Func_ir.func)
     (args : Rtval.t list) : Ops.outcome =
   let cf = compiled_of fn in
   let ctx =
@@ -948,8 +948,7 @@ let run_fn ?sim ?xsim ?qcache ?pool (fn : Ir.Func_ir.func)
       slots = Array.make (max 1 cf.cf_nslots) unbound;
       sim;
       xsim;
-      qcache =
-        (match qcache with Some q -> q | None -> Ops.Qcache.create ());
+      stamp = Camsim.Scratch.fresh_stamp ();
       pool;
       counts = Ops.fresh_counts ();
       latched = [||];

@@ -15,14 +15,17 @@
     independent oracles. *)
 
 val run_fn :
-  ?sim:Camsim.Simulator.t -> ?xsim:Xbar.t -> ?qcache:Ops.Qcache.t ->
-  ?pool:Ops.Pool.t -> Ir.Func_ir.func -> Rtval.t list -> Ops.outcome
+  ?sim:Camsim.Simulator.t -> ?xsim:Xbar.t -> ?pool:Ops.Pool.t ->
+  Ir.Func_ir.func -> Rtval.t list -> Ops.outcome
 (** Compile (or fetch from the memo) and execute one function. The
     caller has already resolved the function and checked arity —
-    [Machine.run] is the public entry point. [qcache] lets a serving
-    session keep one query-pack cache alive across executions
-    (default: a fresh cache per run); [pool] likewise lets it reuse
-    the result buffers it released (default: every [memref.alloc] is
-    fresh).
+    [Machine.run] is the public entry point. [pool] lets a serving
+    session reuse the result buffers it released (default: every
+    [memref.alloc] is fresh). Each run draws a fresh
+    {!Camsim.Scratch.fresh_stamp} for the query windows its
+    [cam.search] ops read in place, so no run is answered with packs
+    another run filled; an in-run write into a buffer
+    ([memref.store], [cam.merge_partial], [crossbar.accumulate]) drops
+    the domain's query slot over it.
     @raise Ops.Runtime_error on unsupported ops and runtime type or
     bounds errors, at the point the failing op executes. *)

@@ -10,7 +10,7 @@ type outcome = Ops.outcome = {
 
 exception Runtime_error = Ops.Runtime_error
 
-let run ?sim ?xsim ?qcache ?pool (m : Ir.Func_ir.modul) fn_name args =
+let run ?sim ?xsim ?pool (m : Ir.Func_ir.modul) fn_name args =
   let fn =
     match Ir.Func_ir.find_func m fn_name with
     | Some f -> f
@@ -19,4 +19,4 @@ let run ?sim ?xsim ?qcache ?pool (m : Ir.Func_ir.modul) fn_name args =
   if List.length fn.fn_args <> List.length args then
     Ops.fail "@%s expects %d arguments, got %d" fn_name
       (List.length fn.fn_args) (List.length args);
-  Compile.run_fn ?sim ?xsim ?qcache ?pool fn args
+  Compile.run_fn ?sim ?xsim ?pool fn args

@@ -27,16 +27,13 @@ type outcome = Ops.outcome = {
 exception Runtime_error of string
 
 val run :
-  ?sim:Camsim.Simulator.t -> ?xsim:Xbar.t -> ?qcache:Ops.Qcache.t ->
-  ?pool:Ops.Pool.t -> Ir.Func_ir.modul -> string ->
-  Rtval.t list -> outcome
+  ?sim:Camsim.Simulator.t -> ?xsim:Xbar.t -> ?pool:Ops.Pool.t ->
+  Ir.Func_ir.modul -> string -> Rtval.t list -> outcome
 (** [run m fn args] executes function [fn] of module [m]. A CAM
     simulator is required iff the function contains [cam] ops; a
-    crossbar iff it contains [crossbar] ops. [?qcache] supplies a
-    query-pack cache that outlives the run (a serving session passes
-    its own so repeated batches reuse extracted rows); by default each
-    run gets a fresh cache. [?pool] supplies the {!Ops.Pool.t} that
-    [memref.alloc] draws from, so buffers a caller released after an
-    earlier run are reused; by default every allocation is fresh.
+    crossbar iff it contains [crossbar] ops. [?pool] supplies the
+    {!Ops.Pool.t} that [memref.alloc] draws from, so buffers a caller
+    released after an earlier run are reused; by default every
+    allocation is fresh.
     @raise Runtime_error on missing functions, arity mismatches, or
     unsupported ops. *)

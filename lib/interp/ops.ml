@@ -1,6 +1,6 @@
 (* Runtime semantics the closure-compiled engine (Compile) dispatches
-   into: value-level tensor math, the similarity scorers, the query-row
-   cache and the per-dialect execution counters. Compile owns dispatch
+   into: value-level tensor math, the similarity scorers, the device-op
+   operand dispatch and the per-dialect execution counters. Compile owns dispatch
    and control flow; everything an op computes lives here. *)
 
 exception Runtime_error of string
@@ -57,170 +57,6 @@ type outcome = {
           identical for any jobs value *)
 }
 
-(* ---------- the query-row cache ---------------------------------------- *)
-
-(* Rows extracted from recent query operands, keyed on the physical
-   runtime value. A partitioned search issues T cam.search ops over the
-   same query buffer; returning the same physical rows arrays lets
-   Subarray's packed-query cache hit on tiles 2..T instead of re-packing
-   per tile. Entries carry the backing store so writes can invalidate
-   them.
-
-   Layout: a fixed-capacity ring with move-to-front on hit, replacing
-   the former assoc list + List.filter. Tiled searches touch the same
-   key T times in a row, so after the first probe the hit is entry 0 and
-   the scan stops immediately instead of walking the whole list. *)
-module Qcache = struct
-  (* Must cover one partitioned kernel's worth of distinct tile
-     geometries: a 2048-column buffer split over 32-column subarrays is
-     64 views, and a capacity below that thrashes — every batch misses
-     every tile and re-extracts the whole buffer. Entries are a few
-     dozen words each, so the bound is about staleness, not memory. *)
-  let capacity = 128
-
-  (* An entry is keyed on the window geometry over a physical backing
-     store — (backing, offset, shape, strides) — not on the [Rtval]
-     box. A serving session keeps one persistent query buffer across
-     batches, but each execution may wrap it in fresh view boxes
-     ([memref.subview] builds a new record per run); geometry keying
-     makes those hit, so the steady state re-extracts nothing. *)
-  type entry = {
-    e_back : float array; (* compared physically *)
-    e_off : int;
-    e_shape : int list;
-    e_strides : int list; (* [] for tensors *)
-    mutable e_rows : float array array;
-    mutable e_stale : bool;
-  }
-
-  type t = {
-    mutable len : int;
-    mutable head : int; (* physical slot of logical entry 0 *)
-    entries : entry option array;
-  }
-
-  let create () = { len = 0; head = 0; entries = Array.make capacity None }
-
-  let phys t i = (t.head + i) mod capacity
-  let length t = t.len
-
-  let matches e back off shape strides =
-    e.e_back == back && e.e_off = off && e.e_shape = shape
-    && e.e_strides = strides
-
-  let find_geom t back off shape strides =
-    let rec go i =
-      if i >= t.len then -1
-      else
-        match t.entries.(phys t i) with
-        | Some e when matches e back off shape strides -> i
-        | _ -> go (i + 1)
-    in
-    go 0
-
-  (* Logical position of the live entry for [v], or -1; a stale entry
-     (backing written since it was cached) counts as absent. *)
-  let position t (v : Rtval.t) =
-    let probe back off shape strides =
-      let i = find_geom t back off shape strides in
-      if i < 0 then -1
-      else
-        match t.entries.(phys t i) with
-        | Some e when not e.e_stale -> i
-        | _ -> -1
-    in
-    match v with
-    | Rtval.Buffer b ->
-        probe b.Rtval.b_data b.Rtval.b_offset b.Rtval.b_shape
-          b.Rtval.b_strides
-    | Rtval.Tensor tn -> probe tn.Rtval.t_data 0 tn.Rtval.t_shape []
-    | _ -> -1
-
-  (* Move the hit at logical [i] to the front so the next probe for the
-     same batch stops at entry 0, and return it. *)
-  let promote t i =
-    if i > 0 then begin
-      let e = t.entries.(phys t i) in
-      for j = i downto 1 do
-        t.entries.(phys t j) <- t.entries.(phys t (j - 1))
-      done;
-      t.entries.(phys t 0) <- e
-    end;
-    match t.entries.(phys t 0) with Some e -> e | None -> assert false
-
-  let insert t entry =
-    t.head <- (t.head + capacity - 1) mod capacity;
-    t.entries.(t.head) <- Some entry;
-    if t.len < capacity then t.len <- t.len + 1
-
-  (* Refresh a stale entry from the value's current contents. The rows
-     get a fresh outer array (sharing the refilled row storage): the
-     subarray's per-domain pack cache keys on the outer array's
-     physical identity, so reusing it would hand stale query packs to
-     the kernels. The inner rows are refilled in place — per batch this
-     allocates one small spine instead of the whole matrix. *)
-  let refill e (v : Rtval.t) =
-    match v with
-    | Rtval.Buffer
-        { b_shape = [ r; c ]; b_strides = [ s0; s1 ]; b_offset; b_data } ->
-        let rows = Array.copy e.e_rows in
-        for i = 0 to r - 1 do
-          let row = rows.(i) in
-          let base = b_offset + (i * s0) in
-          for j = 0 to c - 1 do
-            Array.unsafe_set row j (Array.unsafe_get b_data (base + (j * s1)))
-          done
-        done;
-        e.e_rows <- rows
-    | _ -> e.e_rows <- Rtval.to_rows v
-
-  (* Like [Rtval.to_rows], but memoized on the value's window geometry
-     so repeated searches over one query batch share the extracted
-     arrays. *)
-  let rows_cached t (v : Rtval.t) =
-    let cached back off shape strides =
-      let i = find_geom t back off shape strides in
-      if i >= 0 then begin
-        let e = promote t i in
-        if e.e_stale then begin
-          refill e v;
-          e.e_stale <- false
-        end;
-        e.e_rows
-      end
-      else begin
-        let rows = Rtval.to_rows v in
-        insert t
-          {
-            e_back = back;
-            e_off = off;
-            e_shape = shape;
-            e_strides = strides;
-            e_rows = rows;
-            e_stale = false;
-          };
-        rows
-      end
-    in
-    match v with
-    | Rtval.Buffer b ->
-        cached b.Rtval.b_data b.Rtval.b_offset b.Rtval.b_shape
-          b.Rtval.b_strides
-    | Rtval.Tensor tn -> cached tn.Rtval.t_data 0 tn.Rtval.t_shape []
-    | _ -> Rtval.to_rows v
-
-  (* Mark cache entries whose backing store was just written. Stale
-     entries keep their slot and row storage — the next hit refills in
-     place — so a session's steady write-then-search cycle neither
-     churns entries nor reallocates row matrices. *)
-  let invalidate t (data : float array) =
-    for i = 0 to t.len - 1 do
-      match t.entries.(phys t i) with
-      | Some e when e.e_back == data -> e.e_stale <- true
-      | _ -> ()
-    done
-end
-
 (* Result buffers a caller hands back for reuse by its next run. Only
    the exact buffers this pool lent (the last [lent_max]) are taken
    back, so a result that views an argument or any other storage can
@@ -264,16 +100,12 @@ module Pool = struct
       results
 end
 
-(* memref.alloc: from the run's pool when it has
-   one — a recycled store may back stale query-pack entries, so they
-   are invalidated — fresh otherwise. *)
-let alloc_buffer pool qcache shape =
+(* memref.alloc: from the run's pool when it has one, fresh
+   otherwise. *)
+let alloc_buffer pool shape =
   match pool with
   | None -> Rtval.fresh_buffer shape
-  | Some p ->
-      let b = Pool.buffer p shape in
-      Qcache.invalidate qcache b.b_data;
-      b
+  | Some p -> Pool.buffer p shape
 
 (* ---------- torch-level helpers (value semantics) -------------------- *)
 
@@ -500,7 +332,8 @@ and hamming_scores query stored =
         let cols = Array.length r in
         let packed words pack_at =
           let w = Array.make (words cols) 0 in
-          if pack_at ~cols r w ~off:0 then Some w else None
+          if pack_at ~cols r ~src:0 ~cs:1 ~width:cols w ~off:0 then Some w
+          else None
         in
         ( cols,
           packed K.fbwords_for K.pack_binary_at,
@@ -695,6 +528,21 @@ let cam_write_range sim handle ~row_offset (lo : Rtval.t) (hi : Rtval.t) =
   | _ ->
       Camsim.Simulator.write_range sim handle ~row_offset
         ~lo:(Rtval.to_rows lo) ~hi:(Rtval.to_rows hi)
+
+(* cam.search dispatch: the query operand's own window — a buffer's
+   geometry, a tensor's rows — goes to the simulator to be read in
+   place; no row matrix is built. *)
+let cam_search sim handle ~row_offset ~rows ~kind ~metric ~batch_extra
+    ~threshold ~stamp (v : Rtval.t) =
+  match v with
+  | Rtval.Buffer
+      { b_shape = [ q; cols ]; b_strides = [ rs; cs ]; b_offset; b_data } ->
+      Camsim.Simulator.search_view sim handle ~row_offset ~rows ~kind ~metric
+        ~batch_extra ~threshold ~q ~cols b_data ~off:b_offset ~rs ~cs ~stamp
+  | Rtval.Tensor { t_shape = [ q; cols ]; t_data } ->
+      Camsim.Simulator.search_view sim handle ~row_offset ~rows ~kind ~metric
+        ~batch_extra ~threshold ~q ~cols t_data ~off:0 ~rs:cols ~cs:1 ~stamp
+  | _ -> raise (Rtval.Type_error "expected a rank-2 tensor or buffer")
 
 let scalar_of what (v : Rtval.t) =
   match v with

@@ -1,8 +1,8 @@
 (** Runtime semantics of the interpreter.
 
     The closure-compiled engine ({!Compile}) owns dispatch and control
-    flow; every op's arithmetic, the similarity scorers, the query-row
-    cache and the execution counters live here. *)
+    flow; every op's arithmetic, the similarity scorers, the device-op
+    operand dispatch and the execution counters live here. *)
 
 exception Runtime_error of string
 
@@ -37,45 +37,6 @@ type outcome = {
           identical for any jobs value *)
 }
 
-(** {2 Query-row cache}
-
-    Rows extracted from recent query operands, keyed on the window
-    geometry over a {e physical} backing store — (backing array,
-    offset, shape, strides). A partitioned search issues T [cam.search]
-    ops over the same query buffer; returning the same physical rows
-    arrays lets the subarray's packed-query cache hit on tiles 2..T
-    instead of re-packing per tile, and geometry keying lets fresh view
-    boxes over a session's persistent query buffer hit across batches.
-    A write into a backing store marks its entries stale rather than
-    dropping them: the next hit refills the cached rows from the new
-    contents in place. A fixed-capacity ring with move-to-front on hit,
-    so tiled searches stop at entry 0 instead of walking the whole
-    cache. The cache only affects packing work, never results. *)
-module Qcache : sig
-  type t
-
-  val capacity : int
-
-  val create : unit -> t
-
-  val length : t -> int
-
-  val position : t -> Rtval.t -> int
-  (** Logical position of the live entry for this value's window
-      geometry, [-1] when absent or stale (front is position 0).
-      Exposed for tests. *)
-
-  val rows_cached : t -> Rtval.t -> float array array
-  (** Like [Rtval.to_rows], memoized on the value's window geometry.
-      Values without a float-array backing (scalars, handles) bypass
-      the cache. *)
-
-  val invalidate : t -> float array -> unit
-  (** Mark entries whose backing store is (physically) this array as
-      stale — called after every write into a buffer. A stale entry's
-      rows are refilled from the current contents on its next hit. *)
-end
-
 (** Result buffers reused across runs. A serving caller that reads a
     run's results and is then done with them hands them back with
     {!Pool.release}; the next run's [memref.alloc] of the same shape
@@ -93,11 +54,10 @@ module Pool : sig
       afterwards. *)
 end
 
-val alloc_buffer : Pool.t option -> Qcache.t -> int list -> Rtval.buffer
-(** [memref.alloc]: a zeroed contiguous buffer of
-    this shape — with a pool, a released one when the shape matches
-    (invalidating any query-pack entry over the recycled store);
-    otherwise, or when none matches, a fresh one. *)
+val alloc_buffer : Pool.t option -> int list -> Rtval.buffer
+(** [memref.alloc]: a zeroed contiguous buffer of this shape — with a
+    pool, a released one when the shape matches; otherwise, or when
+    none matches, a fresh one. *)
 
 (** {2 Torch-level tensor helpers (value semantics)} *)
 
@@ -160,6 +120,16 @@ val cam_write_range :
     buffers (or tensors) of one geometry go through
     {!Camsim.Simulator.write_range_view}; anything else materializes
     rows and uses the plain range write. *)
+
+val cam_search :
+  Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> rows:int ->
+  kind:[ `Exact | `Best | `Threshold | `Range ] ->
+  metric:[ `Hamming | `Euclidean ] -> batch_extra:bool -> threshold:float ->
+  stamp:int -> Rtval.t -> Camsim.Energy_model.cost
+(** [cam.search] dispatch: the query operand — a rank-2 buffer through
+    its own offset and strides, a rank-2 tensor as [rs = cols, cs = 1]
+    — goes to {!Camsim.Simulator.search_view} under the run's [stamp],
+    read in place. @raise Rtval.Type_error on any other operand. *)
 
 val scalar_of : string -> Rtval.t -> float
 (** Scalar or index operand coerced to float; fails with

@@ -55,13 +55,11 @@ type t = {
   s_cache : [ `Hit | `Miss ];
   s_config : C4cam.Driver.Run_config.t;
   s_sim : Camsim.Simulator.t;
-  s_qcache : Interp.Ops.Qcache.t;
   s_pool : Interp.Ops.Pool.t;  (** result buffers handed back by [release] *)
   s_tables : Interp.Rtval.t array;  (** each a [Buffer], in argument order *)
   s_qbuf : Interp.Rtval.buffer;
-      (** persistent [q x d] query buffer; chunks are blitted in so the
-          operand's backing (and the query-row cache's key) stays
-          stable across batches *)
+      (** persistent [q x d] query buffer; chunks are blitted in, so
+          the operand's backing stays stable across batches *)
   s_args : Interp.Rtval.t list;
       (** the query operand (over [s_qbuf]) and the tables, in argument
           order *)
@@ -120,7 +118,6 @@ let info t = t.s_info
 let run_config t = t.s_config
 let cache_status t = t.s_cache
 let simulator t = t.s_sim
-let qcache t = t.s_qcache
 let stored_value t = t.s_tables.(0)
 
 (* Pin [tables] (each [info.n] rows) on a fresh simulator. Device
@@ -157,7 +154,6 @@ let pin ~config ~cache ?artifact ~spec ~modul ~fn
     s_cache = cache;
     s_config = config;
     s_sim = sim;
-    s_qcache = Interp.Ops.Qcache.create ();
     s_pool = Interp.Ops.Pool.create ();
     s_tables = tables;
     s_qbuf = qbuf;
@@ -270,18 +266,14 @@ let replay sim run =
 (* One [q]-row chunk of valid rows against the session's simulator. *)
 let run_chunk t chunk =
   (* Blit the chunk into the session's persistent query buffer, the
-     query operand: the stable backing lets the query-row cache refill
-     its extracted rows in place instead of re-extracting per batch. *)
+     query operand; every search reads its window in place. *)
   let { C4cam.Driver.q; d; _ } = t.s_info in
   let dst = t.s_qbuf.Interp.Rtval.b_data in
   for i = 0 to q - 1 do
     Array.blit chunk.(i) 0 dst (i * d) d
   done;
-  Interp.Ops.Qcache.invalidate t.s_qcache dst;
   replay t.s_sim @@ fun () ->
-  try
-    Interp.Machine.run ~sim:t.s_sim ~qcache:t.s_qcache ~pool:t.s_pool
-      t.s_modul t.s_fn t.s_args
+  try Interp.Machine.run ~sim:t.s_sim ~pool:t.s_pool t.s_modul t.s_fn t.s_args
   with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
 
 type flat = {
@@ -377,16 +369,15 @@ let update_table t ~table ~row values =
     fail "update_table: no table %d (the kernel pins %d)" table
       (Array.length t.s_tables);
   if row < 0 || row >= n then
-    fail "update_stored: row %d out of bounds (stored has %d rows)" row n;
+    fail "update_table: table %d row %d out of bounds (it has %d rows)" table
+      row n;
   if not (valid_row d values) then
-    fail "update_stored: expected %d finite values" d;
+    fail "update_table: table %d expected %d finite values" table d;
   let buf = Interp.Rtval.as_buffer t.s_tables.(table) in
   let off = buf.b_offset + (row * d) in
   Array.blit values 0 buf.b_data off d;
   (* the next replay compares (and rewrites) only windows this row is
-     in; the query-pack cache may hold packed forms of the stale
-     buffer *)
-  Camsim.Simulator.mark t.s_sim buf.b_data ~off ~len:d;
-  Interp.Ops.Qcache.invalidate t.s_qcache buf.b_data
+     in *)
+  Camsim.Simulator.mark t.s_sim buf.b_data ~off ~len:d
 
 let update_stored t ~row values = update_table t ~table:0 ~row values

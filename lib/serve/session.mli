@@ -109,8 +109,9 @@ val update_stored : t -> row:int -> float array -> unit
     the session's simulator, so the replay compares only the tile
     windows that hold it against what the device holds and rewrites
     (and charges for) only the changed rows — host work grows with the
-    rows changed, not with the store. Also invalidates the session's
-    query-pack cache, which may hold packed forms of the stale buffer.
+    rows changed, not with the store. Nothing else needs telling: the
+    next batch is a new interpreter run, so no packed query of an
+    earlier batch can answer it.
     @raise Serve_error on a bad row index or a row that is not
     {!valid_row}. *)
 
@@ -118,7 +119,8 @@ val update_table : t -> table:int -> row:int -> float array -> unit
 (** {!update_stored} for any pinned table, numbered in argument order
     from 0 ({!update_stored} is table 0).
     @raise Serve_error on a bad table or row index, or a row that is
-    not {!valid_row}. *)
+    not {!valid_row}; the message names [update_table] and the
+    table. *)
 
 (** {1 Introspection} *)
 
@@ -203,7 +205,6 @@ val run_config : t -> C4cam.Driver.Run_config.t
 
 val cache_status : t -> [ `Hit | `Miss ]
 val simulator : t -> Camsim.Simulator.t
-val qcache : t -> Interp.Ops.Qcache.t
 val stored_value : t -> Interp.Rtval.t
 (** The first pinned table (the stored rows). Only {!update_table} may
     change a pinned table: the simulator tracks it, and a change that

@@ -248,8 +248,7 @@ let insert t row =
   sh.sh_ext.(slot) <- ext;
   Hashtbl.replace t.st_locs ext (si, slot);
   (* only the owning shard's pinned buffer changes: its next replay
-     rewrites (and charges write energy for) exactly this row, and only
-     its qcache is invalidated *)
+     rewrites (and charges write energy for) exactly this row *)
   Session.update_stored sh.sh_session ~row:slot row;
   ext
 

@@ -21,11 +21,10 @@
     monotonic order. Each shard keeps a FIFO free-ring of row slots;
     {!delete} pushes the slot (stale device contents are filtered
     host-side, no write charged) and a later {!insert} pops the oldest
-    freed slot. Inserts and updates touch exactly one shard: only that
-    shard's query-pack cache is invalidated, the written row is marked
-    dirty on its simulator, and the next replay on it compares only the
-    tile windows holding marked rows and charges write energy for the
-    changed rows only.
+    freed slot. Inserts and updates touch exactly one shard: the
+    written row is marked dirty on its simulator, and the next replay
+    on it compares only the tile windows holding marked rows and
+    charges write energy for the changed rows only.
 
     Not thread-safe — one caller (or the server's scheduler domain) at
     a time, like {!Session}. *)

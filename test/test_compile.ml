@@ -3,7 +3,7 @@
    (a separate lowering of the same cam IR that shares no dispatch
    code) and brute-force host top-k for end-to-end kernels, plus the
    engine's exact failure messages. Also regression tests for the slot
-   renaming and the query-row cache. See docs/INTERPRETER.md. *)
+   renaming and the simulator's query slot. See docs/INTERPRETER.md. *)
 
 open Ir
 
@@ -519,47 +519,153 @@ let test_nested_region_yield () =
         "ops_executed" [ ("arith", 4); ("cim", 2); ("func", 1) ] ops_executed
   | _ -> Alcotest.fail "expected 26"
 
-(* ---- the query-row cache ---------------------------------------------- *)
+(* ---- the query slot --------------------------------------------------- *)
 
-let qrows n = Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows [| [| n |] |])
+(* A 4x4 binary subarray; [search_at] reads two queries of 4 cells in
+   place from [data] at [off] under [stamp] and returns the distances.
+   Both queries pack, so the search reads only the slot's packs: after
+   a change to [data] that nobody reports, a slot hit still answers
+   from the old packs, and only a re-pack sees the change. [fresh]
+   searches the rows the window holds now. *)
+let slot_sim () =
+  let open Camsim in
+  let sim = Simulator.create (Archspec.Spec.square 4 Archspec.Spec.Base) in
+  let bank = Simulator.alloc_bank sim ~rows:4 ~cols:4 in
+  let sub =
+    Simulator.alloc_subarray sim
+      (Simulator.alloc_array sim (Simulator.alloc_mat sim bank))
+  in
+  let row i = Array.init 4 (fun j -> float_of_int ((i + j) mod 2)) in
+  ignore (Simulator.write sim sub ~row_offset:0 (Array.init 4 row));
+  (sim, sub)
 
-let test_qcache_ring () =
-  let q = Interp.Ops.Qcache.create () in
-  Alcotest.(check int) "empty" 0 (Interp.Ops.Qcache.length q);
-  let vs = Array.init (Interp.Ops.Qcache.capacity + 4) (fun i -> qrows (float_of_int i)) in
-  Array.iter (fun v -> ignore (Interp.Ops.Qcache.rows_cached q v)) vs;
-  Alcotest.(check int) "bounded" Interp.Ops.Qcache.capacity
-    (Interp.Ops.Qcache.length q);
-  (* the first entries were evicted; the newest is at the front *)
-  Alcotest.(check int) "oldest evicted" (-1)
-    (Interp.Ops.Qcache.position q vs.(0));
-  Alcotest.(check int) "newest at front" 0
-    (Interp.Ops.Qcache.position q vs.(Array.length vs - 1))
+let search_at (sim, sub) data ~off ~stamp =
+  ignore
+    (Camsim.Simulator.search_view sim sub ~row_offset:0 ~rows:4 ~kind:`Best
+       ~metric:`Hamming ~batch_extra:false ~threshold:0. ~q:2 ~cols:4 data
+       ~off ~rs:4 ~cs:1 ~stamp);
+  Array.map Array.copy (Camsim.Simulator.read sim sub)
 
-let test_qcache_move_to_front () =
-  let q = Interp.Ops.Qcache.create () in
-  let vs = Array.init 6 (fun i -> qrows (float_of_int i)) in
-  Array.iter (fun v -> ignore (Interp.Ops.Qcache.rows_cached q v)) vs;
-  Alcotest.(check int) "starts at the back" 5
-    (Interp.Ops.Qcache.position q vs.(0));
-  (* a hit is physical: same rows array comes back, entry moves to 0 *)
-  let r1 = Interp.Ops.Qcache.rows_cached q vs.(0) in
-  let r2 = Interp.Ops.Qcache.rows_cached q vs.(0) in
-  Alcotest.(check bool) "physically memoized" true (r1 == r2);
-  Alcotest.(check int) "hit moved to front" 0
-    (Interp.Ops.Qcache.position q vs.(0));
-  Alcotest.(check int) "displaced by one" 1
-    (Interp.Ops.Qcache.position q vs.(5))
+let fresh (sim, sub) data ~off =
+  let queries = Array.init 2 (fun i -> Array.sub data (off + (4 * i)) 4) in
+  ignore
+    (Camsim.Simulator.search sim sub ~queries ~row_offset:0 ~rows:4
+       ~kind:`Best ~metric:`Hamming ());
+  Array.map Array.copy (Camsim.Simulator.read sim sub)
 
-let test_qcache_invalidate () =
-  let q = Interp.Ops.Qcache.create () in
-  let b = Interp.Rtval.buffer_of_rows [| [| 1.; 2. |] |] in
-  let v = Interp.Rtval.Buffer b in
-  ignore (Interp.Ops.Qcache.rows_cached q v);
-  Alcotest.(check int) "cached" 0 (Interp.Ops.Qcache.position q v);
-  Interp.Ops.Qcache.invalidate q b.Interp.Rtval.b_data;
-  Alcotest.(check int) "dropped after write" (-1)
-    (Interp.Ops.Qcache.position q v)
+let slot_data () = Array.init 16 (fun i -> float_of_int (i mod 2))
+
+(* an unreported change to the first query of the window at [off] *)
+let flip data off = data.(off) <- 1. -. data.(off)
+
+(* A hit re-packs nothing: T searches of one window in one run answer
+   from the packs of the first; a new run's stamp re-packs. *)
+let test_slot_hit () =
+  let s = slot_sim () and data = slot_data () in
+  let stamp = Camsim.Scratch.fresh_stamp () in
+  let before = search_at s data ~off:4 ~stamp in
+  flip data 4;
+  Alcotest.(check Tutil.rows_testable) "hit: the packs of the first search"
+    before (search_at s data ~off:4 ~stamp);
+  let next_run =
+    search_at s data ~off:4 ~stamp:(Camsim.Scratch.fresh_stamp ())
+  in
+  Alcotest.(check Tutil.rows_testable) "a new run re-packs"
+    (fresh s data ~off:4) next_run;
+  Alcotest.(check bool) "the change shows" true (before <> next_run)
+
+(* One slot per domain: a second window evicts the first, which then
+   re-packs. *)
+let test_slot_evicts () =
+  let s = slot_sim () and data = slot_data () in
+  let stamp = Camsim.Scratch.fresh_stamp () in
+  ignore (search_at s data ~off:0 ~stamp);
+  flip data 0;
+  ignore (search_at s data ~off:8 ~stamp);
+  let again = search_at s data ~off:0 ~stamp in
+  Alcotest.(check Tutil.rows_testable) "evicted window re-packed"
+    (fresh s data ~off:0) again
+
+(* An in-run write into the searched backing drops the slot; a write
+   into another store leaves it. *)
+let test_slot_dropped_by_write () =
+  let s = slot_sim () and data = slot_data () in
+  let stamp = Camsim.Scratch.fresh_stamp () in
+  let before = search_at s data ~off:0 ~stamp in
+  flip data 0;
+  Camsim.Scratch.drop_queries (slot_data ());
+  Alcotest.(check Tutil.rows_testable) "other store: still a hit" before
+    (search_at s data ~off:0 ~stamp);
+  Camsim.Scratch.drop_queries data;
+  let after = search_at s data ~off:0 ~stamp in
+  Alcotest.(check Tutil.rows_testable) "own store: re-packed"
+    (fresh s data ~off:0) after
+
+(* Through the interpreter: a memref.store into the query buffer
+   between two searches of one run is seen by the second. *)
+let test_store_between_searches () =
+  let text =
+    "func @f(%0: memref<2x4xf32>, %1: memref<4x4xf32>) -> \
+     (memref<2x4xf32>, memref<2x4xf32>) {\n\
+    \  %2 = \"memref.alloc\"() : () -> memref<2x4xf32>\n\
+    \  %3 = \"memref.alloc\"() : () -> memref<2x4xf32>\n\
+    \  %4 = \"arith.constant\"() {value = 0} : () -> index\n\
+    \  %5 = \"arith.constant\"() {value = 1} : () -> f32\n\
+    \  %6 = \"cam.alloc_bank\"() {rows = 4, cols = 4} : () -> !cam.bank_id\n\
+    \  %7 = \"cam.alloc_mat\"(%6) : (!cam.bank_id) -> !cam.mat_id\n\
+    \  %8 = \"cam.alloc_array\"(%7) : (!cam.mat_id) -> !cam.array_id\n\
+    \  %9 = \"cam.alloc_subarray\"(%8) : (!cam.array_id) -> \
+     !cam.subarray_id\n\
+    \  \"cam.write_value\"(%9, %1, %4) : (!cam.subarray_id, \
+     memref<4x4xf32>, index) -> ()\n\
+    \  \"cam.search\"(%9, %0, %4) {kind = #best, metric = #hamming, rows = \
+     4} : (!cam.subarray_id, memref<2x4xf32>, index) -> ()\n\
+    \  %10 = \"cam.read\"(%9) {queries = 2, rows = 4} : (!cam.subarray_id) \
+     -> memref<2x4xf32>\n\
+    \  \"cam.merge_partial\"(%2, %10) {direction = #horizontal, kind = \
+     #add} : (memref<2x4xf32>, memref<2x4xf32>) -> ()\n\
+    \  \"memref.store\"(%5, %0, %4, %4) : (f32, memref<2x4xf32>, index, \
+     index) -> ()\n\
+    \  \"cam.search\"(%9, %0, %4) {kind = #best, metric = #hamming, rows = \
+     4} : (!cam.subarray_id, memref<2x4xf32>, index) -> ()\n\
+    \  %11 = \"cam.read\"(%9) {queries = 2, rows = 4} : (!cam.subarray_id) \
+     -> memref<2x4xf32>\n\
+    \  \"cam.merge_partial\"(%3, %11) {direction = #horizontal, kind = \
+     #add} : (memref<2x4xf32>, memref<2x4xf32>) -> ()\n\
+    \  \"func.return\"(%2, %3) : (memref<2x4xf32>, memref<2x4xf32>) -> ()\n\
+     }"
+  in
+  let stored =
+    Array.init 4 (fun i -> Array.init 4 (fun j -> float_of_int ((i + j) mod 2)))
+  in
+  let queries = [| [| 0.; 0.; 0.; 0. |]; [| 1.; 1.; 1.; 1. |] |] in
+  let hamming a b =
+    Array.map
+      (fun q ->
+        Array.map
+          (fun r ->
+            float_of_int
+              (Array.fold_left ( + ) 0
+                 (Array.mapi (fun j x -> if x <> r.(j) then 1 else 0) q)))
+          b)
+      a
+  in
+  let sim =
+    Camsim.Simulator.create (Archspec.Spec.square 4 Archspec.Spec.Base)
+  in
+  let buf rows = Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows rows) in
+  match
+    Interp.Machine.run ~sim (Parser.parse_module text) "f"
+      [ buf queries; buf stored ]
+  with
+  | { results = [ first; second ]; _ } ->
+      let after = Array.map Array.copy queries in
+      after.(0).(0) <- 1.;
+      Alcotest.(check Tutil.rows_testable) "first search"
+        (hamming queries stored) (Interp.Rtval.to_rows first);
+      Alcotest.(check Tutil.rows_testable) "second search sees the store"
+        (hamming after stored) (Interp.Rtval.to_rows second)
+  | _ -> Alcotest.fail "expected two results"
 
 let () =
   Alcotest.run "compile"
@@ -590,13 +696,13 @@ let () =
           Alcotest.test_case "read before search fails alike" `Quick
             test_fusion_read_error;
         ] );
-      ( "qcache",
+      ( "query slot",
         [
-          Alcotest.test_case "bounded ring with eviction" `Quick
-            test_qcache_ring;
-          Alcotest.test_case "move-to-front on hit" `Quick
-            test_qcache_move_to_front;
-          Alcotest.test_case "invalidate by backing store" `Quick
-            test_qcache_invalidate;
+          Alcotest.test_case "bounded and evicts" `Quick test_slot_evicts;
+          Alcotest.test_case "a hit re-packs nothing" `Quick test_slot_hit;
+          Alcotest.test_case "a write into the backing drops it" `Quick
+            test_slot_dropped_by_write;
+          Alcotest.test_case "a store between searches is seen" `Quick
+            test_store_between_searches;
         ] );
     ]

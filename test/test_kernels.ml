@@ -24,7 +24,8 @@ let scalar_hamming a b =
 let pack_into ?(slots = 1) ?(slot = 0) words pack_at row =
   let cols = Array.length row and n = words (Array.length row) in
   let store = Array.make (slots * n) (-1) in
-  if pack_at ~cols row store ~off:(slot * n) then Some (store, slot * n)
+  if pack_at ~cols row ~src:0 ~cs:1 ~width:cols store ~off:(slot * n) then
+    Some (store, slot * n)
   else None
 
 let binary ?slots ?slot row =
@@ -83,8 +84,11 @@ let test_packability () =
   Alcotest.(check bool) "binary row packs both ways" true
     (binary row <> None && nibble row <> None);
   Alcotest.(check bool) "width mismatch rejected" true
-    ((not (K.pack_binary_at ~cols:5 row (Array.make 2 0) ~off:0))
-    && not (K.pack_nibble_at ~cols:5 row (Array.make 2 0) ~off:0));
+    ((not (K.pack_binary_at ~cols:5 row ~src:0 ~cs:1 ~width:4
+             (Array.make 2 0) ~off:0))
+    && not
+         (K.pack_nibble_at ~cols:5 row ~src:0 ~cs:1 ~width:4 (Array.make 2 0)
+            ~off:0));
   Alcotest.(check bool) "nibble row is not binary" true
     (binary [| 1.; 7. |] = None && nibble [| 1.; 7. |] <> None);
   (* the window is cleared before packing: stale words never leak in *)
@@ -149,7 +153,8 @@ let prop_folded_binary =
             (off + n + Rng.int rng 7)
             (fun _ -> Int64.to_int (Rng.next_int64 rng))
         in
-        if not (K.pack_binary_at ~cols row store ~off) then
+        if not (K.pack_binary_at ~cols row ~src:0 ~cs:1 ~width:cols store ~off)
+        then
           failwith "binary row did not pack";
         (store, off)
       in

@@ -199,6 +199,75 @@ let test_range_write_double_charge () =
     (2. *. c_plain.Camsim.Energy_model.energy)
     c_range.Camsim.Energy_model.energy
 
+(* [Acam.run]'s simulated cost in closed form: four allocations (bank,
+   mat and array each charge their per-query overhead, at no latency),
+   one double-charged [write_range] of every box, one [`Range] search
+   of the q queries over the boxes, a read (free) and a k=1 select. The
+   interpreter sums the latencies of sequential ops; energy is the sum
+   of every charge. Each op is priced from the Energy_model primitives. *)
+let prop_acam_cost_closed_form =
+  QCheck.Test.make ~count:50 ~name:"acam one-shot cost in closed form"
+    QCheck.(triple (int_range 1 16) (int_range 1 64) (int_range 1 40))
+    (fun (q, boxes, dims) ->
+      let module E = Camsim.Energy_model in
+      let spec = C4cam.Acam.fit_spec ~boxes ~dims () in
+      let w =
+        Range_filter.generate ~seed:(q + boxes + dims) ~boxes ~dims
+          ~n_queries:q ()
+      in
+      let r =
+        C4cam.Acam.run (C4cam.Acam.compile ~spec ~q ~boxes ~dims) ~lo:w.lo
+          ~hi:w.hi ~queries:w.queries
+      in
+      let tech = Camsim.Tech.fefet_45nm
+      and bits = spec.Archspec.Spec.bits
+      and cols = spec.Archspec.Spec.cols in
+      let overhead level = E.level_overhead tech ~level ~queries:q in
+      let write = E.write tech ~bits ~cols ~rows:boxes in
+      let write_range = E.add write write in
+      let search =
+        E.search tech ~bits ~cols ~active_rows:boxes
+          ~physical_rows:spec.Archspec.Spec.rows ~kind:`Range ~queries:q
+          ~batch_extra:false ()
+      in
+      let select = E.select tech ~elems_per_query:boxes ~k:1 ~queries:q in
+      let latency =
+        write_range.E.latency +. search.E.latency +. select.E.latency
+      in
+      let energy =
+        List.fold_left ( +. ) 0.
+          (List.map
+             (fun (c : E.cost) -> c.energy)
+             [ overhead `Bank; overhead `Mat; overhead `Array; write_range;
+               search; select ])
+      in
+      let close want got =
+        Float.abs (want -. got) <= 1e-12 *. Float.abs want
+      in
+      close latency r.latency && close energy r.energy)
+
+(* A bad row for a table other than the stored one names the call and
+   the table, not update_stored. *)
+let test_update_table_errors () =
+  let w = Range_filter.generate ~seed:4 ~boxes:12 ~dims:6 ~n_queries:8 () in
+  let compiled =
+    C4cam.Acam.compile
+      ~spec:(C4cam.Acam.fit_spec ~boxes:12 ~dims:6 ())
+      ~q:8 ~boxes:12 ~dims:6
+  in
+  let session = Serve.Session.of_acam compiled ~lo:w.lo ~hi:w.hi in
+  let message row values =
+    match Serve.Session.update_table session ~table:1 ~row values with
+    | () -> Alcotest.fail "expected Serve_error"
+    | exception Serve.Session.Serve_error e -> e
+  in
+  Alcotest.(check string) "row out of bounds"
+    "update_table: table 1 row 12 out of bounds (it has 12 rows)"
+    (message 12 (Array.make 6 0.5));
+  Alcotest.(check string) "non-finite row"
+    "update_table: table 1 expected 6 finite values"
+    (message 0 (Array.make 6 Float.nan))
+
 (* ---- the serving store -------------------------------------------------- *)
 
 let test_store_amortizes_writes () =
@@ -389,6 +458,9 @@ let () =
             test_replay_write_range;
           Alcotest.test_case "range write double charge" `Quick
             test_range_write_double_charge;
+          QCheck_alcotest.to_alcotest prop_acam_cost_closed_form;
+          Alcotest.test_case "update_table errors name the table" `Quick
+            test_update_table_errors;
           Alcotest.test_case "store amortizes writes" `Quick
             test_store_amortizes_writes;
           Alcotest.test_case "store latency rule" `Quick

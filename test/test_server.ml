@@ -489,6 +489,55 @@ let test_tcp_recycled_fds () =
     (Tcp.connections_served listener);
   Server.stop server
 
+(* 200 connections one after another to one listener, more than the
+   runtime's ~128 domains: each connection's domain must be given back
+   when it ends. Each sends a request, reads the reply, half-closes and
+   waits for the server's EOF before the next one opens, so at most one
+   is open at a time. *)
+let test_tcp_connection_cleanup () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let server = Server.create (Session.create ~spec ~stored:data.stored src) in
+  let listener = Tcp.listen ~port:0 server in
+  let n = 200 in
+  let local = Server.connect server in
+  let wants =
+    Array.map
+      (fun row -> Tcp.format_response (Server.rpc local [| row |]))
+      data.queries
+  in
+  let replies_ok = ref 0 in
+  for i = 0 to n - 1 do
+    let row = data.queries.(i mod 8) and want = wants.(i mod 8) in
+    let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect sock
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port listener));
+    (* a connection the server never closes fails the read, not the run *)
+    Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.;
+    let ic = Unix.in_channel_of_descr sock
+    and oc = Unix.out_channel_of_descr sock in
+    output_string oc
+      (String.concat " "
+         (Array.to_list (Array.map (Printf.sprintf "%.17g") row)));
+    output_char oc '\n';
+    flush oc;
+    if input_line ic = want then incr replies_ok;
+    Unix.shutdown sock Unix.SHUTDOWN_SEND;
+    (match input_char ic with
+    | _ -> Alcotest.failf "connection %d: bytes after the reply" i
+    | exception End_of_file -> ()
+    | exception (Sys_error _ | Sys_blocked_io) ->
+        Alcotest.failf "connection %d: no EOF from the server" i);
+    Unix.close sock
+  done;
+  Tcp.shutdown listener;
+  Alcotest.(check int) "every connection answered correctly" n !replies_ok;
+  Alcotest.(check int) "connections accepted" n
+    (Tcp.connections_served listener);
+  Server.stop server
+
 (* Only the declared [Server_error] may escape the wire parser, whatever
    bytes a valid request line is mutated or truncated into. *)
 let prop_mutated_requests_refused_cleanly =
@@ -595,6 +644,8 @@ let () =
           Alcotest.test_case "wire round-trip" `Quick test_tcp;
           Alcotest.test_case "shutdown spares recycled fds" `Quick
             test_tcp_recycled_fds;
+          Alcotest.test_case "200 connections in turn" `Quick
+            test_tcp_connection_cleanup;
           QCheck_alcotest.to_alcotest prop_mutated_requests_refused_cleanly;
         ] );
       ( "stress",

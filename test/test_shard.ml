@@ -125,6 +125,34 @@ let test_differential () =
         [ 1; 3; 4 ])
     [ 1; 4 ]
 
+(* Distinct batches, each two q-row chunks, on a 4-shard store at jobs
+   2: a shard's session refills one query buffer per chunk and its runs
+   land on either domain, so a query slot keyed on the buffer alone
+   would answer a chunk with an earlier chunk's packs. Every batch must
+   equal a one-shot run over its own rows. *)
+let test_distinct_batches () =
+  let q = 4 and d = 32 and k = 3 and rows = 256 in
+  let data =
+    Workloads.Hdc.synthetic ~seed:41 ~noise:0.2 ~dims:d ~n_classes:rows
+      ~n_queries:48 ~bits:1 ()
+  in
+  Parallel.run ~jobs:2 @@ fun _ ->
+  let store = Store.create ~spec ~q ~d ~k ~shards:4 ~capacity:rows () in
+  let ids = Array.map (Store.insert store) data.stored in
+  for b = 0 to 5 do
+    let batch = Array.sub data.queries (b * 2 * q) (2 * q) in
+    let r = Store.query store batch in
+    let want = oracle ~q:(2 * q) ~d ~k ~ids ~stored:data.stored batch in
+    Array.iteri
+      (fun g (wv, wi) ->
+        let what = Printf.sprintf "batch %d row %d" b g in
+        Alcotest.(check Tutil.rows_testable)
+          (what ^ ": values") [| wv |] [| r.Store.values.(g) |];
+        Alcotest.(check Tutil.int_rows_testable)
+          (what ^ ": ids") [| wi |] [| r.Store.indices.(g) |])
+      want
+  done
+
 (* ---- one property for both stores ------------------------------------- *)
 
 (* The brute-force model either store must agree with: score every live
@@ -615,6 +643,8 @@ let () =
         [
           Alcotest.test_case "oracle differential (jobs x engine x shards)"
             `Quick test_differential;
+          Alcotest.test_case "distinct batches, 4 shards, jobs 2" `Quick
+            test_distinct_batches;
           Alcotest.test_case "delete then reuse" `Quick
             test_delete_then_reuse;
           Alcotest.test_case "top-k tie stability" `Quick

@@ -304,6 +304,46 @@ let test_dirty_marks () =
   Alcotest.(check bool) "untracked change charged" true
     ((write2 changed).Energy_model.energy > 0.)
 
+(* A tracked window that a later write of the same execution
+   overwrites: sealing drops its origin, so every replay rewrites it
+   before the search between the two writes, which sees the cells it
+   saw on the recorded run. *)
+let test_overwritten_window_replays () =
+  let s = sim () in
+  Simulator.start_recording s;
+  let rows = 4 and cols = 4 in
+  let ones = Array.make (rows * cols) 1. in
+  Simulator.track s ones;
+  let run () =
+    let _, _, _, sub = alloc_chain s in
+    ignore
+      (Simulator.write_view s sub ~row_offset:0 ~rows ~cols ones ~off:0
+         ~rs:cols ~cs:1);
+    ignore
+      (Simulator.search s sub ~queries:[| Array.make cols 1. |]
+         ~row_offset:0 ~rows ~kind:`Best ~metric:`Hamming ());
+    let d = Array.map Array.copy (Simulator.read s sub) in
+    ignore
+      (Simulator.write s sub ~row_offset:0 (Array.make_matrix rows cols 0.));
+    d
+  in
+  let ledger () =
+    let st = Simulator.stats s in
+    (st.n_write_ops, st.e_write)
+  in
+  let recorded = run () in
+  let ops, energy = ledger () in
+  Simulator.seal_recording s;
+  for _ = 1 to 2 do
+    Simulator.rewind s;
+    let ops0, e0 = ledger () in
+    let d = run () in
+    let ops1, e1 = ledger () in
+    Alcotest.(check Tutil.rows_testable) "replayed distances" recorded d;
+    Alcotest.(check int) "replayed write ops" ops (ops1 - ops0);
+    Tutil.check_float ~eps:1e-12 "replayed write energy" energy (e1 -. e0)
+  done
+
 (* The write log keeps no copy of a written row: a sealed simulator
    holding 64 full 64x64 binary tiles costs what its cells cost. *)
 let test_bytes_per_cell () =
@@ -542,6 +582,134 @@ let prop_replay_vs_cell_model =
       done;
       !ok)
 
+(* ---- query windows read in place ---------------------------------- *)
+
+(* One random case: a 16x16 subarray with mixed binary, nibble, float
+   and don't-care rows (range rows for [`Range]), and a query window
+   with random offset, row and cell strides (cell stride up to 3) and
+   width (partial widths included) over a backing store of binary,
+   nibble or float cells. *)
+type window_case = {
+  wc_kind : [ `Best | `Threshold | `Range ];
+  wc_metric : [ `Hamming | `Euclidean ];
+  wc_q : int;
+  wc_cols : int;
+  wc_off : int;
+  wc_rs : int;
+  wc_cs : int;
+  wc_row_offset : int;
+  wc_rows : int;
+  wc_threshold : float;
+  wc_seed : int;
+}
+
+let wside = 16
+
+let gen_window_case st =
+  let int n = Random.State.int st n in
+  let wc_cols = if int 2 = 0 then wside else 1 + int wside in
+  let wc_cs = 1 + int 3 in
+  let wc_row_offset = int wside in
+  {
+    wc_kind = [| `Best; `Threshold; `Range |].(int 3);
+    wc_metric = (if int 2 = 0 then `Hamming else `Euclidean);
+    wc_q = 1 + int 5;
+    wc_cols;
+    wc_off = int 6;
+    (* in a third of the windows consecutive queries share cells *)
+    wc_rs =
+      (if int 3 = 0 then int ((wc_cols * wc_cs) + 1)
+       else (wc_cols * wc_cs) + int 4);
+    wc_cs;
+    wc_row_offset;
+    wc_rows = 1 + int (wside - wc_row_offset);
+    wc_threshold = float_of_int (int (wc_cols + 1));
+    wc_seed = Random.State.bits st;
+  }
+
+let print_window_case c =
+  Printf.sprintf
+    "%s %s q=%d cols=%d off=%d rs=%d cs=%d rows %d+%d th=%g seed=%d"
+    (match c.wc_kind with
+    | `Best -> "best"
+    | `Threshold -> "threshold"
+    | `Range -> "range")
+    (match c.wc_metric with `Hamming -> "hamming" | `Euclidean -> "euclidean")
+    c.wc_q c.wc_cols c.wc_off c.wc_rs c.wc_cs c.wc_row_offset c.wc_rows
+    c.wc_threshold c.wc_seed
+
+(* [search_view] over a window and [search] over the rows extracted from
+   it agree on the latched result, every ledger counter (tier counts
+   included) and the cost, on two simulators holding the same cells. *)
+let prop_search_view_matches_rows =
+  QCheck.Test.make ~count:300 ~name:"search_view = search over window rows"
+    (QCheck.make ~print:print_window_case gen_window_case)
+    (fun c ->
+      let st = Random.State.make [| c.wc_seed |] in
+      let int n = Random.State.int st n in
+      let cell cls =
+        match cls with
+        | 0 -> float_of_int (int 2)
+        | 1 -> float_of_int (int 16)
+        | _ -> float_of_int (int 8) /. 4.
+      in
+      let spec = Archspec.Spec.square wside Archspec.Spec.Base in
+      let stored =
+        Array.init wside (fun _ ->
+            let cls = int 3 in
+            Array.init wside (fun _ -> cell cls))
+      in
+      let care =
+        Array.init wside (fun _ ->
+            let ternary = int 4 = 0 in
+            Array.init wside (fun _ -> not (ternary && int 3 = 0)))
+      in
+      let hi =
+        Array.map (Array.map (fun v -> v +. float_of_int (int 3))) stored
+      in
+      let device () =
+        let s = Simulator.create spec in
+        let bank = Simulator.alloc_bank s ~rows:wside ~cols:wside in
+        let sub =
+          Simulator.alloc_subarray s
+            (Simulator.alloc_array s (Simulator.alloc_mat s bank))
+        in
+        ignore
+          (match c.wc_kind with
+          | `Range -> Simulator.write_range s sub ~row_offset:0 ~lo:stored ~hi
+          | `Best | `Threshold ->
+              Simulator.write s sub ~row_offset:0 ~care stored);
+        (s, sub)
+      in
+      let len =
+        c.wc_off + ((c.wc_q - 1) * c.wc_rs) + ((c.wc_cols - 1) * c.wc_cs) + 1
+        + int 3
+      in
+      let cls = int 3 in
+      let data = Array.init len (fun _ -> cell cls) in
+      let rows =
+        Array.init c.wc_q (fun i ->
+            Array.init c.wc_cols (fun j ->
+                data.(c.wc_off + (i * c.wc_rs) + (j * c.wc_cs))))
+      in
+      let sv, subv = device () and sr, subr = device () in
+      let kind = (c.wc_kind :> [ `Exact | `Best | `Threshold | `Range ]) in
+      let cv =
+        Simulator.search_view sv subv ~row_offset:c.wc_row_offset
+          ~rows:c.wc_rows ~kind ~metric:c.wc_metric ~batch_extra:false
+          ~threshold:c.wc_threshold ~q:c.wc_q ~cols:c.wc_cols data
+          ~off:c.wc_off ~rs:c.wc_rs ~cs:c.wc_cs
+          ~stamp:(Scratch.fresh_stamp ())
+      in
+      let cr =
+        Simulator.search sr subr ~queries:rows ~row_offset:c.wc_row_offset
+          ~rows:c.wc_rows ~kind ~metric:c.wc_metric
+          ~threshold:c.wc_threshold ()
+      in
+      cv = cr
+      && Simulator.read sv subv = Simulator.read sr subr
+      && Simulator.stats sv = Simulator.stats sr)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -565,6 +733,7 @@ let () =
             test_range_search_via_simulator;
           Alcotest.test_case "select k too large" `Quick
             test_select_best_k_too_large;
+          QCheck_alcotest.to_alcotest prop_search_view_matches_rows;
         ] );
       ( "ledger",
         [
@@ -584,6 +753,8 @@ let () =
       ( "serve replay",
         [
           Alcotest.test_case "dirty marks" `Quick test_dirty_marks;
+          Alcotest.test_case "overwritten tracked window" `Quick
+            test_overwritten_window_replays;
           QCheck_alcotest.to_alcotest prop_replay_vs_cell_model;
           Alcotest.test_case "sealed simulator bytes per cell" `Quick
             test_bytes_per_cell;
