@@ -2,7 +2,7 @@
 
      dune exec bench/stress_serve.exe -- \
        [--clients N] [--schedules N] [--requests N] [--jobs N] \
-       [--seed N] [--mutate [--shards N]]
+       [--seed N] [--tcp | --mutate [--shards N]]
 
    Replays seeded arrival schedules against the micro-batching
    scheduler and enforces the determinism contract (docs/SERVING.md):
@@ -16,6 +16,12 @@
    reference is computed once and each schedule is pure replay. CI runs
    this across a clients x jobs matrix. Exit code 1 on any
    divergence.
+
+   With --tcp every client is a loopback connection to [Tcp.listen] in
+   front of the server, each request goes out as [%.17g] text, and
+   every reply line must equal [Tcp.format_response] of the sequential
+   reference byte for byte: the same contract, held through the codec
+   and the connection reader.
 
    With --mutate the gate targets both sharded stores instead
    (docs/SHARDING.md): seeded schedules interleaving
@@ -33,7 +39,7 @@
 let usage () =
   prerr_endline
     "usage: stress_serve.exe -- [--clients N] [--schedules N] \
-     [--requests N] [--jobs N] [--seed N] [--mutate [--shards N]]";
+     [--requests N] [--jobs N] [--seed N] [--tcp | --mutate [--shards N]]";
   exit 2
 
 type opts = {
@@ -42,6 +48,7 @@ type opts = {
   requests : int;
   jobs : int;
   seed : int;
+  tcp : bool;
   mutate : bool;
   shards : int;
 }
@@ -62,13 +69,14 @@ let parse_args args =
         int_arg tl (fun n tl -> parse { o with requests = n } tl)
     | "--jobs" :: tl -> int_arg tl (fun n tl -> parse { o with jobs = n } tl)
     | "--seed" :: tl -> int_arg tl (fun n tl -> parse { o with seed = n } tl)
+    | "--tcp" :: tl -> parse { o with tcp = true } tl
     | "--mutate" :: tl -> parse { o with mutate = true } tl
     | "--shards" :: tl -> int_arg tl (fun n tl -> parse { o with shards = n } tl)
     | _ -> usage ()
   in
   parse
     { clients = 8; schedules = 25; requests = 6; jobs = 1; seed = 42;
-      mutate = false; shards = 4 }
+      tcp = false; mutate = false; shards = 4 }
     args
 
 (* Bit-level equality: the contract is byte-identical results, not
@@ -277,7 +285,7 @@ let () =
   let o = parse_args (List.tl (Array.to_list Sys.argv)) in
   if
     o.clients < 1 || o.schedules < 1 || o.requests < 1 || o.jobs < 1
-    || o.shards < 1
+    || o.shards < 1 || (o.tcp && o.mutate)
   then usage ();
   if o.mutate then begin
     mutate_gate o;
@@ -292,9 +300,11 @@ let () =
   let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
   let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   Printf.printf
-    "stress_serve: %d clients x %d requests, %d schedules, jobs %d, \
+    "stress_serve: %d %sclients x %d requests, %d schedules, jobs %d, \
      seed %d\n%!"
-    o.clients o.requests o.schedules o.jobs o.seed;
+    o.clients
+    (if o.tcp then "TCP " else "")
+    o.requests o.schedules o.jobs o.seed;
   (* fixed per-client request streams: sizes straddle the arity *)
   let streams =
     Array.init o.clients (fun c ->
@@ -324,6 +334,28 @@ let () =
              Array.sub r.C4cam.Driver.indices 0 n )))
       streams
   in
+  let request_text rows =
+    String.concat ";"
+      (Array.to_list
+         (Array.map
+            (fun row ->
+              String.concat " "
+                (Array.to_list (Array.map (Printf.sprintf "%.17g") row)))
+            rows))
+  in
+  let wire_reference =
+    Array.map
+      (Array.map (fun (values, indices) ->
+           Tcp.format_response
+             {
+               Server.r_values = values;
+               r_indices = indices;
+               r_scores = None;
+               r_batch_seq = 0;
+               r_latency_s = 0.;
+             }))
+      reference
+  in
   let mismatches = ref 0 in
   let total_batches = ref 0 and total_rows = ref 0 and max_hwm = ref 0 in
   for schedule = 0 to o.schedules - 1 do
@@ -343,47 +375,70 @@ let () =
           }
         session
     in
-    let clients = Array.init o.clients (fun _ -> Server.connect server) in
+    let listener = if o.tcp then Some (Tcp.listen ~port:0 server) else None in
+    (* one client's rpc: does the response to request [i] match? *)
+    let local c =
+      let client = Server.connect server in
+      fun i rows ->
+        let r = Server.rpc client rows in
+        let want_values, want_indices = reference.(c).(i) in
+        rows_bits_equal want_values r.Server.r_values
+        && int_rows_equal want_indices r.Server.r_indices
+    in
+    let fds = ref [] in
+    let wire l c =
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port l));
+      fds := fd :: !fds;
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      fun i rows ->
+        output_string oc (request_text rows);
+        output_char oc '\n';
+        flush oc;
+        input_line ic = wire_reference.(c).(i)
+    in
+    let rpcs =
+      Array.init o.clients (fun c ->
+          match listener with None -> local c | Some l -> wire l c)
+    in
     let submitters =
       Array.mapi
-        (fun c client ->
+        (fun c rpc ->
           Domain.spawn (fun () ->
               let rng =
                 Rng.create (o.seed + (104729 * (schedule + 1)) + c)
               in
-              Array.map
-                (fun rows ->
+              Array.mapi
+                (fun i rows ->
                   (* seeded arrival jitter, 0-2ms *)
                   let delay = Rng.int rng 3 in
                   if delay > 0 then
                     Unix.sleepf (float_of_int delay /. 1000.);
-                  Server.rpc client rows)
+                  rpc i rows)
                 streams.(c)))
-        clients
+        rpcs
     in
     let got = Array.map Domain.join submitters in
+    List.iter Unix.close !fds;
+    Option.iter Tcp.shutdown listener;
     Server.stop server;
     let st = Server.stats server in
     total_batches := !total_batches + st.Server.batches_coalesced;
     total_rows := !total_rows + st.Server.rows_served;
     if st.Server.queue_hwm > !max_hwm then max_hwm := st.Server.queue_hwm;
     Array.iteri
-      (fun c responses ->
+      (fun c matches ->
         Array.iteri
-          (fun i (r : Server.response) ->
-            let want_values, want_indices = reference.(c).(i) in
-            if
-              not
-                (rows_bits_equal want_values r.Server.r_values
-                && int_rows_equal want_indices r.Server.r_indices)
-            then begin
+          (fun i ok ->
+            if not ok then begin
               incr mismatches;
               Printf.printf
                 "MISMATCH schedule %d client %d request %d: response \
                  diverges from the sequential reference\n%!"
                 schedule c i
             end)
-          responses)
+          matches)
       got
   done;
   let schedules_f = float_of_int o.schedules in

@@ -56,7 +56,11 @@ type request = {
   mutable rq_state : req_state;
 }
 
-type client = { c_id : int; c_server : t; c_queue : request Queue.t }
+type client = {
+  c_server : t;
+  c_queue : request Queue.t;
+  mutable c_gone : bool;  (* disconnected *)
+}
 
 and t = {
   s_backend : Serve.Backend.t;
@@ -67,7 +71,8 @@ and t = {
   cv_submit : Condition.t;
   cv_room : Condition.t;
   cv_done : Condition.t;
-  mutable clients : client array;  (* registration order; grows *)
+  mutable clients : client array;
+      (* live clients in [0, n_clients), in registration order *)
   mutable n_clients : int;
   mutable cursor : int;  (* round-robin position *)
   mutable queued_rows : int;
@@ -373,9 +378,7 @@ let create ?config session = create_on ?config (Serve.Backend.of_session session
 let connect t =
   Mutex.protect t.m (fun () ->
       if t.stopping then raise Stopped;
-      let c =
-        { c_id = t.n_clients; c_server = t; c_queue = Queue.create () }
-      in
+      let c = { c_server = t; c_queue = Queue.create (); c_gone = false } in
       let n = Array.length t.clients in
       if t.n_clients = n then begin
         let grown =
@@ -387,6 +390,28 @@ let connect t =
       t.clients.(t.n_clients) <- c;
       t.n_clients <- t.n_clients + 1;
       c)
+
+let disconnect c =
+  let t = c.c_server in
+  Mutex.protect t.m (fun () ->
+      if not (Queue.is_empty c.c_queue) then
+        fail "disconnect: the client has queued requests";
+      if not c.c_gone then begin
+        c.c_gone <- true;
+        let n = t.n_clients in
+        let i = ref 0 in
+        while t.clients.(!i) != c do
+          incr i
+        done;
+        Array.blit t.clients (!i + 1) t.clients !i (n - 1 - !i);
+        t.n_clients <- n - 1;
+        (* the cursor keeps pointing at the client it would visit next *)
+        if !i < t.cursor then t.cursor <- t.cursor - 1;
+        if t.cursor >= t.n_clients then t.cursor <- 0
+      end)
+
+let row_width t = t.s_d
+let queue_cap t = t.s_cfg.queue_cap
 
 let submit c rows =
   let t = c.c_server in
@@ -402,6 +427,10 @@ let submit c rows =
     if t.stopping then begin
       Mutex.unlock t.m;
       raise Stopped
+    end
+    else if c.c_gone then begin
+      Mutex.unlock t.m;
+      fail "submit on a disconnected client"
     end
     else if t.queued_rows + n > t.s_cfg.queue_cap && t.queued_rows > 0 then
       (* over the cap (a single huge request with an empty queue is

@@ -90,6 +90,19 @@ val create_on : ?config:config -> Serve.Backend.t -> t
 val connect : t -> client
 (** Register a new logical client. @raise Stopped after {!stop}. *)
 
+val disconnect : client -> unit
+(** Remove a client with no queued requests from the round-robin. The
+    clients after it keep their turn order, and the next turn goes to
+    the client that would have had it. Idempotent; a later {!submit}
+    on the handle raises [Server_error].
+    @raise Server_error if the client still has queued requests. *)
+
+val row_width : t -> int
+(** The kernel's row width [d]: every query row holds [d] values. *)
+
+val queue_cap : t -> int
+(** The server's [config.queue_cap]: at most this many queued rows. *)
+
 val submit : client -> float array array -> ticket
 (** Enqueue one request of [1..] query rows of the kernel's width [d].
     Rows need not be a multiple of the kernel arity [q] — the scheduler
@@ -99,7 +112,8 @@ val submit : client -> float array array -> ticket
     {!Serve.Session.valid_row} — before anything is enqueued, so no
     co-batched request is affected
     @raise Overloaded under [`Fail_fast] backpressure at the cap
-    @raise Stopped after {!stop}. *)
+    @raise Stopped after {!stop}
+    @raise Server_error on a {!disconnect}ed client. *)
 
 type response = {
   r_values : float array array;  (** per request row: [k] values *)
@@ -156,6 +170,7 @@ type stats = {
   rows_padded : int;  (** padding rows added to fill q-chunks *)
   requests_served : int;
   clients_connected : int;
+      (** live clients: connected and not yet {!disconnect}ed *)
   batch_fill : float;  (** [rows_served / batches_coalesced] *)
   queue_hwm : int;  (** queued-row high-water mark *)
   lat_p50_s : float;

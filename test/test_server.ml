@@ -193,6 +193,66 @@ let test_fairness () =
   Alcotest.(check int) "one micro-batch" 1 st.Server.batches_coalesced;
   Alcotest.(check int) "padded to the arity" 3 st.Server.rows_padded
 
+(* A client that leaves drops out of the round-robin without costing
+   anyone a turn. With one 4-row request per 4-row micro-batch, batch
+   order is visit order: [a]'s batch runs while the cursor points at
+   [b]; [a] leaves, and [b], [c], [d] are served in that order however
+   their requests were queued. *)
+let test_disconnect () =
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let entered = Semaphore.Binary.make false
+  and release = Semaphore.Binary.make false in
+  let backend =
+    let b = Serve.Backend.of_session (Session.create ~spec ~stored:data.stored src) in
+    let first = ref true in
+    {
+      b with
+      Serve.Backend.query =
+        (fun rows ->
+          if !first then begin
+            first := false;
+            Semaphore.Binary.release entered;
+            Semaphore.Binary.acquire release
+          end;
+          b.Serve.Backend.query rows);
+    }
+  in
+  let server =
+    Server.create_on
+      ~config:{ Server.default_config with batch_rows = q; queue_cap = 64 }
+      backend
+  in
+  let a = Server.connect server and b = Server.connect server in
+  let c = Server.connect server and d = Server.connect server in
+  let rows = Array.sub data.queries 0 q in
+  let first = Server.submit a rows in
+  Semaphore.Binary.acquire entered;
+  (* [a]'s request is in flight, so its queue is empty *)
+  Server.disconnect a;
+  Server.disconnect a (* idempotent *);
+  Alcotest.(check int) "live clients" 3
+    (Server.stats server).Server.clients_connected;
+  (match Server.submit a rows with
+  | _ -> Alcotest.fail "a disconnected client submitted"
+  | exception Server.Server_error _ -> ());
+  let tickets = List.map (fun cl -> (cl, Server.submit cl rows)) [ d; c; b ] in
+  (match Server.disconnect d with
+  | () -> Alcotest.fail "disconnected a client with a queued request"
+  | exception Server.Server_error _ -> ());
+  Semaphore.Binary.release release;
+  Alcotest.(check int) "a's batch" 0 (Server.await first).Server.r_batch_seq;
+  let seq cl = (Server.await (List.assq cl tickets)).Server.r_batch_seq in
+  Alcotest.(check (list int)) "b, c, d keep their turns" [ 1; 2; 3 ]
+    [ seq b; seq c; seq d ];
+  List.iter Server.disconnect [ b; c; d ];
+  Alcotest.(check int) "no live clients" 0
+    (Server.stats server).Server.clients_connected;
+  let e = Server.connect server in
+  ignore (Server.rpc e rows);
+  Server.stop server
+
 (* ---- backpressure ------------------------------------------------------ *)
 
 let test_backpressure_fail_fast () =
@@ -536,7 +596,247 @@ let test_tcp_connection_cleanup () =
   Alcotest.(check int) "every connection answered correctly" n !replies_ok;
   Alcotest.(check int) "connections accepted" n
     (Tcp.connections_served listener);
+  Alcotest.(check int) "only the local client is left" 1
+    (Server.stats server).Server.clients_connected;
   Server.stop server
+
+(* The per-connection reader over a real socket, at [queue_cap = 4] and
+   [d = 32]: a request holds at most 4 rows and 4 * 32 * 64 = 8192
+   bytes. A line past either cap is answered with an error and the
+   connection keeps serving; blank lines get no reply; a line that
+   arrives in pieces is the same line; a last line without its newline
+   is still served. *)
+let test_tcp_bounded_reader () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let server =
+    Server.create
+      ~config:{ Server.default_config with queue_cap = 4 }
+      (Session.create ~spec ~stored:data.stored src)
+  in
+  let listener = Tcp.listen ~port:0 server in
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect sock
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port listener));
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.;
+  let ic = Unix.in_channel_of_descr sock in
+  let write s =
+    let n = String.length s in
+    let rec go i = if i < n then go (i + Unix.write_substring sock s i (n - i)) in
+    go 0
+  in
+  let send line =
+    write (line ^ "\n");
+    input_line ic
+  in
+  let row_text row =
+    String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.17g") row))
+  in
+  let request rows = String.concat ";" (Array.to_list (Array.map row_text rows)) in
+  let local = Server.connect server in
+  let want rows = Tcp.format_response (Server.rpc local rows) in
+  let one = Array.sub data.queries 0 1 and four = Array.sub data.queries 0 4 in
+  let cap = 4 * dims * 64 in
+  let padded n = request one ^ String.make (n - String.length (request one)) ' ' in
+  Alcotest.(check string) "a line of exactly the cap is served" (want one)
+    (send (padded cap));
+  Alcotest.(check string) "one byte past the cap"
+    (Printf.sprintf "err request line exceeds %d bytes" cap)
+    (send (padded (cap + 1)));
+  Alcotest.(check string) "serving after the long line" (want one)
+    (send (request one));
+  Alcotest.(check string) "a line far past the cap"
+    (Printf.sprintf "err request line exceeds %d bytes" cap)
+    (send (padded (5 * cap)));
+  Alcotest.(check string) "queue_cap rows are served" (want four)
+    (send (request four));
+  Alcotest.(check string) "queue_cap + 1 rows are refused"
+    "err request line exceeds 4 rows"
+    (send (request (Array.sub data.queries 0 5)));
+  write " \t \n\n\r\n";
+  Alcotest.(check string) "blank lines get no reply" (want four)
+    (send (request four));
+  let line = request four ^ "\n" in
+  let n = String.length line in
+  List.iter
+    (fun (i, j) ->
+      write (String.sub line i (j - i));
+      Unix.sleepf 0.002)
+    [ (0, 1); (1, 7); (7, n / 2); (n / 2, n - 1); (n - 1, n) ];
+  Alcotest.(check string) "a line in pieces" (want four) (input_line ic);
+  write (request one);
+  Unix.shutdown sock Unix.SHUTDOWN_SEND;
+  Alcotest.(check string) "a last line without its newline" (want one)
+    (input_line ic);
+  Unix.close sock;
+  Tcp.shutdown listener;
+  Server.stop server
+
+(* The split-based parser the scanner replaced, kept as an independent
+   oracle: it shares no code with [Tcp.parse_request]. *)
+module Split_parser = struct
+  let decimal_float f =
+    let n = String.length f in
+    let digits i =
+      let j = ref i in
+      while !j < n && f.[!j] >= '0' && f.[!j] <= '9' do
+        incr j
+      done;
+      !j
+    in
+    let sign i = if i < n && (f.[i] = '+' || f.[i] = '-') then i + 1 else i in
+    let i = sign 0 in
+    let j = digits i in
+    let k = if j < n && f.[j] = '.' then digits (j + 1) else j in
+    (* [k - i] counts the point too, so a lone point has length 1 *)
+    let mantissa = k - i > (if k > j then 1 else 0) in
+    let e =
+      if k < n && (f.[k] = 'e' || f.[k] = 'E') then
+        let a = sign (k + 1) in
+        let b = digits a in
+        if b > a then b else k
+      else k
+    in
+    if mantissa && e = n then
+      match float_of_string_opt f with
+      | Some v when Float.is_finite v -> Some v
+      | _ -> None
+    else None
+
+  let parse_request line =
+    let parse_row i s =
+      let fields =
+        String.split_on_char ' ' s
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.filter (fun f -> f <> "")
+      in
+      if fields = [] then Server.fail "request row %d is empty" i;
+      Array.of_list
+        (List.map
+           (fun f ->
+             match decimal_float f with
+             | Some v -> v
+             | None -> Server.fail "request row %d: bad float %S" i f)
+           fields)
+    in
+    let rows = String.split_on_char ';' line in
+    if List.for_all (fun r -> String.trim r = "") rows then
+      Server.fail "empty request";
+    Array.of_list (List.mapi parse_row rows)
+end
+
+(* Lines of valid and malformed tokens between spaces, tabs and [;]:
+   round-trip spellings, significands of 15 to 20 digits around 2^53,
+   exponents at the fast path's edge (+-22) and just past it, and every
+   spelling the decimal grammar refuses. *)
+let request_line =
+  let fixed =
+    [|
+      "0"; "1"; "-0"; "+0"; "007"; ".5"; "5."; "-.5"; "+5."; "1e22"; "1e23";
+      "1e-22"; "1e-23"; "9e22"; "9e-23"; "123456789e-22"; "4.5e+23";
+      "1e-400"; "1e999"; "-1e308"; "2e308"; "4.9e-324"; "2.5e-324";
+      "9007199254740991"; "9007199254740992"; "9007199254740993";
+      "9007199254740995"; "18014398509481985"; "0.1"; "0.3";
+      "0.30000000000000004"; "1E5"; "1e+0"; "0e999"; "0x1p3"; "1_0"; "_1";
+      "nan"; "NaN"; "inf"; "infinity"; "-infinity"; "."; "-"; "+"; "e5";
+      "1e"; "1e+"; "1.5x"; "1..5"; "1e5.5"; "--1"; "\r"; "\012"; "x";
+    |]
+  in
+  let gen st =
+    let digits n =
+      String.init n (fun _ -> Char.chr (48 + Random.State.int st 10))
+    in
+    let token () =
+      match Random.State.int st 5 with
+      | 0 -> fixed.(Random.State.int st (Array.length fixed))
+      | 1 ->
+          let x =
+            Random.State.float st 2. -. 1.
+            *. (10. ** float_of_int (Random.State.int st 40 - 20))
+          in
+          Printf.sprintf "%.17g" x
+      | 2 ->
+          (* 15 to 20 digits, the point anywhere or nowhere *)
+          let d = digits (15 + Random.State.int st 6) in
+          let p = Random.State.int st (String.length d + 2) in
+          if p > String.length d then d
+          else String.sub d 0 p ^ "." ^ String.sub d p (String.length d - p)
+      | 3 ->
+          Printf.sprintf "%s%se%d"
+            (if Random.State.bool st then "-" else "")
+            (digits (1 + Random.State.int st 17))
+            (Random.State.int st 51 - 25)
+      | _ -> string_of_int (Random.State.int st 2)
+    in
+    let sep () =
+      match Random.State.int st 8 with
+      | 0 -> "\t"
+      | 1 -> ";"
+      | 2 -> " ; "
+      | 3 -> "  "
+      | 4 -> " \t"
+      | _ -> " "
+    in
+    let b = Buffer.create 64 in
+    for _ = 0 to Random.State.int st 12 do
+      if Random.State.int st 6 > 0 then Buffer.add_string b (token ());
+      Buffer.add_string b (sep ())
+    done;
+    if Random.State.bool st then Buffer.add_string b (token ());
+    Buffer.contents b
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") gen
+
+let prop_scanner_matches_split_parser =
+  let outcome parse line =
+    match parse line with
+    | rows ->
+        Ok (Array.map (Array.map Int64.bits_of_float) rows)
+    | exception Server.Server_error msg -> Error msg
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"scanner = split parser, bit for bit and error for error"
+    request_line
+    (fun line ->
+      outcome Tcp.parse_request line = outcome Split_parser.parse_request line)
+
+(* The codec allocates its result and nothing per field: a 1,024-field
+   row, the perfbench tcp-hdc shape, costs the row's own words (a float
+   array that large is allocated directly in the major heap) and a few
+   for the spine. *)
+let test_parse_allocation () =
+  let d = 1024 in
+  let rng = Rng.create 5 in
+  let line sep f = String.concat sep (List.init d (fun _ -> f ())) in
+  let lines =
+    [
+      ("0/1 fields", line " " (fun () -> string_of_int (Rng.int rng 2)));
+      ( "%.4f fields",
+        line "\t" (fun () ->
+            let x = float_of_int (Rng.int rng 20000 - 10000) /. 997. in
+            Printf.sprintf "%.4f" x) );
+    ]
+  in
+  List.iter
+    (fun (what, line) ->
+      ignore (Tcp.parse_request line);
+      let _, _, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () in
+      let rows = Tcp.parse_request line in
+      let minor = Gc.minor_words () -. minor0 in
+      let _, _, major1 = Gc.counters () in
+      Alcotest.(check int) (what ^ ": one row") d (Array.length rows.(0));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words <= d + 64" what minor)
+        true
+        (minor <= float_of_int (d + 64));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words in all <= d + 64" what (minor +. major1 -. major0))
+        true
+        (minor +. major1 -. major0 <= float_of_int (d + 64)))
+    lines
 
 (* Only the declared [Server_error] may escape the wire parser, whatever
    bytes a valid request line is mutated or truncated into. *)
@@ -627,6 +927,8 @@ let () =
           Alcotest.test_case "demux vs sequential reference" `Quick
             test_demux;
           Alcotest.test_case "round-robin fairness" `Quick test_fairness;
+          Alcotest.test_case "disconnect keeps the turns" `Quick
+            test_disconnect;
           Alcotest.test_case "fail-fast backpressure" `Quick
             test_backpressure_fail_fast;
           Alcotest.test_case "blocking backpressure" `Quick
@@ -646,7 +948,11 @@ let () =
             test_tcp_recycled_fds;
           Alcotest.test_case "200 connections in turn" `Quick
             test_tcp_connection_cleanup;
+          Alcotest.test_case "bounded reader" `Quick test_tcp_bounded_reader;
           QCheck_alcotest.to_alcotest prop_mutated_requests_refused_cleanly;
+          QCheck_alcotest.to_alcotest prop_scanner_matches_split_parser;
+          Alcotest.test_case "parse allocates the rows only" `Quick
+            test_parse_allocation;
         ] );
       ( "stress",
         [
