@@ -982,51 +982,71 @@ let smoke ?json ?jobs ?(shards = 4) () =
     range_accuracy
     (String.sub range_digest 0 12);
   (* The placement workload: the three-stage RecSys pipeline (GEMV
-     feature projection, Euclidean scoring, top-1 selection) placed by
-     the Energy-objective cost model across crossbar, CAM and host,
-     next to the three single-backend mappings. The chosen assignment
-     and its modeled latency/energy are exact-gated, as is the count
-     of single mappings the mixed plan beats — the heterogeneous win
-     is a regression gate, not a demo. Recommendations are
-     byte-identical across all executable placements (asserted). *)
-  let place_auto, place_singles, place_wins =
+     feature projection, Euclidean scoring, top-1 selection) placed
+     under the Energy objective across crossbar, CAM and host, next to
+     the three single-backend mappings. The chosen assignment and its
+     latency/energy are exact-gated, as is the count of single
+     mappings the mixed plan beats — the heterogeneous win is a
+     regression gate, not a demo. Recommendations are byte-identical
+     across all executable placements, and every run's total is its
+     price (both asserted). *)
+  let place_auto, place_singles, place_wins, place_accuracy =
     let rdata =
       Workloads.Recsys.generate ~seed:29 ~users:16 ~features:256 ~items:256
         ~classes:10 ()
     in
     let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
-    let auto_config =
-      config
-      |> C4cam.Driver.Run_config.with_placement `Auto
-      |> C4cam.Driver.Run_config.with_place_objective Passes.Placement.Energy
+    let run placement =
+      C4cam.Hetero.run_recsys
+        ~config:
+          (config
+          |> C4cam.Driver.Run_config.with_placement placement
+          |> C4cam.Driver.Run_config.with_place_objective
+               Passes.Placement.Energy)
+        ~spec ~data:rdata ~k:1 ()
     in
-    let auto =
-      C4cam.Hetero.run_recsys ~config:auto_config ~spec ~data:rdata ~k:1 ()
-    in
+    let auto = run `Auto in
     let stages = C4cam.Hetero.recsys_stages rdata ~k:1 in
     let singles =
       List.map
-        (fun dev ->
-          C4cam.Hetero.run_recsys ~config ~spec ~data:rdata ~k:1
-            ~assignment:(Passes.Placement.single stages dev) ())
+        (fun dev -> run (`Fixed (Passes.Placement.single stages dev)))
         Passes.Placement.[ Cam; Xbar; Host ]
     in
     List.iter
-      (fun (s : C4cam.Hetero.recsys_outcome) ->
-        if s.rc_indices <> auto.rc_indices || s.rc_values <> auto.rc_values
+      (fun (s : C4cam.Hetero.placed_result) ->
+        if s.pr_indices <> auto.pr_indices || s.pr_values <> auto.pr_values
         then
           failwith
-            ("placement determinism violation: " ^ s.rc_placement
-           ^ " disagrees with " ^ auto.rc_placement))
+            ("placement determinism violation: " ^ s.pr_placement
+           ^ " disagrees with " ^ auto.pr_placement))
       singles;
+    (* What placement priced is what each run reported: zero-row
+       price runs against the ledgers of the executed kernels. *)
+    let models =
+      C4cam.Hetero.models ?tech:config.tech
+        (C4cam.Hetero.recsys_kernel ~spec ~data:rdata ~k:1)
+    in
+    List.iter
+      (fun (o : C4cam.Hetero.placed_result) ->
+        let priced =
+          Passes.Placement.price models stages o.pr_priced.p_assignment
+        in
+        if priced.p_total <> o.pr_priced.p_total then
+          failwith
+            ("placement price violation: " ^ o.pr_placement
+           ^ " reported a total its price does not match"))
+      (auto :: singles);
     let wins =
       List.length
         (List.filter
-           (fun (s : C4cam.Hetero.recsys_outcome) ->
-             auto.rc_energy < s.rc_energy)
+           (fun (s : C4cam.Hetero.placed_result) ->
+             auto.pr_priced.p_total.energy < s.pr_priced.p_total.energy)
            singles)
     in
-    (auto, singles, wins)
+    let accuracy (o : C4cam.Hetero.placed_result) =
+      C4cam.Dse.top1_accuracy o.pr_indices rdata.labels
+    in
+    (auto, singles, wins, accuracy)
   in
   print_newline ();
   print_string
@@ -1034,19 +1054,19 @@ let smoke ?json ?jobs ?(shards = 4) () =
        ~headers:
          [ "recsys placement"; "latency"; "energy"; "moved"; "accuracy" ]
        (List.map
-          (fun (o : C4cam.Hetero.recsys_outcome) ->
+          (fun (o : C4cam.Hetero.placed_result) ->
             [
-              o.rc_placement;
-              C4cam.Report.si_time o.rc_latency;
-              C4cam.Report.si_energy o.rc_energy;
-              Printf.sprintf "%d B" o.rc_moved_bytes;
-              Printf.sprintf "%.4f" o.rc_accuracy;
+              o.pr_placement;
+              C4cam.Report.si_time o.pr_priced.p_total.latency;
+              C4cam.Report.si_energy o.pr_priced.p_total.energy;
+              Printf.sprintf "%d B" o.pr_priced.p_moved_bytes;
+              Printf.sprintf "%.4f" (place_accuracy o);
             ])
           (place_auto :: place_singles)));
   Printf.printf
     "place-auto-recsys-32x32: chose %s (%d candidates), beats %d/%d \
      single-backend mappings on energy\n"
-    place_auto.rc_placement place_auto.rc_candidates place_wins
+    place_auto.pr_placement place_auto.pr_candidates place_wins
     (List.length place_singles);
   (* compile-time breakdown of the reference HDC kernel, end-to-end *)
   let collector = Instrument.Collect.create () in
@@ -1223,34 +1243,35 @@ let smoke ?json ?jobs ?(shards = 4) () =
             alloc st;
           ]
       in
-      (* The placement workload: modeled split totals as the headline
-         latency/energy (banded like every workload), the CAM score
-         stage's activity counters (the score ran there under the
-         chosen assignment), and the placement-specific exact gates —
-         the chosen assignment string, its exact modeled costs, and
-         the number of single-backend mappings it beats. *)
+      (* The placement workload: the split's totals as the headline
+         latency/energy, the CAM score stage's activity counters (the
+         score ran there under the chosen assignment), and the
+         placement-specific exact gates — the chosen assignment
+         string, its exact costs, and the number of single-backend
+         mappings it beats. *)
       let place_json =
         let o = place_auto in
+        let total = o.pr_priced.p_total in
         let s, ops =
-          match o.rc_cam with
+          match o.pr_cam with
           | Some (r : C4cam.Driver.run_result) -> (r.stats, r.ops_executed)
           | None -> (Camsim.Stats.create (), [])
         in
         workload_json
           ~extra:
             [
-              ("placement", Instrument.Json.String o.rc_placement);
+              ("placement", Instrument.Json.String o.pr_placement);
               ("placement_wins", Instrument.Json.Int place_wins);
               ( "placement_candidates",
-                Instrument.Json.Int o.rc_candidates );
-              ("placement_latency_s", Instrument.Json.Float o.rc_latency);
-              ("placement_energy_j", Instrument.Json.Float o.rc_energy);
+                Instrument.Json.Int o.pr_candidates );
+              ("placement_latency_s", Instrument.Json.Float total.latency);
+              ("placement_energy_j", Instrument.Json.Float total.energy);
               ( "placement_moved_bytes",
-                Instrument.Json.Int o.rc_moved_bytes );
+                Instrument.Json.Int o.pr_priced.p_moved_bytes );
             ]
           ( "place-auto-recsys-32x32",
-            measured ~latency:o.rc_latency ~energy:o.rc_energy
-              ~accuracy:o.rc_accuracy ~ops s )
+            measured ~latency:total.latency ~energy:total.energy
+              ~accuracy:(place_accuracy o) ~ops s )
       in
       let doc =
         Instrument.Json.Assoc

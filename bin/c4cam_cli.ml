@@ -348,8 +348,8 @@ let exec_compiled ~config ~collector ~profile ~profile_json ~objective
       let placement =
         match backend with
         | "cam" -> `Cam
-        | "xbar" -> `Fixed (Passes.Placement.Xbar, Passes.Placement.Host)
-        | "host" -> `Fixed (Passes.Placement.Host, Passes.Placement.Host)
+        | "xbar" -> `Fixed Passes.Placement.[ Xbar; Host ]
+        | "host" -> `Fixed Passes.Placement.[ Host; Host ]
         | _ -> `Auto
       in
       let config =
@@ -363,19 +363,23 @@ let exec_compiled ~config ~collector ~profile ~profile_json ~objective
       kernel_line ();
       Printf.printf "placement: %s (%d candidates, objective %s)\n"
         pr.pr_placement pr.pr_candidates objective;
+      let priced = pr.pr_priced in
       List.iter
-        (fun (name, dev, (cost : Passes.Placement.cost)) ->
-          Printf.printf "  %-6s on %-4s : %s, %s\n" name
+        (fun (stages, dev, (cost : Passes.Placement.cost)) ->
+          Printf.printf "  %-12s on %-4s : %s, %s\n"
+            (Passes.Placement.segment_name stages)
             (Passes.Placement.device_name dev)
             (C4cam.Report.si_time cost.latency)
             (C4cam.Report.si_energy cost.energy))
-        pr.pr_stage_costs;
-      if pr.pr_moved_bytes > 0 then
-        Printf.printf "  move %8d B : %s, %s\n" pr.pr_moved_bytes
-          (C4cam.Report.si_time pr.pr_movement.latency)
-          (C4cam.Report.si_energy pr.pr_movement.energy);
-      Printf.printf "latency  : %s\n" (C4cam.Report.si_time pr.pr_latency);
-      Printf.printf "energy   : %s\n" (C4cam.Report.si_energy pr.pr_energy);
+        priced.p_segments;
+      if priced.p_moved_bytes > 0 then
+        Printf.printf "  move %13d B : %s, %s\n" priced.p_moved_bytes
+          (C4cam.Report.si_time priced.p_movement.latency)
+          (C4cam.Report.si_energy priced.p_movement.energy);
+      Printf.printf "latency  : %s\n"
+        (C4cam.Report.si_time priced.p_total.latency);
+      Printf.printf "energy   : %s\n"
+        (C4cam.Report.si_energy priced.p_total.energy);
       accuracy_line pr.pr_indices
   | b ->
       prerr_endline ("c4cam: unknown backend " ^ b);
@@ -489,46 +493,44 @@ let run_cmd =
       $ queries_arg $ dims_arg $ classes_arg $ seed_arg $ backend_arg
       $ place_objective_arg $ profile_arg $ profile_json_arg $ jobs_arg)
 
-(* ---- place: print the placement candidate table without running --------- *)
+(* ---- place: price every legal placement of a compiled kernel ------------ *)
 
 let place_cmd =
   let run arch size opt queries dims classes features metric topk objective =
     handle_errors (fun () ->
-        let queries = Option.value queries ~default:16 in
+        let q = Option.value queries ~default:16 in
         let dims = Option.value dims ~default:1024 in
-        let classes = Option.value classes ~default:10 in
-        let metric =
+        let n = Option.value classes ~default:10 in
+        let spec = or_die (spec_of ~arch ~size ~opt) in
+        (* The kernel the flags describe, compiled and priced as it
+           would run; Euclidean distances need the multi-bit cell. *)
+        let spec, source =
           match metric with
-          | "dot" -> Dialects.Cim.Dot
-          | "cosine" -> Dialects.Cim.Cosine
-          | "euclidean" -> Dialects.Cim.Euclidean
-          | "hamming" -> Dialects.Cim.Hamming
+          | "dot" ->
+              (spec, Workloads.Kernels.hdc_dot ~q ~dims ~classes:n ~k:topk)
+          | "cosine" -> (spec, Workloads.Kernels.cosine_scores ~q ~dims ~n)
+          | "euclidean" ->
+              ( { spec with cam_kind = Archspec.Spec.Mcam },
+                Workloads.Kernels.knn_euclidean ~q ~dims ~n ~k:topk )
+          | "hamming" ->
+              prerr_endline
+                "c4cam: no TorchScript kernel produces a hamming score stage";
+              exit 1
           | m ->
               prerr_endline ("c4cam: unknown metric " ^ m);
               exit 1
         in
-        let spec = or_die (spec_of ~arch ~size ~opt) in
-        (* Euclidean distances need the multi-bit analog cell. *)
-        let spec =
-          if metric = Dialects.Cim.Euclidean then
-            { spec with cam_kind = Archspec.Spec.Mcam }
-          else spec
-        in
+        let c = C4cam.Driver.compile ~spec source in
         let stages =
           (if features > 0 then
-             [ Passes.Placement.Gemv { m = queries; k = features; n = dims } ]
+             [ Passes.Placement.Gemv { m = q; k = features; n = dims } ]
            else [])
-          @ [
-              Passes.Placement.Score
-                { q = queries; n = classes; d = dims; metric };
-              Passes.Placement.Select { q = queries; n = classes; k = topk };
-            ]
+          @ C4cam.Hetero.stages_of_info c.info
         in
-        let models = Passes.Placement.default_models spec in
         print_string
           (Passes.Placement.table
              ~objective:(place_objective_of objective)
-             models stages))
+             (C4cam.Hetero.models c) stages))
   in
   let features_arg =
     Arg.(
@@ -541,8 +543,9 @@ let place_cmd =
     Arg.(
       value & opt string "dot"
       & info [ "metric" ] ~docv:"M"
-          ~doc:"Similarity metric of the score stage: dot | cosine | \
-                euclidean | hamming.")
+          ~doc:"Similarity metric of the score stage, and so the kernel \
+                priced: dot (hdc_dot) | cosine (cosine_scores, no select \
+                stage) | euclidean (knn_euclidean).")
   in
   let topk_arg =
     Arg.(
@@ -553,7 +556,8 @@ let place_cmd =
     (Cmd.info "place"
        ~doc:
          "Price every legal device assignment of a kernel's stage \
-          pipeline and print the candidate table (no execution)")
+          pipeline and print the candidate table (each CAM or crossbar \
+          segment simulated on zero rows)")
     Term.(
       const run $ arch_arg $ size_arg $ opt_arg $ queries_arg $ dims_arg
       $ classes_arg $ features_arg $ metric_arg $ topk_arg

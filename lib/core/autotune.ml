@@ -26,7 +26,7 @@ let default_sides = [ 16; 32; 64; 128; 256 ]
 let default_opts =
   Archspec.Spec.[ Base; Power; Density; Power_density ]
 
-let default_placements = [ (Passes.Placement.Cam, Passes.Placement.Cam) ]
+let default_placements = [ Passes.Placement.[ Cam; Cam ] ]
 
 let evaluate_hdc ?(config = Driver.Run_config.default)
     ?(sides = default_sides) ?(optimizations = default_opts)
@@ -50,17 +50,17 @@ let evaluate_hdc ?(config = Driver.Run_config.default)
       sides
   in
   Parallel.map_list
-    (fun (side, opt, (score_dev, select_dev)) ->
+    (fun (side, opt, placement) ->
       let spec = Archspec.Spec.square side opt in
       let measurement =
-        match (score_dev, select_dev) with
-        | Passes.Placement.Cam, Passes.Placement.Cam ->
+        match placement with
+        | Passes.Placement.[ Cam; Cam ] ->
             (* The homogeneous reference keeps the plain DSE path (and
                its unsuffixed config name). *)
             Dse.hdc ~config ~spec ~data ()
-        | s, sel ->
+        | _ ->
             let config =
-              Driver.Run_config.with_placement (`Fixed (s, sel)) config
+              Driver.Run_config.with_placement (`Fixed placement) config
             in
             let q = Array.length data.Workloads.Hdc.queries in
             let classes = Array.length data.stored in

@@ -30,16 +30,16 @@ val evaluate_hdc :
   ?config:Driver.Run_config.t ->
   ?sides:int list ->
   ?optimizations:Archspec.Spec.optimization list ->
-  ?placements:(Passes.Placement.device * Passes.Placement.device) list ->
+  ?placements:Passes.Placement.assignment list ->
   data:Workloads.Hdc.synthetic ->
   unit ->
   candidate list
 (** Compile-and-run the HDC workload over the candidate grid
     (default: sides 16..256, all four optimizations, the all-CAM
     placement), each candidate under [config]. [placements] adds a
-    (score, select) device axis: [(Cam, Cam)] takes the plain DSE
+    (score, select) device axis: [[Cam; Cam]] takes the plain DSE
     path, anything else runs through [Hetero.run_placed] with that
-    split pinned (each pair must be executable for the workload —
+    split pinned (each must be legal and executable for the workload —
     see [Hetero.executable_placed]). The area model falls back to
     [Camsim.Tech.fefet_45nm] when the config carries no technology.
     Candidates are evaluated across the ambient [Parallel] pool, one

@@ -184,14 +184,14 @@ type run_result = {
 (* ---- the unified run configuration ------------------------------------ *)
 
 module Run_config = struct
-  (* Where the kernel's (score, select) stages run: all-CAM (the
-     homogeneous path), a cost-model decision, or a pinned split.
-     Honoured by [Hetero.run_placed]; [run_cam] itself is the all-CAM
+  (* Where a placed pipeline's stages run: all-CAM (the homogeneous
+     path), a cost-model decision, or a pinned device per stage.
+     Honoured by Hetero's runners; [run_cam] itself is the all-CAM
      executor and ignores it. *)
   type placement =
     [ `Cam
     | `Auto
-    | `Fixed of Passes.Placement.device * Passes.Placement.device ]
+    | `Fixed of Passes.Placement.assignment ]
 
   type t = {
     profile : Instrument.Collect.t option;
@@ -319,6 +319,13 @@ let run_cam ?(config = Run_config.default) c ~queries ~stored =
     config.profile;
   r
 
+let zeros rows cols = Array.make_matrix rows cols 0.
+
+let price ?tech c =
+  run_cam
+    ~config:{ Run_config.default with tech }
+    c ~queries:(zeros c.info.q c.info.d) ~stored:(zeros c.info.n c.info.d)
+
 (* Build a tensor argument with the exact declared shape of the function
    parameter (e.g. the [q,1,d] batched-KNN query). *)
 let tensor_args (m : Ir.Func_ir.modul) fn_name info ~queries ~stored =
@@ -438,6 +445,9 @@ let run_crossbar ?tech c ~inputs ~weights =
     x_energy = stats.x_energy;
     x_stats = stats;
   }
+
+let price_crossbar c =
+  run_crossbar c ~inputs:(zeros c.x_m c.x_k) ~weights:(zeros c.x_k c.x_n)
 
 let to_vm c = Vm.Lower.modul c.cam_ir c.fn_name
 

@@ -85,12 +85,12 @@ module Run_config : sig
   type placement =
     [ `Cam
     | `Auto
-    | `Fixed of Passes.Placement.device * Passes.Placement.device ]
-  (** Where the kernel's (score, select) stages run: the homogeneous
-      all-CAM path, a cost-model decision under [place_objective], or
-      a pinned split. Honoured by [Hetero.run_placed]; {!run_cam}
-      itself is the all-CAM executor and ignores it
-      (see [docs/PLACEMENT.md]). *)
+    | `Fixed of Passes.Placement.assignment ]
+  (** Where a placed pipeline's stages run: the homogeneous all-CAM
+      path, a cost-model decision under [place_objective], or a pinned
+      device per stage. Honoured by [Hetero.run_placed] and
+      [Hetero.run_recsys]; {!run_cam} itself is the all-CAM executor
+      and ignores it (see [docs/PLACEMENT.md]). *)
 
   type t = {
     profile : Instrument.Collect.t option;
@@ -129,6 +129,13 @@ val run_cam :
     and trace fields are forwarded to {!Camsim.Simulator.create}; with
     [config.profile], the run's latency, energy breakdown and activity
     counters are folded into the collector's simulator section. *)
+
+val price : ?tech:Camsim.Tech.t -> compiled -> run_result
+(** {!run_cam} on zero-filled operands of the kernel's declared shapes
+    under [tech]: the simulator's ledger of one run. CAM costs do not
+    depend on the stored or query values, so latency, energy, the
+    search/write/query-cycle counts and [ops_executed] equal those of
+    a run on any data (tested). *)
 
 (** {1 The pieces [run_cam] composes} — exported for [Serve.Session],
     which runs a pinned kernel per query batch against its own
@@ -183,6 +190,10 @@ type crossbar_result = {
 val run_crossbar :
   ?tech:Xbar.tech -> crossbar_compiled -> inputs:float array array ->
   weights:float array array -> crossbar_result
+
+val price_crossbar : crossbar_compiled -> crossbar_result
+(** {!run_crossbar} on zero-filled operands under the default tech: the
+    crossbar's ledger, which does not depend on the values either. *)
 
 val to_vm : compiled -> Vm.Isa.program
 (** Lower the cam-level module to the flat runtime ISA (the llvm-stage

@@ -64,7 +64,7 @@ let zero_measurement config =
     n_ops_executed = 0;
   }
 
-(* A placed run's measurement: modeled split totals for the headline
+(* A placed run's measurement: the split's totals for the headline
    numbers, the underlying CAM run's activity counters when the score
    stage actually executed there (zeros otherwise — the crossbar and
    host have no CAM ledger). *)
@@ -76,14 +76,14 @@ let placed_measurement (spec : Archspec.Spec.t)
     | Some r -> measurement_of spec r ~accuracy
     | None -> zero_measurement config
   in
+  let { Passes.Placement.latency; energy } = pr.pr_priced.p_total in
   {
     base with
     config;
-    latency = pr.pr_latency;
-    energy = pr.pr_energy;
-    power =
-      (if pr.pr_latency > 0. then pr.pr_energy /. pr.pr_latency else 0.);
-    edp = pr.pr_energy *. pr.pr_latency;
+    latency;
+    energy;
+    power = (if latency > 0. then energy /. latency else 0.);
+    edp = energy *. latency;
     accuracy;
   }
 
@@ -121,7 +121,7 @@ let hdc_sweep ?config ?bits ~(specs : Archspec.Spec.t list)
 
 (* Sweep the executable placements of the HDC kernel on one
    architecture: every (score, select) split the runner can reproduce
-   bit-exactly, measured under the placement cost model. Same
+   bit-exactly, each reporting the ledgers its run charged. Same
    parallel-map determinism argument as hdc_sweep — each placement
    compiles its own module and runs a private simulator. *)
 let placement_sweep ?(config = Driver.Run_config.default)
@@ -131,22 +131,16 @@ let placement_sweep ?(config = Driver.Run_config.default)
   let dims = Array.length data.stored.(0) in
   let source = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
   let probe = Driver.compile ~spec source in
-  let binary =
-    let is_b = Array.for_all (Array.for_all (fun v -> v = 0. || v = 1.)) in
-    is_b data.queries && is_b data.stored
-  in
   let assignments =
     Passes.Placement.enumerate (Hetero.stages_of_info probe.info)
-    |> List.filter (Hetero.executable_placed probe.info ~binary)
+    |> List.filter
+         (Hetero.executable_placed ~queries:data.queries ~stored:data.stored)
   in
   Parallel.map_list
     (fun assignment ->
-      let placement =
-        match assignment with
-        | [ s; sel ] -> `Fixed (s, sel)
-        | _ -> assert false
+      let config =
+        Driver.Run_config.with_placement (`Fixed assignment) config
       in
-      let config = Driver.Run_config.with_placement placement config in
       let compiled = Driver.compile ~spec source in
       let pr =
         Hetero.run_placed ~config compiled ~queries:data.queries

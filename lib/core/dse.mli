@@ -49,7 +49,8 @@ val hdc_sweep :
 val placed_measurement :
   Archspec.Spec.t -> Hetero.placed_result -> accuracy:float -> measurement
 (** Measurement of a placed (heterogeneous) run: latency/energy/power/
-    edp are the modeled split totals, the activity counters come from
+    edp are the split's totals (device ledgers, host roofline and
+    movement), the activity counters come from
     the underlying CAM run when the score stage executed there (zeros
     otherwise), and the config name carries the placement, e.g.
     ["cam-base 32x32 score=cam select=host"]. *)

@@ -91,18 +91,22 @@ let run_concurrent ?config tasks =
 
    Placement.choose decides where stages run; the runners below actually
    execute the split. Exactness is the load-bearing property: every
-   executable split reproduces the all-CAM reference bit for bit,
-   because all the data is integer-valued (sums stay below 2^53, so
+   executable split reproduces the all-CAM reference results bit for
+   bit, because all the data is integer-valued (sums stay below 2^53, so
    float arithmetic is exact in any association) and the host-side
-   selection shares the simulator's comparator through Camsim.Topk.rows. *)
+   selection shares the simulator's comparator through Camsim.Topk.rows.
+   Costs are the simulators' own: a CAM or crossbar segment is priced by
+   its kernel's ledger (Driver.price), and an executed split reports the
+   ledgers its kernels charged, composed by the same Placement.price. *)
 
 module P = Passes.Placement
 
 let stages_of_info (info : Driver.kernel_info) =
-  [
-    P.Score { q = info.q; n = info.n; d = info.d; metric = info.metric };
-    P.Select { q = info.q; n = info.n; k = info.k };
-  ]
+  P.Score { q = info.q; n = info.n; d = info.d; metric = info.metric }
+  ::
+  (match info.output with
+  | `Topk -> [ P.Select { q = info.q; n = info.n; k = info.k } ]
+  | `Scores -> [])
 
 (* The selection direction the generated cam.select_best actually uses
    (cam-map flips it for the similarity metrics, where a larger score
@@ -147,80 +151,76 @@ let host_scores (metric : Dialects.Cim.metric) ~queries ~stored =
         stored)
     queries
 
-(* Which placements the runner can execute bit-exactly, beyond what the
-   cost model considers legal:
-   - (Cam, Host) needs a scores-form kernel, which the fusion patterns
-     provide for the dot and cosine metrics only;
-   - (Xbar, Host) computes dot products and recovers the CAM's Hamming
-     distances as |q| + |s| - 2 q.s, exact only for 0/1 data. *)
-let executable_placed (info : Driver.kernel_info) ~binary assignment =
-  match assignment with
-  | [ P.Cam; P.Cam ] -> true
-  | [ P.Cam; P.Host ] -> (
-      match info.metric with Dot | Cosine -> true | Euclidean | Hamming -> false)
-  | [ P.Xbar; P.Host ] -> info.metric = Dialects.Cim.Dot && binary
-  | [ P.Host; P.Host ] -> true
-  | _ -> false
+(* The one run-time condition on a legal split: a crossbar score yields
+   dot products, and the CAM's Hamming distances are recovered as
+   |q| + |s| - 2 q.s, exact only for 0/1 data. *)
+let executable_placed ~queries ~stored = function
+  | P.Xbar :: _ -> is_binary queries && is_binary stored
+  | _ -> true
 
-type placed_result = {
-  pr_values : float array array;
-  pr_indices : int array array;
-  pr_assignment : P.assignment;
-  pr_placement : string;
-  pr_candidates : int;
-  pr_stage_costs : (string * P.device * P.cost) list;
-  pr_movement : P.cost;
-  pr_moved_bytes : int;
-  pr_latency : float;
-  pr_energy : float;
-  pr_cam : Driver.run_result option;
-}
-
-let fold_placed_profile (config : Driver.Run_config.t) r =
-  match config.profile with
-  | None -> ()
-  | Some p ->
-      let per_device project =
-        List.sort_uniq compare (List.map (fun (_, d, _) -> d) r.pr_stage_costs)
-        |> List.map (fun d ->
-               ( P.device_name d,
-                 List.fold_left
-                   (fun acc (_, d', c) -> if d' = d then acc +. project c else acc)
-                   0. r.pr_stage_costs ))
-      in
-      Instrument.Collect.set_placement p
-        {
-          Instrument.Profile.placement = r.pr_placement;
-          place_objective = P.objective_name config.place_objective;
-          candidates = r.pr_candidates;
-          device_latency_s = per_device (fun (c : P.cost) -> c.latency);
-          device_energy_j = per_device (fun (c : P.cost) -> c.energy);
-          moved_bytes = r.pr_moved_bytes;
-          move_latency_s = r.pr_movement.latency;
-          move_energy_j = r.pr_movement.energy;
-        }
+(* The scores form of a top-k kernel's metric: what a CAM score stage
+   runs when its selection happens on the host. *)
+let scores_kernel (c : Driver.compiled) =
+  let { Driver.q; n; d; metric; _ } = c.info in
+  let source =
+    match metric with
+    | Dot -> Workloads.Kernels.hdc_dot_scores ~q ~dims:d ~classes:n
+    | Cosine -> Workloads.Kernels.cosine_scores ~q ~dims:d ~n
+    | Euclidean | Hamming ->
+        raise (Driver.Compile_error "no scores-form kernel for this metric")
+  in
+  Driver.compile ~spec:c.spec source
 
 (* Crossbar tile geometry for a [k x n] weight block: the default
    128x128 tiles when they divide the problem, one full-size tile
    otherwise (crossbar-map requires exact tiling). *)
-let xspec_for ~k ~n =
+let crossbar_kernel ~m ~k ~n =
   let fit dflt dim = if dim mod dflt = 0 then dflt else dim in
-  {
-    Xbar.default_spec with
-    tile_rows = fit Xbar.default_spec.tile_rows k;
-    tile_cols = fit Xbar.default_spec.tile_cols n;
-  }
-
-let xbar_matmul ?tech ~m:_ ~inputs ~weights () =
-  let rows_k = Array.length weights in
-  let cols_n = if rows_k = 0 then 0 else Array.length weights.(0) in
-  let xspec = xspec_for ~k:rows_k ~n:cols_n in
-  let xc =
-    Driver.compile_crossbar ~xspec
-      (Workloads.Kernels.matmul ~m:(Array.length inputs) ~k:rows_k ~n:cols_n)
+  let xspec =
+    {
+      Xbar.default_spec with
+      tile_rows = fit Xbar.default_spec.tile_rows k;
+      tile_cols = fit Xbar.default_spec.tile_cols n;
+    }
   in
-  let xr = Driver.run_crossbar ?tech xc ~inputs ~weights in
-  (xr.Driver.product, { P.latency = xr.x_latency; energy = xr.x_energy })
+  Driver.compile_crossbar ~xspec (Workloads.Kernels.matmul ~m ~k ~n)
+
+let cam_cost (r : Driver.run_result) =
+  { P.latency = r.latency; energy = r.energy }
+
+let xbar_cost (r : Driver.crossbar_result) =
+  { P.latency = r.x_latency; energy = r.x_energy }
+
+let models ?tech (c : Driver.compiled) =
+  let xbar_stage stage =
+    let m, k, n =
+      match stage with
+      | P.Gemv { m; k; n } -> (m, k, n)
+      | P.Score { q; n; d; _ } -> (q, d, n)
+      | P.Select _ -> invalid_arg "Hetero.models: no crossbar selection"
+    in
+    xbar_cost (Driver.price_crossbar (crossbar_kernel ~m ~k ~n))
+  in
+  P.default_models (fun device stages ->
+      match (device, stages) with
+      | P.Cam, _ when stages = stages_of_info c.info ->
+          cam_cost (Driver.price ?tech c)
+      | P.Cam, [ P.Score _ ] -> cam_cost (Driver.price ?tech (scores_kernel c))
+      | P.Xbar, first :: rest ->
+          List.fold_left
+            (fun acc s -> P.add acc (xbar_stage s))
+            (xbar_stage first) rest
+      | _ -> invalid_arg "Hetero.models: no kernel runs this segment")
+
+let xbar_matmul ~inputs ~weights =
+  let k = Array.length weights in
+  let n = if k = 0 then 0 else Array.length weights.(0) in
+  let r =
+    Driver.run_crossbar
+      (crossbar_kernel ~m:(Array.length inputs) ~k ~n)
+      ~inputs ~weights
+  in
+  (r.product, xbar_cost r)
 
 let transpose rows =
   let n = Array.length rows in
@@ -229,14 +229,81 @@ let transpose rows =
 
 let row_l1 (r : float array) = Array.fold_left ( +. ) 0. r
 
-let assignment_of_config (config : Driver.Run_config.t) ~models ~stages
-    ~filter =
-  match config.placement with
-  | `Cam -> P.single stages P.Cam
-  | `Fixed (score_dev, select_dev) -> [ score_dev; select_dev ]
-  | `Auto ->
-      (P.choose ~objective:config.place_objective ~filter models stages)
-        .p_assignment
+let assignment_of_config (config : Driver.Run_config.t) models stages ~filter
+    =
+  let assignment =
+    match config.placement with
+    | `Cam -> P.single stages P.Cam
+    | `Fixed a -> a
+    | `Auto ->
+        (P.choose ~objective:config.place_objective ~filter models stages)
+          .p_assignment
+  in
+  if List.length assignment <> List.length stages then
+    raise
+      (Driver.Compile_error
+         (Printf.sprintf "placement pins %d devices; the pipeline has %d stages"
+            (List.length assignment) (List.length stages)));
+  if not (P.legal stages assignment && filter assignment) then
+    raise
+      (Driver.Compile_error
+         (Printf.sprintf "placement %s is not executable for this kernel"
+            (P.assignment_name stages assignment)));
+  assignment
+
+type placed_result = {
+  pr_values : float array array;
+  pr_indices : int array array;
+  pr_placement : string;
+  pr_candidates : int;
+  pr_priced : P.priced;
+  pr_cam : Driver.run_result option;
+}
+
+(* Compose an executed split: each device segment costs what its kernel
+   charged in this run ([ran]), the host stages and the movement what
+   Placement prices them at. *)
+let finish (config : Driver.Run_config.t) models stages assignment ~filter
+    ~ran ~values ~indices ~cam =
+  let priced =
+    P.price
+      { models with P.device_cost = (fun d _ -> List.assoc d ran) }
+      stages assignment
+  in
+  let r =
+    {
+      pr_values = values;
+      pr_indices = indices;
+      pr_placement = P.assignment_name stages assignment;
+      pr_candidates = List.length (List.filter filter (P.enumerate stages));
+      pr_priced = priced;
+      pr_cam = cam;
+    }
+  in
+  Option.iter
+    (fun p ->
+      let segments = priced.p_segments in
+      let per_device project =
+        List.sort_uniq compare (List.map (fun (_, d, _) -> d) segments)
+        |> List.map (fun d ->
+               ( P.device_name d,
+                 List.fold_left
+                   (fun acc (_, d', c) -> if d' = d then acc +. project c else acc)
+                   0. segments ))
+      in
+      Instrument.Collect.set_placement p
+        {
+          Instrument.Profile.placement = r.pr_placement;
+          place_objective = P.objective_name config.place_objective;
+          candidates = r.pr_candidates;
+          device_latency_s = per_device (fun (c : P.cost) -> c.latency);
+          device_energy_j = per_device (fun (c : P.cost) -> c.energy);
+          moved_bytes = priced.p_moved_bytes;
+          move_latency_s = priced.p_movement.latency;
+          move_energy_j = priced.p_movement.energy;
+        })
+    config.profile;
+  r
 
 let run_placed ?(config = Driver.Run_config.default) (c : Driver.compiled)
     ~queries ~stored =
@@ -244,119 +311,40 @@ let run_placed ?(config = Driver.Run_config.default) (c : Driver.compiled)
   if info.output <> `Topk then
     raise (Driver.Compile_error "run_placed expects a top-k kernel");
   let stages = stages_of_info info in
-  let binary = is_binary queries && is_binary stored in
-  let filter = executable_placed info ~binary in
-  let models = P.default_models ?tech:config.tech c.spec in
-  let assignment = assignment_of_config config ~models ~stages ~filter in
-  if not (P.legal stages assignment && filter assignment) then
-    raise
-      (Driver.Compile_error
-         (Printf.sprintf "placement %s is not executable for this kernel"
-            (P.assignment_name stages assignment)));
-  let candidates = List.filter filter (P.enumerate stages) in
-  let cut = List.nth assignment 0 <> List.nth assignment 1 in
-  let moved_bytes = if cut then P.stage_out_bytes (List.hd stages) else 0 in
-  let movement = P.movement_cost models ~bytes:moved_bytes in
+  let filter = executable_placed ~queries ~stored in
+  let models = models ?tech:config.tech c in
+  let assignment = assignment_of_config config models stages ~filter in
   let host_select dist =
     Camsim.Topk.rows ~dist ~k:info.k ~largest:(effective_largest c)
   in
-  let gpu_select () =
-    P.stage_cost models (List.nth stages 1) P.Host
+  let (values, indices), ran, cam =
+    match assignment with
+    | [ P.Cam; P.Cam ] ->
+        let r = Driver.run_cam ~config c ~queries ~stored in
+        ((r.values, r.indices), [ (P.Cam, cam_cost r) ], Some r)
+    | [ P.Cam; P.Host ] ->
+        let r = Driver.run_cam ~config (scores_kernel c) ~queries ~stored in
+        (host_select (Option.get r.scores), [ (P.Cam, cam_cost r) ], Some r)
+    | [ P.Xbar; P.Host ] ->
+        (* dot products on the crossbar, then the CAM's Hamming
+           distances recovered exactly for 0/1 data *)
+        let dots, cost =
+          xbar_matmul ~inputs:queries ~weights:(transpose stored)
+        in
+        let sl1 = Array.map row_l1 stored in
+        let dist =
+          Array.mapi
+            (fun qi (row : float array) ->
+              let ql1 = row_l1 queries.(qi) in
+              Array.mapi (fun j dot -> ql1 +. sl1.(j) -. (2. *. dot)) row)
+            dots
+        in
+        (host_select dist, [ (P.Xbar, cost) ], None)
+    | _ ->
+        (* [Host; Host], the one legal split left *)
+        (host_select (host_scores info.metric ~queries ~stored), [], None)
   in
-  let finish ~values ~indices ~stage_costs ~cam =
-    let total =
-      List.fold_left (fun acc (_, _, c) -> P.add acc c) movement stage_costs
-    in
-    let r =
-      {
-        pr_values = values;
-        pr_indices = indices;
-        pr_assignment = assignment;
-        pr_placement = P.assignment_name stages assignment;
-        pr_candidates = List.length candidates;
-        pr_stage_costs = stage_costs;
-        pr_movement = movement;
-        pr_moved_bytes = moved_bytes;
-        pr_latency = total.P.latency;
-        pr_energy = total.P.energy;
-        pr_cam = cam;
-      }
-    in
-    fold_placed_profile config r;
-    r
-  in
-  match assignment with
-  | [ P.Cam; P.Cam ] ->
-      let r = Driver.run_cam ~config c ~queries ~stored in
-      (* One device run covers both stages; report it on the score row
-         so the select row carries only the periphery's modeled cost. *)
-      let select =
-        P.stage_cost models
-          (P.Select { q = info.q; n = info.n; k = info.k })
-          P.Cam
-      in
-      let score =
-        { P.latency = Float.max 0. (r.latency -. select.latency);
-          energy = Float.max 0. (r.energy -. select.energy);
-        }
-      in
-      finish ~values:r.values ~indices:r.indices
-        ~stage_costs:[ ("score", P.Cam, score); ("select", P.Cam, select) ]
-        ~cam:(Some r)
-  | [ P.Cam; P.Host ] ->
-      let scores_source =
-        match info.metric with
-        | Dot ->
-            Workloads.Kernels.hdc_dot_scores ~q:info.q ~dims:info.d ~classes:info.n
-        | Cosine -> Workloads.Kernels.cosine_scores ~q:info.q ~dims:info.d ~n:info.n
-        | _ -> assert false
-      in
-      let sc = Driver.compile ~spec:c.spec scores_source in
-      let r = Driver.run_cam ~config sc ~queries ~stored in
-      let dist =
-        match r.scores with
-        | Some s -> s
-        | None -> raise (Driver.Compile_error "scores kernel returned no scores")
-      in
-      let values, indices = host_select dist in
-      finish ~values ~indices
-        ~stage_costs:
-          [ ("score", P.Cam, { P.latency = r.latency; energy = r.energy });
-            ("select", P.Host, gpu_select ());
-          ]
-        ~cam:(Some r)
-  | [ P.Xbar; P.Host ] ->
-      (* dot products on the crossbar, then the CAM's Hamming distances
-         recovered exactly for 0/1 data: h = |q| + |s| - 2 q.s *)
-      let dots, xcost =
-        xbar_matmul ~m:info.q ~inputs:queries ~weights:(transpose stored) ()
-      in
-      let sl1 = Array.map row_l1 stored in
-      let dist =
-        Array.mapi
-          (fun qi (row : float array) ->
-            let ql1 = row_l1 queries.(qi) in
-            Array.mapi (fun j dot -> ql1 +. sl1.(j) -. (2. *. dot)) row)
-          dots
-      in
-      let values, indices = host_select dist in
-      finish ~values ~indices
-        ~stage_costs:
-          [ ("score", P.Xbar, xcost); ("select", P.Host, gpu_select ()) ]
-        ~cam:None
-  | [ P.Host; P.Host ] ->
-      let dist = host_scores info.metric ~queries ~stored in
-      let values, indices = host_select dist in
-      let score = P.stage_cost models (List.hd stages) P.Host in
-      finish ~values ~indices
-        ~stage_costs:
-          [ ("score", P.Host, score); ("select", P.Host, gpu_select ()) ]
-        ~cam:None
-  | _ ->
-      raise
-        (Driver.Compile_error
-           (Printf.sprintf "placement %s has no runner"
-              (P.assignment_name stages assignment)))
+  finish config models stages assignment ~filter ~ran ~values ~indices ~cam
 
 (* ---- the RecSys pipeline (Section II-C) ------------------------------
 
@@ -366,27 +354,6 @@ let run_placed ?(config = Driver.Run_config.default) (c : Driver.compiled)
    workload the placement pass exists for. The prototype embeddings are
    computed host-side at database-build time (like CAM row programming,
    charged to whoever executes the score stage). *)
-
-type recsys_stage = {
-  rs_stage : string;
-  rs_device : P.device;
-  rs_cost : P.cost;
-}
-
-type recsys_outcome = {
-  rc_assignment : P.assignment;
-  rc_placement : string;
-  rc_candidates : int;
-  rc_values : float array array;
-  rc_indices : int array array;
-  rc_accuracy : float;
-  rc_latency : float;
-  rc_energy : float;
-  rc_stages : recsys_stage list;
-  rc_movement : P.cost;
-  rc_moved_bytes : int;
-  rc_cam : Driver.run_result option;
-}
 
 let recsys_stages (data : Workloads.Recsys.t) ~k =
   let q = Array.length data.users in
@@ -399,146 +366,37 @@ let recsys_stages (data : Workloads.Recsys.t) ~k =
     P.Select { q; n; k };
   ]
 
-(* Every legal recsys assignment is executable except (score=cam,
-   select=host): there is no Euclidean scores-form fusion pattern, so
-   the CAM cannot hand raw distances back to the host. *)
-let executable_recsys = function
-  | [ _; P.Cam; P.Host ] -> false
-  | _ -> true
-
-let cam_spec_for_recsys (spec : Archspec.Spec.t) =
-  { spec with cam_kind = Archspec.Spec.Mcam }
+(* The CAM score stage needs multi-bit distances: an MCAM cell. *)
+let recsys_kernel ~spec ~data ~k =
+  match recsys_stages data ~k with
+  | [ _; P.Score { q; d; n; _ }; _ ] ->
+      Driver.compile
+        ~spec:{ spec with Archspec.Spec.cam_kind = Archspec.Spec.Mcam }
+        (Workloads.Kernels.knn_euclidean ~q ~dims:d ~n ~k)
+  | _ -> assert false
 
 let run_recsys ?(config = Driver.Run_config.default) ~spec
-    ~(data : Workloads.Recsys.t) ~k ?assignment () =
+    ~(data : Workloads.Recsys.t) ~k () =
   let stages = recsys_stages data ~k in
-  let q = Array.length data.users in
-  let f = Array.length data.items in
-  let d = if f = 0 then 0 else Array.length data.items.(0) in
-  let n = Array.length data.prototypes in
-  let cam_spec = cam_spec_for_recsys spec in
-  let models = P.default_models ?tech:config.tech cam_spec in
-  let assignment =
+  let knn = recsys_kernel ~spec ~data ~k in
+  let models = models ?tech:config.tech knn in
+  let filter _ = true in
+  let assignment = assignment_of_config config models stages ~filter in
+  let stored = Workloads.Recsys.project data data.prototypes in
+  let queries, gemv_ran =
     match assignment with
-    | Some a -> a
-    | None ->
-        assignment_of_config config ~models ~stages ~filter:executable_recsys
+    | P.Xbar :: _ ->
+        let e, cost = xbar_matmul ~inputs:data.users ~weights:data.items in
+        (e, [ (P.Xbar, cost) ])
+    | _ -> (Workloads.Recsys.project data data.users, [])
   in
-  if not (P.legal stages assignment && executable_recsys assignment) then
-    raise
-      (Driver.Compile_error
-         (Printf.sprintf "recsys placement %s is not executable"
-            (P.assignment_name stages assignment)));
-  let candidates = List.filter executable_recsys (P.enumerate stages) in
-  let stored_embeddings = Workloads.Recsys.project data data.prototypes in
-  let gemv_dev = List.nth assignment 0 in
-  let score_dev = List.nth assignment 1 in
-  let select_dev = List.nth assignment 2 in
-  let embeddings, gemv_cost =
-    match gemv_dev with
-    | P.Xbar -> xbar_matmul ~m:q ~inputs:data.users ~weights:data.items ()
-    | P.Host ->
-        ( Workloads.Recsys.project data data.users,
-          P.stage_cost models (List.hd stages) P.Host )
-    | P.Cam -> assert false
+  let (values, indices), ran, cam =
+    match assignment with
+    | [ _; P.Cam; _ ] ->
+        let r = Driver.run_cam ~config knn ~queries ~stored in
+        ((r.values, r.indices), (P.Cam, cam_cost r) :: gemv_ran, Some r)
+    | _ ->
+        let dist = host_scores Dialects.Cim.Euclidean ~queries ~stored in
+        (Camsim.Topk.rows ~dist ~k ~largest:false, gemv_ran, None)
   in
-  let cam_run = ref None in
-  let values, indices, score_cost, select_cost =
-    match (score_dev, select_dev) with
-    | P.Cam, P.Cam ->
-        let compiled =
-          Driver.compile ~spec:cam_spec
-            (Workloads.Kernels.knn_euclidean ~q ~dims:d ~n ~k)
-        in
-        let r =
-          Driver.run_cam ~config compiled ~queries:embeddings
-            ~stored:stored_embeddings
-        in
-        cam_run := Some r;
-        let select = P.stage_cost models (P.Select { q; n; k }) P.Cam in
-        let score =
-          { P.latency = Float.max 0. (r.latency -. select.latency);
-            energy = Float.max 0. (r.energy -. select.energy);
-          }
-        in
-        (r.values, r.indices, score, select)
-    | P.Host, P.Host ->
-        let dist =
-          host_scores Dialects.Cim.Euclidean ~queries:embeddings
-            ~stored:stored_embeddings
-        in
-        let values, indices = Camsim.Topk.rows ~dist ~k ~largest:false in
-        ( values,
-          indices,
-          P.stage_cost models (List.nth stages 1) P.Host,
-          P.stage_cost models (List.nth stages 2) P.Host )
-    | _ -> assert false
-  in
-  let rec movement bytes_costs = function
-    | (s1, d1) :: ((_, d2) :: _ as rest) ->
-        let b = if d1 <> d2 then P.stage_out_bytes s1 else 0 in
-        movement (bytes_costs + b) rest
-    | _ -> bytes_costs
-  in
-  let moved_bytes =
-    movement 0 (List.combine stages assignment)
-  in
-  let move = P.movement_cost models ~bytes:moved_bytes in
-  let stage_costs =
-    [
-      ("gemv", gemv_dev, gemv_cost);
-      ("score", score_dev, score_cost);
-      ("select", select_dev, select_cost);
-    ]
-  in
-  let total =
-    List.fold_left (fun acc (_, _, c) -> P.add acc c) move stage_costs
-  in
-  let correct = ref 0 in
-  Array.iteri
-    (fun i (row : int array) ->
-      if Array.length row > 0 && row.(0) = data.labels.(i) then incr correct)
-    indices;
-  let r =
-    {
-      rc_assignment = assignment;
-      rc_placement = P.assignment_name stages assignment;
-      rc_candidates = List.length candidates;
-      rc_values = values;
-      rc_indices = indices;
-      rc_accuracy = float_of_int !correct /. float_of_int (max 1 q);
-      rc_latency = total.P.latency;
-      rc_energy = total.P.energy;
-      rc_stages =
-        List.map
-          (fun (s, dv, c) -> { rs_stage = s; rs_device = dv; rs_cost = c })
-          stage_costs;
-      rc_movement = move;
-      rc_moved_bytes = moved_bytes;
-      rc_cam = !cam_run;
-    }
-  in
-  (match config.profile with
-  | None -> ()
-  | Some p ->
-      let per_device project =
-        List.sort_uniq compare (List.map (fun (_, dv, _) -> dv) stage_costs)
-        |> List.map (fun dv ->
-               ( P.device_name dv,
-                 List.fold_left
-                   (fun acc (_, dv', c) ->
-                     if dv' = dv then acc +. project c else acc)
-                   0. stage_costs ))
-      in
-      Instrument.Collect.set_placement p
-        {
-          Instrument.Profile.placement = r.rc_placement;
-          place_objective = P.objective_name config.place_objective;
-          candidates = r.rc_candidates;
-          device_latency_s = per_device (fun (c : P.cost) -> c.latency);
-          device_energy_j = per_device (fun (c : P.cost) -> c.energy);
-          moved_bytes = r.rc_moved_bytes;
-          move_latency_s = move.P.latency;
-          move_energy_j = move.P.energy;
-        });
-  r
+  finish config models stages assignment ~filter ~ran ~values ~indices ~cam

@@ -47,28 +47,32 @@ val run_concurrent : ?config:Driver.Run_config.t -> task list -> outcome
 (** {1 Placed single-kernel runs} *)
 
 val stages_of_info : Driver.kernel_info -> Passes.Placement.stage list
-(** The two-stage (score, select) pipeline of a compiled top-k kernel. *)
+(** The pipeline of a compiled kernel: [Score; Select] for a top-k
+    kernel, [Score] for the scores form. *)
+
+val models : ?tech:Camsim.Tech.t -> Driver.compiled -> Passes.Placement.models
+(** Placement's prices for the pipeline of a compiled kernel, optionally
+    behind a GEMV prelude: a CAM or crossbar segment costs the ledger of
+    the kernel that runs it, simulated on zero rows ({!Driver.price},
+    {!Driver.price_crossbar}) — the kernel itself for its whole
+    pipeline, its scores form for a CAM score feeding a host select,
+    and one [matmul] per crossbar GEMV or dot score. *)
 
 val executable_placed :
-  Driver.kernel_info -> binary:bool -> Passes.Placement.assignment -> bool
-(** Which model-legal assignments the runner can execute {e exactly}:
-    [(cam, cam)] always; [(cam, host)] only for the dot/cosine metrics
-    (the scores-form fusion patterns); [(xbar, host)] only for binary
-    dot-metric data (Hamming distances recovered as
-    [|q| + |s| - 2 q.s]); [(host, host)] always. *)
+  queries:float array array -> stored:float array array ->
+  Passes.Placement.assignment -> bool
+(** The run-time condition on a legal split of a [Score; Select]
+    kernel: a crossbar score recovers the CAM's Hamming distances as
+    [|q| + |s| - 2 q.s], so it needs 0/1 data. *)
 
 type placed_result = {
   pr_values : float array array;
   pr_indices : int array array;
-  pr_assignment : Passes.Placement.assignment;
   pr_placement : string;  (** e.g. ["score=cam select=host"] *)
   pr_candidates : int;  (** executable assignments considered *)
-  pr_stage_costs :
-    (string * Passes.Placement.device * Passes.Placement.cost) list;
-  pr_movement : Passes.Placement.cost;
-  pr_moved_bytes : int;
-  pr_latency : float;  (** stages + movement *)
-  pr_energy : float;
+  pr_priced : Passes.Placement.priced;
+      (** the ledgers of the kernels this run executed, with the host
+          stages and movement, composed by [Passes.Placement.price] *)
   pr_cam : Driver.run_result option;
       (** the underlying CAM run when the score stage executed on CAM
           (full run for all-CAM, scores run for a [(cam, host)] split) *)
@@ -80,13 +84,14 @@ val run_placed :
   queries:float array array ->
   stored:float array array ->
   placed_result
-(** Execute the kernel under [config.placement]: [`Cam] (default) is
-    the homogeneous reference, [`Fixed] pins the (score, select)
+(** Execute a top-k kernel under [config.placement]: [`Cam] (default)
+    is the homogeneous reference, [`Fixed] pins the (score, select)
     devices, [`Auto] lets [Passes.Placement.choose] pick under
     [config.place_objective] among executable assignments. Results are
-    byte-identical across placements (tested). When the config carries
-    a profile collector the placement decision and per-device cost
-    breakdown are folded in ([Profile.placed]).
+    byte-identical across placements, and the reported total equals
+    [Passes.Placement.price] of {!models} (tested). When the config
+    carries a profile collector the placement decision and per-device
+    cost breakdown are folded in ([Profile.placed]).
     @raise Driver.Compile_error on a non-top-k kernel or a pinned
     placement the runner cannot execute. *)
 
@@ -96,46 +101,26 @@ val run_placed :
     selection — three stages over three fabrics, the workload the
     placement pass exists for. *)
 
-type recsys_stage = {
-  rs_stage : string;  (** "gemv" | "score" | "select" *)
-  rs_device : Passes.Placement.device;
-  rs_cost : Passes.Placement.cost;
-}
-
-type recsys_outcome = {
-  rc_assignment : Passes.Placement.assignment;
-  rc_placement : string;
-  rc_candidates : int;
-  rc_values : float array array;
-  rc_indices : int array array;
-  rc_accuracy : float;  (** top-1 against the generator's labels *)
-  rc_latency : float;
-  rc_energy : float;
-  rc_stages : recsys_stage list;
-  rc_movement : Passes.Placement.cost;
-  rc_moved_bytes : int;
-  rc_cam : Driver.run_result option;
-}
-
 val recsys_stages :
   Workloads.Recsys.t -> k:int -> Passes.Placement.stage list
 
-val executable_recsys : Passes.Placement.assignment -> bool
-(** Every legal recsys assignment except [(_, cam, host)]: there is no
-    Euclidean scores-form fusion pattern, so the CAM cannot hand raw
-    distances back to the host. *)
+val recsys_kernel :
+  spec:Archspec.Spec.t -> data:Workloads.Recsys.t -> k:int -> Driver.compiled
+(** The [knn_euclidean] kernel that runs the score and select stages on
+    the CAM, on an MCAM cell of [spec] (Euclidean needs multi-bit
+    distances); {!models} of it prices the pipeline. *)
 
 val run_recsys :
   ?config:Driver.Run_config.t ->
   spec:Archspec.Spec.t ->
   data:Workloads.Recsys.t ->
   k:int ->
-  ?assignment:Passes.Placement.assignment ->
   unit ->
-  recsys_outcome
-(** Run the three-stage pipeline under [?assignment] when given,
-    otherwise under [config.placement] ([`Auto] searches with
+  placed_result
+(** Run the three-stage pipeline under [config.placement] ([`Fixed]
+    pins one device per stage, [`Auto] searches with
     [Passes.Placement.choose]). The CAM score stage forces an MCAM
     cell (Euclidean needs multi-bit distances); results are identical
-    across all executable assignments (tested).
-    @raise Driver.Compile_error on a non-executable assignment. *)
+    across all legal assignments (tested).
+    @raise Driver.Compile_error on a pin of the wrong length or a
+    non-executable assignment. *)

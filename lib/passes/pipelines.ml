@@ -16,7 +16,6 @@ let by_name spec name =
   | "fold-constants" -> Some Canonicalize.fold_constants
   | "cim-host-fallback" -> Some Host_fallback.pass
   | "cim-to-loops" -> Some Cim_to_loops.pass
-  | "cim-place" -> Some (Placement.pass spec)
   | _ -> None
 
 let names =
@@ -34,5 +33,4 @@ let names =
     "fold-constants";
     "cim-host-fallback";
     "cim-to-loops";
-    "cim-place";
   ]

@@ -66,35 +66,6 @@ let stats t = t.x_stats
 
 type cost = { latency : float; energy : float }
 
-(* Analytical mirrors of [write] and [gemv] for a tiled [m x k] by
-   [k x n] product, matching what crossbar-map generates: k and n are
-   split into tile_rows/tile_cols chunks, every tile is programmed once
-   and then serves m GEMV cycles, tiles run back to back. Used by the
-   placement cost model to price a crossbar mapping without building a
-   simulator. *)
-let ceil_div a b = (a + b - 1) / b
-
-let write_cost ?(tech = reram_28nm) (_spec : spec) ~k ~n =
-  (* Summed over an exact tiling, the per-tile row-serial write chains
-     cover each of the k*n cells exactly once. *)
-  let cells = float_of_int (k * n) in
-  { latency = cells *. tech.t_write_cell; energy = cells *. tech.e_write_cell }
-
-let gemv_cost ?(tech = reram_28nm) (spec : spec) ~m ~k ~n =
-  let k_chunks = ceil_div k spec.tile_rows in
-  let n_chunks = ceil_div n spec.tile_cols in
-  let tiles = k_chunks * n_chunks in
-  let mf = float_of_int m in
-  {
-    latency = mf *. tech.t_gemv *. float_of_int tiles;
-    energy =
-      mf
-      *. ((float_of_int (k * n) *. tech.e_mac)
-         +. (float_of_int (k * n_chunks) *. tech.e_dac_per_input)
-         +. (float_of_int (n * k_chunks) *. tech.e_adc_per_output)
-         +. (float_of_int tiles *. tech.e_tile_static));
-  }
-
 let alloc_tile t =
   (match t.x_spec.max_tiles with
   | Some m when t.x_stats.x_tiles >= m ->

@@ -30,8 +30,6 @@ type tech = {
   e_write_cell : float;
 }
 
-val reram_28nm : tech
-
 type stats = {
   mutable x_gemvs : int;
   mutable x_writes : int;
@@ -45,20 +43,12 @@ type tile = private int
 exception Error of string
 
 val create : ?tech:tech -> spec -> t
+(** [tech] defaults to a ReRAM 28 nm calibration in the ISAAC/PUMA
+    regime. *)
+
 val stats : t -> stats
 
 type cost = { latency : float; energy : float }
-
-val write_cost : ?tech:tech -> spec -> k:int -> n:int -> cost
-(** Analytical cost of programming a [k x n] weight matrix across an
-    exact tiling — the sum of the per-tile {!write} costs crossbar-map
-    would generate, without building a simulator. *)
-
-val gemv_cost : ?tech:tech -> spec -> m:int -> k:int -> n:int -> cost
-(** Analytical cost of an [m x k] by [k x n] product over the tiles of
-    [spec], tiles running back to back: the sum of the per-tile {!gemv}
-    costs of the generated mapping. Programming is priced separately by
-    {!write_cost}. *)
 
 val alloc_tile : t -> tile
 (** @raise Error when [max_tiles] is exceeded. *)

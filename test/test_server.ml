@@ -600,6 +600,35 @@ let test_tcp_connection_cleanup () =
     (Server.stats server).Server.clients_connected;
   Server.stop server
 
+(* A connection to a stopped server: [Server.connect] refuses it, so the
+   connection is closed at once and still counted. Twice, then the
+   listener shuts down. *)
+let test_tcp_stopped_server () =
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let server = Server.create (Session.create ~spec ~stored:data.stored src) in
+  let listener = Tcp.listen ~port:0 server in
+  Server.stop server;
+  for i = 1 to 2 do
+    let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect sock
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port listener));
+    Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.;
+    let ic = Unix.in_channel_of_descr sock in
+    (match input_char ic with
+    | _ -> Alcotest.failf "connection %d: bytes from a stopped server" i
+    | exception End_of_file -> ()
+    | exception (Sys_error _ | Sys_blocked_io) ->
+        Alcotest.failf "connection %d: no EOF from a stopped server" i);
+    Unix.close sock;
+    Alcotest.(check int)
+      (Printf.sprintf "connection %d counted" i)
+      i
+      (Tcp.connections_served listener)
+  done;
+  Tcp.shutdown listener
+
 (* The per-connection reader over a real socket, at [queue_cap = 4] and
    [d = 32]: a request holds at most 4 rows and 4 * 32 * 64 = 8192
    bytes. A line past either cap is answered with an error and the
@@ -949,6 +978,8 @@ let () =
           Alcotest.test_case "200 connections in turn" `Quick
             test_tcp_connection_cleanup;
           Alcotest.test_case "bounded reader" `Quick test_tcp_bounded_reader;
+          Alcotest.test_case "stopped server closes" `Quick
+            test_tcp_stopped_server;
           QCheck_alcotest.to_alcotest prop_mutated_requests_refused_cleanly;
           QCheck_alcotest.to_alcotest prop_scanner_matches_split_parser;
           Alcotest.test_case "parse allocates the rows only" `Quick
