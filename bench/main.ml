@@ -1432,7 +1432,33 @@ let micro () =
                    ("binary", `Binary); ("nibble", `Nibble);
                    ("generic", `Generic);
                  ])
-             [ 32; 64; 128 ]);
+             [ 32; 64; 128 ]
+          @ [
+              (* the ACAM range floor: 8 queries over 1,024 boxes of 16
+                 dims, the whole-window range loop *)
+              (let rows = 1024 and dims = 16 and q = 8 in
+               let rng = Rng.create 1016 in
+               let lo =
+                 Array.init rows (fun _ ->
+                     Array.init dims (fun _ -> 0.4 *. Rng.float rng))
+               in
+               let hi =
+                 Array.map
+                   (Array.map (fun l -> l +. 0.2 +. (0.4 *. Rng.float rng)))
+                   lo
+               in
+               let queries =
+                 Array.init q (fun _ ->
+                     Array.init dims (fun _ -> Rng.float rng))
+               in
+               let sub = Camsim.Subarray.create ~rows ~cols:dims ~bits:8 in
+               Camsim.Subarray.write_range sub ~row_offset:0 ~lo ~hi;
+               Test.make ~name:"range_16"
+                 (Staged.stage (fun () ->
+                      ignore
+                        (Camsim.Subarray.search_range sub ~queries
+                           ~row_offset:0 ~rows))));
+            ]);
         (* GC pressure of the zero-allocation hot path: the
            minor-words column is the headline number here — the
            flat-storage kernels and scratch arenas exist to hold it

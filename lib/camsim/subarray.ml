@@ -29,6 +29,12 @@ type t = {
      for uniform subarrays — and dispatches one kernel per window
      instead of matching per row per query. *)
   classes : Kernel.cls array;
+  (* Per row, the length of its leading run of range cells (0 for a
+     row whose first cell is not a range cell): a Hamming search over a
+     window whose every row's run covers the query takes the
+     whole-window range loop. Range rows stay [Generic] in [classes].
+     Like [chi], it stays empty until the first range write. *)
+  mutable range_w : int array;
   mutable n_class_binary : int;
   mutable n_class_nibble : int;
   mutable n_class_generic : int;
@@ -62,6 +68,7 @@ let create ~rows ~cols ~bits =
     bpack = Array.make (rows * fbw) 0;
     npack = Array.make (rows * fnw) 0;
     classes = Array.make rows Kernel.Generic;
+    range_w = [||];
     n_class_binary = 0;
     n_class_nibble = 0;
     n_class_generic = rows;
@@ -128,6 +135,33 @@ let cap_class cap cls =
   | `Nibble, c -> c
   | `Generic, _ -> Kernel.Generic
 
+(* Recount row [r]'s leading range run after a write. Every write
+   programs a prefix of the row, so a run can both grow and shrink. *)
+let set_range_width t r =
+  if Array.length t.range_w > 0 then begin
+    let base = r * t.n_cols in
+    let w = ref 0 in
+    while !w < t.n_cols && Bytes.unsafe_get t.ck (base + !w) = k_range do
+      incr w
+    done;
+    t.range_w.(r) <- !w
+  end
+
+(* The narrowest leading range run over a row window: a query of at
+   most this width meets only range cells in every row. 0 when some
+   row of the window starts with another cell kind; the scan stops at
+   the first such row. *)
+let window_range_width t ~row_offset ~rows =
+  if Array.length t.range_w = 0 then 0
+  else begin
+    let w = ref t.n_cols and r = ref row_offset in
+    while !w > 0 && !r < row_offset + rows do
+      w := min !w (Array.unsafe_get t.range_w !r);
+      incr r
+    done;
+    !w
+  end
+
 (* --- writes ----------------------------------------------------------- *)
 
 let check_window t ~row_offset ~rows =
@@ -170,7 +204,8 @@ let write t ?(row_offset = 0) ?care data =
       set_row_class t r
         (if binary then Kernel.Binary
          else if nibble then Kernel.Nibble
-         else Kernel.Generic))
+         else Kernel.Generic);
+      set_range_width t r)
     data
 
 let write_range t ~row_offset ~lo ~hi =
@@ -178,7 +213,10 @@ let write_range t ~row_offset ~lo ~hi =
   if Array.length hi <> n then
     invalid_arg "Subarray.write_range: lo/hi row count mismatch";
   check_window t ~row_offset ~rows:n;
-  if Array.length t.chi = 0 then t.chi <- Array.make (Array.length t.clo) 0.;
+  if Array.length t.chi = 0 then begin
+    t.chi <- Array.make (Array.length t.clo) 0.;
+    t.range_w <- Array.make t.n_rows 0
+  end;
   Array.iteri
     (fun i lo_row ->
       let hi_row = hi.(i) in
@@ -192,7 +230,8 @@ let write_range t ~row_offset ~lo ~hi =
           t.clo.(base + j) <- l;
           t.chi.(base + j) <- hi_row.(j))
         lo_row;
-      set_row_class t r Kernel.Generic)
+      set_row_class t r Kernel.Generic;
+      set_range_width t r)
     lo
 
 (* One loop over the incoming cells; the incoming cell [j] is
@@ -245,14 +284,37 @@ let hamming_row t ~base qd qo qc width =
     let q = Array.unsafe_get qd !k in
     k := !k + qc;
     match Bytes.unsafe_get ck (base + j) with
-    | '\000' -> if Array.unsafe_get clo (base + j) <> q then incr d
+    | '\000' -> d := !d + Bool.to_int (Array.unsafe_get clo (base + j) <> q)
     | '\001' -> ()
     | _ ->
-        if q < Array.unsafe_get clo (base + j)
-           || q > Array.unsafe_get chi (base + j)
-        then incr d
+        d :=
+          !d
+          + (Bool.to_int (q < Array.unsafe_get clo (base + j))
+            lor Bool.to_int (q > Array.unsafe_get chi (base + j)))
   done;
   float_of_int !d
+
+(* The whole-window range loop: every row of the window holds range
+   cells over the query's [width] ([window_range_width]), so the cell
+   kind is known and each count goes straight into [out] unboxed. The
+   violation is the scalar arm's exactly: [lor] counts an inverted box
+   (lo > hi) once per cell, as [||] does, and a nan compares false
+   both ways. *)
+let range_window t ~row_offset ~rows qd qo qc width (out : float array) =
+  let clo = t.clo and chi = t.chi and n_cols = t.n_cols in
+  for i = 0 to rows - 1 do
+    let base = (row_offset + i) * n_cols in
+    let d = ref 0 and k = ref qo in
+    for j = base to base + width - 1 do
+      let q = Array.unsafe_get qd !k in
+      k := !k + qc;
+      d :=
+        !d
+        + (Bool.to_int (q < Array.unsafe_get clo j)
+          lor Bool.to_int (q > Array.unsafe_get chi j))
+    done;
+    Array.unsafe_set out i (float_of_int !d)
+  done
 
 let euclidean_row t ~base qd qo qc width =
   let ck = t.ck and clo = t.clo and chi = t.chi in
@@ -289,12 +351,13 @@ let hamming_row_threshold t ~base qd qo qc width ~threshold =
        let q = Array.unsafe_get qd !k in
        k := !k + qc;
        (match Bytes.unsafe_get ck (base + j) with
-       | '\000' -> if Array.unsafe_get clo (base + j) <> q then incr d
+       | '\000' -> d := !d + Bool.to_int (Array.unsafe_get clo (base + j) <> q)
        | '\001' -> ()
        | _ ->
-           if q < Array.unsafe_get clo (base + j)
-              || q > Array.unsafe_get chi (base + j)
-           then incr d);
+           d :=
+             !d
+             + (Bool.to_int (q < Array.unsafe_get clo (base + j))
+               lor Bool.to_int (q > Array.unsafe_get chi (base + j))));
        if float_of_int !d > threshold then begin
          if j < width - 1 then code := Kernel.th_early;
          raise Exit
@@ -430,7 +493,13 @@ let distances ?stats t w ~row_offset ~rows ~metric =
   check_window t ~row_offset ~rows;
   check_queries t w;
   let q_count = Scratch.row_count w and qc = Scratch.row_cs w in
-  let cls = classify t w ~row_offset ~rows ~metric in
+  (* an all-range window is all [Generic] rows: no query packs *)
+  let range_w =
+    if metric = `Hamming then window_range_width t ~row_offset ~rows else 0
+  in
+  let cls =
+    if range_w > 0 then None else classify t w ~row_offset ~rows ~metric
+  in
   let sc = Scratch.get () in
   Scratch.counters sc ~n:q_count;
   let kb = sc.Scratch.kb and kn = sc.Scratch.kn and kg = sc.Scratch.kg in
@@ -530,7 +599,8 @@ let distances ?stats t w ~row_offset ~rows ~metric =
           done
         done
     | None ->
-        (* scalar everything: Euclidean, or a [`Generic] cap *)
+        (* scalar everything: Euclidean, a [`Generic] cap or an
+           all-range window *)
         for qi = qlo to qhi - 1 do
           let qd = Scratch.row_data w qi and qo = Scratch.row_off w qi in
           let width = Scratch.row_cols w qi in
@@ -543,6 +613,8 @@ let distances ?stats t w ~row_offset ~rows ~metric =
                   euclidean_row t ~base:((row_offset + i) * t.n_cols) qd qo qc
                     width
               done
+          | `Hamming when width <= range_w ->
+              range_window t ~row_offset ~rows qd qo qc width out
           | `Hamming ->
               for i = 0 to rows - 1 do
                 out.(i) <-
@@ -636,8 +708,8 @@ let search_threshold_window ?stats t w ~row_offset ~rows ~metric ~threshold =
 let search ?stats t ~queries ~row_offset ~rows ~metric =
   search_window ?stats t (Scratch.Rows queries) ~row_offset ~rows ~metric
 
-(* Range match is Hamming-style violation counting, which the generic
-   path already implements through the [Range] cell case. *)
+(* Range match is Hamming-style violation counting: the generic path's
+   [Range] cell case, or the whole-window range loop. *)
 let search_range ?stats t ~queries ~row_offset ~rows =
   search ?stats t ~queries ~row_offset ~rows ~metric:`Hamming
 

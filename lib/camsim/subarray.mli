@@ -18,7 +18,10 @@
     XOR+popcount path, small-integer rows a 16-cells-per-word nibble
     path, everything else the scalar per-cell loop. A per-subarray
     summary lets a search dispatch one whole-window kernel instead of
-    re-classifying per row per query. Dispatch is wall-clock only:
+    re-classifying per row per query; a Hamming search over a window
+    whose every row starts with range cells at least as wide as a query
+    runs that query through one whole-window range loop, still on the
+    generic tier. Dispatch is wall-clock only:
     distances, match results, and the activity ledger are identical
     across tiers. *)
 

@@ -201,16 +201,30 @@ let models ?tech (c : Driver.compiled) =
     in
     xbar_cost (Driver.price_crossbar (crossbar_kernel ~m ~k ~n))
   in
-  P.default_models (fun device stages ->
-      match (device, stages) with
-      | P.Cam, _ when stages = stages_of_info c.info ->
-          cam_cost (Driver.price ?tech c)
-      | P.Cam, [ P.Score _ ] -> cam_cost (Driver.price ?tech (scores_kernel c))
-      | P.Xbar, first :: rest ->
-          List.fold_left
-            (fun acc s -> P.add acc (xbar_stage s))
-            (xbar_stage first) rest
-      | _ -> invalid_arg "Hetero.models: no kernel runs this segment")
+  (* Candidates share segments (every split of a recsys pipeline with
+     the GEMV on the crossbar prices that one GEMV), so each (device,
+     stages) segment is price-run once per [models] value. *)
+  let memo = Hashtbl.create 8 in
+  let rec cost device stages =
+    match Hashtbl.find_opt memo (device, stages) with
+    | Some c -> c
+    | None ->
+        let c = run device stages in
+        Hashtbl.add memo (device, stages) c;
+        c
+  and run device stages =
+    match (device, stages) with
+    | P.Cam, _ when stages = stages_of_info c.info ->
+        cam_cost (Driver.price ?tech c)
+    | P.Cam, [ P.Score _ ] -> cam_cost (Driver.price ?tech (scores_kernel c))
+    | P.Xbar, [ stage ] -> xbar_stage stage
+    | P.Xbar, first :: rest ->
+        List.fold_left
+          (fun acc s -> P.add acc (cost P.Xbar [ s ]))
+          (cost P.Xbar [ first ]) rest
+    | _ -> invalid_arg "Hetero.models: no kernel runs this segment"
+  in
+  P.default_models cost
 
 let xbar_matmul ~inputs ~weights =
   let k = Array.length weights in

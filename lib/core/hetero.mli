@@ -56,7 +56,9 @@ val models : ?tech:Camsim.Tech.t -> Driver.compiled -> Passes.Placement.models
     the kernel that runs it, simulated on zero rows ({!Driver.price},
     {!Driver.price_crossbar}) — the kernel itself for its whole
     pipeline, its scores form for a CAM score feeding a host select,
-    and one [matmul] per crossbar GEMV or dot score. *)
+    and one [matmul] per crossbar GEMV or dot score. Each (device,
+    stages) segment and each crossbar stage is price-run once per
+    [models] value, however many candidates share it. *)
 
 val executable_placed :
   queries:float array array -> stored:float array array ->

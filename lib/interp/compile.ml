@@ -22,11 +22,12 @@
    - Per-dialect execution counters are bumped once per executed op,
      terminators included.
    - A cam.read whose only use is the partial operand of a
-     cam.merge_partial later in its block, with no cam.* op in
-     between, is fused with that merge: the merge accumulates straight
-     from the subarray's latched result rows, so no per-tile buffer is
-     built. Both ops still execute (and count) at their own places;
-     results, charges and errors are the copying form's.
+     cam.merge_partial, or the distances of a cam.select_best, later in
+     its block, with no cam.* op in between, is fused with that op: the
+     merge accumulates, and the select ranks, straight from the
+     subarray's latched result rows, so no buffer is built for them.
+     Both ops still execute (and count) at their own places; results,
+     charges and errors are the copying form's.
 
    Compilation memoizes per domain keyed on the first body op's uid (see
    Ir.Op.uid); the IR is treated as frozen once a function has run. *)
@@ -42,8 +43,9 @@ type ctx = {
   stamp : int; (* the run's query-slot stamp (Camsim.Scratch) *)
   pool : Ops.Pool.t option;
   counts : int array;
-  (* result rows latched by the last fused cam.read, for its merge; no
-     cam.* op runs between the two, so they are still the subarray's *)
+  (* result rows latched by the last fused cam.read, for its merge or
+     select; no cam.* op runs between the two, so they are still the
+     subarray's *)
   mutable latched : float array array;
 }
 
@@ -193,7 +195,7 @@ let check_if_flow = function
   | Cfall | Cyield [] -> ()
   | _ -> Ops.fail "if region must not produce values"
 
-(* ---------- cam.read -> cam.merge_partial fusion ----------------------- *)
+(* ---------- cam.read -> cam.merge_partial / cam.select_best fusion ----- *)
 
 (* cam.read results of [fn] with exactly one definition and one use:
    the reads fusion may consider ([fusion_marks] checks the rest). *)
@@ -242,8 +244,9 @@ let rec runs_cam (op : Ir.Op.t) =
        op.regions
 
 (* Which ops of a block's body are fused: a fusable read and the
-   cam.merge_partial that takes its result as the partial operand,
-   found before any op that runs a cam.* op (merges included). *)
+   cam.merge_partial that takes its result as the partial operand, or
+   the cam.select_best that ranks it, found before any op that runs a
+   cam.* op (merges and selects included). *)
 let fusion_marks cenv (ops : Ir.Op.t array) =
   let n = Array.length ops in
   let fused = Array.make n false in
@@ -256,7 +259,8 @@ let fusion_marks cenv (ops : Ir.Op.t array) =
             let rec scan j =
               if j < n then
                 match ops.(j) with
-                | { op_name = "cam.merge_partial"; operands = [ _; p ]; _ }
+                | ( { op_name = "cam.merge_partial"; operands = [ _; p ]; _ }
+                  | { op_name = "cam.select_best"; operands = [ p ]; _ } )
                   when p.Ir.Value.id = v.id ->
                     fused.(i) <- true;
                     fused.(j) <- true
@@ -273,7 +277,8 @@ let is_terminator = function
   | "func.return" | "scf.yield" | "cim.yield" -> true
   | _ -> false
 
-(* [fused]: the op is one half of a fused read/merge pair *)
+(* [fused]: the op is one half of a fused read/merge or read/select
+   pair *)
 let rec compile_op ?(fused = false) cenv (op : Ir.Op.t) : cop =
   try compile_op_inner ~fused cenv op
   with (Ops.Runtime_error _ | Invalid_argument _ | Failure _) as e ->
@@ -796,12 +801,17 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
           Ops.buffer_accumulate "cam.merge_partial" dst part;
           charge ctx dst
   | "cam.select_best" ->
-      let g = use cenv (opnd 0) in
+      let dg =
+        if fused then fun ctx -> ctx.latched
+        else
+          let g = use cenv (opnd 0) in
+          fun ctx -> Rtval.to_rows (g ctx)
+      in
       let k = attr_i op "k" and largest = attr_b op "largest" in
       let s0 = def cenv (Ir.Op.result_n op 0) in
       let s1 = def cenv (Ir.Op.result_n op 1) in
       fun ctx ->
-        let dist = Rtval.to_rows (g ctx) in
+        let dist = dg ctx in
         let (values, indices), cost =
           Camsim.Simulator.select_best (simx ctx) ~dist ~k ~largest
         in

@@ -118,15 +118,13 @@ let single stages device =
     | [] -> []
     | stage :: rest ->
         let d =
-          if
-            List.mem device (stage_devices stage)
-            && (match stage with Select _ -> device <> Cam || prev = Cam | _ -> true)
+          if List.mem device (stage_devices stage) && follows prev stage device
           then device
           else Host
         in
-        d :: go d rest
+        d :: go (Some (stage, d)) rest
   in
-  go Host stages
+  go None stages
 
 (* ---------- pricing ---------- *)
 

@@ -400,6 +400,26 @@ let with_second_uses text =
          else [ l ])
        lines)
 
+(* Run [text] fused and copying ([with_second_uses]) twice each and
+   return each form's second result with the minor words it took. *)
+let fused_and_copying text run =
+  let words m =
+    ignore (run m);
+    let before = Gc.minor_words () in
+    let r = run m in
+    (r, Gc.minor_words () -. before)
+  in
+  ( words (Parser.parse_module text),
+    words (Parser.parse_module (with_second_uses text)) )
+
+let same_charges ~what (la, ea, oa) (lb, eb, ob) =
+  if la <> lb then Alcotest.failf "%s latency %.17g, copying %.17g" what la lb;
+  if ea <> eb then Alcotest.failf "%s energy %.17g, copying %.17g" what ea eb;
+  Alcotest.(check (list (pair string int))) (what ^ " ops_executed") oa ob
+
+(* cam.read -> cam.merge_partial (the hdc tile nest) and cam.read ->
+   cam.select_best (the ACAM range module): the fused form gives the
+   copying form's results and charges without its buffers. *)
 let test_fusion_matches_copying () =
   Parallel.run ~jobs:1 @@ fun _pool ->
   let data =
@@ -407,67 +427,126 @@ let test_fusion_matches_copying () =
       ~bits:1 ()
   in
   let c, text = hdc_cam_text () in
-  let fused = Parser.parse_module text
-  and copying = Parser.parse_module (with_second_uses text) in
-  let run m =
-    C4cam.Driver.run_cam { c with cam_ir = m } ~queries:data.queries
-      ~stored:data.stored
+  let (a, wa), (b, wb) =
+    fused_and_copying text (fun m ->
+        C4cam.Driver.run_cam { c with cam_ir = m } ~queries:data.queries
+          ~stored:data.stored)
   in
-  let words m =
-    ignore (run m);
-    let before = Gc.minor_words () in
-    let r = run m in
-    (r, Gc.minor_words () -. before)
-  in
-  let a, wa = words fused and b, wb = words copying in
   Alcotest.(check Tutil.int_rows_testable) "indices" a.indices b.indices;
   Alcotest.(check Tutil.rows_testable) "values" a.values b.values;
-  if a.latency <> b.latency then
-    Alcotest.failf "latency %.17g, copying %.17g" a.latency b.latency;
-  if a.energy <> b.energy then
-    Alcotest.failf "energy %.17g, copying %.17g" a.energy b.energy;
-  Alcotest.(check (list (pair string int)))
-    "ops_executed" a.ops_executed b.ops_executed;
+  same_charges ~what:"merge" (a.latency, a.energy, a.ops_executed)
+    (b.latency, b.energy, b.ops_executed);
   (* the copying form builds one q x rows buffer per executed read *)
   let reads = b.stats.Camsim.Stats.n_search_ops in
   if wb -. wa < float_of_int (reads * 8 * 6) then
     Alcotest.failf "copying form allocated %.0f words more for %d reads"
-      (wb -. wa) reads
-
-(* A read before any search fails alike in both forms. *)
-let test_fusion_read_error () =
-  let text ~second_use =
-    "func @f(%0: memref<2x2xf32>) {\n\
-    \  %1 = \"cam.alloc_bank\"() {rows = 4, cols = 4} : () -> !cam.bank_id\n\
-    \  %2 = \"cam.alloc_mat\"(%1) : (!cam.bank_id) -> !cam.mat_id\n\
-    \  %3 = \"cam.alloc_array\"(%2) : (!cam.mat_id) -> !cam.array_id\n\
-    \  %4 = \"cam.alloc_subarray\"(%3) : (!cam.array_id) -> !cam.subarray_id\n\
-    \  %5 = \"cam.read\"(%4) {queries = 2, rows = 2} : (!cam.subarray_id) -> \
-     memref<2x2xf32>\n\
-    \  \"cam.merge_partial\"(%0, %5) {direction = #horizontal, kind = #add} \
-     : (memref<2x2xf32>, memref<2x2xf32>) -> ()\n\
-    \  \"func.return\"() : () -> ()\n"
-    ^ (if second_use then
-         "  \"cam.merge_partial\"(%5, %5) {direction = #horizontal, kind = \
-          #add} : (memref<2x2xf32>, memref<2x2xf32>) -> ()\n"
-       else "")
-    ^ "}"
+      (wb -. wa) reads;
+  let q = 16 and boxes = 24 and dims = 8 in
+  let w =
+    Workloads.Range_filter.generate ~seed:11 ~boxes ~dims ~n_queries:q ()
   in
-  let fails second_use =
+  let rc =
+    C4cam.Acam.compile ~spec:(C4cam.Acam.fit_spec ~boxes ~dims ()) ~q ~boxes
+      ~dims
+  in
+  let (a, wa), (b, wb) =
+    fused_and_copying
+      (Printer.module_to_string rc.ra_modul)
+      (fun m ->
+        C4cam.Acam.run { rc with ra_modul = m } ~lo:w.lo ~hi:w.hi
+          ~queries:w.queries)
+  in
+  Alcotest.(check Tutil.int_rows_testable)
+    "select indices" a.indices b.indices;
+  Alcotest.(check Tutil.rows_testable) "select values" a.values b.values;
+  Alcotest.(check (array int)) "matches" w.expected a.matches;
+  same_charges ~what:"select" (a.latency, a.energy, a.ops_executed)
+    (b.latency, b.energy, b.ops_executed);
+  (* the copying form builds the q x boxes buffer and copies it back
+     out for the select *)
+  if wb -. wa < float_of_int (2 * q * boxes) then
+    Alcotest.failf "copying select allocated %.0f words more, want >= %d"
+      (wb -. wa) (2 * q * boxes)
+
+(* A read and its one consumer over a 4x4 subarray; [search] searches
+   the argument first, and [second_use] adds a dead second use of the
+   read after the return, which puts the read in the copying form. *)
+let read_pair_text ~search ~consumer ~second_use =
+  "func @f(%0: memref<2x2xf32>) {\n\
+  \  %1 = \"cam.alloc_bank\"() {rows = 4, cols = 4} : () -> !cam.bank_id\n\
+  \  %2 = \"cam.alloc_mat\"(%1) : (!cam.bank_id) -> !cam.mat_id\n\
+  \  %3 = \"cam.alloc_array\"(%2) : (!cam.mat_id) -> !cam.array_id\n\
+  \  %4 = \"cam.alloc_subarray\"(%3) : (!cam.array_id) -> !cam.subarray_id\n"
+  ^ (if search then
+       "  %8 = \"arith.constant\"() {value = 0} : () -> index\n\
+       \  \"cam.search\"(%4, %0, %8) {kind = #best, metric = #hamming, rows = \
+        2} : (!cam.subarray_id, memref<2x2xf32>, index) -> ()\n"
+     else "")
+  ^ "  %5 = \"cam.read\"(%4) {queries = 2, rows = 2} : (!cam.subarray_id) -> \
+     memref<2x2xf32>\n"
+  ^ (match consumer with
+    | `Merge ->
+        "  \"cam.merge_partial\"(%0, %5) {direction = #horizontal, kind = \
+         #add} : (memref<2x2xf32>, memref<2x2xf32>) -> ()\n"
+    | `Select k ->
+        Printf.sprintf
+          "  %%6, %%7 = \"cam.select_best\"(%%5) {k = %d, largest = false} : \
+           (memref<2x2xf32>) -> (memref<2x%dxf32>, memref<2x%dxi32>)\n"
+          k k k)
+  ^ "  \"func.return\"() : () -> ()\n"
+  ^ (if second_use then
+       "  \"cam.merge_partial\"(%5, %5) {direction = #horizontal, kind = \
+        #add} : (memref<2x2xf32>, memref<2x2xf32>) -> ()\n"
+     else "")
+  ^ "}"
+
+(* A read before any search, and a select of more rows than were
+   searched, fail alike in both forms. *)
+let test_fusion_read_error () =
+  let fails ~search ~consumer second_use =
     let sim = Camsim.Simulator.create (Archspec.Spec.square 4 Archspec.Spec.Base) in
     let arg =
       Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows [| [| 0.; 0. |]; [| 0.; 0. |] |])
     in
-    match Interp.Machine.run ~sim (Parser.parse_module (text ~second_use)) "f" [ arg ] with
-    | _ -> Alcotest.fail "a read before any search ran"
+    let m =
+      Parser.parse_module (read_pair_text ~search ~consumer ~second_use)
+    in
+    match Interp.Machine.run ~sim m "f" [ arg ] with
+    | _ -> Alcotest.fail "the pair ran"
     | exception e -> Printexc.to_string e
   in
-  let fused = fails false in
-  Alcotest.(check bool)
-    ("names the missing search: " ^ fused)
-    true
-    (contains fused "no search has been performed");
-  Alcotest.(check string) "same failure in both forms" fused (fails true)
+  List.iter
+    (fun (what, search, consumer, want) ->
+      let fused = fails ~search ~consumer false in
+      Alcotest.(check bool) (what ^ ": " ^ fused) true (contains fused want);
+      Alcotest.(check string)
+        (what ^ ": same failure in both forms")
+        fused
+        (fails ~search ~consumer true))
+    [
+      ("merge before search", false, `Merge, "no search has been performed");
+      ( "select before search", false, `Select 1,
+        "no search has been performed" );
+      ("select k > rows", true, `Select 3, "k=3 exceeds 2 candidates");
+    ]
+
+(* Steady-state Range_store batches at jobs 1 allocate at most 1,000
+   minor words per query: the whole-window range loop writes its counts
+   unboxed and each shard's select ranks the latched rows in place. *)
+let test_range_store_alloc () =
+  Parallel.run ~jobs:1 @@ fun _pool ->
+  let q = 8 and boxes = 4096 and dims = 16 in
+  let w =
+    Workloads.Range_filter.generate ~seed:21 ~boxes ~dims ~n_queries:(4 * q) ()
+  in
+  let st = Serve.Range_store.create ~shards:4 ~q ~lo:w.lo ~hi:w.hi () in
+  let batches = Array.init 4 (fun i -> Array.sub w.queries (i * q) q) in
+  Array.iter (fun b -> ignore (Serve.Range_store.query st b)) batches;
+  let before = Gc.minor_words () in
+  Array.iter (fun b -> ignore (Serve.Range_store.query st b)) batches;
+  let per_query = (Gc.minor_words () -. before) /. float_of_int (4 * q) in
+  if per_query > 1000. then
+    Alcotest.failf "%.0f minor words per range query, bound 1000" per_query
 
 (* ---- slot renaming regressions ---------------------------------------- *)
 
@@ -695,6 +774,8 @@ let () =
             test_fusion_matches_copying;
           Alcotest.test_case "read before search fails alike" `Quick
             test_fusion_read_error;
+          Alcotest.test_case "range store batch allocation" `Quick
+            test_range_store_alloc;
         ] );
       ( "query slot",
         [

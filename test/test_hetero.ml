@@ -156,6 +156,34 @@ let prop_canonicalize_preserves =
       in
       run_index m' = before)
 
+(* One [Hetero.models] value price-runs each segment once: asking
+   again for a segment returns the very cost record its first price run
+   built. *)
+let test_segments_priced_once () =
+  let module P = Passes.Placement in
+  let data =
+    Workloads.Recsys.generate ~users:8 ~features:64 ~items:64 ~classes:8 ()
+  in
+  let m =
+    C4cam.Hetero.models
+      (C4cam.Hetero.recsys_kernel
+         ~spec:(Archspec.Spec.square 32 Archspec.Spec.Base)
+         ~data ~k:1)
+  in
+  match C4cam.Hetero.recsys_stages data ~k:1 with
+  | [ gemv; score; select ] ->
+      List.iter
+        (fun (what, device, segment) ->
+          let first = m.P.device_cost device segment in
+          Alcotest.(check bool)
+            what true
+            (first == m.P.device_cost device segment))
+        [
+          ("cam score+select", P.Cam, [ score; select ]);
+          ("xbar gemv", P.Xbar, [ gemv ]);
+        ]
+  | _ -> Alcotest.fail "recsys is gemv -> score -> select"
+
 let () =
   Alcotest.run "hetero"
     [
@@ -164,6 +192,11 @@ let () =
           Alcotest.test_case "compile module" `Quick test_compile_module;
           Alcotest.test_case "missing spec" `Quick test_missing_spec_rejected;
           Alcotest.test_case "run concurrent" `Quick test_run_concurrent;
+        ] );
+      ( "placement models",
+        [
+          Alcotest.test_case "segments priced once" `Quick
+            test_segments_priced_once;
         ] );
       ( "canonicalize semantics",
         [ QCheck_alcotest.to_alcotest prop_canonicalize_preserves ] );

@@ -413,6 +413,195 @@ let test_one_word_loop () =
       check_exact (what ^ " binary-cap counters") (pairs, 0, 0, 0) binary)
     [ 1; 16; 31; 32; 33; 63; 64; 65; 128 ]
 
+(* ---- range matching against an independent oracle --------------------- *)
+
+(* The test's own model of a subarray's cells. Every write programs a
+   prefix of its row, so the model replays each write as one. *)
+type cell = Value of float | Dont_care | Box of float * float
+
+(* One cell's count, from the definitions alone: a value cell mismatches
+   unless equal; a don't-care never does; a range cell is met when
+   lo <= q <= hi, bounds inclusive, so an inverted box (lo > hi) is
+   violated by every ordinary query. A nan query cell is the one
+   exception the device documents: it compares false against both
+   bounds, so it violates no range cell (and mismatches every value
+   cell). *)
+let violation q = function
+  | Value v -> if v = q then 0 else 1
+  | Dont_care -> 0
+  | Box (lo, hi) -> if Float.is_nan q || (lo <= q && q <= hi) then 0 else 1
+
+let oracle_distance model r q =
+  let d = ref 0 in
+  Array.iteri (fun j v -> d := !d + violation v model.(r).(j)) q;
+  float_of_int !d
+
+(* Values that sit on the edges of a compare: both zeros, small
+   integers (so value rows pack), infinities and plain floats. *)
+let edge_value rng =
+  match Rng.int rng 8 with
+  | 0 -> 0.
+  | 1 -> -0.
+  | 2 -> float_of_int (Rng.int rng 2)
+  | 3 -> float_of_int (Rng.int rng 16)
+  | 4 -> if Rng.bool rng 0.5 then infinity else neg_infinity
+  | _ ->
+      let half = 0.5 *. float_of_int (Rng.int rng 2) in
+      float_of_int (Rng.int rng 7) -. 3. +. half
+
+(* A box: ordinary, degenerate (lo = hi) or inverted (lo > hi). *)
+let edge_box rng =
+  let lo = edge_value rng in
+  match Rng.int rng 4 with
+  | 0 -> (lo, lo)
+  | 1 -> (lo, lo -. 1. -. float_of_int (Rng.int rng 3))
+  | _ -> (lo, lo +. float_of_int (Rng.int rng 4))
+
+(* Program a random prefix write into [s] and replay it in [model]. *)
+let write_prefix rng s model r ~width kind =
+  let cols = Array.length model.(r) in
+  let width = min cols width in
+  match kind with
+  | `Range ->
+      let boxes = Array.init width (fun _ -> edge_box rng) in
+      S.write_range s ~row_offset:r
+        ~lo:[| Array.map fst boxes |]
+        ~hi:[| Array.map snd boxes |];
+      Array.iteri (fun j (lo, hi) -> model.(r).(j) <- Box (lo, hi)) boxes
+  | `Value ->
+      let values = Array.init width (fun _ -> edge_value rng) in
+      let care = Array.init width (fun _ -> Rng.bool rng 0.8) in
+      S.write s ~row_offset:r ~care:[| care |] [| values |];
+      Array.iteri
+        (fun j v -> model.(r).(j) <- (if care.(j) then Value v else Dont_care))
+        values
+  | `Binary ->
+      let values = Array.init width (fun _ -> float_of_int (Rng.int rng 2)) in
+      S.write s ~row_offset:r [| values |];
+      Array.iteri (fun j v -> model.(r).(j) <- Value v) values
+
+(* A query cell: a bound or value of the cell it meets in some row, a
+   zero of either sign, nan, or an edge value. *)
+let query_cell rng model j =
+  let rows = Array.length model in
+  match Rng.int rng 6 with
+  | 0 | 1 -> (
+      match model.(Rng.int rng rows).(j) with
+      | Box (lo, hi) -> if Rng.bool rng 0.5 then lo else hi
+      | Value v -> v
+      | Dont_care -> 0.)
+  | 2 -> if Rng.bool rng 0.5 then 0. else -0.
+  | 3 -> Float.nan
+  | _ -> edge_value rng
+
+(* One random subarray, window and batch, searched at caps [`Binary]
+   and [`Generic]: distances, latches and threshold matches equal the
+   oracle's, and the dispatch counters count every pair once, all on
+   the generic tier for an all-range window or a [`Generic] cap. An
+   all-range trial ends every row with a range run of at least [wmin]
+   cells and gives the first query at most [wmin] cells, so the
+   whole-window range loop runs; wider queries and mixed rows fall
+   back. *)
+let range_trial seed =
+  let rng = Rng.create seed in
+  let rows = 1 + Rng.int rng 40 and cols = 1 + Rng.int rng 70 in
+  let all_range = Rng.bool rng 0.5 in
+  let wmin = 1 + Rng.int rng cols in
+  let s = S.create ~rows ~cols ~bits:4 in
+  let model = Array.init rows (fun _ -> Array.make cols (Value 0.)) in
+  for r = 0 to rows - 1 do
+    for _ = 0 to Rng.int rng 3 do
+      let kind =
+        match Rng.int rng 3 with 0 -> `Range | 1 -> `Value | _ -> `Binary
+      in
+      write_prefix rng s model r ~width:(1 + Rng.int rng cols) kind
+    done;
+    if all_range then
+      write_prefix rng s model r
+        ~width:(wmin + Rng.int rng (cols - wmin + 1))
+        `Range
+  done;
+  let n = 1 + Rng.int rng 12 in
+  let queries =
+    Array.init n (fun i ->
+        let width =
+          if all_range && (i = 0 || Rng.bool rng 0.5) then
+            1 + Rng.int rng wmin
+          else 1 + Rng.int rng cols
+        in
+        Array.init width (query_cell rng model))
+  in
+  let row_offset = Rng.int rng rows in
+  let win = 1 + Rng.int rng (rows - row_offset) in
+  let oracle qs =
+    Array.map
+      (fun q ->
+        Array.init win (fun i -> oracle_distance model (row_offset + i) q))
+      qs
+  in
+  let want = oracle queries in
+  let pairs = n * win in
+  let check cap =
+    S.with_kernel_cap s cap (fun () ->
+        let stats = Camsim.Stats.create () in
+        let got = S.search_range ~stats s ~queries ~row_offset ~rows:win in
+        let ((b, nb, g, e) as c) = counters stats in
+        let tiers_ok =
+          e = 0
+          && b + nb + g = pairs
+          && ((not (all_range || cap = `Generic)) || c = (0, 0, pairs, 0))
+        in
+        (* the batch cut to the first query's width, read in place from
+           a flat backing with every cell two slots apart; a shorter
+           query's missing cells read nan *)
+        let width = Array.length queries.(0) in
+        let rs = (2 * width) + 3 in
+        let data = Array.make ((n * rs) + 1) Float.nan in
+        let at i j = 1 + (i * rs) + (2 * j) in
+        Array.iteri
+          (fun i q ->
+            for j = 0 to min width (Array.length q) - 1 do
+              data.(at i j) <- q.(j)
+            done)
+          queries;
+        let view =
+          S.search_window s
+            (Camsim.Scratch.View
+               {
+                 data; off = 1; rs; cs = 2; rows = n; cols = width;
+                 stamp = Camsim.Scratch.fresh_stamp ();
+               })
+            ~row_offset ~rows:win ~metric:`Hamming
+        in
+        let view_ok =
+          view
+          = oracle
+              (Array.init n (fun i ->
+                   Array.init width (fun j -> data.(at i j))))
+        in
+        let threshold = float_of_int (Rng.int rng 3) in
+        let th =
+          S.search_threshold s ~queries ~row_offset ~rows:win
+            ~metric:`Hamming ~threshold
+        in
+        let matches =
+          Array.map
+            (Array.map (fun d -> if d <= threshold then 1. else 0.))
+            want
+        in
+        got = want && tiers_ok && view_ok && th = matches
+        && S.read s = th
+        && (ignore (S.search_range s ~queries ~row_offset ~rows:win);
+            S.read s = want))
+  in
+  check `Binary && check `Generic
+
+let prop_range_oracle ~jobs =
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "range match = per-cell oracle (jobs %d)" jobs)
+    (QCheck.make QCheck.Gen.int)
+    (fun seed -> Parallel.run ~jobs (fun _pool -> range_trial seed))
+
 (* ---- executors: cam interpreter vs flat-ISA VM ------------------------- *)
 
 let test_executors_agree () =
@@ -481,5 +670,7 @@ let () =
           QCheck_alcotest.to_alcotest (prop_packed_hamming ~maxval:16);
           QCheck_alcotest.to_alcotest prop_threshold_kernels;
           QCheck_alcotest.to_alcotest prop_folded_binary;
+          QCheck_alcotest.to_alcotest (prop_range_oracle ~jobs:1);
+          QCheck_alcotest.to_alcotest (prop_range_oracle ~jobs:4);
         ] );
     ]
