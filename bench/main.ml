@@ -724,15 +724,15 @@ let smoke ?json ?jobs ?(shards = 4) () =
     (C4cam.Report.si_energy serve_stats.sim_energy_j)
     (C4cam.Report.si_energy serve_stats.write_energy_j)
     serve_accuracy serve_stats.alloc_minor_words_per_query;
-  (* The concurrent-server workload: the same 64 queries again, now as 8
-     clients x 8 single-row requests through the micro-batching
-     scheduler (batch capacity 16 rows). Everything is enqueued while
+  (* The concurrent-server workloads: the same 64 queries again, now as
+     single-row requests, request i from client (i mod clients),
+     through the micro-batching scheduler. Everything is enqueued while
      the scheduler is paused, so the round-robin coalescing — and with
      it batches_coalesced / batch_fill / queue_hwm — is deterministic
      and exact-gated; only the latency percentiles are host wall-clock
      (stripped by the determinism gate). *)
-  let server_session, server_result, server_accuracy =
-    let n_clients = 8 and per_client = 8 in
+  let serve_through_server ~n_clients ~batch_rows =
+    let n_rows = 64 in
     let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
     let src = (hdc_base_instance ~q:8).Reg.ki_source in
     let session =
@@ -744,23 +744,21 @@ let smoke ?json ?jobs ?(shards = 4) () =
         ~config:
           {
             Server.default_config with
-            batch_rows = 16;
-            queue_cap = 64;
+            batch_rows;
+            queue_cap = n_rows;
             jobs;
             start_paused = true;
           }
         session
     in
     let clients = Array.init n_clients (fun _ -> Server.connect server) in
-    (* request j of client c is query row j*8+c, so round-robin turns
-       replay the 64 rows in order, 16 to a micro-batch *)
+    (* round-robin turns replay the rows in order, batch_rows to a
+       micro-batch *)
     let tickets =
-      List.concat
-        (List.init per_client (fun j ->
-             List.init n_clients (fun c ->
-                 ( (j * n_clients) + c,
-                   Server.submit clients.(c)
-                     [| data_wide.Reg.ki_queries.((j * n_clients) + c) |] ))))
+      List.init n_rows (fun row ->
+          ( row,
+            Server.submit clients.(row mod n_clients)
+              [| data_wide.Reg.ki_queries.(row) |] ))
     in
     Server.resume server;
     let correct = ref 0 in
@@ -771,16 +769,27 @@ let smoke ?json ?jobs ?(shards = 4) () =
           incr correct)
       tickets;
     Server.stop server;
-    ( session,
-      Server.stats server,
-      float_of_int !correct /. float_of_int (n_clients * per_client) )
+    (session, Server.stats server, float_of_int !correct /. float_of_int n_rows)
   in
-  Printf.printf
-    "server-hdc-32x32-base: %d micro-batches, fill %.2f queries/batch, \
-     queue high-water %d rows, %d requests from %d clients, accuracy %.4f\n"
-    server_result.Server.batches_coalesced server_result.Server.batch_fill
-    server_result.Server.queue_hwm server_result.Server.requests_served
-    server_result.Server.clients_connected server_accuracy;
+  let print_server name (st : Server.stats) accuracy =
+    Printf.printf
+      "%s: %d micro-batches, fill %.2f queries/batch, queue high-water %d \
+       rows, %d requests from %d clients, accuracy %.4f\n"
+      name st.batches_coalesced st.batch_fill st.queue_hwm
+      st.requests_served st.clients_connected accuracy
+  in
+  (* 8 clients, 16-row micro-batches: two full q = 8 chunks each *)
+  let server_session, server_result, server_accuracy =
+    serve_through_server ~n_clients:8 ~batch_rows:16
+  in
+  print_server "server-hdc-32x32-base" server_result server_accuracy;
+  (* 5 clients, 12-row micro-batches: every batch ends in a ragged
+     chunk (8 + 4 rows, the last one 4 alone), which the session runs
+     through its 4-row lowering *)
+  let ragged_session, ragged_result, ragged_accuracy =
+    serve_through_server ~n_clients:5 ~batch_rows:12
+  in
+  print_server "server-hdc-ragged-32x32-base" ragged_result ragged_accuracy;
   (* The sharded-store workload: a 512-row store partitioned across
      [shards] private simulators (default 4), queried through the
      fan-out / top-k merge path, with online mutations mid-run —
@@ -1165,15 +1174,12 @@ let smoke ?json ?jobs ?(shards = 4) () =
           (session_stats serve_session)
           [ alloc serve_stats ]
       in
-      (* The concurrent-server workload: the scheduler's coalescing
+      (* The concurrent-server workloads: the scheduler's coalescing
          counters are exact-gated (deterministic by the paused-enqueue
          protocol above); the latency percentiles are host wall-clock
          and stripped by the determinism gate. *)
-      let server_json =
-        let st = server_result in
-        session_json "server-hdc-32x32-base" ~accuracy:server_accuracy
-          st.Server.session
-          (session_stats server_session)
+      let server_json name session (st : Server.stats) accuracy =
+        session_json name ~accuracy st.session (session_stats session)
           [
             ("batches_coalesced", Instrument.Json.Int st.batches_coalesced);
             ("batch_fill", Instrument.Json.Float st.batch_fill);
@@ -1287,7 +1293,10 @@ let smoke ?json ?jobs ?(shards = 4) () =
                 (List.map workload_json workloads
                 @ [
                     serve_json;
-                    server_json;
+                    server_json "server-hdc-32x32-base" server_session
+                      server_result server_accuracy;
+                    server_json "server-hdc-ragged-32x32-base" ragged_session
+                      ragged_result ragged_accuracy;
                     sharded_json;
                     mlp_serve_json;
                     range_json;

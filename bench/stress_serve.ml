@@ -314,8 +314,7 @@ let () =
             let off = Rng.int rng (pool_rows - len) in
             Array.sub data.queries off len))
   in
-  (* the sequential reference, once: pad each request to a multiple of
-     q the way the scheduler does (repeat the last row), slice back *)
+  (* the sequential reference, once: each request run alone *)
   let reference =
     Parallel.run ~jobs:1 @@ fun _ ->
     let session =
@@ -323,15 +322,8 @@ let () =
     in
     Array.map
       (Array.map (fun rows ->
-           let n = Array.length rows in
-           let rem = n mod q in
-           let padded =
-             if rem = 0 then rows
-             else Array.append rows (Array.make (q - rem) rows.(n - 1))
-           in
-           let r = Serve.Session.query session padded in
-           ( Array.sub r.C4cam.Driver.values 0 n,
-             Array.sub r.C4cam.Driver.indices 0 n )))
+           let r = Serve.Session.query session rows in
+           (r.C4cam.Driver.values, r.C4cam.Driver.indices)))
       streams
   in
   let request_text rows =

@@ -565,6 +565,14 @@ let place_cmd =
 
 (* ---- serve: persistent session over query batches ---------------------- *)
 
+(* [rows] as batches of [q] rows, the last one shorter when [q] does
+   not divide the row count: a session runs it through its lowering
+   for that many rows. *)
+let batches_of ~q rows =
+  let n = Array.length rows in
+  List.init ((n + q - 1) / q) (fun i ->
+      Array.sub rows (i * q) (min q (n - (i * q))))
+
 (* Query input in the TCP wire format (Tcp.parse_request): each
    non-blank line holds one or more query rows; rows are grouped into
    q-row batches. *)
@@ -591,14 +599,11 @@ let read_query_batches ~q ~d ic =
              exit 1
      done
    with End_of_file -> ());
-  let rows = Array.of_list (List.rev !rows) in
-  let total = Array.length rows in
-  if total = 0 || total mod q <> 0 then begin
-    Printf.eprintf
-      "c4cam: read %d query rows; need a positive multiple of %d\n" total q;
+  if !rows = [] then begin
+    prerr_endline "c4cam: read no query rows";
     exit 1
   end;
-  List.init (total / q) (fun i -> Array.sub rows (i * q) q)
+  batches_of ~q (Array.of_list (List.rev !rows))
 
 (* Shared knobs of the micro-batching scheduler (serve --clients and
    serve-tcp). *)
@@ -608,7 +613,7 @@ let server_config_args =
       value & opt int 0
       & info [ "batch-rows" ] ~docv:"N"
           ~doc:"Micro-batch row capacity (default: 4x the kernel's query \
-                arity; rounded up to a multiple of it).")
+                arity).")
   in
   let window_arg =
     Arg.(
@@ -725,11 +730,11 @@ let top_line (indices : int array array) =
   |> List.map (fun (row : int array) -> string_of_int row.(0))
   |> String.concat " "
 
-(* Slice [nb] q-row batches out of a generated query pool, wrapping
-   around when the workload produced fewer rows than requested. *)
+(* The first [nb] q-row batches of a generated query pool; a workload
+   whose test set holds fewer than [nb * q] rows serves what it has,
+   the last batch short. *)
 let batches_from_pool ~q ~nb pool =
-  let n = Array.length pool in
-  List.init nb (fun i -> Array.init q (fun j -> pool.(((i * q) + j) mod n)))
+  batches_of ~q (Array.sub pool 0 (min (Array.length pool) (nb * q)))
 
 (* serve --clients: route the batches through the micro-batching
    scheduler, request i on client (i mod clients), and print one line

@@ -48,8 +48,7 @@ type t = {
   mutable kn : int array;
   mutable kg : int array;
   mutable ke : int array;
-  (* top-k: selection-order buffer and result arenas *)
-  mutable order : int array;
+  (* top-k result arenas *)
   mutable sel_q : int;
   mutable sel_k : int;
   mutable sel_values : float array array;
@@ -71,7 +70,6 @@ let create () =
     kn = [||];
     kg = [||];
     ke = [||];
-    order = [||];
     sel_q = -1;
     sel_k = -1;
     sel_values = [||];
@@ -153,10 +151,6 @@ let counters t ~n =
   Array.fill t.kn 0 n 0;
   Array.fill t.kg 0 n 0;
   Array.fill t.ke 0 n 0
-
-let order_buffer t ~n =
-  t.order <- grow_ints t.order n;
-  t.order
 
 (* Top-k result arenas: reused while the (queries, k) geometry holds.
    Consumers copy the rows out at the API boundary (see

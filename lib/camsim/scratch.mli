@@ -56,7 +56,6 @@ type t = {
   mutable kn : int array;
   mutable kg : int array;
   mutable ke : int array;
-  mutable order : int array;
   mutable sel_q : int;
   mutable sel_k : int;
   mutable sel_values : float array array;
@@ -87,9 +86,6 @@ val drop_queries : float array -> unit
 val counters : t -> n:int -> unit
 (** Zero the first [n] slots of [kb]/[kn]/[kg]/[ke], growing them as
     needed. *)
-
-val order_buffer : t -> n:int -> int array
-(** Scratch index buffer of at least [n] slots for top-k selection. *)
 
 val select_buffers : t -> q:int -> k:int -> float array array * int array array
 (** Top-k result arenas for a [q x k] selection, reused while the

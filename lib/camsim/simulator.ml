@@ -654,23 +654,10 @@ let select_best t ~dist ~k ~largest =
   (* result matrices and the selection-order buffer come from the
      domain's arena: callers copy what they keep (the interpreters wrap
      results into fresh buffers at the cam.select boundary) *)
-  let sc = Scratch.get () in
-  let values, indices = Scratch.select_buffers sc ~q ~k in
-  let order = Scratch.order_buffer sc ~n:k in
+  let values, indices = Scratch.select_buffers (Scratch.get ()) ~q ~k in
   for qi = 0 to q - 1 do
-    let row = dist.(qi) in
-    let cmp a b =
-      let va = row.(a) and vb = row.(b) in
-      let c = if largest then compare vb va else compare va vb in
-      if c <> 0 then c else compare a b
-    in
-    Topk.select_into ~buf:order ~n ~k ~cmp;
-    let vrow = values.(qi) and irow = indices.(qi) in
-    for j = 0 to k - 1 do
-      let o = Array.unsafe_get order j in
-      Array.unsafe_set vrow j (Array.unsafe_get row o);
-      Array.unsafe_set irow j o
-    done
+    Topk.select_row_into dist.(qi) ~n ~k ~largest ~values:values.(qi)
+      ~indices:indices.(qi)
   done;
   let c =
     Energy_model.select t.sim_tech ~elems_per_query:(max n 1) ~k ~queries:q

@@ -202,12 +202,13 @@ val select_best :
   t -> dist:float array array -> k:int -> largest:bool ->
   (float array array * int array array) * Energy_model.cost
 (** Top-k per query row over the merged distances via partial
-    selection ({!Topk.select}, O(n·k)): returns ([values], [indices])
-    of shape [Q x k]. Ties break toward the lower index, matching the
-    software references. An empty distance matrix (zero queries or
-    zero candidate columns) yields empty per-query results even when
-    [k > 0]; only a non-empty matrix with [k] exceeding the candidate
-    count raises.
+    selection ({!Topk.select_row_into}: one scan for [k = 1], O(n·k)
+    insertion otherwise): returns ([values], [indices]) of shape
+    [Q x k]. Values rank as under [compare] (NaN lowest) and ties break
+    toward the lower index, matching the software references. An empty
+    distance matrix (zero queries or zero candidate columns) yields
+    empty per-query results even when [k > 0]; only a non-empty matrix
+    with [k] exceeding the candidate count raises.
 
     The returned matrices live in a per-domain arena and are
     overwritten by the next same-geometry call on this domain: copy

@@ -45,54 +45,70 @@ let select ~n ~k ~cmp =
   else if 4 * k >= n then full_sort n k cmp
   else bounded n k cmp
 
-(* Allocation-free variant for the hot path: same insertion scheme as
-   [bounded], writing into the caller's buffer. [bounded] and
-   [full_sort] agree for every k under a total order (which [select]'s
-   contract already demands), so this needs no crossover case. *)
-(* Host-side replica of the simulator's select_best ordering: compare
-   on the value in the requested direction, break ties on the row
-   index. Sharing the comparator through this helper is what lets the
+(* [compare]'s order on floats, inlined: NaN equals NaN and sorts
+   below every other value. *)
+let[@inline] lt (a : float) (b : float) = a < b || (a <> a && b = b)
+
+(* The simulator's hot path: no comparison closure and no order buffer.
+   Candidates arrive in ascending index order, so one only displaces a
+   kept entry with a strictly better value, and an equal value keeps
+   the lower index first, as the index tie-break does. *)
+let select_row_into row ~n ~k ~largest ~values ~indices =
+  if k < 0 || k > n then
+    invalid_arg
+      (Printf.sprintf "Topk.select_row_into: k=%d out of [0, %d]" k n);
+  if k = 1 then begin
+    let best = ref 0 and bv = ref (Array.unsafe_get row 0) in
+    for i = 1 to n - 1 do
+      let v = Array.unsafe_get row i in
+      if if largest then lt !bv v else lt v !bv then begin
+        best := i;
+        bv := v
+      end
+    done;
+    Array.unsafe_set values 0 !bv;
+    Array.unsafe_set indices 0 !best
+  end
+  else if k > 1 then begin
+    let len = ref 0 in
+    for i = 0 to n - 1 do
+      let v = Array.unsafe_get row i in
+      if
+        !len < k
+        ||
+        let w = Array.unsafe_get values (k - 1) in
+        if largest then lt w v else lt v w
+      then begin
+        (* sift [v] up from the first free slot, or from the last one
+           when the buffer is full (its occupant falls off) *)
+        let j = ref (if !len < k then !len else k - 1) in
+        while
+          !j > 0
+          &&
+          let w = Array.unsafe_get values (!j - 1) in
+          if largest then lt w v else lt v w
+        do
+          Array.unsafe_set values !j (Array.unsafe_get values (!j - 1));
+          Array.unsafe_set indices !j (Array.unsafe_get indices (!j - 1));
+          decr j
+        done;
+        Array.unsafe_set values !j v;
+        Array.unsafe_set indices !j i;
+        if !len < k then incr len
+      end
+    done
+  end
+
+(* Host-side replica of the simulator's select_best ordering: the
+   same selection, into fresh rows. Sharing it is what lets the
    placement runner promise byte-identical results when the final
    selection moves from the CAM periphery to the host. *)
 let rows ~dist ~k ~largest =
-  let q = Array.length dist in
-  let values = Array.make q [||] in
-  let indices = Array.make q [||] in
-  for qi = 0 to q - 1 do
-    let row = dist.(qi) in
-    let n = Array.length row in
-    let cmp a b =
-      let va = row.(a) and vb = row.(b) in
-      let c = if largest then compare vb va else compare va vb in
-      if c <> 0 then c else compare a b
-    in
-    let order = select ~n ~k ~cmp in
-    indices.(qi) <- order;
-    values.(qi) <- Array.map (fun j -> row.(j)) order
-  done;
+  let values = Array.map (fun _ -> Array.make k 0.) dist in
+  let indices = Array.map (fun _ -> Array.make k 0) dist in
+  Array.iteri
+    (fun qi row ->
+      select_row_into row ~n:(Array.length row) ~k ~largest
+        ~values:values.(qi) ~indices:indices.(qi))
+    dist;
   (values, indices)
-
-let select_into ~buf ~n ~k ~cmp =
-  if k < 0 || k > n then
-    invalid_arg (Printf.sprintf "Topk.select_into: k=%d out of [0, %d]" k n);
-  if Array.length buf < k then invalid_arg "Topk.select_into: buffer too small";
-  let len = ref 0 in
-  for i = 0 to n - 1 do
-    if !len < k then begin
-      let j = ref !len in
-      while !j > 0 && cmp i buf.(!j - 1) < 0 do
-        buf.(!j) <- buf.(!j - 1);
-        decr j
-      done;
-      buf.(!j) <- i;
-      incr len
-    end
-    else if cmp i buf.(k - 1) < 0 then begin
-      let j = ref (k - 1) in
-      while !j > 0 && cmp i buf.(!j - 1) < 0 do
-        buf.(!j) <- buf.(!j - 1);
-        decr j
-      done;
-      buf.(!j) <- i
-    end
-  done

@@ -29,11 +29,17 @@ val rows :
 
     @raise Invalid_argument unless [0 <= k <= length] of each row. *)
 
-val select_into :
-  buf:int array -> n:int -> k:int -> cmp:(int -> int -> int) -> unit
-(** [select_into ~buf ~n ~k ~cmp] writes the same [k] indices {!select}
-    would return into [buf.(0)] .. [buf.(k-1)], allocating nothing.
-    Slots at [k] and beyond are left untouched.
+val select_row_into :
+  float array -> n:int -> k:int -> largest:bool -> values:float array ->
+  indices:int array -> unit
+(** [select_row_into row ~n ~k ~largest ~values ~indices] writes the
+    top [k] of [row.(0)] .. [row.(n-1)] into [values.(0..k-1)] and
+    their positions into [indices.(0..k-1)], best first, allocating
+    nothing: exactly the first [k] of a sort of [0 .. n-1] by value
+    under [compare] (descending when [largest]), ties on the index. So
+    NaN ties with NaN and ranks below every other value: first in an
+    ascending selection, last in a descending one. This is
+    {!rows}'s and the simulator's [select_best] ordering. [values] and
+    [indices] need at least [k] slots; [row] at least [n].
 
-    @raise Invalid_argument unless [0 <= k <= n] and
-    [Array.length buf >= k]. *)
+    @raise Invalid_argument unless [0 <= k <= n]. *)

@@ -84,6 +84,14 @@ let run_passes_traced ?profile passes m =
   try Ir.Pass.run_pipeline_traced ~verify:true ?profile passes m with
   | Ir.Pass.Pass_error (p, msg) -> fail "pass %s: %s" p msg
 
+(* The cam level: map, cam-power when the spec asks, canonicalize. *)
+let cam_passes ?q (spec : Archspec.Spec.t) =
+  [ Passes.Cam_map.pass ?q spec ]
+  @ (match spec.optimization with
+    | Power | Power_density -> [ Passes.Cam_opt.power ]
+    | Base | Density -> [])
+  @ [ Passes.Canonicalize.pass ]
+
 (* The frontend stage, timed into the profile collector when present. *)
 let frontend ?profile source =
   let t0 = Instrument.Collect.now () in
@@ -117,15 +125,8 @@ let compile_traced ?profile ~spec source =
       (clone_module torch_ir)
   in
   let info = extract_info cim_ir fn_name in
-  let cam_passes =
-    [ Passes.Cam_map.pass spec ]
-    @ (match spec.optimization with
-      | Power | Power_density -> [ Passes.Cam_opt.power ]
-      | Base | Density -> [])
-    @ [ Passes.Canonicalize.pass ]
-  in
   let cam_ir, cam_trace =
-    run_passes_traced ?profile cam_passes (clone_module cim_ir)
+    run_passes_traced ?profile (cam_passes spec) (clone_module cim_ir)
   in
   ( { spec; source; torch_ir; cim_ir; cam_ir; fn_name; info },
     ("frontend", Ir.Printer.module_to_string torch_ir)
@@ -150,15 +151,25 @@ let compile ?profile ~spec source =
       (clone_module torch_ir)
   in
   let info = extract_info cim_ir fn_name in
-  let cam_passes =
-    [ Passes.Cam_map.pass spec ]
-    @ (match spec.optimization with
-      | Power | Power_density -> [ Passes.Cam_opt.power ]
-      | Base | Density -> [])
-    @ [ Passes.Canonicalize.pass ]
-  in
-  let cam_ir = run_passes ?profile cam_passes (clone_module cim_ir) in
+  let cam_ir = run_passes ?profile (cam_passes spec) (clone_module cim_ir) in
   { spec; source; torch_ir; cim_ir; cam_ir; fn_name; info }
+
+(* cam-map builds its function fresh and only reads the cim module, so
+   the artifact's [cim_ir], shared by every session of a cached
+   artifact and read from worker domains, needs no copy; and one
+   verify of the result stands in for one per pass. *)
+let lower_rows c r =
+  if r < 1 || r > c.info.q then
+    invalid_arg
+      (Printf.sprintf "Driver.lower_rows: %d query rows, expected 1..%d" r
+         c.info.q);
+  let m =
+    try Ir.Pass.run_pipeline ~verify:false (cam_passes ~q:r c.spec) c.cim_ir
+    with Ir.Pass.Pass_error (p, msg) -> fail "pass %s: %s" p msg
+  in
+  match Ir.Verifier.verify_module ~strict:false m with
+  | Ok () -> m
+  | Error e -> fail "lower_rows: %s" (Ir.Verifier.error_to_string e)
 
 (* The cim level with its expanded tile program (Figure 5), on a copy. *)
 let expanded_cim c = Passes.Cim_partition.expand (clone_module c.cim_ir)

@@ -52,6 +52,17 @@ val compile_traced :
     the expanded tile program, which its snapshot and the returned
     [cim_ir] hold; the cam level is the same as {!compile}'s. *)
 
+val lower_rows : compiled -> int -> Ir.Func_ir.modul
+(** [lower_rows c r] is [c]'s cam-level module for [r] query rows, for
+    [1 <= r <= c.info.q]: the cam passes of {!compile} re-run on
+    [c.cim_ir] with the query extent set to [r]. Its tile nest, device
+    allocations and stored-row writes equal [c.cam_ir]'s, which depend
+    only on [n], [d] and the spec; only the query operand, the per-tile
+    reads and the distance buffer are [r] rows tall. [c] is only read,
+    so domains may lower one artifact concurrently.
+    @raise Invalid_argument when [r] is out of range.
+    @raise Compile_error as {!compile}. *)
+
 val stage_texts : compiled -> (string * string) list
 (** [(stage, printed IR)] for torch, cim and cam levels — the material
     of Figures 4-6. The cim level is printed with its expanded tile

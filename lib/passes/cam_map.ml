@@ -175,7 +175,7 @@ let emit_body (spec : Archspec.Spec.t) info b ~query ~stored =
                                         ~part)))))))));
   dist
 
-let rewrite_func (spec : Archspec.Spec.t) (fn : Ir.Func_ir.func) :
+let rewrite_func ?q (spec : Archspec.Spec.t) (fn : Ir.Func_ir.func) :
     Ir.Func_ir.func =
   (* Find the partitioned similarity inside the acquire/execute/release
      pattern; functions without one are left untouched. *)
@@ -216,7 +216,7 @@ let rewrite_func (spec : Archspec.Spec.t) (fn : Ir.Func_ir.func) :
         fail "tile rows times batches exceed the subarray rows";
       let info =
         {
-          q = attr_i "q";
+          q = Option.value q ~default:(attr_i "q");
           n = attr_i "n";
           d = attr_i "d";
           tile_rows = attr_i "rows";
@@ -267,6 +267,6 @@ let rewrite_func (spec : Archspec.Spec.t) (fn : Ir.Func_ir.func) :
         ~ret:(List.map (fun (v : Ir.Value.t) -> v.ty) results)
         (Ir.Builder.finish b)
 
-let pass spec =
+let pass ?q spec =
   Ir.Pass.make pass_name (fun m ->
-      Ir.Func_ir.map_funcs (rewrite_func spec) m)
+      Ir.Func_ir.map_funcs (rewrite_func ?q spec) m)

@@ -36,4 +36,11 @@ val mapping_of :
   mapping
 (** The allocation arithmetic behind Table I. *)
 
-val pass : Archspec.Spec.t -> Ir.Pass.t
+val pass : ?q:int -> Archspec.Spec.t -> Ir.Pass.t
+(** The cam-map pass. With [q], the mapped kernel searches [q] query
+    rows instead of the similarity's own query extent: only the query
+    operand, the distance buffer and the per-tile reads change shape,
+    and the loop nest, allocations and stored-row writes, which depend
+    on [n], [d] and the spec alone, stay as they are. The input module
+    is only read: the mapped function is built fresh, so one cim module
+    can be mapped for several row counts, from several domains at once. *)

@@ -38,17 +38,16 @@ let shard_search sh batch =
   in
   let total = Array.length batch in
   let values = Array.make total [||] and indices = Array.make total [||] in
-  List.iteri
-    (fun c outputs ->
-      match outputs with
+  let g = ref 0 in
+  List.iter
+    (function
       | [ v; i ] ->
-          let vs = Interp.Rtval.to_rows v and is = Interp.Rtval.to_int_rows i in
-          let q = Array.length vs in
-          Array.blit vs 0 values (c * q) q;
-          Array.iteri
-            (fun r (row : int array) ->
-              indices.((c * q) + r) <- [| sh.offset + row.(0) |])
-            is
+          Array.iter2
+            (fun v (i : int array) ->
+              values.(!g) <- v;
+              indices.(!g) <- [| sh.offset + i.(0) |];
+              incr g)
+            (Interp.Rtval.to_rows v) (Interp.Rtval.to_int_rows i)
       | _ -> fail "internal: range kernel returned no selection")
     f.Session.outputs;
   Session.release sh.session f;

@@ -37,16 +37,17 @@ val create :
   ?config:C4cam.Driver.Run_config.t -> ?shards:int ->
   ?spec:Archspec.Spec.t -> q:int -> lo:float array array ->
   hi:float array array -> unit -> t
-(** A store over the [boxes x dims] bound table, serving [q]-row query
-    batches. [spec] (default the 32x32 base square) is widened per
+(** A store over the [boxes x dims] bound table, whose shards run
+    [q]-row range kernels. [spec] (default the 32x32 base square) is widened per
     shard via [C4cam.Acam.fit_spec]; [shards] (default 1) must not
     exceed the box count.
     @raise Store_error on inconsistent or non-finite bounds, or a bad
     shard count. *)
 
 val query : t -> float array array -> result
-(** Serve one batch: a positive multiple of [q] rows, each [dims]
-    finite values. @raise Store_error otherwise. *)
+(** Serve one batch: any positive number of rows (full [q]-row chunks
+    plus one shorter tail, see {!Session.query}), each [dims] finite
+    values. @raise Store_error otherwise. *)
 
 val update_box : t -> row:int -> lo:float array -> hi:float array -> unit
 (** Replace one box's bounds in place; the owning shard reprograms the

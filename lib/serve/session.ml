@@ -50,8 +50,12 @@ type t = {
       (** the TorchScript artifact; [None] for a kernel built at the
           cam level *)
   s_info : C4cam.Driver.kernel_info;
-  s_modul : Ir.Func_ir.modul;
   s_fn : string;
+  s_lower : int -> Ir.Func_ir.modul;  (** the kernel for [r < q] rows *)
+  s_kernels : (Ir.Func_ir.modul * Interp.Rtval.t list) option array;
+      (** slot [r]: the module for [r] query rows and its arguments (the
+          first [r] rows of [s_qbuf], and the tables); slot [q] is the
+          pinned kernel, a shorter one is lowered on first use *)
   s_cache : [ `Hit | `Miss ];
   s_config : C4cam.Driver.Run_config.t;
   s_sim : Camsim.Simulator.t;
@@ -60,9 +64,6 @@ type t = {
   s_qbuf : Interp.Rtval.buffer;
       (** persistent [q x d] query buffer; chunks are blitted in, so
           the operand's backing stays stable across batches *)
-  s_args : Interp.Rtval.t list;
-      (** the query operand (over [s_qbuf]) and the tables, in argument
-          order *)
   s_meter : meter;
   mutable s_ops : (string * int) list;  (** cumulative, merged *)
 }
@@ -120,11 +121,20 @@ let cache_status t = t.s_cache
 let simulator t = t.s_sim
 let stored_value t = t.s_tables.(0)
 
+(* The query operand and the tables, in argument order. *)
+let kernel_args (info : C4cam.Driver.kernel_info) tables qval =
+  List.init
+    (Array.length tables + 1)
+    (fun i ->
+      if i < info.query_arg then tables.(i)
+      else if i = info.query_arg then qval
+      else tables.(i - 1))
+
 (* Pin [tables] (each [info.n] rows) on a fresh simulator. Device
    allocation and the table writes happen inside the first executed
    batch; they are recorded so every later batch replays them for free
    (and [update_table] rewrites only changed rows). *)
-let pin ~config ~cache ?artifact ~spec ~modul ~fn
+let pin ~config ~cache ?artifact ~spec ~modul ~fn ~lower
     ~(info : C4cam.Driver.kernel_info) tables =
   Array.iter
     (fun rows ->
@@ -145,25 +155,20 @@ let pin ~config ~cache ?artifact ~spec ~modul ~fn
       tables
   in
   let qbuf = Interp.Rtval.fresh_buffer [ info.q; info.d ] in
-  let qval = Interp.Rtval.Buffer qbuf in
+  let kernels = Array.make (info.q + 1) None in
+  kernels.(info.q) <- Some (modul, kernel_args info tables (Buffer qbuf));
   {
     s_artifact = artifact;
     s_info = info;
-    s_modul = modul;
     s_fn = fn;
+    s_lower = lower;
+    s_kernels = kernels;
     s_cache = cache;
     s_config = config;
     s_sim = sim;
     s_pool = Interp.Ops.Pool.create ();
     s_tables = tables;
     s_qbuf = qbuf;
-    s_args =
-      List.init
-        (Array.length tables + 1)
-        (fun i ->
-          if i < info.query_arg then tables.(i)
-          else if i = info.query_arg then qval
-          else tables.(i - 1));
     s_meter = meter ();
     s_ops = [];
   }
@@ -178,12 +183,16 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
           ?profile:config.C4cam.Driver.Run_config.profile ~spec source
   in
   pin ~config ~cache ~artifact:compiled ~spec:compiled.spec
-    ~modul:compiled.cam_ir ~fn:compiled.fn_name ~info:compiled.info
-    [| stored |]
+    ~modul:compiled.cam_ir ~fn:compiled.fn_name
+    ~lower:(C4cam.Driver.lower_rows compiled)
+    ~info:compiled.info [| stored |]
 
 let of_acam ?(config = C4cam.Driver.Run_config.default)
     (c : C4cam.Acam.compiled) ~lo ~hi =
   pin ~config ~cache:`Miss ~spec:c.ra_spec ~modul:c.ra_modul ~fn:c.ra_fn
+    ~lower:(fun r ->
+      (C4cam.Acam.compile ~spec:c.ra_spec ~q:r ~boxes:c.ra_rows ~dims:c.ra_d)
+        .ra_modul)
     ~info:
       {
         C4cam.Driver.q = c.ra_q;
@@ -263,17 +272,39 @@ let replay sim run =
   if not sealed then Camsim.Simulator.seal_recording sim;
   r
 
-(* One [q]-row chunk of valid rows against the session's simulator. *)
-let run_chunk t chunk =
+(* The kernel for [r] query rows and its arguments. A lowering's
+   device setup equals the pinned kernel's, so it replays the same
+   recording; [replay] fails loudly if it did not. *)
+let kernel t r =
+  match t.s_kernels.(r) with
+  | Some k -> k
+  | None ->
+      let modul =
+        try t.s_lower r with
+        | C4cam.Driver.Compile_error e | C4cam.Acam.Range_error e ->
+            fail "lowering the kernel for %d query rows: %s" r e
+      in
+      let view =
+        Interp.Rtval.buffer_view t.s_qbuf ~offsets:[ 0; 0 ]
+          ~sizes:[ r; t.s_info.d ]
+      in
+      let k = (modul, kernel_args t.s_info t.s_tables (Buffer view)) in
+      t.s_kernels.(r) <- Some k;
+      k
+
+(* Rows [off .. off + r - 1] of a validated batch, [r <= q], against
+   the session's simulator. *)
+let run_chunk t batch ~off ~r =
   (* Blit the chunk into the session's persistent query buffer, the
      query operand; every search reads its window in place. *)
-  let { C4cam.Driver.q; d; _ } = t.s_info in
+  let d = t.s_info.d in
   let dst = t.s_qbuf.Interp.Rtval.b_data in
-  for i = 0 to q - 1 do
-    Array.blit chunk.(i) 0 dst (i * d) d
+  for i = 0 to r - 1 do
+    Array.blit batch.(off + i) 0 dst (i * d) d
   done;
+  let modul, args = kernel t r in
   replay t.s_sim @@ fun () ->
-  try Interp.Machine.run ~sim:t.s_sim ~pool:t.s_pool t.s_modul t.s_fn t.s_args
+  try Interp.Machine.run ~sim:t.s_sim ~pool:t.s_pool modul t.s_fn args
   with Interp.Machine.Runtime_error e -> fail "runtime error: %s" e
 
 type flat = {
@@ -286,10 +317,7 @@ type flat = {
 let query_flat t batch =
   let { C4cam.Driver.q; d; _ } = t.s_info in
   let total = Array.length batch in
-  if total = 0 || total mod q <> 0 then
-    fail "batch size %d is not a positive multiple of the kernel's %d \
-          queries"
-      total q;
+  if total = 0 then fail "empty batch";
   for i = 0 to total - 1 do
     if not (valid_row d batch.(i)) then
       fail "query row %d: expected %d finite values" i d
@@ -298,12 +326,14 @@ let query_flat t batch =
   let w0 = Gc.minor_words () in
   let sim_stats = Camsim.Simulator.stats t.s_sim in
   let e0 = Camsim.Stats.total_energy sim_stats in
-  (* Chunks run in order against the one simulator — the determinism
-     contract needs the same event sequence as the concatenated
-     one-shot run; row-level search work inside each chunk still fans
-     out across the ambient Parallel pool. *)
+  (* [q]-row chunks and a shorter tail run in order against the one
+     simulator — the determinism contract needs the same event sequence
+     as the concatenated one-shot run; row-level search work inside
+     each chunk still fans out across the ambient Parallel pool. *)
   let outcomes =
-    List.init (total / q) (fun i -> run_chunk t (Array.sub batch (i * q) q))
+    List.init
+      ((total + q - 1) / q)
+      (fun i -> run_chunk t batch ~off:(i * q) ~r:(min q (total - (i * q))))
   in
   let latency =
     List.fold_left

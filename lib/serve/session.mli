@@ -62,29 +62,32 @@ val of_acam :
 (** A session over the ACAM range kernel: [lo] and [hi] (each the
     kernel's box count of rows) are pinned like stored rows — written
     by [cam.write_range] during the first {!query}, replayed for free
-    after. {!query} returns the [q x 1] best violation counts and box
-    rows; {!cache_status} is [`Miss], since the module is built
+    after. {!query} returns the best violation count and box row per
+    query row, a short chunk through [C4cam.Acam.compile]'s module for
+    its rows; {!cache_status} is [`Miss], since the module is built
     directly rather than compiled from cached TorchScript.
     @raise Serve_error when a table has the wrong row count. *)
 
 val query : t -> float array array -> C4cam.Driver.run_result
-(** Serve one batch. The batch's row count must be a positive multiple
-    of the kernel's query arity [q]; an oversized batch is split into
-    [q]-row chunks executed in order against the shared simulator (each
-    chunk's row-level work still fans out across the ambient [Parallel]
-    domain pool, like any simulator search). Returned
-    [values]/[indices]/[scores] are the chunk results concatenated in
-    input order; [latency] is this call's simulated time, [energy] this
-    call's simulated energy delta, and [stats] the session's cumulative
-    ledger.
+(** Serve one batch of any positive row count: full [q]-row chunks
+    (the kernel's query arity), then one tail of [r < q] rows, run in
+    order against the shared simulator (each chunk's row-level work
+    still fans out across the ambient [Parallel] domain pool). The
+    tail runs the kernel lowered for [r] rows
+    ({!C4cam.Driver.lower_rows}), made on first use and kept: charged
+    by the [q]-row kernel's rules at [queries = r], it replays the same
+    recorded device setup. Returned [values]/[indices]/[scores] are
+    the chunk results concatenated in input order; [latency] is this
+    call's simulated time, [energy] this call's simulated energy delta,
+    and [stats] the session's cumulative ledger.
 
-    @raise Serve_error on an empty or non-multiple batch size, or on a
-    row that is not {!valid_row} — checked before any device work. *)
+    @raise Serve_error on an empty batch or a row that is not
+    {!valid_row} — checked before any device work. *)
 
 type flat = {
   outputs : Interp.Rtval.t list list;
-      (** per [q]-row chunk, in order: the kernel's raw results — for a
-          scores-form kernel one row-major [q x n] buffer *)
+      (** per chunk of [r <= q] rows, in order: the kernel's raw results
+          — for a scores-form kernel one row-major [r x n] buffer *)
   latency : float;  (** this call's simulated time *)
   energy : float;  (** this call's simulated energy delta *)
   ops_executed : (string * int) list;  (** this call's, merged *)

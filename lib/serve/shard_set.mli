@@ -41,7 +41,7 @@ val create :
     store's exception. [shards] must be non-empty. *)
 
 val query : 'sh t -> float array array -> result
-(** Validate (a positive multiple of [q] rows of [d] finite values),
+(** Validate (at least one row, each of [d] finite values),
     fan out, merge. Latency is the max over shards of each shard's
     time for the whole batch: shards are independent devices.
     @raise [err] on a bad batch. *)

@@ -82,13 +82,13 @@ type result = Shard_set.result = {
 }
 
 val query : t -> float array array -> result
-(** Serve one batch (a positive multiple of [q] rows). Fans the batch
+(** Serve one batch of any positive row count (full [q]-row chunks
+    plus one shorter tail, see {!Session.query}). Fans the batch
     to every shard, selects each shard's top-k live candidates in
     [(distance, external id)] order straight from the kernel's flat
     score buffer ([Session.query_flat], no decode), and merges.
-    @raise Store_error on a bad batch shape (a row count that is not a
-    positive multiple of [q], a row that is not [d] wide, a non-finite
-    value), or when fewer than [k] rows are live. *)
+    @raise Store_error on a bad batch (no rows, a row that is not [d]
+    wide, a non-finite value), or when fewer than [k] rows are live. *)
 
 (** {1 Introspection} *)
 

@@ -65,7 +65,6 @@ type client = {
 and t = {
   s_backend : Serve.Backend.t;
   s_cfg : config;
-  s_q : int;  (* kernel query arity *)
   s_d : int;  (* kernel row width *)
   m : Mutex.t;
   cv_submit : Condition.t;
@@ -81,14 +80,9 @@ and t = {
   mutable stopping : bool;
   mutable stopped : bool;
   mutable scheduler : unit Domain.t option;
-  mutable pad_buf : float array array;
-      (* scheduler-owned padded-batch spine, reused across batches (the
-         scheduler domain is the only caller of [run_batch]); holds row
-         {e pointers} only *)
   (* metrics (all under [m]) *)
   mutable n_batches : int;
   mutable rows_served : int;
-  mutable rows_padded : int;
   mutable requests_served : int;
   mutable queue_hwm : int;
   latencies : float array;
@@ -132,7 +126,7 @@ let stats_locked t =
   {
     batches_coalesced = t.n_batches;
     rows_served = t.rows_served;
-    rows_padded = t.rows_padded;
+    rows_padded = 0;
     requests_served = t.requests_served;
     clients_connected = t.n_clients;
     batch_fill =
@@ -200,42 +194,23 @@ let assemble t =
   done;
   List.rev !taken
 
-(* Pad the concatenated rows up to a multiple of the kernel arity by
-   repeating the last row; padded rows are sliced away on demux. The
-   padded spine is the scheduler-owned [pad_buf], reused while the
-   padded size holds, so steady load allocates no per-batch array. *)
-let pad_rows t rows =
-  let total = Array.length rows in
-  let rem = total mod t.s_q in
-  if rem = 0 then (rows, 0)
-  else begin
-    let pad = t.s_q - rem in
-    let padded = total + pad in
-    if Array.length t.pad_buf <> padded then
-      t.pad_buf <- Array.make padded [||];
-    Array.blit rows 0 t.pad_buf 0 total;
-    Array.fill t.pad_buf total pad rows.(total - 1);
-    (t.pad_buf, pad)
-  end
-
 (* ---- the scheduler domain --------------------------------------------- *)
 
-(* One backend call over [requests], padded (lock NOT held). *)
+(* One backend call over [requests] (lock NOT held). *)
 let call t requests =
   let rows =
     match requests with
     | [ rq ] -> rq.rq_rows
     | _ -> Array.concat (List.map (fun rq -> rq.rq_rows) requests)
   in
-  let padded, n_pad = pad_rows t rows in
-  match t.s_backend.Serve.Backend.query padded with
-  | r -> Ok (r, Array.length rows, n_pad)
+  match t.s_backend.Serve.Backend.query rows with
+  | r -> Ok (r, Array.length rows)
   | exception e -> Error e
 
 (* Resolve the tickets of one backend call. Caller holds the lock. *)
 let resolve t batch_seq finished_at requests outcome =
   match outcome with
-  | Ok ((r : Serve.Backend.reply), n_rows, n_pad) ->
+  | Ok ((r : Serve.Backend.reply), n_rows) ->
       let offset = ref 0 in
       List.iter
         (fun rq ->
@@ -256,8 +231,7 @@ let resolve t batch_seq finished_at requests outcome =
           t.requests_served <- t.requests_served + 1)
         requests;
       t.n_batches <- t.n_batches + 1;
-      t.rows_served <- t.rows_served + n_rows;
-      t.rows_padded <- t.rows_padded + n_pad
+      t.rows_served <- t.rows_served + n_rows
   | Error e -> List.iter (fun rq -> rq.rq_state <- Failed e) requests
 
 (* Run one assembled batch (lock NOT held) and resolve its tickets.
@@ -329,10 +303,7 @@ let scheduler_loop t =
 let create_on ?(config = default_config) backend =
   let q = backend.Serve.Backend.q in
   let config =
-    let batch_rows =
-      if config.batch_rows <= 0 then 4 * q
-      else (config.batch_rows + q - 1) / q * q
-    in
+    let batch_rows = if config.batch_rows <= 0 then 4 * q else config.batch_rows in
     { config with batch_rows; jobs = max 1 config.jobs }
   in
   if config.queue_cap < 1 then fail "queue_cap must be at least 1";
@@ -340,7 +311,6 @@ let create_on ?(config = default_config) backend =
     {
       s_backend = backend;
       s_cfg = config;
-      s_q = q;
       s_d = backend.Serve.Backend.d;
       m = Mutex.create ();
       cv_submit = Condition.create ();
@@ -355,10 +325,8 @@ let create_on ?(config = default_config) backend =
       stopping = false;
       stopped = false;
       scheduler = None;
-      pad_buf = [||];
       n_batches = 0;
       rows_served = 0;
-      rows_padded = 0;
       requests_served = 0;
       queue_hwm = 0;
       latencies = Array.make latency_window 0.;

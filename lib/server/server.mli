@@ -51,8 +51,7 @@ type backpressure = [ `Block | `Fail_fast ]
 
 type config = {
   batch_rows : int;
-      (** micro-batch row capacity; rounded up to a multiple of the
-          kernel's query arity [q]. Default [4 * q]. *)
+      (** micro-batch row capacity; default [4 * q] *)
   window_s : float;
       (** batching window: with pending rows below [batch_rows], the
           scheduler waits this long for more arrivals before
@@ -105,9 +104,8 @@ val queue_cap : t -> int
 
 val submit : client -> float array array -> ticket
 (** Enqueue one request of [1..] query rows of the kernel's width [d].
-    Rows need not be a multiple of the kernel arity [q] — the scheduler
-    coalesces requests and pads the final partial chunk (padding rows
-    are discarded on demux and never reach any response).
+    Rows need not be a multiple of the kernel arity [q]: nothing is
+    padded (see [Serve.Session.query]).
     @raise Server_error on an empty request or a row that is not
     {!Serve.Session.valid_row} — before anything is enqueued, so no
     co-batched request is affected
@@ -127,9 +125,9 @@ val await : ticket -> response
 (** Block until the request is served. Re-raises the backend's failure
     (e.g. [Serve.Session.Serve_error]) if the request failed. When a
     micro-batch of two or more requests fails, each of its requests is
-    re-run alone (padded as usual): only a request that fails alone
-    gets the failure, and every other one gets exactly the reply a
-    solo batch gives, with the micro-batch's [r_batch_seq]. *)
+    re-run alone: only a request that fails alone gets the failure,
+    and every other one gets exactly the reply a solo batch gives,
+    with the micro-batch's [r_batch_seq]. *)
 
 val rpc : client -> float array array -> response
 (** [submit] then [await]. *)
@@ -166,8 +164,8 @@ type stats = {
   batches_coalesced : int;
       (** backend calls that succeeded: a micro-batch, or each solo
           re-run of a failed one *)
-  rows_served : int;  (** real query rows served (padding excluded) *)
-  rows_padded : int;  (** padding rows added to fill q-chunks *)
+  rows_served : int;  (** query rows served *)
+  rows_padded : int;  (** always 0: micro-batches are not padded *)
   requests_served : int;
   clients_connected : int;
       (** live clients: connected and not yet {!disconnect}ed *)

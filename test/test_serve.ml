@@ -312,6 +312,83 @@ let test_artifact_cache_race () =
         r.indices)
     (List.tl sessions)
 
+(* ---- ragged batches ----------------------------------------------------- *)
+
+(* Every batch size from 1 to 2q - 1, against a brute-force host top-k:
+   batches of r <= q rows run one r-row chunk, larger ones a full chunk
+   and a tail. One long-lived session serves every size in turn, so
+   the r-row kernels replay the device setup the q-row kernel
+   recorded; a fresh session per size starts with the short chunk, so
+   the r-row kernel records the setup the q-row kernel then replays,
+   and the charge for it is the full-batch-first session's. *)
+let test_ragged_vs_host_topk () =
+  let q = 4 and dims = 64 and classes = 8 and k = 3 in
+  let data = hdc_data ~q:(2 * q) ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k in
+  let check what batch (r : C4cam.Driver.run_result) =
+    let values, indices = Tutil.host_topk ~k ~stored:data.stored batch in
+    Alcotest.(check Tutil.rows_testable) (what ^ ": values") values r.values;
+    Alcotest.(check Tutil.int_rows_testable)
+      (what ^ ": indices") indices r.indices
+  in
+  let setup s =
+    let st = Camsim.Simulator.stats (Session.simulator s) in
+    (st.n_write_ops, st.e_write, st.e_overhead, st.n_subarrays)
+  in
+  List.iter
+    (fun jobs ->
+      Parallel.run ~jobs @@ fun _ ->
+      let long = Session.create ~spec ~stored:data.stored src in
+      let sizes = List.init ((2 * q) - 1) (fun i -> i + 1) in
+      List.iter
+        (fun rows ->
+          let batch = Array.sub data.queries ((2 * q) - rows) rows in
+          let what = Printf.sprintf "jobs %d, %d rows" jobs rows in
+          check what batch (Session.query long batch);
+          let fresh = Session.create ~spec ~stored:data.stored src in
+          check (what ^ ", fresh") batch (Session.query fresh batch);
+          check (what ^ ", fresh, full batch next")
+            (Array.sub data.queries 0 q)
+            (Session.query fresh (Array.sub data.queries 0 q));
+          Alcotest.(check bool)
+            (what ^ ": setup charged as the q-row kernel's")
+            true
+            (setup fresh = setup long))
+        (sizes @ List.rev sizes))
+    [ 1; 4 ]
+
+(* A warm r-row chunk costs the q-row kernel's rules at [queries = r]:
+   per tile one search of r rows and one merge of r x tile_rows
+   elements, then one select of r rows; a batch of more than q rows
+   adds its chunks. The kernel has 2 x 2 tiles of 32 rows on the 32x32
+   base spec (64 stored rows of 64 dims), all searched in parallel. *)
+let test_ragged_ledger () =
+  let q = 4 and dims = 64 and classes = 64 and k = 1 in
+  let data = hdc_data ~q:(2 * q) ~dims ~classes () in
+  let session =
+    Session.create ~spec ~stored:data.stored
+      (Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k)
+  in
+  (* the first batch records the device setup *)
+  ignore (Session.query session (Array.sub data.queries 0 q));
+  for rows = 1 to (2 * q) - 1 do
+    let r = Session.query session (Array.sub data.queries 0 rows) in
+    let latency, energy =
+      List.fold_left
+        (fun (l, e) r ->
+          let l', e' =
+            Tutil.warm_chunk_cost ~spec ~tiles:4 ~tile_rows:32 ~n:classes ~k
+              r
+          in
+          (l +. l', e +. e'))
+        (0., 0.)
+        (Tutil.chunk_sizes ~q rows)
+    in
+    let what = Printf.sprintf "%d rows" rows in
+    Tutil.check_float ~eps:1e-12 (what ^ ": latency") latency r.latency;
+    Tutil.check_float ~eps:1e-12 (what ^ ": energy") energy r.energy
+  done
+
 (* ---- rejected batches --------------------------------------------------- *)
 
 let test_bad_batch () =
@@ -325,7 +402,12 @@ let test_bad_batch () =
     | exception Session.Serve_error _ -> ()
   in
   rejects "empty" [||];
-  rejects "not a multiple" (Array.sub data.queries 0 3);
+  (* a short batch is served, through the kernel lowered for its rows,
+     and answers what the same rows answer inside a full batch *)
+  let short = Session.query session (Array.sub data.queries 0 3) in
+  let full = Session.query session data.queries in
+  Alcotest.(check Tutil.int_rows_testable) "short batch served"
+    (Array.sub full.indices 0 3) short.indices;
   (* one bad row in an otherwise good batch refuses the whole batch
      before any device work *)
   let with_row i row =
@@ -664,6 +746,10 @@ let () =
           Alcotest.test_case "artifact cache under a thundering herd"
             `Quick test_artifact_cache_race;
           Alcotest.test_case "bad batches rejected" `Quick test_bad_batch;
+          Alcotest.test_case "ragged batches vs host top-k" `Quick
+            test_ragged_vs_host_topk;
+          Alcotest.test_case "ragged chunk ledger in closed form" `Quick
+            test_ragged_ledger;
           Alcotest.test_case "released outputs reused" `Quick
             test_output_reuse;
         ] );

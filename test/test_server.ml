@@ -12,18 +12,18 @@ let hdc_data ~q ~dims ~classes ?(seed = 23) () =
   Workloads.Hdc.synthetic ~seed ~noise:0.15 ~dims ~n_classes:classes
     ~n_queries:q ~bits:1 ()
 
-(* Pad rows to a multiple of [q] the way the scheduler does (repeat the
-   last row), query, slice the padding back off: the per-request
-   reference every test compares server responses against. *)
-let reference session ~q rows =
-  let n = Array.length rows in
-  let rem = n mod q in
-  let padded =
-    if rem = 0 then rows
-    else Array.append rows (Array.make (q - rem) rows.(n - 1))
+(* Each row of a request run alone, as a one-row batch: the reference
+   every test compares server responses against, since a row's answer
+   depends on nothing else in its micro-batch. *)
+let reference session rows =
+  let alone =
+    Array.map
+      (fun row ->
+        let r = Session.query session [| row |] in
+        (r.C4cam.Driver.values.(0), r.C4cam.Driver.indices.(0)))
+      rows
   in
-  let r = Session.query session padded in
-  (Array.sub r.C4cam.Driver.values 0 n, Array.sub r.C4cam.Driver.indices 0 n)
+  (Array.map fst alone, Array.map snd alone)
 
 let check_response what (want_values, want_indices)
     (r : Server.response) =
@@ -32,7 +32,7 @@ let check_response what (want_values, want_indices)
   Alcotest.(check Tutil.int_rows_testable) (what ^ ": indices")
     want_indices r.Server.r_indices
 
-(* ---- demux + padding vs the sequential reference ----------------------- *)
+(* ---- demux vs the sequential reference ---------------------------------- *)
 
 let test_demux () =
   let q = 4 and dims = 32 and classes = 8 in
@@ -69,7 +69,7 @@ let test_demux () =
     (fun i (tk, rows) ->
       check_response
         (Printf.sprintf "request %d" i)
-        (reference refs ~q rows) (Server.await tk))
+        (reference refs rows) (Server.await tk))
     tickets;
   Server.drain server;
   Server.stop server;
@@ -77,14 +77,74 @@ let test_demux () =
   Alcotest.(check int) "rows served" 15 st.Server.rows_served;
   Alcotest.(check int) "requests served" 5 st.Server.requests_served;
   (* paused enqueue makes the coalescing deterministic: round-robin
-     packs [c1#1 c2#1 c1#2] (8 rows), then [c3#1 c3#2] (7 + 1 pad) *)
+     packs [c1#1 c2#1 c1#2] (8 rows), then [c3#1 c3#2] (7 rows: a full
+     chunk and a 3-row tail, nothing padded) *)
   Alcotest.(check int) "micro-batches" 2 st.Server.batches_coalesced;
-  Alcotest.(check int) "padding rows" 1 st.Server.rows_padded;
+  Alcotest.(check int) "padding rows" 0 st.Server.rows_padded;
   Alcotest.(check int) "queue high-water" 15 st.Server.queue_hwm;
   Tutil.check_float ~eps:1e-9 "fill ratio" 7.5 st.Server.batch_fill;
   Alcotest.(check bool) "p99 >= p50 >= 0" true
     (st.Server.lat_p99_s >= st.Server.lat_p50_s
     && st.Server.lat_p50_s >= 0.)
+
+(* The simulated charge of a server micro-batch in closed form: with
+   the device setup already recorded, a micro-batch of m rows costs its
+   q-row chunks plus one tail of m mod q rows, each at its own row
+   count (Tutil.warm_chunk_cost), and nothing for rows it does not
+   hold. The kernel has 2 x 2 tiles of 32 rows on the 32x32 base
+   spec. *)
+let test_micro_batch_ledger () =
+  let q = 4 and dims = 64 and classes = 64 and k = 1 in
+  let data = hdc_data ~q:16 ~dims ~classes () in
+  let src = Workloads.Kernels.hdc_dot ~q ~dims ~classes ~k in
+  let session = Session.create ~spec ~stored:data.stored src in
+  ignore (Session.query session (Array.sub data.queries 0 q));
+  let before = Session.stats session in
+  let server =
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          batch_rows = 8;
+          queue_cap = 64;
+          start_paused = true;
+        }
+      session
+  in
+  let c1 = Server.connect server
+  and c2 = Server.connect server
+  and c3 = Server.connect server in
+  let slice off len = Array.sub data.queries off len in
+  let tickets =
+    List.map
+      (fun (c, rows) -> Server.submit c rows)
+      [
+        (c1, slice 0 1); (c2, slice 1 5); (c1, slice 6 2); (c3, slice 8 3);
+        (c3, slice 11 4);
+      ]
+  in
+  Server.resume server;
+  List.iter (fun tk -> ignore (Server.await tk)) tickets;
+  Server.stop server;
+  let st = Server.stats server in
+  (* round-robin: [c1#1 c2#1 c1#2] (8 rows), then [c3#1 c3#2] (7) *)
+  Alcotest.(check int) "micro-batches" 2 st.Server.batches_coalesced;
+  let latency, energy =
+    List.fold_left
+      (fun (l, e) r ->
+        let l', e' =
+          Tutil.warm_chunk_cost ~spec ~tiles:4 ~tile_rows:32 ~n:classes ~k r
+        in
+        (l +. l', e +. e'))
+      (0., 0.)
+      (Tutil.chunk_sizes ~q 8 @ Tutil.chunk_sizes ~q 7)
+  in
+  let after = st.Server.session in
+  Tutil.check_float ~eps:1e-12 "latency"
+    latency
+    (after.Session.sim_latency_s -. before.Session.sim_latency_s);
+  Tutil.check_float ~eps:1e-12 "energy" energy
+    (after.Session.sim_energy_j -. before.Session.sim_energy_j)
 
 (* ---- failure isolation and the latency window --------------------------- *)
 
@@ -122,7 +182,7 @@ let test_failure_isolation () =
   let bad_tk = Server.submit bad bad_rows in
   Server.resume server;
   let r = Server.await good_tk in
-  check_response "co-batched request" (reference refs ~q good_rows) r;
+  check_response "co-batched request" (reference refs good_rows) r;
   Alcotest.(check int) "its micro-batch" 0 r.Server.r_batch_seq;
   (match Server.await bad_tk with
   | _ -> Alcotest.fail "the sentinel request was served"
@@ -132,7 +192,7 @@ let test_failure_isolation () =
   let st = Server.stats server in
   Alcotest.(check int) "requests served" 1 st.Server.requests_served;
   Alcotest.(check int) "rows served" 3 st.Server.rows_served;
-  Alcotest.(check int) "padding rows" 1 st.Server.rows_padded
+  Alcotest.(check int) "padding rows" 0 st.Server.rows_padded
 
 let test_latency_window () =
   let q = 4 and dims = 32 and classes = 8 in
@@ -191,7 +251,7 @@ let test_fairness () =
   let st = Server.stats server in
   (* 13 rows at batch_rows = 4*q = 16: everything fits in one batch *)
   Alcotest.(check int) "one micro-batch" 1 st.Server.batches_coalesced;
-  Alcotest.(check int) "padded to the arity" 3 st.Server.rows_padded
+  Alcotest.(check int) "nothing padded" 0 st.Server.rows_padded
 
 (* A client that leaves drops out of the round-robin without costing
    anyone a turn. With one 4-row request per 4-row micro-batch, batch
@@ -363,7 +423,7 @@ let test_serve_all_over_cap () =
     (fun i (rows, r) ->
       check_response
         (Printf.sprintf "request %d" i)
-        (reference refs ~q rows) r)
+        (reference refs rows) r)
     (List.combine requests first);
   Alcotest.(check (list int)) "coalescing repeats exactly"
     (List.map (fun (r : Server.response) -> r.r_batch_seq) first)
@@ -429,7 +489,7 @@ let test_bad_requests () =
   rejects "-inf cell" [| with_cell Float.neg_infinity |];
   Server.resume server;
   let refs = Session.create ~spec ~stored:data.stored src in
-  check_response "co-batched good request" (reference refs ~q good)
+  check_response "co-batched good request" (reference refs good)
     (Server.await ticket);
   ignore (Server.rpc c [| data.queries.(0) |]);
   Server.stop server
@@ -911,7 +971,7 @@ let test_mini_stress () =
       in
       let refs = Session.create ~spec ~stored:data.stored src in
       let want =
-        Array.map (Array.map (reference refs ~q)) streams
+        Array.map (Array.map (reference refs)) streams
       in
       let server =
         Server.create
@@ -955,6 +1015,8 @@ let () =
         [
           Alcotest.test_case "demux vs sequential reference" `Quick
             test_demux;
+          Alcotest.test_case "micro-batch ledger in closed form" `Quick
+            test_micro_batch_ledger;
           Alcotest.test_case "round-robin fairness" `Quick test_fairness;
           Alcotest.test_case "disconnect keeps the turns" `Quick
             test_disconnect;

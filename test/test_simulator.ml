@@ -143,6 +143,54 @@ let test_range_search_via_simulator () =
   Tutil.check_float "plain values behave as point ranges" 0.
     (Simulator.read s sub).(0).(0)
 
+(* select_best against a sort-prefix oracle: each row's candidates
+   sorted by value under [compare] (descending when [largest]), ties on
+   the index, cut after [k]. Values come from a small pool with NaN, so
+   ties and NaN are common, at k = 1 (the scan) and k > 1 (the
+   insertion); every row answers independently. *)
+let prop_select_best_sort_prefix =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 40 in
+      let* k = oneof [ return 1; int_range 1 n ] in
+      let* largest = bool in
+      let cell =
+        oneofl [ 0.; 1.; 2.; -1.; 0.5; Float.nan; Float.infinity; -0. ]
+      in
+      let* dist = array_size (int_range 0 4) (array_repeat n cell) in
+      return (dist, k, largest))
+  in
+  let print (dist, k, largest) =
+    Printf.sprintf "k=%d largest=%b dist=[%s]" k largest
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun r ->
+                 String.concat ","
+                   (Array.to_list (Array.map string_of_float r)))
+               dist)))
+  in
+  QCheck.Test.make ~count:500 ~name:"select_best = sort prefix (ties, NaN)"
+    (QCheck.make ~print gen)
+    (fun (dist, k, largest) ->
+      let (values, indices), _ =
+        Simulator.select_best (sim ()) ~dist ~k ~largest
+      in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun qi row ->
+             let order = Array.init (Array.length row) Fun.id in
+             Array.stable_sort
+               (fun a b ->
+                 if largest then compare row.(b) row.(a)
+                 else compare row.(a) row.(b))
+               order;
+             let want = Array.sub order 0 k in
+             (* [compare] on the values: NaN = NaN *)
+             indices.(qi) = want
+             && compare values.(qi) (Array.map (fun i -> row.(i)) want) = 0)
+           dist))
+
 let test_select_best_k_too_large () =
   let s = sim () in
   Alcotest.(check bool) "k > n rejected" true
@@ -734,6 +782,7 @@ let () =
           Alcotest.test_case "select k too large" `Quick
             test_select_best_k_too_large;
           QCheck_alcotest.to_alcotest prop_search_view_matches_rows;
+          QCheck_alcotest.to_alcotest prop_select_best_sort_prefix;
         ] );
       ( "ledger",
         [

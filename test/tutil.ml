@@ -77,3 +77,55 @@ let mutant seeds =
     else !s
   in
   QCheck.make ~print:(Printf.sprintf "%S") gen
+
+(* ---- brute-force host oracles and the warm-chunk ledger -------------- *)
+
+(* The CAM distance of a binary query to a binary stored row: the
+   number of mismatching cells. *)
+let hamming (a : float array) (b : float array) =
+  let d = ref 0 in
+  Array.iteri (fun j x -> if x <> b.(j) then incr d) a;
+  float_of_int !d
+
+(* The [k] smallest of [cands] ([(value, id)] pairs) by value, ties on
+   the id, by a full sort: [(values, ids)]. *)
+let sorted_prefix ~k cands =
+  let s = List.sort compare cands in
+  let top = List.filteri (fun i _ -> i < k) s in
+  (Array.of_list (List.map fst top), Array.of_list (List.map snd top))
+
+(* Per query row, the top [k] stored rows by Hamming distance, ties on
+   the row index: what a dot-similarity top-k kernel on binary data
+   answers. *)
+let host_topk ~k ~stored queries =
+  Array.split
+    (Array.map
+       (fun qr ->
+         sorted_prefix ~k
+           (Array.to_list (Array.mapi (fun i s -> (hamming qr s, i)) stored)))
+       queries)
+
+(* The simulated cost of one chunk of [r] query rows of a compiled
+   top-k kernel on an all-parallel spec, once the device setup is
+   recorded (replayed allocations and clean writes cost nothing), in
+   closed form from the Energy_model primitives: each of the [tiles]
+   tiles searches the [r] rows over its [tile_rows] rows and merges an
+   [r x tile_rows] block, all tiles at once (latency is one tile's),
+   then one select ranks the [n] candidates of each row. Returns
+   [(latency, energy)]. *)
+let warm_chunk_cost ~(spec : Archspec.Spec.t) ~tiles ~tile_rows ~n ~k r =
+  let module E = Camsim.Energy_model in
+  let tech = Camsim.Tech.fefet_45nm in
+  let search =
+    E.search tech ~bits:spec.bits ~cols:spec.cols ~active_rows:tile_rows
+      ~physical_rows:spec.rows ~kind:`Best ~queries:r ~batch_extra:false ()
+  in
+  let merge = E.merge tech ~elems:(r * tile_rows) in
+  let select = E.select tech ~elems_per_query:n ~k ~queries:r in
+  ( search.latency +. merge.latency +. select.latency,
+    (float_of_int tiles *. (search.energy +. merge.energy)) +. select.energy )
+
+(* [rows] split the way a session runs them: [q]-row chunks, the last
+   one shorter. *)
+let chunk_sizes ~q rows =
+  List.init ((rows + q - 1) / q) (fun i -> min q (rows - (i * q)))
