@@ -1467,6 +1467,28 @@ let micro () =
                       ignore
                         (Camsim.Subarray.search_range sub ~queries
                            ~row_offset:0 ~rows))));
+              (* one store shard's batch: 8 queries over 8,192 binary
+                 rows of 64 cells on 64x64 Base, the tile nest and its
+                 128 searches, beside binary_64, their floor *)
+              (let q = 8 and d = 64 and n = 8192 in
+               let rng = Rng.create 8192 in
+               let mk rows =
+                 Array.init rows (fun _ ->
+                     Array.init d (fun _ -> float_of_int (Rng.int rng 2)))
+               in
+               let session =
+                 Serve.Session.create
+                   ~spec:(Archspec.Spec.square 64 Archspec.Spec.Base)
+                   ~stored:(mk n)
+                   (Workloads.Kernels.hdc_dot_scores ~q ~dims:d ~classes:n)
+               in
+               let queries = mk q in
+               let batch () =
+                 Serve.Session.release session
+                   (Serve.Session.query_flat session queries)
+               in
+               batch ();
+               Test.make ~name:"store_shard_batch" (Staged.stage batch));
             ]);
         (* GC pressure of the zero-allocation hot path: the
            minor-words column is the headline number here — the

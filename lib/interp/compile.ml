@@ -72,12 +72,42 @@ type creg =
 
 (* ---------- compile-time environment ---------------------------------- *)
 
+(* How a value of [fn] is defined: a function argument, the result of
+   one op, a block argument, or more than one of these. *)
+type site = Arg | Def of Ir.Op.t | Bound | Dup
+
+(* Each value's site, and how many operands use it. *)
+let def_sites (fn : Ir.Func_ir.func) =
+  let t = Hashtbl.create 256 and uses = Hashtbl.create 256 in
+  let add site (v : Ir.Value.t) =
+    Hashtbl.replace t v.id (if Hashtbl.mem t v.id then Dup else site)
+  in
+  List.iter (add Arg) fn.fn_args;
+  List.iter (add Bound) fn.fn_body.block_args;
+  Ir.Walk.iter_ops
+    (fun (op : Ir.Op.t) ->
+      List.iter (add (Def op)) op.results;
+      List.iter
+        (fun (v : Ir.Value.t) ->
+          Hashtbl.replace uses v.id
+            (1 + Option.value ~default:0 (Hashtbl.find_opt uses v.id)))
+        op.operands;
+      List.iter
+        (fun (r : Ir.Op.region) ->
+          List.iter (fun (b : Ir.Op.block) -> List.iter (add Bound) b.block_args)
+            r.blocks)
+        op.regions)
+    fn;
+  (t, uses)
+
 type cenv = {
   tbl : (int, int) Hashtbl.t;
   mutable n_slots : int;
   fn : Ir.Func_ir.func; (* names values in diagnostics *)
   fusable : (int, unit) Hashtbl.t;
       (* cam.read results with one definition and one use *)
+  mutable sites : ((int, site) Hashtbl.t * (int, int) Hashtbl.t) Lazy.t;
+      (* [def_sites], for tile plans *)
 }
 
 let slot cenv (v : Ir.Value.t) =
@@ -131,6 +161,43 @@ let xsimx ctx =
 
 let attr_i op key = Ir.Attr.as_int (Ir.Op.attr_exn op key)
 let attr_b op key = Ir.Attr.as_bool (Ir.Op.attr_exn op key)
+
+(* An arith.cmpi's predicate on indices *)
+let cmpi_pred op : int -> int -> bool =
+  match Dialects.Arith.pred_of_attr (Ir.Op.attr_exn op "pred") with
+  | Dialects.Arith.Lt -> ( < )
+  | Le -> ( <= )
+  | Eq -> ( = )
+  | Ne -> ( <> )
+  | Gt -> ( > )
+  | Ge -> ( >= )
+
+(* A cam.search's decoded attributes: kind, metric, batch_extra,
+   threshold and rows. *)
+let search_attrs op =
+  let kind =
+    match Dialects.Cam.search_kind_of_attr (Ir.Op.attr_exn op "kind") with
+    | Dialects.Cam.Exact -> `Exact
+    | Best -> `Best
+    | Threshold -> `Threshold
+    | Range -> `Range
+  in
+  let metric =
+    match Dialects.Cam.search_metric_of_attr (Ir.Op.attr_exn op "metric") with
+    | Dialects.Cam.Hamming -> `Hamming
+    | Euclidean -> `Euclidean
+  in
+  let batch_extra =
+    match Ir.Op.attr op "batch_extra" with
+    | Some a -> Ir.Attr.as_bool a
+    | None -> false
+  in
+  let threshold =
+    match Ir.Op.attr op "threshold" with
+    | Some a -> Ir.Attr.as_float a
+    | None -> 0.
+  in
+  (kind, metric, batch_extra, threshold, attr_i op "rows")
 
 (* ---------- runtime scaffolding ---------------------------------------- *)
 
@@ -194,6 +261,22 @@ let check_loop_flow = function
 let check_if_flow = function
   | Cfall | Cyield [] -> ()
   | _ -> Ops.fail "if region must not produce values"
+
+let is_terminator = function
+  | "func.return" | "scf.yield" | "cim.yield" -> true
+  | _ -> false
+
+(* A block's ops up to its first terminator, and that terminator. Ops
+   past it are dead: execution stops there, so they are not compiled at
+   all. *)
+let split_terminator (blk : Ir.Op.block) =
+  let rec split acc = function
+    | [] -> (List.rev acc, None)
+    | (op : Ir.Op.t) :: rest ->
+        if is_terminator op.op_name then (List.rev acc, Some op)
+        else split (op :: acc) rest
+  in
+  split [] blk.body
 
 (* ---------- cam.read -> cam.merge_partial / cam.select_best fusion ----- *)
 
@@ -271,11 +354,645 @@ let fusion_marks cenv (ops : Ir.Op.t array) =
       ops;
   fused
 
-(* ---------- the op compiler -------------------------------------------- *)
+(* ---------- tile plans -------------------------------------------------- *)
 
-let is_terminator = function
-  | "func.return" | "scf.yield" | "cim.yield" -> true
-  | _ -> false
+(* A loop nest whose control is known at compile time (the cam-map tile
+   nest of Figure 6 is one) runs from a tile plan: its loops, ifs and
+   index arithmetic are evaluated once, here, into the flat sequence of
+   device calls the interpreted nest would make, every row, column and
+   element offset precomputed, with the per-dialect op counts and the
+   sum/max latency tree of the loops beside them. A run checks the
+   plan's assumptions about the slots the nest reads, walks the steps
+   and calls the same simulator entry points in the same order; on any
+   failed check it runs the generic closures instead. See
+   docs/INTERPRETER.md, "Tile plans". *)
+
+(* [rows] x [cols] cells of plan input [src]: cell (i, j) at
+   [off + i*rs + j*cs] past the input buffer's own offset. *)
+type win = { src : int; off : int; rows : int; cols : int; rs : int; cs : int }
+
+type level = L_mat | L_array | L_subarray
+
+type step =
+  | Open  (* push a latency accumulator at 0 *)
+  | Sum  (* pop one, add it into the one below *)
+  | Max  (* pop one, max it into the one below *)
+  | Bank of { reg : int; rows : int; cols : int }
+  | Child of { level : level; reg : int; parent : int }
+  | Write of { h : int; row_offset : int; w : win }
+  | Search of {
+      h : int;
+      row_offset : int;
+      rows : int;
+      kind : [ `Exact | `Best | `Threshold | `Range ];
+      metric : [ `Hamming | `Euclidean ];
+      batch_extra : bool;
+      threshold : float;
+      w : win;
+    }
+  | Merge of { h : int; w : win; elems : int }
+      (* a fused read of [h] and the merge of its rows into [w]: no
+         device call runs between the two *)
+
+type plan = {
+  p_consts : (int * int) array;  (* slot, the index constant it holds *)
+  p_inputs : (int * int list * int list) array;
+      (* slot, declared shape, row-major strides of a buffer input *)
+  p_steps : step array;
+  p_counts : (int * int) array;  (* dialect slot, ops executed *)
+  p_regs : int;  (* device handles the steps allocate *)
+  p_depth : int;  (* latency accumulators open at once, the loop's own included *)
+  p_device : bool;  (* some step needs the simulator *)
+}
+
+exception Unplannable
+
+let unplannable () = raise_notrace Unplannable
+
+(* Bounds on a plan's size and on the work of building it: a nest past
+   either runs on the generic closures. *)
+let plan_max_steps = 1 lsl 20
+let plan_max_ops = 1 lsl 22
+
+(* A value as the plan builder sees it. Integers, booleans and handle
+   registers live in [ints], windows in [wins]. *)
+type pv =
+  | Vint of int
+  | Vbool of int
+  | Vhandle of int
+  | Vwin of int
+  | Vinput of int  (* a whole buffer input *)
+  | Vread of int  (* the rows a fused cam.read of this handle cell latched *)
+
+type pstate = {
+  pc : cenv;
+  sites : (int, site) Hashtbl.t;
+  inner : (int, unit) Hashtbl.t;  (* the values the nest defines *)
+  vals : (int, pv) Hashtbl.t;
+  mutable n_ints : int;
+  mutable n_wins : int;
+  mutable consts : (int * int * int) list;  (* int cell, slot, value *)
+  mutable inputs : (int * int list * int list) list;  (* reversed *)
+  mutable n_inputs : int;
+  (* evaluation *)
+  mutable ints : int array;
+  mutable iset : Bytes.t;  (* which [ints] cells are bound *)
+  mutable wins : win array;
+  mutable wset : Bytes.t;
+  mutable steps : step array;  (* the first [n_steps] are emitted *)
+  shared : (win, win) Hashtbl.t;  (* one record per distinct window *)
+  mutable n_steps : int;
+  mutable n_ops : int;
+  mutable regs : int;
+  mutable depth : int;
+  mutable max_depth : int;
+  counts : int array;
+}
+
+let no_win = { src = 0; off = 0; rows = 0; cols = 0; rs = 0; cs = 0 }
+
+let bind st (v : Ir.Value.t) pv =
+  if Hashtbl.mem st.vals v.id then unplannable ();
+  Hashtbl.replace st.vals v.id pv
+
+let new_int st =
+  let s = st.n_ints in
+  st.n_ints <- s + 1;
+  s
+
+(* A value the nest reads: one it defines earlier, an index constant
+   or a buffer (a function argument or a memref.alloc) from outside. *)
+let pvalue st (v : Ir.Value.t) =
+  match Hashtbl.find_opt st.vals v.id with
+  | Some pv -> pv
+  | None -> (
+      if Hashtbl.mem st.inner v.id then unplannable ();
+      (* typed as the defining op's result, as the generic engine
+         reads it *)
+      let site = Hashtbl.find_opt st.sites v.id in
+      let ty =
+        match site with
+        | Some (Def op) -> (Ir.Op.result op).Ir.Value.ty
+        | _ -> v.ty
+      in
+      match (site, ty) with
+      | Some (Def ({ op_name = "arith.constant"; _ } as op)), Ir.Types.Index
+        -> (
+          match Ir.Op.attr op "value" with
+          | Some (Ir.Attr.Int c) ->
+              let s = new_int st in
+              st.consts <- (s, slot st.pc v, c) :: st.consts;
+              let pv = Vint s in
+              bind st v pv;
+              pv
+          | _ -> unplannable ())
+      | ( Some (Arg | Def { op_name = "memref.alloc"; _ }),
+          Ir.Types.Memref (shape, _) ) ->
+          let i = st.n_inputs in
+          st.n_inputs <- i + 1;
+          st.inputs <-
+            (slot st.pc v, shape, Rtval.row_major_strides shape) :: st.inputs;
+          let pv = Vinput i in
+          bind st v pv;
+          pv
+      | _ -> unplannable ())
+
+let input_info st i = List.nth st.inputs (st.n_inputs - 1 - i)
+
+let int_cell st v =
+  match pvalue st v with Vint s -> s | _ -> unplannable ()
+
+let bool_cell st v =
+  match pvalue st v with Vbool s -> s | _ -> unplannable ()
+
+let handle_cell st v =
+  match pvalue st v with Vhandle s -> s | _ -> unplannable ()
+
+let get st s =
+  if Bytes.unsafe_get st.iset s = '\000' then unplannable ();
+  Array.unsafe_get st.ints s
+
+let put st s x =
+  Array.unsafe_set st.ints s x;
+  Bytes.unsafe_set st.iset s '\001'
+
+(* The window a write, search or merge reads: a subview's, or a whole
+   rank-2 input's. *)
+let window st v : pstate -> win =
+  match pvalue st v with
+  | Vwin s ->
+      fun st ->
+        if Bytes.unsafe_get st.wset s = '\000' then unplannable ();
+        Array.unsafe_get st.wins s
+  | Vinput i -> (
+      let _, shape, _ = input_info st i in
+      match shape with
+      | [ rows; cols ] ->
+          let w = { src = i; off = 0; rows; cols; rs = cols; cs = 1 } in
+          fun _ -> w
+      | _ -> unplannable ())
+  | _ -> unplannable ()
+
+(* (dialect slot, count) for each dialect a counter array counted *)
+let nonzero_counts counts =
+  Array.of_list
+    (List.filter
+       (fun (_, n) -> n > 0)
+       (Array.to_list (Array.mapi (fun d n -> (d, n)) counts)))
+
+let emit st step =
+  let n = st.n_steps in
+  if n >= plan_max_steps then unplannable ();
+  if n = Array.length st.steps then begin
+    let grown = Array.make (2 * n) Open in
+    Array.blit st.steps 0 grown 0 n;
+    st.steps <- grown
+  end;
+  st.steps.(n) <- step;
+  st.n_steps <- n + 1
+
+let open_acc st =
+  emit st Open;
+  st.depth <- st.depth + 1;
+  if st.depth > st.max_depth then st.max_depth <- st.depth
+
+(* Close the innermost accumulator into the one below. One that nothing
+   was charged to holds 0, and the one below (which starts at 0 and
+   only grows) takes [+. 0.] and [Float.max _ 0.] unchanged, so the
+   pair is dropped. *)
+let close_acc st combine =
+  st.depth <- st.depth - 1;
+  match st.steps.(st.n_steps - 1) with
+  | Open -> st.n_steps <- st.n_steps - 1
+  | _ -> emit st combine
+
+let loop_region (op : Ir.Op.t) =
+  match op.regions with
+  | [ { blocks = [ ({ block_args = [ iv ]; _ } as blk) ] } ] -> (iv, blk)
+  | _ -> unplannable ()
+
+let if_block (r : Ir.Op.region) =
+  match r.blocks with
+  | [ ({ block_args = []; _ } as blk) ] -> blk
+  | _ -> unplannable ()
+
+(* Compile one block of the nest into its evaluator: it bumps the
+   block's op counts, as the generic engine does once per executed op,
+   and evaluates the ops in order. *)
+let rec plan_block st (blk : Ir.Op.block) : pstate -> unit =
+  let body, term = split_terminator blk in
+  (match term with
+  | None -> ()
+  | Some { op_name = "scf.yield" | "cim.yield"; operands = []; _ } -> ()
+  | Some _ -> unplannable ());
+  let ops = Array.of_list body in
+  let fused = fusion_marks st.pc ops in
+  let evals = Array.mapi (fun i op -> plan_op st ~fused:fused.(i) op) ops in
+  let counts = Ops.fresh_counts () in
+  List.iter
+    (fun (op : Ir.Op.t) ->
+      let d = Ops.dialect_index op.op_name in
+      counts.(d) <- counts.(d) + 1)
+    (body @ Option.to_list term);
+  let counts = nonzero_counts counts in
+  let n = Array.length ops in
+  fun st ->
+    st.n_ops <- st.n_ops + n;
+    if st.n_ops > plan_max_ops then unplannable ();
+    Array.iter (fun (d, n) -> st.counts.(d) <- st.counts.(d) + n) counts;
+    Array.iter (fun f -> f st) evals
+
+(* The iterations of a loop; [root] is the nest's own loop, whose total
+   is the bottom accumulator rather than one it opens. *)
+and plan_loop ~root st (op : Ir.Op.t) : pstate -> unit =
+  let parallel = String.equal op.op_name "scf.parallel" in
+  let lb, ub, step =
+    match op.operands with
+    | [ lb; ub; step ] -> (int_cell st lb, int_cell st ub, int_cell st step)
+    | _ -> unplannable ()
+  in
+  let iv, blk = loop_region op in
+  let ivs = new_int st in
+  bind st iv (Vint ivs);
+  let body = plan_block st blk in
+  let combine = if parallel then Max else Sum in
+  fun st ->
+    let lb = get st lb and ub = get st ub and step = get st step in
+    if step <= 0 then unplannable ();
+    if not root then open_acc st;
+    let i = ref lb in
+    while !i < ub do
+      open_acc st;
+      put st ivs !i;
+      body st;
+      close_acc st combine;
+      i := !i + step
+    done;
+    if not root then close_acc st Sum
+
+and plan_op st ~fused (op : Ir.Op.t) : pstate -> unit =
+  let result () =
+    match op.results with [ v ] -> v | _ -> unplannable ()
+  in
+  let def_int mk =
+    let s = new_int st in
+    bind st (result ()) (mk s);
+    s
+  in
+  match op.op_name with
+  | "arith.constant" -> (
+      match (Ir.Op.attr op "value", (result ()).ty) with
+      | Some (Ir.Attr.Int c), Ir.Types.Index ->
+          let s = def_int (fun s -> Vint s) in
+          fun st -> put st s c
+      | _ -> unplannable ())
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divi" | "arith.remi"
+  | "arith.cmpi" -> (
+      let a, b =
+        match op.operands with
+        | [ a; b ] -> (int_cell st a, int_cell st b)
+        | _ -> unplannable ()
+      in
+      let arith f =
+        let s = def_int (fun s -> Vint s) in
+        fun st -> put st s (f (get st a) (get st b))
+      in
+      let nonzero f x y = if y = 0 then unplannable () else f x y in
+      match op.op_name with
+      | "arith.addi" -> arith ( + )
+      | "arith.subi" -> arith ( - )
+      | "arith.muli" -> arith ( * )
+      | "arith.divi" -> arith (nonzero ( / ))
+      | "arith.remi" -> arith (nonzero ( mod ))
+      | _ ->
+          let cmp = cmpi_pred op in
+          let s = def_int (fun s -> Vbool s) in
+          fun st -> put st s (Bool.to_int (cmp (get st a) (get st b))))
+  | "scf.for" | "scf.parallel" -> plan_loop ~root:false st op
+  | "scf.if" -> (
+      let c = match op.operands with [ c ] -> bool_cell st c | _ -> unplannable () in
+      let branch r =
+        let body = plan_block st (if_block r) in
+        fun st ->
+          open_acc st;
+          body st;
+          close_acc st Sum
+      in
+      match op.regions with
+      | [ t ] ->
+          let t = branch t in
+          fun st -> if get st c <> 0 then t st
+      | [ t; e ] ->
+          let t = branch t and e = branch e in
+          fun st -> if get st c <> 0 then t st else e st
+      | _ -> unplannable ())
+  | "cam.alloc_bank" ->
+      let rows = attr_i op "rows" and cols = attr_i op "cols" in
+      let s = def_int (fun s -> Vhandle s) in
+      fun st ->
+        let reg = st.regs in
+        st.regs <- reg + 1;
+        emit st (Bank { reg; rows; cols });
+        put st s reg
+  | "cam.alloc_mat" | "cam.alloc_array" | "cam.alloc_subarray" ->
+      let level =
+        match op.op_name with
+        | "cam.alloc_mat" -> L_mat
+        | "cam.alloc_array" -> L_array
+        | _ -> L_subarray
+      in
+      let p = match op.operands with [ p ] -> handle_cell st p | _ -> unplannable () in
+      let s = def_int (fun s -> Vhandle s) in
+      fun st ->
+        let reg = st.regs in
+        st.regs <- reg + 1;
+        emit st (Child { level; reg; parent = get st p });
+        put st s reg
+  | "memref.subview" -> (
+      match op.operands with
+      | [ base; o0; o1 ] -> (
+          let src =
+            match pvalue st base with Vinput i -> i | _ -> unplannable ()
+          in
+          let o0 = int_cell st o0 and o1 = int_cell st o1 in
+          let _, shape, strides = input_info st src in
+          match (Ir.Attr.as_ints (Ir.Op.attr_exn op "sizes"), shape, strides) with
+          | [ rows; cols ], [ d0; d1 ], [ rs; cs ] ->
+              let s = st.n_wins in
+              st.n_wins <- s + 1;
+              bind st (result ()) (Vwin s);
+              fun st ->
+                let a = get st o0 and b = get st o1 in
+                if a < 0 || rows < 0 || a + rows > d0 || b < 0 || cols < 0
+                   || b + cols > d1
+                then unplannable ();
+                let w = { src; off = (a * rs) + (b * cs); rows; cols; rs; cs } in
+                Array.unsafe_set st.wins s
+                  (match Hashtbl.find_opt st.shared w with
+                  | Some w -> w
+                  | None ->
+                      Hashtbl.add st.shared w w;
+                      w);
+                Bytes.unsafe_set st.wset s '\001'
+          | _ -> unplannable ())
+      | _ -> unplannable ())
+  | "cam.write_value" -> (
+      match op.operands with
+      | [ h; data; off ] ->
+          let h = handle_cell st h and w = window st data in
+          let off = int_cell st off in
+          fun st ->
+            emit st (Write { h = get st h; row_offset = get st off; w = w st })
+      | _ -> unplannable ())
+  | "cam.search" -> (
+      match op.operands with
+      | [ h; query; off ] ->
+          let h = handle_cell st h and w = window st query in
+          let off = int_cell st off in
+          let kind, metric, batch_extra, threshold, rows = search_attrs op in
+          fun st ->
+            emit st
+              (Search
+                 {
+                   h = get st h;
+                   row_offset = get st off;
+                   rows;
+                   kind;
+                   metric;
+                   batch_extra;
+                   threshold;
+                   w = w st;
+                 })
+      | _ -> unplannable ())
+  | "cam.read" when fused -> (
+      match op.operands with
+      | [ h ] ->
+          let h = handle_cell st h in
+          bind st (result ()) (Vread h);
+          fun _ -> ()
+      | _ -> unplannable ())
+  | "cam.merge_partial" when fused -> (
+      match op.operands with
+      | [ dst; part ] ->
+          let w = window st dst in
+          let h = match pvalue st part with Vread h -> h | _ -> unplannable () in
+          fun st ->
+            let w = w st in
+            emit st (Merge { h = get st h; w; elems = w.rows * w.cols })
+      | _ -> unplannable ())
+  | _ -> unplannable ()
+
+(* Every value the nest defines. Each must be defined exactly once in
+   the function and used only inside the nest: a plan binds no slot, so
+   a use after the nest would find none. *)
+let nest_defs (sites, uses) (root : Ir.Op.t) =
+  let inner = Hashtbl.create 64 and inner_uses = Hashtbl.create 64 in
+  let add (v : Ir.Value.t) =
+    match Hashtbl.find_opt sites v.id with
+    | Some (Def _ | Bound) -> Hashtbl.replace inner v.id ()
+    | _ -> unplannable ()
+  in
+  let rec go (op : Ir.Op.t) =
+    List.iter
+      (fun (r : Ir.Op.region) ->
+        List.iter
+          (fun (b : Ir.Op.block) ->
+            List.iter add b.block_args;
+            List.iter
+              (fun (o : Ir.Op.t) ->
+                List.iter add o.results;
+                List.iter
+                  (fun (v : Ir.Value.t) ->
+                    Hashtbl.replace inner_uses v.id
+                      (1 + Option.value ~default:0 (Hashtbl.find_opt inner_uses v.id)))
+                  o.operands;
+                go o)
+              b.body)
+          r.blocks)
+      op.regions
+  in
+  go root;
+  Hashtbl.iter
+    (fun id () ->
+      if Hashtbl.find_opt uses id <> Hashtbl.find_opt inner_uses id then
+        unplannable ())
+    inner;
+  inner
+
+(* Give every value the nest names a slot now: the generic closures a
+   fallback builds later must find them all, since the run's slot array
+   is sized when the function compiles. *)
+let reserve_slots cenv (root : Ir.Op.t) =
+  let name v = ignore (slot cenv v) in
+  let rec go (o : Ir.Op.t) =
+    List.iter name o.operands;
+    List.iter name o.results;
+    List.iter
+      (fun (r : Ir.Op.region) ->
+        List.iter
+          (fun (b : Ir.Op.block) ->
+            List.iter name b.block_args;
+            List.iter go b.body)
+          r.blocks)
+      o.regions
+  in
+  go root
+
+(* The tile plan of loop [root], or [None] when the nest does not
+   qualify. *)
+let build_plan (cenv : cenv) (root : Ir.Op.t) =
+  try
+    let sites = Lazy.force cenv.sites in
+    let st =
+      {
+        pc = cenv;
+        sites = fst sites;
+        inner = nest_defs sites root;
+        vals = Hashtbl.create 64;
+        n_ints = 0;
+        n_wins = 0;
+        consts = [];
+        inputs = [];
+        n_inputs = 0;
+        ints = [||];
+        iset = Bytes.empty;
+        wins = [||];
+        wset = Bytes.empty;
+        steps = Array.make 64 Open;
+        shared = Hashtbl.create 64;
+        n_steps = 0;
+        n_ops = 0;
+        regs = 0;
+        depth = 0;
+        max_depth = 0;
+        counts = Ops.fresh_counts ();
+      }
+    in
+    let eval = plan_loop ~root:true st root in
+    st.ints <- Array.make st.n_ints 0;
+    st.iset <- Bytes.make st.n_ints '\000';
+    st.wins <- Array.make st.n_wins no_win;
+    st.wset <- Bytes.make st.n_wins '\000';
+    List.iter (fun (s, _, c) -> put st s c) st.consts;
+    eval st;
+    let steps = Array.sub st.steps 0 st.n_steps in
+    reserve_slots cenv root;
+    Some
+      {
+        p_consts = Array.of_list (List.map (fun (_, s, c) -> (s, c)) st.consts);
+        p_inputs = Array.of_list (List.rev st.inputs);
+        p_steps = steps;
+        p_counts = nonzero_counts st.counts;
+        p_regs = st.regs;
+        p_depth = st.max_depth + 1;
+        p_device =
+          Array.exists (function Open | Sum | Max -> false | _ -> true) steps;
+      }
+  with
+  | Unplannable | Invalid_argument _ | Failure _ | Not_found
+  | Ops.Runtime_error _ ->
+      None
+
+(* The slots the nest reads hold what the plan was built against:
+   each constant its value, each buffer input a buffer of the declared
+   shape with row-major strides. Fills [datas]/[bases] with the inputs'
+   storage and offsets. *)
+let plan_holds ctx p datas bases =
+  let rec consts i =
+    i = Array.length p.p_consts
+    ||
+    let s, c = Array.unsafe_get p.p_consts i in
+    (match Array.unsafe_get ctx.slots s with
+    | Rtval.Index c' -> c' = c
+    | _ -> false)
+    && consts (i + 1)
+  in
+  let rec inputs i =
+    i = Array.length p.p_inputs
+    ||
+    let s, shape, strides = Array.unsafe_get p.p_inputs i in
+    match Array.unsafe_get ctx.slots s with
+    | Rtval.Buffer b
+      when List.equal Int.equal b.b_shape shape
+           && List.equal Int.equal b.b_strides strides ->
+        datas.(i) <- b.b_data;
+        bases.(i) <- b.b_offset;
+        inputs (i + 1)
+    | _ -> false
+  in
+  consts 0 && inputs 0
+
+let run_plan ctx p datas bases =
+  let stack = Array.make p.p_depth 0. in
+  let sp = ref 0 in
+  let regs = ref [||] in
+  let set_reg r h =
+    if Array.length !regs = 0 then regs := Array.make p.p_regs h;
+    Array.unsafe_set !regs r h
+  in
+  let charge (c : Camsim.Energy_model.cost) =
+    Array.unsafe_set stack !sp (Array.unsafe_get stack !sp +. c.latency)
+  in
+  let steps = p.p_steps in
+  for i = 0 to Array.length steps - 1 do
+    match Array.unsafe_get steps i with
+    | Open ->
+        incr sp;
+        Array.unsafe_set stack !sp 0.
+    | Sum ->
+        let v = Array.unsafe_get stack !sp in
+        decr sp;
+        Array.unsafe_set stack !sp (Array.unsafe_get stack !sp +. v)
+    | Max ->
+        let v = Array.unsafe_get stack !sp in
+        decr sp;
+        Array.unsafe_set stack !sp (Float.max (Array.unsafe_get stack !sp) v)
+    | Bank { reg; rows; cols } ->
+        set_reg reg (Camsim.Simulator.alloc_bank (simx ctx) ~rows ~cols)
+    | Child { level; reg; parent } ->
+        let parent = Array.unsafe_get !regs parent in
+        set_reg reg
+          (match level with
+          | L_mat -> Camsim.Simulator.alloc_mat (simx ctx) parent
+          | L_array -> Camsim.Simulator.alloc_array (simx ctx) parent
+          | L_subarray -> Camsim.Simulator.alloc_subarray (simx ctx) parent)
+    | Write { h; row_offset; w } ->
+        charge
+          (Camsim.Simulator.write_view (simx ctx) (Array.unsafe_get !regs h)
+             ~row_offset ~rows:w.rows ~cols:w.cols (Array.unsafe_get datas w.src)
+             ~off:(Array.unsafe_get bases w.src + w.off)
+             ~rs:w.rs ~cs:w.cs)
+    | Search { h; row_offset; rows; kind; metric; batch_extra; threshold; w } ->
+        charge
+          (Camsim.Simulator.search_view (simx ctx) (Array.unsafe_get !regs h)
+             ~row_offset ~rows ~kind ~metric ~batch_extra ~threshold ~q:w.rows
+             ~cols:w.cols (Array.unsafe_get datas w.src)
+             ~off:(Array.unsafe_get bases w.src + w.off)
+             ~rs:w.rs ~cs:w.cs ~stamp:ctx.stamp)
+    | Merge { h; w; elems } ->
+        ctx.latched <- Camsim.Simulator.read (simx ctx) (Array.unsafe_get !regs h);
+        let data = Array.unsafe_get datas w.src in
+        Ops.rows_accumulate_at "cam.merge_partial" data
+          ~off:(Array.unsafe_get bases w.src + w.off)
+          ~rows:w.rows ~cols:w.cols ~rs:w.rs ~cs:w.cs ctx.latched;
+        Camsim.Scratch.drop_queries data;
+        charge (Camsim.Simulator.merge (simx ctx) ~elems)
+  done;
+  Array.iter (fun (d, n) -> ctx.counts.(d) <- ctx.counts.(d) + n) p.p_counts;
+  Array.unsafe_get stack 0
+
+(* The nest's op: its plan when the checks hold, else the generic
+   closures, built on the first such run. *)
+let planned p (generic : cop Lazy.t) : cop =
+  let n = Array.length p.p_inputs in
+  fun ctx ->
+    let datas = Array.make n [||] and bases = Array.make n 0 in
+    if (p.p_device && Option.is_none ctx.sim)
+       || not (plan_holds ctx p datas bases)
+    then (Lazy.force generic) ctx
+    else run_plan ctx p datas bases
+
+(* ---------- the op compiler -------------------------------------------- *)
 
 (* [fused]: the op is one half of a fused read/merge or read/select
    pair *)
@@ -559,15 +1276,7 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
   | "arith.cmpi" ->
       let a = use_index cenv (opnd 0) in
       let b = use_index cenv (opnd 1) in
-      let cmp : int -> int -> bool =
-        match Dialects.Arith.pred_of_attr (Ir.Op.attr_exn op "pred") with
-        | Dialects.Arith.Lt -> ( < )
-        | Le -> ( <= )
-        | Eq -> ( = )
-        | Ne -> ( <> )
-        | Gt -> ( > )
-        | Ge -> ( >= )
-      in
+      let cmp = cmpi_pred op in
       let s = def1 () in
       fun ctx ->
         let av = a ctx in
@@ -584,35 +1293,17 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
         0.
   (* ---- scf ---- *)
   | "scf.for" | "scf.parallel" -> (
-      let parallel = String.equal op.op_name "scf.parallel" in
-      let lbg = use_index cenv (opnd 0) in
-      let ubg = use_index cenv (opnd 1) in
-      let stepg = use_index cenv (opnd 2) in
-      match op.regions with
-      | [ r ] ->
-          let rg = compile_region cenv r in
-          fun ctx ->
-            let lb = lbg ctx in
-            let ub = ubg ctx in
-            let step = stepg ctx in
-            if step <= 0 then Ops.fail "loop: non-positive step";
-            let total = ref 0. in
-            let i = ref lb in
-            while !i < ub do
-              let fl, lat = run_creg ctx rg [| Rtval.Index !i |] in
-              check_loop_flow fl;
-              if parallel then total := Float.max !total lat
-              else total := !total +. lat;
-              i := !i + step
-            done;
-            !total
-      | _ ->
-          fun ctx ->
-            let _ = lbg ctx in
-            let _ = ubg ctx in
-            let step = stepg ctx in
-            if step <= 0 then Ops.fail "loop: non-positive step";
-            Ops.fail "loop region")
+      match build_plan cenv op with
+      | Some p ->
+          let n = cenv.n_slots in
+          planned p
+            (lazy
+              (let c = compile_loop cenv op in
+               (* [build_plan] reserved every slot the nest names *)
+               if cenv.n_slots <> n then
+                 failwith "Compile: a tile plan's fallback named a new value";
+               c))
+      | None -> compile_loop cenv op)
   | "scf.if" -> (
       let c = use cenv (opnd 0) in
       match op.regions with
@@ -733,31 +1424,7 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
       let hg = use_handle cenv (opnd 0) in
       let qg = use cenv (opnd 1) in
       let og = use_index cenv (opnd 2) in
-      let kind =
-        match Dialects.Cam.search_kind_of_attr (Ir.Op.attr_exn op "kind") with
-        | Dialects.Cam.Exact -> `Exact
-        | Best -> `Best
-        | Threshold -> `Threshold
-        | Range -> `Range
-      in
-      let metric =
-        match
-          Dialects.Cam.search_metric_of_attr (Ir.Op.attr_exn op "metric")
-        with
-        | Dialects.Cam.Hamming -> `Hamming
-        | Euclidean -> `Euclidean
-      in
-      let batch_extra =
-        match Ir.Op.attr op "batch_extra" with
-        | Some a -> Ir.Attr.as_bool a
-        | None -> false
-      in
-      let threshold =
-        match Ir.Op.attr op "threshold" with
-        | Some a -> Ir.Attr.as_float a
-        | None -> 0.
-      in
-      let rows = attr_i op "rows" in
+      let kind, metric, batch_extra, threshold, rows = search_attrs op in
       fun ctx ->
         let handle = hg ctx in
         let query = qg ctx in
@@ -855,6 +1522,39 @@ and compile_op_inner ~fused cenv (op : Ir.Op.t) : cop =
         0.
   | name -> fun _ -> Ops.fail "unsupported op %s" name
 
+(* scf.for / scf.parallel on the generic closures *)
+and compile_loop cenv (op : Ir.Op.t) : cop =
+  let opnd i = Ir.Op.operand op i in
+  let parallel = String.equal op.op_name "scf.parallel" in
+  let lbg = use_index cenv (opnd 0) in
+  let ubg = use_index cenv (opnd 1) in
+  let stepg = use_index cenv (opnd 2) in
+  match op.regions with
+  | [ r ] ->
+      let rg = compile_region cenv r in
+      fun ctx ->
+        let lb = lbg ctx in
+        let ub = ubg ctx in
+        let step = stepg ctx in
+        if step <= 0 then Ops.fail "loop: non-positive step";
+        let total = ref 0. in
+        let i = ref lb in
+        while !i < ub do
+          let fl, lat = run_creg ctx rg [| Rtval.Index !i |] in
+          check_loop_flow fl;
+          if parallel then total := Float.max !total lat
+          else total := !total +. lat;
+          i := !i + step
+        done;
+        !total
+  | _ ->
+      fun ctx ->
+        let _ = lbg ctx in
+        let _ = ubg ctx in
+        let step = stepg ctx in
+        if step <= 0 then Ops.fail "loop: non-positive step";
+        Ops.fail "loop region"
+
 and compile_region cenv (r : Ir.Op.region) : creg =
   match r.Ir.Op.blocks with
   | [ blk ] -> Cblk (compile_block cenv blk)
@@ -864,15 +1564,7 @@ and compile_block cenv (blk : Ir.Op.block) : cblk =
   let arg_slots =
     Array.of_list (List.map (def cenv) blk.Ir.Op.block_args)
   in
-  (* ops past the first terminator are dead: execution stops there, so
-     they are not compiled at all *)
-  let rec split acc = function
-    | [] -> (List.rev acc, None)
-    | (op : Ir.Op.t) :: rest ->
-        if is_terminator op.op_name then (List.rev acc, Some op)
-        else split (op :: acc) rest
-  in
-  let body_ops, term_op = split [] blk.Ir.Op.body in
+  let body_ops, term_op = split_terminator blk in
   let ops = Array.of_list body_ops in
   let fused = fusion_marks cenv ops in
   let body = Array.mapi (fun i op -> compile_op ~fused:fused.(i) cenv op) ops in
@@ -911,10 +1603,13 @@ let compile_func (fn : Ir.Func_ir.func) : cfunc =
       n_slots = 0;
       fn;
       fusable = fusable_reads fn;
+      sites = lazy (def_sites fn);
     }
   in
   let cf_args = Array.of_list (List.map (def cenv) fn.Ir.Func_ir.fn_args) in
   let cf_body = compile_block cenv fn.Ir.Func_ir.fn_body in
+  (* a plan's fallback keeps [cenv]; it need not keep these tables *)
+  cenv.sites <- lazy (def_sites fn);
   {
     cf_fn = fn;
     cf_n_ops = block_num_ops fn.Ir.Func_ir.fn_body;

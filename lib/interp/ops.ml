@@ -468,22 +468,27 @@ let buffer_accumulate what (dst : Rtval.buffer) (part : Rtval.buffer) =
   | _ -> fail "%s: shape mismatch" what
 
 (* [buffer_accumulate] with the partial given as rows, as a fused
-   cam.read hands them over: the same shape check (the copying read's
-   buffer is [rows; width of the first row]) and the same additions. *)
-let rows_accumulate what (dst : Rtval.buffer) (part : float array array) =
+   cam.read hands them over, into [rows] x [cols] cells of [dd] at
+   [off + i*rs + j*cs]: the same shape check (the copying read's buffer
+   is [rows; width of the first row]) and the same additions. *)
+let rows_accumulate_at what dd ~off ~rows ~cols ~rs ~cs
+    (part : float array array) =
   let q = Array.length part in
   let r = if q = 0 then 0 else Array.length part.(0) in
+  if q <> rows || r <> cols then fail "%s: shape mismatch" what;
+  for i = 0 to q - 1 do
+    let db = off + (i * rs) and pr = Array.unsafe_get part i in
+    for j = 0 to r - 1 do
+      let di = db + (j * cs) in
+      Array.unsafe_set dd di (Array.unsafe_get dd di +. Array.unsafe_get pr j)
+    done
+  done
+
+let rows_accumulate what (dst : Rtval.buffer) part =
   match (dst.b_shape, dst.b_strides) with
-  | [ q'; r' ], [ ds0; ds1 ] when q = q' && r = r' ->
-      let dd = dst.b_data in
-      for i = 0 to q - 1 do
-        let db = dst.b_offset + (i * ds0) and pr = Array.unsafe_get part i in
-        for j = 0 to r - 1 do
-          let di = db + (j * ds1) in
-          Array.unsafe_set dd di
-            (Array.unsafe_get dd di +. Array.unsafe_get pr j)
-        done
-      done
+  | [ rows; cols ], [ rs; cs ] ->
+      rows_accumulate_at what dst.b_data ~off:dst.b_offset ~rows ~cols ~rs ~cs
+        part
   | _ -> fail "%s: shape mismatch" what
 
 (* cam.write dispatch: rank-2 buffers and tensors

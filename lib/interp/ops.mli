@@ -104,6 +104,12 @@ val rows_accumulate : string -> Rtval.buffer -> float array array -> unit
     cam.read's latched result): the same shape check as against
     [Rtval.buffer_of_rows part], the same additions, no copy. *)
 
+val rows_accumulate_at :
+  string -> float array -> off:int -> rows:int -> cols:int -> rs:int ->
+  cs:int -> float array array -> unit
+(** {!rows_accumulate} into a [rows] x [cols] window given by stride
+    math: cell [(i, j)] at [off + i*rs + j*cs] of the array. *)
+
 val cam_write :
   Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> Rtval.t ->
   Camsim.Energy_model.cost

@@ -5,45 +5,55 @@
    clears the in-flight marker (waking one waiter to retry or fail in
    its own right) and re-raises in the builder. *)
 
-type entry = Ready of C4cam.Driver.compiled | Building
+type 'a entry = Ready of 'a | Building
 
-let table : (string, entry) Hashtbl.t = Hashtbl.create 16
+let table : (string, C4cam.Driver.compiled entry) Hashtbl.t = Hashtbl.create 16
+
+(* Lowerings for r < q query rows, keyed on the artifact's key and r:
+   the shards of one store share one module per r. *)
+let lowered : (string * int, Ir.Func_ir.modul entry) Hashtbl.t =
+  Hashtbl.create 16
+
 let lock = Mutex.create ()
 let built = Condition.create ()
 
 (* Pipeline executions since process start — the test hook behind the
-   compile-exactly-once contract. *)
+   compile-exactly-once contract — and lowerings likewise. *)
 let compile_count = Atomic.make 0
+let lower_count = Atomic.make 0
 
 let compiles () = Atomic.get compile_count
+let lowerings () = Atomic.get lower_count
 
 let key ~spec source =
   Digest.to_hex
     (Digest.string (Archspec.Spec.to_string spec ^ "\x00" ^ source))
 
-let lookup ?profile ~spec source =
-  let k = key ~spec source in
+(* The value under [k] in [tbl], built by [build] when absent. Misses
+   are single-flight; [counter] counts the builds. Returns whether this
+   call built it. *)
+let single_flight tbl k counter build =
   Mutex.lock lock;
   let rec claim () =
-    match Hashtbl.find_opt table k with
+    match Hashtbl.find_opt tbl k with
     | Some (Ready c) ->
         Mutex.unlock lock;
         (c, `Hit)
     | Some Building ->
-        (* another domain is compiling this key; wait for the artifact
-           rather than duplicating pipeline work *)
+        (* another domain is building this key; wait for it rather
+           than duplicating the work *)
         Condition.wait built lock;
         claim ()
     | None -> (
-        Hashtbl.replace table k Building;
+        Hashtbl.replace tbl k Building;
         Mutex.unlock lock;
-        (* compile outside the lock: pipelines are slow, and the
-           Building marker already serializes per-key work *)
-        match C4cam.Driver.compile ?profile ~spec source with
+        (* build outside the lock: pipelines are slow, and the Building
+           marker already serializes per-key work *)
+        match build () with
         | c ->
-            Atomic.incr compile_count;
+            Atomic.incr counter;
             Mutex.lock lock;
-            Hashtbl.replace table k (Ready c);
+            Hashtbl.replace tbl k (Ready c);
             Condition.broadcast built;
             Mutex.unlock lock;
             (c, `Miss)
@@ -51,8 +61,8 @@ let lookup ?profile ~spec source =
             Mutex.lock lock;
             (* only drop our own marker: a concurrent [clear] may have
                removed it already *)
-            (match Hashtbl.find_opt table k with
-            | Some Building -> Hashtbl.remove table k
+            (match Hashtbl.find_opt tbl k with
+            | Some Building -> Hashtbl.remove tbl k
             | _ -> ());
             Condition.broadcast built;
             Mutex.unlock lock;
@@ -60,10 +70,24 @@ let lookup ?profile ~spec source =
   in
   claim ()
 
+let lookup ?profile ~spec source =
+  single_flight table (key ~spec source) compile_count (fun () ->
+      C4cam.Driver.compile ?profile ~spec source)
+
+let lower (c : C4cam.Driver.compiled) r =
+  fst
+    (single_flight lowered
+       (key ~spec:c.spec c.source, r)
+       lower_count
+       (fun () -> C4cam.Driver.lower_rows c r))
+
 let length () =
   Mutex.protect lock (fun () ->
       Hashtbl.fold
         (fun _ e n -> match e with Ready _ -> n + 1 | Building -> n)
         table 0)
 
-let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)
+let clear () =
+  Mutex.protect lock (fun () ->
+      Hashtbl.reset table;
+      Hashtbl.reset lowered)

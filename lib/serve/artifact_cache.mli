@@ -26,6 +26,13 @@ val lookup :
     the domain that compiled.
     @raise C4cam.Driver.Compile_error as {!C4cam.Driver.compile}. *)
 
+val lower : C4cam.Driver.compiled -> int -> Ir.Func_ir.modul
+(** [lower c r] is {!C4cam.Driver.lower_rows}[ c r], made once per
+    artifact key and [r] and shared: the sessions of one sharded store
+    run one module for a tail of [r] rows, so they share its compiled
+    closures too. Single-flight like {!lookup}.
+    @raise C4cam.Driver.Compile_error as {!C4cam.Driver.lower_rows}. *)
+
 val length : unit -> int
 (** Number of cached artifacts (in-flight compiles excluded; test
     hook). *)
@@ -35,5 +42,8 @@ val compiles : unit -> int
     monotonic; the compile-exactly-once contract is asserted by diffing
     it around a racing [lookup] burst (test hook). *)
 
+val lowerings : unit -> int
+(** Total {!lower} builds since process start (test hook). *)
+
 val clear : unit -> unit
-(** Drop every cached artifact (test hook). *)
+(** Drop every cached artifact and lowering (test hook). *)

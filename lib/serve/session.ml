@@ -184,7 +184,7 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
   in
   pin ~config ~cache ~artifact:compiled ~spec:compiled.spec
     ~modul:compiled.cam_ir ~fn:compiled.fn_name
-    ~lower:(C4cam.Driver.lower_rows compiled)
+    ~lower:(Artifact_cache.lower compiled)
     ~info:compiled.info [| stored |]
 
 let of_acam ?(config = C4cam.Driver.Run_config.default)

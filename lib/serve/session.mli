@@ -74,7 +74,8 @@ val query : t -> float array array -> C4cam.Driver.run_result
     order against the shared simulator (each chunk's row-level work
     still fans out across the ambient [Parallel] domain pool). The
     tail runs the kernel lowered for [r] rows
-    ({!C4cam.Driver.lower_rows}), made on first use and kept: charged
+    ({!C4cam.Driver.lower_rows}), made on first use and shared by
+    every session of the artifact ({!Artifact_cache.lower}): charged
     by the [q]-row kernel's rules at [queries = r], it replays the same
     recorded device setup. Returned [values]/[indices]/[scores] are
     the chunk results concatenated in input order; [latency] is this

@@ -548,6 +548,279 @@ let test_range_store_alloc () =
   if per_query > 1000. then
     Alcotest.failf "%.0f minor words per range query, bound 1000" per_query
 
+(* Steady-state Sharded_store batches at jobs 1 allocate at most 4,600
+   minor words per query on the store-32k shape (32,768 binary rows of
+   64 cells, 4 shards, q 8, top-3, 64x64 Base): the tile nest runs from
+   its plan, which builds no index, buffer or subview value. *)
+let test_sharded_store_alloc () =
+  Parallel.run ~jobs:1 @@ fun _pool ->
+  let q = 8 and d = 64 and rows = 32_768 in
+  let spec = Archspec.Spec.square 64 Archspec.Spec.Base in
+  let rng = Rng.create 3268 in
+  let bits () = Array.init d (fun _ -> float_of_int (Rng.int rng 2)) in
+  let st =
+    Serve.Sharded_store.create ~spec ~q ~d ~k:3 ~shards:4 ~capacity:rows ()
+  in
+  for _ = 1 to rows do
+    ignore (Serve.Sharded_store.insert st (bits ()))
+  done;
+  let batches = Array.init 4 (fun _ -> Array.init q (fun _ -> bits ())) in
+  Array.iter (fun b -> ignore (Serve.Sharded_store.query st b)) batches;
+  let before = Gc.minor_words () in
+  Array.iter (fun b -> ignore (Serve.Sharded_store.query st b)) batches;
+  let per_query = (Gc.minor_words () -. before) /. float_of_int (4 * q) in
+  if per_query > 4600. then
+    Alcotest.failf "%.0f minor words per store query, bound 4600" per_query
+
+(* ---- tile plans --------------------------------------------------------- *)
+
+(* A cam-level module whose tile nest runs from its plan, held to two
+   oracles: the register VM, and the same module with its root loop's
+   upper bound made a function argument, which no plan can be built
+   against, so the generic closures run it. *)
+
+(* [text] with the root loop's upper bound read from a new index
+   argument; returns the text and the bound's value. *)
+let bound_as_argument text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let root =
+    let rec find i =
+      if i = Array.length lines then Alcotest.fail "no root loop"
+      else
+        let l = lines.(i) in
+        if
+          String.starts_with ~prefix:"  \"scf.parallel\"(" l
+          || String.starts_with ~prefix:"  \"scf.for\"(" l
+        then i
+        else find (i + 1)
+    in
+    find 0
+  in
+  let l = lines.(root) in
+  let a = String.index l '(' in
+  let b = String.index_from l a ')' in
+  let ub =
+    match String.split_on_char ',' (String.sub l (a + 1) (b - a - 1)) with
+    | [ _; ub; _ ] -> String.trim ub
+    | _ -> Alcotest.failf "bad loop line %S" l
+  in
+  let value =
+    let prefix = "  " ^ ub ^ " = \"arith.constant\"() {value = " in
+    match
+      Array.find_opt (String.starts_with ~prefix) lines
+    with
+    | Some d ->
+        let rest = String.sub d (String.length prefix) (String.length d - String.length prefix) in
+        int_of_string (List.hd (String.split_on_char '}' rest))
+    | None -> Alcotest.failf "no constant %s" ub
+  in
+  lines.(root) <-
+    String.concat ""
+      [ String.sub l 0 (a + 1);
+        (match String.split_on_char ',' (String.sub l (a + 1) (b - a - 1)) with
+        | [ lb; _; step ] -> String.concat "," [ lb; " %999"; step ]
+        | _ -> assert false);
+        String.sub l b (String.length l - b) ];
+  let header = ref true in
+  let lines =
+    Array.map
+      (fun l ->
+        if !header && String.starts_with ~prefix:"func @" l then begin
+          header := false;
+          let c = String.index l ')' in
+          String.sub l 0 c ^ ", %999: index" ^ String.sub l c (String.length l - c)
+        end
+        else l)
+      lines
+  in
+  (String.concat "\n" (Array.to_list lines), value)
+
+type plan_case = {
+  pc_spec : Archspec.Spec.t;
+  pc_q : int;
+  pc_r : int;  (* query rows of the lowering run, r <= q *)
+  pc_d : int;
+  pc_n : int;
+  pc_k : int;
+  pc_form : [ `Topk | `Scores | `Eucl ];
+  pc_seed : int;
+}
+
+let print_plan_case c =
+  Printf.sprintf "%s q=%d r=%d d=%d n=%d k=%d %s seed=%d"
+    (Archspec.Spec.to_string c.pc_spec)
+    c.pc_q c.pc_r c.pc_d c.pc_n c.pc_k
+    (match c.pc_form with `Topk -> "topk" | `Scores -> "scores" | `Eucl -> "eucl")
+    c.pc_seed
+
+let gen_plan_case =
+  let open QCheck.Gen in
+  let mode = oneofl Archspec.Spec.[ Sequential; Parallel ] in
+  let* side = oneofl [ 4; 8 ] in
+  let* opt = oneofl Archspec.Spec.[ Base; Power; Density; Power_density ] in
+  let* subs = int_range 1 4 and* arrays = int_range 1 3 and* mats = int_range 1 3 in
+  let* bank_mode = mode and* mat_mode = mode and* array_mode = mode
+  and* subarray_mode = mode in
+  let* form = oneofl [ `Topk; `Scores; `Eucl ] in
+  let* q = int_range 1 3 in
+  let* r = int_range 1 q in
+  let* col_chunks = int_range 1 3 in
+  let* n =
+    oneof [ int_range 2 side; map (fun m -> m * side) (int_range 1 6) ]
+  in
+  let* k = int_range 1 (min n 3) in
+  let* seed = int_range 1 1_000_000 in
+  let base = Archspec.Spec.square side opt in
+  let spec =
+    {
+      base with
+      subarrays_per_array = subs;
+      arrays_per_mat = arrays;
+      mats_per_bank = mats;
+      bank_mode;
+      mat_mode;
+      array_mode;
+      subarray_mode;
+      cam_kind = (if form = `Eucl then Archspec.Spec.Mcam else base.cam_kind);
+      bits = (if form = `Eucl then 2 else base.bits);
+    }
+  in
+  return
+    { pc_spec = spec; pc_q = q; pc_r = r; pc_d = side * col_chunks;
+      pc_n = n; pc_k = k; pc_form = form; pc_seed = seed }
+
+let stats_copy s =
+  let c = Camsim.Stats.create () in
+  Camsim.Stats.add_into ~into:c s;
+  c
+
+(* One recording run and one sealed replay of [run] on a fresh
+   simulator: each run's result rows, latency, ops and ledger. *)
+let record_replay spec ~r run =
+  let sim = Camsim.Simulator.create spec in
+  Camsim.Simulator.set_query_hint sim r;
+  Camsim.Simulator.start_recording sim;
+  let once () =
+    let rows, lat, ops = run sim in
+    (rows, lat, ops, stats_copy (Camsim.Simulator.stats sim))
+  in
+  let first = once () in
+  Camsim.Simulator.seal_recording sim;
+  Camsim.Simulator.rewind sim;
+  [ first; once () ]
+
+let prop_plans =
+  QCheck.Test.make ~count:40 ~name:"tile plans = vm = generic closures"
+    (QCheck.make ~print:print_plan_case gen_plan_case)
+    (fun c ->
+      let src =
+        match c.pc_form with
+        | `Topk -> Workloads.Kernels.hdc_dot ~q:c.pc_q ~dims:c.pc_d ~classes:c.pc_n ~k:c.pc_k
+        | `Scores -> Workloads.Kernels.hdc_dot_scores ~q:c.pc_q ~dims:c.pc_d ~classes:c.pc_n
+        | `Eucl -> Workloads.Kernels.knn_euclidean ~q:c.pc_q ~dims:c.pc_d ~n:c.pc_n ~k:c.pc_k
+      in
+      match C4cam.Driver.compile ~spec:c.pc_spec src with
+      | exception C4cam.Driver.Compile_error _ -> QCheck.assume_fail ()
+      | compiled ->
+          let m =
+            if c.pc_r = c.pc_q then compiled.cam_ir
+            else C4cam.Driver.lower_rows compiled c.pc_r
+          in
+          let rng = Rng.create c.pc_seed in
+          let levels = if c.pc_form = `Eucl then 4 else 2 in
+          let mk rows =
+            Array.init rows (fun _ ->
+                Array.init c.pc_d (fun _ -> float_of_int (Rng.int rng levels)))
+          in
+          let queries = mk c.pc_r and stored = mk c.pc_n in
+          let args () =
+            let qv = C4cam.Driver.wrap_rows queries
+            and sv = C4cam.Driver.wrap_rows stored in
+            if compiled.info.query_arg = 0 then [ qv; sv ] else [ sv; qv ]
+          in
+          let fn = compiled.fn_name in
+          let rows_of (rs : Interp.Rtval.t list) = List.map Interp.Rtval.to_rows rs in
+          let interp m extra sim =
+            let o = Interp.Machine.run ~sim m fn (args () @ extra) in
+            (rows_of o.results, o.latency, o.ops_executed)
+          in
+          let text, ub = bound_as_argument (Printer.module_to_string m) in
+          let generic = Parser.parse_module text in
+          let program = Vm.Lower.modul m fn in
+          let vm sim =
+            let o = Vm.Exec.run ~sim program (args ()) in
+            (rows_of o.results, o.latency, [])
+          in
+          List.iter
+            (fun jobs ->
+              Parallel.run ~jobs @@ fun _ ->
+              let spec = c.pc_spec and r = c.pc_r in
+              let planned = record_replay spec ~r (interp m []) in
+              let closures =
+                record_replay spec ~r (interp generic [ Interp.Rtval.Index ub ])
+              in
+              let vm = record_replay spec ~r vm in
+              List.iteri
+                (fun i ((rows, lat, ops, st), (grows, glat, gops, gst), (vrows, vlat, _, vst)) ->
+                  let what = Printf.sprintf "jobs %d run %d" jobs i in
+                  let same_rows w a b =
+                    if not (List.equal (fun x y -> x = y) a b) then
+                      QCheck.Test.fail_reportf "%s: results differ from the %s" what w
+                  in
+                  same_rows "closures" rows grows;
+                  same_rows "vm" rows vrows;
+                  if not (Float.equal lat glat && Float.equal lat vlat) then
+                    QCheck.Test.fail_reportf "%s: latency %.17g, closures %.17g, vm %.17g"
+                      what lat glat vlat;
+                  if ops <> gops then
+                    QCheck.Test.fail_reportf "%s: ops_executed differ" what;
+                  if st <> gst || st <> vst then
+                    QCheck.Test.fail_reportf "%s: ledgers differ:\n%s\n%s\n%s" what
+                      (Camsim.Stats.to_string st) (Camsim.Stats.to_string gst)
+                      (Camsim.Stats.to_string vst))
+                (List.map2
+                   (fun a (b, v) -> (a, b, v))
+                   planned (List.combine closures vm)))
+            [ 1; 4 ];
+          true)
+
+(* The planned module and its generic twin fail alike: on an argument
+   narrower than declared (the plan's check falls back to the closures)
+   and on a read before any search (a simulator error either way). *)
+let test_plan_error_parity () =
+  let c =
+    C4cam.Driver.compile ~spec:Tutil.spec32
+      (Workloads.Kernels.hdc_dot_scores ~q:2 ~dims:64 ~classes:64)
+  in
+  let text = Printer.module_to_string c.cam_ir in
+  let no_search =
+    String.concat "\n"
+      (List.filter
+         (fun l -> not (contains l "\"cam.search\""))
+         (String.split_on_char '\n' text))
+  in
+  let fails text ~cols =
+    let generic, ub = bound_as_argument text in
+    let run m extra =
+      let sim = Camsim.Simulator.create Tutil.spec32 in
+      let q = C4cam.Driver.wrap_rows (Array.make_matrix 2 cols 0.)
+      and s = C4cam.Driver.wrap_rows (Array.make_matrix 64 64 0.) in
+      match Interp.Machine.run ~sim (Parser.parse_module m) c.fn_name ([ q; s ] @ extra) with
+      | _ -> Alcotest.fail "the module ran"
+      | exception e -> Printexc.to_string e
+    in
+    (run text [], run generic [ Interp.Rtval.Index ub ])
+  in
+  List.iter
+    (fun (what, text, cols, want) ->
+      let planned, closures = fails text ~cols in
+      Alcotest.(check string) (what ^ ": the closures' failure") closures planned;
+      Alcotest.(check bool) (what ^ ": " ^ planned) true (contains planned want))
+    [
+      ("narrow argument", text, 48, "buffer_view: window out of bounds");
+      ("read before search", no_search, 64, "no search has been performed");
+    ]
+
 (* ---- slot renaming regressions ---------------------------------------- *)
 
 (* A block argument that shadows the function argument (same SSA id):
@@ -776,6 +1049,14 @@ let () =
             test_fusion_read_error;
           Alcotest.test_case "range store batch allocation" `Quick
             test_range_store_alloc;
+          Alcotest.test_case "sharded store batch allocation" `Quick
+            test_sharded_store_alloc;
+        ] );
+      ( "tile plans",
+        [
+          QCheck_alcotest.to_alcotest prop_plans;
+          Alcotest.test_case "failures match the closures'" `Quick
+            test_plan_error_parity;
         ] );
       ( "query slot",
         [

@@ -614,6 +614,125 @@ let test_ragged_store () =
       done)
     [ 1; 4 ]
 
+(* The shards of one store share the kernel lowered for a tail of r
+   rows: a 4-shard store serving every r in 1..q-1 lowers each r once,
+   at jobs 1 and 4, and answers as host top-k does. *)
+let test_shared_lowerings () =
+  let q = 8 and d = 64 and k = 2 and capacity = 64 in
+  let data =
+    Workloads.Hdc.synthetic ~seed:67 ~dims:d ~n_classes:16 ~n_queries:q
+      ~bits:1 ()
+  in
+  List.iter
+    (fun jobs ->
+      Parallel.run ~jobs @@ fun _ ->
+      Serve.Artifact_cache.clear ();
+      let store = Store.create ~spec ~q ~d ~k ~shards:4 ~capacity () in
+      let cands =
+        Array.to_list (Array.map (fun row -> (Store.insert store row, row)) data.stored)
+      in
+      let before = Serve.Artifact_cache.lowerings () in
+      for _ = 1 to 2 do
+        for rows = 1 to q - 1 do
+          let batch = Array.sub data.queries 0 rows in
+          let r = Store.query store batch in
+          Array.iteri
+            (fun i qr ->
+              let values, ids =
+                Tutil.sorted_prefix ~k
+                  (List.map (fun (id, row) -> (Tutil.hamming qr row, id)) cands)
+              in
+              let what = Printf.sprintf "jobs %d, %d rows, row %d" jobs rows i in
+              Alcotest.(check (array (float 0.)))
+                (what ^ ": values") values r.Store.values.(i);
+              Alcotest.(check (array int)) (what ^ ": ids") ids
+                r.Store.indices.(i))
+            batch
+        done
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: one lowering per r" jobs)
+        (q - 1)
+        (Serve.Artifact_cache.lowerings () - before))
+    [ 1; 4 ]
+
+(* The scores-form ledgers in closed form, from Energy_model's
+   formulas. The kernel is hdc_dot_scores at q 4, 64 dims and 64 rows
+   on the 32x32 base spec: 2 x 2 tiles of 32 rows, one per subarray of
+   one bank, mat and array, all levels parallel. *)
+let scores_tile_costs ~q =
+  let module E = Camsim.Energy_model in
+  let tech = Camsim.Tech.fefet_45nm in
+  let search =
+    E.search tech ~bits:spec.bits ~cols:spec.cols ~active_rows:32
+      ~physical_rows:spec.rows ~kind:`Best ~queries:q ~batch_extra:false ()
+  in
+  (E.write tech ~bits:spec.bits ~cols:spec.cols ~rows:32, search,
+   E.merge tech ~elems:(q * 32))
+
+(* A session of N batches is charged its writes and its device
+   allocation once, on the recorded first batch (a replayed allocation
+   or an unchanged write is free), and its searches and merges N
+   times. *)
+let test_session_ledger () =
+  let module E = Camsim.Energy_model in
+  let q = 4 and tiles = 4 and n_batches = 5 in
+  let data =
+    Workloads.Hdc.synthetic ~seed:71 ~dims:64 ~n_classes:64 ~n_queries:q
+      ~bits:1 ()
+  in
+  let session =
+    Serve.Session.create ~spec ~stored:data.stored
+      (Workloads.Kernels.hdc_dot_scores ~q ~dims:64 ~classes:64)
+  in
+  for _ = 1 to n_batches do
+    ignore (Serve.Session.query session data.queries)
+  done;
+  let write, search, merge = scores_tile_costs ~q in
+  let tech = Camsim.Tech.fefet_45nm in
+  let overhead =
+    List.fold_left
+      (fun e level -> e +. (E.level_overhead tech ~level ~queries:q).energy)
+      0.
+      ([ `Bank; `Mat; `Array ] @ List.init tiles (fun _ -> `Subarray))
+  in
+  let n = float_of_int n_batches and t = float_of_int tiles in
+  let st = Serve.Session.stats session in
+  let dev = Camsim.Simulator.stats (Serve.Session.simulator session) in
+  Alcotest.(check int) "write ops" tiles dev.n_write_ops;
+  Alcotest.(check int) "search ops" (n_batches * tiles) dev.n_search_ops;
+  Tutil.check_float ~eps:1e-12 "write energy" (t *. write.energy)
+    st.write_energy_j;
+  Tutil.check_float ~eps:1e-12 "energy"
+    (overhead +. (t *. write.energy)
+    +. (n *. t *. (search.energy +. merge.energy)))
+    st.sim_energy_j;
+  Tutil.check_float ~eps:1e-12 "latency"
+    (write.latency +. (n *. (search.latency +. merge.latency)))
+    st.sim_latency_s
+
+(* A warm Sharded_store batch takes the slowest shard's latency and the
+   sum of the shards' energy: 3 shards of 64 rows, each the kernel
+   above. *)
+let test_store_ledger () =
+  let q = 4 and shards = 3 and tiles = 4 in
+  let data =
+    Workloads.Hdc.synthetic ~seed:73 ~dims:64 ~n_classes:(shards * 64)
+      ~n_queries:q ~bits:1 ()
+  in
+  let store =
+    Store.create ~spec ~q ~d:64 ~k:2 ~shards ~capacity:(shards * 64) ()
+  in
+  Array.iter (fun row -> ignore (Store.insert store row)) data.stored;
+  ignore (Store.query store data.queries);
+  let r = Store.query store data.queries in
+  let _, search, merge = scores_tile_costs ~q in
+  Tutil.check_float ~eps:1e-12 "latency: the slowest shard"
+    (search.latency +. merge.latency) r.Store.latency;
+  Tutil.check_float ~eps:1e-12 "energy: the sum over shards"
+    (float_of_int (shards * tiles) *. (search.energy +. merge.energy))
+    r.Store.energy
+
 (* The range store on every batch size from 1 to 2q - 1, against a host
    scan: per query the box with the fewest violated dimensions (a value
    outside the box's bounds), ties on the lower global box id. *)
@@ -752,6 +871,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_errors;
           Alcotest.test_case "ragged batches vs host top-k" `Quick
             test_ragged_store;
+          Alcotest.test_case "shards share each r-row lowering" `Quick
+            test_shared_lowerings;
+          Alcotest.test_case "scores-form session ledger in closed form"
+            `Quick test_session_ledger;
+          Alcotest.test_case "store batch ledger: max latency, summed energy"
+            `Quick test_store_ledger;
           Alcotest.test_case "ragged range batches vs host scan" `Quick
             test_ragged_range_store;
           Alcotest.test_case "non-finite values refused" `Quick
